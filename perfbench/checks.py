@@ -2,8 +2,14 @@
 
 ``check(op, code, out)`` compares one operation's exit code with the one
 the benchmark expects and its output with the invariants below.  An
-operation fails when it raises, returns another exit code, or breaks an
-invariant; only the last counts as a wrong answer.
+operation fails when it raises, returns an unexpected exit code, or breaks
+an invariant.  Where the CLI gives its answer in the exit code (cubing,
+the farey classifiers, covering-slope and pingpong exit 0 or 1 by
+verdict), a 0 or 1 that contradicts the benchmark's own verdict is a wrong
+answer like a broken invariant, and so is a verdict field in the output
+that contradicts it.  Only other exit codes, and ``cubing --corrupt K``
+with K < n exiting 0 (a known defect: such a K corrupts nothing), count
+as exit failures rather than wrong answers.
 
 The invariants, by subcommand:
 
@@ -52,15 +58,21 @@ def check(op: dict, code: int, out: str) -> tuple[tuple[str, str] | None, dict]:
     if kind == "cubing_corrupt":
         facts["corrupt_ops"] = 1
         facts["corrupt_detected"] = int(code == 1)
-    expected = _EXPECT.get(kind, lambda s: 0)(spec)
+    verdict_codes = kind in _EXPECT
+    expected = _EXPECT[kind](spec) if verdict_codes else 0
     if code != expected:
-        return ("exit", f"exit {code}, expected {expected}"), facts
+        if not verdict_codes or code not in (0, 1):
+            return ("exit", f"exit {code}, expected {expected}"), facts
+        if kind == "cubing_corrupt" and spec["k"] < spec["n"]:
+            return ("exit", f"exit {code}, expected {expected} (K < n corrupts nothing)"), facts
     try:
         _CHECKS[kind](spec, out, facts)
     except Wrong as err:
         return ("wrong", str(err)), facts
     except (ValueError, KeyError, TypeError, IndexError, OSError) as err:
         return ("wrong", f"unreadable output: {type(err).__name__}: {err}"), facts
+    if code != expected:
+        return ("wrong", f"exit {code} contradicts the output, expected {expected}"), facts
     return None, facts
 
 
@@ -256,8 +268,12 @@ def _check_svg(spec, out, facts):
           f"{o['circles']} circles reported, {circles} drawn, {spec['n'] + 2} regions")
 
 
+# Exit codes of the subcommands that answer with 0 or 1.
 _EXPECT = {
+    "cubing": lambda spec: 0,
+    "cubing_corpus": lambda spec: 0,
     "cubing_corrupt": lambda spec: 1,
+    "farey_cover": lambda spec: 0,
     "farey_2bridge": lambda spec: 0 if _two_bridge_equivalent(spec) else 1,
     "farey_p3": lambda spec: 0 if _p3_equivalent(spec) else 1,
     "farey_hyp": lambda spec: 0 if _hyperbolic(spec) else 1,

@@ -28,9 +28,10 @@ a report: git sha, Python version, nproc, seed, tracing overhead, failures
 by cause, the tail percentile and its sample counts, and (traced) the
 scaling table of ``verify_npc`` and flype against crossing count.
 
-``correct`` is false when an output broke an invariant (a wrong answer).
-Operations that raised or returned an unexpected exit code count in
-``failed``, and the report names their causes.  Their share is the
+``correct`` is false when an output broke an invariant or a verdict exit
+code contradicted the benchmark's own verdict (a wrong answer, see
+``checks.py``).  Operations that raised or returned another unexpected exit
+code count in ``failed``, and the report names their causes.  Their share is the
 per-layer metric ``failed_share``: it is 0 on two workloads, and an
 end-to-end metric must never be 0.
 """

@@ -41,8 +41,10 @@ def test_same_seed_same_inputs(workload, tmp_path):
 
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
 def test_every_round_has_the_same_mix(workload, tmp_path):
-    mixes = [Counter(part for op in ops for part in op["cls"].split(":"))
-             for seed in (1, 2) for ops in rounds(workload, seed, tmp_path / str(seed), 5)]
+    def parts(op):
+        return op["cls"].split(":") + [f"n={op.get('n')}", f"sizes={op['check'].get('sizes')}"]
+    mixes = [Counter(part for op in ops for part in parts(op))
+             for seed in (1, 2) for ops in rounds(workload, seed, tmp_path / str(seed), 6)]
     assert all(mix == mixes[0] for mix in mixes)
 
 
@@ -80,10 +82,31 @@ def test_cubing_wrong_cube_count_is_rejected(tmp_path):
     assert verdict(op, code, json.dumps(data))[0] == "wrong"
 
 
-def test_corrupt_must_exit_one(tmp_path):
+def test_cubing_npc_false_is_a_wrong_answer(tmp_path):
     op = first_op("cubing-ladder", tmp_path,
-                  lambda op: op["check"]["type"] == "cubing_corrupt" and op["n"] == 10)
-    assert verdict(op, 0, "{}") == ("exit", "exit 0, expected 1")
+                  lambda op: op["check"]["type"] == "cubing" and op["n"] == 10)
+    code, out = run(op["argv"])
+    data = json.loads(out)
+    data["npc"] = False
+    data["failures"] = [{"vertex": 0}]
+    assert verdict(op, 1, json.dumps(data))[0] == "wrong"
+    assert verdict(op, 1, out)[0] == "wrong"
+    assert verdict(op, 2, out)[0] == "exit"
+
+
+def test_corrupt_must_exit_one(tmp_path):
+    low = first_op("cubing-ladder", tmp_path,
+                   lambda op: op["check"]["type"] == "cubing_corrupt" and op["check"]["k"] < op["n"])
+    code, out = run(low["argv"])
+    assert verdict(low, code, out) == ("exit", "exit 0, expected 1 (K < n corrupts nothing)")
+    high = first_op("cubing-ladder", tmp_path,
+                    lambda op: op["check"]["type"] == "cubing_corrupt" and op["check"]["k"] >= op["n"]
+                    and op["n"] == 10)
+    code, out = run(high["argv"])
+    assert verdict(high, code, out) is None
+    data = json.loads(out)
+    data["npc"], data["failures"] = True, []
+    assert verdict(high, 0, json.dumps(data))[0] == "wrong"
 
 
 def test_decide_repeated_wing_region_is_rejected(tmp_path):
@@ -98,7 +121,7 @@ def test_decide_repeated_wing_region_is_rejected(tmp_path):
 
 def test_tunnel_must_generate_the_group(tmp_path):
     op = first_op("decide-arcs", tmp_path,
-                  lambda op: op["cls"] == "tunnel" and op["argv"][-1] != "--mirror")
+                  lambda op: op["cls"].endswith(":tunnel") and op["argv"][-1] != "--mirror")
     code, out = run(op["argv"])
     assert verdict(op, code, out) is None
     data = json.loads(out)
@@ -118,13 +141,41 @@ def test_pingpong_overlapping_disks_are_rejected(tmp_path):
     assert verdict(op, code, json.dumps(data)) == ("wrong", "disks 1 and 2 overlap")
 
 
+def test_pingpong_verdicts_against_the_pair_are_wrong_answers(tmp_path):
+    free = first_op("pingpong-words", tmp_path,
+                    lambda op: op["check"]["verdict"] == "FreeCertified" and op["check"]["words"]
+                    and op["check"]["words"] <= 6)
+    code, out = run(free["argv"])
+    assert verdict(free, code, out) is None
+    data = json.loads(out)
+    data["no_trivial_word"] = False
+    assert verdict(free, 1, json.dumps(data))[0] == "wrong"
+    data["no_trivial_word"] = True
+    data["verdict"] = "Inconclusive"
+    assert verdict(free, 1, json.dumps(data))[0] == "wrong"
+    other = first_op("pingpong-words", tmp_path,
+                     lambda op: op["check"]["verdict"] != "FreeCertified")
+    code, out = run(other["argv"])
+    assert verdict(other, code, out) is None
+    assert verdict(other, 0, out)[0] == "wrong"
+    data = json.loads(out)
+    data["verdict"] = "FreeCertified"
+    assert verdict(other, 0, json.dumps(data))[0] == "wrong"
+
+
 def test_farey_checks_use_their_own_arithmetic():
     hyp = {"check": {"type": "farey_hyp", "r": "2/5", "p3": False}}
     assert verdict(hyp, 0, '{"hyperbolic": true}') is None
     assert verdict(hyp, 0, '{"hyperbolic": false}')[0] == "wrong"
-    assert verdict({"check": {"type": "farey_hyp", "r": "1/7", "p3": False}}, 0, "{}")[0] == "exit"
+    torus = {"check": {"type": "farey_hyp", "r": "1/7", "p3": False}}
+    assert verdict(torus, 1, '{"hyperbolic": false}') is None
+    assert verdict(torus, 0, '{"hyperbolic": true}')[0] == "wrong"
+    assert verdict(torus, 0, '{"hyperbolic": false}')[0] == "wrong"
+    assert verdict(torus, 2, "")[0] == "exit"
     two = {"check": {"type": "farey_2bridge", "r": "1/3", "s": "4/3", "oriented": True}}
     assert verdict(two, 0, '{"equivalent": true, "witness": [[1, 1], [0, 1]]}') is None
+    assert verdict(two, 1, '{"equivalent": false}')[0] == "wrong"
     cover = {"check": {"type": "farey_cover", "r": "2/5"}}
     assert verdict(cover, 0, '{"r_tilde": "-9/20", "congruence": true}') is None
     assert verdict(cover, 0, '{"r_tilde": "-9/21", "congruence": true}')[0] == "wrong"
+    assert verdict(cover, 1, '{"r_tilde": "-9/20", "congruence": false}')[0] == "wrong"

@@ -3,9 +3,11 @@
 ``install(tracer)`` wraps public functions of ``cuspcubes`` and rebinds
 each one under the name its caller looks up: ``cuspcubes.decide.flype``
 for the classifier, ``cuspcubes.cubing.verify_npc`` for the CLI (which
-reaches it as ``cli.CB.verify_npc``), ``cuspcubes.diagram.is_prime`` for
-the flype search and the cubing builder, and so on.  Nothing in the
-package changes; a run without ``install`` executes the package untouched.
+reaches it as ``cli.CB.verify_npc``), ``is_prime`` in ``cuspcubes.diagram``,
+``cuspcubes.decide`` and ``cuspcubes.polyhedra`` (each imported it by name)
+for the flype search, the cubing builder, the classifier and the polyhedra,
+and so on.  Nothing in the package changes; a run without ``install``
+executes the package untouched.
 
 A span is ``[name, start, end, parent, op, attrs]``: the parent is the
 index of the enclosing span (on the same thread, or the operation's root
@@ -107,7 +109,7 @@ def install(tracer: Tracer) -> None:
         init(self, *args, **kwargs)
     Diagram.__init__ = counted_init
 
-    for module in (diagram, decide):
+    for module in (diagram, decide, polyhedra):
         for attr in ("is_prime", "is_reduced", "alternating_determinant"):
             if hasattr(module, attr):
                 rebind(module, attr, "diagram.checks")
