@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 
 from . import farey as F
@@ -167,9 +168,31 @@ def cmd_decide(args) -> int:
 
 def _parse_matrix(text):
     data = json.loads(text)
-    if not (isinstance(data, list) and len(data) == 2):
+    if not (isinstance(data, list) and len(data) == 2
+            and all(isinstance(row, list) and len(row) == 2 for row in data)):
         raise PP.PingPongError("matrix must be [[a,b],[c,d]]")
     return data
+
+
+def _float_real(x) -> float:
+    """A JSON number or a rational string such as "-3/4", as a float."""
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        return float(x)
+    if isinstance(x, str):
+        try:
+            return float(Fraction(x))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise PP.PingPongError(f"not a real number: {x!r}")
+
+
+def _float_entry(e) -> complex:
+    """A matrix entry, real or an [re, im] pair, as a complex float."""
+    if isinstance(e, list):
+        if len(e) != 2:
+            raise PP.PingPongError(f"complex entries are [re, im] pairs, got {e!r}")
+        return complex(_float_real(e[0]), _float_real(e[1]))
+    return complex(_float_real(e), 0.0)
 
 
 def cmd_pingpong(args) -> int:
@@ -177,8 +200,7 @@ def cmd_pingpong(args) -> int:
     m1raw, m2raw = _parse_matrix(args.m1), _parse_matrix(args.m2)
     if mode == "float":
         def to_c(rows):
-            return [[complex(*e) if isinstance(e, list) else complex(float(e), 0.0)
-                     for e in row] for row in rows]
+            return [[_float_entry(e) for e in row] for row in rows]
         cert = PP.pingpong_certificate_float(to_c(m1raw), to_c(m2raw), tol=args.tolerance)
         out = cert.to_json()
         _emit(out, args.pretty)

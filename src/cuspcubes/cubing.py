@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .diagram import AlternatingDiagram, BLACK, WHITE, Region
+from .diagram import AlternatingDiagram, BLACK, WHITE, Region, _UnionFind
 
 
 class CubingError(ValueError):
@@ -32,32 +32,6 @@ PASSAGES = (UNDER, OVER)
 
 def _passage_of_port(p: int) -> str:
     return UNDER if p % 2 == 0 else OVER
-
-
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def add(self, x):
-        self.parent.setdefault(x, x)
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-    def classes(self) -> dict:
-        out = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return out
 
 
 @dataclass(frozen=True)

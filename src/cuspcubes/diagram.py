@@ -11,7 +11,7 @@ as is a raw rotation-system pairing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class DiagramError(ValueError):
@@ -495,14 +495,6 @@ class TwistSequence:
         return sum(self.a)
 
 
-@dataclass(frozen=True)
-class _StubSnapshot:
-    nw: Slot
-    ne: Slot
-    sw: Slot
-    se: Slot
-
-
 @dataclass
 class TwoBridgeDiagram:
     """Standard alternating diagram of a two-bridge link with twist labels.
@@ -516,7 +508,6 @@ class TwoBridgeDiagram:
     seq: TwistSequence
     diagram: AlternatingDiagram
     twist_region_of: tuple[int, ...]          # 1-based region index per crossing
-    _snapshots: tuple[_StubSnapshot, ...] = field(repr=False, default=())
 
     @property
     def n_regions(self) -> int:
@@ -540,7 +531,6 @@ class _TangleBuilder:
             "nw": ("stub", "ne"), "ne": ("stub", "nw"),
             "sw": ("stub", "se"), "se": ("stub", "sw"),
         }
-        self.snapshots: list[_StubSnapshot] = []
 
     def _wire(self, a: Slot, b: Slot) -> None:
         self.pairing[a] = b
@@ -554,18 +544,9 @@ class _TangleBuilder:
             self.stubs[held[1]] = ("port", port)
         self.stubs[name] = None
 
-    def _snapshot(self) -> _StubSnapshot:
-        def port_of(name):
-            held = self.stubs[name]
-            if held[0] == "port":
-                return held[1]
-            return None
-        return _StubSnapshot(*(port_of(n) for n in ("nw", "ne", "sw", "se")))
-
     def add_horizontal(self) -> int:
         c = self.count
         self.count += 1
-        self.snapshots.append(self._snapshot())
         self._consume("ne", (c, _NW))
         self._consume("se", (c, _SW))
         self.stubs["ne"] = ("port", (c, _NE))
@@ -575,7 +556,6 @@ class _TangleBuilder:
     def add_vertical(self) -> int:
         c = self.count
         self.count += 1
-        self.snapshots.append(self._snapshot())
         self._consume("sw", (c, _NW))
         self._consume("se", (c, _NE))
         self.stubs["sw"] = ("port", (c, _SW))
@@ -623,7 +603,7 @@ def two_bridge_diagram(seq: TwistSequence | tuple[int, ...]) -> TwoBridgeDiagram
     else:
         pairing = b.close((("nw", "sw"), ("ne", "se")))
     d = AlternatingDiagram(seq.crossing_count, pairing)
-    return TwoBridgeDiagram(seq, d, tuple(labels), tuple(b.snapshots))
+    return TwoBridgeDiagram(seq, d, tuple(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -676,6 +656,32 @@ def crossings_adjacent_on_region(d: AlternatingDiagram, R: Region, c1: int, c2: 
 # Gear edge classes and diagram invariants
 # ---------------------------------------------------------------------------
 
+class _UnionFind:
+    def __init__(self):
+        self.parent = {}
+
+    def add(self, x):
+        self.parent.setdefault(x, x)
+
+    def find(self, x):
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+
+    def classes(self) -> dict:
+        out = {}
+        for x in self.parent:
+            out.setdefault(self.find(x), []).append(x)
+        return out
+
+
 def edge_arc_classes(d: AlternatingDiagram, mirror: bool = False) -> list[tuple[list[tuple[int, int]], int]]:
     """Partition of signed edges (sign, edge id) under the gear identifications.
 
@@ -685,33 +691,18 @@ def edge_arc_classes(d: AlternatingDiagram, mirror: bool = False) -> list[tuple[
     are each of size four (two per copy) and correspond bijectively to the
     crossings; the crossing of a class is returned with it.
     """
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
+    uf = _UnionFind()
     for s in (1, -1):
         for e in range(len(d.edges)):
-            parent[(s, e)] = (s, e)
+            uf.add((s, e))
     for R in d.regions:
         walk = [d.edge_of_slot[h] for h in R.boundary]
         m = len(walk)
         shift = 1 if (R.color == BLACK) != mirror else -1
         for j in range(m):
-            union((1, walk[j]), (-1, walk[(j + shift) % m]))
-    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for key in parent:
-        groups.setdefault(find(key), []).append(key)
+            uf.union((1, walk[j]), (-1, walk[(j + shift) % m]))
     out = []
-    for members in groups.values():
+    for members in uf.classes().values():
         ends = [set(d.edge_endpoints(e)) for _s, e in members]
         common = set.intersection(*ends)
 
@@ -731,15 +722,6 @@ def edge_arc_classes(d: AlternatingDiagram, mirror: bool = False) -> list[tuple[
             raise DiagramError("gear class has no unambiguous crossing")
         out.append((members, chosen[0]))
     return out
-
-
-def arc_class_crossing(d: AlternatingDiagram, edge_id: int, mirror: bool = False) -> int:
-    """The crossing whose crossing arc an edge of the diagram sphere maps to
-    (positive copy)."""
-    for members, crossing in edge_arc_classes(d, mirror):
-        if (1, edge_id) in members:
-            return crossing
-    raise DiagramError("edge not found in any class")
 
 
 def alternating_determinant(d: AlternatingDiagram) -> int:
@@ -805,107 +787,144 @@ def _mirror(h: Slot | None, L: set[int]):
     return (c, 3 - i) if c in L else h
 
 
+def _flype_disks(d: AlternatingDiagram, c: int) -> list[tuple[frozenset[int], int]]:
+    """Flype disks at c as (S, p): S is cut off by exactly four edges, two of
+    them the edges at the consecutive ports p, p+1 of c (c not in S).
+
+    The list is ordered by (len(S), sorted(S)), the order in which a search
+    over all subsets of the other crossings, smallest first, meets them.
+    """
+    ends = [d.edge_endpoints(e) for e in range(len(d.edges))]
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(d.n)]
+    for e, (a, b) in enumerate(ends):
+        nbrs[a].append((e, b))
+        nbrs[b].append((e, a))
+
+    def side(start: int, cut: set[int]) -> set[int]:
+        seen = {start}
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for e, y in nbrs[x]:
+                if e not in cut and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        return seen
+
+    found: dict[frozenset[int], int] = {}
+    for p in range(4):
+        e1, e2 = d.edge_of_slot[(c, p)], d.edge_of_slot[(c, (p + 1) % 4)]
+        # e1 separates Ra from the corner region R0 of ports p, p+1; e2
+        # separates R0 from Rb.  The disk boundary runs R0, Ra, Rx, Rb.
+        ra = d.regions[d.region_of_slot[(c, p)]].edges
+        rb = d.regions[d.region_of_slot[(c, (p + 2) % 4)]].edges
+        start = d.pairing[(c, p)][0]
+        for Rx in d.regions:
+            for f1 in ra & Rx.edges:
+                if c in ends[f1]:
+                    continue
+                for f2 in Rx.edges & rb:
+                    cut = {e1, e2, f1, f2}
+                    if c in ends[f2] or len(cut) != 4:
+                        continue
+                    S = side(start, cut)
+                    if c not in S and all((ends[e][0] in S) != (ends[e][1] in S) for e in cut):
+                        found.setdefault(frozenset(S), p)
+    return sorted(found.items(), key=lambda item: (len(item[0]), sorted(item[0])))
+
+
 def _pinch_flypes(d: AlternatingDiagram, c: int):
     """All single flypes of d whose pinch destroys crossing c.
 
     A flype disk is a set S of crossings whose boundary cuts exactly four
-    edges, two of them the edges joining c to S through cyclically
-    consecutive ports of c.  Rotating the disk uncrosses c (its strands
-    reconnect across the gap, each to the passing strand on its own side)
-    and re-crosses the two far strands, where the crossing re-forms; the
-    far wiring is fixed by requiring a valid alternating diagram with the
-    same spanning-tree determinant and strand count as d.  Yields
+    edges, two of them the edges e1, e2 joining c to S through cyclically
+    consecutive ports p, p+1 of c.  Rotating the disk uncrosses c (its
+    strands reconnect across the gap, each to the passing strand on its own
+    side) and re-crosses the two far strands, where the crossing re-forms;
+    the far wiring is fixed by requiring a valid alternating diagram with
+    the same spanning-tree determinant and strand count as d.  Yields
     (diagram, spot edge ports) pairs; the image of the crossing arc at c
     runs between the two spot edges.
-    """
-    import itertools as _it
 
+    The disks come from region 4-cycles.  In a prime diagram no set of
+    crossings is cut off by two edges (those two would share both side
+    regions), so both sides of a four-edge cut are connected: the cut is a
+    bond of the diagram graph, hence a 4-cycle of regions in the dual.
+    That cycle passes the corner region R0 of ports p, p+1 between e1 and
+    e2, so it reads R0, Ra, Rx, Rb with Ra and Rb the far sides of e1 and
+    e2; the two remaining cut edges f1, f2 separate Ra from Rx and Rx from
+    Rb.  For every region Rx and every such f1, f2 not at c, S is the side
+    of e1's far end once e1, e2, f1, f2 are removed; it is kept when c lies
+    outside it and all four edges cross its boundary.  This lists every
+    disk with O(n) work per region, and sorting by (size, sorted members)
+    keeps the order of the smallest-first search over all subsets that it
+    replaces, so the yielded sequence is the same.
+    """
+    if not is_prime(d):
+        raise DiagramError("non-prime: the flype search needs a prime diagram")
     n = d.n
     det0 = alternating_determinant(d)
     strands0 = len(d.strands)
-    others = [x for x in range(n) if x != c]
     edge_list = [tuple(e) for e in d.edges]
-    for size in range(1, n):
-        for S_tuple in _it.combinations(others, size):
-            S = set(S_tuple)
-            cut = [e for e in edge_list if (e[0][0] in S) != (e[1][0] in S)]
-            if len(cut) != 4:
-                continue
-            c_cut = [e for e in cut if c in (e[0][0], e[1][0])]
-            if len(c_cut) != 2:
-                continue
-            ports_S = sorted(h[1] for e in c_cut for h in e if h[0] == c)
-            if ports_S == [0, 1]:
-                p = 0
-            elif ports_S == [1, 2]:
-                p = 1
-            elif ports_S == [2, 3]:
-                p = 2
-            elif ports_S == [0, 3]:
-                p = 3
-            else:
-                continue
-            e1 = next(e for e in c_cut if (c, p) in e)
-            e2 = next(e for e in c_cut if (c, (p + 1) % 4) in e)
-            att1 = next(h for h in e1 if h[0] != c)
-            att2 = next(h for h in e2 if h[0] != c)
-            g1_far = d.pairing[(c, (p + 2) % 4)]
-            g2_far = d.pairing[(c, (p + 3) % 4)]
-            if g1_far[0] in S or g2_far[0] in S or g1_far[0] == c or g2_far[0] == c:
-                continue
-            f_edges = [e for e in cut if e not in c_cut]
-            fS = [next(h for h in e if h[0] in S) for e in f_edges]
-            fR = [next(h for h in e if h[0] not in S) for e in f_edges]
+    for S, p in _flype_disks(d, c):
+        cut = [e for e in edge_list if (e[0][0] in S) != (e[1][0] in S)]
+        att1 = d.pairing[(c, p)]
+        att2 = d.pairing[(c, (p + 1) % 4)]
+        # a prime diagram has no loop edge, so the edges at ports p+2, p+3
+        # lead away from c and lie outside the disk
+        g1_far = d.pairing[(c, (p + 2) % 4)]
+        g2_far = d.pairing[(c, (p + 3) % 4)]
+        f_edges = [e for e in cut if c not in (e[0][0], e[1][0])]
+        fS = [next(h for h in e if h[0] in S) for e in f_edges]
+        fR = [next(h for h in e if h[0] not in S) for e in f_edges]
 
-            def mu(h):
-                return _mirror(h, S)
+        def mu(h):
+            return _mirror(h, S)
 
-            removed = set(frozenset(e) for e in cut)
-            removed.add(frozenset(((c, (p + 2) % 4), g1_far)))
-            removed.add(frozenset(((c, (p + 3) % 4), g2_far)))
-            if len(removed) != 6:
+        removed = set(frozenset(e) for e in cut)
+        removed.add(frozenset(((c, (p + 2) % 4), g1_far)))
+        removed.add(frozenset(((c, (p + 3) % 4), g2_far)))
+        base = []
+        seen: set[Slot] = set()
+        for h, k in d.pairing.items():
+            if h in seen:
                 continue
-            base = []
-            seen: set[Slot] = set()
-            for h, k in d.pairing.items():
-                if h in seen:
-                    continue
-                seen.update((h, k))
-                if frozenset((h, k)) in removed:
-                    continue
-                base.append((mu(h), mu(k)))
-            # uncrossing: each strand entering the disk reconnects to the
-            # outgoing strand on its own side of the destroyed crossing
-            spot = [(mu(att1), g1_far), (mu(att2), g2_far)]
-            for f1 in (0, 1):
-                for f2 in (0, 1):
-                    a1, a2 = ((c, 0), (c, 2)) if not f1 else ((c, 2), (c, 0))
-                    b1, b2 = ((c, 1), (c, 3)) if not f2 else ((c, 3), (c, 1))
-                    for assoc in (0, 1):
-                        if assoc:
-                            far = [(mu(fS[0]), a1), (fR[0], a2), (mu(fS[1]), b1), (fR[1], b2)]
-                        else:
-                            far = [(mu(fS[0]), a1), (fR[0], a2), (fR[1], b1), (mu(fS[1]), b2)]
-                        trial = base + spot + far
-                        pairing: dict[Slot, Slot] = {}
-                        ok = True
-                        for h, k in trial:
-                            if h in pairing or k in pairing or h == k:
-                                ok = False
-                                break
-                            pairing[h] = k
-                            pairing[k] = h
-                        if not ok or len(pairing) != 4 * n:
-                            continue
-                        try:
-                            d2 = AlternatingDiagram(n, pairing)
-                        except DiagramError:
-                            continue
-                        if len(d2.strands) != strands0 or not is_prime(d2) or not is_reduced(d2):
-                            continue
-                        if alternating_determinant(d2) != det0:
-                            continue
-                        yield d2, spot
+            seen.update((h, k))
+            if frozenset((h, k)) in removed:
+                continue
+            base.append((mu(h), mu(k)))
+        # uncrossing: each strand entering the disk reconnects to the
+        # outgoing strand on its own side of the destroyed crossing
+        spot = [(mu(att1), g1_far), (mu(att2), g2_far)]
+        for f1 in (0, 1):
+            for f2 in (0, 1):
+                a1, a2 = ((c, 0), (c, 2)) if not f1 else ((c, 2), (c, 0))
+                b1, b2 = ((c, 1), (c, 3)) if not f2 else ((c, 3), (c, 1))
+                for assoc in (0, 1):
+                    if assoc:
+                        far = [(mu(fS[0]), a1), (fR[0], a2), (mu(fS[1]), b1), (fR[1], b2)]
+                    else:
+                        far = [(mu(fS[0]), a1), (fR[0], a2), (fR[1], b1), (mu(fS[1]), b2)]
+                    trial = base + spot + far
+                    pairing: dict[Slot, Slot] = {}
+                    ok = True
+                    for h, k in trial:
+                        if h in pairing or k in pairing or h == k:
+                            ok = False
+                            break
+                        pairing[h] = k
+                        pairing[k] = h
+                    if not ok or len(pairing) != 4 * n:
+                        continue
+                    try:
+                        d2 = AlternatingDiagram(n, pairing)
+                    except DiagramError:
+                        continue
+                    if len(d2.strands) != strands0 or not is_prime(d2) or not is_reduced(d2):
+                        continue
+                    if alternating_determinant(d2) != det0:
+                        continue
+                    yield d2, spot
 
 
 def _spot_options(d2: AlternatingDiagram, spot):
@@ -952,11 +971,15 @@ def flype_arc_search(d: AlternatingDiagram, c: int, max_depth: int = 5):
                 return d2, InRegionArc(R.index, c1, c2), depth + 1
             followups.append((d2, adj))
         for d2, adj in followups:
+            if not adj:
+                continue
+            # positive-copy edge -> crossing of its gear class
+            gear = {e: x for members, x in edge_arc_classes(d2) for s, e in members if s == 1}
             for R, c1, c2 in adj:
                 shared = [e for e in R.edges
                           if {h[0] for h in d2.edges[e]} == {c1, c2}]
                 for e in shared:
-                    kappa = arc_class_crossing(d2, e)
+                    kappa = gear[e]
                     key = (_diagram_key(d2), kappa)
                     if key not in visited:
                         visited.add(key)

@@ -68,6 +68,15 @@ class TestMiddleCrossings:
                     assert v.witness is not None, (seq, c)
                     assert len(set(v.witness.regions)) == 4, (seq, c)
 
+    def test_five_blocks_of_five(self):
+        tb = two_bridge_diagram((5, 5, 5, 5, 5))
+        interior = [c for c in range(25) if 2 <= tb.twist_region_of[c] <= 4]
+        assert len(interior) == 15
+        for c in interior:
+            v = classify_2bridge_pair(tb, CrossingArc(c))
+            assert v.kind == VerdictKind.FREE_GEOMETRICALLY_FINITE, c
+            assert v.witness is not None and len(set(v.witness.regions)) == 4, c
+
     def test_mirror_invariance(self):
         tb = two_bridge_diagram((2, 1, 2))
         v0 = classify_2bridge_pair(tb, CrossingArc(2), mirror=False)

@@ -6,6 +6,7 @@ from cuspcubes.diagram import (
     crossings_adjacent_on_region, edge_arc_classes, find_small_white_region, flype,
     is_prime, is_reduced, pretzel_diagram, region_adjacent, two_bridge_diagram,
 )
+from cuspcubes.diagram import _flype_disks, _pinch_flypes
 from conftest import twist_sequences
 
 TREFOIL_PD = [(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)]
@@ -286,6 +287,113 @@ class TestFlype:
                 assert is_prime(fr.diagram) and is_reduced(fr.diagram), (seq, i)
                 assert alternating_determinant(fr.diagram) == det, (seq, i)
                 assert len(fr.diagram.strands) == comps, (seq, i)
+
+
+def four_edge_cuts(d):
+    """Every set S of crossings whose boundary cuts exactly four edges, with
+    those edges, found by visiting all 2^n subsets in Gray-code order."""
+    nbrs = [[d.pairing[(x, i)][0] for i in range(4)] for x in range(d.n)]
+    inside = [False] * d.n
+    cut = 0
+    masks = []
+    for k in range(1, 1 << d.n):
+        x = (k & -k).bit_length() - 1
+        for y in nbrs[x]:
+            if y != x:
+                cut += 1 if inside[y] == inside[x] else -1
+        inside[x] = not inside[x]
+        if cut == 4:
+            masks.append(k ^ (k >> 1))
+    ends = [d.edge_endpoints(e) for e in range(len(d.edges))]
+    out = []
+    for mask in masks:
+        S = frozenset(x for x in range(d.n) if mask >> x & 1)
+        out.append((S, {e for e, (a, b) in enumerate(ends) if (a in S) != (b in S)}))
+    return out
+
+
+def subset_flype_disks(d, c, cuts):
+    """Flype disks at c by the exhaustive subset search: four cut edges, two
+    of them at consecutive ports p, p+1 of c, the far edges at p+2, p+3
+    leaving c for crossings outside S and six distinct edges rewired."""
+    out = []
+    for S, cut in cuts:
+        if c in S:
+            continue
+        ports = sorted(i for i in range(4) if d.pairing[(c, i)][0] in S)
+        if ports not in ([0, 1], [1, 2], [2, 3], [0, 3]):
+            continue
+        p = 3 if ports == [0, 3] else ports[0]
+        far = [d.pairing[(c, (p + k) % 4)][0] for k in (2, 3)]
+        if any(x in S or x == c for x in far):
+            continue
+        if len(cut | {d.edge_of_slot[(c, (p + k) % 4)] for k in (2, 3)}) != 6:
+            continue
+        out.append((S, p))
+    return sorted(out, key=lambda item: (len(item[0]), sorted(item[0])))
+
+
+class TestFlypeDisks:
+    def test_match_subset_search(self):
+        diagrams = [two_bridge_diagram(seq).diagram for seq in twist_sequences(12)]
+        diagrams += [pretzel_diagram(*tw) for tw in ((3, 3, 3), (2, 3, 4), (2, 2, 3, 3))]
+        for d in diagrams:
+            cuts = four_edge_cuts(d)
+            for c in range(d.n):
+                assert _flype_disks(d, c) == subset_flype_disks(d, c, cuts), (d.pd_code(), c)
+
+    def test_non_prime_rejected(self):
+        with pytest.raises(DiagramError, match="non-prime"):
+            next(_pinch_flypes(connected_sum_of_trefoils(), 0))
+
+
+# Traces and flyped PD codes of the subset search, which the 4-cycle
+# search must reproduce exactly.
+FLYPE_GOLDEN = {
+    ((2, 2, 2), 2): (
+        {"twist_region": 2, "crossing": 2, "searched_from": 2, "flype_steps": 2,
+         "image_region": 2, "image_endpoints": [3, 4]},
+        [(0, 1, 2, 3), (3, 4, 5, 0), (6, 7, 8, 9), (1, 5, 7, 6), (9, 10, 11, 2), (10, 8, 4, 11)]),
+    ((2, 12, 2), 2): (
+        {"twist_region": 2, "crossing": 2, "searched_from": 2, "flype_steps": 2,
+         "image_region": 2, "image_endpoints": [3, 14]},
+        [(0, 1, 2, 3), (3, 4, 5, 0), (6, 7, 8, 9), (1, 5, 7, 6), (10, 11, 9, 8),
+         (12, 13, 11, 10), (14, 15, 13, 12), (16, 17, 15, 14), (18, 19, 17, 16),
+         (20, 21, 19, 18), (22, 23, 21, 20), (24, 25, 23, 22), (26, 27, 25, 24),
+         (28, 29, 27, 26), (29, 30, 31, 2), (30, 28, 4, 31)]),
+    ((2, 16, 2), 2): (
+        {"twist_region": 2, "crossing": 2, "searched_from": 2, "flype_steps": 2,
+         "image_region": 2, "image_endpoints": [3, 18]},
+        [(0, 1, 2, 3), (3, 4, 5, 0), (6, 7, 8, 9), (1, 5, 7, 6), (10, 11, 9, 8),
+         (12, 13, 11, 10), (14, 15, 13, 12), (16, 17, 15, 14), (18, 19, 17, 16),
+         (20, 21, 19, 18), (22, 23, 21, 20), (24, 25, 23, 22), (26, 27, 25, 24),
+         (28, 29, 27, 26), (30, 31, 29, 28), (32, 33, 31, 30), (34, 35, 33, 32),
+         (36, 37, 35, 34), (37, 38, 39, 2), (38, 36, 4, 39)]),
+    ((4, 4, 4, 4, 4), 3): (
+        {"twist_region": 3, "crossing": 8, "searched_from": 8, "flype_steps": 1,
+         "image_region": 6, "image_endpoints": [3, 7]},
+        [(0, 1, 2, 3), (1, 4, 5, 2), (4, 6, 7, 5), (6, 8, 9, 7), (10, 11, 8, 0),
+         (12, 13, 11, 10), (14, 15, 13, 12), (16, 17, 15, 14), (18, 16, 3, 19),
+         (17, 20, 21, 9), (20, 22, 23, 21), (22, 24, 25, 23), (19, 25, 26, 27),
+         (27, 26, 28, 29), (29, 28, 30, 31), (31, 30, 32, 33), (24, 34, 35, 32),
+         (34, 36, 37, 35), (36, 38, 39, 37), (38, 18, 33, 39)]),
+    ((5, 5, 5, 5), 3): (
+        {"twist_region": 3, "crossing": 10, "searched_from": 10, "flype_steps": 1,
+         "image_region": 7, "image_endpoints": [4, 9]},
+        [(0, 1, 2, 3), (1, 4, 5, 2), (4, 6, 7, 5), (6, 8, 9, 7), (8, 10, 11, 9),
+         (12, 13, 10, 0), (14, 15, 13, 12), (16, 17, 15, 14), (18, 19, 17, 16),
+         (20, 21, 19, 18), (22, 20, 3, 23), (21, 24, 25, 11), (24, 26, 27, 25),
+         (26, 28, 29, 27), (28, 30, 31, 29), (23, 31, 32, 33), (33, 32, 34, 35),
+         (35, 34, 36, 37), (37, 36, 38, 39), (39, 38, 30, 22)]),
+}
+
+
+@pytest.mark.parametrize("seq,i", list(FLYPE_GOLDEN))
+def test_flype_golden(seq, i):
+    trace, pd = FLYPE_GOLDEN[seq, i]
+    fr = flype(two_bridge_diagram(seq), i)
+    assert fr.trace == trace
+    assert fr.diagram.pd_code() == pd
 
 
 class TestPretzel:
