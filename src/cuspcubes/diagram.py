@@ -787,9 +787,10 @@ def _mirror(h: Slot | None, L: set[int]):
     return (c, 3 - i) if c in L else h
 
 
-def _flype_disks(d: AlternatingDiagram, c: int) -> list[tuple[frozenset[int], int]]:
-    """Flype disks at c as (S, p): S is cut off by exactly four edges, two of
-    them the edges at the consecutive ports p, p+1 of c (c not in S).
+def _flype_disks(d: AlternatingDiagram, c: int) -> list[tuple[frozenset[int], int, tuple[int, int]]]:
+    """Flype disks at c as (S, p, (f1, f2)): S is cut off by exactly four
+    edges, the edges at the consecutive ports p, p+1 of c (c not in S) and
+    the edges f1 < f2 away from c.
 
     The list is ordered by (len(S), sorted(S)), the order in which a search
     over all subsets of the other crossings, smallest first, meets them.
@@ -811,7 +812,7 @@ def _flype_disks(d: AlternatingDiagram, c: int) -> list[tuple[frozenset[int], in
                     stack.append(y)
         return seen
 
-    found: dict[frozenset[int], int] = {}
+    found: dict[frozenset[int], tuple[int, tuple[int, int]]] = {}
     for p in range(4):
         e1, e2 = d.edge_of_slot[(c, p)], d.edge_of_slot[(c, (p + 1) % 4)]
         # e1 separates Ra from the corner region R0 of ports p, p+1; e2
@@ -824,13 +825,13 @@ def _flype_disks(d: AlternatingDiagram, c: int) -> list[tuple[frozenset[int], in
                 if c in ends[f1]:
                     continue
                 for f2 in Rx.edges & rb:
-                    cut = {e1, e2, f1, f2}
-                    if c in ends[f2] or len(cut) != 4:
+                    if c in ends[f2]:
                         continue
+                    cut = {e1, e2, f1, f2}
                     S = side(start, cut)
                     if c not in S and all((ends[e][0] in S) != (ends[e][1] in S) for e in cut):
-                        found.setdefault(frozenset(S), p)
-    return sorted(found.items(), key=lambda item: (len(item[0]), sorted(item[0])))
+                        found.setdefault(frozenset(S), (p, (min(f1, f2), max(f1, f2))))
+    return [(S, p, f) for S, (p, f) in sorted(found.items(), key=lambda item: (len(item[0]), sorted(item[0])))]
 
 
 def _pinch_flypes(d: AlternatingDiagram, c: int):
@@ -865,32 +866,27 @@ def _pinch_flypes(d: AlternatingDiagram, c: int):
     n = d.n
     det0 = alternating_determinant(d)
     strands0 = len(d.strands)
-    edge_list = [tuple(e) for e in d.edges]
-    for S, p in _flype_disks(d, c):
-        cut = [e for e in edge_list if (e[0][0] in S) != (e[1][0] in S)]
+    for S, p, f_ids in _flype_disks(d, c):
         att1 = d.pairing[(c, p)]
         att2 = d.pairing[(c, (p + 1) % 4)]
         # a prime diagram has no loop edge, so the edges at ports p+2, p+3
         # lead away from c and lie outside the disk
         g1_far = d.pairing[(c, (p + 2) % 4)]
         g2_far = d.pairing[(c, (p + 3) % 4)]
-        f_edges = [e for e in cut if c not in (e[0][0], e[1][0])]
-        fS = [next(h for h in e if h[0] in S) for e in f_edges]
-        fR = [next(h for h in e if h[0] not in S) for e in f_edges]
+        fS = [next(h for h in d.edges[f] if h[0] in S) for f in f_ids]
+        fR = [next(h for h in d.edges[f] if h[0] not in S) for f in f_ids]
 
         def mu(h):
             return _mirror(h, S)
 
-        removed = set(frozenset(e) for e in cut)
-        removed.add(frozenset(((c, (p + 2) % 4), g1_far)))
-        removed.add(frozenset(((c, (p + 3) % 4), g2_far)))
+        removed = {d.edge_of_slot[(c, k)] for k in range(4)} | set(f_ids)
         base = []
         seen: set[Slot] = set()
         for h, k in d.pairing.items():
             if h in seen:
                 continue
             seen.update((h, k))
-            if frozenset((h, k)) in removed:
+            if d.edge_of_slot[h] in removed:
                 continue
             base.append((mu(h), mu(k)))
         # uncrossing: each strand entering the disk reconnects to the

@@ -329,7 +329,8 @@ def subset_flype_disks(d, c, cuts):
             continue
         if len(cut | {d.edge_of_slot[(c, (p + k) % 4)] for k in (2, 3)}) != 6:
             continue
-        out.append((S, p))
+        f1, f2 = sorted(cut - {d.edge_of_slot[(c, p)], d.edge_of_slot[(c, (p + 1) % 4)]})
+        out.append((S, p, (f1, f2)))
     return sorted(out, key=lambda item: (len(item[0]), sorted(item[0])))
 
 
