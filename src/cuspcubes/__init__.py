@@ -24,9 +24,9 @@ from .diagram import (AlternatingDiagram, BLACK, CrossingArc, DiagramError,
                       pretzel_diagram, region_adjacent, two_bridge_diagram)
 from .cubing import (CubedComplex, CubingError, VertexLink, boundary_cubings,
                      build_cubing, is_flag, link_angle_class, verify_npc)
-from .polyhedra import (HalfSpaceLabel, IdealPolyhedronPair, PolyhedraError,
-                        build_polyhedra, butterfly_regions, circle_pattern_svg,
-                        face_transfer, halfspace_disjoint)
+from .polyhedra import (IdealPolyhedronPair, PolyhedraError, build_polyhedra,
+                        butterfly_regions, circle_pattern_svg, face_transfer,
+                        halfspace_disjoint)
 from .pingpong import (Butterfly, Certificate, GaussRational, MobiusMap,
                        PingPongError, RoundDisk, apply, compose, disjoint_interiors,
                        fixed_point, free_word_sanity, inverse, is_parabolic,

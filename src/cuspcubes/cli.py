@@ -98,10 +98,9 @@ def cmd_farey(args) -> int:
 # cubing
 # ---------------------------------------------------------------------------
 
-def _cubing_report(d, corrupt=None, mirror=False) -> dict:
-    cx = CB.build_cubing(d, mirror=mirror, corrupt=corrupt)
+def _cubing_report(cx, with_tori: bool = True) -> dict:
     rep = CB.verify_npc(cx)
-    tori = CB.boundary_cubings(cx) if corrupt is None else []
+    tori = CB.boundary_cubings(cx) if with_tori else []
     out = dict(cx.counts)
     out["npc"] = rep["npc"]
     out["failures"] = rep["failures"]
@@ -113,11 +112,12 @@ def _cubing_report(d, corrupt=None, mirror=False) -> dict:
 
 def cmd_cubing(args) -> int:
     if args.corpus:
-        return _run_corpus(args, lambda d: _cubing_report(d, mirror=args.mirror))
-    d = _plain_diagram(args)
-    out = _cubing_report(d, corrupt=args.corrupt, mirror=args.mirror)
+        return _run_corpus(args, lambda d: _cubing_report(CB.build_cubing(d, mirror=args.mirror)))
+    cx = CB.build_cubing(_plain_diagram(args), mirror=args.mirror)
+    if args.corrupt is not None:
+        cx.corrupt(args.corrupt)
+    out = _cubing_report(cx, with_tori=args.corrupt is None)
     if args.emit_complex:
-        cx = CB.build_cubing(d, mirror=args.mirror, corrupt=args.corrupt)
         Path(args.emit_complex).write_text(json.dumps(cx.to_json(), indent=2))
         out["complex_written"] = args.emit_complex
     _emit(out, args.pretty)
@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     cb.add_argument("--jobs", type=int, default=4)
     cb.add_argument("--emit-complex", metavar="OUT")
     cb.add_argument("--corrupt", type=int, default=None, metavar="K",
-                    help="rewire the K-th gluing for negative testing")
+                    help="rewire the K-th gluing (0 <= K < 5n) for negative testing")
     cb.add_argument("--mirror", action="store_true")
     cb.set_defaults(func=cmd_cubing)
 

@@ -16,7 +16,7 @@ non-positive curvature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 from .diagram import AlternatingDiagram, BLACK, WHITE, Region, _UnionFind
@@ -42,7 +42,6 @@ class Gluing:
     faces: tuple
     vertex_pairs: tuple             # pairs of corner germs
     edge_pairs: tuple               # pairs of edge germs
-    crossed: bool = True            # side gluings: far-end matching
 
 
 @dataclass
@@ -72,39 +71,47 @@ class VertexLink:
 def is_flag(lk: VertexLink) -> bool:
     """Every pairwise-joined vertex set spans a simplex.
 
-    The links of a cubed 3-complex are at most 2-dimensional, so a filled
-    clique on 4 or more vertices can never span; cliques are only
-    enumerated up to size 4 and larger structures are reported through the
-    simpliciality problems.
+    The links of a cubed 3-complex are at most 2-dimensional, so a clique
+    on 4 or more vertices can never span.  An edge therefore fails when a
+    common neighbour of its ends misses the triangle with it, or is joined
+    to another common neighbour.
     """
     if lk.problems:
         raise CubingError(f"link of {lk.vertex} is not simplicial: {lk.problems[0]}")
     adj = {v: set() for v in lk.vertices}
     for e in lk.edges:
-        a, b = tuple(e)
+        a, b = e
         adj[a].add(b)
         adj[b].add(a)
-    order = list(lk.vertices)
-    for i, a in enumerate(order):
-        for b in order[i + 1:]:
-            if b not in adj[a]:
-                continue
-            common = adj[a] & adj[b]
-            for c in common:
-                if frozenset((a, b, c)) not in lk.triangles:
-                    return False
-                # any fourth mutual neighbor would demand a 3-simplex
-                for dd in common:
-                    if dd <= c or dd not in adj[c]:
-                        continue
-                    return False
+    for e in lk.edges:
+        a, b = e
+        common = adj[a] & adj[b]
+        for c in common:
+            if e | {c} not in lk.triangles or common & adj[c]:
+                return False
     return True
+
+
+def _swap_partners(pairs: tuple) -> tuple:
+    """Pairs 2i and 2i + 1 exchange their second members."""
+    return tuple((a, pairs[i ^ 1][1]) for i, (a, _b) in enumerate(pairs))
+
+
+def _square_corners(face: tuple) -> list:
+    """(corner germ, its two edge germs along the face) at each corner."""
+    c, s = face[1], face[2]
+    if face[0] == "side":
+        k = face[3]
+        return [((ck, c, s, p), ((flat, c, s, k), ("ve", c, s, p)))
+                for ck, flat in (("bc", "be"), ("tc", "te")) for p in (k, (k + 1) % 4)]
+    ck, flat = ("bc", "be") if face[0] == "bottom" else ("tc", "te")
+    return [((ck, c, s, p), ((flat, c, s, (p - 1) % 4), (flat, c, s, p))) for p in range(4)]
 
 
 class CubedComplex:
     """Cubed decomposition of the exterior of a prime alternating diagram."""
 
-    def __init__(self, d: AlternatingDiagram, mirror: bool = False, corrupt: int | None = None):
+    def __init__(self, d: AlternatingDiagram, mirror: bool = False):
         from .diagram import is_prime, is_reduced
         if not is_prime(d):
             raise CubingError("the cubed decomposition requires a prime diagram")
@@ -112,7 +119,6 @@ class CubedComplex:
             raise CubingError("the cubed decomposition requires a reduced diagram")
         self.diagram = d
         self.mirror = mirror
-        self.corrupt = corrupt
         self.cubes = [(c, s) for c in range(d.n) for s in PASSAGES]
         self._build_gluings()
         self._close_classes()
@@ -143,27 +149,16 @@ class CubedComplex:
                 k2 = self._corner_of_port(c2, p2, R)
                 far1 = k1 if k1 != p1 else (k1 + 1) % 4
                 far2 = k2 if k2 != p2 else (k2 + 1) % 4
-                crossed = True
-                if self.corrupt is not None and len(gluings) == self.corrupt:
-                    crossed = False
-                if crossed:
-                    vmatch = (((("ve", c1, s1, p1), ("ve", c2, s2, far2))),
-                              ((("ve", c1, s1, far1), ("ve", c2, s2, p2))))
-                    vert = (((("bc", c1, s1, p1), ("bc", c2, s2, far2))),
-                            ((("bc", c1, s1, far1), ("bc", c2, s2, p2))),
-                            ((("tc", c1, s1, p1), ("tc", c2, s2, far2))),
-                            ((("tc", c1, s1, far1), ("tc", c2, s2, p2))))
-                else:
-                    vmatch = (((("ve", c1, s1, p1), ("ve", c2, s2, p2))),
-                              ((("ve", c1, s1, far1), ("ve", c2, s2, far2))))
-                    vert = (((("bc", c1, s1, p1), ("bc", c2, s2, p2))),
-                            ((("bc", c1, s1, far1), ("bc", c2, s2, far2))),
-                            ((("tc", c1, s1, p1), ("tc", c2, s2, p2))),
-                            ((("tc", c1, s1, far1), ("tc", c2, s2, far2))))
+                vert = ((("bc", c1, s1, p1), ("bc", c2, s2, far2)),
+                        (("bc", c1, s1, far1), ("bc", c2, s2, p2)),
+                        (("tc", c1, s1, p1), ("tc", c2, s2, far2)),
+                        (("tc", c1, s1, far1), ("tc", c2, s2, p2)))
                 edge_pairs = ((("be", c1, s1, k1), ("be", c2, s2, k2)),
-                              (("te", c1, s1, k1), ("te", c2, s2, k2))) + vmatch
+                              (("te", c1, s1, k1), ("te", c2, s2, k2)),
+                              (("ve", c1, s1, p1), ("ve", c2, s2, far2)),
+                              (("ve", c1, s1, far1), ("ve", c2, s2, p2)))
                 gluings.append(Gluing("side", (("side", c1, s1, k1), ("side", c2, s2, k2)),
-                                      vert, edge_pairs, crossed))
+                                      vert, edge_pairs))
         self.gluings = gluings
         # involution sanity: every interior face appears in exactly one gluing
         used = {}
@@ -177,6 +172,22 @@ class CubedComplex:
         if set(used) != expected:
             missing = expected - set(used)
             raise CubingError(f"unglued interior faces: {sorted(missing)[:3]}")
+
+    def corrupt(self, k: int) -> CubedComplex:
+        """Negative control: uncross side gluing k, which matches each
+        cube's port corner with the other's far corner, so that ports meet
+        ports, and close the classes again; verify_npc then fails at a
+        located vertex.  A bottom gluing (k < n) is left as it is.
+        """
+        if not 0 <= k < len(self.gluings):
+            raise CubingError(f"no gluing {k}: indices run from 0 to {len(self.gluings) - 1}")
+        g = self.gluings[k]
+        if g.kind == "side":
+            self.gluings[k] = replace(
+                g, vertex_pairs=_swap_partners(g.vertex_pairs),
+                edge_pairs=g.edge_pairs[:2] + _swap_partners(g.edge_pairs[2:]))
+            self._close_classes()
+        return self
 
     # -- class closure -------------------------------------------------------
 
@@ -238,11 +249,14 @@ class CubedComplex:
         self.square_classes = sqr.classes()
         self.boundary_squares = [("top", c, s) for c in range(n) for s in PASSAGES]
 
-    # -- hyperplanes ----------------------------------------------------------
+        # the corner germs and the square faces at each vertex, for its link
+        self._germs = {v: (vclasses[v], []) for v in self.vertices()}
+        for members in self.square_classes.values():
+            for v in dict.fromkeys(vtx.find(corner) for corner, _e in _square_corners(members[0])):
+                self._germs[v][1].append(members[0])
+        self._link = None
 
-    def _black_corners(self, c: int) -> list[int]:
-        col = BLACK if not self.mirror else WHITE
-        return [k for k in range(4) if self.diagram.corner_region(c, k).color == col]
+    # -- hyperplanes ----------------------------------------------------------
 
     def _build_hyperplanes(self) -> None:
         d = self.diagram
@@ -272,8 +286,6 @@ class CubedComplex:
             if len(groups) != 1:
                 raise CubingError(f"{col} midsquares split into {len(groups)} hyperplanes")
             self.hyperplanes[col] = Hyperplane(col, tuple(sorted(groups[0])))
-        # crossing lines: axis classes, one per crossing
-        self.crossing_lines = [("ax", c) for c in range(self.diagram.n)]
 
     # -- reports ---------------------------------------------------------------
 
@@ -292,7 +304,9 @@ class CubedComplex:
                                     if members[0][0] != "top" or len(members) > 1),
             "hyperplanes": len(self.hyperplanes),
             "midsquares_per_hyperplane": {c: len(h) for c, h in self.hyperplanes.items()},
-            "crossing_lines": len(self.crossing_lines),
+            # the two half-axes of a crossing arc meet at its glued bottom faces
+            "crossing_lines": sum(1 for members in self.square_classes.values()
+                                  if all(f[0] == "bottom" for f in members)),
         }
 
     def to_json(self) -> dict:
@@ -314,106 +328,79 @@ class CubedComplex:
 
         For the two inner vertices this is the sphere obtained from the
         dual of the diagram by subdividing the dual region around each
-        crossing, with one cone point per crossing.
+        crossing, with one cone point per crossing.  The last link built
+        is kept, so repeated queries at one vertex are lookups.
         """
-        vtx, edg, sqr = self._vtx, self._edg, self._sqr
-        inner = v in set(self.inner_vertices)
-        corner_kind = "bc" if inner else "tc"
-        edge_kinds = ("be", "ve") if inner else ("te", "ve")
+        if self._link is None or self._link.vertex != v:
+            self._link = self._build_link(v)
+        return self._link
 
+    def _build_link(self, v) -> VertexLink:
+        vtx, edg, sqr = self._vtx, self._edg, self._sqr
+        corners, faces = self._germs[v]
         problems = []
-        triangles = set()
-        tri_sources = {}
-        for c in range(self.diagram.n):
-            for s in PASSAGES:
-                for p in range(4):
-                    if vtx.find((corner_kind, c, s, p)) != v:
-                        continue
-                    flat = "be" if inner else "te"
-                    dirs = [edg.find((flat, c, s, (p - 1) % 4)),
-                            edg.find((flat, c, s, p)),
-                            edg.find(("ve", c, s, p))]
-                    if len(set(dirs)) != 3:
-                        problems.append(f"degenerate corner of cube ({c},{s}) at port {p}")
-                        continue
-                    t = frozenset(dirs)
-                    if t in triangles:
-                        problems.append(
-                            f"corner of cube ({c},{s}) repeats the simplex of {tri_sources[t]}")
-                    triangles.add(t)
-                    tri_sources[t] = (c, s, p)
-        edges = set()
-        edge_sources = {}
-        for members in self.square_classes.values():
-            face = members[0]
-            corner_iter = []
-            if face[0] == "top" and not inner:
-                _t, c, s = face
-                for p in range(4):
-                    corner_iter.append(((("tc", c, s, p)),
-                                        (("te", c, s, (p - 1) % 4), ("te", c, s, p))))
-            elif face[0] == "bottom" and inner:
-                _t, c, s = face
-                for p in range(4):
-                    corner_iter.append(((("bc", c, s, p)),
-                                        (("be", c, s, (p - 1) % 4), ("be", c, s, p))))
-            elif face[0] == "side":
-                _t, c, s, k = face
-                flat = "be" if inner else "te"
-                ck = corner_kind
-                for p in (k, (k + 1) % 4):
-                    corner_iter.append(((ck, c, s, p),
-                                        ((flat, c, s, k), ("ve", c, s, p))))
-            for corner, (ea, eb) in corner_iter:
+        triangles = {}                  # simplex -> the corner it came from
+        for ck, c, s, p in corners:
+            flat = "be" if ck == "bc" else "te"
+            dirs = {edg.find((flat, c, s, (p - 1) % 4)),
+                    edg.find((flat, c, s, p)),
+                    edg.find(("ve", c, s, p))}
+            if len(dirs) != 3:
+                problems.append(f"degenerate corner of cube ({c},{s}) at port {p}")
+                continue
+            t = frozenset(dirs)
+            if t in triangles:
+                problems.append(f"corner of cube ({c},{s}) repeats the simplex of {triangles[t]}")
+            triangles[t] = (c, s, p)
+        edges = {}                      # simplex -> the square class it came from
+        for face in faces:
+            key = sqr.find(face)
+            for corner, (ea, eb) in _square_corners(face):
                 if vtx.find(corner) != v:
                     continue
                 pair = frozenset((edg.find(ea), edg.find(eb)))
                 if len(pair) != 2:
                     problems.append(f"square {face} pinches at {corner}")
                     continue
-                key = sqr.find(face)
-                if pair in edges and edge_sources[pair] != key:
+                if edges.get(pair, key) != key:
                     problems.append(f"double edge between {sorted(map(str, pair))}")
-                edges.add(pair)
-                edge_sources[pair] = key
+                edges[pair] = key
+        for t in triangles:
+            problems += ["triangle with a missing edge"
+                         for pair in combinations(t, 2) if frozenset(pair) not in edges]
         vertices = sorted({x for t in triangles for x in t} | {x for e in edges for x in e},
                           key=str)
-        for t in triangles:
-            for pair in combinations(t, 2):
-                if frozenset(pair) not in edges:
-                    problems.append("triangle with a missing edge")
-        return VertexLink(v, tuple(vertices), edges, triangles, problems)
+        return VertexLink(v, tuple(vertices), set(edges), set(triangles), problems)
 
     def inner_link_vertex_of_region(self, v, rid: int):
         return self._edg.find(self.region_edge[rid])
 
 
-def build_cubing(d: AlternatingDiagram, mirror: bool = False, corrupt: int | None = None) -> CubedComplex:
+def build_cubing(d: AlternatingDiagram, mirror: bool = False) -> CubedComplex:
     """Construct the cubed exterior and check its structural laws.
 
     Raises if the closure of the gluings violates any of: two inner
     vertices, inner edges in bijection with regions, one vertical edge per
-    boundary vertex, two hyperplanes of 2c midsquares crossing along c
-    axis classes, and per-torus Euler characteristic zero.  Corrupted
-    complexes (corrupt = gluing index) skip these checks so the damage can
-    be observed by verify_npc.
+    boundary vertex, and two hyperplanes of 2c midsquares crossing along c
+    axis classes.  The Euler characteristic of each boundary torus is left
+    to boundary_cubings.  The negative control is CubedComplex.corrupt,
+    applied to the checked complex.
     """
-    cx = CubedComplex(d, mirror=mirror, corrupt=corrupt)
-    if corrupt is None:
-        c = d.n
-        counts = cx.counts
-        checks = [
-            ("cubes", 2 * c), ("inner_vertices", 2), ("inner_edges", c + 2),
-            ("boundary_squares", 2 * c), ("vertical_edges", 2 * c),
-            ("boundary_vertices", 2 * c), ("boundary_edges", 4 * c),
-            ("hyperplanes", 2), ("crossing_lines", c),
-        ]
-        for key, want in checks:
-            if counts[key] != want:
-                raise CubingError(f"{key} = {counts[key]}, expected {want}")
-        for col, h in cx.hyperplanes.items():
-            if len(h) != 2 * c:
-                raise CubingError(f"{col} hyperplane has {len(h)} midsquares, expected {2 * c}")
+    cx = CubedComplex(d, mirror=mirror)
+    c = d.n
+    counts = cx.counts
+    checks = [
+        ("cubes", 2 * c), ("inner_vertices", 2), ("inner_edges", c + 2),
+        ("boundary_squares", 2 * c), ("vertical_edges", 2 * c),
+        ("boundary_vertices", 2 * c), ("boundary_edges", 4 * c),
+        ("hyperplanes", 2), ("crossing_lines", c),
+    ]
+    for key, want in checks:
+        if counts[key] != want:
+            raise CubingError(f"{key} = {counts[key]}, expected {want}")
+    for col, h in cx.hyperplanes.items():
+        if len(h) != 2 * c:
+            raise CubingError(f"{col} hyperplane has {len(h)} midsquares, expected {2 * c}")
     return cx
 
 
@@ -425,6 +412,7 @@ def verify_npc(cx: CubedComplex) -> dict:
     """
     entries = []
     failures = []
+    inner = set(cx.inner_vertices)
     for v in cx.vertices():
         lk = cx.vertex_link(v)
         if lk.problems:
@@ -433,7 +421,7 @@ def verify_npc(cx: CubedComplex) -> dict:
         else:
             ok = is_flag(lk)
             reason = None if ok else "non-flag clique"
-        kind = "inner" if v in set(cx.inner_vertices) else "boundary"
+        kind = "inner" if v in inner else "boundary"
         entries.append({"vertex": str(v), "kind": kind, "flag": ok})
         if not ok:
             failures.append({"vertex": str(v), "kind": kind, "reason": reason})

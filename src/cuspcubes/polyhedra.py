@@ -24,19 +24,6 @@ class PolyhedraError(ValueError):
 POSITIVE, NEGATIVE = 1, -1
 
 
-@dataclass(frozen=True)
-class HalfSpaceLabel:
-    """A checkerboard half-space: which copy, which region, which side."""
-
-    polyhedron: int                 # POSITIVE or NEGATIVE
-    region: int
-    side: str                       # "contains" (the copy's side) or "opposite"
-
-    def __post_init__(self):
-        if self.side not in ("contains", "opposite"):
-            raise PolyhedraError("side must be 'contains' or 'opposite'")
-
-
 class IdealPolyhedronPair:
     """The glued pair of checkerboard ideal polyhedra of a prime diagram."""
 

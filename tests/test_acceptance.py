@@ -147,7 +147,7 @@ def test_criterion_6_npc_verification():
             for k, g in enumerate(base.gluings):
                 if g.kind != "side" or corrupted >= 12:
                     continue
-                rep = verify_npc(build_cubing(d, corrupt=k))
+                rep = verify_npc(build_cubing(d).corrupt(k))
                 if rep["npc"] or not rep["failures"][0]["vertex"]:
                     ok = False
                     break

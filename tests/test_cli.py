@@ -1,6 +1,16 @@
 import json
+from pathlib import Path
+
+import jsonschema
 
 from cuspcubes.cli import main
+
+SCHEMAS = Path(__file__).resolve().parents[1] / "docs" / "schemas"
+
+
+def validate(instance, schema_name):
+    schema = json.loads((SCHEMAS / schema_name).read_text())
+    jsonschema.validate(instance, schema)
 
 
 def run(capsys, *argv):
@@ -54,6 +64,7 @@ class TestCubing:
         code, out, _ = run(capsys, "cubing", "--two-bridge", "2,2")
         assert code == 0
         data = json.loads(out)
+        validate(data, "cubing.report.v1.json")
         assert data["cubes"] == 8 and data["inner_vertices"] == 2
         assert data["inner_edges"] == 6 and data["npc"] is True
 
@@ -65,7 +76,14 @@ class TestCubing:
         code, out, _ = run(capsys, "cubing", "--two-bridge", "2,2", "--corrupt", "5")
         assert code == 1
         data = json.loads(out)
+        validate(data, "cubing.report.v1.json")
         assert data["npc"] is False and data["failures"]
+
+    def test_corrupt_out_of_range(self, capsys):
+        # the figure-eight has 4 crossings and 5 * 4 = 20 gluings
+        for k in ("-1", "20"):
+            code, out, err = run(capsys, "cubing", "--two-bridge", "2,2", "--corrupt", k)
+            assert code == 2 and out == "" and "no gluing" in err
 
     def test_pd_file_and_emit(self, capsys, tmp_path, corpus):
         pd = {"pd": [list(x) for x in corpus["C2_2"].pd_code()]}
@@ -82,6 +100,8 @@ class TestCubing:
         code, out, _ = run(capsys, "cubing", "--corpus", str(pd_corpus_dir), "--jobs", "2")
         assert code == 0
         data = json.loads(out)
+        for result in data["results"]:
+            validate(result, "cubing.report.v1.json")
         assert len(data["results"]) >= 10
         assert all(r["npc"] for r in data["results"])
 

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from cuspcubes.cubing import (
@@ -5,6 +8,8 @@ from cuspcubes.cubing import (
     link_angle_class, verify_npc,
 )
 from cuspcubes.diagram import (AlternatingDiagram, region_adjacent, two_bridge_diagram)
+
+GOLDEN = Path(__file__).parent / "data" / "corrupt_npc_golden.json"
 
 
 def _has_perfect_matching(compatible: dict, n: int) -> bool:
@@ -116,6 +121,16 @@ class TestVertexLinks:
             assert lk.simplicial
             assert is_flag(lk)
 
+    def test_link_sizes(self, corpus):
+        for name, d in corpus.items():
+            cx = build_cubing(d)
+            n = d.crossing_count
+            for v in cx.inner_vertices:
+                assert len(cx.vertex_link(v).edges) == 6 * n, name
+            for v in cx.boundary_vertices:
+                lk = cx.vertex_link(v)
+                assert (len(lk.vertices), len(lk.edges), len(lk.triangles)) == (5, 8, 4), name
+
 
 class TestFlag:
     def test_empty_tetrahedron_not_flag(self):
@@ -160,9 +175,28 @@ class TestNpc:
         side_indices = [k for k, g in enumerate(base.gluings) if g.kind == "side"]
         assert len(side_indices) >= 10
         for k in side_indices:
-            rep = verify_npc(build_cubing(fig8, corrupt=k))
+            rep = verify_npc(build_cubing(fig8).corrupt(k))
             assert not rep["npc"], k
             assert rep["failures"][0]["vertex"], k
+
+    def test_corruption_golden(self, fig8):
+        # every failing vertex and reason is pinned, not only the verdict
+        golden = json.loads(GOLDEN.read_text())
+        tref = AlternatingDiagram.from_pd([(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)])
+        got = {}
+        for name, d in (("fig8", fig8), ("trefoil", tref)):
+            for k, g in enumerate(build_cubing(d).gluings):
+                if g.kind == "side":
+                    got[f"{name}:{k}"] = verify_npc(build_cubing(d).corrupt(k))
+        assert got == golden
+
+    def test_corrupt_drops_cached_links(self, fig8):
+        cx = build_cubing(fig8)
+        clean = verify_npc(cx)
+        assert clean["npc"]
+        assert not verify_npc(cx.corrupt(5))["npc"]
+        # a side gluing uncrossed twice is crossed again
+        assert verify_npc(cx.corrupt(5)) == clean
 
 
 class TestAngles:
