@@ -118,7 +118,6 @@ class CubedComplex:
         if not is_reduced(d):
             raise CubingError("the cubed decomposition requires a reduced diagram")
         self.diagram = d
-        self.mirror = mirror
         self.cubes = [(c, s) for c in range(d.n) for s in PASSAGES]
         self._build_gluings()
         self._close_classes()
@@ -254,7 +253,6 @@ class CubedComplex:
         for members in self.square_classes.values():
             for v in dict.fromkeys(vtx.find(corner) for corner, _e in _square_corners(members[0])):
                 self._germs[v][1].append(members[0])
-        self._link = None
 
     # -- hyperplanes ----------------------------------------------------------
 
@@ -328,14 +326,9 @@ class CubedComplex:
 
         For the two inner vertices this is the sphere obtained from the
         dual of the diagram by subdividing the dual region around each
-        crossing, with one cone point per crossing.  The last link built
-        is kept, so repeated queries at one vertex are lookups.
+        crossing, with one cone point per crossing.  It is built from the
+        corner germs and square faces filed under v by the class closure.
         """
-        if self._link is None or self._link.vertex != v:
-            self._link = self._build_link(v)
-        return self._link
-
-    def _build_link(self, v) -> VertexLink:
         vtx, edg, sqr = self._vtx, self._edg, self._sqr
         corners, faces = self._germs[v]
         problems = []

@@ -174,10 +174,14 @@ class TestNpc:
         base = build_cubing(fig8)
         side_indices = [k for k, g in enumerate(base.gluings) if g.kind == "side"]
         assert len(side_indices) >= 10
+        clean = verify_npc(base)
         for k in side_indices:
-            rep = verify_npc(build_cubing(fig8).corrupt(k))
+            cx = build_cubing(fig8)
+            rep = verify_npc(cx.corrupt(k))
             assert not rep["npc"], k
             assert rep["failures"][0]["vertex"], k
+            # a side gluing uncrossed twice is crossed again
+            assert verify_npc(cx.corrupt(k)) == clean, k
 
     def test_corruption_golden(self, fig8):
         # every failing vertex and reason is pinned, not only the verdict
@@ -189,14 +193,6 @@ class TestNpc:
                 if g.kind == "side":
                     got[f"{name}:{k}"] = verify_npc(build_cubing(d).corrupt(k))
         assert got == golden
-
-    def test_corrupt_drops_cached_links(self, fig8):
-        cx = build_cubing(fig8)
-        clean = verify_npc(cx)
-        assert clean["npc"]
-        assert not verify_npc(cx.corrupt(5))["npc"]
-        # a side gluing uncrossed twice is crossed again
-        assert verify_npc(cx.corrupt(5)) == clean
 
 
 class TestAngles:
