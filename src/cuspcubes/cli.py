@@ -197,6 +197,7 @@ def _float_entry(e) -> complex:
 
 def cmd_pingpong(args) -> int:
     mode = args.mode or os.environ.get("CUSPCUBES_MODE", "exact")
+    PP.check_word_length(args.words)
     m1raw, m2raw = _parse_matrix(args.m1), _parse_matrix(args.m2)
     if mode == "float":
         def to_c(rows):
@@ -304,7 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     pp = sub.add_parser("pingpong", help="free-group certificate for a matrix pair")
     pp.add_argument("m1", help='JSON matrix, entries rational or [re, im]')
     pp.add_argument("m2")
-    pp.add_argument("--words", type=int, default=0, metavar="N")
+    pp.add_argument("--words", type=int, default=0, metavar="N",
+                    help="also check that no reduced word of length 1..N is the identity "
+                         f"(N <= {PP.MAX_WORD_LENGTH})")
     pp.add_argument("--mode", choices=("exact", "float"))
     pp.add_argument("--tolerance", type=float, default=1e-12)
     pp.set_defaults(func=cmd_pingpong)

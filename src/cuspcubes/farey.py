@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 
@@ -117,28 +116,33 @@ def farey_adjacent(r: Slope, s: Slope) -> bool:
     return abs(r.q * s.p - s.q * r.p) == 1
 
 
-@lru_cache(maxsize=None)
-def _int_cf_steps(q: int, p: int) -> int:
-    """Minimal k with q/p = b1 + 1/(b2 + ... + 1/bk) over integer terms.
-
-    This equals the Farey-graph distance d(oo, q/p): paths from oo of
-    length k are exactly the integer continued fractions with k terms,
-    and a geodesic may always take its first step to floor or ceil (any
-    other integer neighbor forces the path through an integer strictly
-    between, which shortcuts through oo).
-    """
-    if p == 1:
-        return 1
-    qm = q % p
-    return 1 + min(_int_cf_steps(p, qm), _int_cf_steps(p, p - qm))
-
-
 def _dist_from_infinity(x: Slope) -> int:
+    """Farey-graph distance d(oo, x), one step per partial quotient of x.
+
+    Paths from oo of length k are exactly the integer continued fractions
+    x = b1 + 1/(b2 + ... + 1/bk), so d(oo, x) is the length of a geodesic
+    continued fraction of x (Beardon, Hockman and Short, *Geodesic
+    continued fractions*, Michigan Math. J. 2012).  A geodesic may take its
+    first step to floor(x) or ceil(x): any other integer neighbour forces
+    the path through an integer strictly between, which shortcuts through
+    oo.  Write the fractional part of x as [0; a1, ..., an].  The floor
+    step leaves the tail (a2, ..., an); the ceiling step leaves
+    (a1 - 1, a2, ..., an), or (a3, ..., an) when a1 = 1.  Repeated ceiling
+    steps through a partial quotient a1 >= 2 never beat the floor step, so
+    with d_i the distance for the tail that starts at a_i, and
+    d_{n+1} = 1 for an integer,
+        d_i = 1 + d_{i+1}                  if a_i >= 2,
+        d_i = 1 + min(d_{i+1}, d_{i+2})    if a_i = 1,
+    one backward pass over the partial quotients (a_n >= 2 always).
+    """
     if x.is_infinity:
         return 0
     if x.p == 1:
         return 1
-    return _int_cf_steps(x.q % x.p, x.p)
+    after, after2 = 1, 1                  # d_{i+1} and d_{i+2}
+    for a in reversed(cf_expand(x).terms):
+        after, after2 = 1 + (after if a >= 2 else min(after, after2)), after
+    return after
 
 
 def farey_distance(r: Slope, s: Slope) -> int:

@@ -41,12 +41,13 @@ class GaussRational:
     def of(x) -> "GaussRational":
         if isinstance(x, GaussRational):
             return x
-        if isinstance(x, (int, Fraction)):
-            return GaussRational(Fraction(x), Fraction(0))
-        if isinstance(x, str):
-            return GaussRational(Fraction(x), Fraction(0))
-        if isinstance(x, (tuple, list)) and len(x) == 2:
-            return GaussRational(Fraction(x[0]), Fraction(x[1]))
+        try:
+            if isinstance(x, (int, Fraction, str)):
+                return GaussRational(Fraction(x), Fraction(0))
+            if isinstance(x, (tuple, list)) and len(x) == 2:
+                return GaussRational(Fraction(x[0]), Fraction(x[1]))
+        except (ValueError, ZeroDivisionError, TypeError, OverflowError) as err:
+            raise PingPongError(f"not an exact complex value: {x!r}") from err
         raise PingPongError(f"not an exact complex value: {x!r}")
 
     def __add__(self, o):
@@ -438,25 +439,66 @@ def pingpong_certificate(m1: MobiusMap, m2: MobiusMap) -> Certificate:
     )
 
 
+MAX_WORD_LENGTH = 12          # 2 * (3**12 - 1) = 1,062,880 reduced words
+
+
+def _scaled_entries(m: MobiusMap) -> tuple[int, tuple[int, ...]]:
+    """(D, D*M) with D the lcm of the denominators of all eight coordinates.
+
+    D*M is a Gaussian-integer matrix, flattened to
+    (Re a, Im a, Re b, Im b, Re c, Im c, Re d, Im d).
+    """
+    parts = [x for z in (m.a, m.b, m.c, m.d) for x in (z.re, z.im)]
+    den = math.lcm(*(x.denominator for x in parts))
+    return den, tuple(x.numerator * (den // x.denominator) for x in parts)
+
+
+def _gauss_matmul(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+    """Product of two flattened Gaussian-integer 2x2 matrices."""
+    ar, ai, br, bi, cr, ci, dr, di = x
+    er, ei, fr, fi, gr, gi, hr, hi = y
+    return (ar * er - ai * ei + br * gr - bi * gi, ar * ei + ai * er + br * gi + bi * gr,
+            ar * fr - ai * fi + br * hr - bi * hi, ar * fi + ai * fr + br * hi + bi * hr,
+            cr * er - ci * ei + dr * gr - di * gi, cr * ei + ci * er + dr * gi + di * gr,
+            cr * fr - ci * fi + dr * hr - di * hi, cr * fi + ci * fr + dr * hi + di * hr)
+
+
+def check_word_length(max_length: int) -> None:
+    """Reject word-check lengths outside 0..MAX_WORD_LENGTH."""
+    if max_length < 0:
+        raise PingPongError(f"word length must be non-negative, got {max_length}")
+    if max_length > MAX_WORD_LENGTH:
+        raise PingPongError(
+            f"word length {max_length} exceeds MAX_WORD_LENGTH = {MAX_WORD_LENGTH} "
+            f"({2 * (3 ** max_length - 1)} reduced words)")
+
+
 def free_word_sanity(m1: MobiusMap, m2: MobiusMap, max_length: int) -> bool:
     """No nonempty reduced word in the generators equals the identity.
 
     Exhaustive enumeration over reduced words up to the given length;
-    vacuously true for max_length 0.
+    vacuously true for max_length 0.  Each generator is taken once as
+    (D, D*M) with D the shared denominator of its entries, so a word is a
+    product of Gaussian-integer matrices with scale the product of the
+    generators' D; it is trivial exactly when that product is
+    +-scale * I.  Lengths outside 0..MAX_WORD_LENGTH raise PingPongError.
     """
-    gens = [(0, m1), (1, inverse(m1)), (2, m2), (3, inverse(m2))]
-    inverse_of = {0: 1, 1: 0, 2: 3, 3: 2}
-    stack = [(g, m, 1) for g, m in gens]
+    check_word_length(max_length)
+    gens = [(g, *_scaled_entries(m))
+            for g, m in enumerate((m1, inverse(m1), m2, inverse(m2)))]
+    inverse_of = (1, 0, 3, 2)
+    stack = [(g, den, mat, 1) for g, den, mat in gens]
     while stack:
-        last, mat, length = stack.pop()
-        if mat.is_identity:
+        last, scale, mat, length = stack.pop()
+        ar, ai, br, bi, cr, ci, dr, di = mat
+        if br == bi == cr == ci == ai == di == 0 and ar == dr and abs(ar) == scale:
             return False
         if length >= max_length:
             continue
-        for g, gm in gens:
+        for g, den, gm in gens:
             if g == inverse_of[last]:
                 continue
-            stack.append((g, compose(gm, mat), length + 1))
+            stack.append((g, den * scale, _gauss_matmul(gm, mat), length + 1))
     return True
 
 

@@ -37,6 +37,16 @@ class TestFarey:
         data = json.loads(out)
         assert data["integer_part"] == -1 and data["terms"] == [1, 1, 4, 2]
 
+    def test_deep_slope(self, capsys):
+        # partial quotient 5000: deeper than the interpreter's recursion limit
+        code, out, _ = run(capsys, "farey", "dist", "1/0", "70011/30005")
+        assert code == 0
+        data = json.loads(out)
+        validate(data, "farey.outputs.v1.json")
+        assert data["distance"] == 4
+        code, out, _ = run(capsys, "farey", "hyperbolic", "70011/30005")
+        assert code == 0 and json.loads(out)["hyperbolic"] is True
+
     def test_classify_p3(self, capsys):
         code, out, _ = run(capsys, "farey", "classify-p3", "2/5", "-5/2", "--oriented")
         assert code == 0 and json.loads(out)["equivalent"] is True
@@ -146,43 +156,73 @@ class TestDecide:
         assert code == 2
 
 
+def run_pingpong(capsys, *argv):
+    """Exit code and JSON output of pingpong, checked against its schema."""
+    code, out, _ = run(capsys, "pingpong", *argv)
+    data = json.loads(out)
+    validate(data, "pingpong.certificate.v1.json")
+    return code, data
+
+
 class TestPingpong:
     def test_certified(self, capsys):
-        code, out, _ = run(capsys, "pingpong", "[[1,0],[4,1]]", "[[9,-16],[4,-7]]",
-                           "--words", "6")
+        code, data = run_pingpong(capsys, "[[1,0],[4,1]]", "[[9,-16],[4,-7]]", "--words", "6")
         assert code == 0
-        data = json.loads(out)
         assert data["verdict"] == "FreeCertified" and data["no_trivial_word"] is True
+        assert data["checked_words"] == 6
 
     def test_commuting(self, capsys):
-        code, out, _ = run(capsys, "pingpong", "[[1,0],[4,1]]", "[[1,0],[4,1]]")
+        code, data = run_pingpong(capsys, "[[1,0],[4,1]]", "[[1,0],[4,1]]", "--words", "3")
         assert code == 1
-        assert json.loads(out)["verdict"] == "Commuting"
+        assert data["verdict"] == "Commuting" and "checked_words" not in data
 
     def test_inconclusive(self, capsys):
-        code, out, _ = run(capsys, "pingpong", "[[1,0],[1,1]]", "[[2,-1],[1,0]]")
+        code, data = run_pingpong(capsys, "[[1,0],[1,1]]", "[[2,-1],[1,0]]")
         assert code == 1
-        assert json.loads(out)["verdict"] == "Inconclusive"
+        assert data["verdict"] == "Inconclusive"
 
     def test_non_parabolic_exit(self, capsys):
         code, _, err = run(capsys, "pingpong", "[[2,0],[0,\"1/2\"]]", "[[1,0],[4,1]]")
         assert code == 2
 
+    def test_exact_mode_bad_entries_exit(self, capsys):
+        for m1 in ('[["1/0",0],[4,1]]', '[[["1","1/0"],0],[4,1]]', '[["x",0],[4,1]]',
+                   '[[null,0],[4,1]]', '[[[[1],0],0],[4,1]]', '[[NaN,0],[4,1]]'):
+            code, out, err = run(capsys, "pingpong", m1, "[[9,-16],[4,-7]]")
+            assert code == 2, m1
+            assert out == "" and err.startswith("error:"), m1
+
+    def test_words_range(self, capsys):
+        from cuspcubes.pingpong import MAX_WORD_LENGTH
+        for n in (-1, MAX_WORD_LENGTH + 1):
+            code, out, err = run(capsys, "pingpong", "[[1,0],[4,1]]", "[[9,-16],[4,-7]]",
+                                 "--words", str(n))
+            assert code == 2, n
+            assert out == "" and err.startswith("error:") and "word length" in err, n
+        code, data = run_pingpong(capsys, "[[1,0],[4,1]]", "[[9,-16],[4,-7]]", "--words", "0")
+        assert code == 0 and "checked_words" not in data
+
     def test_float_mode_env(self, capsys, monkeypatch):
         monkeypatch.setenv("CUSPCUBES_MODE", "float")
-        code, out, _ = run(capsys, "pingpong", "[[1,0],[4,1]]", "[[9,-16],[4,-7]]")
+        code, data = run_pingpong(capsys, "[[1,0],[4,1]]", "[[9,-16],[4,-7]]")
         assert code == 0
-        assert json.loads(out)["numeric"] is True
+        assert data["numeric"] is True
+
+    def test_float_mode_verdicts(self, capsys):
+        for m2, verdict in (("[[9,-16],[4,-7]]", "FreeCertified"), ("[[1,0],[4,1]]", "Commuting")):
+            code, data = run_pingpong(capsys, "[[1,0],[4,1]]", m2, "--mode", "float")
+            assert data["verdict"] == verdict and code == (verdict != "FreeCertified")
+        code, data = run_pingpong(capsys, "[[1,0],[1,1]]", "[[2,-1],[1,0]]", "--mode", "float")
+        assert code == 1 and data["verdict"] == "Inconclusive" and "diagnostic" in data
 
     def test_float_mode_string_entries(self, capsys):
-        code0, out0, _ = run(capsys, "pingpong", '[[1,0],["8/2",1]]', "[[9,-16],[4,-7]]")
-        assert json.loads(out0)["verdict"] == "FreeCertified"
+        code0, data0 = run_pingpong(capsys, '[[1,0],["8/2",1]]', "[[9,-16],[4,-7]]")
+        assert data0["verdict"] == "FreeCertified"
         for m1 in ('[[1,0],["8/2",1]]', '[[1,0],[["8/2","0"],1]]', '[[1,0],[[4.0,0],"1"]]'):
-            code, out, err = run(capsys, "pingpong", m1, "[[9,-16],[4,-7]]", "--mode", "float")
-            assert code == code0, (m1, err)
-            data = json.loads(out)
+            code, data = run_pingpong(capsys, m1, "[[9,-16],[4,-7]]", "--mode", "float")
+            assert code == code0, m1
             assert data["numeric"] is True
-            assert data["verdict"] == json.loads(out0)["verdict"]
+            assert data["verdict"] == data0["verdict"]
 
     def test_float_mode_bad_entries_exit(self, capsys):
         for m1 in ('[[1,0],["x",1]]', '[[1,0],[[1,2,3],1]]', '[[1,0],[true,1]]',
@@ -192,9 +232,15 @@ class TestPingpong:
             assert out == "" and err.startswith("error:"), m1
 
     def test_gaussian_entries(self, capsys):
-        code, out, _ = run(capsys, "pingpong", "[[1,0],[[1,1],1]]", "[[9,-16],[4,-7]]")
+        code, data = run_pingpong(capsys, "[[1,0],[[1,1],1]]", "[[9,-16],[4,-7]]")
         assert code in (0, 1)
-        assert json.loads(out)["verdict"] in ("FreeCertified", "Inconclusive")
+        assert data["verdict"] in ("FreeCertified", "Inconclusive")
+        # fixed points 1+i and -1-2i, c = 2+i and 1-2i
+        code, data = run_pingpong(capsys, '[[["2","3"],["2","-4"]],[["2","1"],["0","-3"]]]',
+                                  '[[["-4","0"],["-5","-10"]],[["1","-2"],["6","0"]]]',
+                                  "--words", "5")
+        assert code == 0 and data["verdict"] == "FreeCertified"
+        assert data["no_trivial_word"] is True and data["conjugator"]
 
 
 class TestSvg:

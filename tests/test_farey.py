@@ -95,6 +95,47 @@ class TestDistance:
             assert (d == 1) == farey_adjacent(r, s)
 
 
+def fibonacci(n):
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+DEEP_SLOPES = {                                  # name: (slope, d(oo, r), d(0, r))
+    "70011/30005": (Slope(70011, 30005), 4, 5),
+    "F1200/F1201": (reduce_slope(fibonacci(1200), fibonacci(1201)), 601, 600),
+    "-F1201/F1200": (reduce_slope(-fibonacci(1201), fibonacci(1200)), 600, 601),
+    "3+[1,1,20000,1,1,7,3000,2]":
+        (cf_value(ContinuedFraction(3, (1, 1, 20000, 1, 1, 7, 3000, 2))), 7, 8),
+    "-4+[9999,1,1,1,1,2,1,12345]":
+        (cf_value(ContinuedFraction(-4, (9999, 1, 1, 1, 1, 2, 1, 12345))), 6, 7),
+    "0+[1*300,4000,2*50,1*7,3]":
+        (cf_value(ContinuedFraction(0, (1,) * 300 + (4000,) + (2,) * 50 + (1,) * 7 + (3,))),
+         206, 205),
+}
+DEEP_PAIRS = [("70011/30005", "F1200/F1201", 604),
+              ("70011/30005", "3+[1,1,20000,1,1,7,3000,2]", 10),
+              ("F1200/F1201", "-F1201/F1200", 1201),
+              ("-F1201/F1200", "0+[1*300,4000,2*50,1*7,3]", 806),
+              ("3+[1,1,20000,1,1,7,3000,2]", "-4+[9999,1,1,1,1,2,1,12345]", 13)]
+
+
+class TestDeepSlopes:
+    """Distances recorded from the earlier recursive distance, one call per
+    subtractive step, run with a raised recursion limit."""
+
+    def test_golden_distances(self):
+        assert len(str(fibonacci(1200))) == 251
+        for name, (r, d_inf, d_zero) in DEEP_SLOPES.items():
+            assert farey_distance(INFINITY, r) == d_inf, name
+            assert farey_distance(ZERO, r) == d_zero, name
+            assert two_bridge_hyperbolic(r), name
+        for a, b, d in DEEP_PAIRS:
+            r, s = DEEP_SLOPES[a][0], DEEP_SLOPES[b][0]
+            assert farey_distance(r, s) == farey_distance(s, r) == d, (a, b)
+
+
 class TestContinuedFractions:
     def test_examples(self):
         assert cf_expand(Slope(2, 5)) == ContinuedFraction(0, (2, 2))

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspcubes.pingpong import (
-    COMMUTING, FREE_CERTIFIED, INCONCLUSIVE, INFINITY_POINT, GaussRational,
-    MobiusMap, PingPongError, RoundDisk, apply, compose, disjoint_interiors,
+    COMMUTING, FREE_CERTIFIED, INCONCLUSIVE, INFINITY_POINT, MAX_WORD_LENGTH,
+    GaussRational, MobiusMap, PingPongError, RoundDisk, apply, compose, disjoint_interiors,
     disks_interiors_disjoint, disks_tangent, fixed_point, free_word_sanity,
     inverse, is_parabolic, isometric_butterfly, normalize_pair,
     pingpong_certificate, pingpong_certificate_float,
@@ -202,6 +202,54 @@ class TestNormalize:
             normalize_pair(TRANSLATION, MobiusMap.from_entries(1, 5, 0, 1))
 
 
+def words_oracle(m1, m2, max_length):
+    """The word check on Fraction matrices, as free_word_sanity did it
+    before it moved to Gaussian integers: the same depth-first order, each
+    word composed with compose() and tested with is_identity."""
+    gens = [(0, m1), (1, inverse(m1)), (2, m2), (3, inverse(m2))]
+    inverse_of = {0: 1, 1: 0, 2: 3, 3: 2}
+    stack = [(g, m, 1) for g, m in gens]
+    while stack:
+        last, mat, length = stack.pop()
+        if mat.is_identity:
+            return False
+        if length >= max_length:
+            continue
+        for g, gm in gens:
+            if g != inverse_of[last]:
+                stack.append((g, compose(gm, mat), length + 1))
+    return True
+
+
+def parabolic(c, s):
+    """[[1 + cs, -cs^2], [c, 1 - cs]]: parabolic with fixed point s."""
+    c, s, one = GaussRational.of(c), GaussRational.of(s), GaussRational.of(1)
+    cs = c * s
+    return MobiusMap.from_entries(one + cs, -(cs * s), c, one - cs)
+
+
+H = Fraction(1, 2)
+FREE_PAIRS = [                                   # (c, s) of each map
+    ((3, 0), (4, 2)), ((4, 1), (3, -2)),
+    ((Fraction(5, 2), H), (Fraction(7, 2), -Fraction(3, 2))),
+    ((Fraction(7, 2), Fraction(5, 2)), (Fraction(5, 2), -H)),
+    (((2, 1), (1, 2)), ((1, -2), (-1, -1))), (((1, 2), (-2, 1)), ((2, -1), (2, -2))),
+]
+# SL2(Z) pair whose shortest relations have length 6, and its conjugate by
+# z -> z/2, which needs the shared denominator 2
+SL2Z_PAIR = (MobiusMap.from_entries(1, 1, 0, 1), MobiusMap.from_entries(1, 0, -1, 1))
+HALF_PAIR = (MobiusMap.from_entries(1, H, 0, 1), MobiusMap.from_entries(1, 0, -2, 1))
+# a pair whose product has order 4: every trivial word of length 4 is -I
+ORDER4_PAIR = (MobiusMap.from_entries(1, 1, 0, 1), MobiusMap.from_entries(1, 0, -2, 1))
+ORDER4_HALF_PAIR = (MobiusMap.from_entries(1, H, 0, 1), MobiusMap.from_entries(1, 0, -4, 1))
+# z -> z + i and z -> z/(iz + 1): off-diagonal entries with zero real part
+GAUSS_PAIR = (MobiusMap.from_entries(1, (0, 1), 0, 1), MobiusMap.from_entries(1, 0, (0, 1), 1))
+# diagonal matrices other than +-I (none of determinant one): i*I, 2*I,
+# diag(1, -1) and diag(1 + i, 1)
+DIAGONALS = [MobiusMap(gr(a, b), gr(0), gr(0), gr(c, d))
+             for a, b, c, d in ((0, 1, 0, 1), (2, 0, 2, 0), (1, 0, -1, 0), (1, 1, 1, 0))]
+
+
 class TestWords:
     def test_certified_pair_free(self):
         assert free_word_sanity(M_STD, M_SHIFTED, 8)
@@ -212,6 +260,34 @@ class TestWords:
 
     def test_zero_length_vacuous(self):
         assert free_word_sanity(M_STD, M_SHIFTED, 0)
+
+    def test_length_limits(self):
+        assert free_word_sanity(TRANSLATION, TRANSLATION, MAX_WORD_LENGTH) is False
+        for n in (-1, MAX_WORD_LENGTH + 1):
+            with pytest.raises(PingPongError, match="word length"):
+                free_word_sanity(M_STD, M_SHIFTED, n)
+
+    def test_shortest_relations(self):
+        minus_one = MobiusMap.from_entries(-1, 0, 0, -1)
+        for (m1, m2), k in ((SL2Z_PAIR, 6), (HALF_PAIR, 6), (ORDER4_PAIR, 4),
+                            (ORDER4_HALF_PAIR, 4)):
+            assert [free_word_sanity(m1, m2, n) for n in range(9)] == \
+                [True] * k + [False] * (9 - k)
+            ab = compose(m1, m2)
+            power = ab
+            for _ in range(k // 2 - 1):
+                power = compose(power, ab)
+            assert power == minus_one
+
+    def test_agrees_with_fraction_oracle(self):
+        pairs = [(parabolic(*p1), parabolic(*p2)) for p1, p2 in FREE_PAIRS]
+        assert all(pingpong_certificate(*p).verdict == FREE_CERTIFIED for p in pairs)
+        pairs += [SL2Z_PAIR, HALF_PAIR, ORDER4_PAIR, ORDER4_HALF_PAIR, GAUSS_PAIR,
+                  (TRANSLATION, TRANSLATION), (TRANSLATION, MobiusMap.from_entries(1, 2, 0, 1))]
+        pairs += [(m, M_STD) for m in DIAGONALS]
+        for m1, m2 in pairs:
+            for n in range(7):
+                assert free_word_sanity(m1, m2, n) == words_oracle(m1, m2, n), (m1, m2, n)
 
 
 class TestFloatPath:
