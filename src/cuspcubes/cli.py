@@ -11,6 +11,7 @@ arithmetic path for pingpong.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -198,6 +199,8 @@ def _float_entry(e) -> complex:
 def cmd_pingpong(args) -> int:
     mode = args.mode or os.environ.get("CUSPCUBES_MODE", "exact")
     PP.check_word_length(args.words)
+    if mode == "float" and args.words:
+        raise PP.PingPongError("--words needs exact mode: the word check is exact only")
     m1raw, m2raw = _parse_matrix(args.m1), _parse_matrix(args.m2)
     if mode == "float":
         def to_c(rows):
@@ -258,7 +261,9 @@ def _run_corpus(args, worker) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after it."""
     ap = argparse.ArgumentParser(prog="cuspcubes")
     ap.add_argument("--pretty", action="store_true", help="indent JSON output")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -54,6 +54,8 @@ class AlternatingDiagram:
     def __init__(self, n: int, pairing: dict[Slot, Slot]):
         if n < 1:
             raise DiagramError("malformed: a diagram needs at least one crossing")
+        if len(pairing) != 4 * n:        # before any 4n-sized allocation
+            raise DiagramError("malformed: every slot must be paired exactly once")
         self.n = n
         slots = [(c, i) for c in range(n) for i in range(4)]
         if set(pairing) != set(slots):

@@ -12,7 +12,9 @@ disks are reported as inconclusive, never as a non-freeness claim.
 Radii are irrational in general (1/|c|), so disks store the squared
 radius and every comparison is the exact rational test
     dist^2 >= r1^2 + r2^2 + 2*sqrt(r1^2 * r2^2),
-rearranged to avoid square roots.
+rearranged to avoid square roots.  The exact certificate decides every
+test on integers: each map is scaled to a Gaussian-integer matrix and
+each disk to an integer centre and squared radius over one denominator.
 """
 
 from __future__ import annotations
@@ -30,6 +32,13 @@ class PingPongError(ValueError):
 # Exact complex scalars
 # ---------------------------------------------------------------------------
 
+def _exact_real(x) -> Fraction:
+    """An int (not a bool), a Fraction or a rational string; floats are refused."""
+    if isinstance(x, (int, Fraction, str)) and not isinstance(x, bool):
+        return Fraction(x)
+    raise ValueError(f"not exact: {x!r}")
+
+
 @dataclass(frozen=True)
 class GaussRational:
     """Complex number with Fraction coordinates."""
@@ -39,16 +48,15 @@ class GaussRational:
 
     @staticmethod
     def of(x) -> "GaussRational":
+        """An integer, Fraction or rational string, or an [re, im] pair of these."""
         if isinstance(x, GaussRational):
             return x
         try:
-            if isinstance(x, (int, Fraction, str)):
-                return GaussRational(Fraction(x), Fraction(0))
             if isinstance(x, (tuple, list)) and len(x) == 2:
-                return GaussRational(Fraction(x[0]), Fraction(x[1]))
-        except (ValueError, ZeroDivisionError, TypeError, OverflowError) as err:
+                return GaussRational(_exact_real(x[0]), _exact_real(x[1]))
+            return GaussRational(_exact_real(x), Fraction(0))
+        except (ValueError, ZeroDivisionError) as err:
             raise PingPongError(f"not an exact complex value: {x!r}") from err
-        raise PingPongError(f"not an exact complex value: {x!r}")
 
     def __add__(self, o):
         o = GaussRational.of(o)
@@ -207,21 +215,107 @@ def apply(m: MobiusMap, z) -> "GaussRational | str":
     return (m.a * z + m.b) / den
 
 
+# ---------------------------------------------------------------------------
+# Gaussian-integer core
+# ---------------------------------------------------------------------------
+#
+# Every decision below is made on a map's scaled form (D, D*M): D is the
+# lcm of the denominators of its eight real and imaginary parts and D*M a
+# Gaussian-integer matrix flattened to (Re a, Im a, Re b, Im b, Re c, Im c,
+# Re d, Im d).  Gaussian integers are (re, im) pairs of ints.  A disk is
+# scaled the same way, as (Re v, Im v, q, r): centre v/q with q > 0 and
+# squared radius r/q^2.  Fractions are built only for returned objects.
+
+def _scaled_entries(m: MobiusMap) -> tuple[int, tuple[int, ...]]:
+    """(D, D*M) with D the lcm of the denominators of all eight coordinates."""
+    parts = [x for z in (m.a, m.b, m.c, m.d) for x in (z.re, z.im)]
+    den = math.lcm(*(x.denominator for x in parts))
+    return den, tuple(x.numerator * (den // x.denominator) for x in parts)
+
+
+def _unscaled(den: int, e: tuple[int, ...]) -> MobiusMap:
+    return MobiusMap(*(GaussRational(Fraction(e[k], den), Fraction(e[k + 1], den))
+                       for k in range(0, 8, 2)))
+
+
+def _gauss_matmul(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+    """Product of two flattened Gaussian-integer 2x2 matrices."""
+    ar, ai, br, bi, cr, ci, dr, di = x
+    er, ei, fr, fi, gr, gi, hr, hi = y
+    return (ar * er - ai * ei + br * gr - bi * gi, ar * ei + ai * er + br * gi + bi * gr,
+            ar * fr - ai * fi + br * hr - bi * hi, ar * fi + ai * fr + br * hi + bi * hr,
+            cr * er - ci * ei + dr * gr - di * gi, cr * ei + ci * er + dr * gi + di * gr,
+            cr * fr - ci * fi + dr * hr - di * hi, cr * fi + ci * fr + dr * hi + di * hr)
+
+
+def _gmul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _norm(x: tuple[int, int]) -> int:
+    return x[0] * x[0] + x[1] * x[1]
+
+
+def _is_scalar(e: tuple[int, ...], scale: int) -> bool:
+    """The scaled matrix is +-scale * I, i.e. the map is the identity."""
+    ar, ai, br, bi, cr, ci, dr, di = e
+    return br == bi == cr == ci == ai == di == 0 and ar == dr and abs(ar) == scale
+
+
+def _is_parabolic(den: int, e: tuple[int, ...]) -> bool:
+    """Trace +-2D and not +-D*I."""
+    return e[1] + e[7] == 0 and abs(e[0] + e[6]) == 2 * den and not _is_scalar(e, den)
+
+
+def _fixed_point(e: tuple[int, ...]):
+    """A parabolic map's fixed point (a - d)/(2c) as the pair (a - d, c),
+    or None for the fixed point at infinity (c = 0)."""
+    if e[4] == e[5] == 0:
+        return None
+    return (e[0] - e[6], e[1] - e[7]), (e[4], e[5])
+
+
+def _same_point(f1, f2) -> bool:
+    if f1 is None or f2 is None:
+        return f1 is f2
+    return _gmul(f1[0], f2[1]) == _gmul(f2[0], f1[1])
+
+
+def _separation(x: tuple[int, ...], y: tuple[int, ...]) -> int:
+    """Sign of |centre(x) - centre(y)| - (r(x) + r(y)) for scaled disks.
+
+    With L = dist^2 - r1^2 - r2^2 the distance reaches r1 + r2 iff L >= 0
+    and L^2 >= 4 r1^2 r2^2; both sides are cleared of the denominators
+    by multiplying L by (q1 q2)^2.
+    """
+    vr1, vi1, q1, r1 = x
+    vr2, vi2, q2, r2 = y
+    dr, di = vr1 * q2 - vr2 * q1, vi1 * q2 - vi2 * q1
+    gap = dr * dr + di * di - r1 * q2 * q2 - r2 * q1 * q1
+    if gap < 0:
+        return -1
+    diff = gap * gap - 4 * r1 * r2 * q1 * q1 * q2 * q2
+    return (diff > 0) - (diff < 0)
+
+
 def is_parabolic(m: MobiusMap) -> bool:
     """Trace +-2 and not the identity."""
-    tr = m.trace
-    return (tr == GaussRational.of(2) or tr == GaussRational.of(-2)) and not m.is_identity
+    return _is_parabolic(*_scaled_entries(m))
 
 
 def fixed_point(m: MobiusMap):
     """The unique fixed point of a parabolic map."""
-    if m.is_identity:
+    den, e = _scaled_entries(m)
+    if _is_scalar(e, den):
         raise PingPongError("the identity fixes everything")
-    if not is_parabolic(m):
+    if not _is_parabolic(den, e):
         raise PingPongError("fixed_point here is for parabolic maps only")
-    if m.c.is_zero:
+    f = _fixed_point(e)
+    if f is None:
         return INFINITY_POINT
-    return (m.a - m.d) / (m.c * GaussRational.of(2))
+    num, c = f
+    p, q = _gmul(num, (c[0], -c[1])), 2 * _norm(c)
+    return GaussRational(Fraction(p[0], q), Fraction(p[1], q))
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +333,17 @@ class RoundDisk:
         if self.radius2 <= 0:
             raise PingPongError("disk radius must be positive")
 
+    @staticmethod
+    def from_scaled(x: tuple[int, ...]) -> "RoundDisk":
+        vr, vi, q, r = x
+        return RoundDisk(GaussRational(Fraction(vr, q), Fraction(vi, q)), Fraction(r, q * q))
+
+    def scaled(self) -> tuple[int, ...]:
+        re, im, r2 = self.center.re, self.center.im, self.radius2
+        q = math.lcm(re.denominator, im.denominator, r2.denominator)
+        return (re.numerator * (q // re.denominator), im.numerator * (q // im.denominator),
+                q, r2.numerator * q * (q // r2.denominator))
+
     def radius(self) -> float:
         return math.sqrt(float(self.radius2))
 
@@ -247,23 +352,12 @@ class RoundDisk:
 
 
 def disks_interiors_disjoint(d1: RoundDisk, d2: RoundDisk) -> bool:
-    """Exact test: centers at distance >= sum of radii (tangency allowed).
-
-    dist^2 >= r1^2 + r2^2 + 2 sqrt(r1^2 r2^2) is decided without square
-    roots: with L = dist^2 - r1^2 - r2^2, the inequality holds iff L >= 0
-    and L^2 >= 4 r1^2 r2^2.
-    """
-    dist2 = (d1.center - d2.center).abs2()
-    L = dist2 - d1.radius2 - d2.radius2
-    if L < 0:
-        return False
-    return L * L >= 4 * d1.radius2 * d2.radius2
+    """Exact test: centers at distance >= sum of radii (tangency allowed)."""
+    return _separation(d1.scaled(), d2.scaled()) >= 0
 
 
 def disks_tangent(d1: RoundDisk, d2: RoundDisk) -> bool:
-    dist2 = (d1.center - d2.center).abs2()
-    L = dist2 - d1.radius2 - d2.radius2
-    return L >= 0 and L * L == 4 * d1.radius2 * d2.radius2
+    return _separation(d1.scaled(), d2.scaled()) == 0
 
 
 def disjoint_interiors(disks: list[RoundDisk]) -> bool:
@@ -306,35 +400,39 @@ def isometric_butterfly(m: MobiusMap) -> Butterfly:
     neg is centered at -d/c, pos at a/c, both of radius 1/|c|; they are
     tangent exactly at the fixed point.
     """
-    if not is_parabolic(m):
+    return _butterfly(m, *_scaled_entries(m))[0]
+
+
+def _butterfly(m: MobiusMap, den: int, e: tuple[int, ...]):
+    """isometric_butterfly on m's scaled form (den, e), validated; also
+    returns the scaled disks: centres -Dd/C and A/C, radius^2 D^2/|C|^2."""
+    if not _is_parabolic(den, e):
         raise PingPongError("butterflies exist for parabolic maps only")
-    if m.c.is_zero:
+    a, b, c, d = e[0:2], e[2:4], e[4:6], e[6:8]
+    n, cbar = _norm(c), (c[0], -c[1])
+    if n == 0:
         raise PingPongError("the map fixes infinity; conjugate first (normalize_pair)")
-    c_abs2 = m.c.abs2()
-    neg = RoundDisk((-m.d) / m.c, Fraction(1) / c_abs2)
-    pos = RoundDisk(m.a / m.c, Fraction(1) / c_abs2)
-    bf = Butterfly(m, neg, pos)
-    _validate_butterfly(bf)
-    return bf
-
-
-def _validate_butterfly(bf: Butterfly) -> None:
-    m = bf.map
-    # the mapping identity |c m(z) - a|^2 |c z + d|^2 = 1 at three points
-    for z in (GaussRational.of(0), GaussRational.of(1), GaussRational.of((0, 1))):
-        den = m.c * z + m.d
-        if den.is_zero:
+    nv, pv = _gmul(d, cbar), _gmul(a, cbar)
+    neg, pos = (-nv[0], -nv[1], n, den * den * n), (pv[0], pv[1], n, den * den * n)
+    # the mapping identity |c m(z) - a|^2 |c z + d|^2 = 1 at three points;
+    # times D^4 it reads |c (a z + b) - a (c z + d)|^2 = D^4
+    for z in ((0, 0), (1, 0), (0, 1)):
+        cz, az = _gmul(c, z), _gmul(a, z)
+        w = (cz[0] + d[0], cz[1] + d[1])
+        if w == (0, 0):
             continue
-        w = apply(m, z)
-        lhs = (m.c * w - m.a).abs2() * den.abs2()
-        if lhs != 1:
+        u, v = _gmul(c, (az[0] + b[0], az[1] + b[1])), _gmul(a, w)
+        if _norm((u[0] - v[0], u[1] - v[1])) != den ** 4:
             raise PingPongError("isometric disk mapping identity failed")
-    if not disks_tangent(bf.neg, bf.pos):
+    if _separation(neg, pos) != 0:
         raise PingPongError("isometric disks are not tangent")
-    fix = fixed_point(m)
-    for disk in (bf.neg, bf.pos):
-        if (GaussRational.of(fix) - disk.center).abs2() != disk.radius2:
+    # the fixed point (a - d)/(2c) = p/(2n) with p = (a - d) conj(c) lies on
+    # the boundary of the disk (v, n, r) iff |p - 2v|^2 = 4r
+    p = _gmul((a[0] - d[0], a[1] - d[1]), cbar)
+    for vr, vi, _, r in (neg, pos):
+        if _norm((p[0] - 2 * vr, p[1] - 2 * vi)) != 4 * r:
             raise PingPongError("fixed point does not lie on both disk boundaries")
+    return Butterfly(m, RoundDisk.from_scaled(neg), RoundDisk.from_scaled(pos)), (neg, pos)
 
 
 # ---------------------------------------------------------------------------
@@ -375,23 +473,23 @@ def normalize_pair(m1: MobiusMap, m2: MobiusMap) -> tuple[MobiusMap, MobiusMap, 
     under the conjugators this produces.  Pairs with equal fixed points
     are rejected.
     """
-    for m in (m1, m2):
-        if not is_parabolic(m):
-            raise PingPongError("normalize_pair needs parabolic maps")
-    f1, f2 = fixed_point(m1), fixed_point(m2)
-    if f1 == f2:
+    (den1, e1), (den2, e2) = _scaled_entries(m1), _scaled_entries(m2)
+    if not (_is_parabolic(den1, e1) and _is_parabolic(den2, e2)):
+        raise PingPongError("normalize_pair needs parabolic maps")
+    f1, f2 = _fixed_point(e1), _fixed_point(e2)
+    if _same_point(f1, f2):
         raise PingPongError("the maps share their fixed point")
-    if f1 != INFINITY_POINT and f2 != INFINITY_POINT:
+    if f1 is not None and f2 is not None:
         return m1, m2, IDENTITY
-    # send some rational point distinct from both fixed points to infinity
+    # send some integer t other than the finite fixed point (a - d)/(2c)
+    # to infinity; that point is t iff a - d = 2tc
+    num, c = f1 or f2
     for t in range(0, 6):
-        zt = GaussRational.of(t)
-        if (f1 == INFINITY_POINT or GaussRational.of(f1) != zt) and \
-           (f2 == INFINITY_POINT or GaussRational.of(f2) != zt):
-            g = MobiusMap(ZERO_C, ONE_C, ONE_C, -zt)          # z -> 1/(z - t)
-            gi = inverse(g)
-            n1 = compose(compose(g, m1), gi)
-            n2 = compose(compose(g, m2), gi)
+        if num != (2 * t * c[0], 2 * t * c[1]):
+            g = MobiusMap(ZERO_C, ONE_C, ONE_C, -GaussRational.of(t))          # z -> 1/(z - t)
+            ge, gie = (0, 0, 1, 0, 1, 0, -t, 0), (-t, 0, -1, 0, -1, 0, 0, 0)  # g, inverse(g)
+            n1, n2 = (_unscaled(den, _gauss_matmul(_gauss_matmul(ge, e), gie))
+                      for den, e in ((den1, e1), (den2, e2)))
             return n1, n2, g
     raise PingPongError("could not find a conjugating point")
 
@@ -406,22 +504,21 @@ def pingpong_certificate(m1: MobiusMap, m2: MobiusMap) -> Certificate:
     interiors can never be empty, so the open complementary set condition
     is automatic for round disks and is recorded as a note).  An overlap
     is reported as Inconclusive with the offending pair; it is not a
-    non-freeness claim.
+    non-freeness claim.  Every test runs on the scaled forms (D, D*M).
     """
-    for m in (m1, m2):
-        if not is_parabolic(m):
-            raise PingPongError("certificates need two parabolic maps")
-    if fixed_point(m1) == fixed_point(m2):
+    s1, s2 = _scaled_entries(m1), _scaled_entries(m2)
+    if not (_is_parabolic(*s1) and _is_parabolic(*s2)):
+        raise PingPongError("certificates need two parabolic maps")
+    if _same_point(_fixed_point(s1[1]), _fixed_point(s2[1])):
         return Certificate(COMMUTING, notes=(
             "equal fixed points: parabolic maps with a common fixed point commute",))
     n1, n2, g = normalize_pair(m1, m2)
-    bf1 = isometric_butterfly(n1)
-    bf2 = isometric_butterfly(n2)
-    disks = [bf1.neg, bf1.pos, bf2.neg, bf2.pos]
+    (bf1, disks1), (bf2, disks2) = (_butterfly(n, *_scaled_entries(n)) for n in (n1, n2))
+    disks = disks1 + disks2
     names = ["neg(1)", "pos(1)", "neg(2)", "pos(2)"]
     for i in range(4):
         for j in range(i + 1, 4):
-            if not disks_interiors_disjoint(disks[i], disks[j]):
+            if _separation(disks[i], disks[j]) < 0:
                 return Certificate(
                     INCONCLUSIVE,
                     butterflies=(bf1, bf2),
@@ -440,27 +537,6 @@ def pingpong_certificate(m1: MobiusMap, m2: MobiusMap) -> Certificate:
 
 
 MAX_WORD_LENGTH = 12          # 2 * (3**12 - 1) = 1,062,880 reduced words
-
-
-def _scaled_entries(m: MobiusMap) -> tuple[int, tuple[int, ...]]:
-    """(D, D*M) with D the lcm of the denominators of all eight coordinates.
-
-    D*M is a Gaussian-integer matrix, flattened to
-    (Re a, Im a, Re b, Im b, Re c, Im c, Re d, Im d).
-    """
-    parts = [x for z in (m.a, m.b, m.c, m.d) for x in (z.re, z.im)]
-    den = math.lcm(*(x.denominator for x in parts))
-    return den, tuple(x.numerator * (den // x.denominator) for x in parts)
-
-
-def _gauss_matmul(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-    """Product of two flattened Gaussian-integer 2x2 matrices."""
-    ar, ai, br, bi, cr, ci, dr, di = x
-    er, ei, fr, fi, gr, gi, hr, hi = y
-    return (ar * er - ai * ei + br * gr - bi * gi, ar * ei + ai * er + br * gi + bi * gr,
-            ar * fr - ai * fi + br * hr - bi * hi, ar * fi + ai * fr + br * hi + bi * hr,
-            cr * er - ci * ei + dr * gr - di * gi, cr * ei + ci * er + dr * gi + di * gr,
-            cr * fr - ci * fi + dr * hr - di * hi, cr * fi + ci * fr + dr * hi + di * hr)
 
 
 def check_word_length(max_length: int) -> None:
@@ -490,8 +566,7 @@ def free_word_sanity(m1: MobiusMap, m2: MobiusMap, max_length: int) -> bool:
     stack = [(g, den, mat, 1) for g, den, mat in gens]
     while stack:
         last, scale, mat, length = stack.pop()
-        ar, ai, br, bi, cr, ci, dr, di = mat
-        if br == bi == cr == ci == ai == di == 0 and ar == dr and abs(ar) == scale:
+        if _is_scalar(mat, scale):
             return False
         if length >= max_length:
             continue

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import jsonschema
 
-from cuspcubes.cli import main
+from cuspcubes.cli import build_parser, main
 
 SCHEMAS = Path(__file__).resolve().parents[1] / "docs" / "schemas"
 
@@ -94,6 +94,12 @@ class TestCubing:
         for k in ("-1", "20"):
             code, out, err = run(capsys, "cubing", "--two-bridge", "2,2", "--corrupt", k)
             assert code == 2 and out == "" and "no gluing" in err
+
+    def test_huge_crossing_index_exit(self, capsys, tmp_path):
+        f = tmp_path / "huge.json"
+        f.write_text(json.dumps({"rotation": [[[0, 0], [10 ** 9, 1]]]}))
+        code, out, err = run(capsys, "cubing", "--pd", str(f))
+        assert code == 2 and out == "" and "paired exactly once" in err
 
     def test_pd_file_and_emit(self, capsys, tmp_path, corpus):
         pd = {"pd": [list(x) for x in corpus["C2_2"].pd_code()]}
@@ -187,7 +193,8 @@ class TestPingpong:
 
     def test_exact_mode_bad_entries_exit(self, capsys):
         for m1 in ('[["1/0",0],[4,1]]', '[[["1","1/0"],0],[4,1]]', '[["x",0],[4,1]]',
-                   '[[null,0],[4,1]]', '[[[[1],0],0],[4,1]]', '[[NaN,0],[4,1]]'):
+                   '[[null,0],[4,1]]', '[[[[1],0],0],[4,1]]', '[[NaN,0],[4,1]]',
+                   '[[1,0],[4.0,1]]', '[[1,0],[[4.0,0],1]]', '[[true,0],[4,true]]'):
             code, out, err = run(capsys, "pingpong", m1, "[[9,-16],[4,-7]]")
             assert code == 2, m1
             assert out == "" and err.startswith("error:"), m1
@@ -207,6 +214,16 @@ class TestPingpong:
         code, data = run_pingpong(capsys, "[[1,0],[4,1]]", "[[9,-16],[4,-7]]")
         assert code == 0
         assert data["numeric"] is True
+
+    def test_float_mode_words_exit(self, capsys, monkeypatch):
+        pair = ("[[1,0],[4,1]]", "[[9,-16],[4,-7]]")
+        code, out, err = run(capsys, "pingpong", *pair, "--words", "5", "--mode", "float")
+        assert code == 2 and out == "" and "exact mode" in err
+        monkeypatch.setenv("CUSPCUBES_MODE", "float")
+        code, out, err = run(capsys, "pingpong", *pair, "--words", "5")
+        assert code == 2 and out == "" and "exact mode" in err
+        code, data = run_pingpong(capsys, *pair, "--words", "0")
+        assert code == 0 and data["numeric"] is True
 
     def test_float_mode_verdicts(self, capsys):
         for m2, verdict in (("[[9,-16],[4,-7]]", "FreeCertified"), ("[[1,0],[4,1]]", "Commuting")):
@@ -260,3 +277,48 @@ class TestPretty:
     def test_indented(self, capsys):
         code, out, _ = run(capsys, "--pretty", "farey", "dist", "0/1", "1/0")
         assert code == 0 and out.startswith("{\n")
+
+
+class TestParserReuse:
+    # each flag with and without it, in one process, argparse errors between
+    M1, M2 = "[[1,0],[4,1]]", "[[9,-16],[4,-7]]"
+    ARGVS = [
+        ["--pretty", "farey", "classify-2bridge", "1/3", "4/3", "--oriented"],
+        ["farey", "classify-2bridge", "1/3", "4/3"],
+        ["farey", "nosuch", "1/3"],
+        ["farey", "hyperbolic", "2/5", "--p3"],
+        ["farey", "hyperbolic", "2/5"],
+        ["farey", "classify-p3", "2/5", "-5/2", "--oriented"],
+        ["farey", "classify-p3", "2/5", "-5/2"],
+        ["cubing", "--two-bridge", "2,2", "--mirror", "--bogus"],
+        ["decide", "--two-bridge", "2,1,2", "--crossing-arc", "A2:0", "--mirror"],
+        ["decide", "--two-bridge", "2,1,2", "--crossing-arc", "A2:0"],
+        ["cubing", "--two-bridge", "2,2", "--mirror"],
+        ["cubing", "--two-bridge", "2,2"],
+        ["pingpong", M1, M2, "--mode", "float", "--tolerance", "1e-9"],
+        ["pingpong", M1],
+        ["pingpong", M1, M2, "--words", "4"],
+        ["pingpong", M1, M2],
+        ["--pretty", "pingpong", M1, M2, "--mode", "float"],
+        ["pingpong", M1, M2, "--mode", "quadruple"],
+        ["pingpong", M1, M2, "--words", "3"],
+        ["farey", "dist", "-5/2", "2/5"],
+    ]
+
+    def call(self, capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    def test_outputs_match_fresh_parser(self, capsys):
+        assert build_parser() is build_parser()
+        reused = [self.call(capsys, argv) for argv in self.ARGVS]
+        fresh = []
+        for argv in self.ARGVS:
+            build_parser.cache_clear()
+            fresh.append(self.call(capsys, argv))
+        assert reused == fresh
+        assert [code for code, _, _ in reused].count(("SystemExit", 2)) == 4

@@ -68,6 +68,14 @@ class TestConstruction:
         with pytest.raises(DiagramError, match="malformed"):
             AlternatingDiagram.from_pd([])
 
+    def test_huge_crossing_index_rejected(self):
+        # crossing 10^9 would mean 4 * 10^9 slots; the pairing's size is
+        # checked against 4n before any slot list is built
+        with pytest.raises(DiagramError, match="paired exactly once"):
+            AlternatingDiagram.from_json({"rotation": [[[0, 0], [10 ** 9, 1]]]})
+        with pytest.raises(DiagramError, match="paired exactly once"):
+            AlternatingDiagram(10 ** 9, {(0, 0): (0, 1), (0, 1): (0, 0)})
+
     def test_non_alternating_rejected(self):
         # pairing opposite ports of the same crossing onto one edge makes a
         # strand meet itself over/over

@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspcubes.pingpong import (
-    COMMUTING, FREE_CERTIFIED, INCONCLUSIVE, INFINITY_POINT, MAX_WORD_LENGTH,
-    GaussRational, MobiusMap, PingPongError, RoundDisk, apply, compose, disjoint_interiors,
-    disks_interiors_disjoint, disks_tangent, fixed_point, free_word_sanity,
-    inverse, is_parabolic, isometric_butterfly, normalize_pair,
-    pingpong_certificate, pingpong_certificate_float,
+    COMMUTING, FREE_CERTIFIED, IDENTITY, INCONCLUSIVE, INFINITY_POINT, MAX_WORD_LENGTH,
+    ONE_C, ZERO_C, Butterfly, Certificate, GaussRational, MobiusMap, PingPongError,
+    RoundDisk, apply, compose, disjoint_interiors, disks_interiors_disjoint, disks_tangent,
+    fixed_point, free_word_sanity, inverse, is_parabolic, isometric_butterfly,
+    normalize_pair, pingpong_certificate, pingpong_certificate_float,
 )
 
 M_STD = MobiusMap.from_entries(1, 0, 4, 1)
@@ -288,6 +288,187 @@ class TestWords:
         for m1, m2 in pairs:
             for n in range(7):
                 assert free_word_sanity(m1, m2, n) == words_oracle(m1, m2, n), (m1, m2, n)
+
+
+class FractionOracle:
+    """The certificate on Fraction matrices, as pingpong_certificate
+    computed it before it moved to the scaled Gaussian-integer forms: each
+    test through GaussRational arithmetic, apply() and compose()."""
+
+    @staticmethod
+    def is_parabolic(m):
+        tr = m.trace
+        return (tr == GaussRational.of(2) or tr == GaussRational.of(-2)) and not m.is_identity
+
+    @classmethod
+    def fixed_point(cls, m):
+        if m.is_identity:
+            raise PingPongError("the identity fixes everything")
+        if not cls.is_parabolic(m):
+            raise PingPongError("fixed_point here is for parabolic maps only")
+        if m.c.is_zero:
+            return INFINITY_POINT
+        return (m.a - m.d) / (m.c * GaussRational.of(2))
+
+    @staticmethod
+    def gap(d1, d2):
+        dist2 = (d1.center - d2.center).abs2()
+        return dist2 - d1.radius2 - d2.radius2, 4 * d1.radius2 * d2.radius2
+
+    @classmethod
+    def disjoint(cls, d1, d2):
+        L, bound = cls.gap(d1, d2)
+        return L >= 0 and L * L >= bound
+
+    @classmethod
+    def tangent(cls, d1, d2):
+        L, bound = cls.gap(d1, d2)
+        return L >= 0 and L * L == bound
+
+    @classmethod
+    def butterfly(cls, m):
+        if not cls.is_parabolic(m):
+            raise PingPongError("butterflies exist for parabolic maps only")
+        if m.c.is_zero:
+            raise PingPongError("the map fixes infinity; conjugate first (normalize_pair)")
+        c_abs2 = m.c.abs2()
+        bf = Butterfly(m, RoundDisk((-m.d) / m.c, 1 / c_abs2), RoundDisk(m.a / m.c, 1 / c_abs2))
+        for z in (GaussRational.of(0), GaussRational.of(1), GaussRational.of((0, 1))):
+            den = m.c * z + m.d
+            if den.is_zero:
+                continue
+            if (m.c * apply(m, z) - m.a).abs2() * den.abs2() != 1:
+                raise PingPongError("isometric disk mapping identity failed")
+        if not cls.tangent(bf.neg, bf.pos):
+            raise PingPongError("isometric disks are not tangent")
+        fix = cls.fixed_point(m)
+        for disk in (bf.neg, bf.pos):
+            if (GaussRational.of(fix) - disk.center).abs2() != disk.radius2:
+                raise PingPongError("fixed point does not lie on both disk boundaries")
+        return bf
+
+    @classmethod
+    def normalize_pair(cls, m1, m2):
+        if not (cls.is_parabolic(m1) and cls.is_parabolic(m2)):
+            raise PingPongError("normalize_pair needs parabolic maps")
+        f1, f2 = cls.fixed_point(m1), cls.fixed_point(m2)
+        if f1 == f2:
+            raise PingPongError("the maps share their fixed point")
+        if f1 != INFINITY_POINT and f2 != INFINITY_POINT:
+            return m1, m2, IDENTITY
+        for t in range(0, 6):
+            zt = GaussRational.of(t)
+            if (f1 == INFINITY_POINT or GaussRational.of(f1) != zt) and \
+               (f2 == INFINITY_POINT or GaussRational.of(f2) != zt):
+                g = MobiusMap(ZERO_C, ONE_C, ONE_C, -zt)
+                gi = inverse(g)
+                return compose(compose(g, m1), gi), compose(compose(g, m2), gi), g
+        raise PingPongError("could not find a conjugating point")
+
+    @classmethod
+    def certificate(cls, m1, m2):
+        for m in (m1, m2):
+            if not cls.is_parabolic(m):
+                raise PingPongError("certificates need two parabolic maps")
+        if cls.fixed_point(m1) == cls.fixed_point(m2):
+            return Certificate(COMMUTING, notes=(
+                "equal fixed points: parabolic maps with a common fixed point commute",))
+        n1, n2, g = cls.normalize_pair(m1, m2)
+        bf1, bf2 = cls.butterfly(n1), cls.butterfly(n2)
+        disks = [bf1.neg, bf1.pos, bf2.neg, bf2.pos]
+        names = ["neg(1)", "pos(1)", "neg(2)", "pos(2)"]
+        for i in range(4):
+            for j in range(i + 1, 4):
+                if not cls.disjoint(disks[i], disks[j]):
+                    return Certificate(
+                        INCONCLUSIVE, butterflies=(bf1, bf2), conjugator=g,
+                        diagnostic=f"isometric disks {names[i]} and {names[j]} overlap",
+                        notes=("round disks give a sufficient criterion only; "
+                               "overlap does not refute freeness",))
+        return Certificate(
+            FREE_CERTIFIED, butterflies=(bf1, bf2), conjugator=g,
+            notes=("four round disks with disjoint interiors never cover the sphere, "
+                   "so the complementary open set is automatically non-empty",))
+
+
+def outcome(f, *args):
+    """JSON of f's result, or the message of the PingPongError it raised."""
+    try:
+        res = f(*args)
+    except PingPongError as err:
+        return "error", str(err)
+    if isinstance(res, tuple):
+        return "ok", [x.to_json() for x in res]
+    return "ok", res.to_json() if hasattr(res, "to_json") else res
+
+
+Q = Fraction
+# (c, s) grids of parabolic maps per kind of entry
+ORACLE_GRIDS = {
+    "int": ([1, 2, 3, 4], [-2, -1, 0, 1, 2]),
+    "rat": ([Q(1, 2), Q(3, 2), Q(5, 2)], [Q(-3, 2), Q(-1, 2), Q(1, 3), 1, Q(3, 2)]),
+    "dyadic": ([Q(5, 4), Q(9, 4), Q(7, 8)], [Q(-1, 2), Q(1, 4), Q(3, 2), Q(-5, 8)]),
+    "gauss": ([(1, 1), (2, -1), (0, 1)], [0, (1, 1), -1, (0, H), (-1, -2)]),
+}
+# weird maps made without from_entries: trace 2 with det 2 (fails the
+# mapping identity), diag(1 + i, 1 - i) (trace 2, fixes 0 and infinity),
+# diag(2, 1/2) (loxodromic), the identity, -1 times a parabolic
+ODD_MAPS = [MobiusMap(gr(2), gr(-2), gr(1), gr(0)), MobiusMap(gr(1, 1), gr(0), gr(0), gr(1, -1)),
+            MobiusMap(gr(2), gr(0), gr(0), gr(H)), IDENTITY,
+            MobiusMap(gr(-1), gr(0), gr(-4), gr(-1))]
+
+
+def oracle_pairs():
+    pairs = []
+    for cs, ss in ORACLE_GRIDS.values():
+        maps = [parabolic(c, s) for c in cs for s in ss]
+        pairs += [(m1, m2) for i, m1 in enumerate(maps) for m2 in maps[i + 1:]]
+        pairs += [(maps[-1], maps[0]), (maps[-2], maps[1])]
+    at_infinity = [TRANSLATION, MobiusMap.from_entries(1, (2, -1), 0, 1),
+                   MobiusMap.from_entries(-1, H, 0, -1)]
+    finite = [M_STD, M_SHIFTED, parabolic(2, 1), parabolic((1, 1), (0, H)), parabolic(H, 3)]
+    pairs += [(m1, m2) for m1 in at_infinity for m2 in finite]      # t = 1 against M_STD
+    pairs += [(m2, m1) for m1 in at_infinity for m2 in finite]
+    pairs += [(m1, m2) for m1 in at_infinity for m2 in at_infinity]
+    scaled = [MobiusMap.from_entries(2, 0, 8, 2), MobiusMap.from_entries(-3, 0, -12, -3),
+              MobiusMap.from_entries((0, 1), 0, (0, 4), (0, 1)),
+              MobiusMap.from_entries(18, -32, 8, -14)]
+    pairs += [(m1, m2) for m1 in scaled for m2 in finite + at_infinity]
+    pairs += [(m1, m2) for m1 in ODD_MAPS for m2 in finite + at_infinity + ODD_MAPS]
+    pairs += [(m2, m1) for m1 in ODD_MAPS for m2 in finite + at_infinity]
+    return pairs
+
+
+class TestFractionOracle:
+    def test_certificate_matches(self):
+        verdicts = set()
+        for m1, m2 in oracle_pairs():
+            expected = outcome(FractionOracle.certificate, m1, m2)
+            assert outcome(pingpong_certificate, m1, m2) == expected, (m1, m2)
+            verdicts.add(expected[1]["verdict"] if expected[0] == "ok" else expected[1])
+        assert verdicts == {FREE_CERTIFIED, INCONCLUSIVE, COMMUTING,
+                            "certificates need two parabolic maps",
+                            "isometric disk mapping identity failed",
+                            "the map fixes infinity; conjugate first (normalize_pair)"}
+
+    def test_helpers_match(self):
+        for m1, m2 in oracle_pairs()[::7]:
+            expected = outcome(FractionOracle.normalize_pair, m1, m2)
+            assert outcome(normalize_pair, m1, m2) == expected
+            for m in (m1, m2):
+                for ours, theirs in ((isometric_butterfly, FractionOracle.butterfly),
+                                     (fixed_point, FractionOracle.fixed_point),
+                                     (is_parabolic, FractionOracle.is_parabolic)):
+                    assert outcome(ours, m) == outcome(theirs, m), (ours, m)
+
+    def test_disk_tests_match(self):
+        centers = [gr(0), gr(1), gr(Q(1, 2), Q(-1, 3)), gr(2, 1), gr(Q(7, 5))]
+        radii2 = [Q(1, 4), Q(1, 2), Q(1), Q(2, 9), Q(49, 100)]
+        disks = [RoundDisk(c, r) for c in centers for r in radii2]
+        for d1 in disks:
+            for d2 in disks:
+                assert disks_interiors_disjoint(d1, d2) == FractionOracle.disjoint(d1, d2)
+                assert disks_tangent(d1, d2) == FractionOracle.tangent(d1, d2)
 
 
 class TestFloatPath:
