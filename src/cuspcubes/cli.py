@@ -138,7 +138,7 @@ def _parse_arc(args, tb_or_d):
             if not hasattr(tb_or_d, "crossings_in"):
                 raise DiagramError("twist-region arcs need a --two-bridge diagram")
             members = tb_or_d.crossings_in(i)
-            if not members or int(k) >= len(members):
+            if not 0 <= int(k) < len(members):
                 raise DiagramError(f"twist region A{i} has no crossing #{k}")
             return CrossingArc(members[int(k)])
         return CrossingArc(int(spec.lstrip("c")))

@@ -42,6 +42,18 @@ class Region:
         return frozenset(self.crossings)
 
 
+def _face_walk(pairing: dict[Slot, Slot], start: Slot) -> tuple[Slot, ...]:
+    """The face through slot `start`, walked by next(h) = rotate(twin(h))."""
+    walk = [start]
+    c, i = pairing[start]
+    h = (c, (i + 1) % 4)
+    while h != start:
+        walk.append(h)
+        c, i = pairing[h]
+        h = (c, (i + 1) % 4)
+    return tuple(walk)
+
+
 class AlternatingDiagram:
     """Validated alternating diagram with regions and checkerboard coloring.
 
@@ -158,24 +170,15 @@ class AlternatingDiagram:
             raise DiagramError("disconnected: the diagram graph must be connected")
 
     def _build_regions(self) -> None:
-        def nxt(h: Slot) -> Slot:
-            c, i = self.pairing[h]
-            return (c, (i + 1) % 4)
-
         walks: list[tuple[Slot, ...]] = []
         self.region_of_slot: dict[Slot, int] = {}
         for start in [(c, i) for c in range(self.n) for i in range(4)]:
             if start in self.region_of_slot:
                 continue
-            walk = []
-            h = start
-            while True:
+            walk = _face_walk(self.pairing, start)
+            for h in walk:
                 self.region_of_slot[h] = len(walks)
-                walk.append(h)
-                h = nxt(h)
-                if h == start:
-                    break
-            walks.append(tuple(walk))
+            walks.append(walk)
         self._walks = walks
 
     def _check_alternating(self) -> None:
@@ -243,9 +246,6 @@ class AlternatingDiagram:
         """Region at the corner of crossing c between ports k and k+1."""
         return self.regions[self.region_of_slot[(c, (k + 1) % 4)]]
 
-    def corner_regions(self, c: int) -> tuple[Region, Region, Region, Region]:
-        return tuple(self.corner_region(c, k) for k in range(4))
-
     def regions_at_crossing(self, c: int, color: str) -> tuple[Region, Region]:
         """The two same-color corner regions at c, in corner order."""
         found = [self.corner_region(c, k) for k in range(4) if self.corner_region(c, k).color == color]
@@ -263,16 +263,6 @@ class AlternatingDiagram:
         """Region indices on the two sides of an edge."""
         a, b = tuple(self.edges[eid])
         return self.region_of_slot[a], self.region_of_slot[b]
-
-    def passage_type(self, c: int, i: int) -> str:
-        """'under' for slots 0/2, 'over' for 1/3."""
-        return "under" if i % 2 == 0 else "over"
-
-    def black_regions(self) -> list[Region]:
-        return [R for R in self.regions if R.color == BLACK]
-
-    def white_regions(self) -> list[Region]:
-        return [R for R in self.regions if R.color == WHITE]
 
     def region_report(self) -> dict:
         """Region and coloring summary for machine consumption."""
@@ -343,9 +333,6 @@ class DualGraph:
     color: str
     vertices: list[int]                    # region indices
     edges: list[tuple[int, int, int]]      # (region, region, crossing)
-
-    def degree(self, v: int) -> int:
-        return sum((a == v) + (b == v) for a, b, _c in self.edges)
 
     def to_dot(self) -> str:
         lines = ["graph dual {"]
@@ -510,10 +497,6 @@ class TwoBridgeDiagram:
     seq: TwistSequence
     diagram: AlternatingDiagram
     twist_region_of: tuple[int, ...]          # 1-based region index per crossing
-
-    @property
-    def n_regions(self) -> int:
-        return len(self.seq)
 
     def crossings_in(self, i: int) -> list[int]:
         return [c for c, r in enumerate(self.twist_region_of) if r == i]
@@ -731,44 +714,32 @@ def alternating_determinant(d: AlternatingDiagram) -> int:
 
     For an alternating diagram this is the link determinant, so it is
     invariant under flypes; it guards the flype search against rewirings
-    that change the underlying link.
+    that change the underlying link.  The reduced Laplacian is eliminated
+    fraction-free (Bareiss): each entry stays an integer because the
+    division by the previous pivot is exact.  The graph is connected, so
+    the reduced Laplacian is positive definite and no pivot is zero.
     """
     g = black_dual_graph(d)
-    verts = g.vertices
-    if len(verts) == 1:
+    idx = {v: i for i, v in enumerate(g.vertices)}
+    m = len(idx) - 1
+    if m == 0:
         return 1
-    idx = {v: i for i, v in enumerate(verts)}
-    m = len(verts) - 1
-    lap = [[0] * (m + 1) for _ in range(m + 1)]
+    mat = [[0] * (m + 1) for _ in range(m + 1)]
     for a, b, _c in g.edges:
         ia, ib = idx[a], idx[b]
-        lap[ia][ia] += 1
-        lap[ib][ib] += 1
-        lap[ia][ib] -= 1
-        lap[ib][ia] -= 1
-    from fractions import Fraction
-    mat = [[Fraction(lap[i][j]) for j in range(m)] for i in range(m)]
-    det = Fraction(1)
-    for col in range(m):
-        piv = None
-        for row in range(col, m):
-            if mat[row][col] != 0:
-                piv = row
-                break
-        if piv is None:
-            return 0
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for row in range(col + 1, m):
-            f = mat[row][col] * inv
-            if f:
-                for j in range(col, m):
-                    mat[row][j] -= f * mat[col][j]
-    assert det.denominator == 1
-    return abs(int(det))
+        mat[ia][ia] += 1
+        mat[ib][ib] += 1
+        mat[ia][ib] -= 1
+        mat[ib][ia] -= 1
+    prev = 1
+    for k in range(m - 1):
+        piv, row_k = mat[k][k], mat[k]
+        for row in mat[k + 1:m]:
+            f = row[k]
+            for j in range(k + 1, m):
+                row[j] = (row[j] * piv - f * row_k[j]) // prev
+        prev = piv
+    return mat[m - 1][m - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -837,7 +808,7 @@ def _flype_disks(d: AlternatingDiagram, c: int) -> list[tuple[frozenset[int], in
 
 
 def _pinch_flypes(d: AlternatingDiagram, c: int):
-    """All single flypes of d whose pinch destroys crossing c.
+    """All single flypes of d whose pinch destroys crossing c, as rewirings.
 
     A flype disk is a set S of crossings whose boundary cuts exactly four
     edges, two of them the edges e1, e2 joining c to S through cyclically
@@ -846,8 +817,11 @@ def _pinch_flypes(d: AlternatingDiagram, c: int):
     side) and re-crosses the two far strands, where the crossing re-forms;
     the far wiring is fixed by requiring a valid alternating diagram with
     the same spanning-tree determinant and strand count as d.  Yields
-    (diagram, spot edge ports) pairs; the image of the crossing arc at c
-    runs between the two spot edges.
+    (pairing, spot edge ports) pairs; the image of the crossing arc at c
+    runs between the two spot edges.  Only the two local tests of
+    `_passes_local_tests` run here: the caller builds the diagram and
+    applies the strand, prime, reduced and determinant filters
+    (`flype_arc_search`), and only for a rewiring it uses.
 
     The disks come from region 4-cycles.  In a prime diagram no set of
     crossings is cut off by two edges (those two would share both side
@@ -866,8 +840,6 @@ def _pinch_flypes(d: AlternatingDiagram, c: int):
     if not is_prime(d):
         raise DiagramError("non-prime: the flype search needs a prime diagram")
     n = d.n
-    det0 = alternating_determinant(d)
-    strands0 = len(d.strands)
     for S, p, f_ids in _flype_disks(d, c):
         att1 = d.pairing[(c, p)]
         att2 = d.pairing[(c, (p + 1) % 4)]
@@ -882,15 +854,13 @@ def _pinch_flypes(d: AlternatingDiagram, c: int):
             return _mirror(h, S)
 
         removed = {d.edge_of_slot[(c, k)] for k in range(4)} | set(f_ids)
-        base = []
-        seen: set[Slot] = set()
+        base: dict[Slot, Slot] = {}
         for h, k in d.pairing.items():
-            if h in seen:
-                continue
-            seen.update((h, k))
-            if d.edge_of_slot[h] in removed:
-                continue
-            base.append((mu(h), mu(k)))
+            mh = mu(h)
+            if mh not in base and d.edge_of_slot[h] not in removed:
+                mk = mu(k)
+                base[mh] = mk
+                base[mk] = mh
         # uncrossing: each strand entering the disk reconnects to the
         # outgoing strand on its own side of the destroyed crossing
         spot = [(mu(att1), g1_far), (mu(att2), g2_far)]
@@ -903,26 +873,64 @@ def _pinch_flypes(d: AlternatingDiagram, c: int):
                         far = [(mu(fS[0]), a1), (fR[0], a2), (mu(fS[1]), b1), (fR[1], b2)]
                     else:
                         far = [(mu(fS[0]), a1), (fR[0], a2), (fR[1], b1), (mu(fS[1]), b2)]
-                    trial = base + spot + far
-                    pairing: dict[Slot, Slot] = {}
+                    pairing = dict(base)
                     ok = True
-                    for h, k in trial:
+                    for h, k in spot + far:
                         if h in pairing or k in pairing or h == k:
                             ok = False
                             break
                         pairing[h] = k
                         pairing[k] = h
-                    if not ok or len(pairing) != 4 * n:
-                        continue
-                    try:
-                        d2 = AlternatingDiagram(n, pairing)
-                    except DiagramError:
-                        continue
-                    if len(d2.strands) != strands0 or not is_prime(d2) or not is_reduced(d2):
-                        continue
-                    if alternating_determinant(d2) != det0:
-                        continue
-                    yield d2, spot
+                    if ok and len(pairing) == 4 * n and _passes_local_tests(n, pairing, spot + far):
+                        yield pairing, spot
+
+
+def _passes_local_tests(n: int, pairing: dict[Slot, Slot], new_edges) -> bool:
+    """The two tests a flype rewiring must pass before it is built.
+
+    Parity: a diagram is alternating exactly when every edge joins an even
+    slot to an odd one.  `_mirror` sends slot i to 3 - i, which keeps that
+    property on the edges a flype carries over, so only the new edges are
+    checked.  Faces: a diagram on the sphere has n + 2 faces.  Both tests
+    reject only rewirings that the constructor rejects.
+    """
+    if any((h[1] + k[1]) % 2 == 0 for h, k in new_edges):
+        return False
+    seen: set[Slot] = set()
+    faces = 0
+    for start in pairing:
+        if start not in seen:
+            faces += 1
+            seen.update(_face_walk(pairing, start))
+    return faces == n + 2
+
+
+def _spot_kinds(pairing: dict[Slot, Slot], spot) -> tuple[bool, bool]:
+    """Whether `_spot_options` would find a non-adjacent and an adjacent
+    option, read off a rewiring before it is built.
+
+    The regions holding both spot edges are faces through the first one,
+    and both ends of an edge lie on every face through it, so an option is
+    a pair of distinct ends, adjacent when they are consecutive on the face.
+    """
+    a, b = spot[0][0], spot[1][0]
+    ends_a = {a[0], pairing[a][0]}
+    ends_b = {b[0], pairing[b][0]}
+    nonadj = adj = False
+    for start in (a, pairing[a]):
+        walk = _face_walk(pairing, start)
+        if b not in walk and pairing[b] not in walk:
+            continue
+        cs = [h[0] for h in walk]
+        steps = {frozenset(pair) for pair in zip(cs, cs[1:] + cs[:1])}
+        for c1 in ends_a:
+            for c2 in ends_b:
+                if c1 != c2:
+                    if frozenset((c1, c2)) in steps:
+                        adj = True
+                    else:
+                        nonadj = True
+    return nonadj, adj
 
 
 def _spot_options(d2: AlternatingDiagram, spot):
@@ -952,36 +960,58 @@ def flype_arc_search(d: AlternatingDiagram, c: int, max_depth: int = 5):
     Each flype is an ambient isotopy, so the meridian pair is preserved at
     every step.  When a step leaves the image adjacent along an edge, that
     edge's gear class names the crossing arc the image has become, and the
-    search continues from there.  Returns (diagram, arc, steps).
+    search continues from there, breadth first.  Returns (diagram, arc,
+    steps).
+
+    A rewiring becomes a diagram only when the search returns it or
+    expands it; one that then fails a filter is skipped.  The determinant
+    and strand count are flype invariants, so they are taken from d once:
+    every expanded diagram has already matched them.
     """
-    start = (_diagram_key(d), c)
-    visited = {start}
-    queue = [(d, c, 0)]
-    while queue:
-        cur, cc, depth = queue.pop(0)
-        if depth >= max_depth:
-            continue
-        followups = []
-        for d2, spot in _pinch_flypes(cur, cc):
-            nonadj, adj = _spot_options(d2, spot)
-            if nonadj:
-                R, c1, c2 = nonadj[0]
-                return d2, InRegionArc(R.index, c1, c2), depth + 1
-            followups.append((d2, adj))
-        for d2, adj in followups:
-            if not adj:
+    det0 = alternating_determinant(d)
+    strands0 = len(d.strands)
+
+    def build(pairing):
+        try:
+            d2 = AlternatingDiagram(d.n, pairing)
+        except DiagramError:
+            return None
+        if (len(d2.strands) != strands0 or not is_prime(d2) or not is_reduced(d2)
+                or alternating_determinant(d2) != det0):
+            return None
+        return d2
+
+    def next_layer(followups):
+        # every key of this layer enters `visited` before the caller asks
+        # for the next layer, so deduplication follows the queue order
+        for pairing, spot in followups:
+            d2 = build(pairing)
+            if d2 is None:
                 continue
             # positive-copy edge -> crossing of its gear class
             gear = {e: x for members, x in edge_arc_classes(d2) for s, e in members if s == 1}
-            for R, c1, c2 in adj:
-                shared = [e for e in R.edges
-                          if {h[0] for h in d2.edges[e]} == {c1, c2}]
-                for e in shared:
-                    kappa = gear[e]
-                    key = (_diagram_key(d2), kappa)
-                    if key not in visited:
-                        visited.add(key)
-                        queue.append((d2, kappa, depth + 1))
+            key = _diagram_key(d2)
+            for R, c1, c2 in _spot_options(d2, spot)[1]:
+                for e in R.edges:
+                    if {h[0] for h in d2.edges[e]} == {c1, c2} and (key, gear[e]) not in visited:
+                        visited.add((key, gear[e]))
+                        yield d2, gear[e]
+
+    visited = {(_diagram_key(d), c)}
+    layer = [(d, c)]
+    for depth in range(max_depth):
+        followups = []
+        for cur, cc in layer:
+            for pairing, spot in _pinch_flypes(cur, cc):
+                nonadj, adj = _spot_kinds(pairing, spot)
+                if nonadj:
+                    d2 = build(pairing)
+                    if d2 is not None:
+                        R, c1, c2 = _spot_options(d2, spot)[0][0]
+                        return d2, InRegionArc(R.index, c1, c2), depth + 1
+                elif adj:
+                    followups.append((pairing, spot))
+        layer = next_layer(followups)
     raise DiagramError(f"no flype chain found for the crossing arc at {c}")
 
 

@@ -37,12 +37,6 @@ class IdealPolyhedronPair:
             shift = 1 if (R.color == BLACK) != mirror else -1
             self.gear_shift[R.index] = shift
         self.edge_classes = edge_arc_classes(d, mirror)
-        self.class_of: dict[tuple[int, int], int] = {}
-        self.crossing_of_class: dict[int, int] = {}
-        for idx, (members, crossing) in enumerate(self.edge_classes):
-            self.crossing_of_class[idx] = crossing
-            for m in members:
-                self.class_of[m] = idx
         self._verify()
 
     def _verify(self) -> None:
@@ -73,9 +67,6 @@ class IdealPolyhedronPair:
     @property
     def face_gluing_count(self) -> int:
         return len(self.diagram.regions)
-
-    def edge_class_of(self, sign: int, edge_id: int) -> int:
-        return self.class_of[(sign, edge_id)]
 
     def to_json(self) -> dict:
         return {

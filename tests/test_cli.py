@@ -161,6 +161,23 @@ class TestDecide:
                            "--in-region", "R0:c1:c1")
         assert code == 2
 
+    def test_negative_crossing_number_exit(self, capsys):
+        code, out, err = run(capsys, "decide", "--two-bridge", "2,3,2",
+                             "--crossing-arc", "A2:-1")
+        assert code == 2 and out == ""
+        assert "A2 has no crossing #-1" in err
+
+    def test_long_middle_block(self, capsys):
+        # the flype search builds a bounded number of diagrams however long
+        # the twist region is
+        code, out, _ = run(capsys, "decide", "--two-bridge", "2,80,2",
+                           "--crossing-arc", "A2:0")
+        assert code == 0
+        data = json.loads(out)
+        assert data["verdict"] == "FreeGeometricallyFinite"
+        assert len(set(data["witness"]["wings"]["first"]
+                       + data["witness"]["wings"]["second"])) == 4
+
 
 def run_pingpong(capsys, *argv):
     """Exit code and JSON output of pingpong, checked against its schema."""

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from cuspcubes.diagram import (
@@ -6,7 +8,10 @@ from cuspcubes.diagram import (
     crossings_adjacent_on_region, edge_arc_classes, find_small_white_region, flype,
     is_prime, is_reduced, pretzel_diagram, region_adjacent, two_bridge_diagram,
 )
-from cuspcubes.diagram import _flype_disks, _pinch_flypes
+from cuspcubes.diagram import (
+    _diagram_key, _flype_disks, _mirror, _passes_local_tests, _pinch_flypes, _spot_kinds,
+    _spot_options,
+)
 from conftest import twist_sequences
 
 TREFOIL_PD = [(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)]
@@ -403,6 +408,237 @@ def test_flype_golden(seq, i):
     fr = flype(two_bridge_diagram(seq), i)
     assert fr.trace == trace
     assert fr.diagram.pd_code() == pd
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the Fraction determinant and the eager flype search, which builds
+# every trial rewiring and every follow-up's gear map
+# ---------------------------------------------------------------------------
+
+def fraction_determinant(d):
+    """Spanning-tree count of the black graph by Fraction elimination."""
+    g = black_dual_graph(d)
+    verts = g.vertices
+    if len(verts) == 1:
+        return 1
+    idx = {v: i for i, v in enumerate(verts)}
+    m = len(verts) - 1
+    lap = [[0] * (m + 1) for _ in range(m + 1)]
+    for a, b, _c in g.edges:
+        ia, ib = idx[a], idx[b]
+        lap[ia][ia] += 1
+        lap[ib][ib] += 1
+        lap[ia][ib] -= 1
+        lap[ib][ia] -= 1
+    mat = [[Fraction(lap[i][j]) for j in range(m)] for i in range(m)]
+    det = Fraction(1)
+    for col in range(m):
+        piv = None
+        for row in range(col, m):
+            if mat[row][col] != 0:
+                piv = row
+                break
+        if piv is None:
+            return 0
+        if piv != col:
+            mat[col], mat[piv] = mat[piv], mat[col]
+            det = -det
+        det *= mat[col][col]
+        inv = 1 / mat[col][col]
+        for row in range(col + 1, m):
+            f = mat[row][col] * inv
+            if f:
+                for j in range(col, m):
+                    mat[row][j] -= f * mat[col][j]
+    assert det.denominator == 1
+    return abs(int(det))
+
+
+def eager_trials(d, c):
+    """Every trial rewiring at c that is a slot involution, as (pairing,
+    spot, new edges), in the order of the flype search."""
+    for S, p, f_ids in _flype_disks(d, c):
+        att1 = d.pairing[(c, p)]
+        att2 = d.pairing[(c, (p + 1) % 4)]
+        g1_far = d.pairing[(c, (p + 2) % 4)]
+        g2_far = d.pairing[(c, (p + 3) % 4)]
+        fS = [next(h for h in d.edges[f] if h[0] in S) for f in f_ids]
+        fR = [next(h for h in d.edges[f] if h[0] not in S) for f in f_ids]
+
+        def mu(h):
+            return _mirror(h, S)
+
+        removed = {d.edge_of_slot[(c, k)] for k in range(4)} | set(f_ids)
+        base = []
+        seen = set()
+        for h, k in d.pairing.items():
+            if h in seen:
+                continue
+            seen.update((h, k))
+            if d.edge_of_slot[h] in removed:
+                continue
+            base.append((mu(h), mu(k)))
+        spot = [(mu(att1), g1_far), (mu(att2), g2_far)]
+        for f1 in (0, 1):
+            for f2 in (0, 1):
+                a1, a2 = ((c, 0), (c, 2)) if not f1 else ((c, 2), (c, 0))
+                b1, b2 = ((c, 1), (c, 3)) if not f2 else ((c, 3), (c, 1))
+                for assoc in (0, 1):
+                    if assoc:
+                        far = [(mu(fS[0]), a1), (fR[0], a2), (mu(fS[1]), b1), (fR[1], b2)]
+                    else:
+                        far = [(mu(fS[0]), a1), (fR[0], a2), (fR[1], b1), (mu(fS[1]), b2)]
+                    pairing = {}
+                    ok = True
+                    for h, k in base + spot + far:
+                        if h in pairing or k in pairing or h == k:
+                            ok = False
+                            break
+                        pairing[h] = k
+                        pairing[k] = h
+                    if ok and len(pairing) == 4 * d.n:
+                        yield pairing, spot, spot + far
+
+
+def eager_pinch_flypes(d, c, visit):
+    """Build every trial rewiring and filter it; `visit(d, pairing, spot,
+    new_edges, built)` sees each, with the diagram or the constructor's
+    error."""
+    if not is_prime(d):
+        raise DiagramError("non-prime: the flype search needs a prime diagram")
+    det0 = fraction_determinant(d)
+    strands0 = len(d.strands)
+    for pairing, spot, new in eager_trials(d, c):
+        try:
+            d2 = AlternatingDiagram(d.n, pairing)
+        except DiagramError as err:
+            visit(d, pairing, spot, new, err)
+            continue
+        visit(d, pairing, spot, new, d2)
+        if len(d2.strands) != strands0 or not is_prime(d2) or not is_reduced(d2):
+            continue
+        if fraction_determinant(d2) != det0:
+            continue
+        yield d2, spot
+
+
+def eager_flype_arc_search(d, c, visit, max_depth=5):
+    visited = {(_diagram_key(d), c)}
+    queue = [(d, c, 0)]
+    while queue:
+        cur, cc, depth = queue.pop(0)
+        if depth >= max_depth:
+            continue
+        followups = []
+        for d2, spot in eager_pinch_flypes(cur, cc, visit):
+            nonadj, adj = _spot_options(d2, spot)
+            if nonadj:
+                R, c1, c2 = nonadj[0]
+                return d2, InRegionArc(R.index, c1, c2), depth + 1
+            followups.append((d2, adj))
+        for d2, adj in followups:
+            if not adj:
+                continue
+            gear = {e: x for members, x in edge_arc_classes(d2) for s, e in members if s == 1}
+            for R, c1, c2 in adj:
+                for e in R.edges:
+                    if {h[0] for h in d2.edges[e]} == {c1, c2}:
+                        key = (_diagram_key(d2), gear[e])
+                        if key not in visited:
+                            visited.add(key)
+                            queue.append((d2, gear[e], depth + 1))
+    raise DiagramError(f"no flype chain found for the crossing arc at {c}")
+
+
+def search_outcome(d2, arc, steps):
+    return arc, steps, d2.pd_code(), d2.to_json()
+
+
+@pytest.fixture(scope="module")
+def eager_corpus():
+    """The eager search run on every interior twist region of the two-bridge
+    sequences with at most 10 crossings and four larger ones.
+
+    Returns per region (seq, i, eager outcome), and per trial rewiring the
+    eager search built the facts the lazy search must agree with: the local
+    tests' answer and the constructor's error, the pairing-level spot kinds
+    and `_spot_options`, and both determinants.
+    """
+    regions, local, spots, dets = [], [], [], []
+
+    def visit(d, pairing, spot, new, built):
+        passed = _passes_local_tests(d.n, pairing, new)
+        if isinstance(built, DiagramError):
+            local.append((passed, str(built)))
+            return
+        local.append((passed, None))
+        nonadj, adj = _spot_options(built, spot)
+        spots.append((_spot_kinds(pairing, spot), (bool(nonadj), bool(adj))))
+        if is_prime(built):
+            dets.append((alternating_determinant(built), fraction_determinant(built)))
+
+    for seq in twist_sequences(10) + [(2, 16, 2), (4, 4, 4, 4, 4), (5, 5, 5, 5), (5, 5, 5, 5, 5)]:
+        tb = two_bridge_diagram(seq)
+        dets.append((alternating_determinant(tb.diagram), fraction_determinant(tb.diagram)))
+        for i in range(2, len(seq)):
+            try:
+                out = search_outcome(*eager_flype_arc_search(tb.diagram, tb.crossings_in(i)[0], visit))
+            except DiagramError as err:
+                out = str(err)
+            regions.append((seq, i, out))
+    return regions, local, spots, dets
+
+
+class TestLazyFlypeSearch:
+    def test_matches_eager_search(self, eager_corpus):
+        regions = eager_corpus[0]
+        assert len(regions) == 531
+        for seq, i, out in regions:
+            try:
+                fr = flype(two_bridge_diagram(seq), i)
+            except DiagramError as err:
+                assert str(err) == out, (seq, i)
+                continue
+            assert search_outcome(fr.diagram, fr.arc, fr.trace["flype_steps"]) == out, (seq, i)
+            assert (fr.trace["image_region"], fr.trace["image_endpoints"]) == (
+                out[0].region, [out[0].c1, out[0].c2])
+
+    def test_local_tests_reject_what_the_constructor_rejects(self, eager_corpus):
+        local = eager_corpus[1]
+        assert sum(err is not None for _, err in local) > 7000
+        for passed, err in local:
+            rejected = err is not None and err.startswith(("non-alternating", "non-planar"))
+            assert passed != rejected, err
+
+    def test_spot_kinds_match_spot_options(self, eager_corpus):
+        spots = eager_corpus[2]
+        assert {want for _, want in spots} == {(True, False), (False, True), (True, True)}
+        for got, want in spots:
+            assert got == want
+
+    def test_determinant_matches_fraction_oracle(self, eager_corpus):
+        dets = eager_corpus[3]
+        assert len(dets) > 2000
+        for got, want in dets:
+            assert got == want
+
+    def test_builds_do_not_grow_with_the_block(self, monkeypatch):
+        init = AlternatingDiagram.__init__
+        built = []
+
+        def counted(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        counts = []
+        for k in (16, 40):
+            tb = two_bridge_diagram((2, k, 2))
+            built.clear()
+            with monkeypatch.context() as m:
+                m.setattr(AlternatingDiagram, "__init__", counted)
+                flype(tb, 2)
+            counts.append(len(built))
+        assert counts == [2, 2]
 
 
 class TestPretzel:
