@@ -28,9 +28,9 @@ from .polyhedra import (IdealPolyhedronPair, PolyhedraError, build_polyhedra,
                         butterfly_regions, circle_pattern_svg, face_transfer,
                         halfspace_disjoint)
 from .pingpong import (Butterfly, Certificate, GaussRational, MobiusMap,
-                       PingPongError, RoundDisk, apply, compose, disjoint_interiors,
-                       fixed_point, free_word_sanity, inverse, is_parabolic,
-                       isometric_butterfly, normalize_pair, pingpong_certificate)
+                       PingPongError, RoundDisk, fixed_point, free_word_sanity,
+                       is_parabolic, isometric_butterfly, normalize_pair,
+                       pingpong_certificate)
 from .decide import (DecideError, SpareRegionCertificate, Verdict, VerdictKind,
                      Witness, classify_2bridge_pair, classify_alternating_pair,
                      witness_spare_region)

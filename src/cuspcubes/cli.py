@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -176,15 +177,17 @@ def _parse_matrix(text):
 
 
 def _float_real(x) -> float:
-    """A JSON number or a rational string such as "-3/4", as a float."""
-    if isinstance(x, (int, float)) and not isinstance(x, bool):
-        return float(x)
-    if isinstance(x, str):
-        try:
-            return float(Fraction(x))
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise PP.PingPongError(f"not a real number: {x!r}")
+    """A JSON number or a rational string such as "-3/4", as a finite float."""
+    value = PP.parse_rational(x) if isinstance(x, str) else x
+    if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
+        raise PP.PingPongError(f"not a real number: {x!r}")
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise PP.PingPongError(f"entry is not a finite float: {x!r}")
+    return value
 
 
 def _float_entry(e) -> complex:

@@ -1,24 +1,26 @@
 """Round-disk ping-pong certificates for pairs of parabolic linear fractional maps.
 
 Maps are 2x2 determinant-one matrices over the Gaussian rationals (exact
-path) or complex floats (numeric fallback with a tangency tolerance).
-A parabolic map with finite fixed point carries a canonical pair of round
-disks, its isometric disks, which it exchanges with the complement; two
-such pairs with pairwise disjoint interiors certify that the generated
-group is free of rank two (and, for groups of isometries of hyperbolic
-space arising from link complements, geometrically finite).  Overlapping
-disks are reported as inconclusive, never as a non-freeness claim.
+path) or complex floats (numeric fallback with a tolerance).  A parabolic
+map with finite fixed point carries a canonical pair of round disks, its
+isometric disks, which it exchanges with the complement; two such pairs
+with pairwise disjoint interiors certify that the generated group is free
+of rank two (and, for groups of isometries of hyperbolic space arising
+from link complements, geometrically finite).  Overlapping disks are
+reported as inconclusive, never as a non-freeness claim.
 
-Radii are irrational in general (1/|c|), so disks store the squared
-radius and every comparison is the exact rational test
+Both paths run one routine, _decide, on scaled forms (D, D*M): the exact
+path on Gaussian integers, the numeric path on determinant-one floats with
+D = 1.0.  Fractions are built only when entries are parsed and when maps
+and disks are emitted.  Radii are irrational in general (1/|c|), so exact
+disks store the squared radius and every comparison is the rational test
     dist^2 >= r1^2 + r2^2 + 2*sqrt(r1^2 * r2^2),
-rearranged to avoid square roots.  The exact certificate decides every
-test on integers: each map is scaled to a Gaussian-integer matrix and
-each disk to an integer centre and squared radius over one denominator.
+rearranged to avoid square roots.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 import math
@@ -29,14 +31,30 @@ class PingPongError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Exact complex scalars
+# Parsing and exact complex scalars
 # ---------------------------------------------------------------------------
 
-def _exact_real(x) -> Fraction:
-    """An int (not a bool), a Fraction or a rational string; floats are refused."""
-    if isinstance(x, (int, Fraction, str)) and not isinstance(x, bool):
+MAX_ENTRY_CHARS = 1000        # longest accepted entry string
+
+
+def parse_rational(x) -> Fraction | None:
+    """An int (not a bool), a Fraction, or a string such as "-3", "3/4" or
+    "0.75", as a Fraction; None for anything else.  Strings longer than
+    MAX_ENTRY_CHARS and exponent notation raise PingPongError before the
+    number is built, so no entry costs more than its own length."""
+    if isinstance(x, str):
+        if len(x) > MAX_ENTRY_CHARS:
+            raise PingPongError(f"entry strings are at most MAX_ENTRY_CHARS = {MAX_ENTRY_CHARS} "
+                                f"characters, got {len(x)}")
+        if "e" in x.lower():
+            raise PingPongError(f"exponent notation is not accepted: {x!r}")
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            return None
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return Fraction(x)
-    raise ValueError(f"not exact: {x!r}")
+    return None
 
 
 @dataclass(frozen=True)
@@ -48,81 +66,14 @@ class GaussRational:
 
     @staticmethod
     def of(x) -> "GaussRational":
-        """An integer, Fraction or rational string, or an [re, im] pair of these."""
+        """A real accepted by parse_rational, or an [re, im] pair of these."""
         if isinstance(x, GaussRational):
             return x
-        try:
-            if isinstance(x, (tuple, list)) and len(x) == 2:
-                return GaussRational(_exact_real(x[0]), _exact_real(x[1]))
-            return GaussRational(_exact_real(x), Fraction(0))
-        except (ValueError, ZeroDivisionError) as err:
-            raise PingPongError(f"not an exact complex value: {x!r}") from err
-
-    def __add__(self, o):
-        o = GaussRational.of(o)
-        return GaussRational(self.re + o.re, self.im + o.im)
-
-    def __sub__(self, o):
-        o = GaussRational.of(o)
-        return GaussRational(self.re - o.re, self.im - o.im)
-
-    def __neg__(self):
-        return GaussRational(-self.re, -self.im)
-
-    def __mul__(self, o):
-        o = GaussRational.of(o)
-        return GaussRational(self.re * o.re - self.im * o.im,
-                             self.re * o.im + self.im * o.re)
-
-    def conj(self) -> "GaussRational":
-        return GaussRational(self.re, -self.im)
-
-    def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
-    def inverse(self) -> "GaussRational":
-        n = self.abs2()
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return GaussRational(self.re / n, -self.im / n)
-
-    def __truediv__(self, o):
-        return self * GaussRational.of(o).inverse()
-
-    @property
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def sqrt(self) -> "GaussRational | None":
-        """Exact square root when one exists in the Gaussian rationals."""
-        def frac_sqrt(f: Fraction) -> Fraction | None:
-            if f < 0:
-                return None
-            a = math.isqrt(f.numerator)
-            b = math.isqrt(f.denominator)
-            if a * a == f.numerator and b * b == f.denominator:
-                return Fraction(a, b)
-            return None
-
-        if self.im == 0:
-            if self.re >= 0:
-                r = frac_sqrt(self.re)
-                return GaussRational(r, Fraction(0)) if r is not None else None
-            r = frac_sqrt(-self.re)
-            return GaussRational(Fraction(0), r) if r is not None else None
-        n = frac_sqrt(self.abs2())
-        if n is None:
-            return None
-        x2 = (n + self.re) / 2
-        x = frac_sqrt(x2)
-        if x is None or x == 0:
-            return None
-        y = self.im / (2 * x)
-        cand = GaussRational(x, y)
-        return cand if cand * cand == self else None
-
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        re, im = x if isinstance(x, (tuple, list)) and len(x) == 2 else (x, 0)
+        re, im = parse_rational(re), parse_rational(im)
+        if re is None or im is None:
+            raise PingPongError(f"not an exact complex value: {x!r}")
+        return GaussRational(re, im)
 
     def __str__(self):
         return f"{self.re}{'+' if self.im >= 0 else ''}{self.im}i"
@@ -131,88 +82,7 @@ class GaussRational:
         return [str(self.re), str(self.im)]
 
 
-ZERO_C = GaussRational(Fraction(0), Fraction(0))
-ONE_C = GaussRational(Fraction(1), Fraction(0))
 INFINITY_POINT = "inf"
-
-
-# ---------------------------------------------------------------------------
-# Maps
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MobiusMap:
-    """Determinant-one matrix [[a, b], [c, d]], identified up to global sign."""
-
-    a: GaussRational
-    b: GaussRational
-    c: GaussRational
-    d: GaussRational
-
-    @staticmethod
-    def from_entries(a, b, c, d) -> "MobiusMap":
-        a, b, c, d = map(GaussRational.of, (a, b, c, d))
-        det = a * d - b * c
-        if det.is_zero:
-            raise PingPongError("matrix is singular")
-        if det != ONE_C:
-            root = det.sqrt()
-            if root is None:
-                raise PingPongError(
-                    "determinant must be 1 (or an exact square so the matrix can be scaled)")
-            a, b, c, d = a / root, b / root, c / root, d / root
-        return MobiusMap(a, b, c, d)
-
-    @staticmethod
-    def from_json(obj) -> "MobiusMap":
-        (a, b), (c, d) = obj
-        return MobiusMap.from_entries(a, b, c, d)
-
-    def to_json(self):
-        return [[self.a.to_json(), self.b.to_json()], [self.c.to_json(), self.d.to_json()]]
-
-    @property
-    def det(self) -> GaussRational:
-        return self.a * self.d - self.b * self.c
-
-    @property
-    def trace(self) -> GaussRational:
-        return self.a + self.d
-
-    def same_as(self, other: "MobiusMap") -> bool:
-        """Equality in the quotient by the global sign."""
-        m = (self.a, self.b, self.c, self.d)
-        n = (other.a, other.b, other.c, other.d)
-        return m == n or all(x == -y for x, y in zip(m, n))
-
-    @property
-    def is_identity(self) -> bool:
-        return self.same_as(IDENTITY)
-
-
-IDENTITY = MobiusMap(ONE_C, ZERO_C, ZERO_C, ONE_C)
-
-
-def compose(m1: MobiusMap, m2: MobiusMap) -> MobiusMap:
-    return MobiusMap(m1.a * m2.a + m1.b * m2.c, m1.a * m2.b + m1.b * m2.d,
-                     m1.c * m2.a + m1.d * m2.c, m1.c * m2.b + m1.d * m2.d)
-
-
-def inverse(m: MobiusMap) -> MobiusMap:
-    return MobiusMap(m.d, -m.b, -m.c, m.a)
-
-
-def apply(m: MobiusMap, z) -> "GaussRational | str":
-    """Evaluate the fractional linear map; infinity and poles are exact."""
-    if z == INFINITY_POINT:
-        if m.c.is_zero:
-            return INFINITY_POINT
-        return m.a / m.c
-    z = GaussRational.of(z)
-    den = m.c * z + m.d
-    if den.is_zero:
-        return INFINITY_POINT
-    return (m.a * z + m.b) / den
 
 
 # ---------------------------------------------------------------------------
@@ -224,22 +94,56 @@ def apply(m: MobiusMap, z) -> "GaussRational | str":
 # Gaussian-integer matrix flattened to (Re a, Im a, Re b, Im b, Re c, Im c,
 # Re d, Im d).  Gaussian integers are (re, im) pairs of ints.  A disk is
 # scaled the same way, as (Re v, Im v, q, r): centre v/q with q > 0 and
-# squared radius r/q^2.  Fractions are built only for returned objects.
+# squared radius r/q^2.  The numeric path lays out its matrices in floats.
 
-def _scaled_entries(m: MobiusMap) -> tuple[int, tuple[int, ...]]:
-    """(D, D*M) with D the lcm of the denominators of all eight coordinates."""
-    parts = [x for z in (m.a, m.b, m.c, m.d) for x in (z.re, z.im)]
+def _scale(zs) -> tuple[int, tuple[int, ...]]:
+    """(D, D*M) for the GaussRational entries zs, D the lcm of all denominators."""
+    parts = [x for z in zs for x in (z.re, z.im)]
     den = math.lcm(*(x.denominator for x in parts))
     return den, tuple(x.numerator * (den // x.denominator) for x in parts)
 
 
-def _unscaled(den: int, e: tuple[int, ...]) -> MobiusMap:
-    return MobiusMap(*(GaussRational(Fraction(e[k], den), Fraction(e[k + 1], den))
-                       for k in range(0, 8, 2)))
+def _gmul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
 
-def _gauss_matmul(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-    """Product of two flattened Gaussian-integer 2x2 matrices."""
+def _norm(x):
+    return x[0] * x[0] + x[1] * x[1]
+
+
+def _det(e):
+    ad, bc = _gmul(e[0:2], e[6:8]), _gmul(e[2:4], e[4:6])
+    return ad[0] - bc[0], ad[1] - bc[1]
+
+
+def _gauss_sqrt(w: tuple[int, int]) -> tuple[int, int] | None:
+    """The square root of a Gaussian integer w in Z[i], with positive real
+    part, or positive imaginary part when w is a negative real; None when w
+    is not a square."""
+    n = math.isqrt(_norm(w))
+    x, y = math.isqrt((n + w[0]) // 2), math.isqrt((n - w[0]) // 2)
+    s = (x, -y if w[1] < 0 else y)
+    return s if _gmul(s, s) == w else None
+
+
+def _scaled_entries(m: "MobiusMap") -> tuple[int, tuple[int, ...]]:
+    """(D, D*M), the only way a map enters the core; det(D*M) must be D^2."""
+    den, e = _scale((m.a, m.b, m.c, m.d))
+    if _det(e) != (den * den, 0):
+        raise PingPongError("determinant must be 1")
+    return den, e
+
+
+def _gr(p, q: int) -> GaussRational:
+    return GaussRational(Fraction(p[0], q), Fraction(p[1], q))
+
+
+def _unscaled(den: int, e: tuple[int, ...]) -> "MobiusMap":
+    return MobiusMap(*(_gr(e[k:k + 2], den) for k in range(0, 8, 2)))
+
+
+def _gauss_matmul(x: tuple, y: tuple) -> tuple:
+    """Product of two flattened Gaussian 2x2 matrices."""
     ar, ai, br, bi, cr, ci, dr, di = x
     er, ei, fr, fi, gr, gi, hr, hi = y
     return (ar * er - ai * ei + br * gr - bi * gi, ar * ei + ai * er + br * gi + bi * gr,
@@ -248,59 +152,167 @@ def _gauss_matmul(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
             cr * fr - ci * fi + dr * hr - di * hi, cr * fi + ci * fr + dr * hi + di * hr)
 
 
-def _gmul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+def _inverse(e: tuple[int, ...]) -> tuple[int, ...]:
+    ar, ai, br, bi, cr, ci, dr, di = e
+    return dr, di, -br, -bi, -cr, -ci, ar, ai
 
 
-def _norm(x: tuple[int, int]) -> int:
-    return x[0] * x[0] + x[1] * x[1]
-
-
-def _is_scalar(e: tuple[int, ...], scale: int) -> bool:
+def _is_scalar(e: tuple, scale) -> bool:
     """The scaled matrix is +-scale * I, i.e. the map is the identity."""
     ar, ai, br, bi, cr, ci, dr, di = e
     return br == bi == cr == ci == ai == di == 0 and ar == dr and abs(ar) == scale
 
 
-def _is_parabolic(den: int, e: tuple[int, ...]) -> bool:
+# Points of the plane are pairs (u, v) of Gaussian values standing for u/v.
+# near(p, q) says whether two points coincide: _same exactly and without
+# dividing, the numeric path at distance < tol (<= tol when closed).
+
+_ONE = (1, 0)
+
+
+def _same(p, q, closed=False) -> bool:
+    return _gmul(p[0], q[1]) == _gmul(q[0], p[1])
+
+
+def _is_parabolic(s, near) -> bool:
     """Trace +-2D and not +-D*I."""
-    return e[1] + e[7] == 0 and abs(e[0] + e[6]) == 2 * den and not _is_scalar(e, den)
+    den, e = s
+    trace = ((e[0] + e[6], e[1] + e[7]), _ONE)
+    return not _is_scalar(e, den) and (near(trace, ((2 * den, 0), _ONE))
+                                       or near(trace, ((-2 * den, 0), _ONE)))
 
 
-def _fixed_point(e: tuple[int, ...]):
-    """A parabolic map's fixed point (a - d)/(2c) as the pair (a - d, c),
-    or None for the fixed point at infinity (c = 0)."""
-    if e[4] == e[5] == 0:
-        return None
-    return (e[0] - e[6], e[1] - e[7]), (e[4], e[5])
+def _at_infinity(e, near) -> bool:
+    """A parabolic map fixes infinity iff c = 0."""
+    return near((e[4:6], _ONE), ((0, 0), _ONE))
 
 
-def _same_point(f1, f2) -> bool:
-    if f1 is None or f2 is None:
-        return f1 is f2
-    return _gmul(f1[0], f2[1]) == _gmul(f2[0], f1[1])
+def _fixed(e):
+    """A parabolic map's finite fixed point (a - d)/(2c)."""
+    return (e[0] - e[6], e[1] - e[7]), (2 * e[4], 2 * e[5])
 
 
-def _separation(x: tuple[int, ...], y: tuple[int, ...]) -> int:
-    """Sign of |centre(x) - centre(y)| - (r(x) + r(y)) for scaled disks.
+def _to_plane(forms, near):
+    """(None, forms) when both fixed points are finite, else t and the forms
+    conjugated by z -> 1/(z - t), with t the first of 0..5 not near a finite
+    fixed point even in the closed sense; that moves a fixed point at
+    infinity to 0 and keeps the other finite."""
+    finite = [_fixed(e) for _, e in forms if not _at_infinity(e, near)]
+    if len(finite) == 2:
+        return None, forms
+    for t in range(6):
+        if not any(near(f, ((t, 0), _ONE), closed=True) for f in finite):
+            # g = [[0, 1], [1, -t]] and g^-1 = [[-t, -1], [-1, 0]] up to sign
+            ge, gie = (0, 0, 1, 0, 1, 0, -t, 0), (-t, 0, -1, 0, -1, 0, 0, 0)
+            forms = tuple((den, _gauss_matmul(_gauss_matmul(ge, e), gie)) for den, e in forms)
+            if not any(_at_infinity(e, near) for _, e in forms):
+                return t, forms
+            break
+    raise PingPongError("could not move both fixed points into the plane")
+
+
+def _conjugator(t: int | None) -> "MobiusMap":
+    return IDENTITY if t is None else _unscaled(1, (0, 0, 1, 0, 1, 0, -t, 0))
+
+
+def _isometric_disks(den, e):
+    """neg and pos as (u, c, D): centre u/c (-d/c and a/c), radius D/|c|."""
+    return ((-e[6], -e[7]), e[4:6], den), (e[0:2], e[4:6], den)
+
+
+def _scaled_disk(u, c, den) -> tuple[int, ...]:
+    v, n = _gmul(u, (c[0], -c[1])), _norm(c)
+    return v[0], v[1], n, den * den * n
+
+
+def _overlap(x: tuple[int, ...], y: tuple[int, ...]) -> bool:
+    """Exact: the scaled disks x and y have overlapping interiors.
 
     With L = dist^2 - r1^2 - r2^2 the distance reaches r1 + r2 iff L >= 0
-    and L^2 >= 4 r1^2 r2^2; both sides are cleared of the denominators
-    by multiplying L by (q1 q2)^2.
+    and L^2 >= 4 r1^2 r2^2; both sides are cleared of the denominators by
+    multiplying L by (q1 q2)^2.
     """
     vr1, vi1, q1, r1 = x
     vr2, vi2, q2, r2 = y
     dr, di = vr1 * q2 - vr2 * q1, vi1 * q2 - vi2 * q1
     gap = dr * dr + di * di - r1 * q2 * q2 - r2 * q1 * q1
-    if gap < 0:
-        return -1
-    diff = gap * gap - 4 * r1 * r2 * q1 * q1 * q2 * q2
-    return (diff > 0) - (diff < 0)
+    return gap < 0 or gap * gap < 4 * r1 * r2 * q1 * q1 * q2 * q2
+
+
+FREE_CERTIFIED = "FreeCertified"
+COMMUTING = "Commuting"
+INCONCLUSIVE = "Inconclusive"
+
+
+def _decide(s1, s2, near, disk, overlap):
+    """Commuting, FreeCertified or Inconclusive for the scaled forms s1, s2.
+
+    near compares points; disk(u, c, D) builds the isometric disk of centre
+    u/c and radius D/|c|, and overlap tells whether two disks' interiors
+    meet.  Returns (verdict, t, forms, pair): the conjugator z -> 1/(z - t)
+    that moved a fixed point at infinity into the plane (t is None if none
+    did), the conjugated forms, and the first overlapping pair (i, j) of
+    neg(1), pos(1), neg(2), pos(2).
+    """
+    if not (_is_parabolic(s1, near) and _is_parabolic(s2, near)):
+        raise PingPongError("certificates need two parabolic maps")
+    t, forms = _to_plane((s1, s2), near)
+    (_, e1), (_, e2) = forms
+    if near(_fixed(e1), _fixed(e2)):
+        return COMMUTING, None, forms, None
+    disks = [disk(*x) for s in forms for x in _isometric_disks(*s)]
+    pair = next(((i, j) for i in range(4) for j in range(i + 1, 4)
+                 if overlap(disks[i], disks[j])), None)
+    return (INCONCLUSIVE if pair else FREE_CERTIFIED), t, forms, pair
+
+
+# ---------------------------------------------------------------------------
+# Maps
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class MobiusMap:
+    """Matrix [[a, b], [c, d]], identified up to global sign.
+
+    Maps built by from_entries have determinant one; the core checks it
+    where a map enters (the emitted conjugator z -> 1/(z - t) has det -1).
+    """
+
+    a: GaussRational
+    b: GaussRational
+    c: GaussRational
+    d: GaussRational
+
+    @staticmethod
+    def from_entries(a, b, c, d) -> "MobiusMap":
+        """[[a, b], [c, d]] / sqrt(ad - bc), with the root of _gauss_sqrt."""
+        den, e = _scale(map(GaussRational.of, (a, b, c, d)))
+        det = _det(e)
+        if det == (0, 0):
+            raise PingPongError("matrix is singular")
+        # det(M) = det(D*M) / D^2, so M / sqrt(det M) = (D*M) / s
+        s = _gauss_sqrt(det)
+        if s is None:
+            raise PingPongError(
+                "determinant must be 1 (or an exact square so the matrix can be scaled)")
+        n, sbar = _norm(s), (s[0], -s[1])
+        return MobiusMap(*(_gr(_gmul(e[k:k + 2], sbar), n) for k in range(0, 8, 2)))
+
+    @staticmethod
+    def from_json(obj) -> "MobiusMap":
+        (a, b), (c, d) = obj
+        return MobiusMap.from_entries(a, b, c, d)
+
+    def to_json(self):
+        return [[self.a.to_json(), self.b.to_json()], [self.c.to_json(), self.d.to_json()]]
+
+
+IDENTITY = _unscaled(1, (1, 0, 0, 0, 0, 0, 1, 0))
 
 
 def is_parabolic(m: MobiusMap) -> bool:
     """Trace +-2 and not the identity."""
-    return _is_parabolic(*_scaled_entries(m))
+    return _is_parabolic(_scaled_entries(m), _same)
 
 
 def fixed_point(m: MobiusMap):
@@ -308,18 +320,16 @@ def fixed_point(m: MobiusMap):
     den, e = _scaled_entries(m)
     if _is_scalar(e, den):
         raise PingPongError("the identity fixes everything")
-    if not _is_parabolic(den, e):
+    if not _is_parabolic((den, e), _same):
         raise PingPongError("fixed_point here is for parabolic maps only")
-    f = _fixed_point(e)
-    if f is None:
+    if _at_infinity(e, _same):
         return INFINITY_POINT
-    num, c = f
-    p, q = _gmul(num, (c[0], -c[1])), 2 * _norm(c)
-    return GaussRational(Fraction(p[0], q), Fraction(p[1], q))
+    num, c2 = _fixed(e)
+    return _gr(_gmul(num, (c2[0], -c2[1])), _norm(c2))
 
 
 # ---------------------------------------------------------------------------
-# Disks
+# Disks and butterflies
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -335,55 +345,22 @@ class RoundDisk:
 
     @staticmethod
     def from_scaled(x: tuple[int, ...]) -> "RoundDisk":
-        vr, vi, q, r = x
-        return RoundDisk(GaussRational(Fraction(vr, q), Fraction(vi, q)), Fraction(r, q * q))
-
-    def scaled(self) -> tuple[int, ...]:
-        re, im, r2 = self.center.re, self.center.im, self.radius2
-        q = math.lcm(re.denominator, im.denominator, r2.denominator)
-        return (re.numerator * (q // re.denominator), im.numerator * (q // im.denominator),
-                q, r2.numerator * q * (q // r2.denominator))
-
-    def radius(self) -> float:
-        return math.sqrt(float(self.radius2))
+        return RoundDisk(_gr(x[:2], x[2]), Fraction(x[3], x[2] * x[2]))
 
     def to_json(self):
         return {"center": self.center.to_json(), "radius2": str(self.radius2)}
 
 
-def disks_interiors_disjoint(d1: RoundDisk, d2: RoundDisk) -> bool:
-    """Exact test: centers at distance >= sum of radii (tangency allowed)."""
-    return _separation(d1.scaled(), d2.scaled()) >= 0
-
-
-def disks_tangent(d1: RoundDisk, d2: RoundDisk) -> bool:
-    return _separation(d1.scaled(), d2.scaled()) == 0
-
-
-def disjoint_interiors(disks: list[RoundDisk]) -> bool:
-    """Pairwise disjoint interiors among two or more closed disks."""
-    if len(disks) < 2:
-        raise PingPongError("need at least two disks")
-    for i in range(len(disks)):
-        for j in range(i + 1, len(disks)):
-            if not disks_interiors_disjoint(disks[i], disks[j]):
-                return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# Butterflies
-# ---------------------------------------------------------------------------
-
 @dataclass(frozen=True)
 class Butterfly:
     """A parabolic map with its isometric disk pair (neg maps onto pos).
 
-    The defining relation map(complement of int neg) = pos holds exactly:
-    with determinant one, |c w - a| * |c z + d| = 1 whenever w = map(z), so
-    the isometric circle |cz + d| = 1 maps onto |cw - a| = 1 and the outside
-    of neg onto pos.  Validation checks this identity at sample points
-    together with tangency of the two disks at the fixed point.
+    neg is centred at -d/c and pos at a/c, both of radius 1/|c|.  With
+    determinant one, |c w - a| * |c z + d| = 1 whenever w = map(z), so the
+    isometric circle |cz + d| = 1 maps onto |cw - a| = 1 and the outside of
+    neg onto pos; with trace +-2 the centres are 2/|c| apart, so the disks
+    are tangent, at the fixed point (a - d)/(2c).  Both identities hold by
+    algebra for every map the core accepts, so nothing is sampled.
     """
 
     map: MobiusMap
@@ -394,55 +371,24 @@ class Butterfly:
         return {"map": self.map.to_json(), "neg": self.neg.to_json(), "pos": self.pos.to_json()}
 
 
+def _butterfly(den: int, e: tuple[int, ...]) -> Butterfly:
+    neg, pos = (RoundDisk.from_scaled(_scaled_disk(*x)) for x in _isometric_disks(den, e))
+    return Butterfly(_unscaled(den, e), neg, pos)
+
+
 def isometric_butterfly(m: MobiusMap) -> Butterfly:
-    """Isometric disks of a parabolic map with finite fixed point.
-
-    neg is centered at -d/c, pos at a/c, both of radius 1/|c|; they are
-    tangent exactly at the fixed point.
-    """
-    return _butterfly(m, *_scaled_entries(m))[0]
-
-
-def _butterfly(m: MobiusMap, den: int, e: tuple[int, ...]):
-    """isometric_butterfly on m's scaled form (den, e), validated; also
-    returns the scaled disks: centres -Dd/C and A/C, radius^2 D^2/|C|^2."""
-    if not _is_parabolic(den, e):
+    """Isometric disks of a parabolic map with finite fixed point."""
+    den, e = _scaled_entries(m)
+    if not _is_parabolic((den, e), _same):
         raise PingPongError("butterflies exist for parabolic maps only")
-    a, b, c, d = e[0:2], e[2:4], e[4:6], e[6:8]
-    n, cbar = _norm(c), (c[0], -c[1])
-    if n == 0:
+    if _at_infinity(e, _same):
         raise PingPongError("the map fixes infinity; conjugate first (normalize_pair)")
-    nv, pv = _gmul(d, cbar), _gmul(a, cbar)
-    neg, pos = (-nv[0], -nv[1], n, den * den * n), (pv[0], pv[1], n, den * den * n)
-    # the mapping identity |c m(z) - a|^2 |c z + d|^2 = 1 at three points;
-    # times D^4 it reads |c (a z + b) - a (c z + d)|^2 = D^4
-    for z in ((0, 0), (1, 0), (0, 1)):
-        cz, az = _gmul(c, z), _gmul(a, z)
-        w = (cz[0] + d[0], cz[1] + d[1])
-        if w == (0, 0):
-            continue
-        u, v = _gmul(c, (az[0] + b[0], az[1] + b[1])), _gmul(a, w)
-        if _norm((u[0] - v[0], u[1] - v[1])) != den ** 4:
-            raise PingPongError("isometric disk mapping identity failed")
-    if _separation(neg, pos) != 0:
-        raise PingPongError("isometric disks are not tangent")
-    # the fixed point (a - d)/(2c) = p/(2n) with p = (a - d) conj(c) lies on
-    # the boundary of the disk (v, n, r) iff |p - 2v|^2 = 4r
-    p = _gmul((a[0] - d[0], a[1] - d[1]), cbar)
-    for vr, vi, _, r in (neg, pos):
-        if _norm((p[0] - 2 * vr, p[1] - 2 * vi)) != 4 * r:
-            raise PingPongError("fixed point does not lie on both disk boundaries")
-    return Butterfly(m, RoundDisk.from_scaled(neg), RoundDisk.from_scaled(pos)), (neg, pos)
+    return _butterfly(den, e)
 
 
 # ---------------------------------------------------------------------------
 # Certificates
 # ---------------------------------------------------------------------------
-
-FREE_CERTIFIED = "FreeCertified"
-COMMUTING = "Commuting"
-INCONCLUSIVE = "Inconclusive"
-
 
 @dataclass
 class Certificate:
@@ -451,7 +397,6 @@ class Certificate:
     conjugator: MobiusMap | None = None
     diagnostic: str | None = None
     notes: tuple = ()
-    numeric: bool = False
 
     def to_json(self):
         out = {"verdict": self.verdict,
@@ -461,8 +406,6 @@ class Certificate:
             out["conjugator"] = self.conjugator.to_json()
         if self.diagnostic:
             out["diagnostic"] = self.diagnostic
-        if self.numeric:
-            out["numeric"] = True
         return out
 
 
@@ -473,25 +416,16 @@ def normalize_pair(m1: MobiusMap, m2: MobiusMap) -> tuple[MobiusMap, MobiusMap, 
     under the conjugators this produces.  Pairs with equal fixed points
     are rejected.
     """
-    (den1, e1), (den2, e2) = _scaled_entries(m1), _scaled_entries(m2)
-    if not (_is_parabolic(den1, e1) and _is_parabolic(den2, e2)):
+    forms = _scaled_entries(m1), _scaled_entries(m2)
+    if not all(_is_parabolic(s, _same) for s in forms):
         raise PingPongError("normalize_pair needs parabolic maps")
-    f1, f2 = _fixed_point(e1), _fixed_point(e2)
-    if _same_point(f1, f2):
+    t, (s1, s2) = _to_plane(forms, _same)
+    if _same(_fixed(s1[1]), _fixed(s2[1])):
         raise PingPongError("the maps share their fixed point")
-    if f1 is not None and f2 is not None:
-        return m1, m2, IDENTITY
-    # send some integer t other than the finite fixed point (a - d)/(2c)
-    # to infinity; that point is t iff a - d = 2tc
-    num, c = f1 or f2
-    for t in range(0, 6):
-        if num != (2 * t * c[0], 2 * t * c[1]):
-            g = MobiusMap(ZERO_C, ONE_C, ONE_C, -GaussRational.of(t))          # z -> 1/(z - t)
-            ge, gie = (0, 0, 1, 0, 1, 0, -t, 0), (-t, 0, -1, 0, -1, 0, 0, 0)  # g, inverse(g)
-            n1, n2 = (_unscaled(den, _gauss_matmul(_gauss_matmul(ge, e), gie))
-                      for den, e in ((den1, e1), (den2, e2)))
-            return n1, n2, g
-    raise PingPongError("could not find a conjugating point")
+    return _unscaled(*s1), _unscaled(*s2), _conjugator(t)
+
+
+NAMES = ("neg(1)", "pos(1)", "neg(2)", "pos(2)")
 
 
 def pingpong_certificate(m1: MobiusMap, m2: MobiusMap) -> Certificate:
@@ -506,33 +440,19 @@ def pingpong_certificate(m1: MobiusMap, m2: MobiusMap) -> Certificate:
     is reported as Inconclusive with the offending pair; it is not a
     non-freeness claim.  Every test runs on the scaled forms (D, D*M).
     """
-    s1, s2 = _scaled_entries(m1), _scaled_entries(m2)
-    if not (_is_parabolic(*s1) and _is_parabolic(*s2)):
-        raise PingPongError("certificates need two parabolic maps")
-    if _same_point(_fixed_point(s1[1]), _fixed_point(s2[1])):
+    verdict, t, forms, pair = _decide(_scaled_entries(m1), _scaled_entries(m2), _same,
+                                      _scaled_disk, _overlap)
+    if verdict == COMMUTING:
         return Certificate(COMMUTING, notes=(
             "equal fixed points: parabolic maps with a common fixed point commute",))
-    n1, n2, g = normalize_pair(m1, m2)
-    (bf1, disks1), (bf2, disks2) = (_butterfly(n, *_scaled_entries(n)) for n in (n1, n2))
-    disks = disks1 + disks2
-    names = ["neg(1)", "pos(1)", "neg(2)", "pos(2)"]
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if _separation(disks[i], disks[j]) < 0:
-                return Certificate(
-                    INCONCLUSIVE,
-                    butterflies=(bf1, bf2),
-                    conjugator=g,
-                    diagnostic=f"isometric disks {names[i]} and {names[j]} overlap",
-                    notes=("round disks give a sufficient criterion only; "
-                           "overlap does not refute freeness",),
-                )
     return Certificate(
-        FREE_CERTIFIED,
-        butterflies=(bf1, bf2),
-        conjugator=g,
-        notes=("four round disks with disjoint interiors never cover the sphere, "
-               "so the complementary open set is automatically non-empty",),
+        verdict,
+        butterflies=tuple(_butterfly(*s) for s in forms),
+        conjugator=_conjugator(t),
+        diagnostic=pair and f"isometric disks {NAMES[pair[0]]} and {NAMES[pair[1]]} overlap",
+        notes=("round disks give a sufficient criterion only; overlap does not refute freeness",)
+        if pair else ("four round disks with disjoint interiors never cover the sphere, "
+                      "so the complementary open set is automatically non-empty",),
     )
 
 
@@ -560,8 +480,8 @@ def free_word_sanity(m1: MobiusMap, m2: MobiusMap, max_length: int) -> bool:
     +-scale * I.  Lengths outside 0..MAX_WORD_LENGTH raise PingPongError.
     """
     check_word_length(max_length)
-    gens = [(g, *_scaled_entries(m))
-            for g, m in enumerate((m1, inverse(m1), m2, inverse(m2)))]
+    (den1, e1), (den2, e2) = _scaled_entries(m1), _scaled_entries(m2)
+    gens = [(0, den1, e1), (1, den1, _inverse(e1)), (2, den2, e2), (3, den2, _inverse(e2))]
     inverse_of = (1, 0, 3, 2)
     stack = [(g, den, mat, 1) for g, den, mat in gens]
     while stack:
@@ -594,63 +514,46 @@ class NumericCertificate:
         return out
 
 
+def _float_scaled(m, tol: float) -> tuple[float, tuple[float, ...]]:
+    """(1.0, M / sqrt(det M)) for [[a, b], [c, d]] of complex numbers."""
+    (a, b), (c, d) = m
+    a, b, c, d = complex(a), complex(b), complex(c), complex(d)
+    det = a * d - b * c
+    if abs(det) < tol:
+        raise PingPongError("matrix is singular")
+    root = cmath.sqrt(det)
+    a, b, c, d = a / root, b / root, c / root, d / root
+    if not all(map(cmath.isfinite, (det, a, b, c, d))):
+        raise PingPongError("matrix entries or determinant not finite")
+    return 1.0, (a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag)
+
+
 def pingpong_certificate_float(m1, m2, tol: float = 1e-12) -> NumericCertificate:
-    """Numeric variant for irrational input matrices.
-
-    Matrices are given as nested complex numbers; verdicts come out
-    'numerically certified' at the given tangency tolerance.
+    """Numeric variant for irrational input matrices, given as nested complex
+    numbers.  Verdicts come out 'numerically certified' at the tolerance: a
+    trace within tol of +-2 is parabolic, points within tol coincide, and two
+    disks overlap when their centres are closer than r1 + r2 - tol.
     """
-    import cmath
+    if not (tol > 0 and math.isfinite(tol)):
+        raise PingPongError(f"tolerance must be a finite number > 0, got {tol!r}")
 
-    def as_mat(m):
-        (a, b), (c, d) = m
-        m = [complex(a), complex(b), complex(c), complex(d)]
-        det = m[0] * m[3] - m[1] * m[2]
-        if abs(det) < tol:
-            raise PingPongError("matrix is singular")
-        root = cmath.sqrt(det)
-        return [x / root for x in m]
+    def point(p):
+        return complex(*p[0]) / complex(*p[1])
 
-    A, B = as_mat(m1), as_mat(m2)
+    def near(p, q, closed=False):
+        d = abs(point(p) - point(q))
+        return d <= tol if closed else d < tol
 
-    def parabolic(M):
-        return abs(M[0] + M[3] - 2) < tol or abs(M[0] + M[3] + 2) < tol
+    def disk(u, c, den):
+        return point((u, c)), den / abs(complex(*c))
 
-    if not (parabolic(A) and parabolic(B)):
-        raise PingPongError("certificates need two parabolic maps")
+    def overlap(x, y):
+        return abs(x[0] - y[0]) < x[1] + y[1] - tol
 
-    def fix(M):
-        if abs(M[2]) < tol:
-            return None
-        return (M[0] - M[3]) / (2 * M[2])
-
-    def matmul(X, Y):
-        return [X[0] * Y[0] + X[1] * Y[2], X[0] * Y[1] + X[1] * Y[3],
-                X[2] * Y[0] + X[3] * Y[2], X[2] * Y[1] + X[3] * Y[3]]
-
-    fa, fb = fix(A), fix(B)
-    if fa is None or fb is None:
-        for t in range(6):
-            if (fa is None or abs(fa - t) > tol) and (fb is None or abs(fb - t) > tol):
-                g = [0.0, 1.0, 1.0, -float(t)]
-                gi = [-float(t), -1.0, -1.0, 0.0]
-                A = matmul(matmul(g, A), gi)
-                B = matmul(matmul(g, B), gi)
-                fa, fb = fix(A), fix(B)
-                break
-        if fa is None or fb is None:
-            raise PingPongError("could not move both fixed points into the plane")
-    if abs(fa - fb) < tol:
-        return NumericCertificate(COMMUTING, tol)
-    disks = []
-    for M in (A, B):
-        r = 1 / abs(M[2])
-        disks.append((-M[3] / M[2], r))
-        disks.append((M[0] / M[2], r))
-    for i in range(4):
-        for j in range(i + 1, 4):
-            (c1, r1), (c2, r2) = disks[i], disks[j]
-            if abs(c1 - c2) < r1 + r2 - tol:
-                return NumericCertificate(INCONCLUSIVE, tol,
-                                          f"disks {i} and {j} overlap numerically")
-    return NumericCertificate(FREE_CERTIFIED, tol)
+    try:
+        verdict, _, _, pair = _decide(_float_scaled(m1, tol), _float_scaled(m2, tol),
+                                      near, disk, overlap)
+    except OverflowError as err:
+        raise PingPongError("floating-point overflow") from err
+    return NumericCertificate(verdict, tol,
+                              pair and f"disks {pair[0]} and {pair[1]} overlap numerically")

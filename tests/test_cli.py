@@ -1,16 +1,24 @@
 import json
 from pathlib import Path
+import time
 
 import jsonschema
+from referencing import Registry, Resource
 
 from cuspcubes.cli import build_parser, main
 
 SCHEMAS = Path(__file__).resolve().parents[1] / "docs" / "schemas"
+# every schema under its $id, so that decide.verdict.v1 can $ref diagram.input.v1
+REGISTRY = Registry().with_resources(
+    (schema["$id"], Resource.from_contents(schema))
+    for schema in (json.loads(f.read_text()) for f in SCHEMAS.glob("*.json")))
+SCHEMA_OF = {"farey": "farey.outputs.v1", "cubing": "cubing.report.v1",
+             "decide": "decide.verdict.v1", "pingpong": "pingpong.certificate.v1"}
 
 
-def validate(instance, schema_name):
-    schema = json.loads((SCHEMAS / schema_name).read_text())
-    jsonschema.validate(instance, schema)
+def validate(instance, name):
+    schema = REGISTRY.contents("cuspcubes/" + name)
+    jsonschema.validators.validator_for(schema)(schema, registry=REGISTRY).validate(instance)
 
 
 def run(capsys, *argv):
@@ -19,49 +27,53 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_json(capsys, *argv):
+    """Exit code and JSON output of a subcommand, checked against its schema."""
+    code, out, _ = run(capsys, *argv)
+    data = json.loads(out)
+    validate(data, SCHEMA_OF[argv[0]])
+    return code, data
+
+
 class TestFarey:
     def test_covering_slope(self, capsys):
-        code, out, _ = run(capsys, "farey", "covering-slope", "2/5")
+        code, data = run_json(capsys, "farey", "covering-slope", "2/5")
         assert code == 0
-        data = json.loads(out)
         assert data == {"r": "2/5", "r_tilde": "-9/20", "congruence": True}
 
     def test_dist(self, capsys):
-        code, out, _ = run(capsys, "farey", "dist", "1/0", "2/5")
+        code, data = run_json(capsys, "farey", "dist", "1/0", "2/5")
         assert code == 0
-        assert json.loads(out)["distance"] == 3
+        assert data["distance"] == 3
 
     def test_cf(self, capsys):
-        code, out, _ = run(capsys, "farey", "cf", "-9/20")
+        code, data = run_json(capsys, "farey", "cf", "-9/20")
         assert code == 0
-        data = json.loads(out)
         assert data["integer_part"] == -1 and data["terms"] == [1, 1, 4, 2]
 
     def test_deep_slope(self, capsys):
         # partial quotient 5000: deeper than the interpreter's recursion limit
-        code, out, _ = run(capsys, "farey", "dist", "1/0", "70011/30005")
+        code, data = run_json(capsys, "farey", "dist", "1/0", "70011/30005")
         assert code == 0
-        data = json.loads(out)
-        validate(data, "farey.outputs.v1.json")
         assert data["distance"] == 4
-        code, out, _ = run(capsys, "farey", "hyperbolic", "70011/30005")
-        assert code == 0 and json.loads(out)["hyperbolic"] is True
+        code, data = run_json(capsys, "farey", "hyperbolic", "70011/30005")
+        assert code == 0 and data["hyperbolic"] is True
 
     def test_classify_p3(self, capsys):
-        code, out, _ = run(capsys, "farey", "classify-p3", "2/5", "-5/2", "--oriented")
-        assert code == 0 and json.loads(out)["equivalent"] is True
-        code, out, _ = run(capsys, "farey", "classify-p3", "2/5", "5/2", "--oriented")
-        assert code == 1 and json.loads(out)["equivalent"] is False
+        code, data = run_json(capsys, "farey", "classify-p3", "2/5", "-5/2", "--oriented")
+        assert code == 0 and data["equivalent"] is True
+        code, data = run_json(capsys, "farey", "classify-p3", "2/5", "5/2", "--oriented")
+        assert code == 1 and data["equivalent"] is False
 
     def test_classify_2bridge(self, capsys):
-        code, out, _ = run(capsys, "farey", "classify-2bridge", "1/3", "4/3", "--oriented")
+        code, data = run_json(capsys, "farey", "classify-2bridge", "1/3", "4/3", "--oriented")
         assert code == 0
-        assert json.loads(out)["witness"] == [[1, 1], [0, 1]]
+        assert data["witness"] == [[1, 1], [0, 1]]
 
     def test_hyperbolic(self, capsys):
-        code, out, _ = run(capsys, "farey", "hyperbolic", "2/5")
-        assert code == 0 and json.loads(out)["hyperbolic"] is True
-        code, out, _ = run(capsys, "farey", "hyperbolic", "1/7", "--p3")
+        code, data = run_json(capsys, "farey", "hyperbolic", "2/5")
+        assert code == 0 and data["hyperbolic"] is True
+        code, data = run_json(capsys, "farey", "hyperbolic", "1/7", "--p3")
         assert code == 1
 
     def test_parse_error_exit(self, capsys):
@@ -74,7 +86,7 @@ class TestCubing:
         code, out, _ = run(capsys, "cubing", "--two-bridge", "2,2")
         assert code == 0
         data = json.loads(out)
-        validate(data, "cubing.report.v1.json")
+        validate(data, "cubing.report.v1")
         assert data["cubes"] == 8 and data["inner_vertices"] == 2
         assert data["inner_edges"] == 6 and data["npc"] is True
 
@@ -86,7 +98,7 @@ class TestCubing:
         code, out, _ = run(capsys, "cubing", "--two-bridge", "2,2", "--corrupt", "5")
         assert code == 1
         data = json.loads(out)
-        validate(data, "cubing.report.v1.json")
+        validate(data, "cubing.report.v1")
         assert data["npc"] is False and data["failures"]
 
     def test_corrupt_out_of_range(self, capsys):
@@ -117,23 +129,20 @@ class TestCubing:
         assert code == 0
         data = json.loads(out)
         for result in data["results"]:
-            validate(result, "cubing.report.v1.json")
+            validate(result, "cubing.report.v1")
         assert len(data["results"]) >= 10
         assert all(r["npc"] for r in data["results"])
 
 
 class TestDecide:
     def test_tunnel(self, capsys):
-        code, out, _ = run(capsys, "decide", "--two-bridge", "2,2",
-                           "--crossing-arc", "A1:0")
+        code, data = run_json(capsys, "decide", "--two-bridge", "2,2", "--crossing-arc", "A1:0")
         assert code == 0
-        assert json.loads(out)["verdict"] == "GeneratesLinkGroup"
+        assert data["verdict"] == "GeneratesLinkGroup"
 
     def test_middle(self, capsys):
-        code, out, _ = run(capsys, "decide", "--two-bridge", "2,1,2",
-                           "--crossing-arc", "A2:0")
+        code, data = run_json(capsys, "decide", "--two-bridge", "2,1,2", "--crossing-arc", "A2:0")
         assert code == 0
-        data = json.loads(out)
         assert data["verdict"] == "FreeGeometricallyFinite"
         assert len(set(data["witness"]["wings"]["first"]
                        + data["witness"]["wings"]["second"])) == 4
@@ -151,10 +160,10 @@ class TestDecide:
         assert target
         f = tmp_path / "d.json"
         f.write_text(json.dumps({"pd": [list(x) for x in d.pd_code()]}))
-        code, out, _ = run(capsys, "decide", "--pd", str(f),
-                           "--in-region", f"R{target[0]}:c{target[1]}:c{target[2]}")
+        code, data = run_json(capsys, "decide", "--pd", str(f),
+                              "--in-region", f"R{target[0]}:c{target[1]}:c{target[2]}")
         assert code == 0
-        assert json.loads(out)["verdict"] == "FreeGeometricallyFinite"
+        assert data["verdict"] == "FreeGeometricallyFinite"
 
     def test_malformed_arc_exit(self, capsys):
         code, _, err = run(capsys, "decide", "--two-bridge", "2,2",
@@ -170,43 +179,38 @@ class TestDecide:
     def test_long_middle_block(self, capsys):
         # the flype search builds a bounded number of diagrams however long
         # the twist region is
-        code, out, _ = run(capsys, "decide", "--two-bridge", "2,80,2",
-                           "--crossing-arc", "A2:0")
+        code, data = run_json(capsys, "decide", "--two-bridge", "2,80,2",
+                              "--crossing-arc", "A2:0")
         assert code == 0
-        data = json.loads(out)
         assert data["verdict"] == "FreeGeometricallyFinite"
         assert len(set(data["witness"]["wings"]["first"]
                        + data["witness"]["wings"]["second"])) == 4
 
 
-def run_pingpong(capsys, *argv):
-    """Exit code and JSON output of pingpong, checked against its schema."""
-    code, out, _ = run(capsys, "pingpong", *argv)
-    data = json.loads(out)
-    validate(data, "pingpong.certificate.v1.json")
-    return code, data
-
-
 class TestPingpong:
     def test_certified(self, capsys):
-        code, data = run_pingpong(capsys, "[[1,0],[4,1]]", "[[9,-16],[4,-7]]", "--words", "6")
+        code, data = run_json(capsys, "pingpong", "[[1,0],[4,1]]", "[[9,-16],[4,-7]]",
+                              "--words", "6")
         assert code == 0
         assert data["verdict"] == "FreeCertified" and data["no_trivial_word"] is True
         assert data["checked_words"] == 6
 
     def test_commuting(self, capsys):
-        code, data = run_pingpong(capsys, "[[1,0],[4,1]]", "[[1,0],[4,1]]", "--words", "3")
+        code, data = run_json(capsys, "pingpong", "[[1,0],[4,1]]", "[[1,0],[4,1]]", "--words", "3")
         assert code == 1
         assert data["verdict"] == "Commuting" and "checked_words" not in data
 
     def test_inconclusive(self, capsys):
-        code, data = run_pingpong(capsys, "[[1,0],[1,1]]", "[[2,-1],[1,0]]")
+        code, data = run_json(capsys, "pingpong", "[[1,0],[1,1]]", "[[2,-1],[1,0]]")
         assert code == 1
         assert data["verdict"] == "Inconclusive"
 
     def test_non_parabolic_exit(self, capsys):
         code, _, err = run(capsys, "pingpong", "[[2,0],[0,\"1/2\"]]", "[[1,0],[4,1]]")
         assert code == 2
+        # z -> iz as diag(1 + i, 1 - i): determinant 2, no square root to scale by
+        code, out, err = run(capsys, "pingpong", "[[[1,1],0],[0,[1,-1]]]", "[[1,0],[4,1]]")
+        assert code == 2 and out == "" and "determinant must be 1" in err
 
     def test_exact_mode_bad_entries_exit(self, capsys):
         for m1 in ('[["1/0",0],[4,1]]', '[[["1","1/0"],0],[4,1]]', '[["x",0],[4,1]]',
@@ -223,12 +227,13 @@ class TestPingpong:
                                  "--words", str(n))
             assert code == 2, n
             assert out == "" and err.startswith("error:") and "word length" in err, n
-        code, data = run_pingpong(capsys, "[[1,0],[4,1]]", "[[9,-16],[4,-7]]", "--words", "0")
+        code, data = run_json(capsys, "pingpong", "[[1,0],[4,1]]", "[[9,-16],[4,-7]]",
+                              "--words", "0")
         assert code == 0 and "checked_words" not in data
 
     def test_float_mode_env(self, capsys, monkeypatch):
         monkeypatch.setenv("CUSPCUBES_MODE", "float")
-        code, data = run_pingpong(capsys, "[[1,0],[4,1]]", "[[9,-16],[4,-7]]")
+        code, data = run_json(capsys, "pingpong", "[[1,0],[4,1]]", "[[9,-16],[4,-7]]")
         assert code == 0
         assert data["numeric"] is True
 
@@ -239,38 +244,58 @@ class TestPingpong:
         monkeypatch.setenv("CUSPCUBES_MODE", "float")
         code, out, err = run(capsys, "pingpong", *pair, "--words", "5")
         assert code == 2 and out == "" and "exact mode" in err
-        code, data = run_pingpong(capsys, *pair, "--words", "0")
+        code, data = run_json(capsys, "pingpong", *pair, "--words", "0")
         assert code == 0 and data["numeric"] is True
 
     def test_float_mode_verdicts(self, capsys):
         for m2, verdict in (("[[9,-16],[4,-7]]", "FreeCertified"), ("[[1,0],[4,1]]", "Commuting")):
-            code, data = run_pingpong(capsys, "[[1,0],[4,1]]", m2, "--mode", "float")
+            code, data = run_json(capsys, "pingpong", "[[1,0],[4,1]]", m2, "--mode", "float")
             assert data["verdict"] == verdict and code == (verdict != "FreeCertified")
-        code, data = run_pingpong(capsys, "[[1,0],[1,1]]", "[[2,-1],[1,0]]", "--mode", "float")
+        code, data = run_json(capsys, "pingpong", "[[1,0],[1,1]]", "[[2,-1],[1,0]]",
+                              "--mode", "float")
         assert code == 1 and data["verdict"] == "Inconclusive" and "diagnostic" in data
 
     def test_float_mode_string_entries(self, capsys):
-        code0, data0 = run_pingpong(capsys, '[[1,0],["8/2",1]]', "[[9,-16],[4,-7]]")
+        code0, data0 = run_json(capsys, "pingpong", '[[1,0],["8/2",1]]', "[[9,-16],[4,-7]]")
         assert data0["verdict"] == "FreeCertified"
         for m1 in ('[[1,0],["8/2",1]]', '[[1,0],[["8/2","0"],1]]', '[[1,0],[[4.0,0],"1"]]'):
-            code, data = run_pingpong(capsys, m1, "[[9,-16],[4,-7]]", "--mode", "float")
+            code, data = run_json(capsys, "pingpong", m1, "[[9,-16],[4,-7]]", "--mode", "float")
             assert code == code0, m1
             assert data["numeric"] is True
             assert data["verdict"] == data0["verdict"]
 
     def test_float_mode_bad_entries_exit(self, capsys):
+        big = "9" * 400           # finite in JSON, too large for a float
         for m1 in ('[[1,0],["x",1]]', '[[1,0],[[1,2,3],1]]', '[[1,0],[true,1]]',
-                   '[[1,0],["1/0",1]]', '[[1,0],[{},1]]', '[1,2]'):
+                   '[[1,0],["1/0",1]]', '[[1,0],[{},1]]', '[1,2]', '[[1,0],[1e400,1]]',
+                   '[[1,0],["1e400",1]]', f'[[1,0],[{big},1]]', f'[[1,0],["{big}",1]]',
+                   '[[1,0],[NaN,1]]', '[[1,0],[-Infinity,1]]', '[[1e200,0],[0,1e200]]'):
             code, out, err = run(capsys, "pingpong", m1, "[[9,-16],[4,-7]]", "--mode", "float")
             assert code == 2, m1
             assert out == "" and err.startswith("error:"), m1
 
+    def test_long_entry_strings_exit_fast(self, capsys):
+        from cuspcubes.pingpong import MAX_ENTRY_CHARS
+        for entry in ("1e100000", "1e10000000", "1E5", "1" * (MAX_ENTRY_CHARS + 1)):
+            for mode in ("exact", "float"):
+                t0 = time.perf_counter()
+                code, out, err = run(capsys, "pingpong", f'[[1,0],["{entry}",1]]', "[[1,1],[0,1]]",
+                                     "--mode", mode)
+                assert time.perf_counter() - t0 < 0.1, (entry[:12], mode)
+                assert code == 2 and out == "" and err.startswith("error:") and len(err) < 200
+
+    def test_tolerance_validated(self, capsys):
+        for tol in ("nan", "-1", "0", "inf", "-inf"):
+            code, out, err = run(capsys, "pingpong", "[[1,0],[4,1]]", "[[9,-16],[4,-7]]",
+                                 "--mode", "float", f"--tolerance={tol}")
+            assert code == 2 and out == "" and "tolerance must be a finite number > 0" in err
+
     def test_gaussian_entries(self, capsys):
-        code, data = run_pingpong(capsys, "[[1,0],[[1,1],1]]", "[[9,-16],[4,-7]]")
+        code, data = run_json(capsys, "pingpong", "[[1,0],[[1,1],1]]", "[[9,-16],[4,-7]]")
         assert code in (0, 1)
         assert data["verdict"] in ("FreeCertified", "Inconclusive")
         # fixed points 1+i and -1-2i, c = 2+i and 1-2i
-        code, data = run_pingpong(capsys, '[[["2","3"],["2","-4"]],[["2","1"],["0","-3"]]]',
+        code, data = run_json(capsys, "pingpong", '[[["2","3"],["2","-4"]],[["2","1"],["0","-3"]]]',
                                   '[[["-4","0"],["-5","-10"]],[["1","-2"],["6","0"]]]',
                                   "--words", "5")
         assert code == 0 and data["verdict"] == "FreeCertified"

@@ -1,4 +1,6 @@
+import cmath
 from fractions import Fraction
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -6,9 +8,8 @@ from hypothesis import strategies as st
 
 from cuspcubes.pingpong import (
     COMMUTING, FREE_CERTIFIED, IDENTITY, INCONCLUSIVE, INFINITY_POINT, MAX_WORD_LENGTH,
-    ONE_C, ZERO_C, Butterfly, Certificate, GaussRational, MobiusMap, PingPongError,
-    RoundDisk, apply, compose, disjoint_interiors, disks_interiors_disjoint, disks_tangent,
-    fixed_point, free_word_sanity, inverse, is_parabolic, isometric_butterfly,
+    Butterfly, Certificate, GaussRational, MobiusMap, PingPongError, RoundDisk, _overlap,
+    fixed_point, free_word_sanity, is_parabolic, isometric_butterfly,
     normalize_pair, pingpong_certificate, pingpong_certificate_float,
 )
 
@@ -17,49 +18,138 @@ M_SHIFTED = MobiusMap.from_entries(9, -16, 4, -7)     # conjugate by z -> z + 2
 TRANSLATION = MobiusMap.from_entries(1, 1, 0, 1)
 
 
+# The Fraction Moebius algebra of the oracles below; the package itself
+# decides on scaled Gaussian integers and keeps no complex arithmetic.
+
 def gr(re, im=0):
     return GaussRational(Fraction(re), Fraction(im))
+
+
+ZERO_C, ONE_C = gr(0), gr(1)
+
+
+def add(x, y):
+    return GaussRational(x.re + y.re, x.im + y.im)
+
+
+def sub(x, y):
+    return GaussRational(x.re - y.re, x.im - y.im)
+
+
+def mul(x, y):
+    return GaussRational(x.re * y.re - x.im * y.im, x.re * y.im + x.im * y.re)
+
+
+def abs2(x):
+    return x.re * x.re + x.im * x.im
+
+
+def div(x, y):
+    n = abs2(y)
+    return mul(x, GaussRational(y.re / n, -y.im / n))
+
+
+def sqrt(z):
+    """The exact square root nearest the principal one (positive real part, or
+    positive imaginary part for a negative real), or None if it is irrational."""
+    w = cmath.sqrt(complex(float(z.re), float(z.im)))
+    root = gr(*(Fraction(x).limit_denominator(10 ** 6) for x in (w.real, w.imag)))
+    return root if mul(root, root) == z else None
+
+
+def det(m):
+    return sub(mul(m.a, m.d), mul(m.b, m.c))
+
+
+def compose(m1, m2):
+    return MobiusMap(add(mul(m1.a, m2.a), mul(m1.b, m2.c)), add(mul(m1.a, m2.b), mul(m1.b, m2.d)),
+                     add(mul(m1.c, m2.a), mul(m1.d, m2.c)), add(mul(m1.c, m2.b), mul(m1.d, m2.d)))
+
+
+def inverse(m):
+    return MobiusMap(m.d, sub(ZERO_C, m.b), sub(ZERO_C, m.c), m.a)
+
+
+def apply(m, z):
+    """Evaluate the fractional linear map; infinity and poles are exact."""
+    if z == INFINITY_POINT:
+        return INFINITY_POINT if m.c == ZERO_C else div(m.a, m.c)
+    den = add(mul(m.c, z), m.d)
+    return INFINITY_POINT if den == ZERO_C else div(add(mul(m.a, z), m.b), den)
+
+
+def same_as(m, n):
+    """Equality in the quotient by the global sign."""
+    m, n = (m.a, m.b, m.c, m.d), (n.a, n.b, n.c, n.d)
+    return m == n or all(x == sub(ZERO_C, y) for x, y in zip(m, n))
+
+
+def is_identity(m):
+    return same_as(m, IDENTITY)
+
+
+def fraction_from_entries(a, b, c, d):
+    """from_entries as it was on Fractions: divide by the root of sqrt()."""
+    a, b, c, d = map(GaussRational.of, (a, b, c, d))
+    dt = sub(mul(a, d), mul(b, c))
+    if dt == ZERO_C:
+        raise PingPongError("matrix is singular")
+    root = sqrt(dt)
+    if root is None:
+        raise PingPongError(
+            "determinant must be 1 (or an exact square so the matrix can be scaled)")
+    return MobiusMap(*(div(x, root) for x in (a, b, c, d)))
 
 
 class TestScalars:
     def test_arithmetic(self):
         z = gr(1, 2)
         w = gr(3, -1)
-        assert z * w == gr(5, 5)
-        assert (z / w) * w == z
-        assert z.conj() == gr(1, -2)
-        assert z.abs2() == Fraction(5)
+        assert mul(z, w) == gr(5, 5)
+        assert mul(div(z, w), w) == z
+        assert abs2(z) == Fraction(5)
+        assert str(z) == "1+2i" and GaussRational.of(["1/2", -3]).to_json() == ["1/2", "-3"]
 
     def test_sqrt(self):
-        assert gr(4).sqrt() == gr(2)
-        assert gr(-9).sqrt() == gr(0, 3)
-        assert gr(0, 2).sqrt() == gr(1, 1)
-        assert gr(2).sqrt() is None
+        assert sqrt(gr(4)) == gr(2)
+        assert sqrt(gr(-9)) == gr(0, 3)
+        assert sqrt(gr(0, 2)) == gr(1, 1)
+        assert sqrt(gr(2)) is None
+        # from_entries divides by the same root: det 4 -> 2, -9 -> 3i, 2i -> 1 + i
+        assert MobiusMap.from_entries(2, 0, 0, 2) == IDENTITY
+        assert MobiusMap.from_entries(3, 0, 0, -3).a == gr(0, -1)
+        assert MobiusMap.from_entries((1, 1), 0, 0, (1, 1)).a == gr(1)
 
-    @given(st.integers(-9, 9), st.integers(-9, 9))
+    @given(st.integers(-9, 9), st.integers(-9, 9), st.sampled_from([1, 2, Fraction(1, 3)]))
     @settings(max_examples=50, deadline=None)
-    def test_square_then_sqrt(self, a, b):
-        z = gr(a, b)
-        if z.is_zero:
+    def test_square_then_sqrt(self, a, b, q):
+        z = gr(a * q, b)
+        if z == ZERO_C:
             return
-        r = (z * z).sqrt()
-        assert r is not None and (r == z or r == -z)
+        r = sqrt(mul(z, z))
+        assert r is not None and (r == z or r == sub(ZERO_C, z))
+        # from_entries on Gaussian integers agrees with the Fraction oracle, sign
+        # included, on z times matrices of determinant 1, -1, -2 and 2i
+        for m in ((1, 0, 4, 1), (9, -16, 4, -7), (0, 1, 1, 0), (1, 2, 3, 4), ((1, 1), 0, 0, 1)):
+            entries = [mul(GaussRational.of(x), z) for x in m]
+            assert outcome(MobiusMap.from_entries, *entries) == \
+                outcome(fraction_from_entries, *entries), (m, z)
 
 
 class TestGroupOps:
     def test_compose_inverse(self):
-        assert compose(M_STD, inverse(M_STD)).is_identity
-        assert compose(TRANSLATION, inverse(TRANSLATION)).is_identity
+        assert is_identity(compose(M_STD, inverse(M_STD)))
+        assert is_identity(compose(TRANSLATION, inverse(TRANSLATION)))
 
     def test_apply(self):
         assert apply(TRANSLATION, INFINITY_POINT) == INFINITY_POINT
-        assert apply(MobiusMap.from_entries(1, 0, 2, 1), 0).is_zero
-        assert apply(M_STD, Fraction(-1, 4)) == INFINITY_POINT
+        assert apply(MobiusMap.from_entries(1, 0, 2, 1), gr(0)) == ZERO_C
+        assert apply(M_STD, gr(Fraction(-1, 4))) == INFINITY_POINT
         assert apply(M_STD, INFINITY_POINT) == gr(Fraction(1, 4))
 
     def test_determinant_normalization(self):
         m = MobiusMap.from_entries(2, 0, 0, 2)
-        assert m.is_identity
+        assert is_identity(m)
         with pytest.raises(PingPongError):
             MobiusMap.from_entries(2, 0, 0, 1)
         with pytest.raises(PingPongError):
@@ -67,7 +157,7 @@ class TestGroupOps:
 
     def test_sign_quotient(self):
         m = MobiusMap.from_entries(-1, 0, -4, -1)
-        assert m.same_as(M_STD)
+        assert same_as(m, M_STD)
 
 
 class TestParabolic:
@@ -76,7 +166,7 @@ class TestParabolic:
         assert fixed_point(TRANSLATION) == INFINITY_POINT
         assert not is_parabolic(MobiusMap.from_entries(2, 0, 0, Fraction(1, 2)))
         assert is_parabolic(M_STD)
-        assert fixed_point(M_STD).is_zero
+        assert fixed_point(M_STD) == ZERO_C
         assert fixed_point(M_SHIFTED) == gr(2)
 
     def test_identity_rejected(self):
@@ -91,7 +181,7 @@ class TestButterflies:
         assert bf.neg.center == gr(Fraction(-1, 4))
         assert bf.pos.center == gr(Fraction(1, 4))
         assert bf.neg.radius2 == Fraction(1, 16)
-        assert disks_tangent(bf.neg, bf.pos)
+        assert FractionOracle.separation(bf.neg, bf.pos) == 0
 
     def test_shifted(self):
         bf = isometric_butterfly(M_SHIFTED)
@@ -107,7 +197,7 @@ class TestButterflies:
         m = MobiusMap.from_entries(1, 0, (1, 1), 1)       # c = 1 + i
         bf = isometric_butterfly(m)
         assert bf.neg.radius2 == Fraction(1, 2)
-        assert disks_tangent(bf.neg, bf.pos)
+        assert FractionOracle.separation(bf.neg, bf.pos) == 0
 
     def test_inverse_swaps_wings(self):
         bf = isometric_butterfly(M_STD)
@@ -116,27 +206,19 @@ class TestButterflies:
 
 
 class TestDisks:
+    # scaled disks (Re v, Im v, q, r): centre v/q and squared radius r/q^2
     def test_examples(self):
-        quarter = Fraction(1, 16)
-        ds = [RoundDisk(gr(Fraction(-1, 4)), quarter), RoundDisk(gr(Fraction(1, 4)), quarter),
-              RoundDisk(gr(Fraction(7, 4)), quarter), RoundDisk(gr(Fraction(9, 4)), quarter)]
-        assert disjoint_interiors(ds)
-        assert not disjoint_interiors([RoundDisk(gr(0), Fraction(1)),
-                                       RoundDisk(gr(1), Fraction(1))])
-        assert disjoint_interiors([RoundDisk(gr(0), Fraction(1)),
-                                   RoundDisk(gr(2), Fraction(1))])
+        # centres -1/4, 1/4, 7/4 and 9/4, radius 1/4: tangent in a row
+        row = [(x, 0, 4, 1) for x in (-1, 1, 7, 9)]
+        assert not any(_overlap(row[i], row[j]) for i in range(4) for j in range(i + 1, 4))
+        assert _overlap((0, 0, 1, 1), (1, 0, 1, 1))
+        assert not _overlap((0, 0, 1, 1), (2, 0, 1, 1))
 
     def test_irrational_radii_comparison(self):
         # radius sqrt(1/2) disks centered 0 and (1.4, 0): 2*sqrt(1/2) > 1.4
-        a = RoundDisk(gr(0), Fraction(1, 2))
-        b = RoundDisk(gr(Fraction(7, 5)), Fraction(1, 2))
-        assert not disks_interiors_disjoint(a, b)
-        c = RoundDisk(gr(Fraction(3, 2)), Fraction(1, 2))
-        assert disks_interiors_disjoint(a, c)
-
-    def test_needs_two(self):
-        with pytest.raises(PingPongError):
-            disjoint_interiors([RoundDisk(gr(0), Fraction(1))])
+        a = (0, 0, 2, 2)
+        assert _overlap(a, (14, 0, 10, 50))
+        assert not _overlap(a, (3, 0, 2, 2))      # centre 3/2
 
     def test_positive_radius(self):
         with pytest.raises(PingPongError):
@@ -177,7 +259,7 @@ class TestCertificates:
     def test_infinite_fixed_point_normalized(self):
         cert = pingpong_certificate(TRANSLATION, M_STD)
         assert cert.verdict in (FREE_CERTIFIED, INCONCLUSIVE)
-        assert cert.conjugator is not None and not cert.conjugator.is_identity
+        assert cert.conjugator is not None and not is_identity(cert.conjugator)
 
     def test_json(self):
         data = pingpong_certificate(M_STD, M_SHIFTED).to_json()
@@ -191,11 +273,11 @@ class TestNormalize:
         assert fixed_point(n1) != INFINITY_POINT
         assert fixed_point(n2) != INFINITY_POINT
         gi = inverse(g)
-        assert compose(compose(g, TRANSLATION), gi).same_as(n1)
+        assert same_as(compose(compose(g, TRANSLATION), gi), n1)
 
     def test_already_finite_identity(self):
         n1, n2, g = normalize_pair(M_STD, M_SHIFTED)
-        assert g.is_identity and n1.same_as(M_STD)
+        assert is_identity(g) and same_as(n1, M_STD)
 
     def test_equal_fixed_points_rejected(self):
         with pytest.raises(PingPongError):
@@ -211,7 +293,7 @@ def words_oracle(m1, m2, max_length):
     stack = [(g, m, 1) for g, m in gens]
     while stack:
         last, mat, length = stack.pop()
-        if mat.is_identity:
+        if is_identity(mat):
             return False
         if length >= max_length:
             continue
@@ -223,9 +305,9 @@ def words_oracle(m1, m2, max_length):
 
 def parabolic(c, s):
     """[[1 + cs, -cs^2], [c, 1 - cs]]: parabolic with fixed point s."""
-    c, s, one = GaussRational.of(c), GaussRational.of(s), GaussRational.of(1)
-    cs = c * s
-    return MobiusMap.from_entries(one + cs, -(cs * s), c, one - cs)
+    c, s = GaussRational.of(c), GaussRational.of(s)
+    cs = mul(c, s)
+    return MobiusMap.from_entries(add(ONE_C, cs), sub(ZERO_C, mul(cs, s)), c, sub(ONE_C, cs))
 
 
 H = Fraction(1, 2)
@@ -244,8 +326,8 @@ ORDER4_PAIR = (MobiusMap.from_entries(1, 1, 0, 1), MobiusMap.from_entries(1, 0, 
 ORDER4_HALF_PAIR = (MobiusMap.from_entries(1, H, 0, 1), MobiusMap.from_entries(1, 0, -4, 1))
 # z -> z + i and z -> z/(iz + 1): off-diagonal entries with zero real part
 GAUSS_PAIR = (MobiusMap.from_entries(1, (0, 1), 0, 1), MobiusMap.from_entries(1, 0, (0, 1), 1))
-# diagonal matrices other than +-I (none of determinant one): i*I, 2*I,
-# diag(1, -1) and diag(1 + i, 1)
+# diagonal matrices other than +-I, none of determinant one, so the word
+# check refuses them: i*I, 2*I, diag(1, -1) and diag(1 + i, 1)
 DIAGONALS = [MobiusMap(gr(a, b), gr(0), gr(0), gr(c, d))
              for a, b, c, d in ((0, 1, 0, 1), (2, 0, 2, 0), (1, 0, -1, 0), (1, 1, 1, 0))]
 
@@ -284,7 +366,6 @@ class TestWords:
         assert all(pingpong_certificate(*p).verdict == FREE_CERTIFIED for p in pairs)
         pairs += [SL2Z_PAIR, HALF_PAIR, ORDER4_PAIR, ORDER4_HALF_PAIR, GAUSS_PAIR,
                   (TRANSLATION, TRANSLATION), (TRANSLATION, MobiusMap.from_entries(1, 2, 0, 1))]
-        pairs += [(m, M_STD) for m in DIAGONALS]
         for m1, m2 in pairs:
             for n in range(7):
                 assert free_word_sanity(m1, m2, n) == words_oracle(m1, m2, n), (m1, m2, n)
@@ -293,62 +374,58 @@ class TestWords:
 class FractionOracle:
     """The certificate on Fraction matrices, as pingpong_certificate
     computed it before it moved to the scaled Gaussian-integer forms: each
-    test through GaussRational arithmetic, apply() and compose()."""
+    test through the Fraction algebra above, apply() and compose().  Every
+    entry point checks det = 1 first, as the core does where a map enters."""
 
     @staticmethod
-    def is_parabolic(m):
-        tr = m.trace
-        return (tr == GaussRational.of(2) or tr == GaussRational.of(-2)) and not m.is_identity
+    def check_det(*ms):
+        if any(det(m) != ONE_C for m in ms):
+            raise PingPongError("determinant must be 1")
+
+    @classmethod
+    def is_parabolic(cls, m):
+        cls.check_det(m)
+        tr = add(m.a, m.d)
+        return (tr == gr(2) or tr == gr(-2)) and not is_identity(m)
 
     @classmethod
     def fixed_point(cls, m):
-        if m.is_identity:
+        if is_identity(m):
             raise PingPongError("the identity fixes everything")
         if not cls.is_parabolic(m):
             raise PingPongError("fixed_point here is for parabolic maps only")
-        if m.c.is_zero:
+        if m.c == ZERO_C:
             return INFINITY_POINT
-        return (m.a - m.d) / (m.c * GaussRational.of(2))
+        return div(sub(m.a, m.d), mul(m.c, gr(2)))
 
     @staticmethod
-    def gap(d1, d2):
-        dist2 = (d1.center - d2.center).abs2()
-        return dist2 - d1.radius2 - d2.radius2, 4 * d1.radius2 * d2.radius2
-
-    @classmethod
-    def disjoint(cls, d1, d2):
-        L, bound = cls.gap(d1, d2)
-        return L >= 0 and L * L >= bound
-
-    @classmethod
-    def tangent(cls, d1, d2):
-        L, bound = cls.gap(d1, d2)
-        return L >= 0 and L * L == bound
+    def separation(d1, d2):
+        """Sign of |centre(d1) - centre(d2)| - (r1 + r2), decided on squares."""
+        L = abs2(sub(d1.center, d2.center)) - d1.radius2 - d2.radius2
+        diff = L * L - 4 * d1.radius2 * d2.radius2
+        return -1 if L < 0 else (diff > 0) - (diff < 0)
 
     @classmethod
     def butterfly(cls, m):
         if not cls.is_parabolic(m):
             raise PingPongError("butterflies exist for parabolic maps only")
-        if m.c.is_zero:
+        if m.c == ZERO_C:
             raise PingPongError("the map fixes infinity; conjugate first (normalize_pair)")
-        c_abs2 = m.c.abs2()
-        bf = Butterfly(m, RoundDisk((-m.d) / m.c, 1 / c_abs2), RoundDisk(m.a / m.c, 1 / c_abs2))
-        for z in (GaussRational.of(0), GaussRational.of(1), GaussRational.of((0, 1))):
-            den = m.c * z + m.d
-            if den.is_zero:
-                continue
-            if (m.c * apply(m, z) - m.a).abs2() * den.abs2() != 1:
-                raise PingPongError("isometric disk mapping identity failed")
-        if not cls.tangent(bf.neg, bf.pos):
-            raise PingPongError("isometric disks are not tangent")
+        r2 = 1 / abs2(m.c)
+        bf = Butterfly(m, RoundDisk(div(sub(ZERO_C, m.d), m.c), r2), RoundDisk(div(m.a, m.c), r2))
+        # the identities the core relies on unchecked: they hold for det 1, trace +-2
+        for z in (gr(0), gr(1), gr(0, 1)):
+            den = add(mul(m.c, z), m.d)
+            if den != ZERO_C:
+                assert abs2(sub(mul(m.c, apply(m, z)), m.a)) * abs2(den) == 1
+        assert cls.separation(bf.neg, bf.pos) == 0
         fix = cls.fixed_point(m)
-        for disk in (bf.neg, bf.pos):
-            if (GaussRational.of(fix) - disk.center).abs2() != disk.radius2:
-                raise PingPongError("fixed point does not lie on both disk boundaries")
+        assert all(abs2(sub(fix, disk.center)) == disk.radius2 for disk in (bf.neg, bf.pos))
         return bf
 
     @classmethod
     def normalize_pair(cls, m1, m2):
+        cls.check_det(m1, m2)
         if not (cls.is_parabolic(m1) and cls.is_parabolic(m2)):
             raise PingPongError("normalize_pair needs parabolic maps")
         f1, f2 = cls.fixed_point(m1), cls.fixed_point(m2)
@@ -357,16 +434,15 @@ class FractionOracle:
         if f1 != INFINITY_POINT and f2 != INFINITY_POINT:
             return m1, m2, IDENTITY
         for t in range(0, 6):
-            zt = GaussRational.of(t)
-            if (f1 == INFINITY_POINT or GaussRational.of(f1) != zt) and \
-               (f2 == INFINITY_POINT or GaussRational.of(f2) != zt):
-                g = MobiusMap(ZERO_C, ONE_C, ONE_C, -zt)
+            if gr(t) not in (f1, f2):
+                g = MobiusMap(ZERO_C, ONE_C, ONE_C, gr(-t))
                 gi = inverse(g)
                 return compose(compose(g, m1), gi), compose(compose(g, m2), gi), g
         raise PingPongError("could not find a conjugating point")
 
     @classmethod
     def certificate(cls, m1, m2):
+        cls.check_det(m1, m2)
         for m in (m1, m2):
             if not cls.is_parabolic(m):
                 raise PingPongError("certificates need two parabolic maps")
@@ -379,7 +455,7 @@ class FractionOracle:
         names = ["neg(1)", "pos(1)", "neg(2)", "pos(2)"]
         for i in range(4):
             for j in range(i + 1, 4):
-                if not cls.disjoint(disks[i], disks[j]):
+                if cls.separation(disks[i], disks[j]) < 0:
                     return Certificate(
                         INCONCLUSIVE, butterflies=(bf1, bf2), conjugator=g,
                         diagnostic=f"isometric disks {names[i]} and {names[j]} overlap",
@@ -410,8 +486,8 @@ ORACLE_GRIDS = {
     "dyadic": ([Q(5, 4), Q(9, 4), Q(7, 8)], [Q(-1, 2), Q(1, 4), Q(3, 2), Q(-5, 8)]),
     "gauss": ([(1, 1), (2, -1), (0, 1)], [0, (1, 1), -1, (0, H), (-1, -2)]),
 }
-# weird maps made without from_entries: trace 2 with det 2 (fails the
-# mapping identity), diag(1 + i, 1 - i) (trace 2, fixes 0 and infinity),
+# weird maps made without from_entries: trace 2 with det 2 and diag(1 + i,
+# 1 - i) (trace 2, det 2, elliptic), which the core refuses at entry,
 # diag(2, 1/2) (loxodromic), the identity, -1 times a parabolic
 ODD_MAPS = [MobiusMap(gr(2), gr(-2), gr(1), gr(0)), MobiusMap(gr(1, 1), gr(0), gr(0), gr(1, -1)),
             MobiusMap(gr(2), gr(0), gr(0), gr(H)), IDENTITY,
@@ -448,8 +524,7 @@ class TestFractionOracle:
             verdicts.add(expected[1]["verdict"] if expected[0] == "ok" else expected[1])
         assert verdicts == {FREE_CERTIFIED, INCONCLUSIVE, COMMUTING,
                             "certificates need two parabolic maps",
-                            "isometric disk mapping identity failed",
-                            "the map fixes infinity; conjugate first (normalize_pair)"}
+                            "determinant must be 1"}
 
     def test_helpers_match(self):
         for m1, m2 in oracle_pairs()[::7]:
@@ -462,13 +537,12 @@ class TestFractionOracle:
                     assert outcome(ours, m) == outcome(theirs, m), (ours, m)
 
     def test_disk_tests_match(self):
-        centers = [gr(0), gr(1), gr(Q(1, 2), Q(-1, 3)), gr(2, 1), gr(Q(7, 5))]
-        radii2 = [Q(1, 4), Q(1, 2), Q(1), Q(2, 9), Q(49, 100)]
-        disks = [RoundDisk(c, r) for c in centers for r in radii2]
-        for d1 in disks:
-            for d2 in disks:
-                assert disks_interiors_disjoint(d1, d2) == FractionOracle.disjoint(d1, d2)
-                assert disks_tangent(d1, d2) == FractionOracle.tangent(d1, d2)
+        disks = [(vr, vi, q, r) for vr, vi in ((0, 0), (1, 0), (3, -2), (7, 7))
+                 for q in (1, 2, 5) for r in (1, 2, 9, 50)]
+        for x in disks:
+            for y in disks:
+                d1, d2 = RoundDisk.from_scaled(x), RoundDisk.from_scaled(y)
+                assert _overlap(x, y) == (FractionOracle.separation(d1, d2) < 0), (x, y)
 
 
 class TestFloatPath:
@@ -479,11 +553,56 @@ class TestFloatPath:
             == COMMUTING
         assert pingpong_certificate_float([[1, 0], [1, 1]], [[2, -1], [1, 0]]).verdict \
             == INCONCLUSIVE
+        # c = 1/2 is within tol = 1 of 0, and the finite fixed point 1 is exactly
+        # tol from 0 and 2: the conjugating point t must be farther, so t = 3
+        assert pingpong_certificate_float([[5, -4], [4, -3]], [[0.25, -1.125], [0.5, 1.75]],
+                                          1.0).verdict == COMMUTING
 
     def test_irrational_entries(self):
-        import math
         s = math.sqrt(2)
         cert = pingpong_certificate_float([[1, 0], [4 * s, 1]],
                                           [[1 + 8 * s, -16 * s], [4 * s, 1 - 8 * s]])
         assert cert.verdict == FREE_CERTIFIED
         assert cert.to_json()["numeric"] is True
+
+    def test_agrees_with_exact_path(self):
+        for m1, m2 in oracle_pairs()[::3]:
+            exact = outcome(pingpong_certificate, m1, m2)
+            if exact[0] == "error":
+                continue
+            floats = [[[complex(*map(float, map(Fraction, z))) for z in row] for row in m.to_json()]
+                      for m in (m1, m2)]
+            assert pingpong_certificate_float(*floats).verdict == exact[1]["verdict"], (m1, m2)
+
+    def test_bad_input_is_an_error(self):
+        pair = [[1, 0], [4, 1]], [[9, -16], [4, -7]]
+        with pytest.raises(PingPongError, match="two parabolic maps"):     # the identity
+            pingpong_certificate_float([[-2, 0], [0, -2]], pair[0])
+        for m in ([[1e200, 0], [0, 1e200]], [[1e300, 1e300], [1e300, -1e300]],
+                  [[1, 0], [math.inf, 1]], [[math.nan, 0], [4, 1]]):
+            with pytest.raises(PingPongError, match="not finite"):
+                pingpong_certificate_float(m, pair[0])
+        for tol in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(PingPongError, match="tolerance must be a finite number > 0"):
+                pingpong_certificate_float(*pair, tol)
+
+
+class TestDeterminant:
+    # z -> iz as diag(1 + i, 1 - i): trace 2, determinant 2, elliptic
+    ELLIPTIC = MobiusMap(gr(1, 1), gr(0), gr(0), gr(1, -1))
+
+    def test_checked_where_a_map_enters(self):
+        for m in [self.ELLIPTIC] + DIAGONALS:
+            for call in (is_parabolic, fixed_point, isometric_butterfly,
+                         lambda m: pingpong_certificate(m, M_STD),
+                         lambda m: pingpong_certificate(M_STD, m),
+                         lambda m: normalize_pair(M_STD, m),
+                         lambda m: free_word_sanity(m, M_STD, 0),
+                         lambda m: free_word_sanity(M_STD, m, 4)):
+                with pytest.raises(PingPongError, match="determinant must be 1"):
+                    call(m)
+
+    def test_emitted_conjugator_keeps_det_minus_one(self):
+        cert = pingpong_certificate(TRANSLATION, M_STD)
+        assert cert.conjugator.to_json() == [[["0", "0"], ["1", "0"]], [["1", "0"], ["-1", "0"]]]
+        assert det(cert.conjugator) == gr(-1)
