@@ -116,8 +116,9 @@ def witness_spare_region(d: AlternatingDiagram, wing_regions, color: str = BLACK
                          pp: IdealPolyhedronPair | None = None) -> SpareRegionCertificate:
     """Produce the fifth-region certificate for a set of wing regions.
 
-    With five or more regions of the wing color, any unused one works
-    (same-color regions are never adjacent).  With exactly four, a small
+    With five or more regions of the wing color, any unused one works:
+    same-color regions are never adjacent, since every edge separates a
+    black region from a white one.  With exactly four, a small
     opposite-color region with pairwise distinct neighbors transfers the
     wing planes across its face, freeing a non-adjacent region; with three
     (possible only for three distinct wings) the small region is a bigon.
@@ -128,12 +129,8 @@ def witness_spare_region(d: AlternatingDiagram, wing_regions, color: str = BLACK
         raise DecideError("wing regions must all have the witness color")
     others = [r for r in same if r not in wings]
     if len(same) >= 5 and others:
-        spare = others[0]
-        for w in wings:
-            if region_adjacent(d, spare, w):
-                raise DecideError("same-color regions cannot be adjacent; coloring broken")
         return SpareRegionCertificate(
-            "direct", spare,
+            "direct", others[0],
             note="same color as the wings, hence adjacent to none of them; "
                  "its plane's far side misses all four wing half-spaces")
     if len(same) < 3:
@@ -231,6 +228,8 @@ def classify_alternating_pair(d: AlternatingDiagram, arc,
                    "for standard two-bridge diagrams use the twist-sequence classifier",))
 
     if isinstance(arc, InRegionArc):
+        if not (0 <= arc.region < len(d.regions)):
+            raise DecideError(f"no region {arc.region}")
         R = d.regions[arc.region]
         for c in (arc.c1, arc.c2):
             if c not in R.distinct_crossings:
@@ -311,12 +310,10 @@ def classify_2bridge_pair(tb, arc, mirror: bool = False) -> Verdict:
             return Verdict(VerdictKind.GENERATES_LINK_GROUP, which_tunnel="lower",
                            notes=("crossing arc in the last twist region is the lower tunnel",))
         fr = flype(tb, i, c)
+        # the image arc's endpoints are not adjacent along its region
+        # (_spot_options), so the in-region case returns a free verdict
         inner = classify_alternating_pair(fr.diagram, fr.arc,
                                           build_polyhedra(fr.diagram, mirror))
-        if inner.kind is not VerdictKind.FREE_GEOMETRICALLY_FINITE:
-            raise DecideError(
-                f"flype image of an interior crossing arc classified as {inner.kind}; "
-                "this contradicts the two-bridge case analysis")
         return Verdict(inner.kind, witness=inner.witness, notes=inner.notes,
                        flype_trace=fr.trace, witness_diagram=fr.diagram)
 

@@ -42,6 +42,15 @@ class Region:
         return frozenset(self.crossings)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_slot(h) -> bool:
+    """A JSON slot [crossing, position] of two integers."""
+    return isinstance(h, list) and len(h) == 2 and all(map(_is_int, h))
+
+
 def _face_walk(pairing: dict[Slot, Slot], start: Slot) -> tuple[Slot, ...]:
     """The face through slot `start`, walked by next(h) = rotate(twin(h))."""
     walk = [start]
@@ -102,17 +111,20 @@ class AlternatingDiagram:
 
     @staticmethod
     def from_pd(code) -> "AlternatingDiagram":
-        """Build from a PD code: one 4-tuple of edge labels per crossing.
+        """Build from a PD code: one 4-tuple of integer edge labels per crossing.
 
         Labels are listed counterclockwise starting at the incoming
         under-strand, and each label occurs exactly twice overall.
         """
-        code = [tuple(x) for x in code]
+        if not isinstance(code, (list, tuple)) or not all(isinstance(x, (list, tuple)) for x in code):
+            raise DiagramError("malformed: a PD code is a list of four-label entries")
         if not code:
             raise DiagramError("malformed: empty PD code")
         if any(len(x) != 4 for x in code):
             raise DiagramError("malformed: every PD entry needs four edge labels")
-        where: dict[object, list[Slot]] = {}
+        if not all(_is_int(label) for quad in code for label in quad):
+            raise DiagramError("malformed: PD edge labels must be integers")
+        where: dict[int, list[Slot]] = {}
         for c, quad in enumerate(code):
             for i, label in enumerate(quad):
                 where.setdefault(label, []).append((c, i))
@@ -127,13 +139,19 @@ class AlternatingDiagram:
 
     @staticmethod
     def from_json(obj) -> "AlternatingDiagram":
-        """Accept {"pd": [[..4 labels..], ...]} or {"rotation": [[slot pairs]]}."""
-        if "pd" in obj:
+        """Accept {"pd": [[..4 labels..], ...]} or {"rotation": [[slot pairs]]},
+        shaped as docs/schemas/diagram.input.v1.json describes."""
+        if isinstance(obj, dict) and "pd" in obj:
             return AlternatingDiagram.from_pd(obj["pd"])
-        if "rotation" in obj:
+        if isinstance(obj, dict) and "rotation" in obj:
+            pairs = obj["rotation"]
+            if not (isinstance(pairs, list) and pairs and all(
+                    isinstance(pair, list) and len(pair) == 2 and all(map(_is_slot, pair))
+                    for pair in pairs)):
+                raise DiagramError("malformed: a rotation is a non-empty list of [[c, i], [c, i]] slot pairs")
             pairing = {}
-            for a, b in obj["rotation"]:
-                ha, hb = (int(a[0]), int(a[1])), (int(b[0]), int(b[1]))
+            for a, b in pairs:
+                ha, hb = tuple(a), tuple(b)
                 pairing[ha] = hb
                 pairing[hb] = ha
             n = 1 + max(c for (c, _i) in pairing)
@@ -239,18 +257,14 @@ class AlternatingDiagram:
     def crossing_count(self) -> int:
         return self.n
 
-    def region(self, index: int) -> Region:
-        return self.regions[index]
-
     def corner_region(self, c: int, k: int) -> Region:
         """Region at the corner of crossing c between ports k and k+1."""
         return self.regions[self.region_of_slot[(c, (k + 1) % 4)]]
 
     def regions_at_crossing(self, c: int, color: str) -> tuple[Region, Region]:
-        """The two same-color corner regions at c, in corner order."""
+        """The two same-color corner regions at c, in corner order; the
+        coloring is proper, so the corners alternate colors."""
         found = [self.corner_region(c, k) for k in range(4) if self.corner_region(c, k).color == color]
-        if len(found) != 2:
-            raise DiagramError("coloring: corners of a crossing must alternate colors")
         if found[0].index == found[1].index:
             raise DiagramError("non-prime: the two same-color corners at a crossing coincide")
         return found[0], found[1]
@@ -264,19 +278,6 @@ class AlternatingDiagram:
         a, b = tuple(self.edges[eid])
         return self.region_of_slot[a], self.region_of_slot[b]
 
-    def region_report(self) -> dict:
-        """Region and coloring summary for machine consumption."""
-        return {
-            "crossings": self.n,
-            "black_count": sum(1 for R in self.regions if R.color == BLACK),
-            "white_count": sum(1 for R in self.regions if R.color == WHITE),
-            "regions": [
-                {"index": R.index, "color": R.color, "size": len(R),
-                 "crossings": list(R.crossings), "edges": sorted(R.edges)}
-                for R in self.regions
-            ],
-        }
-
     def __repr__(self) -> str:
         return f"AlternatingDiagram({self.n} crossings, {len(self.regions)} regions)"
 
@@ -288,20 +289,18 @@ class AlternatingDiagram:
 def is_prime(d: AlternatingDiagram) -> bool:
     """No simple loop meets the diagram twice with crossings on both sides.
 
-    Equivalent combinatorial form: at least one crossing, and no two
-    distinct edges share the same unordered pair of side regions (such a
+    Equivalent combinatorial form (a diagram has at least one crossing):
+    no two distinct edges share the same unordered pair of side regions (such a
     pair supports the splitting loop, and both sides then contain a
     crossing because the cut edge-pieces end at crossings).
     """
-    if d.n < 1:
-        return False
-    seen: dict[frozenset[int] | tuple, int] = {}
+    seen: set[tuple[int, int]] = set()
     for eid in range(len(d.edges)):
         a, b = d.edge_sides(eid)
         key = (min(a, b), max(a, b))
         if key in seen:
             return False
-        seen[key] = eid
+        seen.add(key)
     return True
 
 
@@ -334,90 +333,26 @@ class DualGraph:
     vertices: list[int]                    # region indices
     edges: list[tuple[int, int, int]]      # (region, region, crossing)
 
-    def to_dot(self) -> str:
-        lines = ["graph dual {"]
-        for v in self.vertices:
-            lines.append(f'  r{v} [label="R{v}"];')
-        for a, b, c in self.edges:
-            lines.append(f'  r{a} -- r{b} [label="c{c}"];')
-        lines.append("}")
-        return "\n".join(lines)
-
-
-def _bridges(vertices: list[int], edges: list[tuple[int, int, int]]) -> list[int]:
-    """Indices of cut edges of a multigraph (parallel edges are never bridges)."""
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in vertices}
-    for idx, (a, b, _c) in enumerate(edges):
-        adj[a].append((b, idx))
-        adj[b].append((a, idx))
-    low: dict[int, int] = {}
-    disc: dict[int, int] = {}
-    out: list[int] = []
-    counter = [0]
-
-    def dfs(root: int) -> None:
-        stack = [(root, -1, iter(adj[root]))]
-        disc[root] = low[root] = counter[0]
-        counter[0] += 1
-        while stack:
-            v, pe, it = stack[-1]
-            advanced = False
-            for w, idx in it:
-                if idx == pe:
-                    continue
-                if w not in disc:
-                    disc[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append((w, idx, iter(adj[w])))
-                    advanced = True
-                    break
-                low[v] = min(low[v], disc[w])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    u = stack[-1][0]
-                    low[u] = min(low[u], low[v])
-                    if low[v] > disc[u]:
-                        out.append(pe)
-
-    for v in vertices:
-        if v not in disc:
-            dfs(v)
-    return out
-
 
 def black_dual_graph(d: AlternatingDiagram, color: str = BLACK) -> DualGraph:
     """Graph whose vertices are the regions of one color, one edge per crossing.
 
-    Asserts the structure forced by primeness: connected, no loop edge,
-    no cut edge.  Violations surface as diagnostics naming the defect.
+    Nothing about its shape is re-checked here.  It has no loop edge:
+    `regions_at_crossing` refuses a crossing whose two same-color corners
+    coincide.  It is connected, because the Tait graph of a connected
+    diagram is.  It has no cut edge when the diagram is reduced: a cut edge
+    of one color's graph is a loop edge of the other's, that is a crossing
+    met twice by one region.  In the package it is read only through the
+    determinant of the flype search, which starts from a standard
+    two-bridge diagram (reduced) and takes determinants only of rewirings
+    that pass `is_reduced`.
     """
     verts = [R.index for R in d.regions if R.color == color]
     edges = []
     for c in range(d.n):
         r1, r2 = d.regions_at_crossing(c, color)
-        if r1.index == r2.index:
-            raise DiagramError(f"dual graph has a loop edge at crossing {c}: non-prime input")
         edges.append((r1.index, r2.index, c))
-    g = DualGraph(color, verts, edges)
-    reach = {verts[0]}
-    stack = [verts[0]]
-    adj: dict[int, set[int]] = {v: set() for v in verts}
-    for a, b, _c in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in reach:
-                reach.add(w)
-                stack.append(w)
-    if len(reach) != len(verts):
-        raise DiagramError("dual graph disconnected: non-prime or malformed input")
-    cut = _bridges(verts, edges)
-    if cut:
-        raise DiagramError(f"dual graph has a cut edge at crossing {edges[cut[0]][2]}: non-prime input")
-    return g
+    return DualGraph(color, verts, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -547,20 +482,11 @@ class _TangleBuilder:
         self.stubs["se"] = ("port", (c, _SE))
         return c
 
-    def close(self, pairs=(("nw", "ne"), ("sw", "se"))) -> dict[Slot, Slot]:
-        for pair in pairs:
-            a, b = pair
-            ha, hb = self.stubs[a], self.stubs[b]
-            if ha[0] == "port" and hb[0] == "port":
-                self._wire(ha[1], hb[1])
-            elif ha[0] == "stub" and hb[0] == "stub" and ha[1] == b:
-                raise DiagramError("degenerate closure: crossingless component")
-            else:
-                port_side = ha if ha[0] == "port" else hb
-                stub_side = hb if ha[0] == "port" else ha
-                other = self.stubs[stub_side[1]]
-                self._wire(port_side[1], other[1])
-            self.stubs[a] = self.stubs[b] = None
+    def close(self, pairs) -> dict[Slot, Slot]:
+        # the first crossing turns all four stubs into ports, so every
+        # closing pair joins two ports
+        for a, b in pairs:
+            self._wire(self.stubs[a][1], self.stubs[b][1])
         return self.pairing
 
 

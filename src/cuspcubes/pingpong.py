@@ -40,8 +40,9 @@ MAX_ENTRY_CHARS = 1000        # longest accepted entry string
 def parse_rational(x) -> Fraction | None:
     """An int (not a bool), a Fraction, or a string such as "-3", "3/4" or
     "0.75", as a Fraction; None for anything else.  Strings longer than
-    MAX_ENTRY_CHARS and exponent notation raise PingPongError before the
-    number is built, so no entry costs more than its own length."""
+    MAX_ENTRY_CHARS, integers of more than MAX_ENTRY_CHARS digits and
+    exponent notation raise PingPongError before the number is built, so
+    no entry costs more than its own length."""
     if isinstance(x, str):
         if len(x) > MAX_ENTRY_CHARS:
             raise PingPongError(f"entry strings are at most MAX_ENTRY_CHARS = {MAX_ENTRY_CHARS} "
@@ -53,6 +54,11 @@ def parse_rational(x) -> Fraction | None:
         except (ValueError, ZeroDivisionError):
             return None
     if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        # an integer of at most 3 * MAX_ENTRY_CHARS bits has at most
+        # MAX_ENTRY_CHARS digits (2^3 < 10), so small entries skip the power
+        if (isinstance(x, int) and x.bit_length() > 3 * MAX_ENTRY_CHARS
+                and abs(x) >= 10 ** MAX_ENTRY_CHARS):
+            raise PingPongError(f"integer entries have at most MAX_ENTRY_CHARS = {MAX_ENTRY_CHARS} digits")
         return Fraction(x)
     return None
 

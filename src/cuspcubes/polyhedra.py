@@ -79,16 +79,6 @@ class IdealPolyhedronPair:
             ],
         }
 
-    def edge_class_dot(self) -> str:
-        lines = ["graph edge_classes {"]
-        for idx, (members, crossing) in enumerate(self.edge_classes):
-            lines.append(f'  k{idx} [label="arc c{crossing}"];')
-            for s, e in members:
-                tag = "P" if s == POSITIVE else "N"
-                lines.append(f'  k{idx} -- "{tag}e{e}";')
-        lines.append("}")
-        return "\n".join(lines)
-
 
 def build_polyhedra(d: AlternatingDiagram, mirror: bool = False) -> IdealPolyhedronPair:
     """Glue the two copies of the diagram ball by the gear rule and verify

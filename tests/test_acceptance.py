@@ -12,14 +12,14 @@ from cuspcubes.cubing import boundary_cubings, build_cubing, link_angle_class, v
 from cuspcubes.decide import VerdictKind, classify_2bridge_pair
 from cuspcubes.diagram import (AlternatingDiagram, CrossingArc,
                                region_adjacent, two_bridge_diagram)
-from cuspcubes.farey import (INFINITY, ZERO, Slope, covering_slope,
-                             covering_slope_search_oracle, farey_distance,
+from cuspcubes.farey import (INFINITY, ZERO, Slope, covering_slope, farey_distance,
                              rational_p3_hyperbolic, two_bridge_hyperbolic)
 from cuspcubes.pingpong import (COMMUTING, FREE_CERTIFIED, INCONCLUSIVE, MobiusMap,
                                 free_word_sanity, pingpong_certificate)
 from cuspcubes.polyhedra import (POSITIVE, build_polyhedra, face_transfer,
                                  halfspace_disjoint)
 from conftest import diagram_corpus, twist_sequences
+from farey_oracles import covering_slope_search_oracle, differ_by_integer
 
 
 def _report(n, label, ok, elapsed, budget):
@@ -88,8 +88,7 @@ def test_criterion_3_covering_slope_search_oracle():
             if not eta.orientation_preserving or eta.act(-r) != INFINITY:
                 ok = False
                 break
-            diff = covering_slope(r).as_fraction() - eta.act(r).as_fraction()
-            if diff.denominator != 1:
+            if not differ_by_integer(covering_slope(r), eta.act(r)):
                 ok = False
                 break
             checked += 1

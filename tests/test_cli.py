@@ -113,6 +113,13 @@ class TestCubing:
         code, out, err = run(capsys, "cubing", "--pd", str(f))
         assert code == 2 and out == "" and "paired exactly once" in err
 
+    def test_bad_pd_shapes_exit(self, capsys, tmp_path):
+        f = tmp_path / "bad.json"
+        for text in ('5', '{"pd": 5}', '{"pd": [[[1], 2, 3, 4]]}', '{"rotation": [[[0], [1, 2]]]}'):
+            f.write_text(text)
+            code, out, err = run(capsys, "cubing", "--pd", str(f))
+            assert code == 2 and out == "" and err.startswith("error: malformed:"), text
+
     def test_pd_file_and_emit(self, capsys, tmp_path, corpus):
         pd = {"pd": [list(x) for x in corpus["C2_2"].pd_code()]}
         f = tmp_path / "fig8.json"
@@ -169,6 +176,14 @@ class TestDecide:
         code, _, err = run(capsys, "decide", "--two-bridge", "2,2",
                            "--in-region", "R0:c1:c1")
         assert code == 2
+
+    def test_region_out_of_range_exit(self, capsys):
+        # the (2,1,2) diagram has 7 regions
+        for region in ("R-1", "R7", "R99"):
+            code, out, err = run(capsys, "decide", "--two-bridge", "2,1,2",
+                                 "--in-region", f"{region}:c3:c4")
+            assert code == 2 and out == "", region
+            assert err == f"error: no region {region[1:]}\n", region
 
     def test_negative_crossing_number_exit(self, capsys):
         code, out, err = run(capsys, "decide", "--two-bridge", "2,3,2",
@@ -283,6 +298,17 @@ class TestPingpong:
                                      "--mode", mode)
                 assert time.perf_counter() - t0 < 0.1, (entry[:12], mode)
                 assert code == 2 and out == "" and err.startswith("error:") and len(err) < 200
+
+    def test_long_integer_entries_exit(self, capsys):
+        from cuspcubes.pingpong import MAX_ENTRY_CHARS
+        for big in (str(10 ** MAX_ENTRY_CHARS), "9" * 2500):
+            for entry in (big, "-" + big):
+                code, out, err = run(capsys, "pingpong", f"[[1,0],[{entry},1]]", "[[1,1],[0,1]]")
+                assert code == 2 and out == ""
+                assert err == (f"error: integer entries have at most MAX_ENTRY_CHARS = "
+                               f"{MAX_ENTRY_CHARS} digits\n")
+        code, _, _ = run(capsys, "pingpong", f"[[1,0],[{'9' * MAX_ENTRY_CHARS},1]]", "[[1,1],[0,1]]")
+        assert code in (0, 1)
 
     def test_tolerance_validated(self, capsys):
         for tol in ("nan", "-1", "0", "inf", "-inf"):

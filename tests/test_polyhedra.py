@@ -54,10 +54,9 @@ class TestBuild:
                 assert (sp, ep) == (POSITIVE, walk[j])
                 assert (sn, en) == (NEGATIVE, walk[(j + shift) % m])
 
-    def test_json_and_dot(self, fig8_pp):
+    def test_json(self, fig8_pp):
         data = fig8_pp.to_json()
         assert len(data["edge_classes"]) == 4
-        assert "graph" in fig8_pp.edge_class_dot()
 
 
 class TestHalfSpaces:

@@ -1,4 +1,4 @@
-"""perfbench/tracing.py rebinds pingpong functions by name; keep the names.
+"""perfbench/tracing.py rebinds package functions by name; keep the names.
 
 The tracer wraps cuspcubes functions in place, so it runs in a subprocess.
 """
@@ -11,22 +11,42 @@ import sys
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = """
-import contextlib, io, json, tracing
+import contextlib, io, json, sys, tracing
 from cuspcubes import cli
 tracer = tracing.Tracer()
 tracing.install(tracer)
-pair = ["[[1,0],[4,1]]", "[[9,-16],[4,-7]]"]
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [cli.main(["pingpong", *pair]), cli.main(["pingpong", *pair, "--mode", "float"])]
+    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
 print(json.dumps([codes, sorted({span[0] for span in tracer.spans})]))
 """
 
 
-def test_pingpong_spans_recorded():
+def traced(commands):
+    """Exit codes of the commands run under tracing.install, and the span names."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
-    res = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True,
-                         timeout=120)
+    res = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(commands)], env=env,
+                         capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     codes, spans = json.loads(res.stdout)
+    return codes, set(spans)
+
+
+def test_pingpong_spans_recorded():
+    pair = ["[[1,0],[4,1]]", "[[9,-16],[4,-7]]"]
+    codes, spans = traced([["pingpong", *pair], ["pingpong", *pair, "--mode", "float"]])
     assert codes == [0, 0]
-    assert {"pingpong.certificate", "pingpong.certificate_float"} <= set(spans)
+    assert {"pingpong.certificate", "pingpong.certificate_float"} <= spans
+
+
+def test_layer_spans_recorded(tmp_path):
+    codes, spans = traced([
+        ["farey", "covering-slope", "2/5"],
+        ["cubing", "--two-bridge", "2,2"],
+        ["decide", "--two-bridge", "2,1,2", "--crossing-arc", "A1:0"],
+        ["decide", "--two-bridge", "2,1,2", "--crossing-arc", "A2:0"],
+        ["svg", "--two-bridge", "2,2", "-o", str(tmp_path / "fig8.svg")],
+    ])
+    assert codes == [0] * 5
+    assert {"farey", "diagram.load", "diagram.checks", "diagram.flype", "cubing.build_cubing",
+            "cubing.verify_npc", "cubing.boundary_cubings", "polyhedra.build_polyhedra",
+            "polyhedra.svg", "decide.classify", "decide.witness_spare_region"} <= spans
