@@ -19,9 +19,9 @@ from .farey import (ContinuedFraction, FareyAut, FareyError, INFINITY, Slope, ZE
                     two_bridge_equivalent, two_bridge_hyperbolic)
 from .diagram import (AlternatingDiagram, BLACK, CrossingArc, DiagramError,
                       InRegionArc, Region, TransverseArc, TwistSequence,
-                      TwoBridgeDiagram, WHITE, black_dual_graph, flype,
-                      find_small_white_region, is_prime, is_reduced,
-                      pretzel_diagram, region_adjacent, two_bridge_diagram)
+                      TwoBridgeDiagram, WHITE, flype, find_small_white_region,
+                      is_prime, is_reduced, pretzel_diagram, region_adjacent,
+                      two_bridge_diagram)
 from .cubing import (CubedComplex, CubingError, VertexLink, boundary_cubings,
                      build_cubing, is_flag, link_angle_class, verify_npc)
 from .polyhedra import (IdealPolyhedronPair, PolyhedraError, build_polyhedra,

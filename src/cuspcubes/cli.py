@@ -35,7 +35,10 @@ def _emit(obj, pretty: bool) -> None:
 
 def _load_diagram(args):
     if getattr(args, "two_bridge", None):
-        seq = tuple(int(x) for x in args.two_bridge.split(","))
+        try:
+            seq = tuple(int(x) for x in args.two_bridge.split(","))
+        except ValueError:
+            raise DiagramError(f"--two-bridge expects A1,A2,..., got {args.two_bridge!r}") from None
         return two_bridge_diagram(seq)
     if getattr(args, "pd", None):
         with open(args.pd) as fh:
@@ -130,26 +133,45 @@ def cmd_cubing(args) -> int:
 # decide
 # ---------------------------------------------------------------------------
 
+def _int_after(prefix: str):
+    return lambda field: int(field.lstrip(prefix))
+
+
+def _edge_word(field: str) -> tuple[int, ...]:
+    return tuple(int(x.lstrip("e")) for x in field.split(",")) if field else ()
+
+
+def _spec_fields(flag: str, form: str, spec: str, parsers) -> list:
+    """The ':'-separated fields of an arc spec, each read by its parser; a
+    spec of another shape is refused with the flag and its form."""
+    fields = spec.split(":")
+    try:
+        if len(fields) == len(parsers):
+            return [parse(field) for parse, field in zip(parsers, fields)]
+    except ValueError:
+        pass
+    raise DiagramError(f"{flag} expects {form}, got {spec!r}")
+
+
 def _parse_arc(args, tb_or_d):
     if args.crossing_arc:
         spec = args.crossing_arc
+        form = "A<i>:<k> or c<i>"
         if ":" in spec:                       # A2:0 means k-th crossing of region 2
-            region, k = spec.split(":")
-            i = int(region.lstrip("Aa"))
+            i, k = _spec_fields("--crossing-arc", form, spec, (_int_after("Aa"), int))
             if not hasattr(tb_or_d, "crossings_in"):
                 raise DiagramError("twist-region arcs need a --two-bridge diagram")
             members = tb_or_d.crossings_in(i)
-            if not 0 <= int(k) < len(members):
+            if not 0 <= k < len(members):
                 raise DiagramError(f"twist region A{i} has no crossing #{k}")
-            return CrossingArc(members[int(k)])
-        return CrossingArc(int(spec.lstrip("c")))
+            return CrossingArc(members[k])
+        return CrossingArc(*_spec_fields("--crossing-arc", form, spec, (_int_after("c"),)))
     if args.in_region:
-        rs, c1, c2 = args.in_region.split(":")
-        return InRegionArc(int(rs.lstrip("Rr")), int(c1.lstrip("c")), int(c2.lstrip("c")))
+        return InRegionArc(*_spec_fields("--in-region", "R<k>:c<i>:c<j>", args.in_region,
+                                         (_int_after("Rr"), _int_after("c"), _int_after("c"))))
     if args.transverse:
-        c1, c2, word = args.transverse.split(":")
-        edges = tuple(int(x.lstrip("e")) for x in word.split(",")) if word else ()
-        return TransverseArc(int(c1.lstrip("c")), int(c2.lstrip("c")), edges)
+        return TransverseArc(*_spec_fields("--transverse", "c<i>:c<j>:e<a>,...", args.transverse,
+                                           (_int_after("c"), _int_after("c"), _edge_word)))
     raise DiagramError("provide --crossing-arc, --in-region, or --transverse")
 
 
@@ -246,8 +268,7 @@ def cmd_svg(args) -> int:
 def _run_corpus(args, worker) -> int:
     paths = sorted(Path(args.corpus).glob("*.json"))
     if not paths:
-        print(f"no .json diagrams under {args.corpus}", file=sys.stderr)
-        return 1
+        raise DiagramError(f"no .json diagrams under {args.corpus}")
 
     def one(path):
         with open(path) as fh:

@@ -322,40 +322,6 @@ def region_adjacent(d: AlternatingDiagram, r1: int | Region, r2: int | Region) -
 
 
 # ---------------------------------------------------------------------------
-# Dual graphs
-# ---------------------------------------------------------------------------
-
-@dataclass
-class DualGraph:
-    """Multigraph on the regions of one color; one edge per crossing."""
-
-    color: str
-    vertices: list[int]                    # region indices
-    edges: list[tuple[int, int, int]]      # (region, region, crossing)
-
-
-def black_dual_graph(d: AlternatingDiagram, color: str = BLACK) -> DualGraph:
-    """Graph whose vertices are the regions of one color, one edge per crossing.
-
-    Nothing about its shape is re-checked here.  It has no loop edge:
-    `regions_at_crossing` refuses a crossing whose two same-color corners
-    coincide.  It is connected, because the Tait graph of a connected
-    diagram is.  It has no cut edge when the diagram is reduced: a cut edge
-    of one color's graph is a loop edge of the other's, that is a crossing
-    met twice by one region.  In the package it is read only through the
-    determinant of the flype search, which starts from a standard
-    two-bridge diagram (reduced) and takes determinants only of rewirings
-    that pass `is_reduced`.
-    """
-    verts = [R.index for R in d.regions if R.color == color]
-    edges = []
-    for c in range(d.n):
-        r1, r2 = d.regions_at_crossing(c, color)
-        edges.append((r1.index, r2.index, c))
-    return DualGraph(color, verts, edges)
-
-
-# ---------------------------------------------------------------------------
 # Small regions guaranteed on hyperbolic diagrams
 # ---------------------------------------------------------------------------
 
@@ -564,7 +530,7 @@ def crossings_adjacent_on_region(d: AlternatingDiagram, R: Region, c1: int, c2: 
 
 
 # ---------------------------------------------------------------------------
-# Gear edge classes and diagram invariants
+# Gear edge classes
 # ---------------------------------------------------------------------------
 
 class _UnionFind:
@@ -635,39 +601,6 @@ def edge_arc_classes(d: AlternatingDiagram, mirror: bool = False) -> list[tuple[
     return out
 
 
-def alternating_determinant(d: AlternatingDiagram) -> int:
-    """Spanning-tree count of the black checkerboard graph.
-
-    For an alternating diagram this is the link determinant, so it is
-    invariant under flypes; it guards the flype search against rewirings
-    that change the underlying link.  The reduced Laplacian is eliminated
-    fraction-free (Bareiss): each entry stays an integer because the
-    division by the previous pivot is exact.  The graph is connected, so
-    the reduced Laplacian is positive definite and no pivot is zero.
-    """
-    g = black_dual_graph(d)
-    idx = {v: i for i, v in enumerate(g.vertices)}
-    m = len(idx) - 1
-    if m == 0:
-        return 1
-    mat = [[0] * (m + 1) for _ in range(m + 1)]
-    for a, b, _c in g.edges:
-        ia, ib = idx[a], idx[b]
-        mat[ia][ia] += 1
-        mat[ib][ib] += 1
-        mat[ia][ib] -= 1
-        mat[ib][ia] -= 1
-    prev = 1
-    for k in range(m - 1):
-        piv, row_k = mat[k][k], mat[k]
-        for row in mat[k + 1:m]:
-            f = row[k]
-            for j in range(k + 1, m):
-                row[j] = (row[j] * piv - f * row_k[j]) // prev
-        prev = piv
-    return mat[m - 1][m - 1]
-
-
 # ---------------------------------------------------------------------------
 # Flype
 # ---------------------------------------------------------------------------
@@ -679,9 +612,7 @@ class FlypeResult:
     trace: dict
 
 
-def _mirror(h: Slot | None, L: set[int]):
-    if h is None:
-        return None
+def _mirror(h: Slot, L: set[int]) -> Slot:
     c, i = h
     return (c, 3 - i) if c in L else h
 
@@ -691,8 +622,19 @@ def _flype_disks(d: AlternatingDiagram, c: int) -> list[tuple[frozenset[int], in
     edges, the edges at the consecutive ports p, p+1 of c (c not in S) and
     the edges f1 < f2 away from c.
 
-    The list is ordered by (len(S), sorted(S)), the order in which a search
-    over all subsets of the other crossings, smallest first, meets them.
+    The disks come from region 4-cycles.  In a prime diagram no set of
+    crossings is cut off by two edges (those two would share both side
+    regions), so both sides of a four-edge cut are connected: the cut is a
+    bond of the diagram graph, hence a 4-cycle of regions in the dual.
+    That cycle passes the corner region R0 of ports p, p+1 between e1 and
+    e2, so it reads R0, Ra, Rx, Rb with Ra and Rb the far sides of e1 and
+    e2; the two remaining cut edges f1, f2 separate Ra from Rx and Rx from
+    Rb.  For every region Rx and every such f1, f2 not at c, S is the side
+    of e1's far end once e1, e2, f1, f2 are removed; it is kept when c lies
+    outside it and all four edges cross its boundary.  This lists every
+    disk with O(n) work per region.  The list is ordered by (len(S),
+    sorted(S)), the order in which a search over all subsets of the other
+    crossings, smallest first, meets them.
     """
     ends = [d.edge_endpoints(e) for e in range(len(d.edges))]
     nbrs: list[list[tuple[int, int]]] = [[] for _ in range(d.n)]
@@ -734,101 +676,53 @@ def _flype_disks(d: AlternatingDiagram, c: int) -> list[tuple[frozenset[int], in
 
 
 def _pinch_flypes(d: AlternatingDiagram, c: int):
-    """All single flypes of d whose pinch destroys crossing c, as rewirings.
+    """The single flypes of d whose pinch destroys crossing c, one rewiring
+    per flype disk (S, p, (f1, f2)) of `_flype_disks`, in that order.
 
-    A flype disk is a set S of crossings whose boundary cuts exactly four
-    edges, two of them the edges e1, e2 joining c to S through cyclically
-    consecutive ports p, p+1 of c.  Rotating the disk uncrosses c (its
-    strands reconnect across the gap, each to the passing strand on its own
-    side) and re-crosses the two far strands, where the crossing re-forms;
-    the far wiring is fixed by requiring a valid alternating diagram with
-    the same spanning-tree determinant and strand count as d.  Yields
-    (pairing, spot edge ports) pairs; the image of the crossing arc at c
-    runs between the two spot edges.  Only the two local tests of
-    `_passes_local_tests` run here: the caller builds the diagram and
-    applies the strand, prime, reduced and determinant filters
-    (`flype_arc_search`), and only for a rewiring it uses.
-
-    The disks come from region 4-cycles.  In a prime diagram no set of
-    crossings is cut off by two edges (those two would share both side
-    regions), so both sides of a four-edge cut are connected: the cut is a
-    bond of the diagram graph, hence a 4-cycle of regions in the dual.
-    That cycle passes the corner region R0 of ports p, p+1 between e1 and
-    e2, so it reads R0, Ra, Rx, Rb with Ra and Rb the far sides of e1 and
-    e2; the two remaining cut edges f1, f2 separate Ra from Rx and Rx from
-    Rb.  For every region Rx and every such f1, f2 not at c, S is the side
-    of e1's far end once e1, e2, f1, f2 are removed; it is kept when c lies
-    outside it and all four edges cross its boundary.  This lists every
-    disk with O(n) work per region, and sorting by (size, sorted members)
-    keeps the order of the smallest-first search over all subsets that it
-    replaces, so the yielded sequence is the same.
+    The flype turns S over (`_mirror`) and carries c across it: c's strands
+    reconnect across the gap, each to the passing strand on its own side,
+    and c re-forms on the far edges f1 and f2.  That wiring is forced.  Each
+    far strand runs straight through c, so its two ends take one diagonal;
+    alternation picks the diagonal from the parity of the end in S; which
+    of the two slots takes that end is a 180-degree relabelling of c, fixed
+    here by putting f1's end in S at slot 0; planarity then places f2's end
+    in S at slot 1 when p is even and at slot 3 when p is odd.  A flype is
+    an isotopy, so the link, its determinant and its component count do not
+    change, and nothing is re-checked here: the caller builds only the
+    rewirings it returns or expands, and the constructor validates those.
+    Yields (pairing, spot edge ports) pairs; the image of the crossing arc
+    at c runs between the two spot edges.
     """
     if not is_prime(d):
         raise DiagramError("non-prime: the flype search needs a prime diagram")
-    n = d.n
     for S, p, f_ids in _flype_disks(d, c):
-        att1 = d.pairing[(c, p)]
-        att2 = d.pairing[(c, (p + 1) % 4)]
-        # a prime diagram has no loop edge, so the edges at ports p+2, p+3
-        # lead away from c and lie outside the disk
-        g1_far = d.pairing[(c, (p + 2) % 4)]
-        g2_far = d.pairing[(c, (p + 3) % 4)]
-        fS = [next(h for h in d.edges[f] if h[0] in S) for f in f_ids]
-        fR = [next(h for h in d.edges[f] if h[0] not in S) for f in f_ids]
-
         def mu(h):
             return _mirror(h, S)
 
+        fS = [mu(next(h for h in d.edges[f] if h[0] in S)) for f in f_ids]
+        # f1's strand takes the under-diagonal (c,0)/(c,2) only when its end
+        # in S is odd; a disk that needs the over-diagonal yields nothing
+        if fS[0][1] % 2 == 0:
+            continue
+        fR = [next(h for h in d.edges[f] if h[0] not in S) for f in f_ids]
         removed = {d.edge_of_slot[(c, k)] for k in range(4)} | set(f_ids)
-        base: dict[Slot, Slot] = {}
+        pairing: dict[Slot, Slot] = {}
         for h, k in d.pairing.items():
             mh = mu(h)
-            if mh not in base and d.edge_of_slot[h] not in removed:
+            if mh not in pairing and d.edge_of_slot[h] not in removed:
                 mk = mu(k)
-                base[mh] = mk
-                base[mk] = mh
-        # uncrossing: each strand entering the disk reconnects to the
-        # outgoing strand on its own side of the destroyed crossing
-        spot = [(mu(att1), g1_far), (mu(att2), g2_far)]
-        for f1 in (0, 1):
-            for f2 in (0, 1):
-                a1, a2 = ((c, 0), (c, 2)) if not f1 else ((c, 2), (c, 0))
-                b1, b2 = ((c, 1), (c, 3)) if not f2 else ((c, 3), (c, 1))
-                for assoc in (0, 1):
-                    if assoc:
-                        far = [(mu(fS[0]), a1), (fR[0], a2), (mu(fS[1]), b1), (fR[1], b2)]
-                    else:
-                        far = [(mu(fS[0]), a1), (fR[0], a2), (fR[1], b1), (mu(fS[1]), b2)]
-                    pairing = dict(base)
-                    ok = True
-                    for h, k in spot + far:
-                        if h in pairing or k in pairing or h == k:
-                            ok = False
-                            break
-                        pairing[h] = k
-                        pairing[k] = h
-                    if ok and len(pairing) == 4 * n and _passes_local_tests(n, pairing, spot + far):
-                        yield pairing, spot
-
-
-def _passes_local_tests(n: int, pairing: dict[Slot, Slot], new_edges) -> bool:
-    """The two tests a flype rewiring must pass before it is built.
-
-    Parity: a diagram is alternating exactly when every edge joins an even
-    slot to an odd one.  `_mirror` sends slot i to 3 - i, which keeps that
-    property on the edges a flype carries over, so only the new edges are
-    checked.  Faces: a diagram on the sphere has n + 2 faces.  Both tests
-    reject only rewirings that the constructor rejects.
-    """
-    if any((h[1] + k[1]) % 2 == 0 for h, k in new_edges):
-        return False
-    seen: set[Slot] = set()
-    faces = 0
-    for start in pairing:
-        if start not in seen:
-            faces += 1
-            seen.update(_face_walk(pairing, start))
-    return faces == n + 2
+                pairing[mh] = mk
+                pairing[mk] = mh
+        # a prime diagram has no loop edge, so the edges at ports p+2, p+3
+        # lead away from c and lie outside the disk
+        spot = [(mu(d.pairing[(c, p)]), d.pairing[(c, (p + 2) % 4)]),
+                (mu(d.pairing[(c, (p + 1) % 4)]), d.pairing[(c, (p + 3) % 4)])]
+        at1, at3 = (fS[1], fR[1]) if p % 2 == 0 else (fR[1], fS[1])
+        far = [(fS[0], (c, 0)), (fR[0], (c, 2)), (at1, (c, 1)), (at3, (c, 3))]
+        for h, k in spot + far:
+            pairing[h] = k
+            pairing[k] = h
+        yield pairing, spot
 
 
 def _spot_kinds(pairing: dict[Slot, Slot], spot) -> tuple[bool, bool]:
@@ -890,30 +784,13 @@ def flype_arc_search(d: AlternatingDiagram, c: int, max_depth: int = 5):
     steps).
 
     A rewiring becomes a diagram only when the search returns it or
-    expands it; one that then fails a filter is skipped.  The determinant
-    and strand count are flype invariants, so they are taken from d once:
-    every expanded diagram has already matched them.
+    expands it.
     """
-    det0 = alternating_determinant(d)
-    strands0 = len(d.strands)
-
-    def build(pairing):
-        try:
-            d2 = AlternatingDiagram(d.n, pairing)
-        except DiagramError:
-            return None
-        if (len(d2.strands) != strands0 or not is_prime(d2) or not is_reduced(d2)
-                or alternating_determinant(d2) != det0):
-            return None
-        return d2
-
     def next_layer(followups):
         # every key of this layer enters `visited` before the caller asks
         # for the next layer, so deduplication follows the queue order
         for pairing, spot in followups:
-            d2 = build(pairing)
-            if d2 is None:
-                continue
+            d2 = AlternatingDiagram(d.n, pairing)
             # positive-copy edge -> crossing of its gear class
             gear = {e: x for members, x in edge_arc_classes(d2) for s, e in members if s == 1}
             key = _diagram_key(d2)
@@ -931,10 +808,9 @@ def flype_arc_search(d: AlternatingDiagram, c: int, max_depth: int = 5):
             for pairing, spot in _pinch_flypes(cur, cc):
                 nonadj, adj = _spot_kinds(pairing, spot)
                 if nonadj:
-                    d2 = build(pairing)
-                    if d2 is not None:
-                        R, c1, c2 = _spot_options(d2, spot)[0][0]
-                        return d2, InRegionArc(R.index, c1, c2), depth + 1
+                    d2 = AlternatingDiagram(d.n, pairing)
+                    R, c1, c2 = _spot_options(d2, spot)[0][0]
+                    return d2, InRegionArc(R.index, c1, c2), depth + 1
                 elif adj:
                     followups.append((pairing, spot))
         layer = next_layer(followups)

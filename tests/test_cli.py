@@ -140,6 +140,13 @@ class TestCubing:
         assert len(data["results"]) >= 10
         assert all(r["npc"] for r in data["results"])
 
+    def test_empty_corpus_exit(self, capsys, tmp_path):
+        # exit 1 would mean a diagram failed the NPC check
+        (tmp_path / "notes.txt").write_text("no diagrams here")
+        code, out, err = run(capsys, "cubing", "--corpus", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err == f"error: no .json diagrams under {tmp_path}\n"
+
 
 class TestDecide:
     def test_tunnel(self, capsys):
@@ -176,6 +183,18 @@ class TestDecide:
         code, _, err = run(capsys, "decide", "--two-bridge", "2,2",
                            "--in-region", "R0:c1:c1")
         assert code == 2
+        # a spec of the wrong shape is refused with its flag and form
+        for flag, spec, form in (("--in-region", "R0:c0", "R<k>:c<i>:c<j>"),
+                                 ("--transverse", "c0:c1", "c<i>:c<j>:e<a>,..."),
+                                 ("--crossing-arc", "A2:x", "A<i>:<k> or c<i>"),
+                                 ("--crossing-arc", "Ax:0", "A<i>:<k> or c<i>"),
+                                 ("--crossing-arc", "A1:0:3", "A<i>:<k> or c<i>")):
+            code, out, err = run(capsys, "decide", "--two-bridge", "2,2", flag, spec)
+            assert code == 2 and out == "", spec
+            assert err == f"error: {flag} expects {form}, got {spec!r}\n", spec
+        code, out, err = run(capsys, "decide", "--two-bridge", "2,x", "--crossing-arc", "A1:0")
+        assert code == 2 and out == ""
+        assert err == "error: --two-bridge expects A1,A2,..., got '2,x'\n"
 
     def test_region_out_of_range_exit(self, capsys):
         # the (2,1,2) diagram has 7 regions

@@ -1,16 +1,15 @@
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
 from cuspcubes.diagram import (
     AlternatingDiagram, BLACK, CrossingArc, DiagramError, InRegionArc, TransverseArc,
-    TwistSequence, WHITE, alternating_determinant, black_dual_graph,
-    crossings_adjacent_on_region, edge_arc_classes, find_small_white_region, flype,
+    TwistSequence, WHITE, crossings_adjacent_on_region, edge_arc_classes, find_small_white_region, flype,
     is_prime, is_reduced, pretzel_diagram, region_adjacent, two_bridge_diagram,
 )
 from cuspcubes.diagram import (
-    _diagram_key, _flype_disks, _mirror, _passes_local_tests, _pinch_flypes, _spot_kinds,
-    _spot_options,
+    _diagram_key, _flype_disks, _mirror, _pinch_flypes, _spot_kinds, _spot_options,
 )
 from conftest import twist_sequences
 
@@ -252,10 +251,10 @@ class TestGearClasses:
 
 class TestDeterminant:
     def test_known_values(self):
-        assert alternating_determinant(AlternatingDiagram.from_pd(TREFOIL_PD)) == 3
-        assert alternating_determinant(two_bridge_diagram((2, 2)).diagram) == 5
-        assert alternating_determinant(AlternatingDiagram.from_pd(HOPF_PD)) == 2
-        assert alternating_determinant(two_bridge_diagram((3, 2)).diagram) == 7
+        assert fraction_determinant(AlternatingDiagram.from_pd(TREFOIL_PD)) == 3
+        assert fraction_determinant(two_bridge_diagram((2, 2)).diagram) == 5
+        assert fraction_determinant(AlternatingDiagram.from_pd(HOPF_PD)) == 2
+        assert fraction_determinant(two_bridge_diagram((3, 2)).diagram) == 7
 
     def test_two_bridge_determinant_is_denominator(self):
         # for the standard diagram of a two-bridge link the determinant equals
@@ -265,7 +264,7 @@ class TestDeterminant:
             acc = Fraction(seq[-1])
             for a in reversed(seq[:-1]):
                 acc = a + 1 / acc
-            det = alternating_determinant(two_bridge_diagram(seq).diagram)
+            det = fraction_determinant(two_bridge_diagram(seq).diagram)
             assert det == acc.numerator, seq
 
 
@@ -294,13 +293,13 @@ class TestFlype:
     def test_corpus_preserves_structure(self):
         for seq in twist_sequences(9, 4):
             tb = two_bridge_diagram(seq)
-            det = alternating_determinant(tb.diagram)
+            det = fraction_determinant(tb.diagram)
             comps = len(tb.diagram.strands)
             for i in range(2, len(seq)):
                 fr = flype(tb, i)
                 assert fr.diagram.crossing_count == tb.diagram.crossing_count, (seq, i)
                 assert is_prime(fr.diagram) and is_reduced(fr.diagram), (seq, i)
-                assert alternating_determinant(fr.diagram) == det, (seq, i)
+                assert fraction_determinant(fr.diagram) == det, (seq, i)
                 assert len(fr.diagram.strands) == comps, (seq, i)
 
 
@@ -413,9 +412,31 @@ def test_flype_golden(seq, i):
 
 
 # ---------------------------------------------------------------------------
-# Oracles: the Fraction determinant and the eager flype search, which builds
-# every trial rewiring and every follow-up's gear map
+# Oracles: the Fraction determinant of the checkerboard graph and the eager
+# flype search, which builds every trial rewiring and every follow-up's gear
+# map
 # ---------------------------------------------------------------------------
+
+@dataclass
+class DualGraph:
+    """Multigraph on the regions of one color; one edge per crossing."""
+
+    color: str
+    vertices: list[int]                    # region indices
+    edges: list[tuple[int, int, int]]      # (region, region, crossing)
+
+
+def black_dual_graph(d, color=BLACK):
+    """Graph whose vertices are the regions of one color, one edge per
+    crossing.  It has no loop edge: `regions_at_crossing` refuses a crossing
+    whose two same-color corners coincide."""
+    verts = [R.index for R in d.regions if R.color == color]
+    edges = []
+    for c in range(d.n):
+        r1, r2 = d.regions_at_crossing(c, color)
+        edges.append((r1.index, r2.index, c))
+    return DualGraph(color, verts, edges)
+
 
 def fraction_determinant(d):
     """Spanning-tree count of the black graph by Fraction elimination."""
@@ -457,9 +478,11 @@ def fraction_determinant(d):
 
 
 def eager_trials(d, c):
-    """Every trial rewiring at c that is a slot involution, as (pairing,
-    spot, new edges), in the order of the flype search."""
-    for S, p, f_ids in _flype_disks(d, c):
+    """Every trial rewiring at c that is a slot involution, as (disk number,
+    pairing, spot), in the order of the flype search: for each flype disk,
+    both slot orders on each diagonal of c and both ways of pairing the far
+    strands with the diagonals."""
+    for j, (S, p, f_ids) in enumerate(_flype_disks(d, c)):
         att1 = d.pairing[(c, p)]
         att2 = d.pairing[(c, (p + 1) % 4)]
         g1_far = d.pairing[(c, (p + 2) % 4)]
@@ -499,32 +522,39 @@ def eager_trials(d, c):
                         pairing[h] = k
                         pairing[k] = h
                     if ok and len(pairing) == 4 * d.n:
-                        yield pairing, spot, spot + far
+                        yield j, pairing, spot
 
 
-def eager_pinch_flypes(d, c, visit):
-    """Build every trial rewiring and filter it; `visit(d, pairing, spot,
-    new_edges, built)` sees each, with the diagram or the constructor's
-    error."""
+def eager_pinch_flypes(d, c, record):
+    """Build every trial rewiring at c and filter it by strand count,
+    primeness, reducedness and determinant; return the survivors as
+    (diagram, spot).  `record` collects, per built rewiring, its spot kinds
+    read both ways, and per call (d, c, the survivors of each flype disk as
+    (pairing, spot) pairs)."""
     if not is_prime(d):
         raise DiagramError("non-prime: the flype search needs a prime diagram")
     det0 = fraction_determinant(d)
     strands0 = len(d.strands)
-    for pairing, spot, new in eager_trials(d, c):
+    disks = [[] for _ in _flype_disks(d, c)]
+    out = []
+    for j, pairing, spot in eager_trials(d, c):
         try:
             d2 = AlternatingDiagram(d.n, pairing)
-        except DiagramError as err:
-            visit(d, pairing, spot, new, err)
+        except DiagramError:
             continue
-        visit(d, pairing, spot, new, d2)
+        nonadj, adj = _spot_options(d2, spot)
+        record["spots"].append((_spot_kinds(pairing, spot), (bool(nonadj), bool(adj))))
         if len(d2.strands) != strands0 or not is_prime(d2) or not is_reduced(d2):
             continue
         if fraction_determinant(d2) != det0:
             continue
-        yield d2, spot
+        disks[j].append((pairing, spot))
+        out.append((d2, spot))
+    record["calls"].append((d, c, disks))
+    return out
 
 
-def eager_flype_arc_search(d, c, visit, max_depth=5):
+def eager_flype_arc_search(d, c, record, max_depth=5):
     visited = {(_diagram_key(d), c)}
     queue = [(d, c, 0)]
     while queue:
@@ -532,7 +562,7 @@ def eager_flype_arc_search(d, c, visit, max_depth=5):
         if depth >= max_depth:
             continue
         followups = []
-        for d2, spot in eager_pinch_flypes(cur, cc, visit):
+        for d2, spot in eager_pinch_flypes(cur, cc, record):
             nonadj, adj = _spot_options(d2, spot)
             if nonadj:
                 R, c1, c2 = nonadj[0]
@@ -561,34 +591,28 @@ def eager_corpus():
     """The eager search run on every interior twist region of the two-bridge
     sequences with at most 10 crossings and four larger ones.
 
-    Returns per region (seq, i, eager outcome), and per trial rewiring the
-    eager search built the facts the lazy search must agree with: the local
-    tests' answer and the constructor's error, the pairing-level spot kinds
-    and `_spot_options`, and both determinants.
+    Returns per region (seq, i, eager outcome), per trial rewiring the
+    eager search built its spot kinds read both ways, and per
+    `eager_pinch_flypes` call the survivors of each flype disk.
     """
-    regions, local, spots, dets = [], [], [], []
-
-    def visit(d, pairing, spot, new, built):
-        passed = _passes_local_tests(d.n, pairing, new)
-        if isinstance(built, DiagramError):
-            local.append((passed, str(built)))
-            return
-        local.append((passed, None))
-        nonadj, adj = _spot_options(built, spot)
-        spots.append((_spot_kinds(pairing, spot), (bool(nonadj), bool(adj))))
-        if is_prime(built):
-            dets.append((alternating_determinant(built), fraction_determinant(built)))
-
+    regions = []
+    record = {"spots": [], "calls": []}
     for seq in twist_sequences(10) + [(2, 16, 2), (4, 4, 4, 4, 4), (5, 5, 5, 5), (5, 5, 5, 5, 5)]:
         tb = two_bridge_diagram(seq)
-        dets.append((alternating_determinant(tb.diagram), fraction_determinant(tb.diagram)))
         for i in range(2, len(seq)):
             try:
-                out = search_outcome(*eager_flype_arc_search(tb.diagram, tb.crossings_in(i)[0], visit))
+                out = search_outcome(*eager_flype_arc_search(tb.diagram, tb.crossings_in(i)[0], record))
             except DiagramError as err:
                 out = str(err)
             regions.append((seq, i, out))
-    return regions, local, spots, dets
+    return regions, record["spots"], record["calls"]
+
+
+def relabel_at(pairing, c):
+    """The same rewiring with the slots of crossing c turned by 180 degrees."""
+    def turn(h):
+        return (c, (h[1] + 2) % 4) if h[0] == c else h
+    return {turn(h): turn(k) for h, k in pairing.items()}
 
 
 class TestLazyFlypeSearch:
@@ -605,23 +629,30 @@ class TestLazyFlypeSearch:
             assert (fr.trace["image_region"], fr.trace["image_endpoints"]) == (
                 out[0].region, [out[0].c1, out[0].c2])
 
-    def test_local_tests_reject_what_the_constructor_rejects(self, eager_corpus):
-        local = eager_corpus[1]
-        assert sum(err is not None for _, err in local) > 7000
-        for passed, err in local:
-            rejected = err is not None and err.startswith(("non-alternating", "non-planar"))
-            assert passed != rejected, err
+    def test_one_forced_wiring_per_disk(self, eager_corpus):
+        # of the eight trial wirings of a disk, those that pass the
+        # constructor and every filter are the yielded rewiring x twice,
+        # then its relabelling at c twice; a disk the lazy search skips has
+        # no survivors
+        kept = skipped = 0
+        for d, c, disks in eager_corpus[2]:
+            lazy = _pinch_flypes(d, c)
+            for survivors in disks:
+                if not survivors:
+                    skipped += 1
+                    continue
+                kept += 1
+                x, spot = next(lazy)
+                y = relabel_at(x, c)
+                assert x != y
+                assert survivors == [(x, spot), (x, spot), (y, spot), (y, spot)], (d.pd_code(), c)
+            assert next(lazy, None) is None, (d.pd_code(), c)
+        assert (kept, skipped) == (1090, 1090)
 
     def test_spot_kinds_match_spot_options(self, eager_corpus):
-        spots = eager_corpus[2]
+        spots = eager_corpus[1]
         assert {want for _, want in spots} == {(True, False), (False, True), (True, True)}
         for got, want in spots:
-            assert got == want
-
-    def test_determinant_matches_fraction_oracle(self, eager_corpus):
-        dets = eager_corpus[3]
-        assert len(dets) > 2000
-        for got, want in dets:
             assert got == want
 
     def test_builds_do_not_grow_with_the_block(self, monkeypatch):
