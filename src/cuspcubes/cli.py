@@ -117,8 +117,8 @@ def _cubing_report(cx, with_tori: bool = True) -> dict:
 
 def cmd_cubing(args) -> int:
     if args.corpus:
-        return _run_corpus(args, lambda d: _cubing_report(CB.build_cubing(d, mirror=args.mirror)))
-    cx = CB.build_cubing(_plain_diagram(args), mirror=args.mirror)
+        return _run_corpus(args, lambda d: _cubing_report(CB.build_cubing(d)))
+    cx = CB.build_cubing(_plain_diagram(args))
     if args.corrupt is not None:
         cx.corrupt(args.corrupt)
     out = _cubing_report(cx, with_tori=args.corrupt is None)
@@ -320,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     cb.add_argument("--emit-complex", metavar="OUT")
     cb.add_argument("--corrupt", type=int, default=None, metavar="K",
                     help="rewire the K-th gluing (0 <= K < 5n) for negative testing")
-    cb.add_argument("--mirror", action="store_true")
+    cb.add_argument("--mirror", action="store_true", help="no effect on cubing")
     cb.set_defaults(func=cmd_cubing)
 
     dc = sub.add_parser("decide", help="classify a meridian pair")

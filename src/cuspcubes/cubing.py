@@ -97,21 +97,25 @@ def _swap_partners(pairs: tuple) -> tuple:
     return tuple((a, pairs[i ^ 1][1]) for i, (a, _b) in enumerate(pairs))
 
 
-def _square_corners(face: tuple) -> list:
-    """(corner germ, its two edge germs along the face) at each corner."""
+def _square_corner(face: tuple, i: int) -> tuple:
+    """Corner i (0..3) of a square face: its germ and its two edge germs
+    along the face.  A side face k has corners at ports k and k + 1, on
+    the bottom then on the top; a bottom or top face has corner i at port i.
+    """
     c, s = face[1], face[2]
     if face[0] == "side":
         k = face[3]
-        return [((ck, c, s, p), ((flat, c, s, k), ("ve", c, s, p)))
-                for ck, flat in (("bc", "be"), ("tc", "te")) for p in (k, (k + 1) % 4)]
+        ck, flat = ("bc", "be") if i < 2 else ("tc", "te")
+        p = (k + i % 2) % 4
+        return (ck, c, s, p), (flat, c, s, k), ("ve", c, s, p)
     ck, flat = ("bc", "be") if face[0] == "bottom" else ("tc", "te")
-    return [((ck, c, s, p), ((flat, c, s, (p - 1) % 4), (flat, c, s, p))) for p in range(4)]
+    return (ck, c, s, i), (flat, c, s, (i - 1) % 4), (flat, c, s, i)
 
 
 class CubedComplex:
     """Cubed decomposition of the exterior of a prime alternating diagram."""
 
-    def __init__(self, d: AlternatingDiagram, mirror: bool = False):
+    def __init__(self, d: AlternatingDiagram):
         from .diagram import is_prime, is_reduced
         if not is_prime(d):
             raise CubingError("the cubed decomposition requires a prime diagram")
@@ -198,9 +202,9 @@ class CubedComplex:
                 vtx.union(a, b)
             for a, b in g.edge_pairs:
                 edg.union(a, b)
-        self._vtx, self._edg, self._sqr = vtx, edg, sqr
-
-        vclasses = vtx.classes()
+        vclasses, eclasses = vtx.classes(), edg.classes()
+        # classes() leaves each germ's parent at its root: the germ -> class maps
+        self._vroot, self._eroot = vtx.parent, edg.parent
         self.inner_vertices = sorted(
             (root for root, members in vclasses.items() if members[0][0] == "bc"),
             key=lambda r: str(r))
@@ -208,7 +212,6 @@ class CubedComplex:
             (root for root, members in vclasses.items() if members[0][0] == "tc"),
             key=lambda r: str(r))
 
-        eclasses = edg.classes()
         self.inner_edges = {}
         self.vertical_edges = []
         self.boundary_edges = []
@@ -222,14 +225,22 @@ class CubedComplex:
                 self.boundary_edges.append(root)
         self.region_edge = {rid: root for root, rid in self.inner_edges.items()}
 
-        self.square_classes = sqr.classes()
         self.boundary_squares = [("top", c, s) for c in range(n) for s in PASSAGES]
 
-        # the corner germs and the square faces at each vertex, for its link
-        self._germs = {v: (vclasses[v], []) for v in self.vertices()}
-        for members in self.square_classes.values():
-            for v in dict.fromkeys(vtx.find(corner) for corner, _e in _square_corners(members[0])):
-                self._germs[v][1].append(members[0])
+        # the corner germs and the square corners at each vertex, for its
+        # link; a square class is named by its first face, and a square
+        # corner by that face and the corner's index on it
+        links = self._links = {v: (vclasses[v], []) for v in self.vertices()}
+        vroot = self._vroot
+        interior = lines = 0
+        for members in sqr.classes().values():
+            face = members[0]
+            interior += face[0] != "top" or len(members) > 1
+            # the two half-axes of a crossing arc meet at its glued bottom faces
+            lines += all(f[0] == "bottom" for f in members)
+            for i in range(4):
+                links[vroot[_square_corner(face, i)[0]]][1].append((face, i))
+        self.interior_squares, self.crossing_lines = interior, lines
 
     # -- hyperplanes ----------------------------------------------------------
 
@@ -259,13 +270,10 @@ class CubedComplex:
             "vertical_edges": len(self.vertical_edges),
             "boundary_edges": len(self.boundary_edges),
             "boundary_squares": len(self.boundary_squares),
-            "interior_squares": sum(1 for members in self.square_classes.values()
-                                    if members[0][0] != "top" or len(members) > 1),
+            "interior_squares": self.interior_squares,
             "hyperplanes": len(self.hyperplanes),
             "midsquares_per_hyperplane": {c: len(h) for c, h in self.hyperplanes.items()},
-            # the two half-axes of a crossing arc meet at its glued bottom faces
-            "crossing_lines": sum(1 for members in self.square_classes.values()
-                                  if all(f[0] == "bottom" for f in members)),
+            "crossing_lines": self.crossing_lines,
         }
 
     def to_json(self) -> dict:
@@ -288,17 +296,17 @@ class CubedComplex:
         For the two inner vertices this is the sphere obtained from the
         dual of the diagram by subdividing the dual region around each
         crossing, with one cone point per crossing.  It is built from the
-        corner germs and square faces filed under v by the class closure.
+        corner germs and square corners filed under v by the class closure.
         """
-        vtx, edg, sqr = self._vtx, self._edg, self._sqr
-        corners, faces = self._germs[v]
+        eroot = self._eroot
+        corners, square_corners = self._links[v]
         problems = []
         triangles = {}                  # simplex -> the corner it came from
         for ck, c, s, p in corners:
             flat = "be" if ck == "bc" else "te"
-            dirs = {edg.find((flat, c, s, (p - 1) % 4)),
-                    edg.find((flat, c, s, p)),
-                    edg.find(("ve", c, s, p))}
+            dirs = {eroot[(flat, c, s, (p - 1) % 4)],
+                    eroot[(flat, c, s, p)],
+                    eroot[("ve", c, s, p)]}
             if len(dirs) != 3:
                 problems.append(f"degenerate corner of cube ({c},{s}) at port {p}")
                 continue
@@ -307,18 +315,15 @@ class CubedComplex:
                 problems.append(f"corner of cube ({c},{s}) repeats the simplex of {triangles[t]}")
             triangles[t] = (c, s, p)
         edges = {}                      # simplex -> the square class it came from
-        for face in faces:
-            key = sqr.find(face)
-            for corner, (ea, eb) in _square_corners(face):
-                if vtx.find(corner) != v:
-                    continue
-                pair = frozenset((edg.find(ea), edg.find(eb)))
-                if len(pair) != 2:
-                    problems.append(f"square {face} pinches at {corner}")
-                    continue
-                if edges.get(pair, key) != key:
-                    problems.append(f"double edge between {sorted(map(str, pair))}")
-                edges[pair] = key
+        for face, i in square_corners:
+            corner, ea, eb = _square_corner(face, i)
+            pair = frozenset((eroot[ea], eroot[eb]))
+            if len(pair) != 2:
+                problems.append(f"square {face} pinches at {corner}")
+                continue
+            if edges.get(pair, face) != face:
+                problems.append(f"double edge between {sorted(map(str, pair))}")
+            edges[pair] = face
         for t in triangles:
             problems += ["triangle with a missing edge"
                          for pair in combinations(t, 2) if frozenset(pair) not in edges]
@@ -327,10 +332,10 @@ class CubedComplex:
         return VertexLink(v, tuple(vertices), set(edges), set(triangles), problems)
 
     def inner_link_vertex_of_region(self, v, rid: int):
-        return self._edg.find(self.region_edge[rid])
+        return self.region_edge[rid]
 
 
-def build_cubing(d: AlternatingDiagram, mirror: bool = False) -> CubedComplex:
+def build_cubing(d: AlternatingDiagram) -> CubedComplex:
     """Construct the cubed exterior and check its structural laws.
 
     Raises if the closure of the gluings violates any of: two inner
@@ -347,7 +352,7 @@ def build_cubing(d: AlternatingDiagram, mirror: bool = False) -> CubedComplex:
     The negative control is CubedComplex.corrupt, applied to the checked
     complex.
     """
-    cx = CubedComplex(d, mirror=mirror)
+    cx = CubedComplex(d)
     c = d.n
     counts = cx.counts
     checks = [
@@ -419,27 +424,26 @@ def boundary_cubings(cx: CubedComplex) -> list[BoundaryTorus]:
     on the same vertex class); these marked diagonals are the meridians.
     """
     d = cx.diagram
-    vtx, edg = cx._vtx, cx._edg
-    comp_of = {}
+    vroot, eroot = cx._vroot, cx._eroot
+    squares_of = [[] for _ in d.strands]
     for c in range(d.n):
         for idx, s in ((0, UNDER), (1, OVER)):
-            comp_of[(c, s)] = d.strand_of_passage[(c, idx)]
+            squares_of[d.strand_of_passage[(c, idx)]].append((c, s))
     tori = []
-    for comp in range(len(d.strands)):
-        squares = [(c, s) for (c, s), k in comp_of.items() if k == comp]
+    for comp, squares in enumerate(squares_of):
         vclasses = set()
         eclasses = set()
         diag = {}
         loops = 0
         for (c, s) in squares:
             for p in range(4):
-                vclasses.add(vtx.find(("tc", c, s, p)))
-                eclasses.add(edg.find(("te", c, s, p)))
+                vclasses.add(vroot[("tc", c, s, p)])
+                eclasses.add(eroot[("te", c, s, p)])
             # the meridian diagonal joins the corners at the ports transverse
             # to the square's own strand; it closes into a loop around it
             p = 0 if s == OVER else 1
-            a = vtx.find(("tc", c, s, p))
-            b = vtx.find(("tc", c, s, (p + 2) % 4))
+            a = vroot[("tc", c, s, p)]
+            b = vroot[("tc", c, s, (p + 2) % 4)]
             if a != b:
                 raise CubingError(
                     f"meridian diagonal of square ({c},{s}) does not close")

@@ -553,9 +553,14 @@ class _UnionFind:
             self.parent[ra] = rb
 
     def classes(self) -> dict:
+        """Root -> members, both in first-seen order.  Every element's
+        parent is left at its root, so `parent` is then the element ->
+        class map."""
         out = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
+        parent = self.parent
+        for x in parent:
+            root = parent[x] = self.find(x)
+            out.setdefault(root, []).append(x)
         return out
 
 

@@ -140,6 +140,15 @@ class TestCubing:
         assert len(data["results"]) >= 10
         assert all(r["npc"] for r in data["results"])
 
+    def test_mirror_flag_has_no_effect(self, capsys, pd_corpus_dir):
+        # --mirror is still accepted, and the cubed exterior does not read it
+        for f in sorted(pd_corpus_dir.glob("*.json")):
+            plain = run(capsys, "cubing", "--pd", str(f))
+            assert plain[0] == 0, f.name
+            assert run(capsys, "cubing", "--pd", str(f), "--mirror") == plain, f.name
+        args = ("cubing", "--corpus", str(pd_corpus_dir))
+        assert run(capsys, *args, "--mirror") == run(capsys, *args)
+
     def test_empty_corpus_exit(self, capsys, tmp_path):
         # exit 1 would mean a diagram failed the NPC check
         (tmp_path / "notes.txt").write_text("no diagrams here")

@@ -1,15 +1,113 @@
 import json
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from cuspcubes.cubing import (
-    CubingError, VertexLink, boundary_cubings, build_cubing, is_flag,
+    PASSAGES, CubingError, VertexLink, boundary_cubings, build_cubing, is_flag,
     link_angle_class, verify_npc,
 )
-from cuspcubes.diagram import (AlternatingDiagram, region_adjacent, two_bridge_diagram)
+from cuspcubes.diagram import (
+    AlternatingDiagram, _UnionFind, pretzel_diagram, region_adjacent, two_bridge_diagram,
+)
 
 GOLDEN = Path(__file__).parent / "data" / "corrupt_npc_golden.json"
+
+
+def corrupted_diagrams(fig8):
+    """The diagrams whose every side-gluing corruption is checked: the
+    figure-eight, the trefoil and two diagrams of 10 and 12 crossings."""
+    return (("fig8", fig8),
+            ("trefoil", AlternatingDiagram.from_pd([(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)])),
+            ("pretzel_3_3_4", pretzel_diagram(3, 3, 4)),
+            ("C2_3_2_3_2", two_bridge_diagram((2, 3, 2, 3, 2)).diagram))
+
+
+def _square_corners(face: tuple) -> list:
+    """(corner germ, its two edge germs along the face) at each corner."""
+    c, s = face[1], face[2]
+    if face[0] == "side":
+        k = face[3]
+        return [((ck, c, s, p), ((flat, c, s, k), ("ve", c, s, p)))
+                for ck, flat in (("bc", "be"), ("tc", "te")) for p in (k, (k + 1) % 4)]
+    ck, flat = ("bc", "be") if face[0] == "bottom" else ("tc", "te")
+    return [((ck, c, s, p), ((flat, c, s, (p - 1) % 4), (flat, c, s, p))) for p in range(4)]
+
+
+def find_based_links(cx) -> dict:
+    """Vertex class -> link, built from cx.gluings with a union-find lookup
+    for every germ: the square faces at each vertex are filed whole, and
+    each link finds the class of every corner of every face it touches.
+    An oracle for CubedComplex.vertex_link."""
+    n = cx.diagram.n
+    vtx, edg, sqr = _UnionFind(), _UnionFind(), _UnionFind()
+    for c in range(n):
+        for s in PASSAGES:
+            for p in range(4):
+                vtx.add(("bc", c, s, p))
+                vtx.add(("tc", c, s, p))
+                edg.add(("ve", c, s, p))
+                edg.add(("be", c, s, p))
+                edg.add(("te", c, s, p))
+                sqr.add(("side", c, s, p))
+            sqr.add(("top", c, s))
+            sqr.add(("bottom", c, s))
+    for g in cx.gluings:
+        sqr.union(*g.faces)
+        for a, b in g.vertex_pairs:
+            vtx.union(a, b)
+        for a, b in g.edge_pairs:
+            edg.union(a, b)
+    germs = {v: (corners, []) for v, corners in vtx.classes().items()}
+    for members in sqr.classes().values():
+        for v in dict.fromkeys(vtx.find(corner) for corner, _e in _square_corners(members[0])):
+            germs[v][1].append(members[0])
+
+    links = {}
+    for v, (corners, faces) in germs.items():
+        problems = []
+        triangles = {}
+        for ck, c, s, p in corners:
+            flat = "be" if ck == "bc" else "te"
+            dirs = {edg.find((flat, c, s, (p - 1) % 4)),
+                    edg.find((flat, c, s, p)),
+                    edg.find(("ve", c, s, p))}
+            if len(dirs) != 3:
+                problems.append(f"degenerate corner of cube ({c},{s}) at port {p}")
+                continue
+            t = frozenset(dirs)
+            if t in triangles:
+                problems.append(f"corner of cube ({c},{s}) repeats the simplex of {triangles[t]}")
+            triangles[t] = (c, s, p)
+        edges = {}
+        for face in faces:
+            key = sqr.find(face)
+            for corner, (ea, eb) in _square_corners(face):
+                if vtx.find(corner) != v:
+                    continue
+                pair = frozenset((edg.find(ea), edg.find(eb)))
+                if len(pair) != 2:
+                    problems.append(f"square {face} pinches at {corner}")
+                    continue
+                if edges.get(pair, key) != key:
+                    problems.append(f"double edge between {sorted(map(str, pair))}")
+                edges[pair] = key
+        for t in triangles:
+            problems += ["triangle with a missing edge"
+                         for pair in combinations(t, 2) if frozenset(pair) not in edges]
+        vertices = sorted({x for t in triangles for x in t} | {x for e in edges for x in e},
+                          key=str)
+        links[v] = VertexLink(v, tuple(vertices), set(edges), set(triangles), problems)
+    return links
+
+
+def assert_links_match_oracle(cx, label):
+    want = find_based_links(cx)
+    assert sorted(cx.vertices(), key=str) == sorted(want, key=str), label
+    for v in cx.vertices():
+        # vertex, vertices, edges, triangles and the ordered problems
+        assert cx.vertex_link(v) == want[v], (label, v)
 
 
 def _has_perfect_matching(compatible: dict, n: int) -> bool:
@@ -115,6 +213,10 @@ class TestVertexLinks:
                 # a perfect matching fans <-> crossings must exist
                 assert _has_perfect_matching(compatible, d.crossing_count), name
 
+    def test_links_match_find_based_oracle(self, corpus):
+        for name, d in corpus.items():
+            assert_links_match_oracle(build_cubing(d), name)
+
     def test_boundary_links_flag(self, fig8_cx):
         for v in fig8_cx.boundary_vertices:
             lk = fig8_cx.vertex_link(v)
@@ -167,9 +269,6 @@ class TestNpc:
             rep = verify_npc(build_cubing(d))
             assert rep["npc"], (name, rep["failures"])
 
-    def test_mirror_invariant(self, fig8):
-        assert verify_npc(build_cubing(fig8, mirror=True))["npc"]
-
     def test_corruptions_fail_with_located_vertex(self, fig8):
         base = build_cubing(fig8)
         side_indices = [k for k, g in enumerate(base.gluings) if g.kind == "side"]
@@ -186,13 +285,18 @@ class TestNpc:
     def test_corruption_golden(self, fig8):
         # every failing vertex and reason is pinned, not only the verdict
         golden = json.loads(GOLDEN.read_text())
-        tref = AlternatingDiagram.from_pd([(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)])
         got = {}
-        for name, d in (("fig8", fig8), ("trefoil", tref)):
+        for name, d in corrupted_diagrams(fig8):
             for k, g in enumerate(build_cubing(d).gluings):
                 if g.kind == "side":
                     got[f"{name}:{k}"] = verify_npc(build_cubing(d).corrupt(k))
         assert got == golden
+
+    def test_corrupted_links_match_find_based_oracle(self, fig8):
+        for name, d in corrupted_diagrams(fig8):
+            for k, g in enumerate(build_cubing(d).gluings):
+                if g.kind == "side":
+                    assert_links_match_oracle(build_cubing(d).corrupt(k), f"{name}:{k}")
 
 
 class TestAngles:
@@ -247,8 +351,8 @@ class TestBoundary:
             cx = build_cubing(d)
             for t in boundary_cubings(cx):
                 for (c, s), (pa, pb) in t.meridian_diagonals.items():
-                    va = cx._vtx.find(("tc", c, s, pa))
-                    vb = cx._vtx.find(("tc", c, s, pb))
+                    va = cx._vroot[("tc", c, s, pa)]
+                    vb = cx._vroot[("tc", c, s, pb)]
                     assert va == vb, name
 
 

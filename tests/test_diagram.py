@@ -1,5 +1,6 @@
 from dataclasses import dataclass
 from fractions import Fraction
+import random
 
 import pytest
 
@@ -9,7 +10,7 @@ from cuspcubes.diagram import (
     is_prime, is_reduced, pretzel_diagram, region_adjacent, two_bridge_diagram,
 )
 from cuspcubes.diagram import (
-    _diagram_key, _flype_disks, _mirror, _pinch_flypes, _spot_kinds, _spot_options,
+    _UnionFind, _diagram_key, _flype_disks, _mirror, _pinch_flypes, _spot_kinds, _spot_options,
 )
 from conftest import twist_sequences
 
@@ -231,6 +232,27 @@ class TestArcSpecs:
         R = next(R for R in d.regions if len(R) == 3)
         cs = [h[0] for h in R.boundary]
         assert crossings_adjacent_on_region(d, R, cs[0], cs[1])
+
+
+class TestUnionFind:
+    def test_classes_leave_every_parent_at_its_root(self):
+        rng = random.Random(10)
+        for _ in range(20):
+            uf = _UnionFind()
+            germs = [("g", x % 3, x) for x in range(60)]
+            for g in germs:
+                uf.add(g)
+            for _ in range(45):
+                uf.union(rng.choice(germs), rng.choice(germs))
+            ref = _UnionFind()
+            ref.parent = dict(uf.parent)
+            assert any(uf.parent[g] != ref.find(g) for g in germs)
+            # roots and members in first-seen order, as edge_arc_classes reads them
+            want = {}
+            for g in ref.parent:
+                want.setdefault(ref.find(g), []).append(g)
+            assert list(uf.classes().items()) == list(want.items())
+            assert all(uf.parent[g] == uf.find(g) for g in germs)
 
 
 class TestGearClasses:
