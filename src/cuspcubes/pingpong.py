@@ -462,7 +462,7 @@ def pingpong_certificate(m1: MobiusMap, m2: MobiusMap) -> Certificate:
     )
 
 
-MAX_WORD_LENGTH = 12          # 2 * (3**12 - 1) = 1,062,880 reduced words
+MAX_WORD_LENGTH = 12          # words of length <= 6: 1,456 products, 1,457 keys held
 
 
 def check_word_length(max_length: int) -> None:
@@ -470,36 +470,51 @@ def check_word_length(max_length: int) -> None:
     if max_length < 0:
         raise PingPongError(f"word length must be non-negative, got {max_length}")
     if max_length > MAX_WORD_LENGTH:
-        raise PingPongError(
-            f"word length {max_length} exceeds MAX_WORD_LENGTH = {MAX_WORD_LENGTH} "
-            f"({2 * (3 ** max_length - 1)} reduced words)")
+        raise PingPongError(f"word length {max_length} exceeds MAX_WORD_LENGTH = {MAX_WORD_LENGTH}")
+
+
+def _primitive(e: tuple[int, ...]) -> tuple[int, ...]:
+    """e divided by the gcd of its entries, negated if it starts negative."""
+    g = math.gcd(*e)
+    if e < (0,) * 8:
+        g = -g
+    return e if g == 1 else tuple(x // g for x in e)
 
 
 def free_word_sanity(m1: MobiusMap, m2: MobiusMap, max_length: int) -> bool:
-    """No nonempty reduced word in the generators equals the identity.
+    """No nonempty reduced word of length <= N = max_length in the generators
+    is the identity; vacuously true for N = 0.
 
-    Exhaustive enumeration over reduced words up to the given length;
-    vacuously true for max_length 0.  Each generator is taken once as
-    (D, D*M) with D the shared denominator of its entries, so a word is a
-    product of Gaussian-integer matrices with scale the product of the
-    generators' D; it is trivial exactly when that product is
-    +-scale * I.  Lengths outside 0..MAX_WORD_LENGTH raise PingPongError.
+    Meet in the middle: a trivial reduced word of length n is u*x with u and
+    x^-1 distinct reduced words of lengths ceil(n/2) and floor(n/2) that are
+    the same map, and distinct words u = v of lengths a and b make u*v^-1
+    reduce to a nonempty trivial word of length <= a + b.  The words of length
+    <= ceil(N/2) are built breadth-first, each keyed by the _primitive form of
+    its Gaussian-integer matrix, a scalar times an SL2 matrix: two words have
+    one key exactly when they are the same map.  The check fails when a word
+    of length a meets a key first reached at length b with a + b <= N.  N
+    outside 0..MAX_WORD_LENGTH raises PingPongError.
     """
     check_word_length(max_length)
-    (den1, e1), (den2, e2) = _scaled_entries(m1), _scaled_entries(m2)
-    gens = [(0, den1, e1), (1, den1, _inverse(e1)), (2, den2, e2), (3, den2, _inverse(e2))]
-    inverse_of = (1, 0, 3, 2)
-    stack = [(g, den, mat, 1) for g, den, mat in gens]
-    while stack:
-        last, scale, mat, length = stack.pop()
-        if _is_scalar(mat, scale):
-            return False
-        if length >= max_length:
-            continue
-        for g, den, gm in gens:
-            if g == inverse_of[last]:
-                continue
-            stack.append((g, den * scale, _gauss_matmul(gm, mat), length + 1))
+    e1, e2 = _scaled_entries(m1)[1], _scaled_entries(m2)[1]
+    gens = (e1, _inverse(e1), e2, _inverse(e2))      # letter g ^ 1 undoes letter g
+    identity = (1, 0, 0, 0, 0, 0, 1, 0)
+    first_length = {identity: 0}
+    frontier = [(-1, identity)]                       # (last letter or -1, primitive matrix)
+    for length in range(1, (max_length + 1) // 2 + 1):
+        words = []
+        for last, mat in frontier:
+            for g, gm in enumerate(gens):
+                if g == last ^ 1:
+                    continue
+                key = _primitive(_gauss_matmul(mat, gm))
+                b = first_length.get(key)
+                if b is None:
+                    first_length[key] = length
+                elif b + length <= max_length:
+                    return False
+                words.append((g, key))
+        frontier = words
     return True
 
 

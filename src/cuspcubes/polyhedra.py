@@ -52,22 +52,6 @@ class IdealPolyhedronPair:
                 raise PolyhedraError(
                     f"edge class at crossing {crossing} has signature {per_sign}")
 
-    # -- gluing data --------------------------------------------------------
-
-    def face_gluing(self, region: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-        """The gear map on one region: positive-copy boundary edge at walk
-        position j is identified with the negative-copy edge at j + shift."""
-        R = self.diagram.regions[region]
-        walk = [self.diagram.edge_of_slot[h] for h in R.boundary]
-        m = len(walk)
-        shift = self.gear_shift[region]
-        return [((POSITIVE, walk[j]), (NEGATIVE, walk[(j + shift) % m]))
-                for j in range(m)]
-
-    @property
-    def face_gluing_count(self) -> int:
-        return len(self.diagram.regions)
-
     def to_json(self) -> dict:
         return {
             "mirror": self.mirror,

@@ -1,8 +1,14 @@
 import json
 
+from hypothesis import settings
 import pytest
 
 from cuspcubes.diagram import AlternatingDiagram, pretzel_diagram, two_bridge_diagram
+
+# Every property draws the same examples on every run; the per-test
+# max_examples stays the budget.
+settings.register_profile("reproducible", derandomize=True, deadline=None)
+settings.load_profile("reproducible")
 
 
 def twist_sequences(total_max, n_max=None):

@@ -14,8 +14,8 @@ from cuspcubes.diagram import (AlternatingDiagram, CrossingArc,
                                region_adjacent, two_bridge_diagram)
 from cuspcubes.farey import (INFINITY, ZERO, Slope, covering_slope, farey_distance,
                              rational_p3_hyperbolic, two_bridge_hyperbolic)
-from cuspcubes.pingpong import (COMMUTING, FREE_CERTIFIED, INCONCLUSIVE, MobiusMap,
-                                free_word_sanity, pingpong_certificate)
+from cuspcubes.pingpong import (COMMUTING, FREE_CERTIFIED, INCONCLUSIVE, MAX_WORD_LENGTH,
+                                MobiusMap, free_word_sanity, pingpong_certificate)
 from cuspcubes.polyhedra import (POSITIVE, build_polyhedra, face_transfer,
                                  halfspace_disjoint)
 from conftest import diagram_corpus, twist_sequences
@@ -216,12 +216,12 @@ def test_criterion_9_pingpong_certificates():
     if ok:
         wings = sorted(str(bf.neg.center) for bf in cert.butterflies)
         ok = wings == ["-1/4+0i", "7/4+0i"]
-    ok = ok and free_word_sanity(m1, m2, 10)
+    ok = ok and free_word_sanity(m1, m2, MAX_WORD_LENGTH)
     ok = ok and pingpong_certificate(m1, MobiusMap.from_entries(1, 0, 4, 1)).verdict == COMMUTING
     ok = ok and pingpong_certificate(
         MobiusMap.from_entries(1, 0, 1, 1),
         MobiusMap.from_entries(2, -1, 1, 0)).verdict == INCONCLUSIVE
-    _report(9, "certified / commuting / inconclusive verdicts with words up to 10",
+    _report(9, f"certified / commuting / inconclusive verdicts with words up to {MAX_WORD_LENGTH}",
             ok, time.time() - t0, 30)
 
 

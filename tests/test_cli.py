@@ -274,6 +274,13 @@ class TestPingpong:
                               "--words", "0")
         assert code == 0 and "checked_words" not in data
 
+    def test_huge_words_fails_fast(self, capsys):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "pingpong", "[[1,0],[4,1]]", "[[9,-16],[4,-7]]",
+                             "--words", "100000000")
+        assert time.perf_counter() - t0 < 1
+        assert code == 2 and out == "" and "word length" in err
+
     def test_float_mode_env(self, capsys, monkeypatch):
         monkeypatch.setenv("CUSPCUBES_MODE", "float")
         code, data = run_json(capsys, "pingpong", "[[1,0],[4,1]]", "[[9,-16],[4,-7]]")

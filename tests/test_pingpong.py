@@ -361,13 +361,27 @@ class TestWords:
                 power = compose(power, ab)
             assert power == minus_one
 
+    def test_split_boundary(self):
+        """<T, U_w> with T = [[1, 1], [0, 1]] and U_w = [[1, 0], [w, 1]]: the
+        shortest trivial word has length k, odd for w = 3/2 (halves of 5 and
+        4 letters) and even for the others."""
+        for omega, k in ((Fraction(3, 2), 9), (H, 8), (Fraction(1, 3), 10), ((0, 1), 10)):
+            u = MobiusMap.from_entries(1, 0, omega, 1)
+            assert [free_word_sanity(TRANSLATION, u, n) for n in range(k + 1)] == \
+                [True] * k + [False], omega
+
     def test_agrees_with_fraction_oracle(self):
         pairs = [(parabolic(*p1), parabolic(*p2)) for p1, p2 in FREE_PAIRS]
         assert all(pingpong_certificate(*p).verdict == FREE_CERTIFIED for p in pairs)
-        pairs += [SL2Z_PAIR, HALF_PAIR, ORDER4_PAIR, ORDER4_HALF_PAIR, GAUSS_PAIR,
-                  (TRANSLATION, TRANSLATION), (TRANSLATION, MobiusMap.from_entries(1, 2, 0, 1))]
+        pairs.append(GAUSS_PAIR)
         for m1, m2 in pairs:
             for n in range(7):
+                assert free_word_sanity(m1, m2, n) == words_oracle(m1, m2, n), (m1, m2, n)
+        # pairs with a trivial word of length <= 6, which the oracle finds early
+        for m1, m2 in (SL2Z_PAIR, HALF_PAIR, ORDER4_PAIR, ORDER4_HALF_PAIR,
+                       (TRANSLATION, TRANSLATION),
+                       (TRANSLATION, MobiusMap.from_entries(1, 2, 0, 1))):
+            for n in range(9):
                 assert free_word_sanity(m1, m2, n) == words_oracle(m1, m2, n), (m1, m2, n)
 
 
