@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 
-from .diagram import AlternatingDiagram, BLACK, WHITE, Region, _UnionFind
+from .diagram import AlternatingDiagram, BLACK, WHITE, Region
 
 
 class CubingError(ValueError):
@@ -90,6 +90,37 @@ def is_flag(lk: VertexLink) -> bool:
             if e | {c} not in lk.triangles or common & adj[c]:
                 return False
     return True
+
+
+class _UnionFind:
+    def __init__(self):
+        self.parent = {}
+
+    def add(self, x):
+        self.parent.setdefault(x, x)
+
+    def find(self, x):
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+
+    def classes(self) -> dict:
+        """Root -> members, both in first-seen order.  Every element's
+        parent is left at its root, so `parent` is then the element ->
+        class map."""
+        out = {}
+        parent = self.parent
+        for x in parent:
+            root = parent[x] = self.find(x)
+            out.setdefault(root, []).append(x)
+        return out
 
 
 def _swap_partners(pairs: tuple) -> tuple:

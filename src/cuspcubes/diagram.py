@@ -23,6 +23,13 @@ WHITE = "white"
 
 Slot = tuple[int, int]  # (crossing index, slot 0..3)
 
+MAX_CROSSINGS = 10_000      # a built diagram takes about 30 KB per crossing
+
+
+def _check_size(n: int) -> None:
+    if n > MAX_CROSSINGS:
+        raise DiagramError(f"too large: {n} crossings, at most {MAX_CROSSINGS} are accepted")
+
 
 @dataclass(frozen=True)
 class Region:
@@ -77,6 +84,7 @@ class AlternatingDiagram:
             raise DiagramError("malformed: a diagram needs at least one crossing")
         if len(pairing) != 4 * n:        # before any 4n-sized allocation
             raise DiagramError("malformed: every slot must be paired exactly once")
+        _check_size(n)
         self.n = n
         slots = [(c, i) for c in range(n) for i in range(4)]
         if set(pairing) != set(slots):
@@ -376,6 +384,7 @@ class TwistSequence:
             raise DiagramError("twist counts must be positive")
         if a[0] < 2 or a[-1] < 2:
             raise DiagramError("first and last twist counts must be at least 2")
+        _check_size(sum(a))
 
     def __len__(self) -> int:
         return len(self.a)
@@ -533,77 +542,16 @@ def crossings_adjacent_on_region(d: AlternatingDiagram, R: Region, c1: int, c2: 
 # Gear edge classes
 # ---------------------------------------------------------------------------
 
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
+def arc_crossing(d: AlternatingDiagram, e: int) -> int:
+    """The crossing whose arc's gear class holds edge e of the positive copy.
 
-    def add(self, x):
-        self.parent.setdefault(x, x)
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-    def classes(self) -> dict:
-        """Root -> members, both in first-seen order.  Every element's
-        parent is left at its root, so `parent` is then the element ->
-        class map."""
-        out = {}
-        parent = self.parent
-        for x in parent:
-            root = parent[x] = self.find(x)
-            out.setdefault(root, []).append(x)
-        return out
-
-
-def edge_arc_classes(d: AlternatingDiagram, mirror: bool = False) -> list[tuple[list[tuple[int, int]], int]]:
-    """Partition of signed edges (sign, edge id) under the gear identifications.
-
-    Each region's boundary cycle in one copy of the diagram sphere is glued
-    to the other copy rotated by one edge, clockwise on black regions and
-    anticlockwise on white ones (the mirror flag flips both).  The classes
-    are each of size four (two per copy) and correspond bijectively to the
-    crossings; the crossing of a class is returned with it.
+    The class of crossing x is e(x, 1), e(x, 3) in the positive copy and
+    e(x, 0), e(x, 2) in the negative one, e(x, i) the edge at slot i of x
+    (the mirror convention swaps the two pairs).  So a positive-copy edge
+    belongs to the crossing where it ends on an over-port, slot 1 or 3;
+    alternation gives every edge exactly one such end.
     """
-    uf = _UnionFind()
-    for s in (1, -1):
-        for e in range(len(d.edges)):
-            uf.add((s, e))
-    for R in d.regions:
-        walk = [d.edge_of_slot[h] for h in R.boundary]
-        m = len(walk)
-        shift = 1 if (R.color == BLACK) != mirror else -1
-        for j in range(m):
-            uf.union((1, walk[j]), (-1, walk[(j + shift) % m]))
-    out = []
-    for members in uf.classes().values():
-        ends = [set(d.edge_endpoints(e)) for _s, e in members]
-        common = set.intersection(*ends)
-
-        def pos_ports(cand: int) -> tuple[int, ...]:
-            ports = []
-            for s, e in members:
-                if s != 1:
-                    continue
-                ports.extend(i for (x, i) in d.edges[e] if x == cand)
-            return tuple(sorted(ports))
-
-        # the positive-copy edges of a class sit at the over-strand ports of
-        # its crossing (under-ports when the mirror convention is in force)
-        want = (0, 2) if mirror else (1, 3)
-        chosen = [cand for cand in common if pos_ports(cand) == want]
-        if len(chosen) != 1:
-            raise DiagramError("gear class has no unambiguous crossing")
-        out.append((members, chosen[0]))
-    return out
+    return next(c for c, i in d.edges[e] if i % 2)
 
 
 # ---------------------------------------------------------------------------
@@ -796,14 +744,15 @@ def flype_arc_search(d: AlternatingDiagram, c: int, max_depth: int = 5):
         # for the next layer, so deduplication follows the queue order
         for pairing, spot in followups:
             d2 = AlternatingDiagram(d.n, pairing)
-            # positive-copy edge -> crossing of its gear class
-            gear = {e: x for members, x in edge_arc_classes(d2) for s, e in members if s == 1}
             key = _diagram_key(d2)
             for R, c1, c2 in _spot_options(d2, spot)[1]:
                 for e in R.edges:
-                    if {h[0] for h in d2.edges[e]} == {c1, c2} and (key, gear[e]) not in visited:
-                        visited.add((key, gear[e]))
-                        yield d2, gear[e]
+                    if {h[0] for h in d2.edges[e]} != {c1, c2}:
+                        continue
+                    x = arc_crossing(d2, e)
+                    if (key, x) not in visited:
+                        visited.add((key, x))
+                        yield d2, x
 
     visited = {(_diagram_key(d), c)}
     layer = [(d, c)]
@@ -867,6 +816,7 @@ def pretzel_diagram(*twists: int) -> AlternatingDiagram:
     """
     if len(twists) < 2 or any(t < 1 for t in twists):
         raise DiagramError("pretzel needs at least two positive twist counts")
+    _check_size(sum(twists))
     pairing: dict[Slot, Slot] = {}
 
     def wire(a: Slot, b: Slot) -> None:

@@ -250,17 +250,17 @@ COMMUTING = "Commuting"
 INCONCLUSIVE = "Inconclusive"
 
 
-def _decide(s1, s2, near, disk, overlap):
+def _decide(s1, s2, parabolic, near, disk, overlap):
     """Commuting, FreeCertified or Inconclusive for the scaled forms s1, s2.
 
-    near compares points; disk(u, c, D) builds the isometric disk of centre
-    u/c and radius D/|c|, and overlap tells whether two disks' interiors
-    meet.  Returns (verdict, t, forms, pair): the conjugator z -> 1/(z - t)
-    that moved a fixed point at infinity into the plane (t is None if none
-    did), the conjugated forms, and the first overlapping pair (i, j) of
-    neg(1), pos(1), neg(2), pos(2).
+    parabolic tests a scaled form; near compares points; disk(u, c, D)
+    builds the isometric disk of centre u/c and radius D/|c|, and overlap
+    tells whether two disks' interiors meet.  Returns (verdict, t, forms,
+    pair): the conjugator z -> 1/(z - t) that moved a fixed point at
+    infinity into the plane (t is None if none did), the conjugated forms,
+    and the first overlapping pair (i, j) of neg(1), pos(1), neg(2), pos(2).
     """
-    if not (_is_parabolic(s1, near) and _is_parabolic(s2, near)):
+    if not (parabolic(s1) and parabolic(s2)):
         raise PingPongError("certificates need two parabolic maps")
     t, forms = _to_plane((s1, s2), near)
     (_, e1), (_, e2) = forms
@@ -446,7 +446,8 @@ def pingpong_certificate(m1: MobiusMap, m2: MobiusMap) -> Certificate:
     is reported as Inconclusive with the offending pair; it is not a
     non-freeness claim.  Every test runs on the scaled forms (D, D*M).
     """
-    verdict, t, forms, pair = _decide(_scaled_entries(m1), _scaled_entries(m2), _same,
+    verdict, t, forms, pair = _decide(_scaled_entries(m1), _scaled_entries(m2),
+                                      lambda s: _is_parabolic(s, _same), _same,
                                       _scaled_disk, _overlap)
     if verdict == COMMUTING:
         return Certificate(COMMUTING, notes=(
@@ -551,9 +552,10 @@ def _float_scaled(m, tol: float) -> tuple[float, tuple[float, ...]]:
 
 def pingpong_certificate_float(m1, m2, tol: float = 1e-12) -> NumericCertificate:
     """Numeric variant for irrational input matrices, given as nested complex
-    numbers.  Verdicts come out 'numerically certified' at the tolerance: a
-    trace within tol of +-2 is parabolic, points within tol coincide, and two
-    disks overlap when their centres are closer than r1 + r2 - tol.
+    numbers.  Verdicts come out 'numerically certified' at the tolerance:
+    points within tol coincide, two disks overlap when their centres are
+    closer than r1 + r2 - tol, and a trace within tol * (|ad| + |bc|) / |det|
+    of +-2 is parabolic: det cancels products of that relative size.
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise PingPongError(f"tolerance must be a finite number > 0, got {tol!r}")
@@ -571,9 +573,14 @@ def pingpong_certificate_float(m1, m2, tol: float = 1e-12) -> NumericCertificate
     def overlap(x, y):
         return abs(x[0] - y[0]) < x[1] + y[1] - tol
 
+    def parabolic(s):
+        a, b, c, d = (complex(*s[1][k:k + 2]) for k in range(0, 8, 2))
+        trace_tol = tol * (abs(a * d) + abs(b * c))
+        return _is_parabolic(s, lambda p, q: abs(point(p) - point(q)) < trace_tol)
+
     try:
         verdict, _, _, pair = _decide(_float_scaled(m1, tol), _float_scaled(m2, tol),
-                                      near, disk, overlap)
+                                      parabolic, near, disk, overlap)
     except OverflowError as err:
         raise PingPongError("floating-point overflow") from err
     return NumericCertificate(verdict, tol,

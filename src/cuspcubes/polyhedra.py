@@ -5,16 +5,18 @@ each region's face of the positive copy meets the same region's face of
 the negative copy after a rotation by one edge, clockwise on black regions
 and anticlockwise on white ones (a global mirror flag flips both).  The
 induced edge identifications tie the sphere edges into classes of four,
-one class per crossing arc; half-space combinatorics reduce to region
-adjacency in the diagram.
+one class per crossing arc, in closed form: the class of crossing x is
+e(x, 1), e(x, 3) in the positive copy and e(x, 0), e(x, 2) in the negative
+one, e(x, i) the edge at slot i of x, with the two pairs swapped under the
+mirror flag (`diagram.arc_crossing`).  Half-space combinatorics reduce to
+region adjacency in the diagram.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import (AlternatingDiagram, BLACK, WHITE, Region,
-                      edge_arc_classes, is_prime, region_adjacent)
+from .diagram import AlternatingDiagram, BLACK, WHITE, Region, is_prime, region_adjacent
 
 
 class PolyhedraError(ValueError):
@@ -32,41 +34,11 @@ class IdealPolyhedronPair:
             raise PolyhedraError("the checkerboard decomposition needs a prime diagram")
         self.diagram = d
         self.mirror = mirror
-        self.gear_shift = {}
-        for R in d.regions:
-            shift = 1 if (R.color == BLACK) != mirror else -1
-            self.gear_shift[R.index] = shift
-        self.edge_classes = edge_arc_classes(d, mirror)
-        self._verify()
-
-    def _verify(self) -> None:
-        d = self.diagram
-        if len(self.edge_classes) != d.n:
-            raise PolyhedraError(
-                f"{len(self.edge_classes)} edge classes for {d.n} crossings")
-        for members, crossing in self.edge_classes:
-            per_sign = {POSITIVE: 0, NEGATIVE: 0}
-            for s, _e in members:
-                per_sign[s] += 1
-            if per_sign[POSITIVE] != 2 or per_sign[NEGATIVE] != 2:
-                raise PolyhedraError(
-                    f"edge class at crossing {crossing} has signature {per_sign}")
-
-    def to_json(self) -> dict:
-        return {
-            "mirror": self.mirror,
-            "face_gluings": {R.index: self.gear_shift[R.index] for R in self.diagram.regions},
-            "edge_classes": [
-                {"crossing": crossing,
-                 "members": [[s, e] for s, e in sorted(members)]}
-                for members, crossing in self.edge_classes
-            ],
-        }
+        self.gear_shift = {R.index: 1 if (R.color == BLACK) != mirror else -1 for R in d.regions}
 
 
 def build_polyhedra(d: AlternatingDiagram, mirror: bool = False) -> IdealPolyhedronPair:
-    """Glue the two copies of the diagram ball by the gear rule and verify
-    that every crossing arc is covered by exactly two edges of each copy."""
+    """Glue the two copies of the diagram ball by the gear rule."""
     return IdealPolyhedronPair(d, mirror)
 
 

@@ -1,0 +1,49 @@
+"""Oracle for the gear edge classes, read only by the tests: the closure of
+the gear identifications by union-find, the reference for the closed form
+that `cuspcubes.diagram.arc_crossing` and the polyhedra module state.
+"""
+
+from cuspcubes.cubing import _UnionFind
+from cuspcubes.diagram import BLACK
+
+
+def edge_arc_classes(d, mirror=False):
+    """Partition of signed edges (sign, edge id) under the gear identifications.
+
+    Each region's boundary cycle in one copy of the diagram sphere is glued
+    to the other copy rotated by one edge, clockwise on black regions and
+    anticlockwise on white ones (the mirror flag flips both).  Returns
+    (members, crossing) per class, the crossing being the common end of all
+    four members at which the positive-copy members take the over-ports
+    (under-ports under the mirror flag); a class without exactly one such
+    crossing fails the assertion.
+    """
+    uf = _UnionFind()
+    for s in (1, -1):
+        for e in range(len(d.edges)):
+            uf.add((s, e))
+    for R in d.regions:
+        walk = [d.edge_of_slot[h] for h in R.boundary]
+        m = len(walk)
+        shift = 1 if (R.color == BLACK) != mirror else -1
+        for j in range(m):
+            uf.union((1, walk[j]), (-1, walk[(j + shift) % m]))
+    out = []
+    for members in uf.classes().values():
+        common = set.intersection(*(set(d.edge_endpoints(e)) for _s, e in members))
+
+        def pos_ports(cand):
+            return tuple(sorted(i for s, e in members if s == 1 for (x, i) in d.edges[e] if x == cand))
+
+        want = (0, 2) if mirror else (1, 3)
+        chosen = [cand for cand in common if pos_ports(cand) == want]
+        assert len(chosen) == 1, "gear class has no unambiguous crossing"
+        out.append((members, chosen[0]))
+    return out
+
+
+def closed_form_classes(d, mirror=False):
+    """Crossing -> its class as the closed form states it."""
+    pos, neg = ((0, 2), (1, 3)) if mirror else ((1, 3), (0, 2))
+    return {x: {(1, d.edge_of_slot[(x, i)]) for i in pos} | {(-1, d.edge_of_slot[(x, i)]) for i in neg}
+            for x in range(d.n)}

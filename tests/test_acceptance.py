@@ -10,7 +10,7 @@ from math import gcd
 
 from cuspcubes.cubing import boundary_cubings, build_cubing, link_angle_class, verify_npc
 from cuspcubes.decide import VerdictKind, classify_2bridge_pair
-from cuspcubes.diagram import (AlternatingDiagram, CrossingArc,
+from cuspcubes.diagram import (AlternatingDiagram, CrossingArc, arc_crossing,
                                region_adjacent, two_bridge_diagram)
 from cuspcubes.farey import (INFINITY, ZERO, Slope, covering_slope, farey_distance,
                              rational_p3_hyperbolic, two_bridge_hyperbolic)
@@ -20,6 +20,7 @@ from cuspcubes.polyhedra import (POSITIVE, build_polyhedra, face_transfer,
                                  halfspace_disjoint)
 from conftest import diagram_corpus, twist_sequences
 from farey_oracles import covering_slope_search_oracle, differ_by_integer
+from gear_oracles import edge_arc_classes
 
 
 def _report(n, label, ok, elapsed, budget):
@@ -188,11 +189,15 @@ def test_criterion_8_gear_rule_integrity():
     ok = True
     for _name, d in pd_corpus:
         pp = build_polyhedra(d)
-        if len(pp.edge_classes) != d.crossing_count:
+        classes = edge_arc_classes(d, pp.mirror)
+        if len(classes) != d.crossing_count:
             ok = False
             break
-        for members, _crossing in pp.edge_classes:
+        for members, crossing in classes:
             if sorted(s for s, _e in members) != [-1, -1, 1, 1]:
+                ok = False
+                break
+            if any(arc_crossing(d, e) != crossing for s, e in members if s == POSITIVE):
                 ok = False
                 break
         for R in d.regions:

@@ -113,6 +113,14 @@ class TestCubing:
         code, out, err = run(capsys, "cubing", "--pd", str(f))
         assert code == 2 and out == "" and "paired exactly once" in err
 
+    def test_huge_twist_count_exits_fast(self, capsys):
+        for cmd in (["cubing"], ["decide", "--crossing-arc", "A2:0"], ["svg", "-o", "unused.svg"]):
+            t0 = time.perf_counter()
+            code, out, err = run(capsys, *cmd, "--two-bridge", "2,1000000000000,2")
+            assert time.perf_counter() - t0 < 1, cmd
+            assert code == 2 and out == "", cmd
+            assert err == "error: too large: 1000000000004 crossings, at most 10000 are accepted\n", cmd
+
     def test_bad_pd_shapes_exit(self, capsys, tmp_path):
         f = tmp_path / "bad.json"
         for text in ('5', '{"pd": 5}', '{"pd": [[[1], 2, 3, 4]]}', '{"rotation": [[[0], [1, 2]]]}'):

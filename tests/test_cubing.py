@@ -5,11 +5,11 @@ from pathlib import Path
 import pytest
 
 from cuspcubes.cubing import (
-    PASSAGES, CubingError, VertexLink, boundary_cubings, build_cubing, is_flag,
+    PASSAGES, CubingError, VertexLink, _UnionFind, boundary_cubings, build_cubing, is_flag,
     link_angle_class, verify_npc,
 )
 from cuspcubes.diagram import (
-    AlternatingDiagram, _UnionFind, pretzel_diagram, region_adjacent, two_bridge_diagram,
+    AlternatingDiagram, pretzel_diagram, region_adjacent, two_bridge_diagram,
 )
 
 GOLDEN = Path(__file__).parent / "data" / "corrupt_npc_golden.json"

@@ -1,3 +1,4 @@
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from cuspcubes.decide import (
@@ -229,6 +230,27 @@ class TestSpareRegions:
                     small = dw.regions[w.spare.via_region]
                     nbrs = [dw.region_of_slot[dw.pairing[h]] for h in small.boundary]
                     assert len(set(nbrs)) == len(small.boundary), seq
+
+
+CROSSING_ARCS = [(seq, c) for seq in twist_sequences(10) for c in range(sum(seq))]
+
+
+def mirror_invariants(v):
+    """What the mirror flag must not change: the verdict kind, the wing
+    regions as a set, the endpoints, the colour, and the spare region with
+    its kind.  The wing order and a transfer's shift do change."""
+    w = v.witness
+    return v.kind, w and (frozenset(w.regions), w.endpoints, w.color, w.spare.region, w.spare.kind)
+
+
+class TestMirror:
+    @settings(max_examples=300)
+    @given(st.sampled_from(CROSSING_ARCS))
+    def test_mirror_keeps_the_verdict(self, arc):
+        seq, c = arc
+        tb = two_bridge_diagram(seq)
+        plain, mirrored = (classify_2bridge_pair(tb, CrossingArc(c), mirror) for mirror in (False, True))
+        assert mirror_invariants(mirrored) == mirror_invariants(plain)
 
 
 class TestVerdictShape:

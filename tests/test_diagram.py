@@ -5,14 +5,17 @@ import random
 import pytest
 
 from cuspcubes.diagram import (
-    AlternatingDiagram, BLACK, CrossingArc, DiagramError, InRegionArc, TransverseArc,
-    TwistSequence, WHITE, crossings_adjacent_on_region, edge_arc_classes, find_small_white_region, flype,
-    is_prime, is_reduced, pretzel_diagram, region_adjacent, two_bridge_diagram,
+    AlternatingDiagram, BLACK, CrossingArc, DiagramError, InRegionArc, MAX_CROSSINGS,
+    TransverseArc, TwistSequence, WHITE, arc_crossing, crossings_adjacent_on_region,
+    find_small_white_region, flype, is_prime, is_reduced, pretzel_diagram, region_adjacent,
+    two_bridge_diagram,
 )
 from cuspcubes.diagram import (
-    _UnionFind, _diagram_key, _flype_disks, _mirror, _pinch_flypes, _spot_kinds, _spot_options,
+    _diagram_key, _flype_disks, _mirror, _pinch_flypes, _spot_kinds, _spot_options,
 )
-from conftest import twist_sequences
+from cuspcubes.cubing import _UnionFind
+from conftest import diagram_corpus, twist_sequences
+from gear_oracles import closed_form_classes, edge_arc_classes
 
 TREFOIL_PD = [(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)]
 HOPF_PD = [(1, 3, 2, 4), (3, 1, 4, 2)]
@@ -247,12 +250,21 @@ class TestUnionFind:
             ref = _UnionFind()
             ref.parent = dict(uf.parent)
             assert any(uf.parent[g] != ref.find(g) for g in germs)
-            # roots and members in first-seen order, as edge_arc_classes reads them
+            # roots and members in first-seen order, as the closures read them
             want = {}
             for g in ref.parent:
                 want.setdefault(ref.find(g), []).append(g)
             assert list(uf.classes().items()) == list(want.items())
             assert all(uf.parent[g] == uf.find(g) for g in germs)
+
+
+def gear_mismatches(d, mirror=False):
+    """Positive-copy edges (negative-copy under the mirror flag, whose
+    slot pairs swap) that the closure files under another crossing than
+    arc_crossing names."""
+    sign = -1 if mirror else 1
+    return sum(1 for members, x in edge_arc_classes(d, mirror) for s, e in members
+               if s == sign and arc_crossing(d, e) != x)
 
 
 class TestGearClasses:
@@ -269,6 +281,18 @@ class TestGearClasses:
             for members, _c in edge_arc_classes(d):
                 signs = sorted(s for s, _e in members)
                 assert signs == [-1, -1, 1, 1], name
+
+    def test_closed_form_matches_closure(self):
+        diagrams = list(diagram_corpus().values()) + [
+            two_bridge_diagram(seq).diagram for seq in twist_sequences(12)]
+        checked = 0
+        for d in diagrams:
+            for mirror in (False, True):
+                classes = edge_arc_classes(d, mirror)
+                assert {x: set(m) for m, x in classes} == closed_form_classes(d, mirror), d.pd_code()
+                assert gear_mismatches(d, mirror) == 0, d.pd_code()
+                checked += 1
+        assert checked == 2052
 
 
 class TestDeterminant:
@@ -551,7 +575,7 @@ def eager_pinch_flypes(d, c, record):
     """Build every trial rewiring at c and filter it by strand count,
     primeness, reducedness and determinant; return the survivors as
     (diagram, spot).  `record` collects, per built rewiring, its spot kinds
-    read both ways, and per call (d, c, the survivors of each flype disk as
+    read both ways and its count of gear mismatches, and per call (d, c, the survivors of each flype disk as
     (pairing, spot) pairs)."""
     if not is_prime(d):
         raise DiagramError("non-prime: the flype search needs a prime diagram")
@@ -564,6 +588,7 @@ def eager_pinch_flypes(d, c, record):
             d2 = AlternatingDiagram(d.n, pairing)
         except DiagramError:
             continue
+        record["gear_mismatches"].append(gear_mismatches(d2))
         nonadj, adj = _spot_options(d2, spot)
         record["spots"].append((_spot_kinds(pairing, spot), (bool(nonadj), bool(adj))))
         if len(d2.strands) != strands0 or not is_prime(d2) or not is_reduced(d2):
@@ -614,11 +639,12 @@ def eager_corpus():
     sequences with at most 10 crossings and four larger ones.
 
     Returns per region (seq, i, eager outcome), per trial rewiring the
-    eager search built its spot kinds read both ways, and per
-    `eager_pinch_flypes` call the survivors of each flype disk.
+    eager search built its spot kinds read both ways, per
+    `eager_pinch_flypes` call the survivors of each flype disk, and per
+    built trial rewiring its count of gear mismatches.
     """
     regions = []
-    record = {"spots": [], "calls": []}
+    record = {"spots": [], "calls": [], "gear_mismatches": []}
     for seq in twist_sequences(10) + [(2, 16, 2), (4, 4, 4, 4, 4), (5, 5, 5, 5), (5, 5, 5, 5, 5)]:
         tb = two_bridge_diagram(seq)
         for i in range(2, len(seq)):
@@ -627,7 +653,7 @@ def eager_corpus():
             except DiagramError as err:
                 out = str(err)
             regions.append((seq, i, out))
-    return regions, record["spots"], record["calls"]
+    return regions, record["spots"], record["calls"], record["gear_mismatches"]
 
 
 def relabel_at(pairing, c):
@@ -677,6 +703,10 @@ class TestLazyFlypeSearch:
         for got, want in spots:
             assert got == want
 
+    def test_closed_form_on_every_trial_diagram(self, eager_corpus):
+        mismatches = eager_corpus[3]
+        assert len(mismatches) == 4360 and sum(mismatches) == 0
+
     def test_builds_do_not_grow_with_the_block(self, monkeypatch):
         init = AlternatingDiagram.__init__
         built = []
@@ -694,6 +724,19 @@ class TestLazyFlypeSearch:
                 flype(tb, 2)
             counts.append(len(built))
         assert counts == [2, 2]
+
+
+class TestSizeCap:
+    def test_checked_before_building(self):
+        TwistSequence((2, MAX_CROSSINGS - 4, 2))
+        for build in (lambda: TwistSequence((2, MAX_CROSSINGS - 3, 2)),
+                      lambda: two_bridge_diagram((2, 10 ** 12, 2)),
+                      lambda: pretzel_diagram(MAX_CROSSINGS, 1),
+                      lambda: AlternatingDiagram(MAX_CROSSINGS + 1, {(c, i): (c, i ^ 1)
+                                                                     for c in range(MAX_CROSSINGS + 1)
+                                                                     for i in range(4)})):
+            with pytest.raises(DiagramError, match=f"too large: .* at most {MAX_CROSSINGS}"):
+                build()
 
 
 class TestPretzel:

@@ -588,6 +588,24 @@ class TestFloatPath:
                       for m in (m1, m2)]
             assert pingpong_certificate_float(*floats).verdict == exact[1]["verdict"], (m1, m2)
 
+    def test_parabolic_with_large_entries(self):
+        # det = 1 is computed with cancellation between products of size
+        # s^2 ~ 1e5, so the normalised traces miss 2 by ~1e-11; both maps
+        # fix s, as the exact path finds
+        s = Fraction(1000, 3)
+        m1 = [[1 + s, -s * s], [1, 1 - s]]
+        m2 = [[1 + 3 * s, -3 * s * s], [3, 1 - 3 * s]]
+        exact = pingpong_certificate(*(MobiusMap.from_entries(*map(str, sum(m, []))) for m in (m1, m2)))
+        assert exact.verdict == COMMUTING
+        floats = [[[float(x) for x in row] for row in m] for m in (m1, m2)]
+        assert pingpong_certificate_float(*floats).verdict == COMMUTING
+
+    def test_trace_off_by_small_amount_refused(self):
+        # det 1 and trace 2 + 1e-6 with entries of size 1: hyperbolic
+        for m in ([[1 + 1e-6, 1e-6], [1, 1]], [[1, 1], [1e-6, 1 + 1e-6]]):
+            with pytest.raises(PingPongError, match="two parabolic maps"):
+                pingpong_certificate_float(m, [[1, 0], [4, 1]])
+
     def test_bad_input_is_an_error(self):
         pair = [[1, 0], [4, 1]], [[9, -16], [4, -7]]
         with pytest.raises(PingPongError, match="two parabolic maps"):     # the identity

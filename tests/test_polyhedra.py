@@ -2,6 +2,7 @@ import pytest
 
 from cuspcubes.diagram import (AlternatingDiagram, BLACK, WHITE, region_adjacent,
                                two_bridge_diagram)
+from gear_oracles import edge_arc_classes
 from cuspcubes.polyhedra import (
     NEGATIVE, POSITIVE, PolyhedraError, build_polyhedra, butterfly_regions,
     circle_pattern_svg, face_transfer, halfspace_disjoint,
@@ -19,22 +20,23 @@ def fig8_pp(fig8):
 
 
 class TestBuild:
-    def test_fig8_counts(self, fig8_pp):
+    def test_fig8_counts(self, fig8, fig8_pp):
         assert len(fig8_pp.gear_shift) == 6
-        assert len(fig8_pp.edge_classes) == 4
+        assert len(edge_arc_classes(fig8)) == 4
 
     def test_trefoil_counts(self):
         d = AlternatingDiagram.from_pd([(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)])
         pp = build_polyhedra(d)
         assert len(pp.gear_shift) == 5
-        assert len(pp.edge_classes) == 3
+        assert len(edge_arc_classes(d)) == 3
 
     def test_two_preimages_per_copy(self, corpus):
         for name, d in corpus.items():
-            pp = build_polyhedra(d)
-            assert len(pp.edge_classes) == d.crossing_count, name
-            for members, crossing in pp.edge_classes:
-                assert sorted(s for s, _e in members) == [-1, -1, 1, 1], (name, crossing)
+            for mirror in (False, True):
+                classes = edge_arc_classes(d, mirror)
+                assert len(classes) == d.crossing_count, name
+                for members, crossing in classes:
+                    assert sorted(s for s, _e in members) == [-1, -1, 1, 1], (name, crossing)
 
     def test_non_prime_rejected(self):
         from test_diagram import connected_sum_of_trefoils
@@ -46,10 +48,6 @@ class TestBuild:
             shift = fig8_pp.gear_shift[R.index]
             assert abs(shift) == 1
             assert (shift == 1) == (R.color == BLACK)
-
-    def test_json(self, fig8_pp):
-        data = fig8_pp.to_json()
-        assert len(data["edge_classes"]) == 4
 
 
 class TestHalfSpaces:
