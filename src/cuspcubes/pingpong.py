@@ -554,8 +554,8 @@ def pingpong_certificate_float(m1, m2, tol: float = 1e-12) -> NumericCertificate
     """Numeric variant for irrational input matrices, given as nested complex
     numbers.  Verdicts come out 'numerically certified' at the tolerance:
     points within tol coincide, two disks overlap when their centres are
-    closer than r1 + r2 - tol, and a trace within tol * (|ad| + |bc|) / |det|
-    of +-2 is parabolic: det cancels products of that relative size.
+    closer than r1 + r2 - tol, and a trace (of det 1 entries) within tol plus
+    8 roundings of det's products, 8 * ulp(1) * (|ad| + |bc|), of +-2 is parabolic.
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise PingPongError(f"tolerance must be a finite number > 0, got {tol!r}")
@@ -575,7 +575,7 @@ def pingpong_certificate_float(m1, m2, tol: float = 1e-12) -> NumericCertificate
 
     def parabolic(s):
         a, b, c, d = (complex(*s[1][k:k + 2]) for k in range(0, 8, 2))
-        trace_tol = tol * (abs(a * d) + abs(b * c))
+        trace_tol = tol + 8 * math.ulp(1.0) * (abs(a * d) + abs(b * c))
         return _is_parabolic(s, lambda p, q: abs(point(p) - point(q)) < trace_tol)
 
     try:

@@ -605,6 +605,13 @@ class TestFloatPath:
         for m in ([[1 + 1e-6, 1e-6], [1, 1]], [[1, 1], [1e-6, 1 + 1e-6]]):
             with pytest.raises(PingPongError, match="two parabolic maps"):
                 pingpong_certificate_float(m, [[1, 0], [4, 1]])
+        # det exactly 1 in floats and trace 3 with entries of size 1e12: large
+        # entries do not widen the tolerance past det's rounding; the parabolic
+        # partner shares the pair's (a - d)/2c
+        hyperbolic = [[1e6, 1e6 * (3 - 1e6) - 1], [1, 3 - 1e6]]
+        partner = [[1e6 - 0.5, (1e6 - 0.5) * (2.5 - 1e6) - 1], [1, 2.5 - 1e6]]
+        with pytest.raises(PingPongError, match="two parabolic maps"):
+            pingpong_certificate_float(hyperbolic, partner)
 
     def test_bad_input_is_an_error(self):
         pair = [[1, 0], [4, 1]], [[9, -16], [4, -7]]
