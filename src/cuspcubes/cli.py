@@ -4,8 +4,8 @@ Subcommands: farey (slope arithmetic and link classification), cubing
 (build and verify the cubed exterior), decide (meridian-pair verdicts),
 pingpong (free-group certificates for matrix pairs), svg (circle-pattern
 drawing).  All output is JSON on stdout; --pretty indents it.  Exit code 0
-means the requested check passed.  CUSPCUBES_MODE=exact|float selects the
-arithmetic path for pingpong.
+means the requested check passed.  pingpong --mode exact|float selects its
+arithmetic path (exact by default).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -222,12 +221,11 @@ def _float_entry(e) -> complex:
 
 
 def cmd_pingpong(args) -> int:
-    mode = args.mode or os.environ.get("CUSPCUBES_MODE", "exact")
     PP.check_word_length(args.words)
-    if mode == "float" and args.words:
+    if args.mode == "float" and args.words:
         raise PP.PingPongError("--words needs exact mode: the word check is exact only")
     m1raw, m2raw = _parse_matrix(args.m1), _parse_matrix(args.m2)
-    if mode == "float":
+    if args.mode == "float":
         def to_c(rows):
             return [[_float_entry(e) for e in row] for row in rows]
         cert = PP.pingpong_certificate_float(to_c(m1raw), to_c(m2raw), tol=args.tolerance)
@@ -337,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--words", type=int, default=0, metavar="N",
                     help="also check that no reduced word of length 1..N is the identity "
                          f"(N <= {PP.MAX_WORD_LENGTH})")
-    pp.add_argument("--mode", choices=("exact", "float"))
+    pp.add_argument("--mode", choices=("exact", "float"), default="exact")
     pp.add_argument("--tolerance", type=float, default=1e-12)
     pp.set_defaults(func=cmd_pingpong)
 

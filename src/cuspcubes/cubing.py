@@ -45,15 +45,6 @@ class Gluing:
 
 
 @dataclass
-class Hyperplane:
-    color: str
-    midsquares: tuple               # ("ms", c, s, color) germs
-
-    def __len__(self):
-        return len(self.midsquares)
-
-
-@dataclass
 class VertexLink:
     """Abstract simplicial complex of cube corners at one vertex."""
 
@@ -156,7 +147,6 @@ class CubedComplex:
         self.cubes = [(c, s) for c in range(d.n) for s in PASSAGES]
         self._build_gluings()
         self._close_classes()
-        self._build_hyperplanes()
 
     # -- gluing construction -----------------------------------------------
 
@@ -273,27 +263,13 @@ class CubedComplex:
                 links[vroot[_square_corner(face, i)[0]]][1].append((face, i))
         self.interior_squares, self.crossing_lines = interior, lines
 
-    # -- hyperplanes ----------------------------------------------------------
-
-    def _build_hyperplanes(self) -> None:
-        """Each color's 2n midsquares form one hyperplane.
-
-        The bottom gluing joins the over and under midsquares of a crossing,
-        and every edge of the diagram has a side gluing in one region of
-        each color, which joins the midsquares of that color at its two
-        ends.  The diagram is connected, so no color splits.
-        """
-        n = self.diagram.n
-        self.hyperplanes = {col: Hyperplane(col, tuple(sorted(
-            ("ms", c, s, col) for c in range(n) for s in PASSAGES)))
-            for col in (BLACK, WHITE)}
-
     # -- reports ---------------------------------------------------------------
 
     @property
     def counts(self) -> dict:
+        n = self.diagram.n
         return {
-            "crossings": self.diagram.n,
+            "crossings": n,
             "cubes": len(self.cubes),
             "inner_vertices": len(self.inner_vertices),
             "boundary_vertices": len(self.boundary_vertices),
@@ -302,18 +278,24 @@ class CubedComplex:
             "boundary_edges": len(self.boundary_edges),
             "boundary_squares": len(self.boundary_squares),
             "interior_squares": self.interior_squares,
-            "hyperplanes": len(self.hyperplanes),
-            "midsquares_per_hyperplane": {c: len(h) for c, h in self.hyperplanes.items()},
+            # each color's 2n midsquares form one hyperplane: the bottom
+            # gluing joins the over and under midsquares of a crossing, and
+            # every edge has a side gluing in one region of each color, which
+            # joins the midsquares of that color at its two ends; the
+            # diagram is connected, so no color splits
+            "hyperplanes": 2,
+            "midsquares_per_hyperplane": {BLACK: 2 * n, WHITE: 2 * n},
             "crossing_lines": self.crossing_lines,
         }
 
     def to_json(self) -> dict:
+        counts = self.counts
         return {
             "cubes": [list(q) for q in self.cubes],
             "gluings": [{"kind": g.kind, "faces": [list(map(str, f)) for f in g.faces]}
                         for g in self.gluings],
-            "counts": self.counts,
-            "hyperplanes": {c: len(h) for c, h in self.hyperplanes.items()},
+            "counts": counts,
+            "hyperplanes": counts["midsquares_per_hyperplane"],
         }
 
     # -- vertex links -----------------------------------------------------------
@@ -378,7 +360,7 @@ def build_cubing(d: AlternatingDiagram) -> CubedComplex:
     Gluings, corrupt ones included, pair germs of one kind only, so no
     vertex or edge class mixes kinds, and an inner edge class stays in the
     region whose corners it joins.  The two hyperplanes of 2c midsquares
-    are fixed by connectivity (see _build_hyperplanes).  The Euler
+    are fixed by connectivity (see CubedComplex.counts).  The Euler
     characteristic of each boundary torus is left to boundary_cubings.
     The negative control is CubedComplex.corrupt, applied to the checked
     complex.

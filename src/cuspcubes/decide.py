@@ -172,20 +172,16 @@ def _build_witness(d: AlternatingDiagram, pp: IdealPolyhedronPair, c1: int, c2: 
 # ---------------------------------------------------------------------------
 
 def _reduce_edge_word(word: tuple[int, ...]) -> tuple[int, ...]:
-    """Greedy bigon reduction: cancel immediately repeated edge crossings.
-
-    Never increases the crossing count and terminates; reaching the true
-    minimal position is not claimed.
+    """Bigon reduction: cancel immediately repeated edge crossings, in one
+    stack pass.  Each letter is its own inverse, so the result is the one
+    reduced word; reaching the true minimal position is not claimed.
     """
-    out = list(word)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(out) - 1):
-            if out[i] == out[i + 1]:
-                del out[i:i + 2]
-                changed = True
-                break
+    out: list[int] = []
+    for e in word:
+        if out and out[-1] == e:
+            out.pop()
+        else:
+            out.append(e)
     return tuple(out)
 
 
@@ -310,8 +306,8 @@ def classify_2bridge_pair(tb, arc, mirror: bool = False) -> Verdict:
             return Verdict(VerdictKind.GENERATES_LINK_GROUP, which_tunnel="lower",
                            notes=("crossing arc in the last twist region is the lower tunnel",))
         fr = flype(tb, i, c)
-        # the image arc's endpoints are not adjacent along its region
-        # (_spot_options), so the in-region case returns a free verdict
+        # the flype search returns an image arc whose endpoints are not
+        # adjacent along its region, so the in-region case gives a free verdict
         inner = classify_alternating_pair(fr.diagram, fr.arc,
                                           build_polyhedra(fr.diagram, mirror))
         return Verdict(inner.kind, witness=inner.witness, notes=inner.notes,

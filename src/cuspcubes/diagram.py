@@ -24,6 +24,7 @@ WHITE = "white"
 Slot = tuple[int, int]  # (crossing index, slot 0..3)
 
 MAX_CROSSINGS = 10_000      # a built diagram takes about 30 KB per crossing
+MAX_FLYPE_DEPTH = 5         # longest flype chain the search tries
 
 
 def _check_size(n: int) -> None:
@@ -526,16 +527,18 @@ class TransverseArc:
 ArcSpec = CrossingArc | InRegionArc | TransverseArc
 
 
+def _joints(pairing: dict[Slot, Slot], walk: tuple[Slot, ...]) -> dict[frozenset[int], list[Slot]]:
+    """The walk slots by the crossings their edge joins, which are
+    consecutive crossings along the face."""
+    joints: dict[frozenset[int], list[Slot]] = {}
+    for h in walk:
+        joints.setdefault(frozenset((h[0], pairing[h][0])), []).append(h)
+    return joints
+
+
 def crossings_adjacent_on_region(d: AlternatingDiagram, R: Region, c1: int, c2: int) -> bool:
     """Are c1 and c2 joined by an edge of the boundary walk of R?"""
-    walk = R.boundary
-    m = len(walk)
-    for j in range(m):
-        a = walk[j][0]
-        b = walk[(j + 1) % m][0]
-        if {a, b} == {c1, c2}:
-            return True
-    return False
+    return frozenset((c1, c2)) in _joints(d.pairing, R.boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -646,8 +649,6 @@ def _pinch_flypes(d: AlternatingDiagram, c: int):
     Yields (pairing, spot edge ports) pairs; the image of the crossing arc
     at c runs between the two spot edges.
     """
-    if not is_prime(d):
-        raise DiagramError("non-prime: the flype search needs a prime diagram")
     for S, p, f_ids in _flype_disks(d, c):
         def mu(h):
             return _mirror(h, S)
@@ -678,55 +679,32 @@ def _pinch_flypes(d: AlternatingDiagram, c: int):
         yield pairing, spot
 
 
-def _spot_kinds(pairing: dict[Slot, Slot], spot) -> tuple[bool, bool]:
-    """Whether `_spot_options` would find a non-adjacent and an adjacent
-    option, read off a rewiring before it is built.
-
-    The regions holding both spot edges are faces through the first one,
-    and both ends of an edge lie on every face through it, so an option is
-    a pair of distinct ends, adjacent when they are consecutive on the face.
+def _spot_options(pairing: dict[Slot, Slot], spot):
+    """The in-region arcs the image of the crossing arc can be, read off a
+    rewiring before it is built: (walk, c1, c2, joint) for the face through
+    both spot edges and each pair of distinct ends c1, c2 of the two edges,
+    with `joint` the walk slots whose edge joins c1 and c2 (none: not
+    adjacent).  The faces through an edge are the walks from its two slots;
+    the image is prime, so no two edges share both faces and at most one
+    face holds both spot edges.  Ends come in the order the built diagram's
+    edge frozenset iterates them.
     """
     a, b = spot[0][0], spot[1][0]
-    ends_a = {a[0], pairing[a][0]}
-    ends_b = {b[0], pairing[b][0]}
-    nonadj = adj = False
-    for start in (a, pairing[a]):
-        walk = _face_walk(pairing, start)
-        if b not in walk and pairing[b] not in walk:
-            continue
-        cs = [h[0] for h in walk]
-        steps = {frozenset(pair) for pair in zip(cs, cs[1:] + cs[:1])}
-        for c1 in ends_a:
-            for c2 in ends_b:
-                if c1 != c2:
-                    if frozenset((c1, c2)) in steps:
-                        adj = True
-                    else:
-                        nonadj = True
-    return nonadj, adj
-
-
-def _spot_options(d2: AlternatingDiagram, spot):
-    ea = d2.edge_of_slot[spot[0][0]]
-    eb = d2.edge_of_slot[spot[1][0]]
-    nonadj, adj = [], []
-    for R in d2.regions:
-        if ea in R.edges and eb in R.edges:
-            for c1 in [h[0] for h in d2.edges[ea]]:
-                for c2 in [h[0] for h in d2.edges[eb]]:
-                    if c1 != c2 and c1 in R.distinct_crossings and c2 in R.distinct_crossings:
-                        if crossings_adjacent_on_region(d2, R, c1, c2):
-                            adj.append((R, c1, c2))
-                        else:
-                            nonadj.append((R, c1, c2))
-    return nonadj, adj
+    ends_a, ends_b = ([k[0] for k in frozenset(sorted((h, pairing[h])))] for h in (a, b))
+    for walk in (_face_walk(pairing, a), _face_walk(pairing, pairing[a])):
+        if b in walk or pairing[b] in walk:
+            joints = _joints(pairing, walk)
+            for c1 in ends_a:
+                for c2 in ends_b:
+                    if c1 != c2:
+                        yield walk, c1, c2, joints.get(frozenset((c1, c2)), [])
 
 
 def _diagram_key(d: AlternatingDiagram):
     return frozenset(frozenset(e) for e in d.edges)
 
 
-def flype_arc_search(d: AlternatingDiagram, c: int, max_depth: int = 5):
+def flype_arc_search(d: AlternatingDiagram, c: int):
     """Carry the crossing arc at c through flypes until its image is an
     in-region arc with endpoints not adjacent along the region boundary.
 
@@ -736,37 +714,39 @@ def flype_arc_search(d: AlternatingDiagram, c: int, max_depth: int = 5):
     search continues from there, breadth first.  Returns (diagram, arc,
     steps).
 
-    A rewiring becomes a diagram only when the search returns it or
-    expands it.
+    Only d is checked for primeness: a flype image is again prime (the
+    flyping theorem).  A rewiring becomes a diagram only when the search
+    returns it or expands it.
     """
+    if not is_prime(d):
+        raise DiagramError("non-prime: the flype search needs a prime diagram")
+
     def next_layer(followups):
         # every key of this layer enters `visited` before the caller asks
         # for the next layer, so deduplication follows the queue order
-        for pairing, spot in followups:
+        for pairing, options in followups:
             d2 = AlternatingDiagram(d.n, pairing)
             key = _diagram_key(d2)
-            for R, c1, c2 in _spot_options(d2, spot)[1]:
-                for e in R.edges:
-                    if {h[0] for h in d2.edges[e]} != {c1, c2}:
-                        continue
-                    x = arc_crossing(d2, e)
+            for *_, joint in options:
+                for h in joint:
+                    x = arc_crossing(d2, d2.edge_of_slot[h])
                     if (key, x) not in visited:
                         visited.add((key, x))
                         yield d2, x
 
     visited = {(_diagram_key(d), c)}
     layer = [(d, c)]
-    for depth in range(max_depth):
+    for depth in range(MAX_FLYPE_DEPTH):
         followups = []
         for cur, cc in layer:
             for pairing, spot in _pinch_flypes(cur, cc):
-                nonadj, adj = _spot_kinds(pairing, spot)
-                if nonadj:
-                    d2 = AlternatingDiagram(d.n, pairing)
-                    R, c1, c2 = _spot_options(d2, spot)[0][0]
-                    return d2, InRegionArc(R.index, c1, c2), depth + 1
-                elif adj:
-                    followups.append((pairing, spot))
+                options = list(_spot_options(pairing, spot))
+                for walk, c1, c2, joint in options:
+                    if not joint:
+                        d2 = AlternatingDiagram(d.n, pairing)
+                        return d2, InRegionArc(d2.region_of_slot[walk[0]], c1, c2), depth + 1
+                if options:
+                    followups.append((pairing, options))
         layer = next_layer(followups)
     raise DiagramError(f"no flype chain found for the crossing arc at {c}")
 

@@ -536,12 +536,13 @@ class NumericCertificate:
         return out
 
 
-def _float_scaled(m, tol: float) -> tuple[float, tuple[float, ...]]:
-    """(1.0, M / sqrt(det M)) for [[a, b], [c, d]] of complex numbers."""
+def _float_scaled(m) -> tuple[float, tuple[float, ...]]:
+    """(1.0, M / sqrt(det M)) for [[a, b], [c, d]] of complex numbers; a finite
+    det within its rounding, 8 * ulp(1) * (|ad| + |bc|), of 0 is singular."""
     (a, b), (c, d) = m
     a, b, c, d = complex(a), complex(b), complex(c), complex(d)
     det = a * d - b * c
-    if abs(det) < tol:
+    if cmath.isfinite(det) and abs(det) <= 8 * math.ulp(1.0) * (abs(a * d) + abs(b * c)):
         raise PingPongError("matrix is singular")
     root = cmath.sqrt(det)
     a, b, c, d = a / root, b / root, c / root, d / root
@@ -579,7 +580,7 @@ def pingpong_certificate_float(m1, m2, tol: float = 1e-12) -> NumericCertificate
         return _is_parabolic(s, lambda p, q: abs(point(p) - point(q)) < trace_tol)
 
     try:
-        verdict, _, _, pair = _decide(_float_scaled(m1, tol), _float_scaled(m2, tol),
+        verdict, _, _, pair = _decide(_float_scaled(m1), _float_scaled(m2),
                                       parabolic, near, disk, overlap)
     except OverflowError as err:
         raise PingPongError("floating-point overflow") from err

@@ -88,13 +88,13 @@ def face_transfer(pp: IdealPolyhedronPair, region) -> FaceTransfer:
 
 
 def butterfly_regions(pp: IdealPolyhedronPair, polyhedron: int, crossing: int,
-                      color: str, reverse: bool = False) -> tuple[Region, Region]:
+                      color: str) -> tuple[Region, Region]:
     """Ordered pair of same-color regions at a crossing.
 
     The two wings of the strand-rotation at a crossing are the two corner
     regions of one color; they are distinct on prime diagrams.  The default
-    order lists the lower-corner region first; the reverse flag (and the
-    pair's mirror convention) flips it, and callers may inspect both.
+    order lists the lower-corner region first; the negative copy and the
+    pair's mirror convention each flip it.
     """
     if color not in (BLACK, WHITE):
         raise PolyhedraError("color must be black or white")
@@ -102,7 +102,7 @@ def butterfly_regions(pp: IdealPolyhedronPair, polyhedron: int, crossing: int,
         raise PolyhedraError("polyhedron must be +1 or -1")
     d = pp.diagram
     pair = d.regions_at_crossing(crossing, color)
-    flip = reverse ^ pp.mirror ^ (polyhedron == NEGATIVE)
+    flip = pp.mirror ^ (polyhedron == NEGATIVE)
     if flip:
         return pair[1], pair[0]
     return pair

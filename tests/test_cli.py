@@ -227,6 +227,16 @@ class TestDecide:
         assert code == 2 and out == ""
         assert "A2 has no crossing #-1" in err
 
+    def test_long_transverse_word_fails_fast(self, capsys):
+        # a 120 KB edge word that cancels from the middle outwards
+        half = ["e1", "e2"] * 10_000
+        spec = "c0:c1:" + ",".join(half + half[::-1])
+        assert len(spec) > 120_000
+        t0 = time.perf_counter()
+        code, data = run_json(capsys, "decide", "--two-bridge", "2,2,2", "--transverse", spec)
+        assert time.perf_counter() - t0 < 1
+        assert code == 0 and data["verdict"] == "CrossingArcEquivalent"
+
     def test_long_middle_block(self, capsys):
         # the flype search builds a bounded number of diagrams however long
         # the twist region is
@@ -289,21 +299,28 @@ class TestPingpong:
         assert time.perf_counter() - t0 < 1
         assert code == 2 and out == "" and "word length" in err
 
-    def test_float_mode_env(self, capsys, monkeypatch):
+    def test_mode_env_variable_ignored(self, capsys, monkeypatch):
+        # only --mode selects float mode
         monkeypatch.setenv("CUSPCUBES_MODE", "float")
         code, data = run_json(capsys, "pingpong", "[[1,0],[4,1]]", "[[9,-16],[4,-7]]")
-        assert code == 0
-        assert data["numeric"] is True
+        assert code == 0 and "numeric" not in data
 
-    def test_float_mode_words_exit(self, capsys, monkeypatch):
+    def test_float_mode_words_exit(self, capsys):
         pair = ("[[1,0],[4,1]]", "[[9,-16],[4,-7]]")
         code, out, err = run(capsys, "pingpong", *pair, "--words", "5", "--mode", "float")
         assert code == 2 and out == "" and "exact mode" in err
-        monkeypatch.setenv("CUSPCUBES_MODE", "float")
-        code, out, err = run(capsys, "pingpong", *pair, "--words", "5")
-        assert code == 2 and out == "" and "exact mode" in err
-        code, data = run_json(capsys, "pingpong", *pair, "--words", "0")
+        code, data = run_json(capsys, "pingpong", *pair, "--words", "0", "--mode", "float")
         assert code == 0 and data["numeric"] is True
+
+    def test_float_mode_singularity_scales(self, capsys):
+        # det = 1e-14 is far below the tolerance but not a rounding of 0
+        small = '[["9/10000000","-16/10000000"],["4/10000000","-7/10000000"]]'
+        for mode in ("exact", "float"):
+            code, data = run_json(capsys, "pingpong", "[[1,0],[4,1]]", small, "--mode", mode)
+            assert code == 0 and data["verdict"] == "FreeCertified", mode
+        for m2 in ("[[0.1,0.3],[0.2,0.6]]", "[[1,2],[2,4]]"):
+            code, out, err = run(capsys, "pingpong", "[[1,0],[4,1]]", m2, "--mode", "float")
+            assert code == 2 and out == "" and "singular" in err, m2
 
     def test_float_mode_verdicts(self, capsys):
         for m2, verdict in (("[[9,-16],[4,-7]]", "FreeCertified"), ("[[1,0],[4,1]]", "Commuting")):

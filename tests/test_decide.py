@@ -1,8 +1,10 @@
+from itertools import product
+
 import pytest
 
 from cuspcubes.decide import (
-    DecideError, VerdictKind, classify_2bridge_pair, classify_alternating_pair,
-    witness_spare_region,
+    DecideError, VerdictKind, _reduce_edge_word, classify_2bridge_pair,
+    classify_alternating_pair, witness_spare_region,
 )
 from cuspcubes.diagram import (
     AlternatingDiagram, BLACK, CrossingArc, InRegionArc, TransverseArc, WHITE,
@@ -161,6 +163,24 @@ class TestTransverse:
         d = two_bridge_diagram((2, 2)).diagram
         with pytest.raises(DecideError):
             classify_alternating_pair(d, TransverseArc(0, 1, (99,)))
+
+    def test_stack_reduction_matches_greedy_loop(self):
+        def greedy(word):
+            # cancel the first repeated pair and rescan from the start
+            out = list(word)
+            changed = True
+            while changed:
+                changed = False
+                for i in range(len(out) - 1):
+                    if out[i] == out[i + 1]:
+                        del out[i:i + 2]
+                        changed = True
+                        break
+            return tuple(out)
+
+        for n in range(9):
+            for word in product(range(3), repeat=n):
+                assert _reduce_edge_word(word) == greedy(word), word
 
 
 class TestCrossingArcGeneral:

@@ -11,7 +11,7 @@ from cuspcubes.diagram import (
     two_bridge_diagram,
 )
 from cuspcubes.diagram import (
-    _diagram_key, _flype_disks, _mirror, _pinch_flypes, _spot_kinds, _spot_options,
+    _diagram_key, _flype_disks, _mirror, _pinch_flypes, _spot_options, flype_arc_search,
 )
 from cuspcubes.cubing import _UnionFind
 from conftest import diagram_corpus, twist_sequences
@@ -405,7 +405,7 @@ class TestFlypeDisks:
 
     def test_non_prime_rejected(self):
         with pytest.raises(DiagramError, match="non-prime"):
-            next(_pinch_flypes(connected_sum_of_trefoils(), 0))
+            flype_arc_search(connected_sum_of_trefoils(), 0)
 
 
 # Traces and flyped PD codes of the subset search, which the 4-cycle
@@ -571,11 +571,30 @@ def eager_trials(d, c):
                         yield j, pairing, spot
 
 
+def built_spot_options(d2, spot):
+    """The in-region arcs the image of the crossing arc can be, read off the
+    built diagram: (R, c1, c2, adjacent) for each region R holding both spot
+    edges and each pair of distinct ends c1, c2 of the two, by region index."""
+    ea = d2.edge_of_slot[spot[0][0]]
+    eb = d2.edge_of_slot[spot[1][0]]
+    out = []
+    for R in d2.regions:
+        if ea in R.edges and eb in R.edges:
+            cs = R.crossings
+            steps = {frozenset(pair) for pair in zip(cs, cs[1:] + cs[:1])}
+            for c1 in [h[0] for h in d2.edges[ea]]:
+                for c2 in [h[0] for h in d2.edges[eb]]:
+                    if c1 != c2 and c1 in R.distinct_crossings and c2 in R.distinct_crossings:
+                        out.append((R, c1, c2, frozenset((c1, c2)) in steps))
+    return out
+
+
 def eager_pinch_flypes(d, c, record):
     """Build every trial rewiring at c and filter it by strand count,
     primeness, reducedness and determinant; return the survivors as
-    (diagram, spot).  `record` collects, per built rewiring, its spot kinds
-    read both ways and its count of gear mismatches, and per call (d, c, the survivors of each flype disk as
+    (diagram, spot).  `record` collects, per built rewiring, its spot options
+    read off the pairing and off the built diagram and its count of gear
+    mismatches, and per call (d, c, the survivors of each flype disk as
     (pairing, spot) pairs)."""
     if not is_prime(d):
         raise DiagramError("non-prime: the flype search needs a prime diagram")
@@ -589,8 +608,10 @@ def eager_pinch_flypes(d, c, record):
         except DiagramError:
             continue
         record["gear_mismatches"].append(gear_mismatches(d2))
-        nonadj, adj = _spot_options(d2, spot)
-        record["spots"].append((_spot_kinds(pairing, spot), (bool(nonadj), bool(adj))))
+        record["spots"].append((
+            [(d2.region_of_slot[walk[0]], c1, c2, bool(joint))
+             for walk, c1, c2, joint in _spot_options(pairing, spot)],
+            [(R.index, c1, c2, adjacent) for R, c1, c2, adjacent in built_spot_options(d2, spot)]))
         if len(d2.strands) != strands0 or not is_prime(d2) or not is_reduced(d2):
             continue
         if fraction_determinant(d2) != det0:
@@ -610,11 +631,12 @@ def eager_flype_arc_search(d, c, record, max_depth=5):
             continue
         followups = []
         for d2, spot in eager_pinch_flypes(cur, cc, record):
-            nonadj, adj = _spot_options(d2, spot)
+            options = built_spot_options(d2, spot)
+            nonadj = [(R, c1, c2) for R, c1, c2, adjacent in options if not adjacent]
             if nonadj:
                 R, c1, c2 = nonadj[0]
                 return d2, InRegionArc(R.index, c1, c2), depth + 1
-            followups.append((d2, adj))
+            followups.append((d2, [(R, c1, c2) for R, c1, c2, _ in options]))
         for d2, adj in followups:
             if not adj:
                 continue
@@ -697,11 +719,30 @@ class TestLazyFlypeSearch:
             assert next(lazy, None) is None, (d.pd_code(), c)
         assert (kept, skipped) == (1090, 1090)
 
-    def test_spot_kinds_match_spot_options(self, eager_corpus):
+    def test_spot_options_match_built_diagram(self, eager_corpus):
+        # option for option, in order: region index, ends, adjacency
         spots = eager_corpus[1]
-        assert {want for _, want in spots} == {(True, False), (False, True), (True, True)}
+        assert len(spots) == 4360
+        kinds = {(any(not o[3] for o in want), any(o[3] for o in want)) for _, want in spots}
+        assert kinds == {(True, False), (False, True), (True, True)}
         for got, want in spots:
             assert got == want
+
+    def test_one_prime_check_per_flype(self, monkeypatch):
+        import cuspcubes.diagram as D
+        calls = []
+
+        def counted(d):
+            calls.append(d)
+            return is_prime(d)
+
+        monkeypatch.setattr(D, "is_prime", counted)
+        for seq in twist_sequences(10):
+            tb = two_bridge_diagram(seq)
+            for i in range(2, len(seq)):
+                calls.clear()
+                flype(tb, i)
+                assert calls == [tb.diagram], (seq, i)
 
     def test_closed_form_on_every_trial_diagram(self, eager_corpus):
         mismatches = eager_corpus[3]

@@ -115,7 +115,6 @@ class TestButterflyRegions:
 
     def test_order_conventions(self, fig8_pp):
         a, b = butterfly_regions(fig8_pp, POSITIVE, 0, BLACK)
-        assert butterfly_regions(fig8_pp, POSITIVE, 0, BLACK, reverse=True) == (b, a)
         assert butterfly_regions(fig8_pp, NEGATIVE, 0, BLACK) == (b, a)
 
     def test_mirror_flips_order(self, fig8):
