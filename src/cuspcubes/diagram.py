@@ -12,6 +12,7 @@ as is a raw rotation-system pairing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class DiagramError(ValueError):
@@ -75,9 +76,10 @@ class AlternatingDiagram:
     """Validated alternating diagram with regions and checkerboard coloring.
 
     Construction checks, in order: 4-valence and involutive pairing,
-    connectivity, sphericity (V - E + F = 2), alternation along every
-    strand, and properness of the 2-coloring.  The first violated
-    invariant is reported by name.
+    connectivity, sphericity (V - E + F = 2) and alternation, and reports
+    the first violated invariant by name.  A region's color is read off
+    the parity of its slots; the strands, primeness and reducedness are
+    computed on first use.
     """
 
     def __init__(self, n: int, pairing: dict[Slot, Slot]):
@@ -90,31 +92,35 @@ class AlternatingDiagram:
         slots = [(c, i) for c in range(n) for i in range(4)]
         if set(pairing) != set(slots):
             raise DiagramError("malformed: every slot must be paired exactly once")
-        for h, k in pairing.items():
-            if pairing.get(k) != h or k == h:
-                raise DiagramError("malformed: slot pairing must be a fixed-point-free involution")
         self.pairing = dict(pairing)
 
-        # edges, with ids
+        # edges, with ids.  A strand leaves crossing c through slot i + 2 and
+        # enters the next one at the slot paired with it, so consecutive
+        # passages differ in kind exactly when every edge joins an even slot
+        # to an odd one: that is alternation.
         self.edges: list[frozenset[Slot]] = []
         self.edge_of_slot: dict[Slot, int] = {}
+        alternating = True
         for h in slots:
             if h in self.edge_of_slot:
                 continue
-            eid = len(self.edges)
-            self.edges.append(frozenset((h, self.pairing[h])))
-            self.edge_of_slot[h] = eid
-            self.edge_of_slot[self.pairing[h]] = eid
+            k = self.pairing[h]
+            if self.pairing.get(k) != h or k == h:
+                raise DiagramError("malformed: slot pairing must be a fixed-point-free involution")
+            if h[1] % 2 == k[1] % 2:
+                alternating = False
+            self.edge_of_slot[h] = self.edge_of_slot[k] = len(self.edges)
+            self.edges.append(frozenset((h, k)))
 
         self._check_connected()
-        self._build_regions()
-        if len(self._walks) != self.n + 2:
+        self._build_regions(slots)
+        if len(self.regions) != self.n + 2:
             raise DiagramError(
-                f"non-planar: {self.n} crossings with {len(self._walks)} regions "
+                f"non-planar: {self.n} crossings with {len(self.regions)} regions "
                 f"(expected {self.n + 2} on the sphere)"
             )
-        self._check_alternating()
-        self._color_regions()
+        if not alternating:
+            raise DiagramError("non-alternating: consecutive passages on a strand agree")
 
     # -- construction helpers ------------------------------------------------
 
@@ -196,23 +202,35 @@ class AlternatingDiagram:
         if len(seen) != self.n:
             raise DiagramError("disconnected: the diagram graph must be connected")
 
-    def _build_regions(self) -> None:
-        walks: list[tuple[Slot, ...]] = []
+    def _build_regions(self, slots: list[Slot]) -> None:
+        # Alternation makes twin(h) flip a slot's parity and rotate flips it
+        # back, so a face's slots share one parity and the two sides of an
+        # edge differ: even faces are black, odd ones white, the face of slot
+        # (0, 0) black.  A pairing that fails alternation is refused anyway.
         self.region_of_slot: dict[Slot, int] = {}
-        for start in [(c, i) for c in range(self.n) for i in range(4)]:
+        self.regions: list[Region] = []
+        for start in slots:
             if start in self.region_of_slot:
                 continue
             walk = _face_walk(self.pairing, start)
+            idx = len(self.regions)
             for h in walk:
-                self.region_of_slot[h] = len(walks)
-            walks.append(walk)
-        self._walks = walks
+                self.region_of_slot[h] = idx
+            self.regions.append(Region(
+                index=idx,
+                color=WHITE if start[1] & 1 else BLACK,
+                boundary=walk,
+                edges=frozenset(self.edge_of_slot[h] for h in walk),
+                crossings=tuple(c for (c, _i) in walk),
+            ))
 
-    def _check_alternating(self) -> None:
-        # strand passages: entering slot i, leaving through i+2
+    @cached_property
+    def strands(self) -> list[list[tuple[int, int]]]:
+        """The link components as cycles of passages, (c, 0) under and
+        (c, 1) over, each walked from the least passage no earlier strand
+        holds: enter slot i, leave through i + 2."""
         seen = set()
-        self.strand_of_passage: dict[tuple[int, int], int] = {}
-        self.strands: list[list[tuple[int, int]]] = []
+        strands = []
         for c0 in range(self.n):
             for i0 in (0, 1):
                 if (c0, i0) in seen:
@@ -221,44 +239,41 @@ class AlternatingDiagram:
                 h = (c0, i0)
                 while True:
                     c, i = h
-                    passage = (c, i % 2)   # 0 = under diagonal, 1 = over
                     seen.update({(c, i), (c, (i + 2) % 4)})
-                    strand.append(passage)
-                    self.strand_of_passage[passage] = len(self.strands)
+                    strand.append((c, i % 2))
                     h = self.pairing[(c, (i + 2) % 4)]
                     if h == (c0, i0):
                         break
-                self.strands.append(strand)
-        for strand in self.strands:
-            kinds = [i for (_c, i) in strand]
-            for a, b in zip(kinds, kinds[1:] + kinds[:1]):
-                if a == b:
-                    raise DiagramError("non-alternating: consecutive passages on a strand agree")
+                strands.append(strand)
+        return strands
 
-    def _color_regions(self) -> None:
-        colors: dict[int, str] = {self.region_of_slot[(0, 0)]: BLACK}
-        stack = [self.region_of_slot[(0, 0)]]
-        adj: dict[int, set[int]] = {i: set() for i in range(len(self._walks))}
-        for h in self.pairing:
-            adj[self.region_of_slot[h]].add(self.region_of_slot[self.pairing[h]])
-        while stack:
-            f = stack.pop()
-            for g in adj[f]:
-                want = WHITE if colors[f] == BLACK else BLACK
-                if g not in colors:
-                    colors[g] = want
-                    stack.append(g)
-                elif colors[g] != want:
-                    raise DiagramError("coloring: the checkerboard 2-coloring is not proper")
-        self.regions: list[Region] = []
-        for idx, walk in enumerate(self._walks):
-            self.regions.append(Region(
-                index=idx,
-                color=colors[idx],
-                boundary=walk,
-                edges=frozenset(self.edge_of_slot[h] for h in walk),
-                crossings=tuple(c for (c, _i) in walk),
-            ))
+    @cached_property
+    def strand_of_passage(self) -> dict[tuple[int, int], int]:
+        """The index in `strands` of each passage's strand."""
+        return {passage: k for k, strand in enumerate(self.strands) for passage in strand}
+
+    @cached_property
+    def prime(self) -> bool:
+        """No simple loop meets the diagram twice with crossings on both sides.
+
+        Equivalent combinatorial form (a diagram has at least one crossing):
+        no two distinct edges share the same unordered pair of side regions (such a
+        pair supports the splitting loop, and both sides then contain a
+        crossing because the cut edge-pieces end at crossings).
+        """
+        seen: set[tuple[int, int]] = set()
+        for eid in range(len(self.edges)):
+            a, b = self.edge_sides(eid)
+            key = (min(a, b), max(a, b))
+            if key in seen:
+                return False
+            seen.add(key)
+        return True
+
+    @cached_property
+    def reduced(self) -> bool:
+        """No nugatory crossings: no crossing occurs twice on one region boundary."""
+        return all(len(set(R.crossings)) == len(R.crossings) for R in self.regions)
 
     # -- queries ---------------------------------------------------------
 
@@ -296,29 +311,13 @@ class AlternatingDiagram:
 # ---------------------------------------------------------------------------
 
 def is_prime(d: AlternatingDiagram) -> bool:
-    """No simple loop meets the diagram twice with crossings on both sides.
-
-    Equivalent combinatorial form (a diagram has at least one crossing):
-    no two distinct edges share the same unordered pair of side regions (such a
-    pair supports the splitting loop, and both sides then contain a
-    crossing because the cut edge-pieces end at crossings).
-    """
-    seen: set[tuple[int, int]] = set()
-    for eid in range(len(d.edges)):
-        a, b = d.edge_sides(eid)
-        key = (min(a, b), max(a, b))
-        if key in seen:
-            return False
-        seen.add(key)
-    return True
+    """Is d prime?  `AlternatingDiagram.prime`, scanned once per diagram."""
+    return d.prime
 
 
 def is_reduced(d: AlternatingDiagram) -> bool:
-    """No nugatory crossings: no crossing occurs twice on one region boundary."""
-    for R in d.regions:
-        if len(set(R.crossings)) != len(R.crossings):
-            return False
-    return True
+    """Is d reduced?  `AlternatingDiagram.reduced`, scanned once per diagram."""
+    return d.reduced
 
 
 def region_adjacent(d: AlternatingDiagram, r1: int | Region, r2: int | Region) -> bool:

@@ -128,6 +128,24 @@ class TestCubing:
             code, out, err = run(capsys, "cubing", "--pd", str(f))
             assert code == 2 and out == "" and err.startswith("error: malformed:"), text
 
+    def test_named_construction_errors_exit(self, capsys, tmp_path):
+        # a rotation file failing one construction check: exit 2 with the
+        # check's name and no traceback, from cubing and decide alike
+        rotations = {
+            "disconnected": [[[0, 0], [1, 1]], [[0, 1], [1, 0]], [[0, 2], [1, 3]], [[0, 3], [1, 2]],
+                             [[2, 0], [3, 1]], [[2, 1], [3, 0]], [[2, 2], [3, 3]], [[2, 3], [3, 2]]],
+            "non-planar": [[[0, 0], [0, 2]], [[0, 1], [0, 3]]],
+            "non-alternating": [[[0, 0], [2, 0]], [[0, 1], [1, 3]], [[0, 2], [1, 2]],
+                                [[0, 3], [2, 1]], [[1, 0], [2, 3]], [[1, 1], [2, 2]]],
+        }
+        f = tmp_path / "bad.json"
+        for name, pairs in rotations.items():
+            f.write_text(json.dumps({"rotation": pairs}))
+            for cmd in (["cubing"], ["decide", "--crossing-arc", "c0"]):
+                code, out, err = run(capsys, *cmd, "--pd", str(f))
+                assert code == 2 and out == "", (name, cmd)
+                assert err.startswith(f"error: {name}: ") and err.count("\n") == 1, (name, cmd)
+
     def test_pd_file_and_emit(self, capsys, tmp_path, corpus):
         pd = {"pd": [list(x) for x in corpus["C2_2"].pd_code()]}
         f = tmp_path / "fig8.json"

@@ -11,6 +11,7 @@ from cuspcubes.cubing import (
 from cuspcubes.diagram import (
     AlternatingDiagram, pretzel_diagram, region_adjacent, two_bridge_diagram,
 )
+from diagram_oracles import walked_diagram
 
 GOLDEN = Path(__file__).parent / "data" / "corrupt_npc_golden.json"
 
@@ -344,6 +345,16 @@ class TestBoundary:
             assert len(tori) == len(d.strands), name
             assert all(t.euler == 0 for t in tori), name
             assert sum(len(t.squares) for t in tori) == 2 * d.crossing_count, name
+
+    def test_tori_follow_walked_strands(self, corpus):
+        # one torus per strand of the strand walk, in its order, holding the
+        # outer squares of the strand's passages by crossing
+        for name, d in corpus.items():
+            _colors, strands, _passages = walked_diagram(d.n, d.pairing)
+            tori = boundary_cubings(build_cubing(d))
+            assert [t.component for t in tori] == list(range(len(strands))), name
+            assert [t.squares for t in tori] == [
+                [(c, PASSAGES[i]) for c, i in sorted(strand)] for strand in strands], name
 
     def test_meridian_diagonals_close_up(self, corpus):
         # each marked diagonal has both ends on one vertex class: a loop

@@ -1,7 +1,11 @@
+from collections import Counter
+from functools import cached_property
 from itertools import product
+import json
 
 import pytest
 
+from cuspcubes.cli import main
 from cuspcubes.decide import (
     DecideError, VerdictKind, _reduce_edge_word, classify_2bridge_pair,
     classify_alternating_pair, witness_spare_region,
@@ -284,3 +288,51 @@ class TestVerdictShape:
         v = classify_alternating_pair(d, TransverseArc(1, 1, (2, 2)))
         assert v.kind == VerdictKind.INESSENTIAL
         assert v.notes
+
+
+def decide_commands(tmp_path):
+    """decide on an interior crossing arc, which a flype moves, and on an
+    in-region arc of a diagram read from a file."""
+    d = two_bridge_diagram((3, 3)).diagram
+    R, a, b = separated_pair(d)
+    f = tmp_path / "d.json"
+    f.write_text(json.dumps({"pd": [list(x) for x in d.pd_code()]}))
+    return (["decide", "--two-bridge", "4,4,4,4,4", "--crossing-arc", "A3:0"],
+            ["decide", "--pd", str(f), "--in-region", f"R{R.index}:c{a}:c{b}"])
+
+
+class TestWorkOnUse:
+    def test_strands_not_walked(self, capsys, monkeypatch, tmp_path):
+        init = AlternatingDiagram.__init__
+        built = []
+
+        def recording(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(AlternatingDiagram, "__init__", recording)
+        for argv in decide_commands(tmp_path):
+            built.clear()
+            assert main(argv) == 0, argv
+            assert built, argv
+            for d in built:
+                assert "strands" not in d.__dict__ and "strand_of_passage" not in d.__dict__, argv
+
+    def test_each_scan_once_per_diagram(self, capsys, monkeypatch, tmp_path):
+        # build_polyhedra and the classifier both ask whether the diagram is
+        # prime; the scan runs for the first of them only
+        scans = []
+        for name in ("prime", "reduced"):
+            def counted(d, scan=getattr(AlternatingDiagram, name).func, name=name):
+                scans.append((name, d))
+                return scan(d)
+
+            prop = cached_property(counted)
+            prop.__set_name__(AlternatingDiagram, name)
+            monkeypatch.setattr(AlternatingDiagram, name, prop)
+        for argv in decide_commands(tmp_path):
+            scans.clear()
+            assert main(argv) == 0, argv
+            counts = Counter((name, id(d)) for name, d in scans)
+            assert {name for name, _ in counts} == {"prime", "reduced"}, argv
+            assert max(counts.values()) == 1, argv

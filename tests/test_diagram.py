@@ -1,7 +1,10 @@
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
 from cuspcubes.diagram import (
@@ -15,6 +18,7 @@ from cuspcubes.diagram import (
 )
 from cuspcubes.cubing import _UnionFind
 from conftest import diagram_corpus, twist_sequences
+from diagram_oracles import built_diagram, outcome, read_off, walked_diagram
 from gear_oracles import closed_form_classes, edge_arc_classes
 
 TREFOIL_PD = [(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)]
@@ -93,10 +97,23 @@ class TestConstruction:
                 AlternatingDiagram.from_json(obj)
 
     def test_non_alternating_rejected(self):
-        # pairing opposite ports of the same crossing onto one edge makes a
-        # strand meet itself over/over
-        with pytest.raises(DiagramError):
+        # the trefoil with crossing 0 switched: planar, and a strand passes
+        # over twice in a row
+        with pytest.raises(DiagramError, match="^non-alternating: consecutive passages on a strand agree$"):
+            AlternatingDiagram.from_pd([(5, 1, 4, 2), (3, 6, 4, 1), (5, 2, 6, 3)])
+
+    def test_non_planar_rejected(self):
+        # pairing opposite ports of the same crossing onto one edge leaves too
+        # few faces for the sphere; both pairings also fail alternation, which
+        # is checked after planarity
+        with pytest.raises(DiagramError, match=r"^non-planar: 2 crossings with 2 regions \(expected 4 on the sphere\)$"):
             AlternatingDiagram.from_pd([(1, 2, 1, 3), (2, 4, 3, 4)])
+        with pytest.raises(DiagramError, match=r"^non-planar: 1 crossings with 1 regions \(expected 3 on the sphere\)$"):
+            AlternatingDiagram(1, {(0, 0): (0, 2), (0, 2): (0, 0), (0, 1): (0, 3), (0, 3): (0, 1)})
+
+    def test_disconnected_rejected(self):
+        with pytest.raises(DiagramError, match="^disconnected: the diagram graph must be connected$"):
+            AlternatingDiagram.from_pd(HOPF_PD + [(5, 7, 6, 8), (7, 5, 8, 6)])
 
     def test_json_roundtrip(self):
         d = two_bridge_diagram((3, 2)).diagram
@@ -115,6 +132,60 @@ class TestConstruction:
             for eid in range(len(d.edges)):
                 a, b = d.edge_sides(eid)
                 assert {d.regions[a].color, d.regions[b].color} == {BLACK, WHITE}, name
+
+
+MUTATED = diagram_corpus()
+
+
+def turned(pairing, c):
+    """The pairing with the slots of crossing c turned by one position."""
+    def turn(h):
+        return (c, (h[1] + 1) % 4) if h[0] == c else h
+    return {turn(h): turn(k) for h, k in pairing.items()}
+
+
+def spliced(d, e1, e2, cross):
+    """The pairing with edges {a, b} = e1 and {x, y} = e2 reconnected as
+    {a, y}, {x, b}, or as {a, x}, {b, y} when `cross`."""
+    (a, b), (x, y) = sorted(d.edges[e1]), sorted(d.edges[e2])
+    pairing = dict(d.pairing)
+    for h, k in ((a, x), (b, y)) if cross else ((a, y), (x, b)):
+        pairing[h] = k
+        pairing[k] = h
+    return pairing
+
+
+class TestParityOracle:
+    """Colors from slot parity and alternation as edge parity, against the
+    strand walk and the depth-first coloring of `diagram_oracles`."""
+
+    def test_corpus_twist_sequences_and_pretzels(self, corpus):
+        diagrams = list(corpus.values())
+        diagrams += [two_bridge_diagram(seq).diagram for seq in twist_sequences(12)]
+        diagrams += [pretzel_diagram(*t) for k in (2, 3, 4) for t in product(range(1, 5), repeat=k)]
+        assert len(diagrams) == 13 + 1013 + 336
+        for d in diagrams:
+            assert read_off(d) == walked_diagram(d.n, d.pairing), d.pd_code()
+
+    def test_eager_flype_trials(self, eager_corpus):
+        # every trial rewiring, those the constructor refuses included
+        trials = eager_corpus[4]
+        assert sum(built for built, _agree in trials) == 4360
+        assert all(agree for _built, agree in trials)
+
+    @settings(max_examples=400)
+    @given(st.data())
+    def test_mutated_pairings(self, data):
+        # one crossing turned by one slot, or two edges spliced: the
+        # constructor accepts what the oracle accepts, reads the same colors
+        # and strands off it, and otherwise raises the same first error
+        d = MUTATED[data.draw(st.sampled_from(sorted(MUTATED)))]
+        if data.draw(st.booleans()):
+            pairing = turned(d.pairing, data.draw(st.integers(0, d.n - 1)))
+        else:
+            edge = st.integers(0, len(d.edges) - 1)
+            pairing = spliced(d, data.draw(edge), data.draw(edge), data.draw(st.booleans()))
+        assert outcome(built_diagram, d.n, pairing) == outcome(walked_diagram, d.n, pairing)
 
 
 class TestPrimeReduced:
@@ -594,7 +665,8 @@ def eager_pinch_flypes(d, c, record):
     primeness, reducedness and determinant; return the survivors as
     (diagram, spot).  `record` collects, per built rewiring, its spot options
     read off the pairing and off the built diagram and its count of gear
-    mismatches, and per call (d, c, the survivors of each flype disk as
+    mismatches, per trial rewiring (built, agrees with the strand-walk
+    oracle), and per call (d, c, the survivors of each flype disk as
     (pairing, spot) pairs)."""
     if not is_prime(d):
         raise DiagramError("non-prime: the flype search needs a prime diagram")
@@ -603,10 +675,13 @@ def eager_pinch_flypes(d, c, record):
     disks = [[] for _ in _flype_disks(d, c)]
     out = []
     for j, pairing, spot in eager_trials(d, c):
+        walked = outcome(walked_diagram, d.n, pairing)
         try:
             d2 = AlternatingDiagram(d.n, pairing)
-        except DiagramError:
+        except DiagramError as err:
+            record["oracle"].append((False, str(err) == walked))
             continue
+        record["oracle"].append((True, read_off(d2) == walked))
         record["gear_mismatches"].append(gear_mismatches(d2))
         record["spots"].append((
             [(d2.region_of_slot[walk[0]], c1, c2, bool(joint))
@@ -662,11 +737,13 @@ def eager_corpus():
 
     Returns per region (seq, i, eager outcome), per trial rewiring the
     eager search built its spot kinds read both ways, per
-    `eager_pinch_flypes` call the survivors of each flype disk, and per
-    built trial rewiring its count of gear mismatches.
+    `eager_pinch_flypes` call the survivors of each flype disk, per
+    built trial rewiring its count of gear mismatches, and per trial
+    rewiring whether the constructor built it and whether it agreed with
+    `diagram_oracles.walked_diagram`.
     """
     regions = []
-    record = {"spots": [], "calls": [], "gear_mismatches": []}
+    record = {"spots": [], "calls": [], "gear_mismatches": [], "oracle": []}
     for seq in twist_sequences(10) + [(2, 16, 2), (4, 4, 4, 4, 4), (5, 5, 5, 5), (5, 5, 5, 5, 5)]:
         tb = two_bridge_diagram(seq)
         for i in range(2, len(seq)):
@@ -675,7 +752,7 @@ def eager_corpus():
             except DiagramError as err:
                 out = str(err)
             regions.append((seq, i, out))
-    return regions, record["spots"], record["calls"], record["gear_mismatches"]
+    return regions, record["spots"], record["calls"], record["gear_mismatches"], record["oracle"]
 
 
 def relabel_at(pairing, c):
