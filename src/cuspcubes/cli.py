@@ -115,7 +115,13 @@ def _cubing_report(cx, with_tori: bool = True) -> dict:
 
 
 def cmd_cubing(args) -> int:
+    if args.jobs < 1:
+        raise DiagramError(f"--jobs must be at least 1, got {args.jobs}")
     if args.corpus:
+        # the flags of a single diagram would be silently dropped
+        for flag in ("pd", "two_bridge", "corrupt", "emit_complex"):
+            if getattr(args, flag) is not None:
+                raise DiagramError(f"--corpus cannot be combined with --{flag.replace('_', '-')}")
         return _run_corpus(args, lambda d: _cubing_report(CB.build_cubing(d)))
     cx = CB.build_cubing(_plain_diagram(args))
     if args.corrupt is not None:

@@ -12,6 +12,11 @@ Derived structure is computed by closing the gluings: two inner vertices,
 one inner edge per region, two hyperplanes meeting along one axis class
 per crossing, and geometric vertex links whose flagness witnesses
 non-positive curvature.
+
+Germs have dense ids.  Cube q = 2c + s (s = 0 under, 1 over) holds vertex
+germs 8q + 2p + (0 "bc", 1 "tc") at port p, edge germs 12q + 3p + (0 "ve",
+1 "be", 2 "te") and faces 6q + k (side k < 4, top 4, bottom 5).  Names such
+as ("bc", c, "over", p) are decoded only for output.
 """
 
 from __future__ import annotations
@@ -28,10 +33,53 @@ class CubingError(ValueError):
 
 OVER, UNDER = "over", "under"
 PASSAGES = (UNDER, OVER)
+# germ kind -> (germs per cube, id step per port, offset)
+_LAYOUT = {"bc": (8, 2, 0), "tc": (8, 2, 1), "ve": (12, 3, 0), "be": (12, 3, 1),
+           "te": (12, 3, 2), "side": (6, 1, 0), "top": (6, 0, 4), "bottom": (6, 0, 5)}
 
 
-def _passage_of_port(p: int) -> str:
-    return UNDER if p % 2 == 0 else OVER
+def germ_id(name: tuple) -> int:
+    """The id of a vertex germ, an edge germ or a square face, by name."""
+    per_cube, step, offset = _LAYOUT[name[0]]
+    port = name[3] if len(name) > 3 else 0
+    return (2 * name[1] + PASSAGES.index(name[2])) * per_cube + step * port + offset
+
+
+def vertex_name(g: int) -> tuple:
+    q, r = divmod(g, 8)
+    return ("bc", "tc")[r & 1], q >> 1, PASSAGES[q & 1], r >> 1
+
+
+def edge_name(g: int) -> tuple:
+    q, r = divmod(g, 12)
+    p, kind = divmod(r, 3)
+    return ("ve", "be", "te")[kind], q >> 1, PASSAGES[q & 1], p
+
+
+def face_name(f: int) -> tuple:
+    q, k = divmod(f, 6)
+    c, s = q >> 1, PASSAGES[q & 1]
+    return ("side", c, s, k) if k < 4 else (("top", "bottom")[k - 4], c, s)
+
+
+def _square_corner(k: int, i: int) -> tuple:
+    """Corner i (0..3) of face k of a cube: its corner germ and its two edge
+    germs along the face, as offsets within the cube.  A side face k < 4
+    has corners at ports k and k + 1, on the bottom then on the top; the
+    top (k = 4) or bottom (k = 5) face has corner i at port i.
+    """
+    if k < 4:
+        kind, p = i // 2, (k + i % 2) % 4
+        return 2 * p + kind, 3 * k + 1 + kind, 3 * p
+    kind = 5 - k
+    return 2 * i + kind, 3 * ((i - 1) % 4) + 1 + kind, 3 * i + 1 + kind
+
+
+_SQUARE_CORNERS = tuple(tuple(_square_corner(k, i) for i in range(4)) for k in range(6))
+# the edge germs at corner germ 2p + kind of a cube: the flat edges on
+# either side of port p and the vertical edge at p
+_CORNER_EDGES = tuple((3 * ((p - 1) % 4) + 1 + kind, 3 * p + 1 + kind, 3 * p)
+                      for p in range(4) for kind in (0, 1))
 
 
 @dataclass(frozen=True)
@@ -39,9 +87,9 @@ class Gluing:
     """One identification of two square faces, with its germ matching."""
 
     kind: str                       # "bottom" or "side"
-    faces: tuple
-    vertex_pairs: tuple             # pairs of corner germs
-    edge_pairs: tuple               # pairs of edge germs
+    faces: tuple                    # face ids
+    vertex_pairs: tuple             # pairs of corner germ ids
+    edge_pairs: tuple               # pairs of edge germ ids
 
 
 @dataclass
@@ -70,46 +118,46 @@ def is_flag(lk: VertexLink) -> bool:
     if lk.problems:
         raise CubingError(f"link of {lk.vertex} is not simplicial: {lk.problems[0]}")
     adj = {v: set() for v in lk.vertices}
-    for e in lk.edges:
-        a, b = e
+    for a, b in lk.edges:
         adj[a].add(b)
         adj[b].add(a)
-    for e in lk.edges:
-        a, b = e
+    triangles = lk.triangles
+    for a, b in lk.edges:
         common = adj[a] & adj[b]
         for c in common:
-            if e | {c} not in lk.triangles or common & adj[c]:
+            if frozenset((a, b, c)) not in triangles or not common.isdisjoint(adj[c]):
                 return False
     return True
 
 
 class _UnionFind:
-    def __init__(self):
-        self.parent = {}
+    """Union-find on the ids 0..size-1."""
 
-    def add(self, x):
-        self.parent.setdefault(x, x)
+    def __init__(self, size: int):
+        self.parent = list(range(size))
 
-    def find(self, x):
+    def find(self, x: int) -> int:
         p = self.parent
         while p[x] != x:
             p[x] = p[p[x]]
             x = p[x]
         return x
 
-    def union(self, a, b):
+    def union(self, a: int, b: int) -> None:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self.parent[ra] = rb
 
     def classes(self) -> dict:
-        """Root -> members, both in first-seen order.  Every element's
-        parent is left at its root, so `parent` is then the element ->
-        class map."""
+        """Root -> members, both in id order.  Every element's parent is
+        left at its root, so `parent` is then the element -> class map."""
         out = {}
         parent = self.parent
-        for x in parent:
-            root = parent[x] = self.find(x)
+        for x in range(len(parent)):
+            root = parent[x]
+            while parent[root] != root:
+                root = parent[root]
+            parent[x] = root
             out.setdefault(root, []).append(x)
         return out
 
@@ -117,21 +165,6 @@ class _UnionFind:
 def _swap_partners(pairs: tuple) -> tuple:
     """Pairs 2i and 2i + 1 exchange their second members."""
     return tuple((a, pairs[i ^ 1][1]) for i, (a, _b) in enumerate(pairs))
-
-
-def _square_corner(face: tuple, i: int) -> tuple:
-    """Corner i (0..3) of a square face: its germ and its two edge germs
-    along the face.  A side face k has corners at ports k and k + 1, on
-    the bottom then on the top; a bottom or top face has corner i at port i.
-    """
-    c, s = face[1], face[2]
-    if face[0] == "side":
-        k = face[3]
-        ck, flat = ("bc", "be") if i < 2 else ("tc", "te")
-        p = (k + i % 2) % 4
-        return (ck, c, s, p), (flat, c, s, k), ("ve", c, s, p)
-    ck, flat = ("bc", "be") if face[0] == "bottom" else ("tc", "te")
-    return (ck, c, s, i), (flat, c, s, (i - 1) % 4), (flat, c, s, i)
 
 
 class CubedComplex:
@@ -150,38 +183,31 @@ class CubedComplex:
 
     # -- gluing construction -----------------------------------------------
 
-    def _corner_of_port(self, c: int, p: int, region: Region) -> int:
-        """The corner k = p or p - 1 beside port p that lies in `region`,
-        one of the two regions flanking the port's edge."""
-        return p if self.diagram.corner_region(c, p).index == region.index else (p - 1) % 4
-
     def _build_gluings(self) -> None:
         d = self.diagram
-        gluings: list[Gluing] = []
-        for c in range(d.n):
-            vertex_pairs = tuple((("bc", c, OVER, p), ("bc", c, UNDER, p)) for p in range(4))
-            edge_pairs = tuple((("be", c, OVER, k), ("be", c, UNDER, k)) for k in range(4))
-            gluings.append(Gluing("bottom", (("bottom", c, OVER), ("bottom", c, UNDER)),
-                                  vertex_pairs, edge_pairs))
-        for eid in range(len(d.edges)):
-            (c1, p1), (c2, p2) = tuple(d.edges[eid])
-            s1, s2 = _passage_of_port(p1), _passage_of_port(p2)
+        region_of_slot = d.region_of_slot
+        # cube 2c + 1 (over) meets cube 2c (under) along their bottom faces
+        gluings = [Gluing("bottom", (12 * c + 11, 12 * c + 5),
+                          tuple((16 * c + 8 + 2 * p, 16 * c + 2 * p) for p in range(4)),
+                          tuple((24 * c + 13 + 3 * k, 24 * c + 1 + 3 * k) for k in range(4)))
+                   for c in range(d.n)]
+        for eid, ((c1, p1), (c2, p2)) in enumerate(d.edges):
+            q1, q2 = 2 * c1 + (p1 & 1), 2 * c2 + (p2 & 1)
             for rid in set(d.edge_sides(eid)):
-                R = d.regions[rid]
-                k1 = self._corner_of_port(c1, p1, R)
-                k2 = self._corner_of_port(c2, p2, R)
+                # at each end, the corner k beside the port that lies in the
+                # region, and the far port of the side face k
+                k1 = p1 if region_of_slot[(c1, (p1 + 1) % 4)] == rid else (p1 - 1) % 4
+                k2 = p2 if region_of_slot[(c2, (p2 + 1) % 4)] == rid else (p2 - 1) % 4
                 far1 = k1 if k1 != p1 else (k1 + 1) % 4
                 far2 = k2 if k2 != p2 else (k2 + 1) % 4
-                vert = ((("bc", c1, s1, p1), ("bc", c2, s2, far2)),
-                        (("bc", c1, s1, far1), ("bc", c2, s2, p2)),
-                        (("tc", c1, s1, p1), ("tc", c2, s2, far2)),
-                        (("tc", c1, s1, far1), ("tc", c2, s2, p2)))
-                edge_pairs = ((("be", c1, s1, k1), ("be", c2, s2, k2)),
-                              (("te", c1, s1, k1), ("te", c2, s2, k2)),
-                              (("ve", c1, s1, p1), ("ve", c2, s2, far2)),
-                              (("ve", c1, s1, far1), ("ve", c2, s2, p2)))
-                gluings.append(Gluing("side", (("side", c1, s1, k1), ("side", c2, s2, k2)),
-                                      vert, edge_pairs))
+                port1, f1 = 8 * q1 + 2 * p1, 8 * q1 + 2 * far1
+                port2, f2 = 8 * q2 + 2 * p2, 8 * q2 + 2 * far2
+                flat1, flat2 = 12 * q1 + 3 * k1 + 1, 12 * q2 + 3 * k2 + 1
+                gluings.append(Gluing(
+                    "side", (6 * q1 + k1, 6 * q2 + k2),
+                    ((port1, f2), (f1, port2), (port1 + 1, f2 + 1), (f1 + 1, port2 + 1)),
+                    ((flat1, flat2), (flat1 + 1, flat2 + 1),
+                     (12 * q1 + 3 * p1, 12 * q2 + 3 * far2), (12 * q1 + 3 * far1, 12 * q2 + 3 * p2))))
         self.gluings = gluings
 
     def corrupt(self, k: int) -> CubedComplex:
@@ -203,20 +229,8 @@ class CubedComplex:
     # -- class closure -------------------------------------------------------
 
     def _close_classes(self) -> None:
-        d = self.diagram
-        n = d.n
-        vtx, edg, sqr = _UnionFind(), _UnionFind(), _UnionFind()
-        for c in range(n):
-            for s in PASSAGES:
-                for p in range(4):
-                    vtx.add(("bc", c, s, p))
-                    vtx.add(("tc", c, s, p))
-                    edg.add(("ve", c, s, p))
-                    edg.add(("be", c, s, p))
-                    edg.add(("te", c, s, p))
-                    sqr.add(("side", c, s, p))
-                sqr.add(("top", c, s))
-                sqr.add(("bottom", c, s))
+        d, n = self.diagram, self.diagram.n
+        vtx, edg, sqr = _UnionFind(16 * n), _UnionFind(24 * n), _UnionFind(12 * n)
         for g in self.gluings:
             sqr.union(*g.faces)
             for a, b in g.vertex_pairs:
@@ -224,43 +238,41 @@ class CubedComplex:
             for a, b in g.edge_pairs:
                 edg.union(a, b)
         vclasses, eclasses = vtx.classes(), edg.classes()
-        # classes() leaves each germ's parent at its root: the germ -> class maps
-        self._vroot, self._eroot = vtx.parent, edg.parent
-        self.inner_vertices = sorted(
-            (root for root, members in vclasses.items() if members[0][0] == "bc"),
-            key=lambda r: str(r))
-        self.boundary_vertices = sorted(
-            (root for root, members in vclasses.items() if members[0][0] == "tc"),
-            key=lambda r: str(r))
+        # classes() leaves each germ's parent at its root: the germ -> class
+        # maps.  A root has its class's kind, an inner edge root its region.
+        vroot = self._vroot = vtx.parent
+        self._eroot = edg.parent
+        names = {v: vertex_name(v) for v in vclasses}
+        # inner vertices (bottom corners, even ids) first, each part by name
+        self._vertex_ids = sorted(vclasses, key=lambda v: (v & 1, str(names[v])))
+        self.inner_vertices = [names[v] for v in self._vertex_ids if not v & 1]
+        self.boundary_vertices = [names[v] for v in self._vertex_ids if v & 1]
 
-        self.inner_edges = {}
-        self.vertical_edges = []
-        self.boundary_edges = []
-        for root, members in eclasses.items():
-            kind, c, _s, k = members[0]
-            if kind == "be":
-                self.inner_edges[root] = d.corner_region(c, k).index
-            elif kind == "ve":
-                self.vertical_edges.append(root)
+        self.inner_edges, self.vertical_edges, self.boundary_edges = {}, [], []
+        for root in eclasses:
+            q, r = divmod(root, 12)
+            if r % 3 == 1:
+                self.inner_edges[root] = d.corner_region(q >> 1, r // 3).index
             else:
-                self.boundary_edges.append(root)
+                (self.vertical_edges if r % 3 == 0 else self.boundary_edges).append(root)
         self.region_edge = {rid: root for root, rid in self.inner_edges.items()}
 
         self.boundary_squares = [("top", c, s) for c in range(n) for s in PASSAGES]
 
         # the corner germs and the square corners at each vertex, for its
         # link; a square class is named by its first face, and a square
-        # corner by that face and the corner's index on it
-        links = self._links = {v: (vclasses[v], []) for v in self.vertices()}
-        vroot = self._vroot
+        # corner is filed with that face, its corner germ and its two edges
+        links = self._links = {v: (members, []) for v, members in vclasses.items()}
         interior = lines = 0
         for members in sqr.classes().values():
             face = members[0]
-            interior += face[0] != "top" or len(members) > 1
+            q, k = divmod(face, 6)
+            interior += k != 4 or len(members) > 1
             # the two half-axes of a crossing arc meet at its glued bottom faces
-            lines += all(f[0] == "bottom" for f in members)
-            for i in range(4):
-                links[vroot[_square_corner(face, i)[0]]][1].append((face, i))
+            lines += all(f % 6 == 5 for f in members)
+            for corner, ea, eb in _SQUARE_CORNERS[k]:
+                g = 8 * q + corner
+                links[vroot[g]][1].append((face, g, 12 * q + ea, 12 * q + eb))
         self.interior_squares, self.crossing_lines = interior, lines
 
     # -- reports ---------------------------------------------------------------
@@ -292,7 +304,7 @@ class CubedComplex:
         counts = self.counts
         return {
             "cubes": [list(q) for q in self.cubes],
-            "gluings": [{"kind": g.kind, "faces": [list(map(str, f)) for f in g.faces]}
+            "gluings": [{"kind": g.kind, "faces": [list(map(str, face_name(f))) for f in g.faces]}
                         for g in self.gluings],
             "counts": counts,
             "hyperplanes": counts["midsquares_per_hyperplane"],
@@ -304,48 +316,50 @@ class CubedComplex:
         return list(self.inner_vertices) + list(self.boundary_vertices)
 
     def vertex_link(self, v) -> VertexLink:
-        """Simplicial complex of cube corners at a vertex class.
+        """Simplicial complex of cube corners at a vertex class: `_link`
+        with its vertex and directions named.  At the two inner vertices
+        this is the dual of the diagram with the dual region around each
+        crossing subdivided by a cone point."""
+        lk = self._link(germ_id(v))
+        name = {x: edge_name(x) for x in lk.vertices}
+        edges, triangles = ({frozenset(name[x] for x in s) for s in simplices}
+                            for simplices in (lk.edges, lk.triangles))
+        return VertexLink(v, tuple(sorted(name.values(), key=str)), edges, triangles, lk.problems)
 
-        For the two inner vertices this is the sphere obtained from the
-        dual of the diagram by subdividing the dual region around each
-        crossing, with one cone point per crossing.  It is built from the
-        corner germs and square corners filed under v by the class closure.
-        """
+    def _link(self, v: int) -> VertexLink:
+        """The link of vertex class v with edge class ids for directions,
+        built from the corner germs and square corners that the class
+        closure filed under v."""
         eroot = self._eroot
         corners, square_corners = self._links[v]
         problems = []
-        triangles = {}                  # simplex -> the corner it came from
-        for ck, c, s, p in corners:
-            flat = "be" if ck == "bc" else "te"
-            dirs = {eroot[(flat, c, s, (p - 1) % 4)],
-                    eroot[(flat, c, s, p)],
-                    eroot[("ve", c, s, p)]}
-            if len(dirs) != 3:
+        triangles = {}                  # simplex -> the corner germ it came from
+        for g in corners:
+            base = 12 * (g >> 3)
+            x, y, z = _CORNER_EDGES[g & 7]
+            t = frozenset((eroot[base + x], eroot[base + y], eroot[base + z]))
+            if len(t) != 3:
+                _kind, c, s, p = vertex_name(g)
                 problems.append(f"degenerate corner of cube ({c},{s}) at port {p}")
                 continue
-            t = frozenset(dirs)
             if t in triangles:
-                problems.append(f"corner of cube ({c},{s}) repeats the simplex of {triangles[t]}")
-            triangles[t] = (c, s, p)
+                _kind, c, s, _p = vertex_name(g)
+                problems.append(f"corner of cube ({c},{s}) repeats the simplex of "
+                                f"{vertex_name(triangles[t])[1:]}")
+            triangles[t] = g
         edges = {}                      # simplex -> the square class it came from
-        for face, i in square_corners:
-            corner, ea, eb = _square_corner(face, i)
+        for face, g, ea, eb in square_corners:
             pair = frozenset((eroot[ea], eroot[eb]))
             if len(pair) != 2:
-                problems.append(f"square {face} pinches at {corner}")
+                problems.append(f"square {face_name(face)} pinches at {vertex_name(g)}")
                 continue
             if edges.get(pair, face) != face:
-                problems.append(f"double edge between {sorted(map(str, pair))}")
+                problems.append(f"double edge between {sorted(str(edge_name(x)) for x in pair)}")
             edges[pair] = face
-        for t in triangles:
-            problems += ["triangle with a missing edge"
-                         for pair in combinations(t, 2) if frozenset(pair) not in edges]
-        vertices = sorted({x for t in triangles for x in t} | {x for e in edges for x in e},
-                          key=str)
-        return VertexLink(v, tuple(vertices), set(edges), set(triangles), problems)
-
-    def inner_link_vertex_of_region(self, v, rid: int):
-        return self.region_edge[rid]
+        problems += ["triangle with a missing edge"] * sum(
+            frozenset(pair) not in edges for t in triangles for pair in combinations(t, 2))
+        return VertexLink(v, tuple(set().union(*triangles, *edges)), set(edges), set(triangles),
+                          problems)
 
 
 def build_cubing(d: AlternatingDiagram) -> CubedComplex:
@@ -368,12 +382,9 @@ def build_cubing(d: AlternatingDiagram) -> CubedComplex:
     cx = CubedComplex(d)
     c = d.n
     counts = cx.counts
-    checks = [
-        ("cubes", 2 * c), ("inner_vertices", 2), ("inner_edges", c + 2),
-        ("boundary_squares", 2 * c), ("vertical_edges", 2 * c),
-        ("boundary_vertices", 2 * c), ("boundary_edges", 4 * c),
-        ("crossing_lines", c),
-    ]
+    checks = [("cubes", 2 * c), ("inner_vertices", 2), ("inner_edges", c + 2),
+              ("boundary_squares", 2 * c), ("vertical_edges", 2 * c),
+              ("boundary_vertices", 2 * c), ("boundary_edges", 4 * c), ("crossing_lines", c)]
     for key, want in checks:
         if counts[key] != want:
             raise CubingError(f"{key} = {counts[key]}, expected {want}")
@@ -386,37 +397,32 @@ def verify_npc(cx: CubedComplex) -> dict:
     Returns {"npc": bool, "vertices": [...], "failures": [...]}; a pass at
     every vertex establishes non-positive curvature.
     """
-    entries = []
-    failures = []
-    inner = set(cx.inner_vertices)
-    for v in cx.vertices():
-        lk = cx.vertex_link(v)
+    entries, failures = [], []
+    for v, name in zip(cx._vertex_ids, cx.vertices()):
+        lk = cx._link(v)
         if lk.problems:
             ok = False
             reason = f"non-simplicial: {lk.problems[0]}"
         else:
             ok = is_flag(lk)
             reason = None if ok else "non-flag clique"
-        kind = "inner" if v in inner else "boundary"
-        entries.append({"vertex": str(v), "kind": kind, "flag": ok})
+        kind = "boundary" if v & 1 else "inner"
+        entries.append({"vertex": str(name), "kind": kind, "flag": ok})
         if not ok:
-            failures.append({"vertex": str(v), "kind": kind, "reason": reason})
+            failures.append({"vertex": str(name), "kind": kind, "reason": reason})
     return {"npc": not failures, "vertices": entries, "failures": failures}
 
 
 def link_angle_class(cx: CubedComplex, v, r1, r2) -> str:
     """'orthogonal' when the two region directions are joined in the link,
     'far' otherwise; defined at the two inner vertices."""
-    rid1 = r1.index if isinstance(r1, Region) else r1
-    rid2 = r2.index if isinstance(r2, Region) else r2
+    rid1, rid2 = (r.index if isinstance(r, Region) else r for r in (r1, r2))
     if rid1 == rid2:
         raise CubingError("need two distinct regions")
     if v not in set(cx.inner_vertices):
         raise CubingError("angle classes are defined at the inner vertices")
-    lk = cx.vertex_link(v)
-    a = cx.inner_link_vertex_of_region(v, rid1)
-    b = cx.inner_link_vertex_of_region(v, rid2)
-    return "orthogonal" if frozenset((a, b)) in lk.edges else "far"
+    pair = frozenset((cx.region_edge[rid1], cx.region_edge[rid2]))
+    return "orthogonal" if pair in cx._link(germ_id(v)).edges else "far"
 
 
 @dataclass
@@ -440,28 +446,22 @@ def boundary_cubings(cx: CubedComplex) -> list[BoundaryTorus]:
     vroot, eroot = cx._vroot, cx._eroot
     squares_of = [[] for _ in d.strands]
     for c in range(d.n):
-        for idx, s in ((0, UNDER), (1, OVER)):
+        for idx, s in enumerate(PASSAGES):
             squares_of[d.strand_of_passage[(c, idx)]].append((c, s))
     tori = []
     for comp, squares in enumerate(squares_of):
-        vclasses = set()
-        eclasses = set()
-        diag = {}
-        loops = 0
+        vclasses, eclasses, diag = set(), set(), {}
         for (c, s) in squares:
+            q = 2 * c + (s == OVER)
             for p in range(4):
-                vclasses.add(vroot[("tc", c, s, p)])
-                eclasses.add(eroot[("te", c, s, p)])
-            # the meridian diagonal joins the corners at the ports transverse
-            # to the square's own strand; it closes into a loop around it
+                vclasses.add(vroot[8 * q + 2 * p + 1])
+                eclasses.add(eroot[12 * q + 3 * p + 2])
+            # the meridian diagonal joins the top corners at the ports
+            # transverse to the square's own strand; it closes into a loop
             p = 0 if s == OVER else 1
-            a = vroot[("tc", c, s, p)]
-            b = vroot[("tc", c, s, (p + 2) % 4)]
-            if a != b:
-                raise CubingError(
-                    f"meridian diagonal of square ({c},{s}) does not close")
-            diag[(c, s)] = (p, (p + 2) % 4)
-            loops += 1
+            if vroot[8 * q + 2 * p + 1] != vroot[8 * q + 2 * (p + 2) + 1]:
+                raise CubingError(f"meridian diagonal of square ({c},{s}) does not close")
+            diag[(c, s)] = (p, p + 2)
         chi = len(vclasses) - len(eclasses) + len(squares)
-        tori.append(BoundaryTorus(comp, squares, chi, diag, loops))
+        tori.append(BoundaryTorus(comp, squares, chi, diag, len(diag)))
     return tori

@@ -18,18 +18,17 @@ def edge_arc_classes(d, mirror=False):
     (under-ports under the mirror flag); a class without exactly one such
     crossing fails the assertion.
     """
-    uf = _UnionFind()
-    for s in (1, -1):
-        for e in range(len(d.edges)):
-            uf.add((s, e))
+    n_edges = len(d.edges)
+    uf = _UnionFind(2 * n_edges)        # signed edge (1, e) is id e, (-1, e) is n_edges + e
     for R in d.regions:
         walk = [d.edge_of_slot[h] for h in R.boundary]
         m = len(walk)
         shift = 1 if (R.color == BLACK) != mirror else -1
         for j in range(m):
-            uf.union((1, walk[j]), (-1, walk[(j + shift) % m]))
+            uf.union(walk[j], n_edges + walk[(j + shift) % m])
     out = []
-    for members in uf.classes().values():
+    for ids in uf.classes().values():
+        members = [(1, x) if x < n_edges else (-1, x - n_edges) for x in ids]
         common = set.intersection(*(set(d.edge_endpoints(e)) for _s, e in members))
 
         def pos_ports(cand):

@@ -3,6 +3,7 @@ from pathlib import Path
 import time
 
 import jsonschema
+import pytest
 from referencing import Registry, Resource
 
 from cuspcubes.cli import build_parser, main
@@ -174,6 +175,24 @@ class TestCubing:
             assert run(capsys, "cubing", "--pd", str(f), "--mirror") == plain, f.name
         args = ("cubing", "--corpus", str(pd_corpus_dir))
         assert run(capsys, *args, "--mirror") == run(capsys, *args)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--pd", "fig8.json"), ("--two-bridge", "2,2"), ("--corrupt", "12"),
+        ("--emit-complex", "complex.json")])
+    def test_corpus_refuses_single_diagram_flags(self, capsys, pd_corpus_dir, tmp_path,
+                                                 monkeypatch, flag, value):
+        # --corpus would drop these silently: no negative control, no file
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "cubing", "--corpus", str(pd_corpus_dir), flag, value)
+        assert code == 2 and out == ""
+        assert err == f"error: --corpus cannot be combined with {flag}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit(self, capsys, pd_corpus_dir, jobs):
+        code, out, err = run(capsys, "cubing", "--corpus", str(pd_corpus_dir), "--jobs", jobs)
+        assert code == 2 and out == ""
+        assert err == f"error: --jobs must be at least 1, got {jobs}\n"
 
     def test_empty_corpus_exit(self, capsys, tmp_path):
         # exit 1 would mean a diagram failed the NPC check

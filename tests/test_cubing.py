@@ -1,12 +1,14 @@
 import json
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
+from cuspcubes import cubing
 from cuspcubes.cubing import (
-    PASSAGES, CubingError, VertexLink, _UnionFind, boundary_cubings, build_cubing, is_flag,
-    link_angle_class, verify_npc,
+    PASSAGES, CubingError, VertexLink, boundary_cubings, build_cubing, edge_name, face_name,
+    germ_id, is_flag, link_angle_class, verify_npc, vertex_name,
 )
 from cuspcubes.diagram import (
     AlternatingDiagram, pretzel_diagram, region_adjacent, two_bridge_diagram,
@@ -25,6 +27,43 @@ def corrupted_diagrams(fig8):
             ("C2_3_2_3_2", two_bridge_diagram((2, 3, 2, 3, 2)).diagram))
 
 
+def first_seen_germs(n: int) -> tuple:
+    """The vertex germs, edge germs and square faces of an n-crossing
+    complex by name, each in the order a closure over names lists them."""
+    vertices, edges, faces = [], [], []
+    for c in range(n):
+        for s in PASSAGES:
+            for p in range(4):
+                vertices += [("bc", c, s, p), ("tc", c, s, p)]
+                edges += [("ve", c, s, p), ("be", c, s, p), ("te", c, s, p)]
+                faces.append(("side", c, s, p))
+            faces += [("top", c, s), ("bottom", c, s)]
+    return vertices, edges, faces
+
+
+class NamedUnionFind:
+    """Union-find over germ names, roots and members in first-seen order."""
+
+    def __init__(self, names):
+        self.parent = {x: x for x in names}
+
+    def find(self, x):
+        while self.parent[x] != x:
+            x = self.parent[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+
+    def classes(self) -> dict:
+        out = {}
+        for x in self.parent:
+            out.setdefault(self.find(x), []).append(x)
+        return out
+
+
 def _square_corners(face: tuple) -> list:
     """(corner germ, its two edge germs along the face) at each corner."""
     c, s = face[1], face[2]
@@ -37,29 +76,17 @@ def _square_corners(face: tuple) -> list:
 
 
 def find_based_links(cx) -> dict:
-    """Vertex class -> link, built from cx.gluings with a union-find lookup
-    for every germ: the square faces at each vertex are filed whole, and
-    each link finds the class of every corner of every face it touches.
-    An oracle for CubedComplex.vertex_link."""
-    n = cx.diagram.n
-    vtx, edg, sqr = _UnionFind(), _UnionFind(), _UnionFind()
-    for c in range(n):
-        for s in PASSAGES:
-            for p in range(4):
-                vtx.add(("bc", c, s, p))
-                vtx.add(("tc", c, s, p))
-                edg.add(("ve", c, s, p))
-                edg.add(("be", c, s, p))
-                edg.add(("te", c, s, p))
-                sqr.add(("side", c, s, p))
-            sqr.add(("top", c, s))
-            sqr.add(("bottom", c, s))
+    """Vertex class -> link, built from cx.gluings, read by name, with a
+    union-find lookup for every germ name: the square faces at each vertex
+    are filed whole, and each link finds the class of every corner of every
+    face it touches.  An oracle for CubedComplex.vertex_link."""
+    vtx, edg, sqr = map(NamedUnionFind, first_seen_germs(cx.diagram.n))
     for g in cx.gluings:
-        sqr.union(*g.faces)
+        sqr.union(*map(face_name, g.faces))
         for a, b in g.vertex_pairs:
-            vtx.union(a, b)
+            vtx.union(vertex_name(a), vertex_name(b))
         for a, b in g.edge_pairs:
-            edg.union(a, b)
+            edg.union(edge_name(a), edge_name(b))
     germs = {v: (corners, []) for v, corners in vtx.classes().items()}
     for members in sqr.classes().values():
         for v in dict.fromkeys(vtx.find(corner) for corner, _e in _square_corners(members[0])):
@@ -196,8 +223,7 @@ class TestVertexLinks:
                 assert len(lk.triangles) == 4 * d.crossing_count, name
                 assert len(lk.vertices) == (d.crossing_count + 2) + d.crossing_count, name
                 # one fan of four triangles per crossing
-                region_dirs = {cx.inner_link_vertex_of_region(v, R.index): R.index
-                               for R in d.regions}
+                region_dirs = {edge_name(cx.region_edge[R.index]): R.index for R in d.regions}
                 compatible = {}
                 for w in lk.vertices:
                     if w in region_dirs:
@@ -215,7 +241,10 @@ class TestVertexLinks:
                 assert _has_perfect_matching(compatible, d.crossing_count), name
 
     def test_links_match_find_based_oracle(self, corpus):
-        for name, d in corpus.items():
+        # the corpus, a 40-crossing (2,1,...,1,2) chain and a 40-crossing pretzel
+        diagrams = dict(corpus, chain_40=two_bridge_diagram((2,) + (1,) * 36 + (2,)).diagram,
+                        pretzel_13_13_14=pretzel_diagram(13, 13, 14))
+        for name, d in diagrams.items():
             assert_links_match_oracle(build_cubing(d), name)
 
     def test_boundary_links_flag(self, fig8_cx):
@@ -362,9 +391,46 @@ class TestBoundary:
             cx = build_cubing(d)
             for t in boundary_cubings(cx):
                 for (c, s), (pa, pb) in t.meridian_diagonals.items():
-                    va = cx._vroot[("tc", c, s, pa)]
-                    vb = cx._vroot[("tc", c, s, pb)]
+                    va = cx._vroot[germ_id(("tc", c, s, pa))]
+                    vb = cx._vroot[germ_id(("tc", c, s, pb))]
                     assert va == vb, name
+
+
+class TestGermIds:
+    @pytest.fixture(scope="class", params=[3, 160])
+    def named(self, request):
+        n = request.param
+        d = (AlternatingDiagram.from_pd([(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)]) if n == 3
+             else two_bridge_diagram((2,) * 80).diagram)
+        assert d.n == n
+        return build_cubing(d), first_seen_germs(n)
+
+    def test_names_round_trip(self, named):
+        _cx, germs = named
+        for decode, names in zip((vertex_name, edge_name, face_name), germs):
+            assert [decode(germ_id(g)) for g in names] == names
+
+    def test_ids_are_dense_in_first_seen_order(self, named):
+        cx, germs = named
+        n = cx.diagram.n
+        for names, count in zip(germs, (16 * n, 24 * n, 12 * n)):
+            assert [germ_id(g) for g in names] == list(range(count))
+        assert (len(cx._vroot), len(cx._eroot)) == (16 * n, 24 * n)
+        glued = [f for g in cx.gluings for f in g.faces]
+        assert len(set(glued)) == len(glued) and set(glued) <= set(range(12 * n))
+
+    def test_names_stay_out_of_the_link_loops(self, monkeypatch):
+        # a clean build and check of 40 crossings decode at most one name
+        # per vertex class: none per germ, corner or link direction
+        calls = Counter()
+        for decoder in ("vertex_name", "edge_name", "face_name"):
+            def counted(g, real=getattr(cubing, decoder), decoder=decoder):
+                calls[decoder] += 1
+                return real(g)
+            monkeypatch.setattr(cubing, decoder, counted)
+        rep = verify_npc(build_cubing(two_bridge_diagram((2,) * 20).diagram))
+        assert rep["npc"] and len(rep["vertices"]) == 82
+        assert sum(calls.values()) <= len(rep["vertices"]), calls
 
 
 class TestSerialization:

@@ -312,18 +312,16 @@ class TestUnionFind:
     def test_classes_leave_every_parent_at_its_root(self):
         rng = random.Random(10)
         for _ in range(20):
-            uf = _UnionFind()
-            germs = [("g", x % 3, x) for x in range(60)]
-            for g in germs:
-                uf.add(g)
+            uf = _UnionFind(60)
+            germs = range(60)
             for _ in range(45):
                 uf.union(rng.choice(germs), rng.choice(germs))
-            ref = _UnionFind()
-            ref.parent = dict(uf.parent)
+            ref = _UnionFind(60)
+            ref.parent = list(uf.parent)
             assert any(uf.parent[g] != ref.find(g) for g in germs)
-            # roots and members in first-seen order, as the closures read them
+            # roots and members in id order, as the closures read them
             want = {}
-            for g in ref.parent:
+            for g in germs:
                 want.setdefault(ref.find(g), []).append(g)
             assert list(uf.classes().items()) == list(want.items())
             assert all(uf.parent[g] == uf.find(g) for g in germs)
