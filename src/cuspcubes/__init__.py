@@ -24,9 +24,7 @@ from .diagram import (AlternatingDiagram, BLACK, CrossingArc, DiagramError,
                       two_bridge_diagram)
 from .cubing import (CubedComplex, CubingError, VertexLink, boundary_cubings,
                      build_cubing, is_flag, link_angle_class, verify_npc)
-from .polyhedra import (IdealPolyhedronPair, PolyhedraError, build_polyhedra,
-                        butterfly_regions, circle_pattern_svg, face_transfer,
-                        halfspace_disjoint)
+from .polyhedra import IdealPolyhedronPair, PolyhedraError, build_polyhedra, circle_pattern_svg
 from .pingpong import (Butterfly, Certificate, GaussRational, MobiusMap,
                        PingPongError, RoundDisk, fixed_point, free_word_sanity,
                        is_parabolic, isometric_butterfly, normalize_pair,

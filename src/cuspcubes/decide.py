@@ -20,7 +20,7 @@ from .diagram import (AlternatingDiagram, BLACK, WHITE, CrossingArc,
                       InRegionArc, TransverseArc, TwistSequence, TwoBridgeDiagram,
                       crossings_adjacent_on_region, find_small_white_region, flype,
                       is_prime, is_reduced, region_adjacent, two_bridge_diagram)
-from .polyhedra import POSITIVE, IdealPolyhedronPair, build_polyhedra, butterfly_regions, face_transfer
+from .polyhedra import IdealPolyhedronPair, build_polyhedra
 
 
 class DecideError(ValueError):
@@ -145,10 +145,9 @@ def witness_spare_region(d: AlternatingDiagram, wing_regions, color: str = BLACK
             "guarantees on prime diagrams of hyperbolic links")
     if pp is None:
         pp = build_polyhedra(d)
-    ft = face_transfer(pp, small.index)
     return SpareRegionCertificate(
         "transfer", candidates[0], via_region=small.index, via_kind=kind,
-        transfer_shift=ft.shift,
+        transfer_shift=pp.transfer_shift(small),
         note=f"the {kind} face shifts neighbor planes by one between the two copies; "
              f"region {candidates[0]} is not adjacent to it, so its far disk in the "
              f"neighboring copy avoids all four wings")
@@ -156,8 +155,8 @@ def witness_spare_region(d: AlternatingDiagram, wing_regions, color: str = BLACK
 
 def _build_witness(d: AlternatingDiagram, pp: IdealPolyhedronPair, c1: int, c2: int,
                    color: str, case: str) -> Witness:
-    r1 = butterfly_regions(pp, POSITIVE, c1, color)
-    r2 = butterfly_regions(pp, POSITIVE, c2, color)
+    r1 = pp.wings(c1, color)
+    r2 = pp.wings(c2, color)
     ids = (r1[0].index, r1[1].index, r2[0].index, r2[1].index)
     if len(set(ids)) != 4:
         raise DecideError(
@@ -198,8 +197,7 @@ def _hyperbolic_candidate(d: AlternatingDiagram) -> None:
 # Classifiers
 # ---------------------------------------------------------------------------
 
-def classify_alternating_pair(d: AlternatingDiagram, arc,
-                              pp: IdealPolyhedronPair | None = None) -> Verdict:
+def classify_alternating_pair(d: AlternatingDiagram, arc, mirror: bool = False) -> Verdict:
     """Classify the meridian pair of a combinatorial proper arc.
 
     Crossing arcs of a general diagram are outside this classifier's scope
@@ -212,8 +210,7 @@ def classify_alternating_pair(d: AlternatingDiagram, arc,
     if not is_prime(d) or not is_reduced(d):
         raise DecideError("classification requires a prime reduced alternating diagram")
     _hyperbolic_candidate(d)
-    if pp is None:
-        pp = build_polyhedra(d)
+    pp = build_polyhedra(d, mirror)
 
     if isinstance(arc, CrossingArc):
         if not (0 <= arc.crossing < d.n):
@@ -262,7 +259,7 @@ def classify_alternating_pair(d: AlternatingDiagram, arc,
                                notes=("after reduction the arc lies along a region edge",))
             if kinds == {False}:
                 return classify_alternating_pair(
-                    d, InRegionArc(shared[0].index, arc.c1, arc.c2), pp)
+                    d, InRegionArc(shared[0].index, arc.c1, arc.c2), mirror)
             raise DecideError(
                 "reduction left the containing region ambiguous with conflicting "
                 "adjacency; refusing to guess")
@@ -308,9 +305,8 @@ def classify_2bridge_pair(tb, arc, mirror: bool = False) -> Verdict:
         fr = flype(tb, i, c)
         # the flype search returns an image arc whose endpoints are not
         # adjacent along its region, so the in-region case gives a free verdict
-        inner = classify_alternating_pair(fr.diagram, fr.arc,
-                                          build_polyhedra(fr.diagram, mirror))
+        inner = classify_alternating_pair(fr.diagram, fr.arc, mirror)
         return Verdict(inner.kind, witness=inner.witness, notes=inner.notes,
                        flype_trace=fr.trace, witness_diagram=fr.diagram)
 
-    return classify_alternating_pair(d, arc, build_polyhedra(d, mirror))
+    return classify_alternating_pair(d, arc, mirror)

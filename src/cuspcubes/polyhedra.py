@@ -9,21 +9,20 @@ one class per crossing arc, in closed form: the class of crossing x is
 e(x, 1), e(x, 3) in the positive copy and e(x, 0), e(x, 2) in the negative
 one, e(x, i) the edge at slot i of x, with the two pairs swapped under the
 mirror flag (`diagram.arc_crossing`).  Half-space combinatorics reduce to
-region adjacency in the diagram.
+region adjacency in the diagram (`diagram.region_adjacent`: the far
+half-spaces of two region planes are disjoint exactly when the regions are
+not adjacent).  What is left to the glued pair is what the mirror flag
+decides: the order of the wing pair at a crossing and the direction of
+the shift across a face.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .diagram import AlternatingDiagram, BLACK, WHITE, Region, is_prime, region_adjacent
+from .diagram import AlternatingDiagram, BLACK, WHITE, Region, is_prime
 
 
 class PolyhedraError(ValueError):
     pass
-
-
-POSITIVE, NEGATIVE = 1, -1
 
 
 class IdealPolyhedronPair:
@@ -34,78 +33,28 @@ class IdealPolyhedronPair:
             raise PolyhedraError("the checkerboard decomposition needs a prime diagram")
         self.diagram = d
         self.mirror = mirror
-        self.gear_shift = {R.index: 1 if (R.color == BLACK) != mirror else -1 for R in d.regions}
+
+    def wings(self, c: int, color: str) -> tuple[Region, Region]:
+        """The two same-color regions at crossing c, the wings of the
+        strand rotation there; they are distinct on prime diagrams.  The
+        lower-corner region comes first, and the mirror flag flips the order.
+        """
+        if color not in (BLACK, WHITE):
+            raise PolyhedraError("color must be black or white")
+        pair = self.diagram.regions_at_crossing(c, color)
+        return pair[::-1] if self.mirror else pair
+
+    def transfer_shift(self, region: Region) -> int:
+        """The gear rotation across a region's face: along its boundary walk
+        w, positive-copy edge w[j] is glued to negative-copy edge
+        w[j + shift]; +1 on black faces and -1 on white ones, flipped by the
+        mirror flag."""
+        return 1 if (region.color == BLACK) != self.mirror else -1
 
 
 def build_polyhedra(d: AlternatingDiagram, mirror: bool = False) -> IdealPolyhedronPair:
     """Glue the two copies of the diagram ball by the gear rule."""
     return IdealPolyhedronPair(d, mirror)
-
-
-def halfspace_disjoint(pp: IdealPolyhedronPair, polyhedron: int, r1, r2) -> bool:
-    """Half-spaces on the far sides of two region planes are disjoint exactly
-    when the regions are not adjacent in the diagram."""
-    rid1 = r1.index if isinstance(r1, Region) else r1
-    rid2 = r2.index if isinstance(r2, Region) else r2
-    if rid1 == rid2:
-        raise PolyhedraError("need two distinct regions")
-    if polyhedron not in (POSITIVE, NEGATIVE):
-        raise PolyhedraError("polyhedron must be +1 or -1")
-    return not region_adjacent(pp.diagram, rid1, rid2)
-
-
-@dataclass
-class FaceTransfer:
-    """Index shift identifying region-plane labels across a shared face.
-
-    For a face R with neighbor cycle listed along its boundary walk, the
-    plane of neighbor i seen from the positive copy equals the plane of
-    neighbor i + shift seen from the negative copy.
-    """
-
-    region: int
-    neighbors: tuple                 # region ids along the walk, with multiplicity
-    shift: int
-
-    @property
-    def order(self) -> int:
-        return len(self.neighbors)
-
-    def apply(self, polyhedron: int, index: int) -> tuple[int, int]:
-        """Transfer (polyhedron, neighbor index) across the shared face."""
-        if polyhedron == POSITIVE:
-            return NEGATIVE, (index + self.shift) % self.order
-        return POSITIVE, (index - self.shift) % self.order
-
-
-def face_transfer(pp: IdealPolyhedronPair, region) -> FaceTransfer:
-    """Neighbor correspondence across the face of a region, derived from the
-    gear map: composing it around the neighbor cycle is the identity."""
-    rid = region.index if isinstance(region, Region) else region
-    R = pp.diagram.regions[rid]
-    nbrs = tuple(pp.diagram.region_of_slot[pp.diagram.pairing[h]] for h in R.boundary)
-    return FaceTransfer(rid, nbrs, pp.gear_shift[rid])
-
-
-def butterfly_regions(pp: IdealPolyhedronPair, polyhedron: int, crossing: int,
-                      color: str) -> tuple[Region, Region]:
-    """Ordered pair of same-color regions at a crossing.
-
-    The two wings of the strand-rotation at a crossing are the two corner
-    regions of one color; they are distinct on prime diagrams.  The default
-    order lists the lower-corner region first; the negative copy and the
-    pair's mirror convention each flip it.
-    """
-    if color not in (BLACK, WHITE):
-        raise PolyhedraError("color must be black or white")
-    if polyhedron not in (POSITIVE, NEGATIVE):
-        raise PolyhedraError("polyhedron must be +1 or -1")
-    d = pp.diagram
-    pair = d.regions_at_crossing(crossing, color)
-    flip = pp.mirror ^ (polyhedron == NEGATIVE)
-    if flip:
-        return pair[1], pair[0]
-    return pair
 
 
 # ---------------------------------------------------------------------------

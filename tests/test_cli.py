@@ -233,6 +233,20 @@ class TestDecide:
         assert code == 0
         assert data["verdict"] == "FreeGeometricallyFinite"
 
+    def test_mirror_reaches_a_file_diagram(self, capsys, tmp_path):
+        # --mirror flips each wing pair for a --pd diagram as for --two-bridge
+        from cuspcubes.diagram import two_bridge_diagram
+        f = tmp_path / "d.json"
+        f.write_text(json.dumps(two_bridge_diagram((2, 3, 2)).diagram.to_json()))
+        argv = ["decide", "--pd", str(f), "--in-region", "R0:c0:c3"]
+        code, plain = run_json(capsys, *argv)
+        assert code == 0
+        code, mirrored = run_json(capsys, *argv, "--mirror")
+        assert code == 0
+        assert plain["verdict"] == mirrored["verdict"] == "FreeGeometricallyFinite"
+        for key in ("first", "second"):
+            assert mirrored["witness"]["wings"][key] == plain["witness"]["wings"][key][::-1]
+
     def test_malformed_arc_exit(self, capsys):
         code, _, err = run(capsys, "decide", "--two-bridge", "2,2",
                            "--in-region", "R0:c1:c1")
@@ -436,6 +450,25 @@ class TestSvg:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "svg", "--pd", "/nonexistent.json", "-o", "/tmp/x.svg")
         assert code == 2
+
+
+class TestErrors:
+    def test_package_errors_are_value_errors(self):
+        # main turns OSError and ValueError into exit 2 with one error line
+        from cuspcubes import cubing, decide, diagram, farey, pingpong, polyhedra
+        errors = [obj for mod in (cubing, decide, diagram, farey, pingpong, polyhedra)
+                  for obj in vars(mod).values()
+                  if isinstance(obj, type) and issubclass(obj, Exception)
+                  and obj.__module__ == mod.__name__]
+        assert len(errors) == 6
+        assert all(issubclass(err, ValueError) for err in errors), errors
+
+    def test_unparsable_json_exit(self, capsys, tmp_path):
+        f = tmp_path / "bad.json"
+        f.write_text("{")
+        code, out, err = run(capsys, "decide", "--pd", str(f), "--crossing-arc", "c0")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestPretty:

@@ -14,7 +14,6 @@ from cuspcubes.diagram import (
     AlternatingDiagram, BLACK, CrossingArc, InRegionArc, TransverseArc, WHITE,
     crossings_adjacent_on_region, pretzel_diagram, region_adjacent, two_bridge_diagram,
 )
-from cuspcubes.polyhedra import build_polyhedra, halfspace_disjoint, POSITIVE
 from conftest import twist_sequences
 
 
@@ -243,13 +242,12 @@ class TestSpareRegions:
                 w = v.witness
                 dw = v.witness_diagram
                 assert dw is not None
-                pp = build_polyhedra(dw)
+                # far half-spaces are disjoint exactly when the regions are not adjacent
                 if w.spare.kind == "direct":
                     for wing in w.regions:
-                        assert halfspace_disjoint(pp, POSITIVE, w.spare.region, wing), seq
+                        assert not region_adjacent(dw, w.spare.region, wing), seq
                 else:
-                    assert halfspace_disjoint(pp, POSITIVE, w.spare.region,
-                                              w.spare.via_region), seq
+                    assert not region_adjacent(dw, w.spare.region, w.spare.via_region), seq
                     small = dw.regions[w.spare.via_region]
                     nbrs = [dw.region_of_slot[dw.pairing[h]] for h in small.boundary]
                     assert len(set(nbrs)) == len(small.boundary), seq
@@ -271,6 +269,16 @@ class TestMirror:
                 plain, mirrored = (classify_2bridge_pair(tb, CrossingArc(c), mirror)
                                    for mirror in (False, True))
                 assert mirror_invariants(mirrored) == mirror_invariants(plain), (seq, c)
+
+    def test_mirror_reaches_in_region_arcs(self):
+        for seq in ((3, 3), (2, 2, 2), (3, 1, 2)):
+            d = two_bridge_diagram(seq).diagram
+            R, a, b = separated_pair(d)
+            plain, mirrored = (classify_alternating_pair(d, InRegionArc(R.index, a, b), mirror)
+                               for mirror in (False, True))
+            assert mirror_invariants(mirrored) == mirror_invariants(plain), seq
+            w, wm = plain.witness, mirrored.witness
+            assert (wm.first_pair, wm.second_pair) == (w.first_pair[::-1], w.second_pair[::-1]), seq
 
 
 class TestVerdictShape:

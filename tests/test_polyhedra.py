@@ -1,12 +1,8 @@
 import pytest
 
-from cuspcubes.diagram import (AlternatingDiagram, BLACK, WHITE, region_adjacent,
-                               two_bridge_diagram)
-from gear_oracles import edge_arc_classes
-from cuspcubes.polyhedra import (
-    NEGATIVE, POSITIVE, PolyhedraError, build_polyhedra, butterfly_regions,
-    circle_pattern_svg, face_transfer, halfspace_disjoint,
-)
+from cuspcubes.diagram import AlternatingDiagram, BLACK, WHITE, two_bridge_diagram
+from gear_oracles import closed_form_classes, edge_arc_classes, transfer_pairs
+from cuspcubes.polyhedra import PolyhedraError, build_polyhedra, circle_pattern_svg
 
 
 @pytest.fixture(scope="module")
@@ -21,13 +17,12 @@ def fig8_pp(fig8):
 
 class TestBuild:
     def test_fig8_counts(self, fig8, fig8_pp):
-        assert len(fig8_pp.gear_shift) == 6
+        assert fig8_pp.diagram is fig8 and len(fig8.regions) == 6
         assert len(edge_arc_classes(fig8)) == 4
 
     def test_trefoil_counts(self):
         d = AlternatingDiagram.from_pd([(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)])
-        pp = build_polyhedra(d)
-        assert len(pp.gear_shift) == 5
+        assert build_polyhedra(d).diagram is d and len(d.regions) == 5
         assert len(edge_arc_classes(d)) == 3
 
     def test_two_preimages_per_copy(self, corpus):
@@ -45,89 +40,69 @@ class TestBuild:
 
     def test_gear_maps_shift_by_one(self, fig8, fig8_pp):
         for R in fig8.regions:
-            shift = fig8_pp.gear_shift[R.index]
+            shift = fig8_pp.transfer_shift(R)
             assert abs(shift) == 1
             assert (shift == 1) == (R.color == BLACK)
 
 
-class TestHalfSpaces:
-    def test_law(self, corpus):
-        for name, d in corpus.items():
-            pp = build_polyhedra(d)
-            for R1 in d.regions:
-                for R2 in d.regions:
-                    if R1.index >= R2.index:
-                        continue
-                    expect = not region_adjacent(d, R1, R2)
-                    assert halfspace_disjoint(pp, POSITIVE, R1, R2) == expect, name
-                    assert halfspace_disjoint(pp, NEGATIVE, R1, R2) == expect, name
-
-    def test_same_color_always_disjoint(self, fig8, fig8_pp):
-        blacks = [R for R in fig8.regions if R.color == BLACK]
-        for i, R1 in enumerate(blacks):
-            for R2 in blacks[i + 1:]:
-                assert halfspace_disjoint(fig8_pp, POSITIVE, R1, R2)
-
-    def test_same_region_rejected(self, fig8, fig8_pp):
-        with pytest.raises(PolyhedraError):
-            halfspace_disjoint(fig8_pp, POSITIVE, fig8.regions[0], fig8.regions[0])
-
-
 class TestFaceTransfer:
-    def test_cycle_identity(self, corpus):
+    def test_walk_edges_share_a_gear_class(self, corpus):
+        # the shift is read from the pair; the classes from the closed form
         for name, d in corpus.items():
-            pp = build_polyhedra(d)
-            for R in d.regions:
-                ft = face_transfer(pp, R)
-                state = (POSITIVE, 0)
-                for _ in range(2 * ft.order):
-                    state = ft.apply(*state)
-                assert state == (POSITIVE, 0), name
+            for mirror in (False, True):
+                crossing_of = {member: x for x, members in closed_form_classes(d, mirror).items()
+                               for member in members}
+                for R, pos, neg in transfer_pairs(d, build_polyhedra(d, mirror)):
+                    assert crossing_of[(1, pos)] == crossing_of[(-1, neg)], (name, mirror, R.index)
 
     def test_direction_flips_with_color(self, fig8, fig8_pp):
-        shifts = {R.color: face_transfer(fig8_pp, R).shift for R in fig8.regions}
+        shifts = {R.color: fig8_pp.transfer_shift(R) for R in fig8.regions}
         assert shifts[BLACK] == -shifts[WHITE]
 
     def test_direction_flips_with_mirror(self, fig8):
         pp = build_polyhedra(fig8)
         ppm = build_polyhedra(fig8, mirror=True)
         for R in fig8.regions:
-            assert face_transfer(pp, R).shift == -face_transfer(ppm, R).shift
+            assert pp.transfer_shift(R) == -ppm.transfer_shift(R)
 
-    def test_bigon_swap(self, fig8, fig8_pp):
+    def test_bigon_swap(self, fig8):
+        # on a bigon both directions glue each edge to the other one
         bigon = next(R for R in fig8.regions if len(R) == 2)
-        ft = face_transfer(fig8_pp, bigon)
-        assert ft.order == 2
-        sign, idx = ft.apply(POSITIVE, 0)
-        assert (sign, idx) == (NEGATIVE, 1)
+        e0, e1 = (fig8.edge_of_slot[h] for h in bigon.boundary)
+        assert e0 != e1
+        for mirror in (False, True):
+            pairs = {(pos, neg) for R, pos, neg in transfer_pairs(fig8, build_polyhedra(fig8, mirror))
+                     if R is bigon}
+            assert pairs == {(e0, e1), (e1, e0)}
 
 
 class TestButterflyRegions:
     def test_distinct_and_contain_crossing(self, corpus):
         for name, d in corpus.items():
-            pp = build_polyhedra(d)
-            for c in range(d.crossing_count):
-                for col in (BLACK, WHITE):
-                    a, b = butterfly_regions(pp, POSITIVE, c, col)
-                    assert a.color == col == b.color, name
-                    assert a.index != b.index, name
-                    assert c in a.distinct_crossings and c in b.distinct_crossings, name
+            for mirror in (False, True):
+                pp = build_polyhedra(d, mirror)
+                for c in range(d.crossing_count):
+                    for col in (BLACK, WHITE):
+                        a, b = pp.wings(c, col)
+                        assert a.color == col == b.color, name
+                        assert a.index != b.index, name
+                        assert c in a.distinct_crossings and c in b.distinct_crossings, name
 
-    def test_order_conventions(self, fig8_pp):
-        a, b = butterfly_regions(fig8_pp, POSITIVE, 0, BLACK)
-        assert butterfly_regions(fig8_pp, NEGATIVE, 0, BLACK) == (b, a)
+    def test_order_conventions(self, fig8, fig8_pp):
+        # lower corner first: the order in which the corners are read
+        for c in range(fig8.crossing_count):
+            for col in (BLACK, WHITE):
+                assert fig8_pp.wings(c, col) == fig8.regions_at_crossing(c, col)
 
     def test_mirror_flips_order(self, fig8):
         pp = build_polyhedra(fig8)
         ppm = build_polyhedra(fig8, mirror=True)
-        a, b = butterfly_regions(pp, POSITIVE, 1, WHITE)
-        assert butterfly_regions(ppm, POSITIVE, 1, WHITE) == (b, a)
+        a, b = pp.wings(1, WHITE)
+        assert ppm.wings(1, WHITE) == (b, a)
 
     def test_validation(self, fig8_pp):
         with pytest.raises(PolyhedraError):
-            butterfly_regions(fig8_pp, POSITIVE, 0, "green")
-        with pytest.raises(PolyhedraError):
-            butterfly_regions(fig8_pp, 7, 0, BLACK)
+            fig8_pp.wings(0, "green")
 
 
 class TestSvg:
