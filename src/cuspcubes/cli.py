@@ -123,6 +123,9 @@ def cmd_cubing(args) -> int:
             if getattr(args, flag) is not None:
                 raise DiagramError(f"--corpus cannot be combined with --{flag.replace('_', '-')}")
         return _run_corpus(args, lambda d: _cubing_report(CB.build_cubing(d)))
+    if args.corrupt is not None and args.emit_complex:
+        # the file would pair the clean gluings with the corrupted counts
+        raise DiagramError("--corrupt cannot be combined with --emit-complex")
     cx = CB.build_cubing(_plain_diagram(args))
     if args.corrupt is not None:
         cx.corrupt(args.corrupt)

@@ -21,8 +21,9 @@ as ("bc", c, "over", p) are decoded only for output.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from itertools import combinations
+from itertools import chain
 
 from .diagram import AlternatingDiagram, BLACK, WHITE, Region
 
@@ -66,8 +67,7 @@ def _square_corner(k: int, i: int) -> tuple:
     """Corner i (0..3) of face k of a cube: its corner germ and its two edge
     germs along the face, as offsets within the cube.  A side face k < 4
     has corners at ports k and k + 1, on the bottom then on the top; the
-    top (k = 4) or bottom (k = 5) face has corner i at port i.
-    """
+    top (k = 4) or bottom (k = 5) face has corner i at port i."""
     if k < 4:
         kind, p = i // 2, (k + i % 2) % 4
         return 2 * p + kind, 3 * k + 1 + kind, 3 * p
@@ -108,26 +108,32 @@ class VertexLink:
 
 
 def is_flag(lk: VertexLink) -> bool:
-    """Every pairwise-joined vertex set spans a simplex.
-
-    The links of a cubed 3-complex are at most 2-dimensional, so a clique
-    on 4 or more vertices can never span.  An edge therefore fails when a
-    common neighbour of its ends misses the triangle with it, or is joined
-    to another common neighbour.
-    """
+    """Every pairwise-joined vertex set spans a simplex: `_flag` on the
+    link's edges (the adjacency-walk oracle is in tests/cubing_oracles.py)."""
     if lk.problems:
         raise CubingError(f"link of {lk.vertex} is not simplicial: {lk.problems[0]}")
-    adj = {v: set() for v in lk.vertices}
-    for a, b in lk.edges:
+    return _flag([tuple(e) for e in lk.edges], len(lk.triangles))
+
+
+def _flag(edges, triangles: int) -> bool:
+    """Flagness of a simplicial 2-complex from its edges (pairs) and its
+    triangle count, by counting cliques.  A triangle is a 3-clique whose
+    third vertex is a common neighbour at each of its edges, so the sum over
+    edges ab of |N(a) & N(b)| is 3 * triangles iff no 3-clique is empty; two
+    adjacent common neighbours of an edge make a 4-clique, which cannot span."""
+    adj = defaultdict(set)
+    for a, b in edges:
         adj[a].add(b)
         adj[b].add(a)
-    triangles = lk.triangles
-    for a, b in lk.edges:
+    cliques = 0
+    for a, b in edges:
         common = adj[a] & adj[b]
-        for c in common:
-            if frozenset((a, b, c)) not in triangles or not common.isdisjoint(adj[c]):
-                return False
-    return True
+        cliques += len(common)
+        if len(common) > 1:
+            for c in common:
+                if not common.isdisjoint(adj[c]):
+                    return False
+    return cliques == 3 * triangles
 
 
 class _UnionFind:
@@ -136,25 +142,23 @@ class _UnionFind:
     def __init__(self, size: int):
         self.parent = list(range(size))
 
-    def find(self, x: int) -> int:
+    def union(self, pairs) -> None:
+        """For each pair (a, b), put a's root under b's; finds halve paths."""
         p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
+        for a, b in pairs:
+            while p[a] != a:
+                p[a] = a = p[p[a]]
+            while p[b] != b:
+                p[b] = b = p[p[b]]
+            if a != b:
+                p[a] = b
 
     def classes(self) -> dict:
         """Root -> members, both in id order.  Every element's parent is
         left at its root, so `parent` is then the element -> class map."""
         out = {}
         parent = self.parent
-        for x in range(len(parent)):
-            root = parent[x]
+        for x, root in enumerate(parent):
             while parent[root] != root:
                 root = parent[root]
             parent[x] = root
@@ -214,8 +218,7 @@ class CubedComplex:
         """Negative control: uncross side gluing k, which matches each
         cube's port corner with the other's far corner, so that ports meet
         ports, and close the classes again; verify_npc then fails at a
-        located vertex.  A bottom gluing (k < n) is left as it is.
-        """
+        located vertex.  A bottom gluing (k < n) is left as it is."""
         if not 0 <= k < len(self.gluings):
             raise CubingError(f"no gluing {k}: indices run from 0 to {len(self.gluings) - 1}")
         g = self.gluings[k]
@@ -230,13 +233,14 @@ class CubedComplex:
 
     def _close_classes(self) -> None:
         d, n = self.diagram, self.diagram.n
-        vtx, edg, sqr = _UnionFind(16 * n), _UnionFind(24 * n), _UnionFind(12 * n)
-        for g in self.gluings:
-            sqr.union(*g.faces)
-            for a, b in g.vertex_pairs:
-                vtx.union(a, b)
-            for a, b in g.edge_pairs:
-                edg.union(a, b)
+        vtx, edg = _UnionFind(16 * n), _UnionFind(24 * n)
+        vtx.union(chain.from_iterable(g.vertex_pairs for g in self.gluings))
+        edg.union(chain.from_iterable(g.edge_pairs for g in self.gluings))
+        # each face lies in at most one gluing: a square class is a gluing's
+        # two faces or a top face alone, named by its first face
+        partner = [-1] * (12 * n)
+        for a, b in (g.faces for g in self.gluings):
+            partner[a], partner[b] = b, a
         vclasses, eclasses = vtx.classes(), edg.classes()
         # classes() leaves each germ's parent at its root: the germ -> class
         # maps.  A root has its class's kind, an inner edge root its region.
@@ -257,20 +261,20 @@ class CubedComplex:
                 (self.vertical_edges if r % 3 == 0 else self.boundary_edges).append(root)
         self.region_edge = {rid: root for root, rid in self.inner_edges.items()}
 
-        # the corner germs and the square corners at each vertex, for its
-        # link; a square class is named by its first face, and a square
-        # corner is filed with that face, its corner germ and its two edges
+        # the corner germs and square corners at each vertex, for its link;
+        # a square corner is filed with its class's face, germ and two edges
         links = self._links = {v: (members, []) for v, members in vclasses.items()}
         interior = lines = 0
-        for members in sqr.classes().values():
-            face = members[0]
+        for face, other in enumerate(partner):
+            if 0 <= other < face:
+                continue                # filed under its partner
             q, k = divmod(face, 6)
-            interior += k != 4 or len(members) > 1
+            interior += k != 4 or other >= 0
             # the two half-axes of a crossing arc meet at its glued bottom faces
-            lines += all(f % 6 == 5 for f in members)
+            lines += k == 5 and (other < 0 or other % 6 == 5)
+            vbase, ebase = 8 * q, 12 * q
             for corner, ea, eb in _SQUARE_CORNERS[k]:
-                g = 8 * q + corner
-                links[vroot[g]][1].append((face, g, 12 * q + ea, 12 * q + eb))
+                links[vroot[vbase + corner]][1].append((face, vbase + corner, ebase + ea, ebase + eb))
         self.interior_squares, self.crossing_lines = interior, lines
 
     # -- reports ---------------------------------------------------------------
@@ -288,11 +292,10 @@ class CubedComplex:
             "boundary_edges": len(self.boundary_edges),
             "boundary_squares": 2 * n,          # the top face of each cube
             "interior_squares": self.interior_squares,
-            # each color's 2n midsquares form one hyperplane: the bottom
-            # gluing joins the over and under midsquares of a crossing, and
-            # every edge has a side gluing in one region of each color, which
-            # joins the midsquares of that color at its two ends; the
-            # diagram is connected, so no color splits
+            # each color's 2n midsquares form one hyperplane: a bottom gluing
+            # joins a crossing's over and under midsquares, an edge's side
+            # gluing in its region of a color joins that color's midsquares at
+            # its two ends, and the diagram is connected, so no color splits
             "hyperplanes": 2,
             "midsquares_per_hyperplane": {BLACK: 2 * n, WHITE: 2 * n},
             "crossing_lines": self.crossing_lines,
@@ -318,25 +321,25 @@ class CubedComplex:
         with its vertex and directions named.  At the two inner vertices
         this is the dual of the diagram with the dual region around each
         crossing subdivided by a cone point."""
-        lk = self._link(germ_id(v))
-        name = {x: edge_name(x) for x in lk.vertices}
+        edges, triangles, problems = self._link(germ_id(v))
+        name = {x: edge_name(x) for s in (*triangles, *edges) for x in s}
         edges, triangles = ({frozenset(name[x] for x in s) for s in simplices}
-                            for simplices in (lk.edges, lk.triangles))
-        return VertexLink(v, tuple(sorted(name.values(), key=str)), edges, triangles, lk.problems)
+                            for simplices in (edges, triangles))
+        return VertexLink(v, tuple(sorted(name.values(), key=str)), edges, triangles, problems)
 
-    def _link(self, v: int) -> VertexLink:
-        """The link of vertex class v with edge class ids for directions,
-        built from the corner germs and square corners that the class
-        closure filed under v."""
+    def _link(self, v: int) -> tuple:
+        """The link of vertex class v on edge class ids, from the corner
+        germs and square corners that the closure filed under v: edges
+        (a, b), a < b, -> square class, triangles (a, b, c), a < b < c, ->
+        corner germ, and the problems in the order they were met."""
         eroot = self._eroot
         corners, square_corners = self._links[v]
-        problems = []
-        triangles = {}                  # simplex -> the corner germ it came from
+        problems, triangles, edges = [], {}, {}
         for g in corners:
             base = 12 * (g >> 3)
             x, y, z = _CORNER_EDGES[g & 7]
-            t = frozenset((eroot[base + x], eroot[base + y], eroot[base + z]))
-            if len(t) != 3:
+            t = tuple(sorted((eroot[base + x], eroot[base + y], eroot[base + z])))
+            if t[0] == t[1] or t[1] == t[2]:
                 _kind, c, s, p = vertex_name(g)
                 problems.append(f"degenerate corner of cube ({c},{s}) at port {p}")
                 continue
@@ -345,19 +348,20 @@ class CubedComplex:
                 problems.append(f"corner of cube ({c},{s}) repeats the simplex of "
                                 f"{vertex_name(triangles[t])[1:]}")
             triangles[t] = g
-        edges = {}                      # simplex -> the square class it came from
         for face, g, ea, eb in square_corners:
-            pair = frozenset((eroot[ea], eroot[eb]))
-            if len(pair) != 2:
+            a, b = eroot[ea], eroot[eb]
+            if a == b:
                 problems.append(f"square {face_name(face)} pinches at {vertex_name(g)}")
                 continue
+            pair = (a, b) if a < b else (b, a)
             if edges.get(pair, face) != face:
                 problems.append(f"double edge between {sorted(str(edge_name(x)) for x in pair)}")
             edges[pair] = face
-        problems += ["triangle with a missing edge"] * sum(
-            frozenset(pair) not in edges for t in triangles for pair in combinations(t, 2))
-        return VertexLink(v, tuple(set().union(*triangles, *edges)), set(edges), set(triangles),
-                          problems)
+        missing = 0
+        for a, b, c in triangles:
+            missing += ((a, b) not in edges) + ((a, c) not in edges) + ((b, c) not in edges)
+        problems += ["triangle with a missing edge"] * missing
+        return edges, triangles, problems
 
 
 def build_cubing(d: AlternatingDiagram) -> CubedComplex:
@@ -365,20 +369,17 @@ def build_cubing(d: AlternatingDiagram) -> CubedComplex:
 
     Raises if the closure of the gluings violates any of: two inner
     vertices, inner edges in bijection with regions, one vertical edge per
-    boundary vertex, and c axis classes.  The construction itself rules
-    out what is not checked.  Every interior face is glued exactly once:
-    an edge has one side gluing per flanking region, and at each end the
-    two flanking regions name the two side faces of that port's cube.
-    Gluings, corrupt ones included, pair germs of one kind only, so no
-    vertex or edge class mixes kinds, and an inner edge class stays in the
-    region whose corners it joins.  The two hyperplanes of 2c midsquares
-    are fixed by connectivity (see CubedComplex.counts).  The Euler
-    characteristic of each boundary torus is left to boundary_cubings.
-    The negative control is CubedComplex.corrupt, applied to the checked
-    complex.
+    boundary vertex, and c axis classes.  The construction rules out the
+    rest.  Every interior face is glued exactly once: an edge has one side
+    gluing per flanking region, and at each end the two flanking regions
+    name the two side faces of that port's cube.  Gluings, corrupt ones
+    included, pair germs of one kind only, so no class mixes kinds, and an
+    inner edge class stays in the region whose corners it joins.  The
+    hyperplanes are fixed by connectivity (see CubedComplex.counts), the
+    boundary tori's Euler characteristics are left to boundary_cubings,
+    and the negative control is CubedComplex.corrupt.
     """
-    cx = CubedComplex(d)
-    c = d.n
+    cx, c = CubedComplex(d), d.n
     counts = cx.counts
     checks = [("inner_vertices", 2), ("inner_edges", c + 2), ("vertical_edges", 2 * c),
               ("boundary_vertices", 2 * c), ("boundary_edges", 4 * c), ("crossing_lines", c)]
@@ -389,19 +390,18 @@ def build_cubing(d: AlternatingDiagram) -> CubedComplex:
 
 
 def verify_npc(cx: CubedComplex) -> dict:
-    """Run the flag criterion over every vertex link.
-
-    Returns {"npc": bool, "vertices": [...], "failures": [...]}; a pass at
-    every vertex establishes non-positive curvature.
-    """
+    """Run the flag criterion, `_flag`'s clique count, over every vertex
+    link on edge class ids, with no VertexLink built and names decoded for
+    failing vertices only (oracles in tests/cubing_oracles.py).  Returns
+    {"npc": bool, "vertices": [...], "failures": [...]}; a pass at every
+    vertex establishes non-positive curvature."""
     entries, failures = [], []
     for v, name in zip(cx._vertex_ids, cx.vertices()):
-        lk = cx._link(v)
-        if lk.problems:
-            ok = False
-            reason = f"non-simplicial: {lk.problems[0]}"
+        edges, triangles, problems = cx._link(v)
+        if problems:
+            ok, reason = False, f"non-simplicial: {problems[0]}"
         else:
-            ok = is_flag(lk)
+            ok = _flag(edges, len(triangles))
             reason = None if ok else "non-flag clique"
         kind = "boundary" if v & 1 else "inner"
         entries.append({"vertex": str(name), "kind": kind, "flag": ok})
@@ -418,8 +418,8 @@ def link_angle_class(cx: CubedComplex, v, r1, r2) -> str:
         raise CubingError("need two distinct regions")
     if v not in set(cx.inner_vertices):
         raise CubingError("angle classes are defined at the inner vertices")
-    pair = frozenset((cx.region_edge[rid1], cx.region_edge[rid2]))
-    return "orthogonal" if pair in cx._link(germ_id(v)).edges else "far"
+    a, b = sorted((cx.region_edge[rid1], cx.region_edge[rid2]))
+    return "orthogonal" if (a, b) in cx._link(germ_id(v))[0] else "far"
 
 
 @dataclass

@@ -26,8 +26,7 @@ def edge_arc_classes(d, mirror=False):
         walk = [d.edge_of_slot[h] for h in R.boundary]
         m = len(walk)
         shift = 1 if (R.color == BLACK) != mirror else -1
-        for j in range(m):
-            uf.union(walk[j], n_edges + walk[(j + shift) % m])
+        uf.union((walk[j], n_edges + walk[(j + shift) % m]) for j in range(m))
     out = []
     for ids in uf.classes().values():
         members = [(1, x) if x < n_edges else (-1, x - n_edges) for x in ids]

@@ -156,7 +156,18 @@ class TestCubing:
                            "--emit-complex", str(out_file))
         assert code == 0
         dumped = json.loads(out_file.read_text())
+        validate(dumped, "cubing.complex.v1")
         assert len(dumped["cubes"]) == 8
+
+    def test_corrupt_refuses_emit_complex(self, capsys, tmp_path, monkeypatch):
+        # the file would pair the clean gluings with the corrupted counts
+        monkeypatch.chdir(tmp_path)
+        for argv in (("--corrupt", "5", "--emit-complex", "complex.json"),
+                     ("--emit-complex", "complex.json", "--corrupt", "0")):
+            code, out, err = run(capsys, "cubing", "--two-bridge", "2,2", *argv)
+            assert code == 2 and out == "", argv
+            assert err == "error: --corrupt cannot be combined with --emit-complex\n", argv
+            assert list(tmp_path.iterdir()) == [], argv
 
     def test_corpus_fanout(self, capsys, pd_corpus_dir):
         code, out, _ = run(capsys, "cubing", "--corpus", str(pd_corpus_dir), "--jobs", "2")

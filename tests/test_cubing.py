@@ -3,16 +3,19 @@ from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
 from cuspcubes import cubing
 from cuspcubes.cubing import (
-    PASSAGES, CubingError, VertexLink, boundary_cubings, build_cubing, edge_name, face_name,
-    germ_id, is_flag, link_angle_class, verify_npc, vertex_name,
+    PASSAGES, CubingError, VertexLink, _flag, boundary_cubings, build_cubing, edge_name,
+    face_name, germ_id, is_flag, link_angle_class, verify_npc, vertex_name,
 )
 from cuspcubes.diagram import (
     AlternatingDiagram, pretzel_diagram, region_adjacent, two_bridge_diagram,
 )
+from cubing_oracles import frozenset_link, walked_is_flag
 from diagram_oracles import walked_diagram
 
 GOLDEN = Path(__file__).parent / "data" / "corrupt_npc_golden.json"
@@ -25,6 +28,15 @@ def corrupted_diagrams(fig8):
             ("trefoil", AlternatingDiagram.from_pd([(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)])),
             ("pretzel_3_3_4", pretzel_diagram(3, 3, 4)),
             ("C2_3_2_3_2", two_bridge_diagram((2, 3, 2, 3, 2)).diagram))
+
+
+def side_corruptions(fig8):
+    """(label, complex) for every side-gluing corruption of the corrupted
+    diagrams, each on its own build."""
+    for name, d in corrupted_diagrams(fig8):
+        for k, g in enumerate(build_cubing(d).gluings):
+            if g.kind == "side":
+                yield f"{name}:{k}", build_cubing(d).corrupt(k)
 
 
 def first_seen_germs(n: int) -> tuple:
@@ -203,6 +215,17 @@ class TestCounts:
                 assert f not in seen
                 seen[f] = g
 
+    def test_square_classes_are_gluings_and_tops(self, corpus, fig8):
+        # the closure files a square class per gluing and per top face:
+        # each face lies in at most one gluing, tops in none
+        complexes = [(name, build_cubing(d)) for name, d in corpus.items()]
+        for label, cx in complexes + list(side_corruptions(fig8)):
+            n = cx.diagram.n
+            glued = [f for g in cx.gluings for f in g.faces]
+            assert len(set(glued)) == len(glued), label
+            assert not any(f % 6 == 4 for f in glued), label
+            assert (cx.interior_squares, cx.crossing_lines) == (5 * n, n), label
+
     def test_non_prime_rejected(self):
         from test_diagram import connected_sum_of_trefoils
         with pytest.raises(CubingError, match="prime"):
@@ -247,6 +270,22 @@ class TestVertexLinks:
         for name, d in diagrams.items():
             assert_links_match_oracle(build_cubing(d), name)
 
+    def test_id_links_match_frozenset_oracle(self, corpus, fig8):
+        # links on id tuples against the frozenset links, and the clique
+        # count against the adjacency walk on every simplicial one
+        complexes = [(name, build_cubing(d)) for name, d in corpus.items()]
+        for label, cx in complexes + list(side_corruptions(fig8)):
+            for v in cx._vertex_ids:
+                edges, triangles, problems = cx._link(v)
+                want = frozenset_link(cx, v)
+                assert {frozenset(e) for e in edges} == want.edges, (label, v)
+                assert {frozenset(t) for t in triangles} == want.triangles, (label, v)
+                assert problems == want.problems, (label, v)
+                assert all(a < b for a, b in edges), (label, v)
+                assert all(a < b < c for a, b, c in triangles), (label, v)
+                if not problems:
+                    assert _flag(edges, len(triangles)) == walked_is_flag(want), (label, v)
+
     def test_boundary_links_flag(self, fig8_cx):
         for v in fig8_cx.boundary_vertices:
             lk = fig8_cx.vertex_link(v)
@@ -262,6 +301,45 @@ class TestVertexLinks:
             for v in cx.boundary_vertices:
                 lk = cx.vertex_link(v)
                 assert (len(lk.vertices), len(lk.edges), len(lk.triangles)) == (5, 8, 4), name
+
+
+def brute_force_flag(edges, triangles) -> bool:
+    """Every 3-subset whose pairs are edges is a triangle, and no 4-subset
+    has all its pairs edges."""
+    edges = {frozenset(e) for e in edges}
+    triangles = {frozenset(t) for t in triangles}
+    verts = sorted(set().union(*edges), key=str)
+    clique = lambda s: all(frozenset(p) in edges for p in combinations(s, 2))
+    return (all(frozenset(t) in triangles for t in combinations(verts, 3) if clique(t))
+            and not any(clique(q) for q in combinations(verts, 4)))
+
+
+def simplicial_complex(triangles, extra_edges=()):
+    """Edges (pairs) and triangles of the complex that the triangles and the
+    extra edges span."""
+    edges = {frozenset(p) for t in triangles for p in combinations(t, 2)}
+    edges |= {frozenset(e) for e in extra_edges}
+    return [tuple(sorted(e, key=str)) for e in edges], [frozenset(t) for t in triangles]
+
+
+def cone_over_square(chord=False):
+    rim = ("a", "b", "c", "d")
+    triangles = [("o", rim[i], rim[(i + 1) % 4]) for i in range(4)]
+    return simplicial_complex(triangles, [("a", "c")] if chord else [])
+
+
+def octahedron():
+    axes = [("+x", "-x"), ("+y", "-y"), ("+z", "-z")]
+    return simplicial_complex([(x, y, z) for x in axes[0] for y in axes[1] for z in axes[2]])
+
+
+NAMED_COMPLEXES = {
+    "octahedron": (octahedron(), True),
+    "tetrahedron boundary": (simplicial_complex(list(combinations("abcd", 3))), False),
+    "hollow triangle": (simplicial_complex([], [("a", "b"), ("b", "c"), ("a", "c")]), False),
+    "cone over a 4-cycle": (cone_over_square(), True),
+    "cone over a 4-cycle with a chord": (cone_over_square(chord=True), False),
+}
 
 
 class TestFlag:
@@ -291,6 +369,32 @@ class TestFlag:
                         problems=["double edge between a and b"])
         with pytest.raises(CubingError, match="not simplicial"):
             is_flag(lk)
+
+    # the shared flag routine `_flag` against enumeration of every 3- and
+    # 4-subset, and against the adjacency-walk oracle
+    @pytest.mark.parametrize("name", NAMED_COMPLEXES)
+    def test_named_complexes(self, name):
+        (edges, triangles), want = NAMED_COMPLEXES[name]
+        assert brute_force_flag(edges, triangles) == want
+        assert _flag(edges, len(triangles)) == want
+        lk = VertexLink(name, tuple(sorted({x for e in edges for x in e})),
+                        {frozenset(e) for e in edges}, set(triangles))
+        assert is_flag(lk) == walked_is_flag(lk) == want
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_random_complexes_match_brute_force(self, data):
+        m = data.draw(st.integers(1, 7), label="vertices")
+        triangles = data.draw(st.lists(st.sampled_from(list(combinations(range(m), 3)))
+                                       if m >= 3 else st.nothing(), unique=True),
+                              label="triangles")
+        extra = data.draw(st.lists(st.sampled_from(list(combinations(range(m), 2)))
+                                   if m >= 2 else st.nothing(), unique=True), label="edges")
+        edges, triangles = simplicial_complex(triangles, extra)
+        want = brute_force_flag(edges, triangles)
+        assert _flag(edges, len(triangles)) == want
+        lk = VertexLink("drawn", tuple(range(m)), {frozenset(e) for e in edges}, set(triangles))
+        assert is_flag(lk) == walked_is_flag(lk) == want
 
 
 class TestNpc:
@@ -431,6 +535,46 @@ class TestGermIds:
         rep = verify_npc(build_cubing(two_bridge_diagram((2,) * 20).diagram))
         assert rep["npc"] and len(rep["vertices"]) == 82
         assert sum(calls.values()) <= len(rep["vertices"]), calls
+
+    def test_verify_builds_no_link_objects(self, monkeypatch):
+        # verify_npc at 40 crossings makes no VertexLink, and decodes names
+        # only for the germs and directions of failing vertices
+        built = Counter()
+
+        class CountedLink(VertexLink):
+            def __init__(self, *args, **kwargs):
+                built["VertexLink"] += 1
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cubing, "VertexLink", CountedLink)
+        d = two_bridge_diagram((2,) * 20).diagram
+        clean = build_cubing(d)
+        decoded = []
+        for decoder in ("vertex_name", "edge_name", "face_name"):
+            def recorded(g, real=getattr(cubing, decoder), decoder=decoder):
+                decoded.append((decoder, g))
+                return real(g)
+            monkeypatch.setattr(cubing, decoder, recorded)
+        assert verify_npc(clean)["npc"]
+        assert decoded == [] and not built
+        for k in (2 * d.n, 3 * d.n + 1, 5 * d.n - 1):
+            cx = build_cubing(d).corrupt(k)
+            decoded.clear()
+            rep = verify_npc(cx)
+            assert rep["failures"] and decoded and not built, k
+            failing = {v for v, name in zip(cx._vertex_ids, cx.vertices())
+                       if str(name) in {f["vertex"] for f in rep["failures"]}}
+            directions = {x for v in failing for s in cx._link(v)[0] for x in s}
+            for decoder, g in decoded:
+                if decoder == "vertex_name":
+                    assert cx._vroot[g] in failing, (k, g)
+                elif decoder == "edge_name":
+                    assert g in directions, (k, g)
+                else:
+                    assert any(sq[0] == g for v in failing for sq in cx._links[v][1]), (k, g)
+        # the counter sees the links that vertex_link names
+        clean.vertex_link(clean.inner_vertices[0])
+        assert built["VertexLink"] == 1
 
 
 class TestSerialization:

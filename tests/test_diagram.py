@@ -308,23 +308,43 @@ class TestArcSpecs:
         assert crossings_adjacent_on_region(d, R, cs[0], cs[1])
 
 
+def joined_one_at_a_time(size, pairs) -> dict:
+    """Label -> members of the classes that the pairs span, by relabelling."""
+    label = list(range(size))
+    for a, b in pairs:
+        la, lb = label[a], label[b]
+        label = [lb if x == la else x for x in label]
+    out = {}
+    for g, x in enumerate(label):
+        out.setdefault(x, []).append(g)
+    return out
+
+
 class TestUnionFind:
     def test_classes_leave_every_parent_at_its_root(self):
         rng = random.Random(10)
         for _ in range(20):
             uf = _UnionFind(60)
             germs = range(60)
-            for _ in range(45):
-                uf.union(rng.choice(germs), rng.choice(germs))
-            ref = _UnionFind(60)
-            ref.parent = list(uf.parent)
-            assert any(uf.parent[g] != ref.find(g) for g in germs)
+            pairs = [(rng.choice(germs), rng.choice(germs)) for _ in range(45)]
+            uf.union(pairs)
+            ref = list(uf.parent)
+
+            def find(g):
+                while ref[g] != g:
+                    g = ref[g]
+                return g
+
+            assert any(uf.parent[g] != find(g) for g in germs)
             # roots and members in id order, as the closures read them
             want = {}
             for g in germs:
-                want.setdefault(ref.find(g), []).append(g)
+                want.setdefault(find(g), []).append(g)
             assert list(uf.classes().items()) == list(want.items())
-            assert all(uf.parent[g] == uf.find(g) for g in germs)
+            assert all(uf.parent[g] == find(g) for g in germs)
+            # the classes are those of the pairs, joined one at a time
+            assert sorted(map(sorted, want.values())) == sorted(
+                map(sorted, joined_one_at_a_time(60, pairs).values()))
 
 
 def gear_mismatches(d, mirror=False):

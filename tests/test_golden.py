@@ -1,7 +1,7 @@
-"""Byte-identical output: sha256 digests of the JSON that `decide` and
-`cubing --emit-complex` produce, one per input family, recorded in
-tests/data/golden_digests.json.  A change that alters any of these outputs
-must say so and record them again:
+"""Byte-identical output: sha256 digests of the JSON that `decide`,
+`cubing --emit-complex` and `verify_npc` produce, one per input family,
+recorded in tests/data/golden_digests.json.  A change that alters any of
+these outputs must say so and record them again:
 
     PYTHONPATH=src:tests python tests/test_golden.py > tests/data/golden_digests.json
 """
@@ -10,10 +10,11 @@ import hashlib
 import json
 from pathlib import Path
 
-from cuspcubes.cubing import build_cubing
+from cuspcubes.cubing import build_cubing, verify_npc
 from cuspcubes.decide import classify_2bridge_pair
-from cuspcubes.diagram import CrossingArc, two_bridge_diagram
+from cuspcubes.diagram import CrossingArc, pretzel_diagram, two_bridge_diagram
 from conftest import diagram_corpus, twist_sequences
+from test_cli import validate
 
 GOLDEN = Path(__file__).parent / "data" / "golden_digests.json"
 
@@ -34,6 +35,31 @@ def complex_outputs():
         yield json.dumps(build_cubing(d).to_json())
 
 
+def ladder_diagrams():
+    """Diagrams of 80 and 160 crossings: the (2,1,...,1,2) chain of the
+    cubing ladder, a chain of twos and a three-strip pretzel."""
+    for n in (80, 160):
+        yield two_bridge_diagram((2,) + (1,) * (n - 4) + (2,)).diagram
+        yield two_bridge_diagram((2,) * (n // 2)).diagram
+        yield pretzel_diagram(n // 3, n // 3, n - 2 * (n // 3))
+
+
+def npc_outputs():
+    """The NPC report of every corpus diagram, of every side-gluing
+    corruption of every twist sequence with at most 12 crossings, and of
+    the ladder diagrams."""
+    for d in diagram_corpus().values():
+        yield json.dumps(verify_npc(build_cubing(d)))
+    for seq in twist_sequences(12):
+        cx = build_cubing(two_bridge_diagram(seq).diagram)
+        for k, g in enumerate(list(cx.gluings)):
+            if g.kind == "side":
+                yield json.dumps(verify_npc(cx.corrupt(k)))
+                cx.gluings[k] = g       # the next corrupt closes the classes again
+    for d in ladder_diagrams():
+        yield json.dumps(verify_npc(build_cubing(d)))
+
+
 def digest(lines):
     h = hashlib.sha256()
     count = 0
@@ -43,7 +69,12 @@ def digest(lines):
     return {"outputs": count, "sha256": h.hexdigest()}
 
 
-FAMILIES = {"decide": decide_outputs, "complex": complex_outputs}
+FAMILIES = {"decide": decide_outputs, "complex": complex_outputs, "npc": npc_outputs}
+
+
+def test_emitted_complexes_match_schema():
+    for line in complex_outputs():
+        validate(json.loads(line), "cubing.complex.v1")
 
 
 def test_outputs_match_recorded_digests():
