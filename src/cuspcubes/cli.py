@@ -5,7 +5,8 @@ Subcommands: farey (slope arithmetic and link classification), cubing
 pingpong (free-group certificates for matrix pairs), svg (circle-pattern
 drawing).  All output is JSON on stdout; --pretty indents it.  Exit code 0
 means the requested check passed.  pingpong --mode exact|float selects its
-arithmetic path (exact by default).
+arithmetic path (exact by default).  Each cmd_* imports the modules it
+uses, so that a process loads only what its subcommand needs.
 """
 
 from __future__ import annotations
@@ -13,23 +14,18 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
-from pathlib import Path
-
-from . import farey as F
-from . import cubing as CB
-from . import decide as DC
-from . import pingpong as PP
-from . import polyhedra as PH
-from .diagram import (AlternatingDiagram, CrossingArc, DiagramError, InRegionArc,
-                      TransverseArc, two_bridge_diagram)
 
 
 def _emit(obj, pretty: bool) -> None:
     print(json.dumps(obj, indent=2 if pretty else None, sort_keys=pretty))
+
+
+def two_bridge_diagram(seq):
+    """diagram.two_bridge_diagram, looked up on each call; _load_diagram
+    calls it through this global, which perfbench/tracing.py rebinds."""
+    from .diagram import two_bridge_diagram
+    return two_bridge_diagram(seq)
 
 
 def _load_diagram(args):
@@ -37,13 +33,14 @@ def _load_diagram(args):
         try:
             seq = tuple(int(x) for x in args.two_bridge.split(","))
         except ValueError:
-            raise DiagramError(f"--two-bridge expects A1,A2,..., got {args.two_bridge!r}") from None
+            raise ValueError(f"--two-bridge expects A1,A2,..., got {args.two_bridge!r}") from None
         return two_bridge_diagram(seq)
     if getattr(args, "pd", None):
+        from .diagram import AlternatingDiagram
         with open(args.pd) as fh:
             data = json.load(fh)
         return AlternatingDiagram.from_json(data)
-    raise DiagramError("provide --two-bridge A1,A2,... or --pd FILE")
+    raise ValueError("provide --two-bridge A1,A2,... or --pd FILE")
 
 
 def _plain_diagram(args):
@@ -56,6 +53,7 @@ def _plain_diagram(args):
 # ---------------------------------------------------------------------------
 
 def cmd_farey(args) -> int:
+    from . import farey as F
     sub = args.subcommand
     if sub == "dist":
         r, s = F.parse_slope(args.r), F.parse_slope(args.s)
@@ -95,7 +93,7 @@ def cmd_farey(args) -> int:
             hyp = F.two_bridge_hyperbolic(r)
         _emit({"r": str(r), "projective": args.p3, "hyperbolic": hyp}, args.pretty)
         return 0 if hyp else 1
-    raise DiagramError(f"unknown farey subcommand {sub}")
+    raise ValueError(f"unknown farey subcommand {sub}")
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +101,9 @@ def cmd_farey(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cubing_report(cx, with_tori: bool = True) -> dict:
-    rep = CB.verify_npc(cx)
-    tori = CB.boundary_cubings(cx) if with_tori else []
+    from .cubing import boundary_cubings, verify_npc
+    rep = verify_npc(cx)
+    tori = boundary_cubings(cx) if with_tori else []
     out = dict(cx.counts)
     out["npc"] = rep["npc"]
     out["failures"] = rep["failures"]
@@ -115,23 +114,25 @@ def _cubing_report(cx, with_tori: bool = True) -> dict:
 
 
 def cmd_cubing(args) -> int:
+    from . import cubing as CB
     if args.jobs < 1:
-        raise DiagramError(f"--jobs must be at least 1, got {args.jobs}")
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     if args.corpus:
         # the flags of a single diagram would be silently dropped
         for flag in ("pd", "two_bridge", "corrupt", "emit_complex"):
             if getattr(args, flag) is not None:
-                raise DiagramError(f"--corpus cannot be combined with --{flag.replace('_', '-')}")
+                raise ValueError(f"--corpus cannot be combined with --{flag.replace('_', '-')}")
         return _run_corpus(args, lambda d: _cubing_report(CB.build_cubing(d)))
     if args.corrupt is not None and args.emit_complex:
         # the file would pair the clean gluings with the corrupted counts
-        raise DiagramError("--corrupt cannot be combined with --emit-complex")
+        raise ValueError("--corrupt cannot be combined with --emit-complex")
     cx = CB.build_cubing(_plain_diagram(args))
     if args.corrupt is not None:
         cx.corrupt(args.corrupt)
     out = _cubing_report(cx, with_tori=args.corrupt is None)
     if args.emit_complex:
-        Path(args.emit_complex).write_text(json.dumps(cx.to_json(), indent=2))
+        with open(args.emit_complex, "w") as fh:
+            fh.write(json.dumps(cx.to_json(), indent=2))
         out["complex_written"] = args.emit_complex
     _emit(out, args.pretty)
     return 0 if out["npc"] else 1
@@ -158,20 +159,21 @@ def _spec_fields(flag: str, form: str, spec: str, parsers) -> list:
             return [parse(field) for parse, field in zip(parsers, fields)]
     except ValueError:
         pass
-    raise DiagramError(f"{flag} expects {form}, got {spec!r}")
+    raise ValueError(f"{flag} expects {form}, got {spec!r}")
 
 
 def _parse_arc(args, tb_or_d):
+    from .diagram import CrossingArc, InRegionArc, TransverseArc
     if args.crossing_arc:
         spec = args.crossing_arc
         form = "A<i>:<k> or c<i>"
         if ":" in spec:                       # A2:0 means k-th crossing of region 2
             i, k = _spec_fields("--crossing-arc", form, spec, (_int_after("Aa"), int))
             if not hasattr(tb_or_d, "crossings_in"):
-                raise DiagramError("twist-region arcs need a --two-bridge diagram")
+                raise ValueError("twist-region arcs need a --two-bridge diagram")
             members = tb_or_d.crossings_in(i)
             if not 0 <= k < len(members):
-                raise DiagramError(f"twist region A{i} has no crossing #{k}")
+                raise ValueError(f"twist region A{i} has no crossing #{k}")
             return CrossingArc(members[k])
         return CrossingArc(*_spec_fields("--crossing-arc", form, spec, (_int_after("c"),)))
     if args.in_region:
@@ -180,10 +182,11 @@ def _parse_arc(args, tb_or_d):
     if args.transverse:
         return TransverseArc(*_spec_fields("--transverse", "c<i>:c<j>:e<a>,...", args.transverse,
                                            (_int_after("c"), _int_after("c"), _edge_word)))
-    raise DiagramError("provide --crossing-arc, --in-region, or --transverse")
+    raise ValueError("provide --crossing-arc, --in-region, or --transverse")
 
 
 def cmd_decide(args) -> int:
+    from . import decide as DC
     obj = _load_diagram(args)
     arc = _parse_arc(args, obj)
     if hasattr(obj, "diagram"):
@@ -202,41 +205,19 @@ def _parse_matrix(text):
     data = json.loads(text)
     if not (isinstance(data, list) and len(data) == 2
             and all(isinstance(row, list) and len(row) == 2 for row in data)):
-        raise PP.PingPongError("matrix must be [[a,b],[c,d]]")
+        raise ValueError("matrix must be [[a,b],[c,d]]")
     return data
 
 
-def _float_real(x) -> float:
-    """A JSON number or a rational string such as "-3/4", as a finite float."""
-    value = PP.parse_rational(x) if isinstance(x, str) else x
-    if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
-        raise PP.PingPongError(f"not a real number: {x!r}")
-    try:
-        value = float(value)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise PP.PingPongError(f"entry is not a finite float: {x!r}")
-    return value
-
-
-def _float_entry(e) -> complex:
-    """A matrix entry, real or an [re, im] pair, as a complex float."""
-    if isinstance(e, list):
-        if len(e) != 2:
-            raise PP.PingPongError(f"complex entries are [re, im] pairs, got {e!r}")
-        return complex(_float_real(e[0]), _float_real(e[1]))
-    return complex(_float_real(e), 0.0)
-
-
 def cmd_pingpong(args) -> int:
+    from . import pingpong as PP
     PP.check_word_length(args.words)
     if args.mode == "float" and args.words:
-        raise PP.PingPongError("--words needs exact mode: the word check is exact only")
+        raise ValueError("--words needs exact mode: the word check is exact only")
     m1raw, m2raw = _parse_matrix(args.m1), _parse_matrix(args.m2)
     if args.mode == "float":
         def to_c(rows):
-            return [[_float_entry(e) for e in row] for row in rows]
+            return [[PP.float_entry(e) for e in row] for row in rows]
         cert = PP.pingpong_certificate_float(to_c(m1raw), to_c(m2raw), tol=args.tolerance)
         out = cert.to_json()
         _emit(out, args.pretty)
@@ -261,9 +242,11 @@ def cmd_pingpong(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_svg(args) -> int:
+    from . import polyhedra as PH
     d = _plain_diagram(args)
     svg = PH.circle_pattern_svg(d)
-    Path(args.output).write_text(svg)
+    with open(args.output, "w") as fh:
+        fh.write(svg)
     _emit({"written": args.output, "circles": svg.count("<circle")}, args.pretty)
     return 0
 
@@ -273,9 +256,12 @@ def cmd_svg(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _run_corpus(args, worker) -> int:
+    from concurrent.futures import ThreadPoolExecutor
+    from pathlib import Path
+    from .diagram import AlternatingDiagram
     paths = sorted(Path(args.corpus).glob("*.json"))
     if not paths:
-        raise DiagramError(f"no .json diagrams under {args.corpus}")
+        raise ValueError(f"no .json diagrams under {args.corpus}")
 
     def one(path):
         with open(path) as fh:
@@ -341,9 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
     pp = sub.add_parser("pingpong", help="free-group certificate for a matrix pair")
     pp.add_argument("m1", help='JSON matrix, entries rational or [re, im]')
     pp.add_argument("m2")
+    # 12 is pingpong.MAX_WORD_LENGTH, written out so that the parser loads no module
     pp.add_argument("--words", type=int, default=0, metavar="N",
                     help="also check that no reduced word of length 1..N is the identity "
-                         f"(N <= {PP.MAX_WORD_LENGTH})")
+                         "(N <= 12)")
     pp.add_argument("--mode", choices=("exact", "float"), default="exact")
     pp.add_argument("--tolerance", type=float, default=1e-12)
     pp.set_defaults(func=cmd_pingpong)

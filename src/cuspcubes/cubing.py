@@ -264,18 +264,13 @@ class CubedComplex:
         # the corner germs and square corners at each vertex, for its link;
         # a square corner is filed with its class's face, germ and two edges
         links = self._links = {v: (members, []) for v, members in vclasses.items()}
-        interior = lines = 0
         for face, other in enumerate(partner):
             if 0 <= other < face:
                 continue                # filed under its partner
             q, k = divmod(face, 6)
-            interior += k != 4 or other >= 0
-            # the two half-axes of a crossing arc meet at its glued bottom faces
-            lines += k == 5 and (other < 0 or other % 6 == 5)
             vbase, ebase = 8 * q, 12 * q
             for corner, ea, eb in _SQUARE_CORNERS[k]:
                 links[vroot[vbase + corner]][1].append((face, vbase + corner, ebase + ea, ebase + eb))
-        self.interior_squares, self.crossing_lines = interior, lines
 
     # -- reports ---------------------------------------------------------------
 
@@ -291,14 +286,14 @@ class CubedComplex:
             "vertical_edges": len(self.vertical_edges),
             "boundary_edges": len(self.boundary_edges),
             "boundary_squares": 2 * n,          # the top face of each cube
-            "interior_squares": self.interior_squares,
+            "interior_squares": 5 * n,          # one per gluing (see build_cubing)
             # each color's 2n midsquares form one hyperplane: a bottom gluing
             # joins a crossing's over and under midsquares, an edge's side
             # gluing in its region of a color joins that color's midsquares at
             # its two ends, and the diagram is connected, so no color splits
             "hyperplanes": 2,
             "midsquares_per_hyperplane": {BLACK: 2 * n, WHITE: 2 * n},
-            "crossing_lines": self.crossing_lines,
+            "crossing_lines": n,                # one per glued pair of bottom faces
         }
 
     def to_json(self) -> dict:
@@ -368,21 +363,21 @@ def build_cubing(d: AlternatingDiagram) -> CubedComplex:
     """Construct the cubed exterior and check its structural laws.
 
     Raises if the closure of the gluings violates any of: two inner
-    vertices, inner edges in bijection with regions, one vertical edge per
-    boundary vertex, and c axis classes.  The construction rules out the
-    rest.  Every interior face is glued exactly once: an edge has one side
-    gluing per flanking region, and at each end the two flanking regions
-    name the two side faces of that port's cube.  Gluings, corrupt ones
-    included, pair germs of one kind only, so no class mixes kinds, and an
-    inner edge class stays in the region whose corners it joins.  The
-    hyperplanes are fixed by connectivity (see CubedComplex.counts), the
-    boundary tori's Euler characteristics are left to boundary_cubings,
-    and the negative control is CubedComplex.corrupt.
+    vertices, inner edges in bijection with regions, and one vertical edge
+    per boundary vertex.  The construction rules out the rest.  Every
+    interior face is glued exactly once: an edge has one side gluing per
+    flanking region, and at each end the two flanking regions name the two
+    side faces of that port's cube.  Gluings, corrupt ones included, pair
+    germs of one kind only, so no class mixes kinds, and an inner edge
+    class stays in the region whose corners it joins.  The hyperplanes are
+    fixed by connectivity (see CubedComplex.counts), the boundary tori's
+    Euler characteristics are left to boundary_cubings, and the negative
+    control is CubedComplex.corrupt.
     """
     cx, c = CubedComplex(d), d.n
     counts = cx.counts
     checks = [("inner_vertices", 2), ("inner_edges", c + 2), ("vertical_edges", 2 * c),
-              ("boundary_vertices", 2 * c), ("boundary_edges", 4 * c), ("crossing_lines", c)]
+              ("boundary_vertices", 2 * c), ("boundary_edges", 4 * c)]
     for key, want in checks:
         if counts[key] != want:
             raise CubingError(f"{key} = {counts[key]}, expected {want}")

@@ -83,17 +83,27 @@ def reduce_slope(q: int, p: int) -> Slope:
     return Slope(q, p)
 
 
+MAX_SLOPE_CHARS = 1000        # longest accepted slope string
+
+
 def parse_slope(text) -> Slope:
-    """Parse 'q/p', a plain integer string, or 'inf'."""
+    """Parse 'q/p', a plain integer string, or 'inf' ('oo', 'infinity').
+    Other text, and text longer than MAX_SLOPE_CHARS (checked before any
+    number is built), raises FareyError naming the accepted forms."""
     if isinstance(text, Slope):
         return text
-    s = str(text).strip()
+    s = str(text)
+    if len(s) > MAX_SLOPE_CHARS:
+        raise FareyError(f"a slope is q/p, an integer or inf of at most MAX_SLOPE_CHARS = "
+                         f"{MAX_SLOPE_CHARS} characters, got {len(s)} characters")
+    s = s.strip()
     if s in ("inf", "oo", "infinity"):
         return INFINITY
-    if "/" in s:
-        qs, ps = s.split("/", 1)
-        return reduce_slope(int(qs), int(ps))
-    return reduce_slope(int(s), 1)
+    try:
+        q, p = map(int, s.split("/")) if "/" in s else (int(s), 1)
+    except ValueError:
+        raise FareyError(f"a slope is q/p, an integer or inf, got {text!r}") from None
+    return reduce_slope(q, p)
 
 
 def slope_of_fraction(x: Fraction) -> Slope:

@@ -63,6 +63,29 @@ def parse_rational(x) -> Fraction | None:
     return None
 
 
+def _float_real(x) -> float:
+    """A JSON number or a rational string such as "-3/4", as a finite float."""
+    value = parse_rational(x) if isinstance(x, str) else x
+    if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
+        raise PingPongError(f"not a real number: {x!r}")
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise PingPongError(f"entry is not a finite float: {x!r}")
+    return value
+
+
+def float_entry(e) -> complex:
+    """A JSON matrix entry, real or an [re, im] pair, as a complex float."""
+    if isinstance(e, list):
+        if len(e) != 2:
+            raise PingPongError(f"complex entries are [re, im] pairs, got {e!r}")
+        return complex(_float_real(e[0]), _float_real(e[1]))
+    return complex(_float_real(e), 0.0)
+
+
 @dataclass(frozen=True)
 class GaussRational:
     """Complex number with Fraction coordinates."""

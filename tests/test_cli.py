@@ -60,6 +60,22 @@ class TestFarey:
         code, data = run_json(capsys, "farey", "hyperbolic", "70011/30005")
         assert code == 0 and data["hyperbolic"] is True
 
+    @pytest.mark.parametrize("slope", ["1/3/4", "1.5", "", "1/", "/2", "x/2"])
+    def test_malformed_slope_exit(self, capsys, slope):
+        code, out, err = run(capsys, "farey", "cf", slope)
+        assert (code, out) == (2, "")
+        assert err == f"error: a slope is q/p, an integer or inf, got {slope!r}\n"
+
+    def test_long_slope_exit(self, capsys):
+        # refused by length before int() meets its 4300-digit limit
+        from cuspcubes.farey import MAX_SLOPE_CHARS
+        code, out, err = run(capsys, "farey", "dist", "1/0", "1" * 5000)
+        assert (code, out) == (2, "")
+        assert err == ("error: a slope is q/p, an integer or inf of at most MAX_SLOPE_CHARS = "
+                       f"{MAX_SLOPE_CHARS} characters, got 5000 characters\n")
+        code, data = run_json(capsys, "farey", "cf", "1" * (MAX_SLOPE_CHARS - 2) + "/3")
+        assert code == 0 and data["value"] == data["r"]
+
     def test_classify_p3(self, capsys):
         code, data = run_json(capsys, "farey", "classify-p3", "2/5", "-5/2", "--oriented")
         assert code == 0 and data["equivalent"] is True

@@ -224,7 +224,11 @@ class TestCounts:
             glued = [f for g in cx.gluings for f in g.faces]
             assert len(set(glued)) == len(glued), label
             assert not any(f % 6 == 4 for f in glued), label
-            assert (cx.interior_squares, cx.crossing_lines) == (5 * n, n), label
+            # every face but the tops is glued: 5n gluings, n of them bottom
+            assert sorted(glued) == [f for f in range(12 * n) if f % 6 != 4], label
+            assert [g.kind for g in cx.gluings] == ["bottom"] * n + ["side"] * 4 * n, label
+            assert all(a % 6 == b % 6 == 5 for g in cx.gluings[:n] for a, b in [g.faces]), label
+            assert (cx.counts["interior_squares"], cx.counts["crossing_lines"]) == (5 * n, n), label
 
     def test_non_prime_rejected(self):
         from test_diagram import connected_sum_of_trefoils

@@ -44,6 +44,14 @@ class TestSlopes:
         assert parse_slope("1/0") == INFINITY
         assert parse_slope("-9/20") == Slope(-9, 20)
         assert parse_slope("7") == Slope(7, 1)
+        # whitespace, signs, underscores and unreduced pairs, as int() reads them
+        forms = {" 3/7 ": Slope(3, 7), "6/-4": Slope(-3, 2), "+5": Slope(5, 1),
+                 "1_0/4": Slope(5, 2), "-0": ZERO, "3/0": INFINITY, "oo": INFINITY,
+                 "infinity": INFINITY, "inf": INFINITY}
+        assert {text: parse_slope(text) for text in forms} == forms
+        for text in ("1/3/4", "1.5", "", "inf/2", "1" * 1001):
+            with pytest.raises(FareyError, match="q/p, an integer or inf"):
+                parse_slope(text)
         assert Slope.from_json({"q": 4, "p": 10}) == Slope(2, 5)
         assert Slope(2, 5).to_json() == {"q": 2, "p": 5}
 

@@ -1,0 +1,77 @@
+"""Import footprint: `from cuspcubes import cli` loads no other package
+module, and each subcommand loads only the modules it uses.
+
+Each check runs in a fresh interpreter with the inherited environment
+(the package's src directory put first on PYTHONPATH); modules that the
+bare interpreter already holds, through site hooks say, are not counted.
+"""
+
+import json
+import os
+from pathlib import Path
+import subprocess
+import sys
+
+import pytest
+
+from cuspcubes.cli import main
+from cuspcubes.pingpong import MAX_WORD_LENGTH
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+from cuspcubes import cli
+cli.build_parser()
+loaded = [sorted(set(sys.modules) - before)]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv in json.loads(sys.argv[1]):
+        cli.main(argv)
+        loaded.append(sorted(set(sys.modules) - before))
+print(json.dumps(loaded))
+"""
+M1, M2 = "[[1,0],[4,1]]", "[[9,-16],[4,-7]]"
+
+
+def new_modules(*commands):
+    """The modules loaded by importing cli and building its parser, then
+    after each command; modules of the bare interpreter are left out."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    res = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(commands)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    return [set(names) for names in json.loads(res.stdout)]
+
+
+def package(modules):
+    return {m for m in modules if m.startswith("cuspcubes.")}
+
+
+def test_cli_import_loads_no_package_module():
+    (loaded,) = new_modules()
+    assert package(loaded) == {"cuspcubes.cli"}
+    assert not loaded & {"concurrent.futures", "fractions", "dataclasses"}
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["farey", "cf", "3/7"], {"farey"}),
+    (["farey", "cf", "1.5"], {"farey"}),
+    (["pingpong", M1, M2], {"pingpong"}),
+    (["pingpong", M1, M2, "--mode", "float"], {"pingpong"}),
+    (["pingpong", "[1,2]", M2], {"pingpong"}),
+    (["cubing", "--two-bridge", "2,2"], {"diagram", "cubing"}),
+    (["decide", "--two-bridge", "2,1,2", "--crossing-arc", "A2:0"],
+     {"diagram", "decide", "polyhedra"}),
+    (["svg", "--two-bridge", "2,2", "-o", os.devnull], {"diagram", "polyhedra"}),
+], ids=["farey", "farey-error", "pingpong", "pingpong-float", "pingpong-error", "cubing",
+        "decide", "svg"])
+def test_subcommand_loads_its_modules(argv, modules):
+    _, loaded = new_modules(argv)
+    assert package(loaded) == {"cuspcubes.cli"} | {"cuspcubes." + m for m in modules}
+
+
+def test_words_help_names_the_bound(capsys):
+    with pytest.raises(SystemExit):
+        main(["pingpong", "--help"])
+    assert f"(N <= {MAX_WORD_LENGTH})" in " ".join(capsys.readouterr().out.split())
