@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     import re
-    slope_token = re.compile(r"^-\d+(/\d+)?$")
+    slope_token = re.compile(r"^-\d+(/-?\d+)?$")
 
     fa = sub.add_parser("farey", help="slope arithmetic and classification")
     fsub = fa.add_subparsers(dest="subcommand", required=True)
@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = fsub.add_parser("hyperbolic"); p.add_argument("r"); p.add_argument("--p3", action="store_true")
     farey_parsers.append(p)
     for p in farey_parsers:
-        p._negative_number_matcher = slope_token      # let slopes like -5/2 through
+        p._negative_number_matcher = slope_token      # let slopes like -5/2 and -5/-2 through
     fa.set_defaults(func=cmd_farey)
 
     cb = sub.add_parser("cubing", help="build and verify the cubed exterior")

@@ -61,39 +61,44 @@ def build_polyhedra(d: AlternatingDiagram, mirror: bool = False) -> IdealPolyhed
 # Circle pattern drawing
 # ---------------------------------------------------------------------------
 
-def _tutte_layout(d: AlternatingDiagram, outer_region: int | None = None) -> dict[int, tuple[float, float]]:
+def _tutte_layout(d: AlternatingDiagram, outer_region: int) -> dict[int, tuple[float, float]]:
     """Planar positions for the crossings: pin the outer region's crossings
-    on a circle and place the rest at the average of their neighbors."""
+    on a circle and place the rest at the average of their neighbors.
+
+    The relaxation is 200 Jacobi sweeps from the origin.  It stops early
+    when a sweep gives back the state of one sweep before (a fixed point)
+    or of two sweeps before (a 2-cycle, whose parity then picks the state),
+    so every coordinate is the float that all 200 sweeps give."""
     import math
 
-    if outer_region is None:
-        outer_region = max(range(len(d.regions)), key=lambda i: len(d.regions[i]))
-    outer = d.regions[outer_region]
-    ring = []
-    for c, _i in outer.boundary:
-        if c not in ring:
-            ring.append(c)
-    pos: dict[int, tuple[float, float]] = {}
-    for j, c in enumerate(ring):
-        ang = 2 * math.pi * j / len(ring)
-        pos[c] = (math.cos(ang), math.sin(ang))
-    inner = [c for c in range(d.n) if c not in pos]
-    if not inner:
-        return pos
-    nbrs = {c: [] for c in inner}
-    for c in inner:
-        for i in range(4):
-            nbrs[c].append(d.pairing[(c, i)][0])
-    guess = {c: (0.0, 0.0) for c in inner}
-    for _ in range(200):
-        nxt = {}
-        for c in inner:
-            xs = [(pos.get(w) or guess[w])[0] for w in nbrs[c]]
-            ys = [(pos.get(w) or guess[w])[1] for w in nbrs[c]]
-            nxt[c] = (sum(xs) / 4, sum(ys) / 4)
-        guess = nxt
-    pos.update(guess)
-    return pos
+    ring = list(dict.fromkeys(c for c, _i in d.regions[outer_region].boundary))
+    at = {c: j for j, c in enumerate(ring)}
+    for c in range(d.n):
+        at.setdefault(c, len(at))
+    # The flat state holds the ring's pinned positions first, then the inner
+    # crossings; each inner crossing's neighbours are indices into it.
+    pinned = len(ring)
+    nbrs = [[at[d.pairing[(c, i)][0]] for i in range(4)] for c in list(at)[pinned:]]
+
+    def sweep(xs, ys):
+        return (xs[:pinned] + [sum([xs[a], xs[b], xs[c], xs[e]]) / 4 for a, b, c, e in nbrs],
+                ys[:pinned] + [sum([ys[a], ys[b], ys[c], ys[e]]) / 4 for a, b, c, e in nbrs])
+
+    angles = [2 * math.pi * j / pinned for j in range(pinned)]
+    state = ([math.cos(a) for a in angles] + [0.0] * len(nbrs),
+             [math.sin(a) for a in angles] + [0.0] * len(nbrs))
+    back = None
+    for done in range(1, 201):
+        new = sweep(*state)
+        if new == state:
+            break
+        if new == back:
+            if (200 - done) % 2 == 0:
+                state = new
+            break
+        back, state = state, new
+    xs, ys = state
+    return {c: (xs[j], ys[j]) for c, j in at.items()}
 
 
 def circle_pattern_svg(d: AlternatingDiagram, outer_region: int | None = None,
@@ -102,9 +107,13 @@ def circle_pattern_svg(d: AlternatingDiagram, outer_region: int | None = None,
     white layered; purely illustrative."""
     import math
 
-    pos = _tutte_layout(d, outer_region)
     if outer_region is None:
         outer_region = max(range(len(d.regions)), key=lambda i: len(d.regions[i]))
+    elif (not isinstance(outer_region, int) or isinstance(outer_region, bool)
+          or not 0 <= outer_region < len(d.regions)):
+        raise PolyhedraError(f"outer_region must be a region index in 0..{len(d.regions) - 1}, "
+                             f"got {outer_region!r}")
+    pos = _tutte_layout(d, outer_region)
     pad = 0.35
     xs = [p[0] for p in pos.values()]
     ys = [p[1] for p in pos.values()]

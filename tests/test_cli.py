@@ -14,7 +14,8 @@ REGISTRY = Registry().with_resources(
     (schema["$id"], Resource.from_contents(schema))
     for schema in (json.loads(f.read_text()) for f in SCHEMAS.glob("*.json")))
 SCHEMA_OF = {"farey": "farey.outputs.v1", "cubing": "cubing.report.v1",
-             "decide": "decide.verdict.v1", "pingpong": "pingpong.certificate.v1"}
+             "decide": "decide.verdict.v1", "pingpong": "pingpong.certificate.v1",
+             "svg": "svg.output.v1"}
 
 
 def validate(instance, name):
@@ -51,6 +52,15 @@ class TestFarey:
         code, data = run_json(capsys, "farey", "cf", "-9/20")
         assert code == 0
         assert data["integer_part"] == -1 and data["terms"] == [1, 1, 4, 2]
+
+    def test_negative_denominator(self, capsys):
+        # -5/-2 is 5/2; argparse must not take it for an option
+        code, data = run_json(capsys, "farey", "cf", "-5/-2")
+        assert code == 0
+        assert data == {"r": "5/2", "integer_part": 2, "terms": [2], "value": "5/2"}
+        code, data = run_json(capsys, "farey", "dist", "-5/-2", "1/0")
+        assert code == 0
+        assert data == {"r": "5/2", "s": "1/0", "distance": 2}
 
     def test_deep_slope(self, capsys):
         # partial quotient 5000: deeper than the interpreter's recursion limit
@@ -469,9 +479,9 @@ class TestPingpong:
 class TestSvg:
     def test_write(self, capsys, tmp_path):
         out_file = tmp_path / "fig8.svg"
-        code, out, _ = run(capsys, "svg", "--two-bridge", "2,2", "-o", str(out_file))
+        code, data = run_json(capsys, "svg", "--two-bridge", "2,2", "-o", str(out_file))
         assert code == 0
-        assert json.loads(out)["circles"] == 6
+        assert data == {"written": str(out_file), "circles": 6}
         assert out_file.read_text().startswith("<svg")
 
     def test_missing_file(self, capsys):

@@ -1,5 +1,6 @@
 """Byte-identical output: sha256 digests of the JSON that `decide`,
-`cubing --emit-complex` and `verify_npc` produce, one per input family,
+`cubing --emit-complex` and `verify_npc` produce and of the SVG text of
+`circle_pattern_svg`, one per input family,
 recorded in tests/data/golden_digests.json.  A change that alters any of
 these outputs must say so and record them again:
 
@@ -13,6 +14,7 @@ from pathlib import Path
 from cuspcubes.cubing import build_cubing, verify_npc
 from cuspcubes.decide import classify_2bridge_pair
 from cuspcubes.diagram import CrossingArc, pretzel_diagram, two_bridge_diagram
+from cuspcubes.polyhedra import circle_pattern_svg
 from conftest import diagram_corpus, twist_sequences
 from test_cli import validate
 
@@ -60,6 +62,24 @@ def npc_outputs():
         yield json.dumps(verify_npc(build_cubing(d)))
 
 
+def svg_diagrams():
+    """The corpus, every twist sequence with at most 10 crossings, two
+    drawings whose layout ends in a 2-cycle (pretzel (3,2,3) and two-bridge
+    (2,2,2)) and one with no repeat within 200 sweeps (two-bridge (6,6))."""
+    yield from diagram_corpus().values()
+    for seq in twist_sequences(10):
+        yield two_bridge_diagram(seq).diagram
+    yield pretzel_diagram(3, 2, 3)
+    yield two_bridge_diagram((2, 2, 2)).diagram
+    yield two_bridge_diagram((6, 6)).diagram
+
+
+def svg_outputs():
+    """The circle-pattern SVG text of every svg diagram."""
+    for d in svg_diagrams():
+        yield circle_pattern_svg(d)
+
+
 def digest(lines):
     h = hashlib.sha256()
     count = 0
@@ -69,7 +89,8 @@ def digest(lines):
     return {"outputs": count, "sha256": h.hexdigest()}
 
 
-FAMILIES = {"decide": decide_outputs, "complex": complex_outputs, "npc": npc_outputs}
+FAMILIES = {"decide": decide_outputs, "complex": complex_outputs, "npc": npc_outputs,
+            "svg": svg_outputs}
 
 
 def test_emitted_complexes_match_schema():

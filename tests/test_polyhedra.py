@@ -1,8 +1,10 @@
 import pytest
 
-from cuspcubes.diagram import AlternatingDiagram, BLACK, WHITE, two_bridge_diagram
+from cuspcubes.diagram import AlternatingDiagram, BLACK, WHITE, pretzel_diagram, two_bridge_diagram
 from gear_oracles import closed_form_classes, edge_arc_classes, transfer_pairs
-from cuspcubes.polyhedra import PolyhedraError, build_polyhedra, circle_pattern_svg
+from polyhedra_oracles import _tutte_layout as tutte_200_sweeps, first_repeat
+from cuspcubes.polyhedra import PolyhedraError, _tutte_layout, build_polyhedra, circle_pattern_svg
+from test_golden import svg_diagrams
 
 
 @pytest.fixture(scope="module")
@@ -116,3 +118,34 @@ class TestSvg:
         assert circle_pattern_svg(fig8).count("<circle") == 6
         tref = AlternatingDiagram.from_pd([(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)])
         assert circle_pattern_svg(tref).count("<circle") == 5
+
+    @pytest.mark.parametrize("outer", [-1, 6, True, 2.0])
+    def test_outer_region_validation(self, fig8, outer):
+        # fig8 has 6 regions; -1 would pin the last one while no circle is drawn as outer
+        with pytest.raises(PolyhedraError, match="outer_region must be a region index in 0..5"):
+            circle_pattern_svg(fig8, outer_region=outer)
+
+
+def float_hex(pos):
+    return {c: (x.hex(), y.hex()) for c, (x, y) in pos.items()}
+
+
+class TestTutteLayout:
+    def test_equals_200_sweeps(self):
+        """Stopping at a fixed point or 2-cycle changes no coordinate's float."""
+        for k, d in enumerate(svg_diagrams()):
+            outer = max(range(len(d.regions)), key=lambda i: len(d.regions[i]))
+            assert float_hex(_tutte_layout(d, outer)) == float_hex(tutte_200_sweeps(d)), k
+
+    def test_every_outer_region(self, fig8):
+        for r in range(len(fig8.regions)):
+            assert float_hex(_tutte_layout(fig8, r)) == float_hex(tutte_200_sweeps(fig8, r)), r
+            assert circle_pattern_svg(fig8, outer_region=r).count("<circle") == 6
+
+    def test_stopping_cases(self, fig8):
+        """The drawings of test_equals_200_sweeps reach every way the relaxation
+        ends: a fixed point, a 2-cycle and no repeat in 200 sweeps."""
+        assert first_repeat(fig8)[1] == 1
+        assert first_repeat(pretzel_diagram(3, 2, 3)) == (55, 2)
+        assert first_repeat(two_bridge_diagram((2, 2, 2)).diagram) == (30, 2)
+        assert first_repeat(two_bridge_diagram((6, 6)).diagram) is None
