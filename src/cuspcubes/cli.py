@@ -21,6 +21,15 @@ def _emit(obj, pretty: bool) -> None:
     print(json.dumps(obj, indent=2 if pretty else None, sort_keys=pretty))
 
 
+def _json_loads(text: str, what: str):
+    """json.loads, refusing JSON nested past the interpreter's recursion
+    limit as malformed."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"malformed: JSON nested too deeply in {what}") from None
+
+
 def two_bridge_diagram(seq):
     """diagram.two_bridge_diagram, looked up on each call; _load_diagram
     calls it through this global, which perfbench/tracing.py rebinds."""
@@ -38,7 +47,7 @@ def _load_diagram(args):
     if getattr(args, "pd", None):
         from .diagram import AlternatingDiagram
         with open(args.pd) as fh:
-            data = json.load(fh)
+            data = _json_loads(fh.read(), args.pd)
         return AlternatingDiagram.from_json(data)
     raise ValueError("provide --two-bridge A1,A2,... or --pd FILE")
 
@@ -202,7 +211,7 @@ def cmd_decide(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _parse_matrix(text):
-    data = json.loads(text)
+    data = _json_loads(text, "a matrix")
     if not (isinstance(data, list) and len(data) == 2
             and all(isinstance(row, list) and len(row) == 2 for row in data)):
         raise ValueError("matrix must be [[a,b],[c,d]]")
@@ -214,11 +223,14 @@ def cmd_pingpong(args) -> int:
     PP.check_word_length(args.words)
     if args.mode == "float" and args.words:
         raise ValueError("--words needs exact mode: the word check is exact only")
+    if args.mode == "exact" and args.tolerance is not None:
+        raise ValueError("--tolerance needs float mode: exact mode has no tolerance")
     m1raw, m2raw = _parse_matrix(args.m1), _parse_matrix(args.m2)
     if args.mode == "float":
         def to_c(rows):
             return [[PP.float_entry(e) for e in row] for row in rows]
-        cert = PP.pingpong_certificate_float(to_c(m1raw), to_c(m2raw), tol=args.tolerance)
+        tol = {} if args.tolerance is None else {"tol": args.tolerance}
+        cert = PP.pingpong_certificate_float(to_c(m1raw), to_c(m2raw), **tol)
         out = cert.to_json()
         _emit(out, args.pretty)
         return 0 if cert.verdict == PP.FREE_CERTIFIED else 1
@@ -265,7 +277,7 @@ def _run_corpus(args, worker) -> int:
 
     def one(path):
         with open(path) as fh:
-            d = AlternatingDiagram.from_json(json.load(fh))
+            d = AlternatingDiagram.from_json(_json_loads(fh.read(), path.name))
         return {"file": path.name, **worker(d)}
 
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
@@ -332,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also check that no reduced word of length 1..N is the identity "
                          "(N <= 12)")
     pp.add_argument("--mode", choices=("exact", "float"), default="exact")
-    pp.add_argument("--tolerance", type=float, default=1e-12)
+    pp.add_argument("--tolerance", type=float, default=None,
+                    help="float mode only (default 1e-12)")
     pp.set_defaults(func=cmd_pingpong)
 
     sv = sub.add_parser("svg", help="circle pattern drawing")

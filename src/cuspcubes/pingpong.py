@@ -11,9 +11,11 @@ reported as inconclusive, never as a non-freeness claim.
 
 Both paths run one routine, _decide, on scaled forms (D, D*M): the exact
 path on Gaussian integers, the numeric path on determinant-one floats with
-D = 1.0.  Fractions are built only when entries are parsed and when maps
-and disks are emitted.  Radii are irrational in general (1/|c|), so exact
-disks store the squared radius and every comparison is the rational test
+D = 1.0.  An exact map is stored only as its scaled form, and its
+determinant is checked once, when the map is made.  Fractions are built
+only when entries are parsed and when maps and disks are emitted.  Radii
+are irrational in general (1/|c|), so exact disks store the squared
+radius and every comparison is the rational test
     dist^2 >= r1^2 + r2^2 + 2*sqrt(r1^2 * r2^2),
 rearranged to avoid square roots.
 """
@@ -86,51 +88,31 @@ def float_entry(e) -> complex:
     return complex(_float_real(e), 0.0)
 
 
-@dataclass(frozen=True)
-class GaussRational:
-    """Complex number with Fraction coordinates."""
-
-    re: Fraction
-    im: Fraction
-
-    @staticmethod
-    def of(x) -> "GaussRational":
-        """A real accepted by parse_rational, or an [re, im] pair of these."""
-        if isinstance(x, GaussRational):
-            return x
-        re, im = x if isinstance(x, (tuple, list)) and len(x) == 2 else (x, 0)
-        re, im = parse_rational(re), parse_rational(im)
-        if re is None or im is None:
-            raise PingPongError(f"not an exact complex value: {x!r}")
-        return GaussRational(re, im)
-
-    def __str__(self):
-        return f"{self.re}{'+' if self.im >= 0 else ''}{self.im}i"
-
-    def to_json(self):
-        return [str(self.re), str(self.im)]
+def _gauss_of(x) -> tuple[Fraction, Fraction]:
+    """A real accepted by parse_rational, or an [re, im] pair of these, as
+    its real and imaginary parts."""
+    re, im = x if isinstance(x, (tuple, list)) and len(x) == 2 else (x, 0)
+    re, im = parse_rational(re), parse_rational(im)
+    if re is None or im is None:
+        raise PingPongError(f"not an exact complex value: {x!r}")
+    return re, im
 
 
-INFINITY_POINT = "inf"
+def _json(p, q: int) -> list[str]:
+    """The Gaussian value p/q as [re, im] rational strings."""
+    return [str(Fraction(p[0], q)), str(Fraction(p[1], q))]
 
 
 # ---------------------------------------------------------------------------
 # Gaussian-integer core
 # ---------------------------------------------------------------------------
 #
-# Every decision below is made on a map's scaled form (D, D*M): D is the
-# lcm of the denominators of its eight real and imaginary parts and D*M a
-# Gaussian-integer matrix flattened to (Re a, Im a, Re b, Im b, Re c, Im c,
-# Re d, Im d).  Gaussian integers are (re, im) pairs of ints.  A disk is
-# scaled the same way, as (Re v, Im v, q, r): centre v/q with q > 0 and
+# Every decision below is made on a map's scaled form (D, D*M): D > 0 is
+# the lcm of the denominators of its eight real and imaginary parts and D*M
+# a Gaussian-integer matrix flattened to (Re a, Im a, Re b, Im b, Re c,
+# Im c, Re d, Im d).  Gaussian integers are (re, im) pairs of ints.  A disk
+# is scaled the same way, as (Re v, Im v, q, r): centre v/q with q > 0 and
 # squared radius r/q^2.  The numeric path lays out its matrices in floats.
-
-def _scale(zs) -> tuple[int, tuple[int, ...]]:
-    """(D, D*M) for the GaussRational entries zs, D the lcm of all denominators."""
-    parts = [x for z in zs for x in (z.re, z.im)]
-    den = math.lcm(*(x.denominator for x in parts))
-    return den, tuple(x.numerator * (den // x.denominator) for x in parts)
-
 
 def _gmul(x, y):
     return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
@@ -153,22 +135,6 @@ def _gauss_sqrt(w: tuple[int, int]) -> tuple[int, int] | None:
     x, y = math.isqrt((n + w[0]) // 2), math.isqrt((n - w[0]) // 2)
     s = (x, -y if w[1] < 0 else y)
     return s if _gmul(s, s) == w else None
-
-
-def _scaled_entries(m: "MobiusMap") -> tuple[int, tuple[int, ...]]:
-    """(D, D*M), the only way a map enters the core; det(D*M) must be D^2."""
-    den, e = _scale((m.a, m.b, m.c, m.d))
-    if _det(e) != (den * den, 0):
-        raise PingPongError("determinant must be 1")
-    return den, e
-
-
-def _gr(p, q: int) -> GaussRational:
-    return GaussRational(Fraction(p[0], q), Fraction(p[1], q))
-
-
-def _unscaled(den: int, e: tuple[int, ...]) -> "MobiusMap":
-    return MobiusMap(*(_gr(e[k:k + 2], den) for k in range(0, 8, 2)))
 
 
 def _gauss_matmul(x: tuple, y: tuple) -> tuple:
@@ -240,8 +206,14 @@ def _to_plane(forms, near):
     raise PingPongError("could not move both fixed points into the plane")
 
 
-def _conjugator(t: int | None) -> "MobiusMap":
-    return IDENTITY if t is None else _unscaled(1, (0, 0, 1, 0, 1, 0, -t, 0))
+def _matrix_json(den: int, e: tuple[int, ...]) -> list:
+    return [[_json(e[0:2], den), _json(e[2:4], den)], [_json(e[4:6], den), _json(e[6:8], den)]]
+
+
+def _conjugator(t: int | None) -> list:
+    """z -> 1/(z - t) as the JSON matrix [[0, 1], [1, -t]] (det -1), or the
+    identity when t is None."""
+    return _matrix_json(1, (1, 0, 0, 0, 0, 0, 1, 0) if t is None else (0, 0, 1, 0, 1, 0, -t, 0))
 
 
 def _isometric_disks(den, e):
@@ -252,6 +224,24 @@ def _isometric_disks(den, e):
 def _scaled_disk(u, c, den) -> tuple[int, ...]:
     v, n = _gmul(u, (c[0], -c[1])), _norm(c)
     return v[0], v[1], n, den * den * n
+
+
+def _disk_json(x: tuple[int, ...]) -> dict:
+    return {"center": _json(x[:2], x[2]), "radius2": str(Fraction(x[3], x[2] * x[2]))}
+
+
+def _butterfly(den: int, e: tuple[int, ...]) -> dict:
+    """The map with its isometric disks, as JSON (neg maps onto pos).
+
+    neg is centred at -d/c and pos at a/c, both of radius 1/|c|.  With
+    determinant one, |c w - a| * |c z + d| = 1 whenever w = map(z), so the
+    isometric circle |cz + d| = 1 maps onto |cw - a| = 1 and the outside of
+    neg onto pos; with trace +-2 the centres are 2/|c| apart, so the disks
+    are tangent, at the fixed point (a - d)/(2c).  Both identities hold by
+    algebra for every map, so nothing is sampled.
+    """
+    neg, pos = (_disk_json(_scaled_disk(*x)) for x in _isometric_disks(den, e))
+    return {"map": _matrix_json(den, e), "neg": neg, "pos": pos}
 
 
 def _overlap(x: tuple[int, ...], y: tuple[int, ...]) -> bool:
@@ -301,31 +291,39 @@ def _decide(s1, s2, parabolic, near, disk, overlap):
 
 @dataclass(frozen=True)
 class MobiusMap:
-    """Matrix [[a, b], [c, d]], identified up to global sign.
-
-    Maps built by from_entries have determinant one; the core checks it
-    where a map enters (the emitted conjugator z -> 1/(z - t) has det -1).
+    """The determinant-one matrix M = [[a, b], [c, d]] over the Gaussian
+    rationals, identified up to global sign, held only as its scaled form:
+    den = D > 0 and e = D*M flattened as above, in lowest terms.  Both, and
+    determinant one, are checked here, where a map is made, and nowhere else.
     """
 
-    a: GaussRational
-    b: GaussRational
-    c: GaussRational
-    d: GaussRational
+    den: int
+    e: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.den <= 0 or math.gcd(self.den, *self.e) != 1:
+            raise PingPongError("a scaled form needs D > 0 and no common factor of D and D*M")
+        if _det(self.e) != (self.den * self.den, 0):
+            raise PingPongError("determinant must be 1")
 
     @staticmethod
     def from_entries(a, b, c, d) -> "MobiusMap":
         """[[a, b], [c, d]] / sqrt(ad - bc), with the root of _gauss_sqrt."""
-        den, e = _scale(map(GaussRational.of, (a, b, c, d)))
+        parts = [x for z in (a, b, c, d) for x in _gauss_of(z)]
+        den = math.lcm(*(x.denominator for x in parts))
+        e = tuple(x.numerator * (den // x.denominator) for x in parts)
         det = _det(e)
         if det == (0, 0):
             raise PingPongError("matrix is singular")
-        # det(M) = det(D*M) / D^2, so M / sqrt(det M) = (D*M) / s
+        # det(M) = det(D*M) / D^2, so M / sqrt(det M) = (D*M) / s = (D*M) s' / |s|^2
         s = _gauss_sqrt(det)
         if s is None:
             raise PingPongError(
                 "determinant must be 1 (or an exact square so the matrix can be scaled)")
         n, sbar = _norm(s), (s[0], -s[1])
-        return MobiusMap(*(_gr(_gmul(e[k:k + 2], sbar), n) for k in range(0, 8, 2)))
+        x = tuple(p for k in range(0, 8, 2) for p in _gmul(e[k:k + 2], sbar))
+        g = math.gcd(n, *x)
+        return MobiusMap(n // g, tuple(p // g for p in x))
 
     @staticmethod
     def from_json(obj) -> "MobiusMap":
@@ -333,86 +331,7 @@ class MobiusMap:
         return MobiusMap.from_entries(a, b, c, d)
 
     def to_json(self):
-        return [[self.a.to_json(), self.b.to_json()], [self.c.to_json(), self.d.to_json()]]
-
-
-IDENTITY = _unscaled(1, (1, 0, 0, 0, 0, 0, 1, 0))
-
-
-def is_parabolic(m: MobiusMap) -> bool:
-    """Trace +-2 and not the identity."""
-    return _is_parabolic(_scaled_entries(m), _same)
-
-
-def fixed_point(m: MobiusMap):
-    """The unique fixed point of a parabolic map."""
-    den, e = _scaled_entries(m)
-    if _is_scalar(e, den):
-        raise PingPongError("the identity fixes everything")
-    if not _is_parabolic((den, e), _same):
-        raise PingPongError("fixed_point here is for parabolic maps only")
-    if _at_infinity(e, _same):
-        return INFINITY_POINT
-    num, c2 = _fixed(e)
-    return _gr(_gmul(num, (c2[0], -c2[1])), _norm(c2))
-
-
-# ---------------------------------------------------------------------------
-# Disks and butterflies
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RoundDisk:
-    """Closed round disk: center and squared radius (exact)."""
-
-    center: GaussRational
-    radius2: Fraction
-
-    def __post_init__(self):
-        if self.radius2 <= 0:
-            raise PingPongError("disk radius must be positive")
-
-    @staticmethod
-    def from_scaled(x: tuple[int, ...]) -> "RoundDisk":
-        return RoundDisk(_gr(x[:2], x[2]), Fraction(x[3], x[2] * x[2]))
-
-    def to_json(self):
-        return {"center": self.center.to_json(), "radius2": str(self.radius2)}
-
-
-@dataclass(frozen=True)
-class Butterfly:
-    """A parabolic map with its isometric disk pair (neg maps onto pos).
-
-    neg is centred at -d/c and pos at a/c, both of radius 1/|c|.  With
-    determinant one, |c w - a| * |c z + d| = 1 whenever w = map(z), so the
-    isometric circle |cz + d| = 1 maps onto |cw - a| = 1 and the outside of
-    neg onto pos; with trace +-2 the centres are 2/|c| apart, so the disks
-    are tangent, at the fixed point (a - d)/(2c).  Both identities hold by
-    algebra for every map the core accepts, so nothing is sampled.
-    """
-
-    map: MobiusMap
-    neg: RoundDisk
-    pos: RoundDisk
-
-    def to_json(self):
-        return {"map": self.map.to_json(), "neg": self.neg.to_json(), "pos": self.pos.to_json()}
-
-
-def _butterfly(den: int, e: tuple[int, ...]) -> Butterfly:
-    neg, pos = (RoundDisk.from_scaled(_scaled_disk(*x)) for x in _isometric_disks(den, e))
-    return Butterfly(_unscaled(den, e), neg, pos)
-
-
-def isometric_butterfly(m: MobiusMap) -> Butterfly:
-    """Isometric disks of a parabolic map with finite fixed point."""
-    den, e = _scaled_entries(m)
-    if not _is_parabolic((den, e), _same):
-        raise PingPongError("butterflies exist for parabolic maps only")
-    if _at_infinity(e, _same):
-        raise PingPongError("the map fixes infinity; conjugate first (normalize_pair)")
-    return _butterfly(den, e)
+        return _matrix_json(self.den, self.e)
 
 
 # ---------------------------------------------------------------------------
@@ -421,37 +340,23 @@ def isometric_butterfly(m: MobiusMap) -> Butterfly:
 
 @dataclass
 class Certificate:
+    """A verdict with its JSON butterflies ({"map", "neg", "pos"}) and the
+    JSON matrix of the conjugator that moved both fixed points into the plane."""
+
     verdict: str
     butterflies: tuple = ()
-    conjugator: MobiusMap | None = None
+    conjugator: list | None = None
     diagnostic: str | None = None
     notes: tuple = ()
 
     def to_json(self):
-        out = {"verdict": self.verdict,
-               "butterflies": [bf.to_json() for bf in self.butterflies],
+        out = {"verdict": self.verdict, "butterflies": list(self.butterflies),
                "notes": list(self.notes)}
         if self.conjugator is not None:
-            out["conjugator"] = self.conjugator.to_json()
+            out["conjugator"] = self.conjugator
         if self.diagnostic:
             out["diagnostic"] = self.diagnostic
         return out
-
-
-def normalize_pair(m1: MobiusMap, m2: MobiusMap) -> tuple[MobiusMap, MobiusMap, MobiusMap]:
-    """Conjugate a pair of parabolic maps so both fixed points are finite.
-
-    Returns (g m1 g^-1, g m2 g^-1, g); certificate verdicts are invariant
-    under the conjugators this produces.  Pairs with equal fixed points
-    are rejected.
-    """
-    forms = _scaled_entries(m1), _scaled_entries(m2)
-    if not all(_is_parabolic(s, _same) for s in forms):
-        raise PingPongError("normalize_pair needs parabolic maps")
-    t, (s1, s2) = _to_plane(forms, _same)
-    if _same(_fixed(s1[1]), _fixed(s2[1])):
-        raise PingPongError("the maps share their fixed point")
-    return _unscaled(*s1), _unscaled(*s2), _conjugator(t)
 
 
 NAMES = ("neg(1)", "pos(1)", "neg(2)", "pos(2)")
@@ -469,7 +374,7 @@ def pingpong_certificate(m1: MobiusMap, m2: MobiusMap) -> Certificate:
     is reported as Inconclusive with the offending pair; it is not a
     non-freeness claim.  Every test runs on the scaled forms (D, D*M).
     """
-    verdict, t, forms, pair = _decide(_scaled_entries(m1), _scaled_entries(m2),
+    verdict, t, forms, pair = _decide((m1.den, m1.e), (m2.den, m2.e),
                                       lambda s: _is_parabolic(s, _same), _same,
                                       _scaled_disk, _overlap)
     if verdict == COMMUTING:
@@ -520,7 +425,7 @@ def free_word_sanity(m1: MobiusMap, m2: MobiusMap, max_length: int) -> bool:
     outside 0..MAX_WORD_LENGTH raises PingPongError.
     """
     check_word_length(max_length)
-    e1, e2 = _scaled_entries(m1)[1], _scaled_entries(m2)[1]
+    e1, e2 = m1.e, m2.e
     gens = (e1, _inverse(e1), e2, _inverse(e2))      # letter g ^ 1 undoes letter g
     identity = (1, 0, 0, 0, 0, 0, 1, 0)
     first_length = {identity: 0}

@@ -155,6 +155,25 @@ class TestCubing:
             code, out, err = run(capsys, "cubing", "--pd", str(f))
             assert code == 2 and out == "" and err.startswith("error: malformed:"), text
 
+    def test_deeply_nested_pd_exit(self, capsys, tmp_path):
+        # json gives up with a RecursionError; that is malformed input, not a failed check
+        f = tmp_path / "deep.json"
+        f.write_text("[" * 200000)
+        for cmd in (["cubing"], ["decide", "--crossing-arc", "c0"], ["svg", "-o", "unused.svg"]):
+            code, out, err = run(capsys, *cmd, "--pd", str(f))
+            assert code == 2 and out == "", cmd
+            assert err == f"error: malformed: JSON nested too deeply in {f}\n", cmd
+
+    def test_deeply_nested_corpus_file_exit(self, capsys, pd_corpus_dir, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        first = sorted(pd_corpus_dir.glob("*.json"))[0]
+        (corpus / first.name).write_text(first.read_text())
+        (corpus / "deep.json").write_text('{"pd": ' + "[" * 200000)
+        code, out, err = run(capsys, "cubing", "--corpus", str(corpus), "--jobs", "2")
+        assert code == 2 and out == ""
+        assert err == "error: malformed: JSON nested too deeply in deep.json\n"
+
     def test_named_construction_errors_exit(self, capsys, tmp_path):
         # a rotation file failing one construction check: exit 2 with the
         # check's name and no traceback, from cubing and decide alike
@@ -463,6 +482,22 @@ class TestPingpong:
             code, out, err = run(capsys, "pingpong", "[[1,0],[4,1]]", "[[9,-16],[4,-7]]",
                                  "--mode", "float", f"--tolerance={tol}")
             assert code == 2 and out == "" and "tolerance must be a finite number > 0" in err
+
+    def test_exact_mode_tolerance_exit(self, capsys):
+        # exact mode has no tolerance, so any --tolerance would be ignored
+        for tol in ("-5", "1e-12", "0.5"):
+            for mode in ((), ("--mode", "exact")):
+                code, out, err = run(capsys, "pingpong", "[[1,0],[4,1]]", "[[9,-16],[4,-7]]",
+                                     *mode, "--tolerance", tol)
+                assert code == 2 and out == "", (tol, mode)
+                assert err == "error: --tolerance needs float mode: exact mode has no tolerance\n"
+
+    def test_deeply_nested_matrix_exit(self, capsys):
+        for m1, m2 in (("[" * 100000, "[[1,0],[4,1]]"), ("[[1,0],[4,1]]", "[" * 5000 + "]" * 5000)):
+            for mode in ("exact", "float"):
+                code, out, err = run(capsys, "pingpong", m1, m2, "--mode", mode)
+                assert code == 2 and out == ""
+                assert err == "error: malformed: JSON nested too deeply in a matrix\n"
 
     def test_gaussian_entries(self, capsys):
         code, data = run_json(capsys, "pingpong", "[[1,0],[[1,1],1]]", "[[9,-16],[4,-7]]")

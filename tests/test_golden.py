@@ -1,6 +1,7 @@
 """Byte-identical output: sha256 digests of the JSON that `decide`,
-`cubing --emit-complex` and `verify_npc` produce and of the SVG text of
-`circle_pattern_svg`, one per input family,
+`cubing --emit-complex`, `verify_npc` and the ping-pong certificates and
+word checks produce and of the SVG text of `circle_pattern_svg`, one per
+input family,
 recorded in tests/data/golden_digests.json.  A change that alters any of
 these outputs must say so and record them again:
 
@@ -14,9 +15,11 @@ from pathlib import Path
 from cuspcubes.cubing import build_cubing, verify_npc
 from cuspcubes.decide import classify_2bridge_pair
 from cuspcubes.diagram import CrossingArc, pretzel_diagram, two_bridge_diagram
+from cuspcubes.pingpong import free_word_sanity, pingpong_certificate_float
 from cuspcubes.polyhedra import circle_pattern_svg
 from conftest import diagram_corpus, twist_sequences
 from test_cli import validate
+from test_pingpong import NAMED_PAIRS, certificate_outcome, float_matrix, oracle_pairs, outcome
 
 GOLDEN = Path(__file__).parent / "data" / "golden_digests.json"
 
@@ -80,6 +83,17 @@ def svg_outputs():
         yield circle_pattern_svg(d)
 
 
+def pingpong_outputs():
+    """The exact certificate JSON (or error message) and the float verdict
+    JSON (or error message) of every oracle pair, then free_word_sanity for
+    N = 0..8 on each named pair."""
+    for s1, s2 in oracle_pairs():
+        yield json.dumps(certificate_outcome(s1, s2))
+        yield json.dumps(outcome(pingpong_certificate_float, float_matrix(s1), float_matrix(s2)))
+    for name, (m1, m2) in NAMED_PAIRS.items():
+        yield json.dumps([name, [free_word_sanity(m1, m2, n) for n in range(9)]])
+
+
 def digest(lines):
     h = hashlib.sha256()
     count = 0
@@ -90,7 +104,7 @@ def digest(lines):
 
 
 FAMILIES = {"decide": decide_outputs, "complex": complex_outputs, "npc": npc_outputs,
-            "svg": svg_outputs}
+            "svg": svg_outputs, "pingpong": pingpong_outputs}
 
 
 def test_emitted_complexes_match_schema():

@@ -1,43 +1,97 @@
 import cmath
 from fractions import Fraction
+import json
 import math
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspcubes.pingpong import (
-    COMMUTING, FREE_CERTIFIED, IDENTITY, INCONCLUSIVE, INFINITY_POINT, MAX_WORD_LENGTH,
-    Butterfly, Certificate, GaussRational, MobiusMap, PingPongError, RoundDisk, _overlap,
-    fixed_point, free_word_sanity, is_parabolic, isometric_butterfly,
-    normalize_pair, pingpong_certificate, pingpong_certificate_float,
+    COMMUTING, FREE_CERTIFIED, INCONCLUSIVE, MAX_WORD_LENGTH, MobiusMap, PingPongError,
+    _overlap, free_word_sanity, pingpong_certificate, pingpong_certificate_float,
 )
 
 M_STD = MobiusMap.from_entries(1, 0, 4, 1)
 M_SHIFTED = MobiusMap.from_entries(9, -16, 4, -7)     # conjugate by z -> z + 2
 TRANSLATION = MobiusMap.from_entries(1, 1, 0, 1)
+IDENTITY = MobiusMap.from_entries(1, 0, 0, 1)
+IDENTITY_JSON = [[["1", "0"], ["0", "0"]], [["0", "0"], ["1", "0"]]]
 
 
-# The Fraction Moebius algebra of the oracles below; the package itself
-# decides on scaled Gaussian integers and keeps no complex arithmetic.
+# The Fraction Moebius algebra of the oracles below, on records of its own;
+# the package itself decides on scaled Gaussian integers and keeps no
+# complex arithmetic.
+
+class GR(NamedTuple):
+    """The Gaussian rational re + im i."""
+
+    re: Fraction
+    im: Fraction
+
+    def to_json(self):
+        return [str(self.re), str(self.im)]
+
+
+class FMap(NamedTuple):
+    """The matrix [[a, b], [c, d]] of Gaussian rationals."""
+
+    a: GR
+    b: GR
+    c: GR
+    d: GR
+
+    def to_json(self):
+        return [[self.a.to_json(), self.b.to_json()], [self.c.to_json(), self.d.to_json()]]
+
+
+class Disk(NamedTuple):
+    """Closed round disk: centre and squared radius."""
+
+    center: GR
+    radius2: Fraction
+
+    def to_json(self):
+        return {"center": self.center.to_json(), "radius2": str(self.radius2)}
+
 
 def gr(re, im=0):
-    return GaussRational(Fraction(re), Fraction(im))
+    return GR(Fraction(re), Fraction(im))
+
+
+def of(x):
+    """A rational or an (re, im) pair of rationals, as a GR."""
+    return gr(*x) if isinstance(x, (tuple, list)) else gr(x)
+
+
+def from_json(rows):
+    """The FMap of a JSON matrix [[a, b], [c, d]] of [re, im] strings."""
+    return FMap(*(gr(*map(Fraction, z)) for row in rows for z in row))
+
+
+def fmap(m: MobiusMap) -> FMap:
+    return from_json(m.to_json())
+
+
+def disk_of(obj) -> Disk:
+    return Disk(gr(*map(Fraction, obj["center"])), Fraction(obj["radius2"]))
 
 
 ZERO_C, ONE_C = gr(0), gr(1)
+INF = "inf"
 
 
 def add(x, y):
-    return GaussRational(x.re + y.re, x.im + y.im)
+    return GR(x.re + y.re, x.im + y.im)
 
 
 def sub(x, y):
-    return GaussRational(x.re - y.re, x.im - y.im)
+    return GR(x.re - y.re, x.im - y.im)
 
 
 def mul(x, y):
-    return GaussRational(x.re * y.re - x.im * y.im, x.re * y.im + x.im * y.re)
+    return GR(x.re * y.re - x.im * y.im, x.re * y.im + x.im * y.re)
 
 
 def abs2(x):
@@ -46,7 +100,7 @@ def abs2(x):
 
 def div(x, y):
     n = abs2(y)
-    return mul(x, GaussRational(y.re / n, -y.im / n))
+    return mul(x, GR(y.re / n, -y.im / n))
 
 
 def sqrt(z):
@@ -62,35 +116,34 @@ def det(m):
 
 
 def compose(m1, m2):
-    return MobiusMap(add(mul(m1.a, m2.a), mul(m1.b, m2.c)), add(mul(m1.a, m2.b), mul(m1.b, m2.d)),
-                     add(mul(m1.c, m2.a), mul(m1.d, m2.c)), add(mul(m1.c, m2.b), mul(m1.d, m2.d)))
+    return FMap(add(mul(m1.a, m2.a), mul(m1.b, m2.c)), add(mul(m1.a, m2.b), mul(m1.b, m2.d)),
+                add(mul(m1.c, m2.a), mul(m1.d, m2.c)), add(mul(m1.c, m2.b), mul(m1.d, m2.d)))
 
 
 def inverse(m):
-    return MobiusMap(m.d, sub(ZERO_C, m.b), sub(ZERO_C, m.c), m.a)
+    return FMap(m.d, sub(ZERO_C, m.b), sub(ZERO_C, m.c), m.a)
 
 
 def apply(m, z):
     """Evaluate the fractional linear map; infinity and poles are exact."""
-    if z == INFINITY_POINT:
-        return INFINITY_POINT if m.c == ZERO_C else div(m.a, m.c)
+    if z == INF:
+        return INF if m.c == ZERO_C else div(m.a, m.c)
     den = add(mul(m.c, z), m.d)
-    return INFINITY_POINT if den == ZERO_C else div(add(mul(m.a, z), m.b), den)
+    return INF if den == ZERO_C else div(add(mul(m.a, z), m.b), den)
 
 
 def same_as(m, n):
     """Equality in the quotient by the global sign."""
-    m, n = (m.a, m.b, m.c, m.d), (n.a, n.b, n.c, n.d)
     return m == n or all(x == sub(ZERO_C, y) for x, y in zip(m, n))
 
 
 def is_identity(m):
-    return same_as(m, IDENTITY)
+    return same_as(m, FMap(ONE_C, ZERO_C, ZERO_C, ONE_C))
 
 
 def fraction_from_entries(a, b, c, d):
     """from_entries as it was on Fractions: divide by the root of sqrt()."""
-    a, b, c, d = map(GaussRational.of, (a, b, c, d))
+    a, b, c, d = map(of, (a, b, c, d))
     dt = sub(mul(a, d), mul(b, c))
     if dt == ZERO_C:
         raise PingPongError("matrix is singular")
@@ -98,7 +151,48 @@ def fraction_from_entries(a, b, c, d):
     if root is None:
         raise PingPongError(
             "determinant must be 1 (or an exact square so the matrix can be scaled)")
-    return MobiusMap(*(div(x, root) for x in (a, b, c, d)))
+    return FMap(*(div(x, root) for x in (a, b, c, d)))
+
+
+class Spec(NamedTuple):
+    """A map given by four entries, rationals or (re, im) pairs: from_entries
+    scales them to determinant one, unless raw, when they stand as given."""
+
+    entries: tuple
+    raw: bool = False
+
+
+def scaled(m: FMap):
+    """(D, D*M), D the lcm of the denominators of the parts of m's entries."""
+    parts = [x for z in m for x in z]
+    den = math.lcm(*(x.denominator for x in parts))
+    return den, tuple(x.numerator * (den // x.denominator) for x in parts)
+
+
+def package_map(spec: Spec) -> MobiusMap:
+    if spec.raw:
+        return MobiusMap(*scaled(FMap(*map(of, spec.entries))))
+    return MobiusMap.from_entries(*spec.entries)
+
+
+def fraction_map(spec: Spec) -> FMap:
+    return FMap(*map(of, spec.entries)) if spec.raw else fraction_from_entries(*spec.entries)
+
+
+def float_matrix(spec: Spec):
+    """The spec's entries as complex floats, for the numeric path."""
+    a, b, c, d = (complex(float(z.re), float(z.im)) for z in map(of, spec.entries))
+    return [[a, b], [c, d]]
+
+
+def inverse_map(m: MobiusMap) -> MobiusMap:
+    return MobiusMap.from_entries(*inverse(fmap(m)))
+
+
+def tangency(bf) -> GR:
+    """The point where a butterfly's two disks touch: the map's fixed point."""
+    neg, pos = disk_of(bf["neg"]).center, disk_of(bf["pos"]).center
+    return GR((neg.re + pos.re) / 2, (neg.im + pos.im) / 2)
 
 
 class TestScalars:
@@ -108,7 +202,7 @@ class TestScalars:
         assert mul(z, w) == gr(5, 5)
         assert mul(div(z, w), w) == z
         assert abs2(z) == Fraction(5)
-        assert str(z) == "1+2i" and GaussRational.of(["1/2", -3]).to_json() == ["1/2", "-3"]
+        assert MobiusMap.from_entries(1, ["1/2", -3], 0, 1).to_json()[0][1] == ["1/2", "-3"]
 
     def test_sqrt(self):
         assert sqrt(gr(4)) == gr(2)
@@ -117,8 +211,8 @@ class TestScalars:
         assert sqrt(gr(2)) is None
         # from_entries divides by the same root: det 4 -> 2, -9 -> 3i, 2i -> 1 + i
         assert MobiusMap.from_entries(2, 0, 0, 2) == IDENTITY
-        assert MobiusMap.from_entries(3, 0, 0, -3).a == gr(0, -1)
-        assert MobiusMap.from_entries((1, 1), 0, 0, (1, 1)).a == gr(1)
+        assert fmap(MobiusMap.from_entries(3, 0, 0, -3)).a == gr(0, -1)
+        assert fmap(MobiusMap.from_entries((1, 1), 0, 0, (1, 1))).a == gr(1)
 
     @given(st.integers(-9, 9), st.integers(-9, 9), st.sampled_from([1, 2, Fraction(1, 3)]))
     @settings(max_examples=50, deadline=None)
@@ -131,78 +225,73 @@ class TestScalars:
         # from_entries on Gaussian integers agrees with the Fraction oracle, sign
         # included, on z times matrices of determinant 1, -1, -2 and 2i
         for m in ((1, 0, 4, 1), (9, -16, 4, -7), (0, 1, 1, 0), (1, 2, 3, 4), ((1, 1), 0, 0, 1)):
-            entries = [mul(GaussRational.of(x), z) for x in m]
+            entries = [mul(of(x), z) for x in m]
             assert outcome(MobiusMap.from_entries, *entries) == \
                 outcome(fraction_from_entries, *entries), (m, z)
 
 
 class TestGroupOps:
     def test_compose_inverse(self):
-        assert is_identity(compose(M_STD, inverse(M_STD)))
-        assert is_identity(compose(TRANSLATION, inverse(TRANSLATION)))
+        for m in (fmap(M_STD), fmap(TRANSLATION)):
+            assert is_identity(compose(m, inverse(m)))
 
     def test_apply(self):
-        assert apply(TRANSLATION, INFINITY_POINT) == INFINITY_POINT
-        assert apply(MobiusMap.from_entries(1, 0, 2, 1), gr(0)) == ZERO_C
-        assert apply(M_STD, gr(Fraction(-1, 4))) == INFINITY_POINT
-        assert apply(M_STD, INFINITY_POINT) == gr(Fraction(1, 4))
+        assert apply(fmap(TRANSLATION), INF) == INF
+        assert apply(fmap(MobiusMap.from_entries(1, 0, 2, 1)), gr(0)) == ZERO_C
+        assert apply(fmap(M_STD), gr(Fraction(-1, 4))) == INF
+        assert apply(fmap(M_STD), INF) == gr(Fraction(1, 4))
 
     def test_determinant_normalization(self):
-        m = MobiusMap.from_entries(2, 0, 0, 2)
-        assert is_identity(m)
+        assert is_identity(fmap(MobiusMap.from_entries(2, 0, 0, 2)))
         with pytest.raises(PingPongError):
             MobiusMap.from_entries(2, 0, 0, 1)
         with pytest.raises(PingPongError):
             MobiusMap.from_entries(1, 1, 1, 1)
 
     def test_sign_quotient(self):
-        m = MobiusMap.from_entries(-1, 0, -4, -1)
-        assert same_as(m, M_STD)
+        assert same_as(fmap(MobiusMap.from_entries(-1, 0, -4, -1)), fmap(M_STD))
 
 
 class TestParabolic:
     def test_examples(self):
-        assert is_parabolic(TRANSLATION)
-        assert fixed_point(TRANSLATION) == INFINITY_POINT
-        assert not is_parabolic(MobiusMap.from_entries(2, 0, 0, Fraction(1, 2)))
-        assert is_parabolic(M_STD)
-        assert fixed_point(M_STD) == ZERO_C
-        assert fixed_point(M_SHIFTED) == gr(2)
+        # the isometric disks of a parabolic map touch at its fixed point
+        bf1, bf2 = pingpong_certificate(M_STD, M_SHIFTED).butterflies
+        assert (tangency(bf1), tangency(bf2)) == (gr(0), gr(2))
+        # translations fix infinity, so two of them commute
+        assert pingpong_certificate(TRANSLATION, MobiusMap.from_entries(1, (2, -1), 0, 1)
+                                    ).verdict == COMMUTING
+        with pytest.raises(PingPongError, match="two parabolic maps"):
+            pingpong_certificate(MobiusMap.from_entries(2, 0, 0, Fraction(1, 2)), M_STD)
 
     def test_identity_rejected(self):
-        from cuspcubes.pingpong import IDENTITY
-        with pytest.raises(PingPongError):
-            fixed_point(IDENTITY)
+        for pair in ((IDENTITY, M_STD), (M_STD, IDENTITY)):
+            with pytest.raises(PingPongError, match="two parabolic maps"):
+                pingpong_certificate(*pair)
 
 
 class TestButterflies:
     def test_standard(self):
-        bf = isometric_butterfly(M_STD)
-        assert bf.neg.center == gr(Fraction(-1, 4))
-        assert bf.pos.center == gr(Fraction(1, 4))
-        assert bf.neg.radius2 == Fraction(1, 16)
-        assert FractionOracle.separation(bf.neg, bf.pos) == 0
+        bf = pingpong_certificate(M_STD, M_SHIFTED).butterflies[0]
+        assert bf["map"] == M_STD.to_json()
+        assert bf["neg"] == {"center": ["-1/4", "0"], "radius2": "1/16"}
+        assert bf["pos"] == {"center": ["1/4", "0"], "radius2": "1/16"}
+        assert FractionOracle.separation(disk_of(bf["neg"]), disk_of(bf["pos"])) == 0
 
     def test_shifted(self):
-        bf = isometric_butterfly(M_SHIFTED)
-        assert bf.neg.center == gr(Fraction(7, 4))
-        assert bf.pos.center == gr(Fraction(9, 4))
-        assert bf.neg.radius2 == Fraction(1, 16)
-
-    def test_fixing_infinity_rejected(self):
-        with pytest.raises(PingPongError, match="infinity"):
-            isometric_butterfly(TRANSLATION)
+        bf = pingpong_certificate(M_STD, M_SHIFTED).butterflies[1]
+        assert bf["neg"] == {"center": ["7/4", "0"], "radius2": "1/16"}
+        assert bf["pos"] == {"center": ["9/4", "0"], "radius2": "1/16"}
 
     def test_irrational_radius_stays_exact(self):
         m = MobiusMap.from_entries(1, 0, (1, 1), 1)       # c = 1 + i
-        bf = isometric_butterfly(m)
-        assert bf.neg.radius2 == Fraction(1, 2)
-        assert FractionOracle.separation(bf.neg, bf.pos) == 0
+        bf = pingpong_certificate(m, M_SHIFTED).butterflies[0]
+        assert bf["neg"]["radius2"] == "1/2"
+        assert FractionOracle.separation(disk_of(bf["neg"]), disk_of(bf["pos"])) == 0
 
     def test_inverse_swaps_wings(self):
-        bf = isometric_butterfly(M_STD)
-        bfi = isometric_butterfly(inverse(M_STD))
-        assert bfi.neg == bf.pos and bfi.pos == bf.neg
+        bf = pingpong_certificate(M_STD, M_SHIFTED).butterflies[0]
+        bfi = pingpong_certificate(inverse_map(M_STD), M_SHIFTED).butterflies[0]
+        assert bfi["neg"] == bf["pos"] and bfi["pos"] == bf["neg"]
 
 
 class TestDisks:
@@ -221,8 +310,12 @@ class TestDisks:
         assert not _overlap(a, (3, 0, 2, 2))      # centre 3/2
 
     def test_positive_radius(self):
-        with pytest.raises(PingPongError):
-            RoundDisk(gr(0), Fraction(0))
+        # c is not 0 once both fixed points are finite, so radius2 = 1/|c|^2 > 0
+        for s1, s2 in oracle_pairs():
+            kind, data = certificate_outcome(s1, s2)
+            if kind == "ok":
+                assert all(disk_of(bf[side]).radius2 > 0
+                           for bf in data["butterflies"] for side in ("neg", "pos"))
 
 
 class TestCertificates:
@@ -252,14 +345,14 @@ class TestCertificates:
 
     def test_swap_and_inverse_invariance(self):
         for a, b in [(M_STD, M_SHIFTED), (M_SHIFTED, M_STD),
-                     (inverse(M_STD), M_SHIFTED), (M_STD, inverse(M_SHIFTED)),
-                     (inverse(M_STD), inverse(M_SHIFTED))]:
+                     (inverse_map(M_STD), M_SHIFTED), (M_STD, inverse_map(M_SHIFTED)),
+                     (inverse_map(M_STD), inverse_map(M_SHIFTED))]:
             assert pingpong_certificate(a, b).verdict == FREE_CERTIFIED
 
     def test_infinite_fixed_point_normalized(self):
         cert = pingpong_certificate(TRANSLATION, M_STD)
         assert cert.verdict in (FREE_CERTIFIED, INCONCLUSIVE)
-        assert cert.conjugator is not None and not is_identity(cert.conjugator)
+        assert cert.conjugator is not None and not is_identity(from_json(cert.conjugator))
 
     def test_json(self):
         data = pingpong_certificate(M_STD, M_SHIFTED).to_json()
@@ -268,26 +361,32 @@ class TestCertificates:
 
 
 class TestNormalize:
+    # the certificate conjugates a fixed point at infinity into the plane
+    # and emits the conjugated maps with their conjugator
     def test_moves_fixed_points(self):
-        n1, n2, g = normalize_pair(TRANSLATION, M_STD)
-        assert fixed_point(n1) != INFINITY_POINT
-        assert fixed_point(n2) != INFINITY_POINT
-        gi = inverse(g)
-        assert same_as(compose(compose(g, TRANSLATION), gi), n1)
+        cert = pingpong_certificate(TRANSLATION, M_STD)
+        g = from_json(cert.conjugator)
+        n1, n2 = (from_json(bf["map"]) for bf in cert.butterflies)
+        assert n1.c != ZERO_C and n2.c != ZERO_C
+        assert same_as(compose(compose(g, fmap(TRANSLATION)), inverse(g)), n1)
+        assert same_as(compose(compose(g, fmap(M_STD)), inverse(g)), n2)
 
     def test_already_finite_identity(self):
-        n1, n2, g = normalize_pair(M_STD, M_SHIFTED)
-        assert is_identity(g) and same_as(n1, M_STD)
+        cert = pingpong_certificate(M_STD, M_SHIFTED)
+        assert cert.conjugator == IDENTITY_JSON
+        assert [bf["map"] for bf in cert.butterflies] == [M_STD.to_json(), M_SHIFTED.to_json()]
 
     def test_equal_fixed_points_rejected(self):
-        with pytest.raises(PingPongError):
-            normalize_pair(TRANSLATION, MobiusMap.from_entries(1, 5, 0, 1))
+        cert = pingpong_certificate(TRANSLATION, MobiusMap.from_entries(1, 5, 0, 1))
+        assert cert.verdict == COMMUTING
+        assert cert.conjugator is None and cert.butterflies == ()
 
 
 def words_oracle(m1, m2, max_length):
     """The word check on Fraction matrices, as free_word_sanity did it
     before it moved to Gaussian integers: the same depth-first order, each
     word composed with compose() and tested with is_identity."""
+    m1, m2 = fmap(m1), fmap(m2)
     gens = [(0, m1), (1, inverse(m1)), (2, m2), (3, inverse(m2))]
     inverse_of = {0: 1, 1: 0, 2: 3, 3: 2}
     stack = [(g, m, 1) for g, m in gens]
@@ -305,9 +404,9 @@ def words_oracle(m1, m2, max_length):
 
 def parabolic(c, s):
     """[[1 + cs, -cs^2], [c, 1 - cs]]: parabolic with fixed point s."""
-    c, s = GaussRational.of(c), GaussRational.of(s)
+    c, s = of(c), of(s)
     cs = mul(c, s)
-    return MobiusMap.from_entries(add(ONE_C, cs), sub(ZERO_C, mul(cs, s)), c, sub(ONE_C, cs))
+    return Spec((add(ONE_C, cs), sub(ZERO_C, mul(cs, s)), c, sub(ONE_C, cs)))
 
 
 H = Fraction(1, 2)
@@ -326,10 +425,20 @@ ORDER4_PAIR = (MobiusMap.from_entries(1, 1, 0, 1), MobiusMap.from_entries(1, 0, 
 ORDER4_HALF_PAIR = (MobiusMap.from_entries(1, H, 0, 1), MobiusMap.from_entries(1, 0, -4, 1))
 # z -> z + i and z -> z/(iz + 1): off-diagonal entries with zero real part
 GAUSS_PAIR = (MobiusMap.from_entries(1, (0, 1), 0, 1), MobiusMap.from_entries(1, 0, (0, 1), 1))
-# diagonal matrices other than +-I, none of determinant one, so the word
-# check refuses them: i*I, 2*I, diag(1, -1) and diag(1 + i, 1)
-DIAGONALS = [MobiusMap(gr(a, b), gr(0), gr(0), gr(c, d))
+# diagonal matrices other than +-I, none of determinant one, so no map is
+# made of them: i*I, 2*I, diag(1, -1) and diag(1 + i, 1)
+DIAGONALS = [Spec(((a, b), 0, 0, (c, d)), raw=True)
              for a, b, c, d in ((0, 1, 0, 1), (2, 0, 2, 0), (1, 0, -1, 0), (1, 1, 1, 0))]
+
+
+def free_pair(p1, p2):
+    return package_map(parabolic(*p1)), package_map(parabolic(*p2))
+
+
+# the pairs whose word checks the golden pingpong family records
+NAMED_PAIRS = {"SL2Z_PAIR": SL2Z_PAIR, "HALF_PAIR": HALF_PAIR, "ORDER4_PAIR": ORDER4_PAIR,
+               "ORDER4_HALF_PAIR": ORDER4_HALF_PAIR, "GAUSS_PAIR": GAUSS_PAIR,
+               **{f"FREE_PAIRS[{k}]": free_pair(*p) for k, p in enumerate(FREE_PAIRS)}}
 
 
 class TestWords:
@@ -350,12 +459,12 @@ class TestWords:
                 free_word_sanity(M_STD, M_SHIFTED, n)
 
     def test_shortest_relations(self):
-        minus_one = MobiusMap.from_entries(-1, 0, 0, -1)
+        minus_one = fmap(MobiusMap.from_entries(-1, 0, 0, -1))
         for (m1, m2), k in ((SL2Z_PAIR, 6), (HALF_PAIR, 6), (ORDER4_PAIR, 4),
                             (ORDER4_HALF_PAIR, 4)):
             assert [free_word_sanity(m1, m2, n) for n in range(9)] == \
                 [True] * k + [False] * (9 - k)
-            ab = compose(m1, m2)
+            ab = compose(fmap(m1), fmap(m2))
             power = ab
             for _ in range(k // 2 - 1):
                 power = compose(power, ab)
@@ -371,7 +480,7 @@ class TestWords:
                 [True] * k + [False], omega
 
     def test_agrees_with_fraction_oracle(self):
-        pairs = [(parabolic(*p1), parabolic(*p2)) for p1, p2 in FREE_PAIRS]
+        pairs = [free_pair(*p) for p in FREE_PAIRS]
         assert all(pingpong_certificate(*p).verdict == FREE_CERTIFIED for p in pairs)
         pairs.append(GAUSS_PAIR)
         for m1, m2 in pairs:
@@ -388,29 +497,23 @@ class TestWords:
 class FractionOracle:
     """The certificate on Fraction matrices, as pingpong_certificate
     computed it before it moved to the scaled Gaussian-integer forms: each
-    test through the Fraction algebra above, apply() and compose().  Every
-    entry point checks det = 1 first, as the core does where a map enters."""
+    test through the Fraction algebra above, apply() and compose(), and the
+    certificate JSON built from these records.  det = 1 is checked first,
+    as the package does where a map is made."""
 
     @staticmethod
     def check_det(*ms):
         if any(det(m) != ONE_C for m in ms):
             raise PingPongError("determinant must be 1")
 
-    @classmethod
-    def is_parabolic(cls, m):
-        cls.check_det(m)
+    @staticmethod
+    def is_parabolic(m):
         tr = add(m.a, m.d)
         return (tr == gr(2) or tr == gr(-2)) and not is_identity(m)
 
-    @classmethod
-    def fixed_point(cls, m):
-        if is_identity(m):
-            raise PingPongError("the identity fixes everything")
-        if not cls.is_parabolic(m):
-            raise PingPongError("fixed_point here is for parabolic maps only")
-        if m.c == ZERO_C:
-            return INFINITY_POINT
-        return div(sub(m.a, m.d), mul(m.c, gr(2)))
+    @staticmethod
+    def fixed_point(m):
+        return INF if m.c == ZERO_C else div(sub(m.a, m.d), mul(m.c, gr(2)))
 
     @staticmethod
     def separation(d1, d2):
@@ -421,64 +524,57 @@ class FractionOracle:
 
     @classmethod
     def butterfly(cls, m):
-        if not cls.is_parabolic(m):
-            raise PingPongError("butterflies exist for parabolic maps only")
-        if m.c == ZERO_C:
-            raise PingPongError("the map fixes infinity; conjugate first (normalize_pair)")
+        """The isometric disks (neg, pos) of a parabolic m with finite fixed point."""
         r2 = 1 / abs2(m.c)
-        bf = Butterfly(m, RoundDisk(div(sub(ZERO_C, m.d), m.c), r2), RoundDisk(div(m.a, m.c), r2))
-        # the identities the core relies on unchecked: they hold for det 1, trace +-2
+        neg, pos = Disk(div(sub(ZERO_C, m.d), m.c), r2), Disk(div(m.a, m.c), r2)
+        # the identities the package relies on unchecked: they hold for det 1, trace +-2
         for z in (gr(0), gr(1), gr(0, 1)):
             den = add(mul(m.c, z), m.d)
             if den != ZERO_C:
                 assert abs2(sub(mul(m.c, apply(m, z)), m.a)) * abs2(den) == 1
-        assert cls.separation(bf.neg, bf.pos) == 0
+        assert cls.separation(neg, pos) == 0
         fix = cls.fixed_point(m)
-        assert all(abs2(sub(fix, disk.center)) == disk.radius2 for disk in (bf.neg, bf.pos))
-        return bf
+        assert all(abs2(sub(fix, disk.center)) == disk.radius2 for disk in (neg, pos))
+        return neg, pos
 
     @classmethod
     def normalize_pair(cls, m1, m2):
-        cls.check_det(m1, m2)
-        if not (cls.is_parabolic(m1) and cls.is_parabolic(m2)):
-            raise PingPongError("normalize_pair needs parabolic maps")
+        """(g m1 g^-1, g m2 g^-1, g) with g = z -> 1/(z - t) for the first t
+        in 0..5 that is no fixed point, or g = 1 if both are finite."""
         f1, f2 = cls.fixed_point(m1), cls.fixed_point(m2)
-        if f1 == f2:
-            raise PingPongError("the maps share their fixed point")
-        if f1 != INFINITY_POINT and f2 != INFINITY_POINT:
-            return m1, m2, IDENTITY
-        for t in range(0, 6):
-            if gr(t) not in (f1, f2):
-                g = MobiusMap(ZERO_C, ONE_C, ONE_C, gr(-t))
-                gi = inverse(g)
-                return compose(compose(g, m1), gi), compose(compose(g, m2), gi), g
-        raise PingPongError("could not find a conjugating point")
+        if f1 != INF and f2 != INF:
+            return m1, m2, FMap(ONE_C, ZERO_C, ZERO_C, ONE_C)
+        t = next(t for t in range(6) if gr(t) not in (f1, f2))
+        g = FMap(ZERO_C, ONE_C, ONE_C, gr(-t))
+        gi = inverse(g)
+        return compose(compose(g, m1), gi), compose(compose(g, m2), gi), g
 
     @classmethod
     def certificate(cls, m1, m2):
         cls.check_det(m1, m2)
-        for m in (m1, m2):
-            if not cls.is_parabolic(m):
-                raise PingPongError("certificates need two parabolic maps")
+        if not (cls.is_parabolic(m1) and cls.is_parabolic(m2)):
+            raise PingPongError("certificates need two parabolic maps")
         if cls.fixed_point(m1) == cls.fixed_point(m2):
-            return Certificate(COMMUTING, notes=(
-                "equal fixed points: parabolic maps with a common fixed point commute",))
+            return {"verdict": COMMUTING, "butterflies": [], "notes": [
+                "equal fixed points: parabolic maps with a common fixed point commute"]}
         n1, n2, g = cls.normalize_pair(m1, m2)
-        bf1, bf2 = cls.butterfly(n1), cls.butterfly(n2)
-        disks = [bf1.neg, bf1.pos, bf2.neg, bf2.pos]
+        disks = cls.butterfly(n1) + cls.butterfly(n2)
+        out = {"verdict": FREE_CERTIFIED,
+               "butterflies": [{"map": n.to_json(), "neg": neg.to_json(), "pos": pos.to_json()}
+                               for n, (neg, pos) in ((n1, disks[:2]), (n2, disks[2:]))],
+               "notes": ["four round disks with disjoint interiors never cover the sphere, "
+                         "so the complementary open set is automatically non-empty"],
+               "conjugator": g.to_json()}
         names = ["neg(1)", "pos(1)", "neg(2)", "pos(2)"]
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if cls.separation(disks[i], disks[j]) < 0:
-                    return Certificate(
-                        INCONCLUSIVE, butterflies=(bf1, bf2), conjugator=g,
-                        diagnostic=f"isometric disks {names[i]} and {names[j]} overlap",
-                        notes=("round disks give a sufficient criterion only; "
-                               "overlap does not refute freeness",))
-        return Certificate(
-            FREE_CERTIFIED, butterflies=(bf1, bf2), conjugator=g,
-            notes=("four round disks with disjoint interiors never cover the sphere, "
-                   "so the complementary open set is automatically non-empty",))
+        overlaps = [(i, j) for i in range(4) for j in range(i + 1, 4)
+                    if cls.separation(disks[i], disks[j]) < 0]
+        if overlaps:
+            i, j = overlaps[0]
+            out.update(verdict=INCONCLUSIVE,
+                       diagnostic=f"isometric disks {names[i]} and {names[j]} overlap",
+                       notes=["round disks give a sufficient criterion only; "
+                              "overlap does not refute freeness"])
+        return out
 
 
 def outcome(f, *args):
@@ -487,9 +583,13 @@ def outcome(f, *args):
         res = f(*args)
     except PingPongError as err:
         return "error", str(err)
-    if isinstance(res, tuple):
-        return "ok", [x.to_json() for x in res]
     return "ok", res.to_json() if hasattr(res, "to_json") else res
+
+
+def certificate_outcome(s1: Spec, s2: Spec):
+    """The certificate JSON of the maps of two specs, or the error of making
+    or certifying them."""
+    return outcome(lambda: pingpong_certificate(package_map(s1), package_map(s2)))
 
 
 Q = Fraction
@@ -500,30 +600,30 @@ ORACLE_GRIDS = {
     "dyadic": ([Q(5, 4), Q(9, 4), Q(7, 8)], [Q(-1, 2), Q(1, 4), Q(3, 2), Q(-5, 8)]),
     "gauss": ([(1, 1), (2, -1), (0, 1)], [0, (1, 1), -1, (0, H), (-1, -2)]),
 }
-# weird maps made without from_entries: trace 2 with det 2 and diag(1 + i,
-# 1 - i) (trace 2, det 2, elliptic), which the core refuses at entry,
-# diag(2, 1/2) (loxodromic), the identity, -1 times a parabolic
-ODD_MAPS = [MobiusMap(gr(2), gr(-2), gr(1), gr(0)), MobiusMap(gr(1, 1), gr(0), gr(0), gr(1, -1)),
-            MobiusMap(gr(2), gr(0), gr(0), gr(H)), IDENTITY,
-            MobiusMap(gr(-1), gr(0), gr(-4), gr(-1))]
+# odd maps, taken as given: trace 2 with det 2 and diag(1 + i, 1 - i) (trace
+# 2, det 2, elliptic), which are refused when the map is made, diag(2, 1/2)
+# (loxodromic), the identity, -1 times a parabolic
+ODD_MAPS = [Spec(entries, raw=True) for entries in (
+    (2, -2, 1, 0), ((1, 1), 0, 0, (1, -1)), (2, 0, 0, H), (1, 0, 0, 1), (-1, 0, -4, -1))]
 
 
 def oracle_pairs():
+    """Pairs of map specs: parabolic grids, fixed points at infinity, scaled
+    entries and odd maps."""
     pairs = []
     for cs, ss in ORACLE_GRIDS.values():
         maps = [parabolic(c, s) for c in cs for s in ss]
         pairs += [(m1, m2) for i, m1 in enumerate(maps) for m2 in maps[i + 1:]]
         pairs += [(maps[-1], maps[0]), (maps[-2], maps[1])]
-    at_infinity = [TRANSLATION, MobiusMap.from_entries(1, (2, -1), 0, 1),
-                   MobiusMap.from_entries(-1, H, 0, -1)]
-    finite = [M_STD, M_SHIFTED, parabolic(2, 1), parabolic((1, 1), (0, H)), parabolic(H, 3)]
+    at_infinity = [Spec((1, 1, 0, 1)), Spec((1, (2, -1), 0, 1)), Spec((-1, H, 0, -1))]
+    finite = [Spec((1, 0, 4, 1)), Spec((9, -16, 4, -7)), parabolic(2, 1),
+              parabolic((1, 1), (0, H)), parabolic(H, 3)]
     pairs += [(m1, m2) for m1 in at_infinity for m2 in finite]      # t = 1 against M_STD
     pairs += [(m2, m1) for m1 in at_infinity for m2 in finite]
     pairs += [(m1, m2) for m1 in at_infinity for m2 in at_infinity]
-    scaled = [MobiusMap.from_entries(2, 0, 8, 2), MobiusMap.from_entries(-3, 0, -12, -3),
-              MobiusMap.from_entries((0, 1), 0, (0, 4), (0, 1)),
-              MobiusMap.from_entries(18, -32, 8, -14)]
-    pairs += [(m1, m2) for m1 in scaled for m2 in finite + at_infinity]
+    scaled_maps = [Spec((2, 0, 8, 2)), Spec((-3, 0, -12, -3)), Spec(((0, 1), 0, (0, 4), (0, 1))),
+                   Spec((18, -32, 8, -14))]
+    pairs += [(m1, m2) for m1 in scaled_maps for m2 in finite + at_infinity]
     pairs += [(m1, m2) for m1 in ODD_MAPS for m2 in finite + at_infinity + ODD_MAPS]
     pairs += [(m2, m1) for m1 in ODD_MAPS for m2 in finite + at_infinity]
     return pairs
@@ -532,31 +632,56 @@ def oracle_pairs():
 class TestFractionOracle:
     def test_certificate_matches(self):
         verdicts = set()
-        for m1, m2 in oracle_pairs():
-            expected = outcome(FractionOracle.certificate, m1, m2)
-            assert outcome(pingpong_certificate, m1, m2) == expected, (m1, m2)
+        for s1, s2 in oracle_pairs():
+            expected = outcome(lambda: FractionOracle.certificate(fraction_map(s1),
+                                                                  fraction_map(s2)))
+            assert certificate_outcome(s1, s2) == expected, (s1, s2)
             verdicts.add(expected[1]["verdict"] if expected[0] == "ok" else expected[1])
         assert verdicts == {FREE_CERTIFIED, INCONCLUSIVE, COMMUTING,
                             "certificates need two parabolic maps",
                             "determinant must be 1"}
-
-    def test_helpers_match(self):
-        for m1, m2 in oracle_pairs()[::7]:
-            expected = outcome(FractionOracle.normalize_pair, m1, m2)
-            assert outcome(normalize_pair, m1, m2) == expected
-            for m in (m1, m2):
-                for ours, theirs in ((isometric_butterfly, FractionOracle.butterfly),
-                                     (fixed_point, FractionOracle.fixed_point),
-                                     (is_parabolic, FractionOracle.is_parabolic)):
-                    assert outcome(ours, m) == outcome(theirs, m), (ours, m)
 
     def test_disk_tests_match(self):
         disks = [(vr, vi, q, r) for vr, vi in ((0, 0), (1, 0), (3, -2), (7, 7))
                  for q in (1, 2, 5) for r in (1, 2, 9, 50)]
         for x in disks:
             for y in disks:
-                d1, d2 = RoundDisk.from_scaled(x), RoundDisk.from_scaled(y)
+                d1, d2 = (Disk(gr(Fraction(z[0], z[2]), Fraction(z[1], z[2])),
+                               Fraction(z[3], z[2] * z[2])) for z in (x, y))
                 assert _overlap(x, y) == (FractionOracle.separation(d1, d2) < 0), (x, y)
+
+
+# parabolic maps over small Gaussian rationals: (c, s) with c not 0 and the
+# fixed point s finite, or None for the translation z -> z + c
+SMALL = st.builds(lambda re, im, q: gr(Fraction(re, q), Fraction(im, q)),
+                  st.integers(-3, 3), st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+PARABOLIC = st.tuples(SMALL.filter(lambda c: c != ZERO_C), st.none() | SMALL)
+
+
+def parabolic_spec(c, s):
+    return Spec((1, c, 0, 1)) if s is None else parabolic(c, s)
+
+
+class TestInvariance:
+    @staticmethod
+    def verdict_and_disks(p1, p2):
+        data = pingpong_certificate(package_map(parabolic_spec(*p1)),
+                                    package_map(parabolic_spec(*p2))).to_json()
+        return data["verdict"], {json.dumps(bf[side], sort_keys=True)
+                                 for bf in data["butterflies"] for side in ("neg", "pos")}
+
+    @given(PARABOLIC, PARABOLIC)
+    @settings(max_examples=300)
+    def test_swap_and_inverse(self, p1, p2):
+        """The verdict and the set of the four disks do not depend on the
+        order of the maps or on inverting either (the inverse of the
+        parabolic (c, s) is (-c, s))."""
+        inv1, inv2 = (sub(ZERO_C, p1[0]), p1[1]), (sub(ZERO_C, p2[0]), p2[1])
+        want = self.verdict_and_disks(p1, p2)
+        for q1, q2 in ((p1, inv2), (inv1, p2), (inv1, inv2)):
+            assert self.verdict_and_disks(q1, q2) == want, (q1, q2)
+            assert self.verdict_and_disks(q2, q1) == want, (q2, q1)
+        assert self.verdict_and_disks(p2, p1) == want
 
 
 class TestFloatPath:
@@ -580,13 +705,12 @@ class TestFloatPath:
         assert cert.to_json()["numeric"] is True
 
     def test_agrees_with_exact_path(self):
-        for m1, m2 in oracle_pairs()[::3]:
-            exact = outcome(pingpong_certificate, m1, m2)
+        for s1, s2 in oracle_pairs()[::3]:
+            exact = certificate_outcome(s1, s2)
             if exact[0] == "error":
                 continue
-            floats = [[[complex(*map(float, map(Fraction, z))) for z in row] for row in m.to_json()]
-                      for m in (m1, m2)]
-            assert pingpong_certificate_float(*floats).verdict == exact[1]["verdict"], (m1, m2)
+            assert pingpong_certificate_float(float_matrix(s1), float_matrix(s2)).verdict \
+                == exact[1]["verdict"], (s1, s2)
 
     def test_parabolic_with_large_entries(self):
         # det = 1 is computed with cancellation between products of size
@@ -628,20 +752,26 @@ class TestFloatPath:
 
 class TestDeterminant:
     # z -> iz as diag(1 + i, 1 - i): trace 2, determinant 2, elliptic
-    ELLIPTIC = MobiusMap(gr(1, 1), gr(0), gr(0), gr(1, -1))
+    ELLIPTIC = Spec(((1, 1), 0, 0, (1, -1)), raw=True)
 
     def test_checked_where_a_map_enters(self):
-        for m in [self.ELLIPTIC] + DIAGONALS:
-            for call in (is_parabolic, fixed_point, isometric_butterfly,
-                         lambda m: pingpong_certificate(m, M_STD),
-                         lambda m: pingpong_certificate(M_STD, m),
-                         lambda m: normalize_pair(M_STD, m),
-                         lambda m: free_word_sanity(m, M_STD, 0),
-                         lambda m: free_word_sanity(M_STD, m, 4)):
-                with pytest.raises(PingPongError, match="determinant must be 1"):
-                    call(m)
+        # a map is made only with determinant one, so every entry point
+        # (certificate and word check) gets one
+        for spec in [self.ELLIPTIC] + DIAGONALS:
+            with pytest.raises(PingPongError, match="determinant must be 1"):
+                package_map(spec)
+        with pytest.raises(PingPongError, match="determinant must be 1"):
+            MobiusMap(1, (1, 0, 1, 0, 0, 0, 2, 0))
+
+    def test_scaled_form_in_lowest_terms(self):
+        # 2 * I over 2, -I over -1 and the zero form are the identity or no map
+        for den, e in ((2, (2, 0, 0, 0, 0, 0, 2, 0)), (-1, (-1, 0, 0, 0, 0, 0, -1, 0)),
+                       (0, (0,) * 8)):
+            with pytest.raises(PingPongError, match="D > 0 and no common factor"):
+                MobiusMap(den, e)
+        assert MobiusMap(1, (1, 0, 0, 0, 0, 0, 1, 0)) == IDENTITY
 
     def test_emitted_conjugator_keeps_det_minus_one(self):
         cert = pingpong_certificate(TRANSLATION, M_STD)
-        assert cert.conjugator.to_json() == [[["0", "0"], ["1", "0"]], [["1", "0"], ["-1", "0"]]]
-        assert det(cert.conjugator) == gr(-1)
+        assert cert.conjugator == [[["0", "0"], ["1", "0"]], [["1", "0"], ["-1", "0"]]]
+        assert det(from_json(cert.conjugator)) == gr(-1)

@@ -60,11 +60,11 @@ def test_every_call_is_traced():
     pair = ["[[1,0],[4,1]]", "[[9,-16],[4,-7]]"]
     commands = [["cubing", "--two-bridge", "2,2"],
                 ["decide", "--two-bridge", "2,1,2", "--crossing-arc", "A2:0"],
-                ["pingpong", *pair], ["farey", "cf", "3/7"]]
+                ["pingpong", *pair], ["pingpong", *pair, "--words", "4"], ["farey", "cf", "3/7"]]
     codes, spans = traced(commands * 2)
-    assert codes == [0] * 8
+    assert codes == [0] * 10
     assert spans == {
         "diagram.load": 4, "diagram.checks": 12, "decide.classify": 4, "farey": 6,
         "cubing.build_cubing": 2, "cubing.verify_npc": 2, "cubing.boundary_cubings": 2,
         "diagram.flype": 2, "polyhedra.build_polyhedra": 2, "decide.witness_spare_region": 2,
-        "pingpong.certificate": 2}
+        "pingpong.certificate": 4, "pingpong.free_word_sanity": 2}
