@@ -303,8 +303,9 @@ def classify_2bridge_pair(tb, arc, mirror: bool = False) -> Verdict:
             return Verdict(VerdictKind.GENERATES_LINK_GROUP, which_tunnel="lower",
                            notes=("crossing arc in the last twist region is the lower tunnel",))
         fr = flype(tb, i, c)
-        # the flype search returns an image arc whose endpoints are not
-        # adjacent along its region, so the in-region case gives a free verdict
+        # at most two flypes across the tail of the diagram carry the arc to
+        # an image arc whose endpoints are not adjacent along its region, so
+        # the in-region case gives a free verdict
         inner = classify_alternating_pair(fr.diagram, fr.arc, mirror)
         return Verdict(inner.kind, witness=inner.witness, notes=inner.notes,
                        flype_trace=fr.trace, witness_diagram=fr.diagram)

@@ -25,7 +25,6 @@ WHITE = "white"
 Slot = tuple[int, int]  # (crossing index, slot 0..3)
 
 MAX_CROSSINGS = 10_000      # a built diagram takes about 30 KB per crossing
-MAX_FLYPE_DEPTH = 5         # longest flype chain the search tries
 
 
 def _check_size(n: int) -> None:
@@ -572,67 +571,13 @@ def _mirror(h: Slot, L: set[int]) -> Slot:
     return (c, 3 - i) if c in L else h
 
 
-def _flype_disks(d: AlternatingDiagram, c: int) -> list[tuple[frozenset[int], int, tuple[int, int]]]:
-    """Flype disks at c as (S, p, (f1, f2)): S is cut off by exactly four
-    edges, the edges at the consecutive ports p, p+1 of c (c not in S) and
-    the edges f1 < f2 away from c.
-
-    The disks come from region 4-cycles.  In a prime diagram no set of
-    crossings is cut off by two edges (those two would share both side
-    regions), so both sides of a four-edge cut are connected: the cut is a
-    bond of the diagram graph, hence a 4-cycle of regions in the dual.
-    That cycle passes the corner region R0 of ports p, p+1 between e1 and
-    e2, so it reads R0, Ra, Rx, Rb with Ra and Rb the far sides of e1 and
-    e2; the two remaining cut edges f1, f2 separate Ra from Rx and Rx from
-    Rb.  For every region Rx and every such f1, f2 not at c, S is the side
-    of e1's far end once e1, e2, f1, f2 are removed; it is kept when c lies
-    outside it and all four edges cross its boundary.  This lists every
-    disk with O(n) work per region.  The list is ordered by (len(S),
-    sorted(S)), the order in which a search over all subsets of the other
-    crossings, smallest first, meets them.
-    """
-    ends = [d.edge_endpoints(e) for e in range(len(d.edges))]
-    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(d.n)]
-    for e, (a, b) in enumerate(ends):
-        nbrs[a].append((e, b))
-        nbrs[b].append((e, a))
-
-    def side(start: int, cut: set[int]) -> set[int]:
-        seen = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for e, y in nbrs[x]:
-                if e not in cut and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return seen
-
-    found: dict[frozenset[int], tuple[int, tuple[int, int]]] = {}
-    for p in range(4):
-        e1, e2 = d.edge_of_slot[(c, p)], d.edge_of_slot[(c, (p + 1) % 4)]
-        # e1 separates Ra from the corner region R0 of ports p, p+1; e2
-        # separates R0 from Rb.  The disk boundary runs R0, Ra, Rx, Rb.
-        ra = d.regions[d.region_of_slot[(c, p)]].edges
-        rb = d.regions[d.region_of_slot[(c, (p + 2) % 4)]].edges
-        start = d.pairing[(c, p)][0]
-        for Rx in d.regions:
-            for f1 in ra & Rx.edges:
-                if c in ends[f1]:
-                    continue
-                for f2 in Rx.edges & rb:
-                    if c in ends[f2]:
-                        continue
-                    cut = {e1, e2, f1, f2}
-                    S = side(start, cut)
-                    if c not in S and all((ends[e][0] in S) != (ends[e][1] in S) for e in cut):
-                        found.setdefault(frozenset(S), (p, (min(f1, f2), max(f1, f2))))
-    return [(S, p, f) for S, (p, f) in sorted(found.items(), key=lambda item: (len(item[0]), sorted(item[0])))]
-
-
-def _pinch_flypes(d: AlternatingDiagram, c: int):
-    """The single flypes of d whose pinch destroys crossing c, one rewiring
-    per flype disk (S, p, (f1, f2)) of `_flype_disks`, in that order.
+def _tail_flype(d: AlternatingDiagram, c: int, S: frozenset[int]):
+    """The flype of d that carries crossing c across the tangle S, as
+    (pairing, spot), or None when S is no flype disk at c or the forced
+    wiring does not exist.  S is a flype disk at c when c lies outside it
+    and S is cut off by four edges, at consecutive ports p, p+1 of c and
+    f1 < f2 away from c; a prime diagram has no two-edge cut, so both
+    sides of the cut are connected.
 
     The flype turns S over (`_mirror`) and carries c across it: c's strands
     reconnect across the gap, each to the passing strand on its own side,
@@ -642,40 +587,46 @@ def _pinch_flypes(d: AlternatingDiagram, c: int):
     of the two slots takes that end is a 180-degree relabelling of c, fixed
     here by putting f1's end in S at slot 0; planarity then places f2's end
     in S at slot 1 when p is even and at slot 3 when p is odd.  A flype is
-    an isotopy, so the link, its determinant and its component count do not
-    change, and nothing is re-checked here: the caller builds only the
-    rewirings it returns or expands, and the constructor validates those.
-    Yields (pairing, spot edge ports) pairs; the image of the crossing arc
-    at c runs between the two spot edges.
+    an isotopy, so nothing is re-checked here; the constructor validates
+    the image.  The image of the crossing arc at c runs between the two
+    spot edges.
     """
-    for S, p, f_ids in _flype_disks(d, c):
-        def mu(h):
-            return _mirror(h, S)
+    if c in S:
+        return None
+    cut = {d.edge_of_slot[(x, i)] for x in S for i in range(4) if d.pairing[(x, i)][0] not in S}
+    ports = [i for i in range(4) if d.pairing[(c, i)][0] in S]
+    if len(cut) != 4 or ports not in ([0, 1], [1, 2], [2, 3], [0, 3]):
+        return None
+    p = 3 if ports == [0, 3] else ports[0]
+    f_ids = sorted(cut - {d.edge_of_slot[(c, i)] for i in ports})
 
-        fS = [mu(next(h for h in d.edges[f] if h[0] in S)) for f in f_ids]
-        # f1's strand takes the under-diagonal (c,0)/(c,2) only when its end
-        # in S is odd; a disk that needs the over-diagonal yields nothing
-        if fS[0][1] % 2 == 0:
-            continue
-        fR = [next(h for h in d.edges[f] if h[0] not in S) for f in f_ids]
-        removed = {d.edge_of_slot[(c, k)] for k in range(4)} | set(f_ids)
-        pairing: dict[Slot, Slot] = {}
-        for h, k in d.pairing.items():
-            mh = mu(h)
-            if mh not in pairing and d.edge_of_slot[h] not in removed:
-                mk = mu(k)
-                pairing[mh] = mk
-                pairing[mk] = mh
-        # a prime diagram has no loop edge, so the edges at ports p+2, p+3
-        # lead away from c and lie outside the disk
-        spot = [(mu(d.pairing[(c, p)]), d.pairing[(c, (p + 2) % 4)]),
-                (mu(d.pairing[(c, (p + 1) % 4)]), d.pairing[(c, (p + 3) % 4)])]
-        at1, at3 = (fS[1], fR[1]) if p % 2 == 0 else (fR[1], fS[1])
-        far = [(fS[0], (c, 0)), (fR[0], (c, 2)), (at1, (c, 1)), (at3, (c, 3))]
-        for h, k in spot + far:
-            pairing[h] = k
-            pairing[k] = h
-        yield pairing, spot
+    def mu(h):
+        return _mirror(h, S)
+
+    fS = [mu(next(h for h in d.edges[f] if h[0] in S)) for f in f_ids]
+    # f1's strand takes the under-diagonal (c,0)/(c,2) only when its end
+    # in S is odd; a disk that needs the over-diagonal has no flype here
+    if fS[0][1] % 2 == 0:
+        return None
+    fR = [next(h for h in d.edges[f] if h[0] not in S) for f in f_ids]
+    removed = {d.edge_of_slot[(c, k)] for k in range(4)} | set(f_ids)
+    pairing: dict[Slot, Slot] = {}
+    for h, k in d.pairing.items():
+        mh = mu(h)
+        if mh not in pairing and d.edge_of_slot[h] not in removed:
+            mk = mu(k)
+            pairing[mh] = mk
+            pairing[mk] = mh
+    # a prime diagram has no loop edge, so the edges at ports p+2, p+3
+    # lead away from c and lie outside the disk
+    spot = [(mu(d.pairing[(c, p)]), d.pairing[(c, (p + 2) % 4)]),
+            (mu(d.pairing[(c, (p + 1) % 4)]), d.pairing[(c, (p + 3) % 4)])]
+    at1, at3 = (fS[1], fR[1]) if p % 2 == 0 else (fR[1], fS[1])
+    far = [(fS[0], (c, 0)), (fR[0], (c, 2)), (at1, (c, 1)), (at3, (c, 3))]
+    for h, k in spot + far:
+        pairing[h] = k
+        pairing[k] = h
+    return pairing, spot
 
 
 def _spot_options(pairing: dict[Slot, Slot], spot):
@@ -699,68 +650,22 @@ def _spot_options(pairing: dict[Slot, Slot], spot):
                         yield walk, c1, c2, joints.get(frozenset((c1, c2)), [])
 
 
-def _diagram_key(d: AlternatingDiagram):
-    return frozenset(frozenset(e) for e in d.edges)
-
-
-def flype_arc_search(d: AlternatingDiagram, c: int):
-    """Carry the crossing arc at c through flypes until its image is an
-    in-region arc with endpoints not adjacent along the region boundary.
-
-    Each flype is an ambient isotopy, so the meridian pair is preserved at
-    every step.  When a step leaves the image adjacent along an edge, that
-    edge's gear class names the crossing arc the image has become, and the
-    search continues from there, breadth first.  Returns (diagram, arc,
-    steps).
-
-    Only d is checked for primeness: a flype image is again prime (the
-    flyping theorem).  A rewiring becomes a diagram only when the search
-    returns it or expands it.
-    """
-    if not is_prime(d):
-        raise DiagramError("non-prime: the flype search needs a prime diagram")
-
-    def next_layer(followups):
-        # every key of this layer enters `visited` before the caller asks
-        # for the next layer, so deduplication follows the queue order
-        for pairing, options in followups:
-            d2 = AlternatingDiagram(d.n, pairing)
-            key = _diagram_key(d2)
-            for *_, joint in options:
-                for h in joint:
-                    x = arc_crossing(d2, d2.edge_of_slot[h])
-                    if (key, x) not in visited:
-                        visited.add((key, x))
-                        yield d2, x
-
-    visited = {(_diagram_key(d), c)}
-    layer = [(d, c)]
-    for depth in range(MAX_FLYPE_DEPTH):
-        followups = []
-        for cur, cc in layer:
-            for pairing, spot in _pinch_flypes(cur, cc):
-                options = list(_spot_options(pairing, spot))
-                for walk, c1, c2, joint in options:
-                    if not joint:
-                        d2 = AlternatingDiagram(d.n, pairing)
-                        return d2, InRegionArc(d2.region_of_slot[walk[0]], c1, c2), depth + 1
-                if options:
-                    followups.append((pairing, options))
-        layer = next_layer(followups)
-    raise DiagramError(f"no flype chain found for the crossing arc at {c}")
-
-
 def flype(tb: TwoBridgeDiagram, i: int, crossing: int | None = None) -> FlypeResult:
     """Flype a crossing of twist region A_i out of the diagram's middle.
 
     Only 2 <= i <= n-1 is allowed: crossing arcs in the end regions are
     the tunnels and need no flype.  All crossing arcs within one twist
-    region are properly homotopic (slide across the bigons), so the search
-    runs from the first crossing of the region.  Since diagrams live on
-    the sphere, no preliminary re-drawing distinguishes the two parities
-    of i; blocks needing it are handled by chaining flypes.  The image is
-    an in-region arc joining two crossings that are not adjacent along
-    that region's boundary.
+    region are properly homotopic (slide across the bigons), so the chain
+    starts at the first crossing c of the region.  Crossings are numbered
+    in construction order, so the tail T, every crossing after c, is a
+    tangle cut off by four edges.  The first flype carries c across T.
+    When every image of the arc has adjacent ends, a joining edge's gear
+    class names the crossing arc x it has become, and the second flype
+    carries the first such x for which T and c form a flype disk across
+    them.  The image is an in-region arc joining two crossings that are not
+    adjacent along that region's boundary.  Flypes are isotopies, so the
+    meridian pair is preserved, and only the input is checked for
+    primeness: a flype image is again prime (the flyping theorem).
     """
     n = len(tb.seq)
     if not (2 <= i <= n - 1):
@@ -769,16 +674,27 @@ def flype(tb: TwoBridgeDiagram, i: int, crossing: int | None = None) -> FlypeRes
     c = members[0] if crossing is None else crossing
     if c not in members:
         raise DiagramError(f"crossing {c} is not in twist region A_{i}")
-    d2, arc, steps = flype_arc_search(tb.diagram, members[0])
-    trace = {
-        "twist_region": i,
-        "crossing": c,
-        "searched_from": members[0],
-        "flype_steps": steps,
-        "image_region": arc.region,
-        "image_endpoints": [arc.c1, arc.c2],
-    }
-    return FlypeResult(d2, arc, trace)
+    d = tb.diagram
+    if not is_prime(d):
+        raise DiagramError("non-prime: a flype needs a prime diagram")
+    tail = frozenset(range(members[0] + 1, d.n))
+    disks = [(members[0], tail)]
+    for steps in (1, 2):
+        wired = next(filter(None, (_tail_flype(d, x, S) for x, S in disks)), None)
+        if wired is None:
+            break
+        pairing, spot = wired
+        options = list(_spot_options(pairing, spot))
+        d = AlternatingDiagram(d.n, pairing)
+        for walk, c1, c2, joint in options:
+            if not joint:
+                arc = InRegionArc(d.region_of_slot[walk[0]], c1, c2)
+                trace = {"twist_region": i, "crossing": c, "searched_from": members[0], "flype_steps": steps,
+                         "image_region": arc.region, "image_endpoints": [arc.c1, arc.c2]}
+                return FlypeResult(d, arc, trace)
+        disks = [(arc_crossing(d, d.edge_of_slot[h]), tail | {members[0]})
+                 for *_, joint in options for h in joint]
+    raise DiagramError(f"no flype chain found for the crossing arc at {members[0]}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
-"""Oracle for the diagram constructor, read only by the tests: the
-construction checks in their order, with alternation checked by walking
+"""Oracles for the diagram layer, read only by the tests.
+
+The construction checks in their order, with alternation checked by walking
 every strand and the checkerboard coloring found by a depth-first
 2-coloring of the region adjacency graph.  It is the reference for the
 parity rules of `cuspcubes.diagram.AlternatingDiagram` (every edge joins an
 even slot to an odd one; even faces are black) and for its strands.
+
+`_flype_disks` lists every flype disk at a crossing from the region
+4-cycles.  It is the reference for the disks that `cuspcubes.diagram.flype`
+flypes across, and the disk list of the eager flype search in the tests.
 """
 
 from cuspcubes.diagram import (AlternatingDiagram, BLACK, WHITE, DiagramError, _check_size,
@@ -116,3 +121,61 @@ def outcome(build, n, pairing):
         return build(n, pairing)
     except DiagramError as err:
         return str(err)
+
+
+def _flype_disks(d, c):
+    """Flype disks at c as (S, p, (f1, f2)): S is cut off by exactly four
+    edges, the edges at the consecutive ports p, p+1 of c (c not in S) and
+    the edges f1 < f2 away from c.
+
+    The disks come from region 4-cycles.  In a prime diagram no set of
+    crossings is cut off by two edges (those two would share both side
+    regions), so both sides of a four-edge cut are connected: the cut is a
+    bond of the diagram graph, hence a 4-cycle of regions in the dual.
+    That cycle passes the corner region R0 of ports p, p+1 between e1 and
+    e2, so it reads R0, Ra, Rx, Rb with Ra and Rb the far sides of e1 and
+    e2; the two remaining cut edges f1, f2 separate Ra from Rx and Rx from
+    Rb.  For every region Rx and every such f1, f2 not at c, S is the side
+    of e1's far end once e1, e2, f1, f2 are removed; it is kept when c lies
+    outside it and all four edges cross its boundary.  This lists every
+    disk with O(n) work per region.  The list is ordered by (len(S),
+    sorted(S)), the order in which a search over all subsets of the other
+    crossings, smallest first, meets them.
+    """
+    ends = [d.edge_endpoints(e) for e in range(len(d.edges))]
+    nbrs = [[] for _ in range(d.n)]
+    for e, (a, b) in enumerate(ends):
+        nbrs[a].append((e, b))
+        nbrs[b].append((e, a))
+
+    def side(start, cut):
+        seen = {start}
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for e, y in nbrs[x]:
+                if e not in cut and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        return seen
+
+    found = {}
+    for p in range(4):
+        e1, e2 = d.edge_of_slot[(c, p)], d.edge_of_slot[(c, (p + 1) % 4)]
+        # e1 separates Ra from the corner region R0 of ports p, p+1; e2
+        # separates R0 from Rb.  The disk boundary runs R0, Ra, Rx, Rb.
+        ra = d.regions[d.region_of_slot[(c, p)]].edges
+        rb = d.regions[d.region_of_slot[(c, (p + 2) % 4)]].edges
+        start = d.pairing[(c, p)][0]
+        for Rx in d.regions:
+            for f1 in ra & Rx.edges:
+                if c in ends[f1]:
+                    continue
+                for f2 in Rx.edges & rb:
+                    if c in ends[f2]:
+                        continue
+                    cut = {e1, e2, f1, f2}
+                    S = side(start, cut)
+                    if c not in S and all((ends[e][0] in S) != (ends[e][1] in S) for e in cut):
+                        found.setdefault(frozenset(S), (p, (min(f1, f2), max(f1, f2))))
+    return [(S, p, f) for S, (p, f) in sorted(found.items(), key=lambda item: (len(item[0]), sorted(item[0])))]

@@ -345,14 +345,23 @@ class TestDecide:
         assert code == 0 and data["verdict"] == "CrossingArcEquivalent"
 
     def test_long_middle_block(self, capsys):
-        # the flype search builds a bounded number of diagrams however long
-        # the twist region is
+        # the flype chain builds at most two diagrams however long the twist
+        # region is
         code, data = run_json(capsys, "decide", "--two-bridge", "2,80,2",
                               "--crossing-arc", "A2:0")
         assert code == 0
         assert data["verdict"] == "FreeGeometricallyFinite"
         assert len(set(data["witness"]["wings"]["first"]
                        + data["witness"]["wings"]["second"])) == 4
+
+    def test_very_long_middle_block(self, capsys):
+        # each of the two flypes is linear in the crossing count
+        t0 = time.perf_counter()
+        code, data = run_json(capsys, "decide", "--two-bridge", "2,2000,2",
+                              "--crossing-arc", "A2:0")
+        assert time.perf_counter() - t0 < 2
+        assert code == 0 and data["verdict"] == "FreeGeometricallyFinite"
+        assert data["flype"]["flype_steps"] == 2
 
 
 class TestPingpong:

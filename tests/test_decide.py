@@ -3,16 +3,20 @@ from functools import cached_property
 from itertools import product
 import json
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
 from cuspcubes.cli import main
+from cuspcubes.cubing import boundary_cubings, build_cubing, verify_npc
 from cuspcubes.decide import (
     DecideError, VerdictKind, _reduce_edge_word, classify_2bridge_pair,
     classify_alternating_pair, witness_spare_region,
 )
 from cuspcubes.diagram import (
     AlternatingDiagram, BLACK, CrossingArc, InRegionArc, TransverseArc, WHITE,
-    crossings_adjacent_on_region, pretzel_diagram, region_adjacent, two_bridge_diagram,
+    crossings_adjacent_on_region, is_prime, is_reduced, pretzel_diagram, region_adjacent,
+    two_bridge_diagram,
 )
 from conftest import twist_sequences
 
@@ -279,6 +283,51 @@ class TestMirror:
             assert mirror_invariants(mirrored) == mirror_invariants(plain), seq
             w, wm = plain.witness, mirrored.witness
             assert (wm.first_pair, wm.second_pair) == (w.first_pair[::-1], w.second_pair[::-1]), seq
+
+
+def pd_inputs():
+    """PD codes of the prime reduced two-bridge and pretzel diagrams with at
+    most 10 crossings."""
+    diagrams = [two_bridge_diagram(seq).diagram for seq in twist_sequences(10)]
+    diagrams += [pretzel_diagram(*t) for k in (2, 3, 4) for t in product(range(1, 9), repeat=k)
+                 if sum(t) <= 10]
+    return [d.pd_code() for d in diagrams if is_prime(d) and is_reduced(d)]
+
+
+PD_INPUTS = pd_inputs()
+
+
+def cubing_invariants(d):
+    cx = build_cubing(d)
+    return cx.counts, verify_npc(cx)["npc"], sorted(t.euler for t in boundary_cubings(cx))
+
+
+def kind_or_error(d, arc):
+    try:
+        return classify_alternating_pair(d, arc).kind
+    except DecideError as err:
+        return str(err)
+
+
+class TestPdRelabelling:
+    @settings(max_examples=400)
+    @given(st.data())
+    def test_relabelled_crossings_keep_the_results(self, data):
+        # crossing c of the PD input becomes crossing perm[c]; slot (c, i)
+        # becomes (perm[c], i), so regions map through any boundary slot
+        code = data.draw(st.sampled_from(PD_INPUTS))
+        perm = data.draw(st.permutations(range(len(code))))
+        moved = [None] * len(code)
+        for c, quad in enumerate(code):
+            moved[perm[c]] = quad
+        d, d2 = AlternatingDiagram.from_pd(code), AlternatingDiagram.from_pd(moved)
+        assert cubing_invariants(d2) == cubing_invariants(d)
+        R = data.draw(st.sampled_from(d.regions))
+        c1, c2 = data.draw(st.lists(st.sampled_from(sorted(R.distinct_crossings)),
+                                    min_size=2, max_size=2, unique=True))
+        c, i = R.boundary[0]
+        arc2 = InRegionArc(d2.region_of_slot[(perm[c], i)], perm[c1], perm[c2])
+        assert kind_or_error(d2, arc2) == kind_or_error(d, InRegionArc(R.index, c1, c2))
 
 
 class TestVerdictShape:

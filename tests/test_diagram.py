@@ -9,16 +9,15 @@ import pytest
 
 from cuspcubes.diagram import (
     AlternatingDiagram, BLACK, CrossingArc, DiagramError, InRegionArc, MAX_CROSSINGS,
-    TransverseArc, TwistSequence, WHITE, arc_crossing, crossings_adjacent_on_region,
+    TransverseArc, TwistSequence, TwoBridgeDiagram, WHITE, arc_crossing, crossings_adjacent_on_region,
     find_small_white_region, flype, is_prime, is_reduced, pretzel_diagram, region_adjacent,
     two_bridge_diagram,
 )
-from cuspcubes.diagram import (
-    _diagram_key, _flype_disks, _mirror, _pinch_flypes, _spot_options, flype_arc_search,
-)
+from cuspcubes.diagram import _mirror, _spot_options, _tail_flype
 from cuspcubes.cubing import _UnionFind
+from cuspcubes.farey import ContinuedFraction, cf_value
 from conftest import diagram_corpus, twist_sequences
-from diagram_oracles import built_diagram, outcome, read_off, walked_diagram
+from diagram_oracles import _flype_disks, built_diagram, outcome, read_off, walked_diagram
 from gear_oracles import closed_form_classes, edge_arc_classes
 
 TREFOIL_PD = [(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)]
@@ -392,15 +391,13 @@ class TestDeterminant:
         assert fraction_determinant(two_bridge_diagram((3, 2)).diagram) == 7
 
     def test_two_bridge_determinant_is_denominator(self):
-        # for the standard diagram of a two-bridge link the determinant equals
-        # the continued-fraction denominator of the twist sequence
-        from fractions import Fraction
-        for seq in ((2, 2), (3, 2), (2, 1, 2), (3, 3), (2, 2, 2)):
-            acc = Fraction(seq[-1])
-            for a in reversed(seq[:-1]):
-                acc = a + 1 / acc
+        # the determinant of the standard diagram of a two-bridge link is p
+        # for the Farey layer's slope [0; a1, ..., an] = q/p
+        seqs = twist_sequences(12)
+        assert len(seqs) == 1013
+        for seq in seqs:
             det = fraction_determinant(two_bridge_diagram(seq).diagram)
-            assert det == acc.numerator, seq
+            assert det == cf_value(ContinuedFraction(0, seq)).p, seq
 
 
 class TestFlype:
@@ -493,32 +490,34 @@ class TestFlypeDisks:
                 assert _flype_disks(d, c) == subset_flype_disks(d, c, cuts), (d.pd_code(), c)
 
     def test_non_prime_rejected(self):
+        tb = TwoBridgeDiagram(TwistSequence((2, 2, 2)), connected_sum_of_trefoils(), (1, 1, 2, 2, 3, 3))
         with pytest.raises(DiagramError, match="non-prime"):
-            flype_arc_search(connected_sum_of_trefoils(), 0)
+            flype(tb, 2)
 
 
-# Traces and flyped PD codes of the subset search, which the 4-cycle
-# search must reproduce exactly.
+# Traces and flyped PD codes of the tail rule.  The two one-step A3 flypes
+# are also those of a search over all subsets of crossings, smallest disk
+# first; the (2,k,2) chains cross other disks than that search's.
 FLYPE_GOLDEN = {
     ((2, 2, 2), 2): (
         {"twist_region": 2, "crossing": 2, "searched_from": 2, "flype_steps": 2,
-         "image_region": 2, "image_endpoints": [3, 4]},
-        [(0, 1, 2, 3), (3, 4, 5, 0), (6, 7, 8, 9), (1, 5, 7, 6), (9, 10, 11, 2), (10, 8, 4, 11)]),
+         "image_region": 4, "image_endpoints": [2, 3]},
+        [(0, 1, 2, 3), (4, 2, 1, 5), (3, 4, 6, 7), (8, 9, 5, 0), (9, 10, 11, 6), (10, 8, 7, 11)]),
     ((2, 12, 2), 2): (
         {"twist_region": 2, "crossing": 2, "searched_from": 2, "flype_steps": 2,
-         "image_region": 2, "image_endpoints": [3, 14]},
-        [(0, 1, 2, 3), (3, 4, 5, 0), (6, 7, 8, 9), (1, 5, 7, 6), (10, 11, 9, 8),
+         "image_region": 4, "image_endpoints": [2, 3]},
+        [(0, 1, 2, 3), (4, 2, 1, 5), (3, 4, 6, 7), (8, 9, 5, 0), (10, 11, 9, 8),
          (12, 13, 11, 10), (14, 15, 13, 12), (16, 17, 15, 14), (18, 19, 17, 16),
          (20, 21, 19, 18), (22, 23, 21, 20), (24, 25, 23, 22), (26, 27, 25, 24),
-         (28, 29, 27, 26), (29, 30, 31, 2), (30, 28, 4, 31)]),
+         (28, 29, 27, 26), (29, 30, 31, 6), (30, 28, 7, 31)]),
     ((2, 16, 2), 2): (
         {"twist_region": 2, "crossing": 2, "searched_from": 2, "flype_steps": 2,
-         "image_region": 2, "image_endpoints": [3, 18]},
-        [(0, 1, 2, 3), (3, 4, 5, 0), (6, 7, 8, 9), (1, 5, 7, 6), (10, 11, 9, 8),
+         "image_region": 4, "image_endpoints": [2, 3]},
+        [(0, 1, 2, 3), (4, 2, 1, 5), (3, 4, 6, 7), (8, 9, 5, 0), (10, 11, 9, 8),
          (12, 13, 11, 10), (14, 15, 13, 12), (16, 17, 15, 14), (18, 19, 17, 16),
          (20, 21, 19, 18), (22, 23, 21, 20), (24, 25, 23, 22), (26, 27, 25, 24),
          (28, 29, 27, 26), (30, 31, 29, 28), (32, 33, 31, 30), (34, 35, 33, 32),
-         (36, 37, 35, 34), (37, 38, 39, 2), (38, 36, 4, 39)]),
+         (36, 37, 35, 34), (37, 38, 39, 6), (38, 36, 7, 39)]),
     ((4, 4, 4, 4, 4), 3): (
         {"twist_region": 3, "crossing": 8, "searched_from": 8, "flype_steps": 1,
          "image_region": 6, "image_endpoints": [3, 7]},
@@ -612,12 +611,13 @@ def fraction_determinant(d):
     return abs(int(det))
 
 
-def eager_trials(d, c):
+def eager_trials(d, c, disks=None):
     """Every trial rewiring at c that is a slot involution, as (disk number,
-    pairing, spot), in the order of the flype search: for each flype disk,
-    both slot orders on each diagonal of c and both ways of pairing the far
-    strands with the diagonals."""
-    for j, (S, p, f_ids) in enumerate(_flype_disks(d, c)):
+    pairing, spot), in the order of the flype search: for each flype disk
+    (all of `_flype_disks` unless `disks` names some), both slot orders on
+    each diagonal of c and both ways of pairing the far strands with the
+    diagonals."""
+    for j, (S, p, f_ids) in enumerate(_flype_disks(d, c) if disks is None else disks):
         att1 = d.pairing[(c, p)]
         att2 = d.pairing[(c, (p + 1) % 4)]
         g1_far = d.pairing[(c, (p + 2) % 4)]
@@ -678,6 +678,28 @@ def built_spot_options(d2, spot):
     return out
 
 
+def keeps_invariants(d2, strands0, det0):
+    """Does d2 have strands0 strands and determinant det0, and is it prime
+    and reduced?"""
+    return (len(d2.strands) == strands0 and is_prime(d2) and is_reduced(d2)
+            and fraction_determinant(d2) == det0)
+
+
+def disk_survivors(d, c, disk):
+    """The trial rewirings at c across one flype disk (S, p, (f1, f2)) that
+    the eager search keeps, as (pairing, spot) pairs."""
+    det0, strands0 = fraction_determinant(d), len(d.strands)
+    out = []
+    for _j, pairing, spot in eager_trials(d, c, [disk]):
+        try:
+            d2 = AlternatingDiagram(d.n, pairing)
+        except DiagramError:
+            continue
+        if keeps_invariants(d2, strands0, det0):
+            out.append((pairing, spot))
+    return out
+
+
 def eager_pinch_flypes(d, c, record):
     """Build every trial rewiring at c and filter it by strand count,
     primeness, reducedness and determinant; return the survivors as
@@ -705,9 +727,7 @@ def eager_pinch_flypes(d, c, record):
             [(d2.region_of_slot[walk[0]], c1, c2, bool(joint))
              for walk, c1, c2, joint in _spot_options(pairing, spot)],
             [(R.index, c1, c2, adjacent) for R, c1, c2, adjacent in built_spot_options(d2, spot)]))
-        if len(d2.strands) != strands0 or not is_prime(d2) or not is_reduced(d2):
-            continue
-        if fraction_determinant(d2) != det0:
+        if not keeps_invariants(d2, strands0, det0):
             continue
         disks[j].append((pairing, spot))
         out.append((d2, spot))
@@ -715,8 +735,15 @@ def eager_pinch_flypes(d, c, record):
     return out
 
 
+def diagram_key(d):
+    return frozenset(frozenset(e) for e in d.edges)
+
+
 def eager_flype_arc_search(d, c, record, max_depth=5):
-    visited = {(_diagram_key(d), c)}
+    """The breadth-first search over every flype disk of every intermediate
+    diagram, at most `max_depth` flypes deep: returns (diagram, arc,
+    steps) for the first image whose ends are not adjacent."""
+    visited = {(diagram_key(d), c)}
     queue = [(d, c, 0)]
     while queue:
         cur, cc, depth = queue.pop(0)
@@ -737,7 +764,7 @@ def eager_flype_arc_search(d, c, record, max_depth=5):
             for R, c1, c2 in adj:
                 for e in R.edges:
                     if {h[0] for h in d2.edges[e]} == {c1, c2}:
-                        key = (_diagram_key(d2), gear[e])
+                        key = (diagram_key(d2), gear[e])
                         if key not in visited:
                             visited.add(key)
                             queue.append((d2, gear[e], depth + 1))
@@ -781,38 +808,66 @@ def relabel_at(pairing, c):
 
 
 class TestLazyFlypeSearch:
-    def test_matches_eager_search(self, eager_corpus):
+    def test_valid_against_eager_search(self, eager_corpus, monkeypatch):
+        # each flype of the chain crosses a disk that the 4-cycle oracle
+        # lists, with that disk's one surviving wiring; the image keeps the
+        # invariants, its ends are not adjacent, and the chain is as long
+        # as the eager search's
+        import cuspcubes.diagram as D
+        steps = []
+
+        def recorded(d, c, S):
+            wired = _tail_flype(d, c, S)
+            if wired:
+                steps.append((d, c, S, wired))
+            return wired
+
+        monkeypatch.setattr(D, "_tail_flype", recorded)
         regions = eager_corpus[0]
         assert len(regions) == 531
+        same = 0
         for seq, i, out in regions:
-            try:
-                fr = flype(two_bridge_diagram(seq), i)
-            except DiagramError as err:
-                assert str(err) == out, (seq, i)
-                continue
-            assert search_outcome(fr.diagram, fr.arc, fr.trace["flype_steps"]) == out, (seq, i)
+            tb = two_bridge_diagram(seq)
+            steps.clear()
+            fr = flype(tb, i)
+            assert len(steps) == fr.trace["flype_steps"] == out[1], (seq, i)
+            for d, c, S, (x, spot) in steps:
+                disk = next(disk for disk in _flype_disks(d, c) if disk[0] == S)
+                y = relabel_at(x, c)
+                assert disk_survivors(d, c, disk) == [(x, spot), (x, spot), (y, spot), (y, spot)], (seq, i)
+            d2 = fr.diagram
+            assert keeps_invariants(d2, len(tb.diagram.strands), fraction_determinant(tb.diagram)), (seq, i)
+            assert not crossings_adjacent_on_region(d2, d2.regions[fr.arc.region], fr.arc.c1, fr.arc.c2)
             assert (fr.trace["image_region"], fr.trace["image_endpoints"]) == (
-                out[0].region, [out[0].c1, out[0].c2])
+                fr.arc.region, [fr.arc.c1, fr.arc.c2])
+            same += search_outcome(d2, fr.arc, fr.trace["flype_steps"]) == out
+        assert same == 366
 
     def test_one_forced_wiring_per_disk(self, eager_corpus):
         # of the eight trial wirings of a disk, those that pass the
-        # constructor and every filter are the yielded rewiring x twice,
-        # then its relabelling at c twice; a disk the lazy search skips has
-        # no survivors
+        # constructor and every filter are the tail flype x twice, then its
+        # relabelling at c twice; a disk with no survivors has no tail flype
         kept = skipped = 0
         for d, c, disks in eager_corpus[2]:
-            lazy = _pinch_flypes(d, c)
-            for survivors in disks:
+            for (S, _p, _f), survivors in zip(_flype_disks(d, c), disks):
+                wired = _tail_flype(d, c, S)
                 if not survivors:
+                    assert wired is None, (d.pd_code(), c)
                     skipped += 1
                     continue
                 kept += 1
-                x, spot = next(lazy)
+                x, spot = wired
                 y = relabel_at(x, c)
                 assert x != y
                 assert survivors == [(x, spot), (x, spot), (y, spot), (y, spot)], (d.pd_code(), c)
-            assert next(lazy, None) is None, (d.pd_code(), c)
         assert (kept, skipped) == (1090, 1090)
+
+    def test_tail_flype_refuses_non_disks(self):
+        d = two_bridge_diagram((2, 2, 2)).diagram
+        assert _tail_flype(d, 2, frozenset(range(3, 6)))
+        assert _tail_flype(d, 2, frozenset(range(2, 6))) is None     # c inside
+        assert _tail_flype(d, 2, frozenset({5})) is None             # no port of c enters
+        assert _tail_flype(d, 2, frozenset({3, 5})) is None          # six cut edges
 
     def test_spot_options_match_built_diagram(self, eager_corpus):
         # option for option, in order: region index, ends, adjacency
@@ -852,14 +907,14 @@ class TestLazyFlypeSearch:
             init(self, *args)
 
         counts = []
-        for k in (16, 40):
+        for k in (16, 40, 320):
             tb = two_bridge_diagram((2, k, 2))
             built.clear()
             with monkeypatch.context() as m:
                 m.setattr(AlternatingDiagram, "__init__", counted)
                 flype(tb, 2)
             counts.append(len(built))
-        assert counts == [2, 2]
+        assert counts == [2, 2, 2]
 
 
 class TestSizeCap:
