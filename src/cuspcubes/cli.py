@@ -6,7 +6,9 @@ pingpong (free-group certificates for matrix pairs), svg (circle-pattern
 drawing).  All output is JSON on stdout; --pretty indents it.  Exit code 0
 means the requested check passed.  pingpong --mode exact|float selects its
 arithmetic path (exact by default).  Each cmd_* imports the modules it
-uses, so that a process loads only what its subcommand needs.
+uses, so that a process loads only what its subcommand needs.  An argv
+that opens with its full chain of command words is parsed once, by the
+leaf parser of that chain; any other takes argparse's full nested parse.
 """
 
 from __future__ import annotations
@@ -151,12 +153,21 @@ def cmd_cubing(args) -> int:
 # decide
 # ---------------------------------------------------------------------------
 
-def _int_after(prefix: str):
-    return lambda field: int(field.lstrip(prefix))
+def _int_after(letters: str):
+    """The reader of a field that is one of letters and then -?[0-9]+."""
+    import re
+    form = re.compile(f"[{letters}](-?[0-9]+)")
+
+    def read(field: str) -> int:
+        match = form.fullmatch(field)
+        if match is None:
+            raise ValueError(field)
+        return int(match[1])
+    return read
 
 
 def _edge_word(field: str) -> tuple[int, ...]:
-    return tuple(int(x.lstrip("e")) for x in field.split(",")) if field else ()
+    return tuple(map(_int_after("e"), field.split(","))) if field else ()
 
 
 def _spec_fields(flag: str, form: str, spec: str, parsers) -> list:
@@ -355,8 +366,45 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.lru_cache(maxsize=1)
+def _leaf_routes(parser: argparse.ArgumentParser) -> dict:
+    """The command-word tree of parser: a word maps to the tree of the
+    words after it, and a full chain ends in (leaf parser, the entries that
+    the parsers above it put in the namespace: their defaults and the
+    chosen words)."""
+    def walk(parser, filled):
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            return parser, filled
+        (sub,) = subs
+        filled = {**filled, **parser._defaults,
+                  **{a.dest: a.default for a in parser._actions
+                     if argparse.SUPPRESS not in (a.dest, a.default)}}
+        return {word: walk(leaf, {**filled, sub.dest: word}) for word, leaf in sub.choices.items()}
+    return walk(parser, {})
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), parsed once at the leaf parser when
+    argv opens with a full chain of command words.  The parsers above the
+    leaf would only hand it the rest of argv, except that the top one exits
+    on a '--=' token, an abbreviation of both --help and --pretty; such an
+    argv, and any other, takes the full parse."""
+    parser = build_parser()
+    route, rest = _leaf_routes(parser), argv
+    while isinstance(route, dict) and rest:
+        route, rest = route.get(rest[0]), rest[1:]
+    if not isinstance(route, tuple) or any(t.startswith("--=") for t in rest):
+        return parser.parse_args(argv)
+    leaf, filled = route
+    args, extras = leaf.parse_known_args(rest, argparse.Namespace(**filled))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except (OSError, ValueError) as err:

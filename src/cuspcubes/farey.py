@@ -12,7 +12,6 @@ relating the two.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 
@@ -104,10 +103,6 @@ def parse_slope(text) -> Slope:
     except ValueError:
         raise FareyError(f"a slope is q/p, an integer or inf, got {text!r}") from None
     return reduce_slope(q, p)
-
-
-def slope_of_fraction(x: Fraction) -> Slope:
-    return reduce_slope(x.numerator, x.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -209,11 +204,12 @@ class ContinuedFraction:
 
 
 def cf_value(cf: ContinuedFraction) -> Slope:
-    """Exact value a0 + 1/(a1 + 1/(... + 1/an))."""
-    acc = Fraction(cf.terms[-1])
-    for t in reversed(cf.terms[:-1]):
-        acc = t + 1 / acc
-    return slope_of_fraction(cf.a0 + 1 / acc)
+    """Exact value a0 + 1/(a1 + 1/(... + 1/an)), the last convergent h/k of
+    h_i = a_i h_(i-1) + h_(i-2), k_i = a_i k_(i-1) + k_(i-2)."""
+    h, h_prev, k, k_prev = cf.a0, 1, 1, 0
+    for a in cf.terms:
+        h, h_prev, k, k_prev = a * h + h_prev, h, a * k + k_prev, k
+    return reduce_slope(h, k)
 
 
 def cf_expand(r: Slope) -> ContinuedFraction:

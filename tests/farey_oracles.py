@@ -1,12 +1,15 @@
 """Oracles for cuspcubes.farey, read only by the tests: distance by
 breadth-first search, the covering slope by a word search for its defining
-automorphism, and two-bridge equivalence by the Schubert congruences.
+automorphism, two-bridge equivalence by the Schubert congruences, and the
+value of a continued fraction folded from its last term in Fractions.
 """
 
 from fractions import Fraction
 from math import gcd
 
-from cuspcubes.farey import INFINITY, IDENTITY_AUT, FareyAut, FareyError, Slope
+from cuspcubes.farey import (
+    INFINITY, IDENTITY_AUT, ContinuedFraction, FareyAut, FareyError, Slope, reduce_slope,
+)
 
 
 def compose(f: FareyAut, g: FareyAut) -> FareyAut:
@@ -121,3 +124,12 @@ def schubert_oracle(r: Slope, s: Slope) -> bool:
         if (r.q * s.q - sign) % p == 0:
             return True
     return False
+
+
+def cf_value_fraction(cf: ContinuedFraction) -> Slope:
+    """a0 + 1/(a1 + 1/(... + 1/an)), evaluated from the inside out."""
+    acc = Fraction(cf.terms[-1])
+    for t in reversed(cf.terms[:-1]):
+        acc = t + 1 / acc
+    value = cf.a0 + 1 / acc
+    return reduce_slope(value.numerator, value.denominator)

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 import time
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import jsonschema
 import pytest
 from referencing import Registry, Resource
 
+from cuspcubes import cli
 from cuspcubes.cli import build_parser, main
 
 SCHEMAS = Path(__file__).resolve().parents[1] / "docs" / "schemas"
@@ -312,7 +317,24 @@ class TestDecide:
                                  ("--transverse", "c0:c1", "c<i>:c<j>:e<a>,..."),
                                  ("--crossing-arc", "A2:x", "A<i>:<k> or c<i>"),
                                  ("--crossing-arc", "Ax:0", "A<i>:<k> or c<i>"),
-                                 ("--crossing-arc", "A1:0:3", "A<i>:<k> or c<i>")):
+                                 ("--crossing-arc", "A1:0:3", "A<i>:<k> or c<i>"),
+                                 # one prefix letter, then -?[0-9]+ and nothing else
+                                 ("--crossing-arc", "aAaA2:0", "A<i>:<k> or c<i>"),
+                                 ("--crossing-arc", "AA1:0", "A<i>:<k> or c<i>"),
+                                 ("--crossing-arc", "A:0", "A<i>:<k> or c<i>"),
+                                 ("--crossing-arc", "cc0", "A<i>:<k> or c<i>"),
+                                 ("--crossing-arc", "c", "A<i>:<k> or c<i>"),
+                                 ("--crossing-arc", "c3_0", "A<i>:<k> or c<i>"),
+                                 ("--crossing-arc", "c+1", "A<i>:<k> or c<i>"),
+                                 ("--crossing-arc", "c 1", "A<i>:<k> or c<i>"),
+                                 ("--crossing-arc", "c1 ", "A<i>:<k> or c<i>"),
+                                 ("--crossing-arc", "c\u0661", "A<i>:<k> or c<i>"),
+                                 ("--crossing-arc", "c--1", "A<i>:<k> or c<i>"),
+                                 ("--in-region", "rRr0:c0:c1", "R<k>:c<i>:c<j>"),
+                                 ("--in-region", "R0:cc0:c1", "R<k>:c<i>:c<j>"),
+                                 ("--transverse", "c0:c1:ee1", "c<i>:c<j>:e<a>,..."),
+                                 ("--transverse", "c0:c1:e1,1", "c<i>:c<j>:e<a>,..."),
+                                 ("--transverse", "c0:c1:e1,", "c<i>:c<j>:e<a>,...")):
             code, out, err = run(capsys, "decide", "--two-bridge", "2,2", flag, spec)
             assert code == 2 and out == "", spec
             assert err == f"error: {flag} expects {form}, got {spec!r}\n", spec
@@ -601,3 +623,48 @@ class TestParserReuse:
             fresh.append(self.call(capsys, argv))
         assert reused == fresh
         assert [code for code, _, _ in reused].count(("SystemExit", 2)) == 4
+
+    def test_leaf_forms_take_the_route(self, capsys, monkeypatch):
+        def full_parse(argv):
+            raise AssertionError(f"full parse of {argv}")
+        monkeypatch.setattr(build_parser(), "parse_args", full_parse)
+        leaf_forms = [argv for argv in self.ARGVS if argv[0] != "--pretty" and "nosuch" not in argv]
+        assert len(leaf_forms) == 17
+        codes = [self.call(capsys, argv)[0] for argv in leaf_forms]
+        assert codes.count(("SystemExit", 2)) == 3
+
+
+class TestRoute:
+    """cli.main parses argv at its leaf parser; every outcome must be the
+    one of the full nested parse."""
+    WORDS = ["farey", "dist", "cf", "covering-slope", "classify-2bridge", "classify-p3",
+             "hyperbolic", "cubing", "decide", "pingpong", "svg", "nosuch"]
+    FLAGS = ["--pretty", "--oriented", "--p3", "--two-bridge", "--pd", "--corpus", "--jobs",
+             "--emit-complex", "--corrupt", "--mirror", "--crossing-arc", "--in-region",
+             "--transverse", "--words", "--mode", "--tolerance", "-o", "--output",
+             "--pre", "--two", "--cross", "--or", "--p", "--m", "--t", "--w", "--tol=1e-9",
+             "--pretty=1", "--mode=float", "-ofile", "-h", "--help", "--h", "--", "--=x",
+             "--bogus", "-x"]
+    VALUES = ["1/3", "-5/2", "-5/-2", "2/5", "3", "-3", "inf", "0", "4", "-1", "1e-9", "2,2",
+              "A2:0", "c3", "R3:c0:c2", "exact", "float", "quadruple",
+              TestParserReuse.M1, TestParserReuse.M2,
+              "[1,2]", "", "x", " -1", "-"]
+    CHAINS = [(), ("--pretty",), ("farey",), ("cubing",), ("decide",), ("pingpong",),
+              ("svg",)] + [("farey", word) for word in WORDS[1:7]]
+
+    @staticmethod
+    def outcome(parse, argv):
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                return "parsed", vars(parse(list(argv)))
+        except SystemExit as exc:
+            return "exit", exc.code, out.getvalue(), err.getvalue()
+
+    @settings(max_examples=1500)
+    @given(st.tuples(st.sampled_from(CHAINS),
+                     st.lists(st.sampled_from(WORDS + FLAGS + VALUES), max_size=7)))
+    def test_route_matches_full_parse(self, chain_rest):
+        chain, rest = chain_rest
+        argv = list(chain) + rest
+        assert self.outcome(cli._parse_args, argv) == self.outcome(build_parser().parse_args, argv)

@@ -11,7 +11,7 @@ from cuspcubes.farey import (
     two_bridge_equivalent, two_bridge_hyperbolic,
 )
 from farey_oracles import (
-    compose, covering_slope_characterization, covering_slope_search_oracle,
+    cf_value_fraction, compose, covering_slope_characterization, covering_slope_search_oracle,
     differ_by_integer, farey_distance_bfs, inverse, same_as, schubert_oracle,
 )
 
@@ -172,6 +172,15 @@ class TestContinuedFractions:
         assert cf_value(cf) == r
         if len(cf.terms) > 1:
             assert cf.terms[-1] >= 2
+
+    @given(st.integers(-10**6, 10**6),
+           st.one_of(st.lists(st.integers(1, 5), min_size=1, max_size=1),
+                     st.lists(st.integers(1, 10**9), min_size=1, max_size=8),
+                     st.lists(st.integers(1, 3), min_size=200, max_size=600)))
+    @settings(max_examples=300, deadline=None)
+    def test_convergents_match_fraction_fold(self, a0, terms):
+        cf = ContinuedFraction(a0, tuple(terms))
+        assert cf_value(cf) == cf_value_fraction(cf)
 
 
 class TestCoveringSlope:

@@ -71,6 +71,14 @@ def test_subcommand_loads_its_modules(argv, modules):
     assert package(loaded) == {"cuspcubes.cli"} | {"cuspcubes." + m for m in modules}
 
 
+def test_farey_loads_no_fractions():
+    *_, loaded = new_modules(
+        ["farey", "dist", "1/0", "2/5"], ["farey", "cf", "3/7"], ["farey", "covering-slope", "3/7"],
+        ["farey", "classify-2bridge", "1/3", "4/3"], ["farey", "classify-p3", "2/5", "-5/2"],
+        ["farey", "hyperbolic", "2/5", "--p3"])
+    assert not loaded & {"fractions", "decimal"}
+
+
 def test_words_help_names_the_bound(capsys):
     with pytest.raises(SystemExit):
         main(["pingpong", "--help"])
