@@ -39,10 +39,24 @@ def two_bridge_diagram(seq):
     return two_bridge_diagram(seq)
 
 
+def _int_after(letters: str = ""):
+    """The reader of a field that is -?[0-9]+, after one of letters when
+    there are any."""
+    import re
+    form = re.compile((f"[{letters}]" if letters else "") + "(-?[0-9]+)")
+
+    def read(field: str) -> int:
+        match = form.fullmatch(field)
+        if match is None:
+            raise ValueError(field)
+        return int(match[1])
+    return read
+
+
 def _load_diagram(args):
     if getattr(args, "two_bridge", None):
         try:
-            seq = tuple(int(x) for x in args.two_bridge.split(","))
+            seq = tuple(map(_int_after(), args.two_bridge.split(",")))
         except ValueError:
             raise ValueError(f"--two-bridge expects A1,A2,..., got {args.two_bridge!r}") from None
         return two_bridge_diagram(seq)
@@ -153,19 +167,6 @@ def cmd_cubing(args) -> int:
 # decide
 # ---------------------------------------------------------------------------
 
-def _int_after(letters: str):
-    """The reader of a field that is one of letters and then -?[0-9]+."""
-    import re
-    form = re.compile(f"[{letters}](-?[0-9]+)")
-
-    def read(field: str) -> int:
-        match = form.fullmatch(field)
-        if match is None:
-            raise ValueError(field)
-        return int(match[1])
-    return read
-
-
 def _edge_word(field: str) -> tuple[int, ...]:
     return tuple(map(_int_after("e"), field.split(","))) if field else ()
 
@@ -188,7 +189,7 @@ def _parse_arc(args, tb_or_d):
         spec = args.crossing_arc
         form = "A<i>:<k> or c<i>"
         if ":" in spec:                       # A2:0 means k-th crossing of region 2
-            i, k = _spec_fields("--crossing-arc", form, spec, (_int_after("Aa"), int))
+            i, k = _spec_fields("--crossing-arc", form, spec, (_int_after("Aa"), _int_after()))
             if not hasattr(tb_or_d, "crossings_in"):
                 raise ValueError("twist-region arcs need a --two-bridge diagram")
             members = tb_or_d.crossings_in(i)
@@ -210,10 +211,10 @@ def cmd_decide(args) -> int:
     obj = _load_diagram(args)
     arc = _parse_arc(args, obj)
     if hasattr(obj, "diagram"):
-        verdict = DC.classify_2bridge_pair(obj, arc, mirror=args.mirror)
+        out = DC.classify_2bridge_pair(obj, arc, mirror=args.mirror)
     else:
-        verdict = DC.classify_alternating_pair(obj, arc, mirror=args.mirror)
-    _emit(verdict.to_json(), args.pretty)
+        out = DC.classify_alternating_pair(obj, arc, mirror=args.mirror)
+    _emit(out, args.pretty)
     return 0
 
 
@@ -241,15 +242,13 @@ def cmd_pingpong(args) -> int:
         def to_c(rows):
             return [[PP.float_entry(e) for e in row] for row in rows]
         tol = {} if args.tolerance is None else {"tol": args.tolerance}
-        cert = PP.pingpong_certificate_float(to_c(m1raw), to_c(m2raw), **tol)
-        out = cert.to_json()
+        out = PP.pingpong_certificate_float(to_c(m1raw), to_c(m2raw), **tol)
         _emit(out, args.pretty)
-        return 0 if cert.verdict == PP.FREE_CERTIFIED else 1
+        return 0 if out["verdict"] == PP.FREE_CERTIFIED else 1
     m1 = PP.MobiusMap.from_json(m1raw)
     m2 = PP.MobiusMap.from_json(m2raw)
-    cert = PP.pingpong_certificate(m1, m2)
-    out = cert.to_json()
-    if args.words and cert.verdict == PP.FREE_CERTIFIED:
+    out = PP.pingpong_certificate(m1, m2)
+    if args.words and out["verdict"] == PP.FREE_CERTIFIED:
         ok = PP.free_word_sanity(m1, m2, args.words)
         out["checked_words"] = args.words
         out["no_trivial_word"] = ok
@@ -257,7 +256,7 @@ def cmd_pingpong(args) -> int:
             _emit(out, args.pretty)
             return 1
     _emit(out, args.pretty)
-    return 0 if cert.verdict == PP.FREE_CERTIFIED else 1
+    return 0 if out["verdict"] == PP.FREE_CERTIFIED else 1
 
 
 # ---------------------------------------------------------------------------
@@ -275,24 +274,21 @@ def cmd_svg(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# corpus fan-out
+# corpus
 # ---------------------------------------------------------------------------
 
 def _run_corpus(args, worker) -> int:
-    from concurrent.futures import ThreadPoolExecutor
     from pathlib import Path
     from .diagram import AlternatingDiagram
     paths = sorted(Path(args.corpus).glob("*.json"))
     if not paths:
         raise ValueError(f"no .json diagrams under {args.corpus}")
 
-    def one(path):
+    results = []
+    for path in paths:
         with open(path) as fh:
             d = AlternatingDiagram.from_json(_json_loads(fh.read(), path.name))
-        return {"file": path.name, **worker(d)}
-
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        results = list(pool.map(one, paths))
+        results.append({"file": path.name, **worker(d)})
     _emit({"corpus": str(args.corpus), "results": results}, args.pretty)
     return 0 if all(r.get("npc", True) for r in results) else 1
 
@@ -332,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     cb = sub.add_parser("cubing", help="build and verify the cubed exterior")
     cb.add_argument("--two-bridge"); cb.add_argument("--pd")
     cb.add_argument("--corpus", help="directory of diagram JSON files")
-    cb.add_argument("--jobs", type=int, default=4)
+    cb.add_argument("--jobs", type=int, default=4,
+                    help="no effect: corpus files run in file order")
     cb.add_argument("--emit-complex", metavar="OUT")
     cb.add_argument("--corrupt", type=int, default=None, metavar="K",
                     help="rewire the K-th gluing (0 <= K < 5n) for negative testing")

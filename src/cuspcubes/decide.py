@@ -9,12 +9,14 @@ free, geometrically finite group, and the verdict carries a witness: two
 pairs of same-color wing regions with pairwise distinct members plus a
 spare region certifying that the four wing disks leave the sphere
 uncovered.
+
+The classifiers return each verdict as the JSON dict that `cuspcubes
+decide` prints, shaped as docs/schemas/decide.verdict.v1.json describes:
+"verdict" (one of the five constants below) and "notes", then "tunnel",
+"witness", "flype" and "witness_diagram" where they apply.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from enum import Enum
 
 from .diagram import (AlternatingDiagram, BLACK, WHITE, CrossingArc,
                       InRegionArc, TransverseArc, TwistSequence, TwoBridgeDiagram,
@@ -27,85 +29,11 @@ class DecideError(ValueError):
     pass
 
 
-class VerdictKind(Enum):
-    INESSENTIAL = "Inessential"
-    GENERATES_LINK_GROUP = "GeneratesLinkGroup"
-    FREE_GEOMETRICALLY_FINITE = "FreeGeometricallyFinite"
-    CROSSING_ARC_NOT_COVERED = "CrossingArcNotCovered"
-    CROSSING_ARC_EQUIVALENT = "CrossingArcEquivalent"
-
-
-@dataclass(frozen=True)
-class SpareRegionCertificate:
-    """Fifth-region witness that the four wing disks miss part of the sphere.
-
-    kind 'direct': a same-color region distinct from all four wings; same
-    color means never adjacent, so its plane's far half-space avoids all
-    four wing half-spaces.  kind 'transfer': a small opposite-color region
-    (bigon or trigon with pairwise distinct neighbors) whose shared face
-    carries the neighbor planes to the other copy, where a wing-free disk
-    survives; the spare region is one not adjacent to that face.
-    """
-
-    kind: str
-    region: int
-    via_region: int | None = None
-    via_kind: str | None = None
-    transfer_shift: int | None = None
-    note: str = ""
-
-    def to_json(self):
-        out = {"kind": self.kind, "region": self.region, "note": self.note}
-        if self.via_region is not None:
-            out["via_region"] = self.via_region
-            out["via_kind"] = self.via_kind
-            out["transfer_shift"] = self.transfer_shift
-        return out
-
-
-@dataclass(frozen=True)
-class Witness:
-    color: str
-    first_pair: tuple[int, int]
-    second_pair: tuple[int, int]
-    endpoints: tuple[int, int]
-    spare: SpareRegionCertificate
-    case: str
-
-    @property
-    def regions(self) -> tuple[int, int, int, int]:
-        return self.first_pair + self.second_pair
-
-    def to_json(self):
-        return {
-            "color": self.color,
-            "wings": {"first": list(self.first_pair), "second": list(self.second_pair)},
-            "endpoints": list(self.endpoints),
-            "spare": self.spare.to_json(),
-            "case": self.case,
-        }
-
-
-@dataclass(frozen=True)
-class Verdict:
-    kind: VerdictKind
-    which_tunnel: str | None = None
-    witness: Witness | None = None
-    notes: tuple = ()
-    flype_trace: dict | None = None
-    witness_diagram: AlternatingDiagram | None = None    # set when a flype moved the arc
-
-    def to_json(self):
-        out = {"verdict": self.kind.value, "notes": list(self.notes)}
-        if self.which_tunnel:
-            out["tunnel"] = self.which_tunnel
-        if self.witness:
-            out["witness"] = self.witness.to_json()
-        if self.flype_trace:
-            out["flype"] = self.flype_trace
-        if self.witness_diagram is not None:
-            out["witness_diagram"] = self.witness_diagram.to_json()
-        return out
+INESSENTIAL = "Inessential"
+GENERATES_LINK_GROUP = "GeneratesLinkGroup"
+FREE_GEOMETRICALLY_FINITE = "FreeGeometricallyFinite"
+CROSSING_ARC_NOT_COVERED = "CrossingArcNotCovered"
+CROSSING_ARC_EQUIVALENT = "CrossingArcEquivalent"
 
 
 # ---------------------------------------------------------------------------
@@ -113,15 +41,18 @@ class Verdict:
 # ---------------------------------------------------------------------------
 
 def witness_spare_region(d: AlternatingDiagram, wing_regions, color: str = BLACK,
-                         pp: IdealPolyhedronPair | None = None) -> SpareRegionCertificate:
+                         pp: IdealPolyhedronPair | None = None) -> dict:
     """Produce the fifth-region certificate for a set of wing regions.
 
     With five or more regions of the wing color, any unused one works:
     same-color regions are never adjacent, since every edge separates a
-    black region from a white one.  With exactly four, a small
-    opposite-color region with pairwise distinct neighbors transfers the
-    wing planes across its face, freeing a non-adjacent region; with three
-    (possible only for three distinct wings) the small region is a bigon.
+    black region from a white one ("kind": "direct"; its plane's far
+    half-space avoids all four wing half-spaces).  With exactly four, a
+    small opposite-color region with pairwise distinct neighbors
+    ("via_region", a "via_kind" bigon or trigon) transfers the wing planes
+    across its face, freeing a non-adjacent region ("kind": "transfer");
+    with three (possible only for three distinct wings) the small region is
+    a bigon.
     """
     wings = {r if isinstance(r, int) else r.index for r in wing_regions}
     same = [R.index for R in d.regions if R.color == color]
@@ -129,10 +60,9 @@ def witness_spare_region(d: AlternatingDiagram, wing_regions, color: str = BLACK
         raise DecideError("wing regions must all have the witness color")
     others = [r for r in same if r not in wings]
     if len(same) >= 5 and others:
-        return SpareRegionCertificate(
-            "direct", others[0],
-            note="same color as the wings, hence adjacent to none of them; "
-                 "its plane's far side misses all four wing half-spaces")
+        return {"kind": "direct", "region": others[0],
+                "note": "same color as the wings, hence adjacent to none of them; "
+                        "its plane's far side misses all four wing half-spaces"}
     if len(same) < 3:
         raise DecideError(f"only {len(same)} {color} regions; not a hyperbolic candidate")
     opposite = WHITE if color == BLACK else BLACK
@@ -145,16 +75,16 @@ def witness_spare_region(d: AlternatingDiagram, wing_regions, color: str = BLACK
             "guarantees on prime diagrams of hyperbolic links")
     if pp is None:
         pp = build_polyhedra(d)
-    return SpareRegionCertificate(
-        "transfer", candidates[0], via_region=small.index, via_kind=kind,
-        transfer_shift=pp.transfer_shift(small),
-        note=f"the {kind} face shifts neighbor planes by one between the two copies; "
-             f"region {candidates[0]} is not adjacent to it, so its far disk in the "
-             f"neighboring copy avoids all four wings")
+    return {"kind": "transfer", "region": candidates[0],
+            "note": f"the {kind} face shifts neighbor planes by one between the two copies; "
+                    f"region {candidates[0]} is not adjacent to it, so its far disk in the "
+                    f"neighboring copy avoids all four wings",
+            "via_region": small.index, "via_kind": kind,
+            "transfer_shift": pp.transfer_shift(small)}
 
 
 def _build_witness(d: AlternatingDiagram, pp: IdealPolyhedronPair, c1: int, c2: int,
-                   color: str, case: str) -> Witness:
+                   color: str, case: str) -> dict:
     r1 = pp.wings(c1, color)
     r2 = pp.wings(c2, color)
     ids = (r1[0].index, r1[1].index, r2[0].index, r2[1].index)
@@ -163,7 +93,8 @@ def _build_witness(d: AlternatingDiagram, pp: IdealPolyhedronPair, c1: int, c2: 
             f"wing regions {ids} at crossings {c1}, {c2} are not pairwise distinct; "
             "the arc data is not in reduced position")
     spare = witness_spare_region(d, ids, color, pp)
-    return Witness(color, (ids[0], ids[1]), (ids[2], ids[3]), (c1, c2), spare, case)
+    return {"color": color, "wings": {"first": list(ids[:2]), "second": list(ids[2:])},
+            "endpoints": [c1, c2], "spare": spare, "case": case}
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +128,7 @@ def _hyperbolic_candidate(d: AlternatingDiagram) -> None:
 # Classifiers
 # ---------------------------------------------------------------------------
 
-def classify_alternating_pair(d: AlternatingDiagram, arc, mirror: bool = False) -> Verdict:
+def classify_alternating_pair(d: AlternatingDiagram, arc, mirror: bool = False) -> dict:
     """Classify the meridian pair of a combinatorial proper arc.
 
     Crossing arcs of a general diagram are outside this classifier's scope
@@ -215,10 +146,9 @@ def classify_alternating_pair(d: AlternatingDiagram, arc, mirror: bool = False) 
     if isinstance(arc, CrossingArc):
         if not (0 <= arc.crossing < d.n):
             raise DecideError(f"no crossing {arc.crossing}")
-        return Verdict(
-            VerdictKind.CROSSING_ARC_NOT_COVERED,
-            notes=("crossing arcs of general alternating diagrams are not decided here; "
-                   "for standard two-bridge diagrams use the twist-sequence classifier",))
+        return {"verdict": CROSSING_ARC_NOT_COVERED,
+                "notes": ["crossing arcs of general alternating diagrams are not decided here; "
+                          "for standard two-bridge diagrams use the twist-sequence classifier"]}
 
     if isinstance(arc, InRegionArc):
         if not (0 <= arc.region < len(d.regions)):
@@ -228,13 +158,12 @@ def classify_alternating_pair(d: AlternatingDiagram, arc, mirror: bool = False) 
             if c not in R.distinct_crossings:
                 raise DecideError(f"crossing {c} is not on the boundary of region {arc.region}")
         if crossings_adjacent_on_region(d, R, arc.c1, arc.c2):
-            return Verdict(
-                VerdictKind.CROSSING_ARC_EQUIVALENT,
-                notes=("the endpoints are adjacent along the region boundary, so the arc "
-                       "is parallel to an edge and its pair is a crossing-arc pair",))
+            return {"verdict": CROSSING_ARC_EQUIVALENT,
+                    "notes": ["the endpoints are adjacent along the region boundary, so the arc "
+                              "is parallel to an edge and its pair is a crossing-arc pair"]}
         color = BLACK if R.color == WHITE else WHITE
         witness = _build_witness(d, pp, arc.c1, arc.c2, color, "in-region")
-        return Verdict(VerdictKind.FREE_GEOMETRICALLY_FINITE, witness=witness)
+        return {"verdict": FREE_GEOMETRICALLY_FINITE, "notes": [], "witness": witness}
 
     if isinstance(arc, TransverseArc):
         for c in (arc.c1, arc.c2):
@@ -246,8 +175,8 @@ def classify_alternating_pair(d: AlternatingDiagram, arc, mirror: bool = False) 
         word = _reduce_edge_word(arc.edge_word)
         if not word:
             if arc.c1 == arc.c2:
-                return Verdict(VerdictKind.INESSENTIAL,
-                               notes=("empty reduced word with equal endpoints",))
+                return {"verdict": INESSENTIAL,
+                        "notes": ["empty reduced word with equal endpoints"]}
             shared = [R for R in d.regions
                       if arc.c1 in R.distinct_crossings and arc.c2 in R.distinct_crossings]
             if not shared:
@@ -255,8 +184,8 @@ def classify_alternating_pair(d: AlternatingDiagram, arc, mirror: bool = False) 
                     "empty reduced word but the endpoints share no region; malformed arc")
             kinds = {crossings_adjacent_on_region(d, R, arc.c1, arc.c2) for R in shared}
             if kinds == {True}:
-                return Verdict(VerdictKind.CROSSING_ARC_EQUIVALENT,
-                               notes=("after reduction the arc lies along a region edge",))
+                return {"verdict": CROSSING_ARC_EQUIVALENT,
+                        "notes": ["after reduction the arc lies along a region edge"]}
             if kinds == {False}:
                 return classify_alternating_pair(
                     d, InRegionArc(shared[0].index, arc.c1, arc.c2), mirror)
@@ -265,24 +194,24 @@ def classify_alternating_pair(d: AlternatingDiagram, arc, mirror: bool = False) 
                 "adjacency; refusing to guess")
         try:
             witness = _build_witness(d, pp, arc.c1, arc.c2, BLACK, "transverse")
-            return Verdict(VerdictKind.FREE_GEOMETRICALLY_FINITE, witness=witness)
+            return {"verdict": FREE_GEOMETRICALLY_FINITE, "notes": [], "witness": witness}
         except DecideError as err:
-            return Verdict(
-                VerdictKind.FREE_GEOMETRICALLY_FINITE,
-                notes=("witness withheld: " + str(err),
-                       "greedy reduction may not reach the minimal position; the "
-                       "class is still not a crossing arc, so the conclusion stands"))
+            return {"verdict": FREE_GEOMETRICALLY_FINITE,
+                    "notes": ["witness withheld: " + str(err),
+                              "greedy reduction may not reach the minimal position; the "
+                              "class is still not a crossing arc, so the conclusion stands"]}
 
     raise DecideError(f"unknown arc specification: {arc!r}")
 
 
-def classify_2bridge_pair(tb, arc, mirror: bool = False) -> Verdict:
+def classify_2bridge_pair(tb, arc, mirror: bool = False) -> dict:
     """Classify a meridian pair on a standard two-bridge diagram.
 
     Crossing arcs in the first and last twist regions are the upper and
     lower tunnels and generate the whole link group.  A crossing arc in an
     interior region is flyped until its image separates inside a region,
-    then classified there; other arcs classify directly.
+    then classified there; the verdict adds the flype trace and the flyped
+    diagram, whose regions the witness names.  Other arcs classify directly.
     """
     if isinstance(tb, (tuple, list, TwistSequence)):
         tb = two_bridge_diagram(tb)
@@ -297,17 +226,18 @@ def classify_2bridge_pair(tb, arc, mirror: bool = False) -> Verdict:
             raise DecideError(f"no crossing {c}")
         i = tb.twist_region_of[c]
         if i == 1:
-            return Verdict(VerdictKind.GENERATES_LINK_GROUP, which_tunnel="upper",
-                           notes=("crossing arc in the first twist region is the upper tunnel",))
+            return {"verdict": GENERATES_LINK_GROUP,
+                    "notes": ["crossing arc in the first twist region is the upper tunnel"],
+                    "tunnel": "upper"}
         if i == n:
-            return Verdict(VerdictKind.GENERATES_LINK_GROUP, which_tunnel="lower",
-                           notes=("crossing arc in the last twist region is the lower tunnel",))
+            return {"verdict": GENERATES_LINK_GROUP,
+                    "notes": ["crossing arc in the last twist region is the lower tunnel"],
+                    "tunnel": "lower"}
         fr = flype(tb, i, c)
         # at most two flypes across the tail of the diagram carry the arc to
         # an image arc whose endpoints are not adjacent along its region, so
         # the in-region case gives a free verdict
         inner = classify_alternating_pair(fr.diagram, fr.arc, mirror)
-        return Verdict(inner.kind, witness=inner.witness, notes=inner.notes,
-                       flype_trace=fr.trace, witness_diagram=fr.diagram)
+        return {**inner, "flype": fr.trace, "witness_diagram": fr.diagram.to_json()}
 
     return classify_alternating_pair(d, arc, mirror)

@@ -159,30 +159,12 @@ def farey_distance(r: Slope, s: Slope) -> int:
         return _dist_from_infinity(s)
     if s.is_infinity:
         return _dist_from_infinity(r)
-    # M = [[a, b], [p_r, -q_r]] with det 1 sends r to oo.
-    a, b = _complete_row(r.p, -r.q)
+    # M = [[a, b], [p_r, -q_r]] with det 1 sends r to oo; any other top row
+    # shifts the image of s by an integer, which keeps its distance from oo
+    a = pow(-r.q, -1, r.p)
+    b = (a * -r.q - 1) // r.p
     img = reduce_slope(a * s.q + b * s.p, r.p * s.q - r.q * s.p)
     return _dist_from_infinity(img)
-
-
-def _complete_row(c: int, d: int) -> tuple[int, int]:
-    """Top row (a, b) with a*d - b*c = 1, given gcd(c, d) = 1."""
-    g, x, y = _egcd(d, -c)
-    if g == -1:
-        x, y = -x, -y
-    return x, y
-
-
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_s, s = s, old_s - quo * s
-        old_t, t = t, old_t - quo * t
-    return old_r, old_s, old_t
 
 
 # ---------------------------------------------------------------------------

@@ -338,31 +338,10 @@ class MobiusMap:
 # Certificates
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Certificate:
-    """A verdict with its JSON butterflies ({"map", "neg", "pos"}) and the
-    JSON matrix of the conjugator that moved both fixed points into the plane."""
-
-    verdict: str
-    butterflies: tuple = ()
-    conjugator: list | None = None
-    diagnostic: str | None = None
-    notes: tuple = ()
-
-    def to_json(self):
-        out = {"verdict": self.verdict, "butterflies": list(self.butterflies),
-               "notes": list(self.notes)}
-        if self.conjugator is not None:
-            out["conjugator"] = self.conjugator
-        if self.diagnostic:
-            out["diagnostic"] = self.diagnostic
-        return out
-
-
 NAMES = ("neg(1)", "pos(1)", "neg(2)", "pos(2)")
 
 
-def pingpong_certificate(m1: MobiusMap, m2: MobiusMap) -> Certificate:
+def pingpong_certificate(m1: MobiusMap, m2: MobiusMap) -> dict:
     """Decide Commuting / FreeCertified / Inconclusive for a parabolic pair.
 
     Equal fixed points mean the maps commute.  Otherwise the pair is
@@ -373,22 +352,28 @@ def pingpong_certificate(m1: MobiusMap, m2: MobiusMap) -> Certificate:
     is automatic for round disks and is recorded as a note).  An overlap
     is reported as Inconclusive with the offending pair; it is not a
     non-freeness claim.  Every test runs on the scaled forms (D, D*M).
+
+    The certificate is the JSON dict that `cuspcubes pingpong` prints, as
+    docs/schemas/pingpong.certificate.v1.json describes: "verdict",
+    "butterflies" (each {"map", "neg", "pos"}) and "notes", then, unless
+    the maps commute, the JSON matrix of the "conjugator" that moved both
+    fixed points into the plane, and a "diagnostic" naming an overlap.
     """
     verdict, t, forms, pair = _decide((m1.den, m1.e), (m2.den, m2.e),
                                       lambda s: _is_parabolic(s, _same), _same,
                                       _scaled_disk, _overlap)
     if verdict == COMMUTING:
-        return Certificate(COMMUTING, notes=(
-            "equal fixed points: parabolic maps with a common fixed point commute",))
-    return Certificate(
-        verdict,
-        butterflies=tuple(_butterfly(*s) for s in forms),
-        conjugator=_conjugator(t),
-        diagnostic=pair and f"isometric disks {NAMES[pair[0]]} and {NAMES[pair[1]]} overlap",
-        notes=("round disks give a sufficient criterion only; overlap does not refute freeness",)
-        if pair else ("four round disks with disjoint interiors never cover the sphere, "
-                      "so the complementary open set is automatically non-empty",),
-    )
+        return {"verdict": COMMUTING, "butterflies": [], "notes": [
+            "equal fixed points: parabolic maps with a common fixed point commute"]}
+    out = {"verdict": verdict, "butterflies": [_butterfly(*s) for s in forms],
+           "notes": ["round disks give a sufficient criterion only; overlap does not "
+                     "refute freeness"] if pair else
+                    ["four round disks with disjoint interiors never cover the sphere, "
+                     "so the complementary open set is automatically non-empty"],
+           "conjugator": _conjugator(t)}
+    if pair:
+        out["diagnostic"] = f"isometric disks {NAMES[pair[0]]} and {NAMES[pair[1]]} overlap"
+    return out
 
 
 MAX_WORD_LENGTH = 12          # words of length <= 6: 1,456 products, 1,457 keys held
@@ -451,19 +436,6 @@ def free_word_sanity(m1: MobiusMap, m2: MobiusMap, max_length: int) -> bool:
 # Floating-point fallback
 # ---------------------------------------------------------------------------
 
-@dataclass
-class NumericCertificate:
-    verdict: str
-    tolerance: float
-    diagnostic: str | None = None
-
-    def to_json(self):
-        out = {"verdict": self.verdict, "numeric": True, "tolerance": self.tolerance}
-        if self.diagnostic:
-            out["diagnostic"] = self.diagnostic
-        return out
-
-
 def _float_scaled(m) -> tuple[float, tuple[float, ...]]:
     """(1.0, M / sqrt(det M)) for [[a, b], [c, d]] of complex numbers; a finite
     det within its rounding, 8 * ulp(1) * (|ad| + |bc|), of 0 is singular."""
@@ -479,12 +451,15 @@ def _float_scaled(m) -> tuple[float, tuple[float, ...]]:
     return 1.0, (a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag)
 
 
-def pingpong_certificate_float(m1, m2, tol: float = 1e-12) -> NumericCertificate:
+def pingpong_certificate_float(m1, m2, tol: float = 1e-12) -> dict:
     """Numeric variant for irrational input matrices, given as nested complex
     numbers.  Verdicts come out 'numerically certified' at the tolerance:
     points within tol coincide, two disks overlap when their centres are
     closer than r1 + r2 - tol, and a trace (of det 1 entries) within tol plus
     8 roundings of det's products, 8 * ulp(1) * (|ad| + |bc|), of +-2 is parabolic.
+    The certificate is the JSON dict that `cuspcubes pingpong --mode float`
+    prints: "verdict", "numeric" (true) and "tolerance", then a
+    "diagnostic" naming an overlap.
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise PingPongError(f"tolerance must be a finite number > 0, got {tol!r}")
@@ -512,5 +487,7 @@ def pingpong_certificate_float(m1, m2, tol: float = 1e-12) -> NumericCertificate
                                       parabolic, near, disk, overlap)
     except OverflowError as err:
         raise PingPongError("floating-point overflow") from err
-    return NumericCertificate(verdict, tol,
-                              pair and f"disks {pair[0]} and {pair[1]} overlap numerically")
+    out = {"verdict": verdict, "numeric": True, "tolerance": tol}
+    if pair:
+        out["diagnostic"] = f"disks {pair[0]} and {pair[1]} overlap numerically"
+    return out

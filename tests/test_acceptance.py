@@ -9,7 +9,7 @@ import time
 from math import gcd
 
 from cuspcubes.cubing import boundary_cubings, build_cubing, link_angle_class, verify_npc
-from cuspcubes.decide import VerdictKind, classify_2bridge_pair
+from cuspcubes.decide import FREE_GEOMETRICALLY_FINITE, GENERATES_LINK_GROUP, classify_2bridge_pair
 from cuspcubes.diagram import (AlternatingDiagram, CrossingArc, arc_crossing,
                                region_adjacent, two_bridge_diagram)
 from cuspcubes.farey import (INFINITY, ZERO, Slope, covering_slope, farey_distance,
@@ -213,15 +213,15 @@ def test_criterion_9_pingpong_certificates():
     m1 = MobiusMap.from_entries(1, 0, 4, 1)
     m2 = MobiusMap.from_entries(9, -16, 4, -7)
     cert = pingpong_certificate(m1, m2)
-    ok = cert.verdict == FREE_CERTIFIED
+    ok = cert["verdict"] == FREE_CERTIFIED
     if ok:
-        wings = sorted(bf["neg"]["center"] for bf in cert.butterflies)
+        wings = sorted(bf["neg"]["center"] for bf in cert["butterflies"])
         ok = wings == [["-1/4", "0"], ["7/4", "0"]]
     ok = ok and free_word_sanity(m1, m2, MAX_WORD_LENGTH)
-    ok = ok and pingpong_certificate(m1, MobiusMap.from_entries(1, 0, 4, 1)).verdict == COMMUTING
+    ok = ok and pingpong_certificate(m1, MobiusMap.from_entries(1, 0, 4, 1))["verdict"] == COMMUTING
     ok = ok and pingpong_certificate(
         MobiusMap.from_entries(1, 0, 1, 1),
-        MobiusMap.from_entries(2, -1, 1, 0)).verdict == INCONCLUSIVE
+        MobiusMap.from_entries(2, -1, 1, 0))["verdict"] == INCONCLUSIVE
     _report(9, f"certified / commuting / inconclusive verdicts with words up to {MAX_WORD_LENGTH}",
             ok, time.time() - t0, 30)
 
@@ -236,23 +236,26 @@ def test_criterion_10_decision_procedure():
             i = tb.twist_region_of[c]
             verdict = classify_2bridge_pair(tb, CrossingArc(c))
             if i == 1:
-                good = (verdict.kind is VerdictKind.GENERATES_LINK_GROUP
-                        and verdict.which_tunnel == "upper")
+                good = (verdict["verdict"] == GENERATES_LINK_GROUP
+                        and verdict["tunnel"] == "upper")
             elif i == len(seq):
-                good = (verdict.kind is VerdictKind.GENERATES_LINK_GROUP
-                        and verdict.which_tunnel == "lower")
+                good = (verdict["verdict"] == GENERATES_LINK_GROUP
+                        and verdict["tunnel"] == "lower")
             else:
-                w = verdict.witness
-                good = (verdict.kind is VerdictKind.FREE_GEOMETRICALLY_FINITE
-                        and w is not None and len(set(w.regions)) == 4)
+                w = verdict.get("witness")
+                wings = w and w["wings"]["first"] + w["wings"]["second"]
+                good = (verdict["verdict"] == FREE_GEOMETRICALLY_FINITE
+                        and w is not None and len(set(wings)) == 4)
                 if good:
-                    # the half-space law: disjoint exactly when not adjacent
-                    dw = verdict.witness_diagram
-                    if w.spare.kind == "direct":
-                        good = not any(region_adjacent(dw, w.spare.region, wing)
-                                       for wing in w.regions)
+                    # the half-space law: disjoint exactly when not adjacent,
+                    # in the diagram rebuilt from the verdict's JSON
+                    dw = AlternatingDiagram.from_json(verdict["witness_diagram"])
+                    spare = w["spare"]
+                    if spare["kind"] == "direct":
+                        good = not any(region_adjacent(dw, spare["region"], wing)
+                                       for wing in wings)
                     else:
-                        good = not region_adjacent(dw, w.spare.region, w.spare.via_region)
+                        good = not region_adjacent(dw, spare["region"], spare["via_region"])
             if not good:
                 ok = False
                 break

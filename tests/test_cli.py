@@ -330,6 +330,13 @@ class TestDecide:
                                  ("--crossing-arc", "c1 ", "A<i>:<k> or c<i>"),
                                  ("--crossing-arc", "c\u0661", "A<i>:<k> or c<i>"),
                                  ("--crossing-arc", "c--1", "A<i>:<k> or c<i>"),
+                                 # the <k> of A<i>:<k> is -?[0-9]+ as well
+                                 ("--crossing-arc", "A2:+0", "A<i>:<k> or c<i>"),
+                                 ("--crossing-arc", "A2:0_0", "A<i>:<k> or c<i>"),
+                                 ("--crossing-arc", "A2: 0", "A<i>:<k> or c<i>"),
+                                 ("--crossing-arc", "A2:0 ", "A<i>:<k> or c<i>"),
+                                 ("--crossing-arc", "A2:\u0660", "A<i>:<k> or c<i>"),
+                                 ("--crossing-arc", "A2:", "A<i>:<k> or c<i>"),
                                  ("--in-region", "rRr0:c0:c1", "R<k>:c<i>:c<j>"),
                                  ("--in-region", "R0:cc0:c1", "R<k>:c<i>:c<j>"),
                                  ("--transverse", "c0:c1:ee1", "c<i>:c<j>:e<a>,..."),
@@ -341,6 +348,18 @@ class TestDecide:
         code, out, err = run(capsys, "decide", "--two-bridge", "2,x", "--crossing-arc", "A1:0")
         assert code == 2 and out == ""
         assert err == "error: --two-bridge expects A1,A2,..., got '2,x'\n"
+
+    def test_malformed_two_bridge_exit(self, capsys):
+        # each term is -?[0-9]+ and nothing else, for every subcommand that reads one
+        for seq in (" 2,+1,2_0", "2,+1,2", "2,1_0,2", "2, 1,2", "2,1 ,2", "2,\u0661,2", "2,,2",
+                    "2,1,", "2,--1,2"):
+            for cmd in (["decide", "--crossing-arc", "A1:0"], ["cubing"], ["svg", "-o", "unused.svg"]):
+                code, out, err = run(capsys, *cmd, "--two-bridge", seq)
+                assert code == 2 and out == "", (seq, cmd)
+                assert err == f"error: --two-bridge expects A1,A2,..., got {seq!r}\n", (seq, cmd)
+        code, data = run_json(capsys, "decide", "--two-bridge", "02,1,2", "--crossing-arc", "A2:00")
+        assert code == 0 and data == run_json(capsys, "decide", "--two-bridge", "2,1,2",
+                                              "--crossing-arc", "A2:0")[1]
 
     def test_region_out_of_range_exit(self, capsys):
         # the (2,1,2) diagram has 7 regions
@@ -540,6 +559,69 @@ class TestPingpong:
                                   "--words", "5")
         assert code == 0 and data["verdict"] == "FreeCertified"
         assert data["no_trivial_word"] is True and data["conjugator"]
+
+
+class TestLibraryAnswer:
+    """The dict a library function returns is what the CLI prints: it
+    serializes with no default= hook, follows its schema and reads back
+    equal to the CLI's output."""
+
+    @staticmethod
+    def check(capsys, answer, schema, argv):
+        text = json.dumps(answer)
+        validate(answer, schema)
+        code, out, _ = run(capsys, *argv)
+        assert json.loads(out) == answer == json.loads(text), argv
+        return code
+
+    def test_decide(self, capsys, tmp_path):
+        from cuspcubes.decide import classify_2bridge_pair, classify_alternating_pair
+        from cuspcubes.diagram import (AlternatingDiagram, CrossingArc, InRegionArc,
+                                       TransverseArc, crossings_adjacent_on_region,
+                                       two_bridge_diagram)
+        d = two_bridge_diagram((3, 3)).diagram
+        R, a, b = next((R, a, b) for R in d.regions for a in R.distinct_crossings
+                       for b in R.distinct_crossings
+                       if a < b and not crossings_adjacent_on_region(d, R, a, b))
+        f = tmp_path / "d.json"
+        f.write_text(json.dumps({"pd": [list(x) for x in d.pd_code()]}))
+        d = AlternatingDiagram.from_json(json.loads(f.read_text()))
+        tunnel, middle = two_bridge_diagram((2, 2)), two_bridge_diagram((2, 1, 2))
+        cases = [
+            (classify_2bridge_pair(tunnel, CrossingArc(tunnel.crossings_in(1)[0])),
+             ["--two-bridge", "2,2", "--crossing-arc", "A1:0"]),
+            (classify_2bridge_pair(middle, CrossingArc(middle.crossings_in(2)[0])),
+             ["--two-bridge", "2,1,2", "--crossing-arc", "A2:0"]),
+            (classify_2bridge_pair(middle, CrossingArc(middle.crossings_in(2)[0]), mirror=True),
+             ["--two-bridge", "2,1,2", "--crossing-arc", "A2:0", "--mirror"]),
+            (classify_alternating_pair(d, InRegionArc(R.index, a, b)),
+             ["--pd", str(f), "--in-region", f"R{R.index}:c{a}:c{b}"]),
+            (classify_alternating_pair(d, TransverseArc(a, b, (1, 2))),
+             ["--pd", str(f), "--transverse", f"c{a}:c{b}:e1,e2"]),
+        ]
+        verdicts = set()
+        for answer, argv in cases:
+            assert self.check(capsys, answer, "decide.verdict.v1", ["decide", *argv]) == 0
+            verdicts.add((answer["verdict"], "witness" in answer, "flype" in answer))
+        assert len(verdicts) == 4
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_pingpong(self, capsys, mode):
+        from cuspcubes.pingpong import (FREE_CERTIFIED, float_entry, pingpong_certificate,
+                                        pingpong_certificate_float)
+        from test_pingpong import NAMED_PAIRS
+        verdicts = set()
+        for name, (m1, m2) in NAMED_PAIRS.items():
+            if mode == "exact":
+                answer = pingpong_certificate(m1, m2)
+            else:
+                answer = pingpong_certificate_float(
+                    *([[float_entry(e) for e in row] for row in m.to_json()] for m in (m1, m2)))
+            argv = ["pingpong", json.dumps(m1.to_json()), json.dumps(m2.to_json()), "--mode", mode]
+            code = self.check(capsys, answer, "pingpong.certificate.v1", argv)
+            assert code == (answer["verdict"] != FREE_CERTIFIED), name
+            verdicts.add(answer["verdict"])
+        assert len(verdicts) == 2
 
 
 class TestSvg:

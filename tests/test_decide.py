@@ -10,7 +10,8 @@ import pytest
 from cuspcubes.cli import main
 from cuspcubes.cubing import boundary_cubings, build_cubing, verify_npc
 from cuspcubes.decide import (
-    DecideError, VerdictKind, _reduce_edge_word, classify_2bridge_pair,
+    CROSSING_ARC_EQUIVALENT, CROSSING_ARC_NOT_COVERED, FREE_GEOMETRICALLY_FINITE,
+    GENERATES_LINK_GROUP, INESSENTIAL, DecideError, _reduce_edge_word, classify_2bridge_pair,
     classify_alternating_pair, witness_spare_region,
 )
 from cuspcubes.diagram import (
@@ -19,6 +20,11 @@ from cuspcubes.diagram import (
     two_bridge_diagram,
 )
 from conftest import twist_sequences
+
+
+def wing_regions(w):
+    """The four wing regions of a witness, first pair then second."""
+    return w["wings"]["first"] + w["wings"]["second"]
 
 
 def separated_pair(d):
@@ -37,26 +43,26 @@ class TestTunnels:
         tb = two_bridge_diagram((2, 2))
         for c in tb.crossings_in(1):
             v = classify_2bridge_pair(tb, CrossingArc(c))
-            assert v.kind == VerdictKind.GENERATES_LINK_GROUP
-            assert v.which_tunnel == "upper"
+            assert v["verdict"] == GENERATES_LINK_GROUP
+            assert v["tunnel"] == "upper"
         for c in tb.crossings_in(2):
             v = classify_2bridge_pair(tb, CrossingArc(c))
-            assert v.kind == VerdictKind.GENERATES_LINK_GROUP
-            assert v.which_tunnel == "lower"
+            assert v["verdict"] == GENERATES_LINK_GROUP
+            assert v["tunnel"] == "lower"
 
     def test_accepts_raw_sequences(self):
         v = classify_2bridge_pair((2, 2), CrossingArc(0))
-        assert v.which_tunnel == "upper"
+        assert v["tunnel"] == "upper"
 
 
 class TestMiddleCrossings:
     def test_212(self):
         tb = two_bridge_diagram((2, 1, 2))
         v = classify_2bridge_pair(tb, CrossingArc(2))
-        assert v.kind == VerdictKind.FREE_GEOMETRICALLY_FINITE
-        assert v.flype_trace is not None
-        w = v.witness
-        assert len(set(w.regions)) == 4
+        assert v["verdict"] == FREE_GEOMETRICALLY_FINITE
+        assert v["flype"] is not None
+        w = v["witness"]
+        assert len(set(wing_regions(w))) == 4
         d2 = None  # witness regions live in the flyped diagram
 
     def test_corpus_trichotomy(self):
@@ -67,15 +73,15 @@ class TestMiddleCrossings:
                 i = tb.twist_region_of[c]
                 v = classify_2bridge_pair(tb, CrossingArc(c))
                 if i == 1:
-                    assert (v.kind, v.which_tunnel) == (
-                        VerdictKind.GENERATES_LINK_GROUP, "upper"), (seq, c)
+                    assert (v["verdict"], v["tunnel"]) == (
+                        GENERATES_LINK_GROUP, "upper"), (seq, c)
                 elif i == n:
-                    assert (v.kind, v.which_tunnel) == (
-                        VerdictKind.GENERATES_LINK_GROUP, "lower"), (seq, c)
+                    assert (v["verdict"], v["tunnel"]) == (
+                        GENERATES_LINK_GROUP, "lower"), (seq, c)
                 else:
-                    assert v.kind == VerdictKind.FREE_GEOMETRICALLY_FINITE, (seq, c)
-                    assert v.witness is not None, (seq, c)
-                    assert len(set(v.witness.regions)) == 4, (seq, c)
+                    assert v["verdict"] == FREE_GEOMETRICALLY_FINITE, (seq, c)
+                    assert v.get("witness") is not None, (seq, c)
+                    assert len(set(wing_regions(v["witness"]))) == 4, (seq, c)
 
     def test_five_blocks_of_five(self):
         tb = two_bridge_diagram((5, 5, 5, 5, 5))
@@ -83,15 +89,15 @@ class TestMiddleCrossings:
         assert len(interior) == 15
         for c in interior:
             v = classify_2bridge_pair(tb, CrossingArc(c))
-            assert v.kind == VerdictKind.FREE_GEOMETRICALLY_FINITE, c
-            assert v.witness is not None and len(set(v.witness.regions)) == 4, c
+            assert v["verdict"] == FREE_GEOMETRICALLY_FINITE, c
+            assert v.get("witness") is not None and len(set(wing_regions(v["witness"]))) == 4, c
 
     def test_mirror_invariance(self):
         tb = two_bridge_diagram((2, 1, 2))
         v0 = classify_2bridge_pair(tb, CrossingArc(2), mirror=False)
         v1 = classify_2bridge_pair(tb, CrossingArc(2), mirror=True)
-        assert v0.kind == v1.kind
-        assert set(v0.witness.regions) == set(v1.witness.regions)
+        assert v0["verdict"] == v1["verdict"]
+        assert set(wing_regions(v0["witness"])) == set(wing_regions(v1["witness"]))
 
 
 class TestInRegion:
@@ -101,27 +107,27 @@ class TestInRegion:
         assert found is not None
         R, a, b = found
         v = classify_alternating_pair(d, InRegionArc(R.index, a, b))
-        assert v.kind == VerdictKind.FREE_GEOMETRICALLY_FINITE
-        w = v.witness
-        assert len(set(w.regions)) == 4
+        assert v["verdict"] == FREE_GEOMETRICALLY_FINITE
+        w = v["witness"]
+        assert len(set(wing_regions(w))) == 4
         expected_color = BLACK if R.color == WHITE else WHITE
-        assert w.color == expected_color
-        assert w.endpoints == (a, b)
+        assert w["color"] == expected_color
+        assert w["endpoints"] == [a, b]
 
     def test_endpoint_swap_same_regions(self):
         d = two_bridge_diagram((3, 3)).diagram
         R, a, b = separated_pair(d)
         v1 = classify_alternating_pair(d, InRegionArc(R.index, a, b))
         v2 = classify_alternating_pair(d, InRegionArc(R.index, b, a))
-        assert v1.kind == v2.kind == VerdictKind.FREE_GEOMETRICALLY_FINITE
-        assert set(v1.witness.regions) == set(v2.witness.regions)
+        assert v1["verdict"] == v2["verdict"] == FREE_GEOMETRICALLY_FINITE
+        assert set(wing_regions(v1["witness"])) == set(wing_regions(v2["witness"]))
 
     def test_adjacent_endpoints_are_crossing_arcs(self):
         d = two_bridge_diagram((2, 2)).diagram
         R = next(R for R in d.regions if len(R) >= 3)
         cs = [h[0] for h in R.boundary]
         v = classify_alternating_pair(d, InRegionArc(R.index, cs[0], cs[1]))
-        assert v.kind == VerdictKind.CROSSING_ARC_EQUIVALENT
+        assert v["verdict"] == CROSSING_ARC_EQUIVALENT
 
     def test_crossing_not_on_region_rejected(self):
         d = two_bridge_diagram((2, 2)).diagram
@@ -146,9 +152,9 @@ class TestTransverse:
                 continue
             word = (0, 1)
             v = classify_alternating_pair(d, TransverseArc(c1, c2, word))
-            assert v.kind == VerdictKind.FREE_GEOMETRICALLY_FINITE
-            if v.witness is not None:
-                assert len(set(v.witness.regions)) == 4
+            assert v["verdict"] == FREE_GEOMETRICALLY_FINITE
+            if v.get("witness") is not None:
+                assert len(set(wing_regions(v["witness"]))) == 4
                 done = True
                 break
         assert done
@@ -156,15 +162,14 @@ class TestTransverse:
     def test_word_reduction_to_inessential(self):
         d = two_bridge_diagram((2, 2)).diagram
         v = classify_alternating_pair(d, TransverseArc(0, 0, (3, 3)))
-        assert v.kind == VerdictKind.INESSENTIAL
+        assert v["verdict"] == INESSENTIAL
 
     def test_word_reduction_to_in_region(self):
         d = two_bridge_diagram((3, 3)).diagram
         R, a, b = separated_pair(d)
         eid = next(iter(d.regions[0].edges))
         v = classify_alternating_pair(d, TransverseArc(a, b, (eid, eid)))
-        assert v.kind in (VerdictKind.FREE_GEOMETRICALLY_FINITE,
-                          VerdictKind.CROSSING_ARC_EQUIVALENT)
+        assert v["verdict"] in (FREE_GEOMETRICALLY_FINITE, CROSSING_ARC_EQUIVALENT)
 
     def test_bad_edge_rejected(self):
         d = two_bridge_diagram((2, 2)).diagram
@@ -194,7 +199,7 @@ class TestCrossingArcGeneral:
     def test_not_covered_on_plain_diagrams(self):
         d = pretzel_diagram(3, 3, 3)
         v = classify_alternating_pair(d, CrossingArc(0))
-        assert v.kind == VerdictKind.CROSSING_ARC_NOT_COVERED
+        assert v["verdict"] == CROSSING_ARC_NOT_COVERED
 
     def test_torus_rejected(self):
         hopf = AlternatingDiagram.from_pd([(1, 3, 2, 4), (3, 1, 4, 2)])
@@ -210,9 +215,9 @@ class TestSpareRegions:
         color, pool = (BLACK, blacks) if len(blacks) >= 5 else (WHITE, whites)
         assert len(pool) >= 5
         cert = witness_spare_region(d, pool[:4], color)
-        assert cert.kind == "direct"
+        assert cert["kind"] == "direct"
         for w in pool[:4]:
-            assert not region_adjacent(d, cert.region, w)
+            assert not region_adjacent(d, cert["region"], w)
 
     def test_transfer_with_exactly_four(self):
         d = two_bridge_diagram((2, 1, 2)).diagram
@@ -222,9 +227,9 @@ class TestSpareRegions:
         pool = counts[color]
         assert len(pool) == 4
         cert = witness_spare_region(d, pool, color)
-        assert cert.kind == "transfer"
-        assert cert.via_kind in ("bigon", "trigon")
-        assert not region_adjacent(d, cert.region, cert.via_region)
+        assert cert["kind"] == "transfer"
+        assert cert["via_kind"] in ("bigon", "trigon")
+        assert not region_adjacent(d, cert["region"], cert["via_region"])
 
     def test_transfer_with_exactly_three(self):
         d = two_bridge_diagram((2, 2)).diagram
@@ -233,8 +238,8 @@ class TestSpareRegions:
         pool = blacks if color == BLACK else [R.index for R in d.regions if R.color == WHITE]
         assert len(pool) == 3
         cert = witness_spare_region(d, pool, color)
-        assert cert.kind == "transfer"
-        assert cert.via_kind == "bigon"
+        assert cert["kind"] == "transfer"
+        assert cert["via_kind"] == "bigon"
 
     def test_validates_against_halfspaces(self):
         for seq in ((2, 1, 2), (2, 2, 2), (2, 1, 1, 2), (3, 1, 2)):
@@ -243,16 +248,17 @@ class TestSpareRegions:
                 if tb.twist_region_of[c] in (1, len(seq)):
                     continue
                 v = classify_2bridge_pair(tb, CrossingArc(c))
-                w = v.witness
-                dw = v.witness_diagram
-                assert dw is not None
+                w, spare = v["witness"], v["witness"]["spare"]
+                assert v.get("witness_diagram") is not None
+                # the witness regions are those of the diagram rebuilt from its JSON
+                dw = AlternatingDiagram.from_json(v["witness_diagram"])
                 # far half-spaces are disjoint exactly when the regions are not adjacent
-                if w.spare.kind == "direct":
-                    for wing in w.regions:
-                        assert not region_adjacent(dw, w.spare.region, wing), seq
+                if spare["kind"] == "direct":
+                    for wing in wing_regions(w):
+                        assert not region_adjacent(dw, spare["region"], wing), seq
                 else:
-                    assert not region_adjacent(dw, w.spare.region, w.spare.via_region), seq
-                    small = dw.regions[w.spare.via_region]
+                    assert not region_adjacent(dw, spare["region"], spare["via_region"]), seq
+                    small = dw.regions[spare["via_region"]]
                     nbrs = [dw.region_of_slot[dw.pairing[h]] for h in small.boundary]
                     assert len(set(nbrs)) == len(small.boundary), seq
 
@@ -261,8 +267,9 @@ def mirror_invariants(v):
     """What the mirror flag must not change: the verdict kind, the wing
     regions as a set, the endpoints, the colour, and the spare region with
     its kind.  The wing order and a transfer's shift do change."""
-    w = v.witness
-    return v.kind, w and (frozenset(w.regions), w.endpoints, w.color, w.spare.region, w.spare.kind)
+    w = v.get("witness")
+    return v["verdict"], w and (frozenset(wing_regions(w)), w["endpoints"], w["color"],
+                                w["spare"]["region"], w["spare"]["kind"])
 
 
 class TestMirror:
@@ -281,8 +288,8 @@ class TestMirror:
             plain, mirrored = (classify_alternating_pair(d, InRegionArc(R.index, a, b), mirror)
                                for mirror in (False, True))
             assert mirror_invariants(mirrored) == mirror_invariants(plain), seq
-            w, wm = plain.witness, mirrored.witness
-            assert (wm.first_pair, wm.second_pair) == (w.first_pair[::-1], w.second_pair[::-1]), seq
+            w, wm = plain["witness"]["wings"], mirrored["witness"]["wings"]
+            assert (wm["first"], wm["second"]) == (w["first"][::-1], w["second"][::-1]), seq
 
 
 def pd_inputs():
@@ -304,7 +311,7 @@ def cubing_invariants(d):
 
 def kind_or_error(d, arc):
     try:
-        return classify_alternating_pair(d, arc).kind
+        return classify_alternating_pair(d, arc)["verdict"]
     except DecideError as err:
         return str(err)
 
@@ -333,8 +340,7 @@ class TestPdRelabelling:
 class TestVerdictShape:
     def test_json(self):
         tb = two_bridge_diagram((2, 1, 2))
-        v = classify_2bridge_pair(tb, CrossingArc(2))
-        data = v.to_json()
+        data = classify_2bridge_pair(tb, CrossingArc(2))
         assert data["verdict"] == "FreeGeometricallyFinite"
         assert set(data["witness"]["wings"]) == {"first", "second"}
         assert data["witness"]["spare"]["kind"] in ("direct", "transfer")
@@ -343,8 +349,8 @@ class TestVerdictShape:
     def test_inessential_note(self):
         d = two_bridge_diagram((2, 2)).diagram
         v = classify_alternating_pair(d, TransverseArc(1, 1, (2, 2)))
-        assert v.kind == VerdictKind.INESSENTIAL
-        assert v.notes
+        assert v["verdict"] == INESSENTIAL
+        assert v["notes"]
 
 
 def decide_commands(tmp_path):

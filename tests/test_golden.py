@@ -31,7 +31,7 @@ def decide_outputs():
         tb = two_bridge_diagram(seq)
         for c in range(tb.diagram.n):
             for mirror in (False, True):
-                yield json.dumps(classify_2bridge_pair(tb, CrossingArc(c), mirror).to_json())
+                yield json.dumps(classify_2bridge_pair(tb, CrossingArc(c), mirror))
 
 
 def complex_outputs():
