@@ -1,7 +1,7 @@
 """Byte-identical output: sha256 digests of the JSON that `decide`,
-`cubing --emit-complex`, `verify_npc` and the ping-pong certificates and
-word checks produce and of the SVG text of `circle_pattern_svg`, one per
-input family,
+`cubing --emit-complex`, `verify_npc`, the two-bridge builder and the
+ping-pong certificates and word checks produce and of the SVG text of
+`circle_pattern_svg`, one per input family,
 recorded in tests/data/golden_digests.json.  A change that alters any of
 these outputs must say so and record them again:
 
@@ -83,6 +83,18 @@ def svg_outputs():
         yield circle_pattern_svg(d)
 
 
+def two_bridge_outputs():
+    """The rotation JSON of the standard diagram of every twist sequence
+    with at most 12 crossings and of the two two-bridge ladder chains.  It
+    pins the wiring order, which `_tail_flype` follows when it lists the
+    pairs of a flyped diagram."""
+    seqs = twist_sequences(12)
+    for n in (80, 160):
+        seqs += [(2,) + (1,) * (n - 4) + (2,), (2,) * (n // 2)]
+    for seq in seqs:
+        yield json.dumps(two_bridge_diagram(seq).diagram.to_json())
+
+
 def pingpong_outputs():
     """The exact certificate JSON (or error message) and the float verdict
     JSON (or error message) of every oracle pair, then free_word_sanity for
@@ -104,7 +116,7 @@ def digest(lines):
 
 
 FAMILIES = {"decide": decide_outputs, "complex": complex_outputs, "npc": npc_outputs,
-            "svg": svg_outputs, "pingpong": pingpong_outputs}
+            "svg": svg_outputs, "pingpong": pingpong_outputs, "two_bridge": two_bridge_outputs}
 
 
 def test_emitted_complexes_match_schema():
