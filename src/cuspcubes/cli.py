@@ -54,23 +54,20 @@ def _int_after(letters: str = ""):
 
 
 def _load_diagram(args):
-    if getattr(args, "two_bridge", None):
+    """(two-bridge diagram or None, diagram) of --two-bridge or --pd."""
+    if args.two_bridge is not None:
         try:
             seq = tuple(map(_int_after(), args.two_bridge.split(",")))
         except ValueError:
             raise ValueError(f"--two-bridge expects A1,A2,..., got {args.two_bridge!r}") from None
-        return two_bridge_diagram(seq)
-    if getattr(args, "pd", None):
+        tb = two_bridge_diagram(seq)
+        return tb, tb.diagram
+    if args.pd is not None:
         from .diagram import AlternatingDiagram
         with open(args.pd) as fh:
             data = _json_loads(fh.read(), args.pd)
-        return AlternatingDiagram.from_json(data)
+        return None, AlternatingDiagram.from_json(data)
     raise ValueError("provide --two-bridge A1,A2,... or --pd FILE")
-
-
-def _plain_diagram(args):
-    d = _load_diagram(args)
-    return d.diagram if hasattr(d, "diagram") else d
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +148,7 @@ def cmd_cubing(args) -> int:
     if args.corrupt is not None and args.emit_complex:
         # the file would pair the clean gluings with the corrupted counts
         raise ValueError("--corrupt cannot be combined with --emit-complex")
-    cx = CB.build_cubing(_plain_diagram(args))
+    cx = CB.build_cubing(_load_diagram(args)[1])
     if args.corrupt is not None:
         cx.corrupt(args.corrupt)
     out = _cubing_report(cx, with_tori=args.corrupt is None)
@@ -183,24 +180,28 @@ def _spec_fields(flag: str, form: str, spec: str, parsers) -> list:
     raise ValueError(f"{flag} expects {form}, got {spec!r}")
 
 
-def _parse_arc(args, tb_or_d):
+def _parse_arc(args, tb):
+    """The arc of the one arc flag given; A<i>:<k> names the k-th crossing
+    of twist region A_i of tb, the two-bridge diagram (None for --pd)."""
     from .diagram import CrossingArc, InRegionArc, TransverseArc
-    if args.crossing_arc:
+    if args.crossing_arc is not None:
         spec = args.crossing_arc
         form = "A<i>:<k> or c<i>"
         if ":" in spec:                       # A2:0 means k-th crossing of region 2
             i, k = _spec_fields("--crossing-arc", form, spec, (_int_after("Aa"), _int_after()))
-            if not hasattr(tb_or_d, "crossings_in"):
+            if tb is None:
                 raise ValueError("twist-region arcs need a --two-bridge diagram")
-            members = tb_or_d.crossings_in(i)
+            members = tb.crossings_in(i)
+            if not members:
+                raise ValueError(f"no twist region A{i}: the sequence has {len(tb.seq)} twist regions")
             if not 0 <= k < len(members):
                 raise ValueError(f"twist region A{i} has no crossing #{k}")
             return CrossingArc(members[k])
         return CrossingArc(*_spec_fields("--crossing-arc", form, spec, (_int_after("c"),)))
-    if args.in_region:
+    if args.in_region is not None:
         return InRegionArc(*_spec_fields("--in-region", "R<k>:c<i>:c<j>", args.in_region,
                                          (_int_after("Rr"), _int_after("c"), _int_after("c"))))
-    if args.transverse:
+    if args.transverse is not None:
         return TransverseArc(*_spec_fields("--transverse", "c<i>:c<j>:e<a>,...", args.transverse,
                                            (_int_after("c"), _int_after("c"), _edge_word)))
     raise ValueError("provide --crossing-arc, --in-region, or --transverse")
@@ -208,12 +209,12 @@ def _parse_arc(args, tb_or_d):
 
 def cmd_decide(args) -> int:
     from . import decide as DC
-    obj = _load_diagram(args)
-    arc = _parse_arc(args, obj)
-    if hasattr(obj, "diagram"):
-        out = DC.classify_2bridge_pair(obj, arc, mirror=args.mirror)
+    tb, d = _load_diagram(args)
+    arc = _parse_arc(args, tb)
+    if tb is not None:
+        out = DC.classify_2bridge_pair(tb, arc, mirror=args.mirror)
     else:
-        out = DC.classify_alternating_pair(obj, arc, mirror=args.mirror)
+        out = DC.classify_alternating_pair(d, arc, mirror=args.mirror)
     _emit(out, args.pretty)
     return 0
 
@@ -265,8 +266,7 @@ def cmd_pingpong(args) -> int:
 
 def cmd_svg(args) -> int:
     from . import polyhedra as PH
-    d = _plain_diagram(args)
-    svg = PH.circle_pattern_svg(d)
+    svg = PH.circle_pattern_svg(_load_diagram(args)[1])
     with open(args.output, "w") as fh:
         fh.write(svg)
     _emit({"written": args.output, "circles": svg.count("<circle")}, args.pretty)
@@ -297,6 +297,13 @@ def _run_corpus(args, worker) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+def _add_diagram_flags(parser: argparse.ArgumentParser) -> None:
+    """--two-bridge and --pd, of which argparse accepts at most one."""
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--two-bridge")
+    group.add_argument("--pd")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and reused after it."""
@@ -326,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     fa.set_defaults(func=cmd_farey)
 
     cb = sub.add_parser("cubing", help="build and verify the cubed exterior")
-    cb.add_argument("--two-bridge"); cb.add_argument("--pd")
+    _add_diagram_flags(cb)
     cb.add_argument("--corpus", help="directory of diagram JSON files")
     cb.add_argument("--jobs", type=int, default=4,
                     help="no effect: corpus files run in file order")
@@ -337,10 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
     cb.set_defaults(func=cmd_cubing)
 
     dc = sub.add_parser("decide", help="classify a meridian pair")
-    dc.add_argument("--two-bridge"); dc.add_argument("--pd")
-    dc.add_argument("--crossing-arc", metavar="A2:0 or c3")
-    dc.add_argument("--in-region", metavar="R3:c0:c2")
-    dc.add_argument("--transverse", metavar="c0:c2:e1,e2")
+    _add_diagram_flags(dc)
+    arcs = dc.add_mutually_exclusive_group()
+    arcs.add_argument("--crossing-arc", metavar="A2:0 or c3")
+    arcs.add_argument("--in-region", metavar="R3:c0:c2")
+    arcs.add_argument("--transverse", metavar="c0:c2:e1,e2")
     dc.add_argument("--mirror", action="store_true")
     dc.set_defaults(func=cmd_decide)
 
@@ -357,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.set_defaults(func=cmd_pingpong)
 
     sv = sub.add_parser("svg", help="circle pattern drawing")
-    sv.add_argument("--two-bridge"); sv.add_argument("--pd")
+    _add_diagram_flags(sv)
     sv.add_argument("-o", "--output", required=True)
     sv.set_defaults(func=cmd_svg)
     return ap

@@ -19,7 +19,7 @@ decide` prints, shaped as docs/schemas/decide.verdict.v1.json describes:
 from __future__ import annotations
 
 from .diagram import (AlternatingDiagram, BLACK, WHITE, CrossingArc,
-                      InRegionArc, TransverseArc, TwistSequence, TwoBridgeDiagram,
+                      InRegionArc, TransverseArc, TwoBridgeDiagram,
                       crossings_adjacent_on_region, find_small_white_region, flype,
                       is_prime, is_reduced, region_adjacent, two_bridge_diagram)
 from .polyhedra import IdealPolyhedronPair, build_polyhedra
@@ -213,7 +213,7 @@ def classify_2bridge_pair(tb, arc, mirror: bool = False) -> dict:
     then classified there; the verdict adds the flype trace and the flyped
     diagram, whose regions the witness names.  Other arcs classify directly.
     """
-    if isinstance(tb, (tuple, list, TwistSequence)):
+    if isinstance(tb, (tuple, list)):
         tb = two_bridge_diagram(tb)
     if not isinstance(tb, TwoBridgeDiagram):
         raise DecideError("need a twist sequence or a standard two-bridge diagram")

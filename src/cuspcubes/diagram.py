@@ -59,6 +59,12 @@ def _is_slot(h) -> bool:
     return isinstance(h, list) and len(h) == 2 and all(map(_is_int, h))
 
 
+def _wire(pairing: dict[Slot, Slot], a: Slot, b: Slot) -> None:
+    """Pair slots a and b: the edge between them."""
+    pairing[a] = b
+    pairing[b] = a
+
+
 def _face_walk(pairing: dict[Slot, Slot], start: Slot) -> tuple[Slot, ...]:
     """The face through slot `start`, walked by next(h) = rotate(twin(h))."""
     walk = [start]
@@ -146,9 +152,7 @@ class AlternatingDiagram:
         for label, occ in where.items():
             if len(occ) != 2:
                 raise DiagramError(f"malformed: edge label {label!r} appears {len(occ)} times, expected 2")
-            a, b = occ
-            pairing[a] = b
-            pairing[b] = a
+            _wire(pairing, *occ)
         return AlternatingDiagram(len(code), pairing)
 
     @staticmethod
@@ -165,9 +169,7 @@ class AlternatingDiagram:
                 raise DiagramError("malformed: a rotation is a non-empty list of [[c, i], [c, i]] slot pairs")
             pairing = {}
             for a, b in pairs:
-                ha, hb = tuple(a), tuple(b)
-                pairing[ha] = hb
-                pairing[hb] = ha
+                _wire(pairing, tuple(a), tuple(b))
             n = 1 + max(c for (c, _i) in pairing)
             return AlternatingDiagram(n, pairing)
         raise DiagramError("malformed: expected a 'pd' or 'rotation' field")
@@ -369,28 +371,18 @@ def find_small_white_region(d: AlternatingDiagram, witness_color: str = WHITE):
 # Standard two-bridge diagrams
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TwistSequence:
-    """Positive twist counts (a1, ..., an) with n >= 2 and a1, an >= 2."""
-
-    a: tuple[int, ...]
-
-    def __post_init__(self):
-        a = self.a
-        if len(a) < 2:
-            raise DiagramError("twist sequence needs at least two twist regions")
-        if any(x < 1 for x in a):
-            raise DiagramError("twist counts must be positive")
-        if a[0] < 2 or a[-1] < 2:
-            raise DiagramError("first and last twist counts must be at least 2")
-        _check_size(sum(a))
-
-    def __len__(self) -> int:
-        return len(self.a)
-
-    @property
-    def crossing_count(self) -> int:
-        return sum(self.a)
+def twist_sequence(seq) -> tuple[int, ...]:
+    """The twist counts (a1, ..., an) as a tuple, checked: n >= 2, every
+    count positive, a1, an >= 2 and at most MAX_CROSSINGS crossings."""
+    a = tuple(seq)
+    if len(a) < 2:
+        raise DiagramError("twist sequence needs at least two twist regions")
+    if any(x < 1 for x in a):
+        raise DiagramError("twist counts must be positive")
+    if a[0] < 2 or a[-1] < 2:
+        raise DiagramError("first and last twist counts must be at least 2")
+    _check_size(sum(a))
+    return a
 
 
 @dataclass
@@ -403,7 +395,7 @@ class TwoBridgeDiagram:
     and lower tunnels.
     """
 
-    seq: TwistSequence
+    seq: tuple[int, ...]
     diagram: AlternatingDiagram
     twist_region_of: tuple[int, ...]          # 1-based region index per crossing
 
@@ -411,84 +403,42 @@ class TwoBridgeDiagram:
         return [c for c, r in enumerate(self.twist_region_of) if r == i]
 
 
-# Crossing slot convention for the builder: slots (0,1,2,3) sit at the
+# Crossing slot convention for the builders: slots (0,1,2,3) sit at the
 # compass ports (SW, SE, NE, NW); the under-strand is the SW-NE diagonal.
 _SW, _SE, _NE, _NW = 0, 1, 2, 3
 
-
-class _TangleBuilder:
-    def __init__(self):
-        self.pairing: dict[Slot, Slot] = {}
-        self.count = 0
-        # initial 0-tangle: two horizontal strands nw-ne and sw-se
-        self.stubs: dict[str, object] = {
-            "nw": ("stub", "ne"), "ne": ("stub", "nw"),
-            "sw": ("stub", "se"), "se": ("stub", "sw"),
-        }
-
-    def _wire(self, a: Slot, b: Slot) -> None:
-        self.pairing[a] = b
-        self.pairing[b] = a
-
-    def _consume(self, name: str, port: Slot) -> None:
-        held = self.stubs[name]
-        if held[0] == "port":
-            self._wire(held[1], port)
-        else:
-            self.stubs[held[1]] = ("port", port)
-        self.stubs[name] = None
-
-    def add_horizontal(self) -> int:
-        c = self.count
-        self.count += 1
-        self._consume("ne", (c, _NW))
-        self._consume("se", (c, _SW))
-        self.stubs["ne"] = ("port", (c, _NE))
-        self.stubs["se"] = ("port", (c, _SE))
-        return c
-
-    def add_vertical(self) -> int:
-        c = self.count
-        self.count += 1
-        self._consume("sw", (c, _NW))
-        self._consume("se", (c, _NE))
-        self.stubs["sw"] = ("port", (c, _SW))
-        self.stubs["se"] = ("port", (c, _SE))
-        return c
-
-    def close(self, pairs) -> dict[Slot, Slot]:
-        # the first crossing turns all four stubs into ports, so every
-        # closing pair joins two ports
-        for a, b in pairs:
-            self._wire(self.stubs[a][1], self.stubs[b][1])
-        return self.pairing
+# How a crossing joins the loose ends: (end, port joined to it, port that
+# becomes the end), for a horizontal and for a vertical crossing.
+_HORIZONTAL = (("ne", _NW, _NE), ("se", _SW, _SE))
+_VERTICAL = (("sw", _NW, _SW), ("se", _NE, _SE))
 
 
-def two_bridge_diagram(seq: TwistSequence | tuple[int, ...]) -> TwoBridgeDiagram:
+def two_bridge_diagram(seq) -> TwoBridgeDiagram:
     """Build the standard prime alternating diagram for a twist sequence.
 
-    Twist blocks alternate east-going and south-going; the closure joins
-    the loose ends so that no block's two output ports meet directly
-    (top/bottom bridges when the last block is horizontal, side bridges
-    when it is vertical, matching the two drawn forms of the family).
+    Twist blocks alternate east-going and south-going.  Crossing 0 is the
+    first of A_1, and its four ports are the loose ends nw, ne, sw and se.
+    Each later crossing joins two loose ends and takes their place: a
+    horizontal one (odd i) joins its NW and SW ports to the ne and se ends,
+    and its NE and SE ports become the new ne and se; a vertical one (even
+    i) joins its NW and NE ports to the sw and se ends, and its SW and SE
+    ports become the new sw and se.  The closure joins the loose ends so
+    that no block's two output ports meet directly (top/bottom bridges when
+    the last block is horizontal, side bridges when it is vertical,
+    matching the two drawn forms of the family).
     """
-    if not isinstance(seq, TwistSequence):
-        seq = TwistSequence(tuple(seq))
-    b = _TangleBuilder()
-    labels: list[int] = []
-    for i, a_i in enumerate(seq.a, start=1):
-        for _ in range(a_i):
-            if i % 2 == 1:
-                b.add_horizontal()
-            else:
-                b.add_vertical()
-            labels.append(i)
-    if len(seq) % 2 == 1:
-        pairing = b.close((("nw", "ne"), ("sw", "se")))
-    else:
-        pairing = b.close((("nw", "sw"), ("ne", "se")))
-    d = AlternatingDiagram(seq.crossing_count, pairing)
-    return TwoBridgeDiagram(seq, d, tuple(labels))
+    seq = twist_sequence(seq)
+    labels = tuple(i for i, a_i in enumerate(seq, start=1) for _ in range(a_i))
+    pairing: dict[Slot, Slot] = {}
+    ends = {"nw": (0, _NW), "ne": (0, _NE), "sw": (0, _SW), "se": (0, _SE)}
+    for c in range(1, len(labels)):
+        for end, joined, new in _HORIZONTAL if labels[c] % 2 else _VERTICAL:
+            _wire(pairing, ends[end], (c, joined))
+            ends[end] = (c, new)
+    closing = (("nw", "ne"), ("sw", "se")) if len(seq) % 2 else (("nw", "sw"), ("ne", "se"))
+    for a, b in closing:
+        _wire(pairing, ends[a], ends[b])
+    return TwoBridgeDiagram(seq, AlternatingDiagram(len(labels), pairing), labels)
 
 
 # ---------------------------------------------------------------------------
@@ -520,9 +470,6 @@ class TransverseArc:
     def __post_init__(self):
         if not self.edge_word:
             raise DiagramError("a transverse arc needs a non-empty edge word; use InRegionArc")
-
-
-ArcSpec = CrossingArc | InRegionArc | TransverseArc
 
 
 def _joints(pairing: dict[Slot, Slot], walk: tuple[Slot, ...]) -> dict[frozenset[int], list[Slot]]:
@@ -614,9 +561,7 @@ def _tail_flype(d: AlternatingDiagram, c: int, S: frozenset[int]):
     for h, k in d.pairing.items():
         mh = mu(h)
         if mh not in pairing and d.edge_of_slot[h] not in removed:
-            mk = mu(k)
-            pairing[mh] = mk
-            pairing[mk] = mh
+            _wire(pairing, mh, mu(k))
     # a prime diagram has no loop edge, so the edges at ports p+2, p+3
     # lead away from c and lie outside the disk
     spot = [(mu(d.pairing[(c, p)]), d.pairing[(c, (p + 2) % 4)]),
@@ -624,8 +569,7 @@ def _tail_flype(d: AlternatingDiagram, c: int, S: frozenset[int]):
     at1, at3 = (fS[1], fR[1]) if p % 2 == 0 else (fR[1], fS[1])
     far = [(fS[0], (c, 0)), (fR[0], (c, 2)), (at1, (c, 1)), (at3, (c, 3))]
     for h, k in spot + far:
-        pairing[h] = k
-        pairing[k] = h
+        _wire(pairing, h, k)
     return pairing, spot
 
 
@@ -713,11 +657,6 @@ def pretzel_diagram(*twists: int) -> AlternatingDiagram:
         raise DiagramError("pretzel needs at least two positive twist counts")
     _check_size(sum(twists))
     pairing: dict[Slot, Slot] = {}
-
-    def wire(a: Slot, b: Slot) -> None:
-        pairing[a] = b
-        pairing[b] = a
-
     strips: list[list[int]] = []
     count = 0
     for t in twists:
@@ -725,14 +664,14 @@ def pretzel_diagram(*twists: int) -> AlternatingDiagram:
         count += t
     for strip in strips:
         for a, b in zip(strip, strip[1:]):
-            wire((a, _SW), (b, _NW))
-            wire((a, _SE), (b, _NE))
+            _wire(pairing, (a, _SW), (b, _NW))
+            _wire(pairing, (a, _SE), (b, _NE))
     k = len(strips)
     for j in range(k):
         right_top = (strips[j][0], _NE)
         left_top_next = (strips[(j + 1) % k][0], _NW)
-        wire(right_top, left_top_next)
+        _wire(pairing, right_top, left_top_next)
         right_bot = (strips[j][-1], _SE)
         left_bot_next = (strips[(j + 1) % k][-1], _SW)
-        wire(right_bot, left_bot_next)
+        _wire(pairing, right_bot, left_bot_next)
     return AlternatingDiagram(count, pairing)

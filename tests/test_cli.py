@@ -341,7 +341,11 @@ class TestDecide:
                                  ("--in-region", "R0:cc0:c1", "R<k>:c<i>:c<j>"),
                                  ("--transverse", "c0:c1:ee1", "c<i>:c<j>:e<a>,..."),
                                  ("--transverse", "c0:c1:e1,1", "c<i>:c<j>:e<a>,..."),
-                                 ("--transverse", "c0:c1:e1,", "c<i>:c<j>:e<a>,...")):
+                                 ("--transverse", "c0:c1:e1,", "c<i>:c<j>:e<a>,..."),
+                                 # an empty spec is given, not absent
+                                 ("--crossing-arc", "", "A<i>:<k> or c<i>"),
+                                 ("--in-region", "", "R<k>:c<i>:c<j>"),
+                                 ("--transverse", "", "c<i>:c<j>:e<a>,...")):
             code, out, err = run(capsys, "decide", "--two-bridge", "2,2", flag, spec)
             assert code == 2 and out == "", spec
             assert err == f"error: {flag} expects {form}, got {spec!r}\n", spec
@@ -350,9 +354,10 @@ class TestDecide:
         assert err == "error: --two-bridge expects A1,A2,..., got '2,x'\n"
 
     def test_malformed_two_bridge_exit(self, capsys):
-        # each term is -?[0-9]+ and nothing else, for every subcommand that reads one
+        # each term is -?[0-9]+ and nothing else, for every subcommand that
+        # reads one; an empty sequence is given, not absent
         for seq in (" 2,+1,2_0", "2,+1,2", "2,1_0,2", "2, 1,2", "2,1 ,2", "2,\u0661,2", "2,,2",
-                    "2,1,", "2,--1,2"):
+                    "2,1,", "2,--1,2", ""):
             for cmd in (["decide", "--crossing-arc", "A1:0"], ["cubing"], ["svg", "-o", "unused.svg"]):
                 code, out, err = run(capsys, *cmd, "--two-bridge", seq)
                 assert code == 2 and out == "", (seq, cmd)
@@ -374,6 +379,14 @@ class TestDecide:
                              "--crossing-arc", "A2:-1")
         assert code == 2 and out == ""
         assert "A2 has no crossing #-1" in err
+
+    def test_missing_twist_region_exit(self, capsys):
+        # (2,2) has twist regions A1 and A2; the error names the region, not k
+        for region in ("A9", "A0", "A3", "A-1"):
+            code, out, err = run(capsys, "decide", "--two-bridge", "2,2",
+                                 "--crossing-arc", f"{region}:0")
+            assert code == 2 and out == "", region
+            assert err == f"error: no twist region {region}: the sequence has 2 twist regions\n"
 
     def test_long_transverse_word_fails_fast(self, capsys):
         # a 120 KB edge word that cancels from the middle outwards
@@ -622,6 +635,40 @@ class TestLibraryAnswer:
             assert code == (answer["verdict"] != FREE_CERTIFIED), name
             verdicts.add(answer["verdict"])
         assert len(verdicts) == 2
+
+
+class TestConflictingFlags:
+    """Two flags that name the diagram, or two that name the arc, exit 2
+    in argparse; an empty value counts as given."""
+
+    @staticmethod
+    def refused(capsys, *argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == "", argv
+        return out.err
+
+    @pytest.mark.parametrize("cmd", [["cubing"], ["svg", "-o", "unused.svg"],
+                                     ["decide", "--crossing-arc", "A1:0"]])
+    def test_two_bridge_with_pd(self, capsys, tmp_path, monkeypatch, cmd):
+        monkeypatch.chdir(tmp_path)
+        Path("p.json").write_text(json.dumps({"pd": [[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]]}))
+        for tb in ("2,2", ""):
+            err = self.refused(capsys, *cmd, "--two-bridge", tb, "--pd", "p.json")
+            assert "error: argument --pd: not allowed with argument --two-bridge" in err, tb
+            err = self.refused(capsys, *cmd, "--pd", "p.json", "--two-bridge", tb)
+            assert "error: argument --two-bridge: not allowed with argument --pd" in err, tb
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["p.json"]
+
+    @pytest.mark.parametrize("first, second", [
+        ("--crossing-arc", "--in-region"), ("--crossing-arc", "--transverse"),
+        ("--in-region", "--transverse")])
+    def test_two_arc_flags(self, capsys, first, second):
+        spec = {"--crossing-arc": "A1:0", "--in-region": "R0:c0:c1", "--transverse": "c0:c1:e1"}
+        for a, b in ((spec[first], spec[second]), ("", spec[second]), (spec[first], "")):
+            err = self.refused(capsys, "decide", "--two-bridge", "2,2", first, a, second, b)
+            assert f"error: argument {second}: not allowed with argument {first}" in err, (a, b)
 
 
 class TestSvg:

@@ -9,9 +9,9 @@ import pytest
 
 from cuspcubes.diagram import (
     AlternatingDiagram, BLACK, CrossingArc, DiagramError, InRegionArc, MAX_CROSSINGS,
-    TransverseArc, TwistSequence, TwoBridgeDiagram, WHITE, arc_crossing, crossings_adjacent_on_region,
+    TransverseArc, TwoBridgeDiagram, WHITE, arc_crossing, crossings_adjacent_on_region,
     find_small_white_region, flype, is_prime, is_reduced, pretzel_diagram, region_adjacent,
-    two_bridge_diagram,
+    twist_sequence, two_bridge_diagram,
 )
 from cuspcubes.diagram import _mirror, _spot_options, _tail_flype
 from cuspcubes.cubing import _UnionFind
@@ -268,12 +268,12 @@ class TestRegions:
 class TestTwistSequences:
     def test_invariants(self):
         with pytest.raises(DiagramError):
-            TwistSequence((3,))
+            twist_sequence((3,))
         with pytest.raises(DiagramError):
-            TwistSequence((1, 2))
+            twist_sequence((1, 2))
         with pytest.raises(DiagramError):
-            TwistSequence((2, 0, 2))
-        assert TwistSequence((2, 1, 2)).crossing_count == 5
+            twist_sequence((2, 0, 2))
+        assert twist_sequence([2, 1, 2]) == (2, 1, 2)
 
     def test_builders(self):
         tb = two_bridge_diagram((2, 2))
@@ -290,6 +290,35 @@ class TestTwistSequences:
             d = two_bridge_diagram(seq).diagram
             assert is_prime(d) and is_reduced(d), seq
             assert d.crossing_count == sum(seq)
+
+
+TWIST_COUNTS = st.lists(st.integers(1, 6), min_size=2, max_size=9).map(
+    lambda a: (max(a[0], 2), *a[1:-1], max(a[-1], 2)))
+
+
+class TestTwoBridgeWiring:
+    """The construction order that flype relies on."""
+
+    @settings(max_examples=300)
+    @given(TWIST_COUNTS)
+    def test_twist_bigons_and_tail_cuts(self, seq):
+        tb = two_bridge_diagram(seq)
+        d = tb.diagram
+        bigons = {R.distinct_crossings for R in d.regions if len(R) == 2}
+        for i in range(1, len(seq) + 1):
+            members = tb.crossings_in(i)
+            # consecutive crossings of a twist region bound a bigon
+            for c1, c2 in zip(members, members[1:]):
+                shared = [e for e in d.edges if {h[0] for h in e} == {c1, c2}]
+                assert len(shared) == 2 and frozenset((c1, c2)) in bigons, (seq, c1)
+            if 1 < i < len(seq):
+                # the tail after an interior region's first crossing c is a
+                # tangle: four edges cut it off, two at consecutive ports of c
+                c = members[0]
+                tail = set(range(c + 1, d.n))
+                cut = [e for e in d.edges if len({h[0] in tail for h in e}) == 2]
+                ports = sorted(j for e in cut for x, j in e if x == c)
+                assert len(cut) == 4 and len(ports) == 2 and (ports[1] - ports[0]) % 2 == 1, (seq, i)
 
 
 class TestArcSpecs:
@@ -490,7 +519,7 @@ class TestFlypeDisks:
                 assert _flype_disks(d, c) == subset_flype_disks(d, c, cuts), (d.pd_code(), c)
 
     def test_non_prime_rejected(self):
-        tb = TwoBridgeDiagram(TwistSequence((2, 2, 2)), connected_sum_of_trefoils(), (1, 1, 2, 2, 3, 3))
+        tb = TwoBridgeDiagram((2, 2, 2), connected_sum_of_trefoils(), (1, 1, 2, 2, 3, 3))
         with pytest.raises(DiagramError, match="non-prime"):
             flype(tb, 2)
 
@@ -919,8 +948,8 @@ class TestLazyFlypeSearch:
 
 class TestSizeCap:
     def test_checked_before_building(self):
-        TwistSequence((2, MAX_CROSSINGS - 4, 2))
-        for build in (lambda: TwistSequence((2, MAX_CROSSINGS - 3, 2)),
+        twist_sequence((2, MAX_CROSSINGS - 4, 2))
+        for build in (lambda: twist_sequence((2, MAX_CROSSINGS - 3, 2)),
                       lambda: two_bridge_diagram((2, 10 ** 12, 2)),
                       lambda: pretzel_diagram(MAX_CROSSINGS, 1),
                       lambda: AlternatingDiagram(MAX_CROSSINGS + 1, {(c, i): (c, i ^ 1)
