@@ -24,7 +24,7 @@ WHITE = "white"
 
 Slot = tuple[int, int]  # (crossing index, slot 0..3)
 
-MAX_CROSSINGS = 10_000      # a built diagram takes about 30 KB per crossing
+MAX_CROSSINGS = 10_000      # a diagram keeps about 2 KB per crossing, 2.7 KB with every view built
 
 
 def _check_size(n: int) -> None:
@@ -82,9 +82,11 @@ class AlternatingDiagram:
 
     Construction checks, in order: 4-valence and involutive pairing,
     connectivity, sphericity (V - E + F = 2) and alternation, and reports
-    the first violated invariant by name.  A region's color is read off
-    the parity of its slots; the strands, primeness and reducedness are
-    computed on first use.
+    the first violated invariant by name.  They run on flat slot ids
+    h = 4c + i; int lists keep each slot's twin, edge and region and each
+    face walk.  A region's color is read off the parity of its slots; the
+    `Region` records, strands, primeness and reducedness are computed on
+    first use.
     """
 
     def __init__(self, n: int, pairing: dict[Slot, Slot]):
@@ -95,37 +97,57 @@ class AlternatingDiagram:
         _check_size(n)
         self.n = n
         slots = [(c, i) for c in range(n) for i in range(4)]
-        if set(pairing) != set(slots):
-            raise DiagramError("malformed: every slot must be paired exactly once")
+        flat = dict(zip(slots, range(4 * n)))
+        # twin[h]: the slot paired with h, -1 for none.  With 4n keys the
+        # pairing misses a slot exactly when one of its keys is no slot.
+        try:
+            twin = [flat.get(pairing[h], -1) for h in slots]
+        except KeyError:
+            raise DiagramError("malformed: every slot must be paired exactly once") from None
         self.pairing = dict(pairing)
 
-        # edges, with ids.  A strand leaves crossing c through slot i + 2 and
-        # enters the next one at the slot paired with it, so consecutive
-        # passages differ in kind exactly when every edge joins an even slot
-        # to an odd one: that is alternation.
-        self.edges: list[frozenset[Slot]] = []
-        self.edge_of_slot: dict[Slot, int] = {}
-        alternating = True
-        for h in slots:
-            if h in self.edge_of_slot:
-                continue
-            k = self.pairing[h]
-            if self.pairing.get(k) != h or k == h:
-                raise DiagramError("malformed: slot pairing must be a fixed-point-free involution")
-            if h[1] % 2 == k[1] % 2:
-                alternating = False
-            self.edge_of_slot[h] = self.edge_of_slot[k] = len(self.edges)
-            self.edges.append(frozenset((h, k)))
+        # an involution without fixed points: 2n slots h < twin[h], the lower
+        # slots of the edges, each paired back by its twin
+        lower = [h for h, k in enumerate(twin) if h < k]
+        if len(lower) != 2 * n or any(twin[twin[h]] != h for h in lower):
+            raise DiagramError("malformed: slot pairing must be a fixed-point-free involution")
+        edge = [0] * (4 * n)
+        for e, h in enumerate(lower):
+            edge[h] = edge[twin[h]] = e
+        self.edges: list[frozenset[Slot]] = [frozenset((slots[h], slots[twin[h]])) for h in lower]
+        self.edge_of_slot: dict[Slot, int] = dict(zip(slots, edge))
 
-        self._check_connected()
-        self._build_regions(slots)
-        if len(self.regions) != self.n + 2:
-            raise DiagramError(
-                f"non-planar: {self.n} crossings with {len(self.regions)} regions "
-                f"(expected {self.n + 2} on the sphere)"
-            )
-        if not alternating:
+        seen, reach = [True] + [False] * (n - 1), [0]
+        for c in reach:
+            for k in twin[4 * c:4 * c + 4]:
+                if not seen[k >> 2]:
+                    seen[k >> 2] = True
+                    reach.append(k >> 2)
+        if len(reach) != n:
+            raise DiagramError("disconnected: the diagram graph must be connected")
+
+        # faces: orbits of next(h) = rotate(twin(h)), walked from their least slot
+        region = [-1] * (4 * n)
+        walks: list[list[int]] = []
+        for h in range(4 * n):
+            if region[h] < 0:
+                r, walk = len(walks), []
+                while region[h] < 0:
+                    region[h] = r
+                    walk.append(h)
+                    k = twin[h]
+                    h = k + 1 if k & 3 != 3 else k - 3
+                walks.append(walk)
+        if len(walks) != n + 2:
+            raise DiagramError(f"non-planar: {n} crossings with {len(walks)} regions "
+                               f"(expected {n + 2} on the sphere)")
+        # A strand leaves crossing c through slot i + 2 and enters the next
+        # one at its twin, so consecutive passages differ in kind (alternation)
+        # exactly when every edge joins an even slot to an odd one.
+        if not all(k & 1 for k in twin[0::2]):
             raise DiagramError("non-alternating: consecutive passages on a strand agree")
+        self.region_of_slot: dict[Slot, int] = dict(zip(slots, region))
+        self._twin, self._edge, self._region, self._walks = twin, edge, region, walks
 
     # -- construction helpers ------------------------------------------------
 
@@ -159,6 +181,8 @@ class AlternatingDiagram:
     def from_json(obj) -> "AlternatingDiagram":
         """Accept {"pd": [[..4 labels..], ...]} or {"rotation": [[slot pairs]]},
         shaped as docs/schemas/diagram.input.v1.json describes."""
+        if isinstance(obj, dict) and "pd" in obj and "rotation" in obj:
+            raise DiagramError("malformed: give either a 'pd' or a 'rotation' field, not both")
         if isinstance(obj, dict) and "pd" in obj:
             return AlternatingDiagram.from_pd(obj["pd"])
         if isinstance(obj, dict) and "rotation" in obj:
@@ -169,6 +193,8 @@ class AlternatingDiagram:
                 raise DiagramError("malformed: a rotation is a non-empty list of [[c, i], [c, i]] slot pairs")
             pairing = {}
             for a, b in pairs:
+                if tuple(a) in pairing or tuple(b) in pairing:
+                    raise DiagramError("malformed: every slot must be paired exactly once")
                 _wire(pairing, tuple(a), tuple(b))
             n = 1 + max(c for (c, _i) in pairing)
             return AlternatingDiagram(n, pairing)
@@ -190,40 +216,16 @@ class AlternatingDiagram:
 
     # -- invariants ----------------------------------------------------------
 
-    def _check_connected(self) -> None:
-        seen = {0}
-        stack = [0]
-        while stack:
-            c = stack.pop()
-            for i in range(4):
-                c2 = self.pairing[(c, i)][0]
-                if c2 not in seen:
-                    seen.add(c2)
-                    stack.append(c2)
-        if len(seen) != self.n:
-            raise DiagramError("disconnected: the diagram graph must be connected")
-
-    def _build_regions(self, slots: list[Slot]) -> None:
-        # Alternation makes twin(h) flip a slot's parity and rotate flips it
-        # back, so a face's slots share one parity and the two sides of an
-        # edge differ: even faces are black, odd ones white, the face of slot
-        # (0, 0) black.  A pairing that fails alternation is refused anyway.
-        self.region_of_slot: dict[Slot, int] = {}
-        self.regions: list[Region] = []
-        for start in slots:
-            if start in self.region_of_slot:
-                continue
-            walk = _face_walk(self.pairing, start)
-            idx = len(self.regions)
-            for h in walk:
-                self.region_of_slot[h] = idx
-            self.regions.append(Region(
-                index=idx,
-                color=WHITE if start[1] & 1 else BLACK,
-                boundary=walk,
-                edges=frozenset(self.edge_of_slot[h] for h in walk),
-                crossings=tuple(c for (c, _i) in walk),
-            ))
+    @cached_property
+    def regions(self) -> list[Region]:
+        """The faces, indexed as in `region_of_slot`.  Alternation makes
+        twin(h) flip a slot's parity and rotate flip it back, so a face's
+        slots share one parity and the two sides of an edge differ: even
+        faces are black, odd ones white, the face of slot (0, 0) black."""
+        slots = list(self.region_of_slot)         # its keys are the slots in id order
+        return [Region(r, WHITE if walk[0] & 1 else BLACK, tuple(map(slots.__getitem__, walk)),
+                       frozenset(map(self._edge.__getitem__, walk)), tuple(slots[h][0] for h in walk))
+                for r, walk in enumerate(self._walks)]
 
     @cached_property
     def strands(self) -> list[list[tuple[int, int]]]:
@@ -260,21 +262,17 @@ class AlternatingDiagram:
         Equivalent combinatorial form (a diagram has at least one crossing):
         no two distinct edges share the same unordered pair of side regions (such a
         pair supports the splitting loop, and both sides then contain a
-        crossing because the cut edge-pieces end at crossings).
+        crossing because the cut edge-pieces end at crossings).  Alternation
+        gives every edge one even slot, so the even slots list each edge
+        once, with its sides in a fixed order.
         """
-        seen: set[tuple[int, int]] = set()
-        for eid in range(len(self.edges)):
-            a, b = self.edge_sides(eid)
-            key = (min(a, b), max(a, b))
-            if key in seen:
-                return False
-            seen.add(key)
-        return True
+        region, twin = self._region, self._twin
+        return len({(region[h], region[twin[h]]) for h in range(0, 4 * self.n, 2)}) == 2 * self.n
 
     @cached_property
     def reduced(self) -> bool:
         """No nugatory crossings: no crossing occurs twice on one region boundary."""
-        return all(len(set(R.crossings)) == len(R.crossings) for R in self.regions)
+        return all(len({h >> 2 for h in walk}) == len(walk) for walk in self._walks)
 
     # -- queries ---------------------------------------------------------
 
@@ -304,7 +302,7 @@ class AlternatingDiagram:
         return self.region_of_slot[a], self.region_of_slot[b]
 
     def __repr__(self) -> str:
-        return f"AlternatingDiagram({self.n} crossings, {len(self.regions)} regions)"
+        return f"AlternatingDiagram({self.n} crossings, {len(self._walks)} regions)"
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,17 @@ every strand and the checkerboard coloring found by a depth-first
 parity rules of `cuspcubes.diagram.AlternatingDiagram` (every edge joins an
 even slot to an odd one; even faces are black) and for its strands.
 
+`tuple_views` builds the edges, the regions, primeness and reducedness by
+walking tuple slots (c, i) through the pairing dict, as the constructor
+did before it worked on flat slot ids; `walked_views` adds them to what
+`walked_diagram` returns, and `read_off` reads the same off a diagram.
+
 `_flype_disks` lists every flype disk at a crossing from the region
 4-cycles.  It is the reference for the disks that `cuspcubes.diagram.flype`
 flypes across, and the disk list of the eager flype search in the tests.
 """
 
-from cuspcubes.diagram import (AlternatingDiagram, BLACK, WHITE, DiagramError, _check_size,
+from cuspcubes.diagram import (AlternatingDiagram, BLACK, WHITE, DiagramError, Region, _check_size,
                                _face_walk)
 
 
@@ -104,10 +109,50 @@ def walked_diagram(n, pairing):
     return dfs_colors(pairing, region_of_slot, count), strands, list(strand_of_passage.items())
 
 
+def tuple_views(n, pairing):
+    """(pairing items, edges as tuples, edge_of_slot, region_of_slot, regions,
+    prime, reduced) of a valid diagram's pairing, built on tuple slots: edges
+    in order of their first slot, faces walked from their least slot by
+    next(h) = rotate(twin(h)) and colored by its parity."""
+    slots = [(c, i) for c in range(n) for i in range(4)]
+    edges, edge_of_slot = [], {}
+    for h in slots:
+        if h not in edge_of_slot:
+            k = pairing[h]
+            edge_of_slot[h] = edge_of_slot[k] = len(edges)
+            edges.append(frozenset((h, k)))
+    region_of_slot, regions = {}, []
+    for start in slots:
+        if start in region_of_slot:
+            continue
+        walk = _face_walk(pairing, start)
+        for h in walk:
+            region_of_slot[h] = len(regions)
+        regions.append(Region(index=len(regions), color=WHITE if start[1] & 1 else BLACK,
+                              boundary=walk, edges=frozenset(edge_of_slot[h] for h in walk),
+                              crossings=tuple(c for c, _i in walk)))
+    sides = set()
+    for a, b in edges:
+        ra, rb = region_of_slot[a], region_of_slot[b]
+        sides.add((min(ra, rb), max(ra, rb)))
+    prime = len(sides) == len(edges)
+    reduced = all(len(set(R.crossings)) == len(R.crossings) for R in regions)
+    return (list(pairing.items()), [tuple(e) for e in edges], edge_of_slot, region_of_slot,
+            regions, prime, reduced)
+
+
+def walked_views(n, pairing):
+    """`walked_diagram` and then `tuple_views` of the pairing, or the
+    DiagramError of the first violated invariant."""
+    return (*walked_diagram(n, pairing), tuple_views(n, pairing))
+
+
 def read_off(d):
-    """d's region colors, strands and strand_of_passage items (in its
-    iteration order), the form `walked_diagram` returns."""
-    return [R.color for R in d.regions], d.strands, list(d.strand_of_passage.items())
+    """d's region colors, strands, strand_of_passage items (in its
+    iteration order) and views, the form `walked_views` returns."""
+    views = (list(d.pairing.items()), [tuple(e) for e in d.edges], d.edge_of_slot,
+             d.region_of_slot, d.regions, d.prime, d.reduced)
+    return [R.color for R in d.regions], d.strands, list(d.strand_of_passage.items()), views
 
 
 def built_diagram(n, pairing):

@@ -12,6 +12,7 @@ from referencing import Registry, Resource
 
 from cuspcubes import cli
 from cuspcubes.cli import build_parser, main
+from cuspcubes.diagram import AlternatingDiagram, DiagramError, two_bridge_diagram
 
 SCHEMAS = Path(__file__).resolve().parents[1] / "docs" / "schemas"
 # every schema under its $id, so that decide.verdict.v1 can $ref diagram.input.v1
@@ -196,6 +197,42 @@ class TestCubing:
                 code, out, err = run(capsys, *cmd, "--pd", str(f))
                 assert code == 2 and out == "", (name, cmd)
                 assert err.startswith(f"error: {name}: ") and err.count("\n") == 1, (name, cmd)
+
+    def test_ambiguous_diagram_files_exit(self, capsys, tmp_path):
+        # a rotation naming a slot twice, and a file with both fields: exit 2
+        # from every subcommand that reads a diagram file
+        d = two_bridge_diagram((2, 1, 2)).diagram
+        pairs = d.to_json()["rotation"]
+        (a, b), (c, e) = pairs[:2]
+        files = [({"rotation": pairs + [[a, c], [b, e]]}, "every slot must be paired exactly once"),
+                 ({"rotation": pairs + pairs[:1]}, "every slot must be paired exactly once"),
+                 ({"pd": [list(x) for x in d.pd_code()], "rotation": pairs},
+                  "give either a 'pd' or a 'rotation' field, not both")]
+        f = tmp_path / "bad.json"
+        for obj, message in files:
+            f.write_text(json.dumps(obj))
+            for cmd in (["cubing"], ["decide", "--crossing-arc", "c0"], ["svg", "-o", str(tmp_path / "unused.svg")]):
+                assert run(capsys, *cmd, "--pd", str(f)) == (2, "", f"error: malformed: {message}\n"), (obj, cmd)
+
+    def test_input_schema_and_from_json_agree(self):
+        # on which of the two fields an input carries, and of what type
+        d = two_bridge_diagram((2, 1, 2)).diagram
+        pd, rotation = [list(x) for x in d.pd_code()], d.to_json()["rotation"]
+        shapes = [{"pd": pd}, {"rotation": rotation}, {"pd": pd, "rotation": rotation},
+                  {"pd": pd, "rotation": 5}, {"pd": 5, "rotation": rotation}, {"pd": pd, "note": 5},
+                  {"rotation": rotation, "note": 5}, {}, {"note": 5}, {"pd": 5}, {"rotation": 5}]
+        for obj in shapes:
+            try:
+                validate(obj, "diagram.input.v1")
+                schema_accepts = True
+            except jsonschema.ValidationError:
+                schema_accepts = False
+            try:
+                AlternatingDiagram.from_json(obj)
+                accepted = True
+            except DiagramError:
+                accepted = False
+            assert accepted == schema_accepts, obj
 
     def test_pd_file_and_emit(self, capsys, tmp_path, corpus):
         pd = {"pd": [list(x) for x in corpus["C2_2"].pd_code()]}

@@ -20,6 +20,7 @@ from cuspcubes.diagram import (
     two_bridge_diagram,
 )
 from conftest import twist_sequences
+from diagram_oracles import tuple_views
 
 
 def wing_regions(w):
@@ -399,3 +400,34 @@ class TestWorkOnUse:
             counts = Counter((name, id(d)) for name, d in scans)
             assert {name for name, _ in counts} == {"prime", "reduced"}, argv
             assert max(counts.values()) == 1, argv
+
+    def test_regions_made_for_the_final_image_only(self, monkeypatch):
+        # a tunnel verdict builds no diagram, and a flype chain makes no
+        # Region record for the input diagram or an intermediate image; the
+        # final image's records are those of the tuple-slot face walk
+        init = AlternatingDiagram.__init__
+        built = []
+
+        def recording(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(AlternatingDiagram, "__init__", recording)
+        kinds = Counter()
+        for seq in ((2, 16, 2), (4, 4, 4, 4, 4), (5, 5, 5, 5)):
+            tb = two_bridge_diagram(seq)
+            for c in range(tb.diagram.n):
+                built.clear()
+                verdict = classify_2bridge_pair(tb, CrossingArc(c))
+                if "tunnel" in verdict:
+                    assert built == [], (seq, c)
+                    kinds["tunnel"] += 1
+                    continue
+                *intermediate, final = built
+                assert len(built) == verdict["flype"]["flype_steps"], (seq, c)
+                kinds[len(built)] += 1
+                for d in [tb.diagram] + intermediate:
+                    assert "regions" not in d.__dict__, (seq, c)
+                assert final.to_json() == verdict["witness_diagram"], (seq, c)
+                assert final.regions == tuple_views(final.n, final.pairing)[4], (seq, c)
+        assert kinds == {"tunnel": 22, 1: 22, 2: 16}

@@ -17,7 +17,7 @@ from cuspcubes.diagram import _mirror, _spot_options, _tail_flype
 from cuspcubes.cubing import _UnionFind
 from cuspcubes.farey import ContinuedFraction, cf_value
 from conftest import diagram_corpus, twist_sequences
-from diagram_oracles import _flype_disks, built_diagram, outcome, read_off, walked_diagram
+from diagram_oracles import _flype_disks, built_diagram, outcome, read_off, tuple_views, walked_views
 from gear_oracles import closed_form_classes, edge_arc_classes
 
 TREFOIL_PD = [(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)]
@@ -95,6 +95,21 @@ class TestConstruction:
             with pytest.raises(DiagramError, match="malformed"):
                 AlternatingDiagram.from_json(obj)
 
+    def test_rotation_naming_a_slot_twice_rejected(self):
+        # wiring the pairs in order, a later pair would re-pair an earlier
+        # one's slots: the (2,1,2) rotation with [a, c] and [b, e] taken from
+        # its first two pairs, and with its first pair repeated
+        pairs = two_bridge_diagram((2, 1, 2)).diagram.to_json()["rotation"]
+        (a, b), (c, e) = pairs[:2]
+        for rotation in (pairs + [[a, c], [b, e]], pairs + pairs[:1]):
+            with pytest.raises(DiagramError, match=r"^malformed: every slot must be paired exactly once$"):
+                AlternatingDiagram.from_json({"rotation": rotation})
+
+    def test_pd_and_rotation_together_rejected(self):
+        d = two_bridge_diagram((2, 1, 2)).diagram
+        with pytest.raises(DiagramError, match=r"^malformed: give either a 'pd' or a 'rotation' field, not both$"):
+            AlternatingDiagram.from_json({"pd": [list(x) for x in d.pd_code()], **d.to_json()})
+
     def test_non_alternating_rejected(self):
         # the trefoil with crossing 0 switched: planar, and a strand passes
         # over twice in a row
@@ -156,7 +171,8 @@ def spliced(d, e1, e2, cross):
 
 class TestParityOracle:
     """Colors from slot parity and alternation as edge parity, against the
-    strand walk and the depth-first coloring of `diagram_oracles`."""
+    strand walk and the depth-first coloring of `diagram_oracles`, and the
+    views built on flat slot ids against its tuple-slot face walk."""
 
     def test_corpus_twist_sequences_and_pretzels(self, corpus):
         diagrams = list(corpus.values())
@@ -164,7 +180,7 @@ class TestParityOracle:
         diagrams += [pretzel_diagram(*t) for k in (2, 3, 4) for t in product(range(1, 5), repeat=k)]
         assert len(diagrams) == 13 + 1013 + 336
         for d in diagrams:
-            assert read_off(d) == walked_diagram(d.n, d.pairing), d.pd_code()
+            assert read_off(d) == walked_views(d.n, d.pairing), d.pd_code()
 
     def test_eager_flype_trials(self, eager_corpus):
         # every trial rewiring, those the constructor refuses included
@@ -176,15 +192,15 @@ class TestParityOracle:
     @given(st.data())
     def test_mutated_pairings(self, data):
         # one crossing turned by one slot, or two edges spliced: the
-        # constructor accepts what the oracle accepts, reads the same colors
-        # and strands off it, and otherwise raises the same first error
+        # constructor accepts what the oracle accepts, reads the same colors,
+        # strands and views off it, and otherwise raises the same first error
         d = MUTATED[data.draw(st.sampled_from(sorted(MUTATED)))]
         if data.draw(st.booleans()):
             pairing = turned(d.pairing, data.draw(st.integers(0, d.n - 1)))
         else:
             edge = st.integers(0, len(d.edges) - 1)
             pairing = spliced(d, data.draw(edge), data.draw(edge), data.draw(st.booleans()))
-        assert outcome(built_diagram, d.n, pairing) == outcome(walked_diagram, d.n, pairing)
+        assert outcome(built_diagram, d.n, pairing) == outcome(walked_views, d.n, pairing)
 
 
 class TestPrimeReduced:
@@ -744,7 +760,7 @@ def eager_pinch_flypes(d, c, record):
     disks = [[] for _ in _flype_disks(d, c)]
     out = []
     for j, pairing, spot in eager_trials(d, c):
-        walked = outcome(walked_diagram, d.n, pairing)
+        walked = outcome(walked_views, d.n, pairing)
         try:
             d2 = AlternatingDiagram(d.n, pairing)
         except DiagramError as err:
@@ -814,7 +830,7 @@ def eager_corpus():
     `eager_pinch_flypes` call the survivors of each flype disk, per
     built trial rewiring its count of gear mismatches, and per trial
     rewiring whether the constructor built it and whether it agreed with
-    `diagram_oracles.walked_diagram`.
+    `diagram_oracles.walked_views`.
     """
     regions = []
     record = {"spots": [], "calls": [], "gear_mismatches": [], "oracle": []}
