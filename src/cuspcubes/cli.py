@@ -139,22 +139,21 @@ def cmd_cubing(args) -> int:
     from . import cubing as CB
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    if args.corpus:
+    if args.corpus is not None:
         # the flags of a single diagram would be silently dropped
         for flag in ("pd", "two_bridge", "corrupt", "emit_complex"):
             if getattr(args, flag) is not None:
                 raise ValueError(f"--corpus cannot be combined with --{flag.replace('_', '-')}")
         return _run_corpus(args, lambda d: _cubing_report(CB.build_cubing(d)))
-    if args.corrupt is not None and args.emit_complex:
+    if args.corrupt is not None and args.emit_complex is not None:
         # the file would pair the clean gluings with the corrupted counts
         raise ValueError("--corrupt cannot be combined with --emit-complex")
     cx = CB.build_cubing(_load_diagram(args)[1])
     if args.corrupt is not None:
         cx.corrupt(args.corrupt)
     out = _cubing_report(cx, with_tori=args.corrupt is None)
-    if args.emit_complex:
-        with open(args.emit_complex, "w") as fh:
-            fh.write(json.dumps(cx.to_json(), indent=2))
+    if args.emit_complex is not None:
+        CB.write_complex(cx, args.emit_complex)
         out["complex_written"] = args.emit_complex
     _emit(out, args.pretty)
     return 0 if out["npc"] else 1
@@ -280,10 +279,11 @@ def cmd_svg(args) -> int:
 def _run_corpus(args, worker) -> int:
     from pathlib import Path
     from .diagram import AlternatingDiagram
+    if not args.corpus:                 # Path('') is the working directory
+        raise ValueError("--corpus expects a directory, got ''")
     paths = sorted(Path(args.corpus).glob("*.json"))
     if not paths:
         raise ValueError(f"no .json diagrams under {args.corpus}")
-
     results = []
     for path in paths:
         with open(path) as fh:

@@ -16,16 +16,21 @@ non-positive curvature.
 Germs have dense ids.  Cube q = 2c + s (s = 0 under, 1 over) holds vertex
 germs 8q + 2p + (0 "bc", 1 "tc") at port p, edge germs 12q + 3p + (0 "ve",
 1 "be", 2 "te") and faces 6q + k (side k < 4, top 4, bottom 5).  Names such
-as ("bc", c, "over", p) are decoded only for output.
+as ("bc", c, "over", p) are decoded only for output.  Gluings are
+namedtuples of these ids, built from the diagram's slot ids and its flat
+`slot_region` list, so the cubing builds no `Region` record.  The emitted
+complex is written by `write_complex`, whose text is pinned to
+json.dumps(to_json(), indent=2).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field, replace
+import json
+from collections import defaultdict, namedtuple
+from dataclasses import dataclass
 from itertools import chain
 
-from .diagram import AlternatingDiagram, BLACK, WHITE, Region
+from .diagram import AlternatingDiagram, BLACK, WHITE
 
 
 class CubingError(ValueError):
@@ -34,16 +39,6 @@ class CubingError(ValueError):
 
 OVER, UNDER = "over", "under"
 PASSAGES = (UNDER, OVER)
-# germ kind -> (germs per cube, id step per port, offset)
-_LAYOUT = {"bc": (8, 2, 0), "tc": (8, 2, 1), "ve": (12, 3, 0), "be": (12, 3, 1),
-           "te": (12, 3, 2), "side": (6, 1, 0), "top": (6, 0, 4), "bottom": (6, 0, 5)}
-
-
-def germ_id(name: tuple) -> int:
-    """The id of a vertex germ, an edge germ or a square face, by name."""
-    per_cube, step, offset = _LAYOUT[name[0]]
-    port = name[3] if len(name) > 3 else 0
-    return (2 * name[1] + PASSAGES.index(name[2])) * per_cube + step * port + offset
 
 
 def vertex_name(g: int) -> tuple:
@@ -82,37 +77,9 @@ _CORNER_EDGES = tuple((3 * ((p - 1) % 4) + 1 + kind, 3 * p + 1 + kind, 3 * p)
                       for p in range(4) for kind in (0, 1))
 
 
-@dataclass(frozen=True)
-class Gluing:
-    """One identification of two square faces, with its germ matching."""
-
-    kind: str                       # "bottom" or "side"
-    faces: tuple                    # face ids
-    vertex_pairs: tuple             # pairs of corner germ ids
-    edge_pairs: tuple               # pairs of edge germ ids
-
-
-@dataclass
-class VertexLink:
-    """Abstract simplicial complex of cube corners at one vertex."""
-
-    vertex: object
-    vertices: tuple
-    edges: set                      # frozensets of 2 direction labels
-    triangles: set                  # frozensets of 3 direction labels
-    problems: list = field(default_factory=list)
-
-    @property
-    def simplicial(self) -> bool:
-        return not self.problems
-
-
-def is_flag(lk: VertexLink) -> bool:
-    """Every pairwise-joined vertex set spans a simplex: `_flag` on the
-    link's edges (the adjacency-walk oracle is in tests/cubing_oracles.py)."""
-    if lk.problems:
-        raise CubingError(f"link of {lk.vertex} is not simplicial: {lk.problems[0]}")
-    return _flag([tuple(e) for e in lk.edges], len(lk.triangles))
+# One identification of two square faces, with its germ matching: kind
+# "bottom" or "side", the two face ids, and pairs of corner and of edge germ ids.
+Gluing = namedtuple("Gluing", "kind faces vertex_pairs edge_pairs")
 
 
 def _flag(edges, triangles: int) -> bool:
@@ -128,8 +95,13 @@ def _flag(edges, triangles: int) -> bool:
     cliques = 0
     for a, b in edges:
         common = adj[a] & adj[b]
-        cliques += len(common)
-        if len(common) > 1:
+        k = len(common)
+        cliques += k
+        if k == 2:
+            c, e = common
+            if c in adj[e]:
+                return False
+        elif k > 2:
             for c in common:
                 if not common.isdisjoint(adj[c]):
                     return False
@@ -189,19 +161,22 @@ class CubedComplex:
 
     def _build_gluings(self) -> None:
         d = self.diagram
-        region_of_slot = d.region_of_slot
+        region = d.slot_region
         # cube 2c + 1 (over) meets cube 2c (under) along their bottom faces
         gluings = [Gluing("bottom", (12 * c + 11, 12 * c + 5),
                           tuple((16 * c + 8 + 2 * p, 16 * c + 2 * p) for p in range(4)),
                           tuple((24 * c + 13 + 3 * k, 24 * c + 1 + 3 * k) for k in range(4)))
                    for c in range(d.n)]
-        for eid, ((c1, p1), (c2, p2)) in enumerate(d.edges):
+        for (c1, p1), (c2, p2) in d.edges:
             q1, q2 = 2 * c1 + (p1 & 1), 2 * c2 + (p2 & 1)
-            for rid in set(d.edge_sides(eid)):
+            r1, r2 = region[4 * c1 + p1], region[4 * c2 + p2]
+            for rid in {r1, r2}:
                 # at each end, the corner k beside the port that lies in the
-                # region, and the far port of the side face k
-                k1 = p1 if region_of_slot[(c1, (p1 + 1) % 4)] == rid else (p1 - 1) % 4
-                k2 = p2 if region_of_slot[(c2, (p2 + 1) % 4)] == rid else (p2 - 1) % 4
+                # region, and the far port of the side face k.  The face
+                # through a slot goes on at the slot after its twin, so the
+                # corner after port p1 lies in r2 and the one after p2 in r1.
+                k1 = p1 if rid == r2 else (p1 - 1) % 4
+                k2 = p2 if rid == r1 else (p2 - 1) % 4
                 far1 = k1 if k1 != p1 else (k1 + 1) % 4
                 far2 = k2 if k2 != p2 else (k2 + 1) % 4
                 port1, f1 = 8 * q1 + 2 * p1, 8 * q1 + 2 * far1
@@ -218,13 +193,16 @@ class CubedComplex:
         """Negative control: uncross side gluing k, which matches each
         cube's port corner with the other's far corner, so that ports meet
         ports, and close the classes again; verify_npc then fails at a
-        located vertex.  A bottom gluing (k < n) is left as it is."""
+        located vertex.  A bottom gluing (k < n) is left as it is, so that
+        control passes: perfbench/checks.py files its exit 0 as a known
+        failure and perfbench's tests pin that, so a mend lands with a
+        revision of the benchmark."""
         if not 0 <= k < len(self.gluings):
             raise CubingError(f"no gluing {k}: indices run from 0 to {len(self.gluings) - 1}")
         g = self.gluings[k]
         if g.kind == "side":
-            self.gluings[k] = replace(
-                g, vertex_pairs=_swap_partners(g.vertex_pairs),
+            self.gluings[k] = g._replace(
+                vertex_pairs=_swap_partners(g.vertex_pairs),
                 edge_pairs=g.edge_pairs[:2] + _swap_partners(g.edge_pairs[2:]))
             self._close_classes()
         return self
@@ -232,7 +210,8 @@ class CubedComplex:
     # -- class closure -------------------------------------------------------
 
     def _close_classes(self) -> None:
-        d, n = self.diagram, self.diagram.n
+        n = self.diagram.n
+        region = self.diagram.slot_region
         vtx, edg = _UnionFind(16 * n), _UnionFind(24 * n)
         vtx.union(chain.from_iterable(g.vertex_pairs for g in self.gluings))
         edg.union(chain.from_iterable(g.edge_pairs for g in self.gluings))
@@ -256,7 +235,8 @@ class CubedComplex:
         for root in eclasses:
             q, r = divmod(root, 12)
             if r % 3 == 1:
-                self.inner_edges[root] = d.corner_region(q >> 1, r // 3).index
+                # corner k = r // 3 of crossing q >> 1 lies in the region of slot k + 1
+                self.inner_edges[root] = region[4 * (q >> 1) + (r // 3 + 1) % 4]
             else:
                 (self.vertical_edges if r % 3 == 0 else self.boundary_edges).append(root)
         self.region_edge = {rid: root for root, rid in self.inner_edges.items()}
@@ -311,17 +291,6 @@ class CubedComplex:
     def vertices(self) -> list:
         return list(self.inner_vertices) + list(self.boundary_vertices)
 
-    def vertex_link(self, v) -> VertexLink:
-        """Simplicial complex of cube corners at a vertex class: `_link`
-        with its vertex and directions named.  At the two inner vertices
-        this is the dual of the diagram with the dual region around each
-        crossing subdivided by a cone point."""
-        edges, triangles, problems = self._link(germ_id(v))
-        name = {x: edge_name(x) for s in (*triangles, *edges) for x in s}
-        edges, triangles = ({frozenset(name[x] for x in s) for s in simplices}
-                            for simplices in (edges, triangles))
-        return VertexLink(v, tuple(sorted(name.values(), key=str)), edges, triangles, problems)
-
     def _link(self, v: int) -> tuple:
         """The link of vertex class v on edge class ids, from the corner
         germs and square corners that the closure filed under v: edges
@@ -333,11 +302,18 @@ class CubedComplex:
         for g in corners:
             base = 12 * (g >> 3)
             x, y, z = _CORNER_EDGES[g & 7]
-            t = tuple(sorted((eroot[base + x], eroot[base + y], eroot[base + z])))
-            if t[0] == t[1] or t[1] == t[2]:
+            a, b, c = eroot[base + x], eroot[base + y], eroot[base + z]
+            if a > b:
+                a, b = b, a
+            if b > c:
+                b, c = c, b
+                if a > b:
+                    a, b = b, a
+            if a == b or b == c:
                 _kind, c, s, p = vertex_name(g)
                 problems.append(f"degenerate corner of cube ({c},{s}) at port {p}")
                 continue
+            t = (a, b, c)
             if t in triangles:
                 _kind, c, s, _p = vertex_name(g)
                 problems.append(f"corner of cube ({c},{s}) repeats the simplex of "
@@ -386,8 +362,8 @@ def build_cubing(d: AlternatingDiagram) -> CubedComplex:
 
 def verify_npc(cx: CubedComplex) -> dict:
     """Run the flag criterion, `_flag`'s clique count, over every vertex
-    link on edge class ids, with no VertexLink built and names decoded for
-    failing vertices only (oracles in tests/cubing_oracles.py).  Returns
+    link on edge class ids, with names decoded for failing vertices only
+    (the named links and the oracles are in tests/cubing_oracles.py).  Returns
     {"npc": bool, "vertices": [...], "failures": [...]}; a pass at every
     vertex establishes non-positive curvature."""
     entries, failures = [], []
@@ -403,18 +379,6 @@ def verify_npc(cx: CubedComplex) -> dict:
         if not ok:
             failures.append({"vertex": str(name), "kind": kind, "reason": reason})
     return {"npc": not failures, "vertices": entries, "failures": failures}
-
-
-def link_angle_class(cx: CubedComplex, v, r1, r2) -> str:
-    """'orthogonal' when the two region directions are joined in the link,
-    'far' otherwise; defined at the two inner vertices."""
-    rid1, rid2 = (r.index if isinstance(r, Region) else r for r in (r1, r2))
-    if rid1 == rid2:
-        raise CubingError("need two distinct regions")
-    if v not in set(cx.inner_vertices):
-        raise CubingError("angle classes are defined at the inner vertices")
-    a, b = sorted((cx.region_edge[rid1], cx.region_edge[rid2]))
-    return "orthogonal" if (a, b) in cx._link(germ_id(v))[0] else "far"
 
 
 @dataclass
@@ -457,3 +421,21 @@ def boundary_cubings(cx: CubedComplex) -> list[BoundaryTorus]:
         chi = len(vclasses) - len(eclasses) + len(squares)
         tori.append(BoundaryTorus(comp, squares, chi, diag, len(diag)))
     return tori
+
+
+def write_complex(cx: CubedComplex, path) -> None:
+    """Write cx.to_json() to path with the exact text of json.dumps(...,
+    indent=2), but not through that dump, which runs in the json module's
+    pure-Python encoder: one template per cube and per gluing, and
+    json.dumps for the counts.  Passage and face names hold no character
+    that JSON escapes; tests/test_golden.py pins the text."""
+    data = cx.to_json()
+    cubes = ",\n".join(f'    [\n      {c},\n      "{s}"\n    ]' for c, s in data["cubes"])
+    sep = '",\n          "'
+    gluings = ",\n".join(
+        f'    {{\n      "kind": "{kind}",\n      "faces": [\n        [\n          "{sep.join(f1)}"\n'
+        f'        ],\n        [\n          "{sep.join(f2)}"\n        ]\n      ]\n    }}'
+        for kind, (f1, f2) in map(dict.values, data["gluings"]))
+    tail = json.dumps({"counts": data["counts"], "hyperplanes": data["hyperplanes"]}, indent=2)
+    with open(path, "w") as fh:             # tail[2:] drops the tail's opening "{\n"
+        fh.write(f'{{\n  "cubes": [\n{cubes}\n  ],\n  "gluings": [\n{gluings}\n  ],\n{tail[2:]}')

@@ -83,10 +83,10 @@ class AlternatingDiagram:
     Construction checks, in order: 4-valence and involutive pairing,
     connectivity, sphericity (V - E + F = 2) and alternation, and reports
     the first violated invariant by name.  They run on flat slot ids
-    h = 4c + i; int lists keep each slot's twin, edge and region and each
-    face walk.  A region's color is read off the parity of its slots; the
-    `Region` records, strands, primeness and reducedness are computed on
-    first use.
+    h = 4c + i; int lists keep each slot's twin, edge and region (the
+    public `slot_region`) and each face walk.  A region's color is read off
+    the parity of its slots; the `Region` records, strands, primeness and
+    reducedness are computed on first use.
     """
 
     def __init__(self, n: int, pairing: dict[Slot, Slot]):
@@ -147,7 +147,8 @@ class AlternatingDiagram:
         if not all(k & 1 for k in twin[0::2]):
             raise DiagramError("non-alternating: consecutive passages on a strand agree")
         self.region_of_slot: dict[Slot, int] = dict(zip(slots, region))
-        self._twin, self._edge, self._region, self._walks = twin, edge, region, walks
+        self.slot_region: list[int] = region         # region_of_slot by slot id 4c + i
+        self._twin, self._edge, self._walks = twin, edge, walks
 
     # -- construction helpers ------------------------------------------------
 
@@ -266,7 +267,7 @@ class AlternatingDiagram:
         gives every edge one even slot, so the even slots list each edge
         once, with its sides in a fixed order.
         """
-        region, twin = self._region, self._twin
+        region, twin = self.slot_region, self._twin
         return len({(region[h], region[twin[h]]) for h in range(0, 4 * self.n, 2)}) == 2 * self.n
 
     @cached_property

@@ -3,11 +3,74 @@ the link of a vertex class as frozensets of edge class ids, and the flag
 check as a walk over an adjacency dict that looks every common neighbour's
 triangle up.  `cuspcubes.cubing` builds the same links on id tuples and
 decides flagness by counting cliques; these are the references for both.
+The named forms live here too: `VertexLink`, `vertex_link` and `is_flag`
+on germ names, `germ_id`, which encodes a name, and `link_angle_class`.
 """
 
+from dataclasses import dataclass, field
 from itertools import combinations
 
-from cuspcubes.cubing import _CORNER_EDGES, CubingError, VertexLink, edge_name, face_name, vertex_name
+from cuspcubes.cubing import (_CORNER_EDGES, PASSAGES, CubingError, _flag, edge_name, face_name,
+                              vertex_name)
+from cuspcubes.diagram import Region
+
+# germ kind -> (germs per cube, id step per port, offset)
+_LAYOUT = {"bc": (8, 2, 0), "tc": (8, 2, 1), "ve": (12, 3, 0), "be": (12, 3, 1),
+           "te": (12, 3, 2), "side": (6, 1, 0), "top": (6, 0, 4), "bottom": (6, 0, 5)}
+
+
+def germ_id(name: tuple) -> int:
+    """The id of a vertex germ, an edge germ or a square face, by name."""
+    per_cube, step, offset = _LAYOUT[name[0]]
+    port = name[3] if len(name) > 3 else 0
+    return (2 * name[1] + PASSAGES.index(name[2])) * per_cube + step * port + offset
+
+
+@dataclass
+class VertexLink:
+    """Abstract simplicial complex of cube corners at one vertex."""
+
+    vertex: object
+    vertices: tuple
+    edges: set                      # frozensets of 2 direction labels
+    triangles: set                  # frozensets of 3 direction labels
+    problems: list = field(default_factory=list)
+
+    @property
+    def simplicial(self) -> bool:
+        return not self.problems
+
+
+def vertex_link(cx, v) -> VertexLink:
+    """Simplicial complex of cube corners at a vertex class: `_link` with
+    its vertex and directions named.  At the two inner vertices this is the
+    dual of the diagram with the dual region around each crossing
+    subdivided by a cone point."""
+    edges, triangles, problems = cx._link(germ_id(v))
+    name = {x: edge_name(x) for s in (*triangles, *edges) for x in s}
+    edges, triangles = ({frozenset(name[x] for x in s) for s in simplices}
+                        for simplices in (edges, triangles))
+    return VertexLink(v, tuple(sorted(name.values(), key=str)), edges, triangles, problems)
+
+
+def is_flag(lk: VertexLink) -> bool:
+    """Every pairwise-joined vertex set spans a simplex: `cubing._flag` on
+    the link's edges."""
+    if lk.problems:
+        raise CubingError(f"link of {lk.vertex} is not simplicial: {lk.problems[0]}")
+    return _flag([tuple(e) for e in lk.edges], len(lk.triangles))
+
+
+def link_angle_class(cx, v, r1, r2) -> str:
+    """'orthogonal' when the two region directions are joined in the link,
+    'far' otherwise; defined at the two inner vertices."""
+    rid1, rid2 = (r.index if isinstance(r, Region) else r for r in (r1, r2))
+    if rid1 == rid2:
+        raise CubingError("need two distinct regions")
+    if v not in set(cx.inner_vertices):
+        raise CubingError("angle classes are defined at the inner vertices")
+    a, b = sorted((cx.region_edge[rid1], cx.region_edge[rid2]))
+    return "orthogonal" if (a, b) in cx._link(germ_id(v))[0] else "far"
 
 
 def frozenset_link(cx, v: int) -> VertexLink:

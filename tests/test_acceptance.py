@@ -8,7 +8,7 @@ see the per-criterion lines.
 import time
 from math import gcd
 
-from cuspcubes.cubing import boundary_cubings, build_cubing, link_angle_class, verify_npc
+from cuspcubes.cubing import boundary_cubings, build_cubing, verify_npc
 from cuspcubes.decide import FREE_GEOMETRICALLY_FINITE, GENERATES_LINK_GROUP, classify_2bridge_pair
 from cuspcubes.diagram import (AlternatingDiagram, CrossingArc, arc_crossing,
                                region_adjacent, two_bridge_diagram)
@@ -18,6 +18,7 @@ from cuspcubes.pingpong import (COMMUTING, FREE_CERTIFIED, INCONCLUSIVE, MAX_WOR
                                 MobiusMap, free_word_sanity, pingpong_certificate)
 from cuspcubes.polyhedra import build_polyhedra
 from conftest import diagram_corpus, twist_sequences
+from cubing_oracles import link_angle_class
 from farey_oracles import covering_slope_search_oracle, differ_by_integer
 from gear_oracles import closed_form_classes, edge_arc_classes, transfer_pairs
 

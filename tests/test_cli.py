@@ -250,7 +250,8 @@ class TestCubing:
         # the file would pair the clean gluings with the corrupted counts
         monkeypatch.chdir(tmp_path)
         for argv in (("--corrupt", "5", "--emit-complex", "complex.json"),
-                     ("--emit-complex", "complex.json", "--corrupt", "0")):
+                     ("--emit-complex", "complex.json", "--corrupt", "0"),
+                     ("--corrupt", "5", "--emit-complex", "")):
             code, out, err = run(capsys, "cubing", "--two-bridge", "2,2", *argv)
             assert code == 2 and out == "", argv
             assert err == "error: --corrupt cannot be combined with --emit-complex\n", argv
@@ -291,6 +292,18 @@ class TestCubing:
         code, out, err = run(capsys, "cubing", "--corpus", str(pd_corpus_dir), "--jobs", jobs)
         assert code == 2 and out == ""
         assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+
+    def test_empty_path_values_are_given(self, capsys, tmp_path, monkeypatch):
+        # an empty --emit-complex or --corpus is given, as an empty --two-bridge
+        # is: no silent skip, and no glob of the working directory
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "trefoil.json").write_text(json.dumps({"pd": [[1, 4, 2, 5], [3, 6, 4, 1],
+                                                                [5, 2, 6, 3]]}))
+        assert run(capsys, "cubing", "--two-bridge", "2,2", "--emit-complex", "") == (
+            2, "", "error: [Errno 2] No such file or directory: ''\n")
+        assert run(capsys, "cubing", "--corpus", "") == (
+            2, "", "error: --corpus expects a directory, got ''\n")
+        assert [f.name for f in tmp_path.iterdir()] == ["trefoil.json"]
 
     def test_empty_corpus_exit(self, capsys, tmp_path):
         # exit 1 would mean a diagram failed the NPC check

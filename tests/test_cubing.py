@@ -9,13 +9,14 @@ import pytest
 
 from cuspcubes import cubing
 from cuspcubes.cubing import (
-    PASSAGES, CubingError, VertexLink, _flag, boundary_cubings, build_cubing, edge_name,
-    face_name, germ_id, is_flag, link_angle_class, verify_npc, vertex_name,
+    PASSAGES, CubingError, _flag, boundary_cubings, build_cubing, edge_name, face_name,
+    verify_npc, vertex_name,
 )
 from cuspcubes.diagram import (
     AlternatingDiagram, pretzel_diagram, region_adjacent, two_bridge_diagram,
 )
-from cubing_oracles import frozenset_link, walked_is_flag
+from cubing_oracles import (VertexLink, frozenset_link, germ_id, is_flag, link_angle_class,
+                            vertex_link, walked_is_flag)
 from diagram_oracles import walked_diagram
 
 GOLDEN = Path(__file__).parent / "data" / "corrupt_npc_golden.json"
@@ -91,7 +92,7 @@ def find_based_links(cx) -> dict:
     """Vertex class -> link, built from cx.gluings, read by name, with a
     union-find lookup for every germ name: the square faces at each vertex
     are filed whole, and each link finds the class of every corner of every
-    face it touches.  An oracle for CubedComplex.vertex_link."""
+    face it touches.  An oracle for vertex_link."""
     vtx, edg, sqr = map(NamedUnionFind, first_seen_germs(cx.diagram.n))
     for g in cx.gluings:
         sqr.union(*map(face_name, g.faces))
@@ -147,7 +148,7 @@ def assert_links_match_oracle(cx, label):
     assert sorted(cx.vertices(), key=str) == sorted(want, key=str), label
     for v in cx.vertices():
         # vertex, vertices, edges, triangles and the ordered problems
-        assert cx.vertex_link(v) == want[v], (label, v)
+        assert vertex_link(cx, v) == want[v], (label, v)
 
 
 def _has_perfect_matching(compatible: dict, n: int) -> bool:
@@ -245,7 +246,7 @@ class TestVertexLinks:
         for name, d in corpus.items():
             cx = build_cubing(d)
             for v in cx.inner_vertices:
-                lk = cx.vertex_link(v)
+                lk = vertex_link(cx, v)
                 assert lk.simplicial, name
                 assert len(lk.triangles) == 4 * d.crossing_count, name
                 assert len(lk.vertices) == (d.crossing_count + 2) + d.crossing_count, name
@@ -292,7 +293,7 @@ class TestVertexLinks:
 
     def test_boundary_links_flag(self, fig8_cx):
         for v in fig8_cx.boundary_vertices:
-            lk = fig8_cx.vertex_link(v)
+            lk = vertex_link(fig8_cx, v)
             assert lk.simplicial
             assert is_flag(lk)
 
@@ -301,9 +302,9 @@ class TestVertexLinks:
             cx = build_cubing(d)
             n = d.crossing_count
             for v in cx.inner_vertices:
-                assert len(cx.vertex_link(v).edges) == 6 * n, name
+                assert len(vertex_link(cx, v).edges) == 6 * n, name
             for v in cx.boundary_vertices:
-                lk = cx.vertex_link(v)
+                lk = vertex_link(cx, v)
                 assert (len(lk.vertices), len(lk.edges), len(lk.triangles)) == (5, 8, 4), name
 
 
@@ -541,16 +542,9 @@ class TestGermIds:
         assert sum(calls.values()) <= len(rep["vertices"]), calls
 
     def test_verify_builds_no_link_objects(self, monkeypatch):
-        # verify_npc at 40 crossings makes no VertexLink, and decodes names
-        # only for the germs and directions of failing vertices
-        built = Counter()
-
-        class CountedLink(VertexLink):
-            def __init__(self, *args, **kwargs):
-                built["VertexLink"] += 1
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(cubing, "VertexLink", CountedLink)
+        # verify_npc at 40 crossings decodes names only for the germs and
+        # directions of failing vertices; the named VertexLink is a test oracle
+        assert not hasattr(cubing, "VertexLink")
         d = two_bridge_diagram((2,) * 20).diagram
         clean = build_cubing(d)
         decoded = []
@@ -560,12 +554,12 @@ class TestGermIds:
                 return real(g)
             monkeypatch.setattr(cubing, decoder, recorded)
         assert verify_npc(clean)["npc"]
-        assert decoded == [] and not built
+        assert decoded == []
         for k in (2 * d.n, 3 * d.n + 1, 5 * d.n - 1):
             cx = build_cubing(d).corrupt(k)
             decoded.clear()
             rep = verify_npc(cx)
-            assert rep["failures"] and decoded and not built, k
+            assert rep["failures"] and decoded, k
             failing = {v for v, name in zip(cx._vertex_ids, cx.vertices())
                        if str(name) in {f["vertex"] for f in rep["failures"]}}
             directions = {x for v in failing for s in cx._link(v)[0] for x in s}
@@ -576,12 +570,19 @@ class TestGermIds:
                     assert g in directions, (k, g)
                 else:
                     assert any(sq[0] == g for v in failing for sq in cx._links[v][1]), (k, g)
-        # the counter sees the links that vertex_link names
-        clean.vertex_link(clean.inner_vertices[0])
-        assert built["VertexLink"] == 1
 
 
 class TestSerialization:
+    def test_cubing_builds_no_region_records(self):
+        # the gluings and inner edges read the diagram's flat slot_region list
+        pd = [list(x) for x in pretzel_diagram(3, 3, 4).pd_code()]
+        d = AlternatingDiagram.from_json({"pd": pd})
+        cx = build_cubing(d)
+        assert verify_npc(cx)["npc"]
+        boundary_cubings(cx)
+        cx.to_json()
+        assert "regions" not in d.__dict__
+
     def test_json_dump(self, fig8_cx):
         data = fig8_cx.to_json()
         assert len(data["cubes"]) == 8

@@ -1,18 +1,22 @@
 """Byte-identical output: sha256 digests of the JSON that `decide`,
-`cubing --emit-complex`, `verify_npc`, the two-bridge builder and the
-ping-pong certificates and word checks produce and of the SVG text of
+`CubedComplex.to_json` (compact), `verify_npc`, the two-bridge builder and
+the ping-pong certificates and word checks produce and of the SVG text of
 `circle_pattern_svg`, one per input family,
 recorded in tests/data/golden_digests.json.  A change that alters any of
 these outputs must say so and record them again:
 
     PYTHONPATH=src:tests python tests/test_golden.py > tests/data/golden_digests.json
+
+The file that `cubing --emit-complex` writes is pinned apart, as the text
+of json.dumps(to_json(), indent=2) on the corpus and the ladder diagrams.
 """
 
 import hashlib
 import json
 from pathlib import Path
 
-from cuspcubes.cubing import build_cubing, verify_npc
+from cuspcubes import cli
+from cuspcubes.cubing import build_cubing, verify_npc, write_complex
 from cuspcubes.decide import classify_2bridge_pair
 from cuspcubes.diagram import CrossingArc, pretzel_diagram, two_bridge_diagram
 from cuspcubes.pingpong import free_word_sanity, pingpong_certificate_float
@@ -122,6 +126,20 @@ FAMILIES = {"decide": decide_outputs, "complex": complex_outputs, "npc": npc_out
 def test_emitted_complexes_match_schema():
     for line in complex_outputs():
         validate(json.loads(line), "cubing.complex.v1")
+
+
+def test_emitted_file_is_the_indented_dump(tmp_path):
+    path = tmp_path / "complex.json"
+    for d in [*diagram_corpus().values(), *ladder_diagrams()]:
+        cx = build_cubing(d)
+        write_complex(cx, path)
+        assert path.read_text() == json.dumps(cx.to_json(), indent=2), d
+    # once through the command line, with its file written in text mode
+    pd = tmp_path / "pretzel.json"
+    pd.write_text(json.dumps({"pd": [list(x) for x in pretzel_diagram(3, 3, 4).pd_code()]}))
+    assert cli.main(["cubing", "--pd", str(pd), "--emit-complex", str(path)]) == 0
+    want = json.dumps(build_cubing(pretzel_diagram(3, 3, 4)).to_json(), indent=2)
+    assert path.read_bytes() == want.encode()
 
 
 def test_outputs_match_recorded_digests():

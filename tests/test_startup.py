@@ -71,6 +71,13 @@ def test_subcommand_loads_its_modules(argv, modules):
     assert package(loaded) == {"cuspcubes.cli"} | {"cuspcubes." + m for m in modules}
 
 
+def test_emit_complex_loads_no_typing(tmp_path):
+    # the gluing record is a collections.namedtuple, not a typing.NamedTuple
+    _, loaded = new_modules(["cubing", "--two-bridge", "2,2", "--emit-complex",
+                             str(tmp_path / "complex.json")])
+    assert "cuspcubes.cubing" in loaded and "typing" not in loaded
+
+
 def test_farey_loads_no_fractions():
     *_, loaded = new_modules(
         ["farey", "dist", "1/0", "2/5"], ["farey", "cf", "3/7"], ["farey", "covering-slope", "3/7"],
