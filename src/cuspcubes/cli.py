@@ -357,8 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("m2")
     # 12 is pingpong.MAX_WORD_LENGTH, written out so that the parser loads no module
     pp.add_argument("--words", type=int, default=0, metavar="N",
-                    help="also check that no reduced word of length 1..N is the identity "
-                         "(N <= 12)")
+                    help="when the verdict is FreeCertified, also check that no reduced "
+                         "word of length 1..N is the identity (N <= 12)")
     pp.add_argument("--mode", choices=("exact", "float"), default="exact")
     pp.add_argument("--tolerance", type=float, default=None,
                     help="float mode only (default 1e-12)")

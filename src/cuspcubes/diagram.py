@@ -277,10 +277,6 @@ class AlternatingDiagram:
 
     # -- queries ---------------------------------------------------------
 
-    @property
-    def crossing_count(self) -> int:
-        return self.n
-
     def corner_region(self, c: int, k: int) -> Region:
         """Region at the corner of crossing c between ports k and k+1."""
         return self.regions[self.region_of_slot[(c, (k + 1) % 4)]]
@@ -292,15 +288,6 @@ class AlternatingDiagram:
         if found[0].index == found[1].index:
             raise DiagramError("non-prime: the two same-color corners at a crossing coincide")
         return found[0], found[1]
-
-    def edge_endpoints(self, eid: int) -> tuple[int, int]:
-        a, b = tuple(self.edges[eid])
-        return a[0], b[0]
-
-    def edge_sides(self, eid: int) -> tuple[int, int]:
-        """Region indices on the two sides of an edge."""
-        a, b = tuple(self.edges[eid])
-        return self.region_of_slot[a], self.region_of_slot[b]
 
     def __repr__(self) -> str:
         return f"AlternatingDiagram({self.n} crossings, {len(self._walks)} regions)"

@@ -109,13 +109,6 @@ def parse_slope(text) -> Slope:
 # Farey graph
 # ---------------------------------------------------------------------------
 
-def farey_adjacent(r: Slope, s: Slope) -> bool:
-    """True iff r and s span an edge of the tessellation: |q*p' - q'*p| = 1."""
-    if r == s:
-        raise FareyError("self-adjacency is undefined")
-    return abs(r.q * s.p - s.q * r.p) == 1
-
-
 def _dist_from_infinity(x: Slope) -> int:
     """Farey-graph distance d(oo, x), one step per partial quotient of x.
 
@@ -327,11 +320,6 @@ def two_bridge_equivalent(r: Slope, s: Slope, orientation_preserving: bool) -> t
 def two_bridge_hyperbolic(r: Slope) -> bool:
     """The two-bridge link of slope r is hyperbolic iff d(oo, r) >= 3."""
     return farey_distance(INFINITY, r) >= 3
-
-
-def rational_p3_trivial(r: Slope) -> bool:
-    """The projective rational link of slope r bounds a disk iff r is 0 or oo."""
-    return r in (ZERO, INFINITY)
 
 
 def rational_p3_hyperbolic(r: Slope) -> bool:

@@ -13,7 +13,7 @@ Both paths run one routine, _decide, on scaled forms (D, D*M): the exact
 path on Gaussian integers, the numeric path on determinant-one floats with
 D = 1.0.  An exact map is stored only as its scaled form, and its
 determinant is checked once, when the map is made.  Fractions are built
-only when entries are parsed and when maps and disks are emitted.  Radii
+only when entries are parsed; emitted rationals come from one gcd.  Radii
 are irrational in general (1/|c|), so exact disks store the squared
 radius and every comparison is the rational test
     dist^2 >= r1^2 + r2^2 + 2*sqrt(r1^2 * r2^2),
@@ -98,9 +98,15 @@ def _gauss_of(x) -> tuple[Fraction, Fraction]:
     return re, im
 
 
+def _ratio(n: int, q: int) -> str:
+    """str(Fraction(n, q)) for q > 0, without building the Fraction."""
+    g = math.gcd(n, q)
+    return str(n // g) if q == g else f"{n // g}/{q // g}"
+
+
 def _json(p, q: int) -> list[str]:
     """The Gaussian value p/q as [re, im] rational strings."""
-    return [str(Fraction(p[0], q)), str(Fraction(p[1], q))]
+    return [_ratio(p[0], q), _ratio(p[1], q)]
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +233,7 @@ def _scaled_disk(u, c, den) -> tuple[int, ...]:
 
 
 def _disk_json(x: tuple[int, ...]) -> dict:
-    return {"center": _json(x[:2], x[2]), "radius2": str(Fraction(x[3], x[2] * x[2]))}
+    return {"center": _json(x[:2], x[2]), "radius2": _ratio(x[3], x[2] * x[2])}
 
 
 def _butterfly(den: int, e: tuple[int, ...]) -> dict:
@@ -376,7 +382,9 @@ def pingpong_certificate(m1: MobiusMap, m2: MobiusMap) -> dict:
     return out
 
 
-MAX_WORD_LENGTH = 12          # words of length <= 6: 1,456 products, 1,457 keys held
+# N = 2h takes 2*(3^h - 1) matrix products and N = 2h + 1 takes 3^(h+1) - 1:
+# 1,456 at the cap N = 12 and 728 at N = 11
+MAX_WORD_LENGTH = 12
 
 
 def check_word_length(max_length: int) -> None:
@@ -387,47 +395,63 @@ def check_word_length(max_length: int) -> None:
         raise PingPongError(f"word length {max_length} exceeds MAX_WORD_LENGTH = {MAX_WORD_LENGTH}")
 
 
-def _primitive(e: tuple[int, ...]) -> tuple[int, ...]:
-    """e divided by the gcd of its entries, negated if it starts negative."""
-    g = math.gcd(*e)
-    if e < (0,) * 8:
-        g = -g
-    return e if g == 1 else tuple(x // g for x in e)
+# The letters put in front of a word with first letter f, by f (-1 for the
+# empty word): stored levels put every letter but f ^ 1, which undoes f; the
+# probes put letter 0, and letters 0 and 3 in front of the word marked -1.
+_STORE = ((0, 2, 3), (1, 2, 3), (0, 1, 2), (0, 1, 3), (0, 1, 2, 3))
+_PROBE = ((0,), (), (0,), (0,), (0, 3))
 
 
 def free_word_sanity(m1: MobiusMap, m2: MobiusMap, max_length: int) -> bool:
     """No nonempty reduced word of length <= N = max_length in the generators
     is the identity; vacuously true for N = 0.
 
-    Meet in the middle: a trivial reduced word of length n is u*x with u and
-    x^-1 distinct reduced words of lengths ceil(n/2) and floor(n/2) that are
-    the same map, and distinct words u = v of lengths a and b make u*v^-1
-    reduce to a nonempty trivial word of length <= a + b.  The words of length
-    <= ceil(N/2) are built breadth-first, each keyed by the _primitive form of
-    its Gaussian-integer matrix, a scalar times an SL2 matrix: two words have
-    one key exactly when they are the same map.  The check fails when a word
-    of length a meets a key first reached at length b with a + b <= N.  N
-    outside 0..MAX_WORD_LENGTH raises PingPongError.
+    Meet in the middle.  A word's key is its Gaussian-integer matrix over the
+    gcd of its entries, negated if the first nonzero entry is negative: two
+    words share a key exactly when they are the same map, and then u*v^-1
+    reduces to a nonempty trivial word of length <= |u| + |v|.  Every reduced
+    word of length <= h = floor(N/2) is built, a letter in front of a word of
+    the level before, and stored; a repeated key fails the check, as every
+    trivial word of length <= 2h is u*x with u and x^-1 stored.  Odd N = 2h + 1
+    then probes 3^h + 1 words of length h + 1, looked up and not stored.  A
+    shortest trivial word w is cyclically reduced, so each rotation of w and
+    of w^-1 is trivial too.  If w has length N and holds m1^+-1, one of them
+    starts with letter 0 (m1) and is u*x with |u| = h + 1 and x^-1 stored: the
+    probes are the words of length h + 1 that start with letter 0.  Otherwise
+    w = m2^+-N, and the last probe m2^-(h+1) meets the stored m2^h.  N outside
+    0..MAX_WORD_LENGTH raises PingPongError.
     """
     check_word_length(max_length)
-    e1, e2 = m1.e, m2.e
-    gens = (e1, _inverse(e1), e2, _inverse(e2))      # letter g ^ 1 undoes letter g
+    half = max_length // 2
+    gens = (m1.e, _inverse(m1.e), m2.e, _inverse(m2.e))
     identity = (1, 0, 0, 0, 0, 0, 1, 0)
-    first_length = {identity: 0}
-    frontier = [(-1, identity)]                       # (last letter or -1, primitive matrix)
-    for length in range(1, (max_length + 1) // 2 + 1):
+    seen = {identity}
+    frontier = [(-1, identity)]                       # (first letter or -1, key)
+    before = _STORE
+    for length in range(1, half + 1 + max_length % 2):
+        stored = length <= half
+        if not stored:
+            # letter 3 goes in front last, so the last word is m2^-h
+            before = _PROBE
+            frontier[-1] = (-1, frontier[-1][1])
         words = []
-        for last, mat in frontier:
-            for g, gm in enumerate(gens):
-                if g == last ^ 1:
-                    continue
-                key = _primitive(_gauss_matmul(mat, gm))
-                b = first_length.get(key)
-                if b is None:
-                    first_length[key] = length
-                elif b + length <= max_length:
+        for first, (er, ei, fr, fi, gr, gi, hr, hi) in frontier:
+            for g in before[first]:
+                ar, ai, br, bi, cr, ci, dr, di = gens[g]
+                key = (ar * er - ai * ei + br * gr - bi * gi, ar * ei + ai * er + br * gi + bi * gr,
+                       ar * fr - ai * fi + br * hr - bi * hi, ar * fi + ai * fr + br * hi + bi * hr,
+                       cr * er - ci * ei + dr * gr - di * gi, cr * ei + ci * er + dr * gi + di * gr,
+                       cr * fr - ci * fi + dr * hr - di * hi, cr * fi + ci * fr + dr * hi + di * hr)
+                k = math.gcd(*key)
+                if key < (0,) * 8:
+                    k = -k
+                if k != 1:
+                    key = tuple([x // k for x in key])
+                if key in seen:
                     return False
-                words.append((g, key))
+                if stored:
+                    seen.add(key)
+                    words.append((g, key))
         frontier = words
     return True
 

@@ -11,6 +11,9 @@ walking tuple slots (c, i) through the pairing dict, as the constructor
 did before it worked on flat slot ids; `walked_views` adds them to what
 `walked_diagram` returns, and `read_off` reads the same off a diagram.
 
+`edge_endpoints` and `edge_sides` read an edge's two crossings and the
+regions on its two sides off a diagram.
+
 `_flype_disks` lists every flype disk at a crossing from the region
 4-cycles.  It is the reference for the disks that `cuspcubes.diagram.flype`
 flypes across, and the disk list of the eager flype search in the tests.
@@ -168,6 +171,18 @@ def outcome(build, n, pairing):
         return str(err)
 
 
+def edge_endpoints(d, eid):
+    """The crossings at the two ends of edge eid, in the edge's slot order."""
+    a, b = tuple(d.edges[eid])
+    return a[0], b[0]
+
+
+def edge_sides(d, eid):
+    """Region indices on the two sides of edge eid."""
+    a, b = tuple(d.edges[eid])
+    return d.region_of_slot[a], d.region_of_slot[b]
+
+
 def _flype_disks(d, c):
     """Flype disks at c as (S, p, (f1, f2)): S is cut off by exactly four
     edges, the edges at the consecutive ports p, p+1 of c (c not in S) and
@@ -187,7 +202,7 @@ def _flype_disks(d, c):
     sorted(S)), the order in which a search over all subsets of the other
     crossings, smallest first, meets them.
     """
-    ends = [d.edge_endpoints(e) for e in range(len(d.edges))]
+    ends = [edge_endpoints(d, e) for e in range(len(d.edges))]
     nbrs = [[] for _ in range(d.n)]
     for e, (a, b) in enumerate(ends):
         nbrs[a].append((e, b))

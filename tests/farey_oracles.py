@@ -1,15 +1,28 @@
-"""Oracles for cuspcubes.farey, read only by the tests: distance by
-breadth-first search, the covering slope by a word search for its defining
-automorphism, two-bridge equivalence by the Schubert congruences, and the
-value of a continued fraction folded from its last term in Fractions.
+"""Oracles for cuspcubes.farey, read only by the tests: Farey adjacency,
+distance by breadth-first search, the covering slope by a word search for
+its defining automorphism, two-bridge equivalence by the Schubert
+congruences, the value of a continued fraction folded from its last term
+in Fractions, and the trivial projective rational links.
 """
 
 from fractions import Fraction
 from math import gcd
 
 from cuspcubes.farey import (
-    INFINITY, IDENTITY_AUT, ContinuedFraction, FareyAut, FareyError, Slope, reduce_slope,
+    INFINITY, IDENTITY_AUT, ZERO, ContinuedFraction, FareyAut, FareyError, Slope, reduce_slope,
 )
+
+
+def farey_adjacent(r: Slope, s: Slope) -> bool:
+    """True iff r and s span an edge of the tessellation: |q*p' - q'*p| = 1."""
+    if r == s:
+        raise FareyError("self-adjacency is undefined")
+    return abs(r.q * s.p - s.q * r.p) == 1
+
+
+def rational_p3_trivial(r: Slope) -> bool:
+    """The projective rational link of slope r bounds a disk iff r is 0 or oo."""
+    return r in (ZERO, INFINITY)
 
 
 def compose(f: FareyAut, g: FareyAut) -> FareyAut:

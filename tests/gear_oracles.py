@@ -7,6 +7,7 @@ with it.
 
 from cuspcubes.cubing import _UnionFind
 from cuspcubes.diagram import BLACK
+from diagram_oracles import edge_endpoints
 
 
 def edge_arc_classes(d, mirror=False):
@@ -30,7 +31,7 @@ def edge_arc_classes(d, mirror=False):
     out = []
     for ids in uf.classes().values():
         members = [(1, x) if x < n_edges else (-1, x - n_edges) for x in ids]
-        common = set.intersection(*(set(d.edge_endpoints(e)) for _s, e in members))
+        common = set.intersection(*(set(edge_endpoints(d, e)) for _s, e in members))
 
         def pos_ports(cand):
             return tuple(sorted(i for s, e in members if s == 1 for (x, i) in d.edges[e] if x == cand))

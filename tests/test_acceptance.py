@@ -120,7 +120,7 @@ def test_criterion_5_cubing_counts():
     diagrams, pd_corpus = _acceptance_diagrams()
     ok = True
     for name, d in diagrams + pd_corpus:
-        c = d.crossing_count
+        c = d.n
         cx = build_cubing(d)
         counts = cx.counts
         tori = boundary_cubings(cx)
@@ -187,7 +187,7 @@ def test_criterion_8_gear_rule_integrity():
     pairs = 0
     for _name, d in pd_corpus:
         classes = edge_arc_classes(d)
-        if len(classes) != d.crossing_count:
+        if len(classes) != d.n:
             ok = False
             break
         for members, crossing in classes:
@@ -233,7 +233,7 @@ def test_criterion_10_decision_procedure():
     arcs = 0
     for seq in twist_sequences(10, 4):
         tb = two_bridge_diagram(seq)
-        for c in range(tb.diagram.crossing_count):
+        for c in range(tb.diagram.n):
             i = tb.twist_region_of[c]
             verdict = classify_2bridge_pair(tb, CrossingArc(c))
             if i == 1:

@@ -200,7 +200,7 @@ class TestCounts:
     def test_corpus(self, corpus):
         for name, d in corpus.items():
             cx = build_cubing(d)
-            c = d.crossing_count
+            c = d.n
             counts = cx.counts
             assert counts["cubes"] == 2 * c, name
             assert counts["inner_vertices"] == 2, name
@@ -248,8 +248,8 @@ class TestVertexLinks:
             for v in cx.inner_vertices:
                 lk = vertex_link(cx, v)
                 assert lk.simplicial, name
-                assert len(lk.triangles) == 4 * d.crossing_count, name
-                assert len(lk.vertices) == (d.crossing_count + 2) + d.crossing_count, name
+                assert len(lk.triangles) == 4 * d.n, name
+                assert len(lk.vertices) == (d.n + 2) + d.n, name
                 # one fan of four triangles per crossing
                 region_dirs = {edge_name(cx.region_edge[R.index]): R.index for R in d.regions}
                 compatible = {}
@@ -260,13 +260,13 @@ class TestVertexLinks:
                     assert len(fan) == 4, name
                     pairs = {frozenset(region_dirs[x] for x in t if x != w) for t in fan}
                     compatible[w] = {
-                        c for c in range(d.crossing_count)
+                        c for c in range(d.n)
                         if pairs == {frozenset((d.corner_region(c, k).index,
                                                 d.corner_region(c, (k + 1) % 4).index))
                                      for k in range(4)}}
                     assert compatible[w], name
                 # a perfect matching fans <-> crossings must exist
-                assert _has_perfect_matching(compatible, d.crossing_count), name
+                assert _has_perfect_matching(compatible, d.n), name
 
     def test_links_match_find_based_oracle(self, corpus):
         # the corpus, a 40-crossing (2,1,...,1,2) chain and a 40-crossing pretzel
@@ -300,7 +300,7 @@ class TestVertexLinks:
     def test_link_sizes(self, corpus):
         for name, d in corpus.items():
             cx = build_cubing(d)
-            n = d.crossing_count
+            n = d.n
             for v in cx.inner_vertices:
                 assert len(vertex_link(cx, v).edges) == 6 * n, name
             for v in cx.boundary_vertices:
@@ -482,7 +482,7 @@ class TestBoundary:
             tori = boundary_cubings(build_cubing(d))
             assert len(tori) == len(d.strands), name
             assert all(t.euler == 0 for t in tori), name
-            assert sum(len(t.squares) for t in tori) == 2 * d.crossing_count, name
+            assert sum(len(t.squares) for t in tori) == 2 * d.n, name
 
     def test_tori_follow_walked_strands(self, corpus):
         # one torus per strand of the strand walk, in its order, holding the

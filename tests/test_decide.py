@@ -70,7 +70,7 @@ class TestMiddleCrossings:
         for seq in twist_sequences(10, 4):
             tb = two_bridge_diagram(seq)
             n = len(seq)
-            for c in range(tb.diagram.crossing_count):
+            for c in range(tb.diagram.n):
                 i = tb.twist_region_of[c]
                 v = classify_2bridge_pair(tb, CrossingArc(c))
                 if i == 1:
@@ -133,7 +133,7 @@ class TestInRegion:
     def test_crossing_not_on_region_rejected(self):
         d = two_bridge_diagram((2, 2)).diagram
         R = d.regions[0]
-        outside = next(c for c in range(d.crossing_count)
+        outside = next(c for c in range(d.n)
                        if c not in R.distinct_crossings)
         inside = next(iter(R.distinct_crossings))
         with pytest.raises(DecideError):
@@ -143,8 +143,8 @@ class TestInRegion:
 class TestTransverse:
     def test_separated_endpoints_witnessed(self):
         d = two_bridge_diagram((3, 3)).diagram
-        pairs = [(c1, c2) for c1 in range(d.crossing_count)
-                 for c2 in range(d.crossing_count) if c1 < c2]
+        pairs = [(c1, c2) for c1 in range(d.n)
+                 for c2 in range(d.n) if c1 < c2]
         done = False
         for c1, c2 in pairs:
             shared = [R for R in d.regions
@@ -245,7 +245,7 @@ class TestSpareRegions:
     def test_validates_against_halfspaces(self):
         for seq in ((2, 1, 2), (2, 2, 2), (2, 1, 1, 2), (3, 1, 2)):
             tb = two_bridge_diagram(seq)
-            for c in range(tb.diagram.crossing_count):
+            for c in range(tb.diagram.n):
                 if tb.twist_region_of[c] in (1, len(seq)):
                     continue
                 v = classify_2bridge_pair(tb, CrossingArc(c))

@@ -17,7 +17,8 @@ from cuspcubes.diagram import _mirror, _spot_options, _tail_flype
 from cuspcubes.cubing import _UnionFind
 from cuspcubes.farey import ContinuedFraction, cf_value
 from conftest import diagram_corpus, twist_sequences
-from diagram_oracles import _flype_disks, built_diagram, outcome, read_off, tuple_views, walked_views
+from diagram_oracles import (_flype_disks, built_diagram, edge_endpoints, edge_sides, outcome, read_off,
+                             tuple_views, walked_views)
 from gear_oracles import closed_form_classes, edge_arc_classes
 
 TREFOIL_PD = [(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)]
@@ -57,13 +58,13 @@ def connected_sum_of_trefoils():
 class TestConstruction:
     def test_trefoil_pd(self):
         d = AlternatingDiagram.from_pd(TREFOIL_PD)
-        assert d.crossing_count == 3
+        assert d.n == 3
         assert len(d.regions) == 5
         assert len(d.edges) == 6
 
     def test_figure_eight_counts(self):
         d = two_bridge_diagram((2, 2)).diagram
-        assert d.crossing_count == 4
+        assert d.n == 4
         assert len(d.regions) == 6
 
     def test_hopf(self):
@@ -132,19 +133,19 @@ class TestConstruction:
     def test_json_roundtrip(self):
         d = two_bridge_diagram((3, 2)).diagram
         d2 = AlternatingDiagram.from_json(d.to_json())
-        assert d2.crossing_count == d.crossing_count
+        assert d2.n == d.n
         assert sorted(map(sorted, d2.pd_code())) == sorted(map(sorted, d.pd_code()))
         d3 = AlternatingDiagram.from_json({"pd": [list(x) for x in d.pd_code()]})
         assert len(d3.regions) == len(d.regions)
 
     def test_region_count_invariant(self, corpus):
         for name, d in corpus.items():
-            assert len(d.regions) == d.crossing_count + 2, name
+            assert len(d.regions) == d.n + 2, name
 
     def test_every_edge_has_both_colors(self, corpus):
         for name, d in corpus.items():
             for eid in range(len(d.edges)):
-                a, b = d.edge_sides(eid)
+                a, b = edge_sides(d, eid)
                 assert {d.regions[a].color, d.regions[b].color} == {BLACK, WHITE}, name
 
 
@@ -240,7 +241,7 @@ class TestRegions:
         for name, d in corpus.items():
             for color in (BLACK, WHITE):
                 g = black_dual_graph(d, color)
-                assert len(g.edges) == d.crossing_count, name
+                assert len(g.edges) == d.n, name
                 same = sum(1 for R in d.regions if R.color == color)
                 other = len(d.regions) - same
                 assert len(g.vertices) + other == len(d.regions), name
@@ -293,19 +294,19 @@ class TestTwistSequences:
 
     def test_builders(self):
         tb = two_bridge_diagram((2, 2))
-        assert tb.diagram.crossing_count == 4
+        assert tb.diagram.n == 4
         assert tb.crossings_in(1) == [0, 1]
         tb = two_bridge_diagram((3, 2))
-        assert tb.diagram.crossing_count == 5
+        assert tb.diagram.n == 5
         tb = two_bridge_diagram((2, 1, 2))
-        assert tb.diagram.crossing_count == 5
+        assert tb.diagram.n == 5
         assert tb.twist_region_of == (1, 1, 2, 3, 3)
 
     def test_corpus_all_standard(self):
         for seq in twist_sequences(10, 4):
             d = two_bridge_diagram(seq).diagram
             assert is_prime(d) and is_reduced(d), seq
-            assert d.crossing_count == sum(seq)
+            assert d.n == sum(seq)
 
 
 TWIST_COUNTS = st.lists(st.integers(1, 6), min_size=2, max_size=9).map(
@@ -405,9 +406,9 @@ class TestGearClasses:
         for name, d in corpus.items():
             for mirror in (False, True):
                 classes = edge_arc_classes(d, mirror)
-                assert len(classes) == d.crossing_count, name
+                assert len(classes) == d.n, name
                 assert all(len(m) == 4 for m, _ in classes), name
-                assert sorted(c for _, c in classes) == list(range(d.crossing_count)), name
+                assert sorted(c for _, c in classes) == list(range(d.n)), name
 
     def test_two_per_sign(self, corpus):
         for name, d in corpus.items():
@@ -456,7 +457,7 @@ class TestFlype:
     def test_single_crossing_block(self):
         fr = flype(two_bridge_diagram((2, 1, 2)), 2)
         d2 = fr.diagram
-        assert d2.crossing_count == 5
+        assert d2.n == 5
         assert is_prime(d2) and is_reduced(d2)
         R = d2.regions[fr.arc.region]
         assert not crossings_adjacent_on_region(d2, R, fr.arc.c1, fr.arc.c2)
@@ -474,7 +475,7 @@ class TestFlype:
             comps = len(tb.diagram.strands)
             for i in range(2, len(seq)):
                 fr = flype(tb, i)
-                assert fr.diagram.crossing_count == tb.diagram.crossing_count, (seq, i)
+                assert fr.diagram.n == tb.diagram.n, (seq, i)
                 assert is_prime(fr.diagram) and is_reduced(fr.diagram), (seq, i)
                 assert fraction_determinant(fr.diagram) == det, (seq, i)
                 assert len(fr.diagram.strands) == comps, (seq, i)
@@ -495,7 +496,7 @@ def four_edge_cuts(d):
         inside[x] = not inside[x]
         if cut == 4:
             masks.append(k ^ (k >> 1))
-    ends = [d.edge_endpoints(e) for e in range(len(d.edges))]
+    ends = [edge_endpoints(d, e) for e in range(len(d.edges))]
     out = []
     for mask in masks:
         S = frozenset(x for x in range(d.n) if mask >> x & 1)
@@ -979,7 +980,7 @@ class TestPretzel:
     def test_valid(self):
         for twists in ((3, 3, 3), (2, 3, 3), (2, 3, 4), (3, 3, 3, 3)):
             d = pretzel_diagram(*twists)
-            assert d.crossing_count == sum(twists)
+            assert d.n == sum(twists)
             assert is_prime(d) and is_reduced(d)
 
     def test_rejects_bad_counts(self):

@@ -6,13 +6,14 @@ from hypothesis import strategies as st
 
 from cuspcubes.farey import (
     INFINITY, ZERO, ContinuedFraction, FareyAut, FareyError, IDENTITY_AUT, Slope,
-    cf_expand, cf_value, covering_slope, farey_adjacent, farey_distance, parse_slope,
-    rational_p3_classify, rational_p3_hyperbolic, rational_p3_trivial, reduce_slope,
+    cf_expand, cf_value, covering_slope, farey_distance, parse_slope,
+    rational_p3_classify, rational_p3_hyperbolic, reduce_slope,
     two_bridge_equivalent, two_bridge_hyperbolic,
 )
 from farey_oracles import (
     cf_value_fraction, compose, covering_slope_characterization, covering_slope_search_oracle,
-    differ_by_integer, farey_distance_bfs, inverse, same_as, schubert_oracle,
+    differ_by_integer, farey_adjacent, farey_distance_bfs, inverse, rational_p3_trivial, same_as,
+    schubert_oracle,
 )
 
 

@@ -5,12 +5,13 @@ import math
 from typing import NamedTuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cuspcubes.pingpong import (
     COMMUTING, FREE_CERTIFIED, INCONCLUSIVE, MAX_WORD_LENGTH, MobiusMap, PingPongError,
-    _overlap, free_word_sanity, pingpong_certificate, pingpong_certificate_float,
+    _gauss_matmul, _inverse, _overlap, _ratio, free_word_sanity, pingpong_certificate,
+    pingpong_certificate_float,
 )
 
 M_STD = MobiusMap.from_entries(1, 0, 4, 1)
@@ -403,6 +404,39 @@ def words_oracle(m1, m2, max_length):
     return True
 
 
+def mitm_words_oracle(m1, m2, max_length):
+    """The word check as free_word_sanity did it before it probed odd
+    lengths by rotation: every reduced word of length <= ceil(N/2) is built
+    breadth-first and stored under its primitive key, and the check fails
+    when a word of length a meets a key first reached at length b with
+    a + b <= N."""
+    def primitive(e):
+        g = math.gcd(*e)
+        if e < (0,) * 8:
+            g = -g
+        return e if g == 1 else tuple(x // g for x in e)
+
+    gens = (m1.e, _inverse(m1.e), m2.e, _inverse(m2.e))
+    identity = (1, 0, 0, 0, 0, 0, 1, 0)
+    first_length = {identity: 0}
+    frontier = [(-1, identity)]
+    for length in range(1, (max_length + 1) // 2 + 1):
+        words = []
+        for last, mat in frontier:
+            for g, gm in enumerate(gens):
+                if g == last ^ 1:
+                    continue
+                key = primitive(_gauss_matmul(mat, gm))
+                b = first_length.get(key)
+                if b is None:
+                    first_length[key] = length
+                elif b + length <= max_length:
+                    return False
+                words.append((g, key))
+        frontier = words
+    return True
+
+
 def parabolic(c, s):
     """[[1 + cs, -cs^2], [c, 1 - cs]]: parabolic with fixed point s."""
     c, s = of(c), of(s)
@@ -442,6 +476,12 @@ NAMED_PAIRS = {"SL2Z_PAIR": SL2Z_PAIR, "HALF_PAIR": HALF_PAIR, "ORDER4_PAIR": OR
                **{f"FREE_PAIRS[{k}]": free_pair(*p) for k, p in enumerate(FREE_PAIRS)}}
 
 
+# (w, k): the shortest trivial word of <T, U_w>, U_w = [[1, 0], [w, 1]], has length k
+SPLIT_BOUNDARY = ((Fraction(3, 2), 9), (H, 8), (Fraction(1, 3), 10), ((0, 1), 10))
+# z -> -1/(z + 1), of order 3: E^3 = 1 is a relation that avoids T
+ORDER3 = MobiusMap.from_entries(0, -1, 1, 1)
+
+
 class TestWords:
     def test_certified_pair_free(self):
         assert free_word_sanity(M_STD, M_SHIFTED, 8)
@@ -475,10 +515,24 @@ class TestWords:
         """<T, U_w> with T = [[1, 1], [0, 1]] and U_w = [[1, 0], [w, 1]]: the
         shortest trivial word has length k, odd for w = 3/2 (halves of 5 and
         4 letters) and even for the others."""
-        for omega, k in ((Fraction(3, 2), 9), (H, 8), (Fraction(1, 3), 10), ((0, 1), 10)):
+        for omega, k in SPLIT_BOUNDARY:
             u = MobiusMap.from_entries(1, 0, omega, 1)
             assert [free_word_sanity(TRANSLATION, u, n) for n in range(k + 1)] == \
                 [True] * k + [False], omega
+
+    def test_odd_lengths_probe_both_rotations(self):
+        """At N = 3, E^3 = 1 is found only by the probe m2^-2 for (T, E), and
+        only by the words that start with letter 0 for (E, T)."""
+        for pair in ((TRANSLATION, ORDER3), (ORDER3, TRANSLATION)):
+            assert [free_word_sanity(*pair, n) for n in range(MAX_WORD_LENGTH + 1)] == \
+                [True] * 3 + [False] * (MAX_WORD_LENGTH - 2), pair
+
+    def test_agrees_with_mitm_oracle_up_to_the_cap(self):
+        pairs = list(NAMED_PAIRS.values())
+        pairs += [(TRANSLATION, MobiusMap.from_entries(1, 0, omega, 1)) for omega, _ in SPLIT_BOUNDARY]
+        for m1, m2 in pairs:
+            for n in range(MAX_WORD_LENGTH + 1):
+                assert free_word_sanity(m1, m2, n) == mitm_words_oracle(m1, m2, n), (m1, m2, n)
 
     def test_agrees_with_fraction_oracle(self):
         pairs = [free_pair(*p) for p in FREE_PAIRS]
@@ -661,6 +715,45 @@ PARABOLIC = st.tuples(SMALL.filter(lambda c: c != ZERO_C), st.none() | SMALL)
 
 def parabolic_spec(c, s):
     return Spec((1, c, 0, 1)) if s is None else parabolic(c, s)
+
+
+# maps of finite order: of order 3, its inverse, of order 2, of order 3 and
+# z -> -z; with +-I, the identity
+FINITE_ORDER = [Spec(e) for e in ((0, -1, 1, 1), (1, 1, -1, 0), (0, -1, 1, 0), (1, -1, 1, 0),
+                                  ((0, 1), 0, 0, (0, -1)), (1, 0, 0, 1), (-1, 0, 0, -1))]
+
+
+def conjugated(spec, s):
+    """The map of spec conjugated by z -> z + s."""
+    t = FMap(ONE_C, s, ZERO_C, ONE_C)
+    return Spec(tuple(compose(compose(t, FMap(*map(of, spec.entries))), inverse(t))))
+
+
+WORD_MAPS = (PARABOLIC.map(lambda p: parabolic_spec(*p)) | st.sampled_from(FINITE_ORDER)
+             | st.builds(conjugated, st.sampled_from(FINITE_ORDER), SMALL))
+
+
+class TestWordsAgainstOracle:
+    @given(WORD_MAPS, WORD_MAPS)
+    @settings(max_examples=300)
+    def test_agrees_with_mitm_oracle(self, s1, s2):
+        """The check with odd lengths probed by rotation answers as the
+        breadth-first check to ceil(N/2) does, for every N up to 10."""
+        m1, m2 = package_map(s1), package_map(s2)
+        for n in range(11):
+            assert free_word_sanity(m1, m2, n) == mitm_words_oracle(m1, m2, n), n
+
+
+class TestRatio:
+    @given(st.integers(-2 ** 130, 2 ** 130), st.integers(1, 2 ** 130))
+    @example(0, 1)
+    @example(0, 7)
+    @example(-6, 4)
+    @example(-(2 ** 64) * 3, 2 ** 64)
+    @example(2 ** 70 + 1, 1)
+    @settings(max_examples=300)
+    def test_matches_fraction(self, n, q):
+        assert _ratio(n, q) == str(Fraction(n, q))
 
 
 class TestInvariance:

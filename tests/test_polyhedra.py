@@ -31,7 +31,7 @@ class TestBuild:
         for name, d in corpus.items():
             for mirror in (False, True):
                 classes = edge_arc_classes(d, mirror)
-                assert len(classes) == d.crossing_count, name
+                assert len(classes) == d.n, name
                 for members, crossing in classes:
                     assert sorted(s for s, _e in members) == [-1, -1, 1, 1], (name, crossing)
 
@@ -83,7 +83,7 @@ class TestButterflyRegions:
         for name, d in corpus.items():
             for mirror in (False, True):
                 pp = build_polyhedra(d, mirror)
-                for c in range(d.crossing_count):
+                for c in range(d.n):
                     for col in (BLACK, WHITE):
                         a, b = pp.wings(c, col)
                         assert a.color == col == b.color, name
@@ -92,7 +92,7 @@ class TestButterflyRegions:
 
     def test_order_conventions(self, fig8, fig8_pp):
         # lower corner first: the order in which the corners are read
-        for c in range(fig8.crossing_count):
+        for c in range(fig8.n):
             for col in (BLACK, WHITE):
                 assert fig8_pp.wings(c, col) == fig8.regions_at_crossing(c, col)
 
