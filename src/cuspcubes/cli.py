@@ -7,8 +7,9 @@ drawing).  All output is JSON on stdout; --pretty indents it.  Exit code 0
 means the requested check passed.  pingpong --mode exact|float selects its
 arithmetic path (exact by default).  Each cmd_* imports the modules it
 uses, so that a process loads only what its subcommand needs.  An argv
-that opens with its full chain of command words is parsed once, by the
-leaf parser of that chain; any other takes argparse's full nested parse.
+that opens with its full chain of command words is read against a table
+of the leaf parser of that chain, and handed to that parser at the first
+token the table cannot settle; any other takes argparse's full nested parse.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 
@@ -42,7 +44,6 @@ def two_bridge_diagram(seq):
 def _int_after(letters: str = ""):
     """The reader of a field that is -?[0-9]+, after one of letters when
     there are any."""
-    import re
     form = re.compile((f"[{letters}]" if letters else "") + "(-?[0-9]+)")
 
     def read(field: str) -> int:
@@ -53,11 +54,15 @@ def _int_after(letters: str = ""):
     return read
 
 
+# the readers of arc-spec and --two-bridge fields, built once
+_INT, _A_INT, _C_INT, _R_INT, _E_INT = map(_int_after, ("", "Aa", "c", "Rr", "e"))
+
+
 def _load_diagram(args):
     """(two-bridge diagram or None, diagram) of --two-bridge or --pd."""
     if args.two_bridge is not None:
         try:
-            seq = tuple(map(_int_after(), args.two_bridge.split(",")))
+            seq = tuple(map(_INT, args.two_bridge.split(",")))
         except ValueError:
             raise ValueError(f"--two-bridge expects A1,A2,..., got {args.two_bridge!r}") from None
         tb = two_bridge_diagram(seq)
@@ -109,10 +114,7 @@ def cmd_farey(args) -> int:
         return 0 if eq else 1
     if sub == "hyperbolic":
         r = F.parse_slope(args.r)
-        if args.p3:
-            hyp = F.rational_p3_hyperbolic(r)
-        else:
-            hyp = F.two_bridge_hyperbolic(r)
+        hyp = (F.rational_p3_hyperbolic if args.p3 else F.two_bridge_hyperbolic)(r)
         _emit({"r": str(r), "projective": args.p3, "hyperbolic": hyp}, args.pretty)
         return 0 if hyp else 1
     raise ValueError(f"unknown farey subcommand {sub}")
@@ -164,7 +166,7 @@ def cmd_cubing(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _edge_word(field: str) -> tuple[int, ...]:
-    return tuple(map(_int_after("e"), field.split(","))) if field else ()
+    return tuple(map(_E_INT, field.split(","))) if field else ()
 
 
 def _spec_fields(flag: str, form: str, spec: str, parsers) -> list:
@@ -187,7 +189,7 @@ def _parse_arc(args, tb):
         spec = args.crossing_arc
         form = "A<i>:<k> or c<i>"
         if ":" in spec:                       # A2:0 means k-th crossing of region 2
-            i, k = _spec_fields("--crossing-arc", form, spec, (_int_after("Aa"), _int_after()))
+            i, k = _spec_fields("--crossing-arc", form, spec, (_A_INT, _INT))
             if tb is None:
                 raise ValueError("twist-region arcs need a --two-bridge diagram")
             members = tb.crossings_in(i)
@@ -196,13 +198,13 @@ def _parse_arc(args, tb):
             if not 0 <= k < len(members):
                 raise ValueError(f"twist region A{i} has no crossing #{k}")
             return CrossingArc(members[k])
-        return CrossingArc(*_spec_fields("--crossing-arc", form, spec, (_int_after("c"),)))
+        return CrossingArc(*_spec_fields("--crossing-arc", form, spec, (_C_INT,)))
     if args.in_region is not None:
         return InRegionArc(*_spec_fields("--in-region", "R<k>:c<i>:c<j>", args.in_region,
-                                         (_int_after("Rr"), _int_after("c"), _int_after("c"))))
+                                         (_R_INT, _C_INT, _C_INT)))
     if args.transverse is not None:
         return TransverseArc(*_spec_fields("--transverse", "c<i>:c<j>:e<a>,...", args.transverse,
-                                           (_int_after("c"), _int_after("c"), _edge_word)))
+                                           (_C_INT, _C_INT, _edge_word)))
     raise ValueError("provide --crossing-arc, --in-region, or --transverse")
 
 
@@ -248,15 +250,12 @@ def cmd_pingpong(args) -> int:
     m1 = PP.MobiusMap.from_json(m1raw)
     m2 = PP.MobiusMap.from_json(m2raw)
     out = PP.pingpong_certificate(m1, m2)
-    if args.words and out["verdict"] == PP.FREE_CERTIFIED:
-        ok = PP.free_word_sanity(m1, m2, args.words)
+    ok = out["verdict"] == PP.FREE_CERTIFIED
+    if args.words and ok:
         out["checked_words"] = args.words
-        out["no_trivial_word"] = ok
-        if not ok:
-            _emit(out, args.pretty)
-            return 1
+        out["no_trivial_word"] = ok = PP.free_word_sanity(m1, m2, args.words)
     _emit(out, args.pretty)
-    return 0 if out["verdict"] == PP.FREE_CERTIFIED else 1
+    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--pretty", action="store_true", help="indent JSON output")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    import re
     slope_token = re.compile(r"^-\d+(/-?\d+)?$")
 
     fa = sub.add_parser("farey", help="slope arithmetic and classification")
@@ -376,11 +374,11 @@ def _leaf_routes(parser: argparse.ArgumentParser) -> dict:
     """The command-word tree of parser: a word maps to the tree of the
     words after it, and a full chain ends in (leaf parser, the entries that
     the parsers above it put in the namespace: their defaults and the
-    chosen words)."""
+    chosen words, the leaf's _leaf_table)."""
     def walk(parser, filled):
         subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         if not subs:
-            return parser, filled
+            return parser, filled, _leaf_table(parser, filled)
         (sub,) = subs
         filled = {**filled, **parser._defaults,
                   **{a.dest: a.default for a in parser._actions
@@ -389,22 +387,74 @@ def _leaf_routes(parser: argparse.ArgumentParser) -> dict:
     return walk(parser, {})
 
 
+def _leaf_table(leaf: argparse.ArgumentParser, filled: dict):
+    """What _walk reads of leaf: the namespace that leaf.parse_known_args
+    fills from filled and the defaults, the type of each store and
+    store_true action, these by option string, the positionals, the
+    required actions and groups, each action's exclusive group, and the
+    matcher of negative numbers (None when an option starts like one)."""
+    base = {**leaf._defaults, **{a.dest: a.default for a in reversed(leaf._actions)
+                                 if argparse.SUPPRESS not in (a.dest, a.default)}, **filled}
+    base.update({a.dest: leaf._get_value(a, a.default) for a in leaf._actions  # type reads str defaults
+                 if isinstance(a.default, str) and base.get(a.dest) is a.default})
+    types = {a: leaf._registry_get("type", a.type, a.type) for a in leaf._actions
+             if (type(a), a.nargs) in ((argparse._StoreAction, None), (argparse._StoreTrueAction, 0))}
+    negative = not leaf._has_negative_number_optionals and not any(
+        s[1:2].isdigit() for s in leaf._option_string_actions)
+    return (base, types, {s: a for a in types for s in a.option_strings},
+            [a for a in leaf._actions if not a.option_strings],
+            {x for x in leaf._actions + leaf._mutually_exclusive_groups if x.required},
+            {a: g for g in leaf._mutually_exclusive_groups for a in g._group_actions},
+            leaf._negative_number_matcher if negative else None)
+
+
+def _walk(table, rest: list[str]):
+    """leaf.parse_known_args(rest, filled)'s namespace, read by the table
+    alone, or None at the first token that it cannot settle: any but an
+    exact store or store_true option string, a value that starts with '-'
+    and is no negative number, a failed type or choice, a second action of
+    one exclusive group, a surplus positional; or a missing required one."""
+    ns, types, options, positionals, required, groups, negative = table
+    ns, seen, chosen, tokens, fill = dict(ns), set(), {}, iter(rest), iter(positionals)
+
+    def value(token):
+        return token is not None and (token[:1] != "-" or bool(negative and negative.match(token)))
+    for token in tokens:
+        action = options.get(token)
+        if action is None:
+            action = next(fill, None) if value(token) else None
+        elif action.nargs is None and not value(token := next(tokens, None)):
+            return None
+        if action not in types or chosen.setdefault(groups.get(action, action), action) is not action:
+            return None
+        seen.add(action)
+        try:
+            ns[action.dest] = action.const if action.nargs == 0 else types[action](token)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and ns[action.dest] not in action.choices:
+            return None
+    return argparse.Namespace(**ns) if required <= seen else None
+
+
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """build_parser().parse_args(argv), parsed once at the leaf parser when
-    argv opens with a full chain of command words.  The parsers above the
-    leaf would only hand it the rest of argv, except that the top one exits
-    on a '--=' token, an abbreviation of both --help and --pretty; such an
-    argv, and any other, takes the full parse."""
+    """build_parser().parse_args(argv), read by _walk, or else by the leaf
+    parser, when argv opens with a full chain of command words.  The parsers
+    above the leaf would only hand it the rest of argv, except that the top
+    one exits on a '--=' token, an abbreviation of both --help and --pretty;
+    such an argv, and any other, takes the full parse."""
     parser = build_parser()
     route, rest = _leaf_routes(parser), argv
     while isinstance(route, dict) and rest:
         route, rest = route.get(rest[0]), rest[1:]
     if not isinstance(route, tuple) or any(t.startswith("--=") for t in rest):
         return parser.parse_args(argv)
-    leaf, filled = route
-    args, extras = leaf.parse_known_args(rest, argparse.Namespace(**filled))
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    leaf, filled, table = route
+    args = _walk(table, rest)
+    if args is None:
+        args, extras = leaf.parse_known_args(rest, argparse.Namespace(**filled))
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     return args
 
 

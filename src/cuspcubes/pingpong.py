@@ -12,8 +12,9 @@ reported as inconclusive, never as a non-freeness claim.
 Both paths run one routine, _decide, on scaled forms (D, D*M): the exact
 path on Gaussian integers, the numeric path on determinant-one floats with
 D = 1.0.  An exact map is stored only as its scaled form, and its
-determinant is checked once, when the map is made.  Fractions are built
-only when entries are parsed; emitted rationals come from one gcd.  Radii
+determinant is checked once, when the map is made.  Entries are read as
+(numerator, denominator) int pairs and emitted rationals come from one
+gcd, so no Fraction is built.  Radii
 are irrational in general (1/|c|), so exact disks store the squared
 radius and every comparison is the rational test
     dist^2 >= r1^2 + r2^2 + 2*sqrt(r1^2 * r2^2),
@@ -24,8 +25,9 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from fractions import Fraction
 import math
+import re
+import sys
 
 
 class PingPongError(ValueError):
@@ -38,40 +40,57 @@ class PingPongError(ValueError):
 
 MAX_ENTRY_CHARS = 1000        # longest accepted entry string
 
+# the strings that Fraction reads on Python 3.11, less its exponent: an
+# optional sign, then digits (Unicode decimal digits, with single '_'
+# between them) with a /denominator or a .fraction, in optional whitespace
+_RATIONAL = re.compile(r"\s*([-+]?)(?=\d|\.\d)((?:\d+(?:_\d+)*)?)"
+                       r"(?:/(\d+(?:_\d+)*)|\.((?:\d+(?:_\d+)*)?))?\s*")
 
-def parse_rational(x) -> Fraction | None:
+
+def parse_rational(x) -> tuple[int, int] | None:
     """An int (not a bool), a Fraction, or a string such as "-3", "3/4" or
-    "0.75", as a Fraction; None for anything else.  Strings longer than
-    MAX_ENTRY_CHARS, integers of more than MAX_ENTRY_CHARS digits and
-    exponent notation raise PingPongError before the number is built, so
-    no entry costs more than its own length."""
+    "0.75", as (n, d) in lowest terms with d > 0; None for anything else.
+    Strings longer than MAX_ENTRY_CHARS, integers of more than
+    MAX_ENTRY_CHARS digits and exponent notation raise PingPongError before
+    the number is built, so no entry costs more than its own length."""
     if isinstance(x, str):
         if len(x) > MAX_ENTRY_CHARS:
             raise PingPongError(f"entry strings are at most MAX_ENTRY_CHARS = {MAX_ENTRY_CHARS} "
                                 f"characters, got {len(x)}")
         if "e" in x.lower():
             raise PingPongError(f"exponent notation is not accepted: {x!r}")
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError):
+        match = _RATIONAL.fullmatch(x)
+        if match is None:
             return None
-    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        sign, n, d, fraction = match.groups()
+        n, d = int(n or "0"), int(d or "1")       # int() reads '_' and Unicode digits
+        if fraction:
+            scale = 10 ** len(fraction.replace("_", ""))
+            n, d = n * scale + int(fraction), scale
+        if d == 0:
+            return None
+        g = math.gcd(n, d)
+        return (-n if sign == "-" else n) // g, d // g
+    if isinstance(x, int) and not isinstance(x, bool):
         # an integer of at most 3 * MAX_ENTRY_CHARS bits has at most
         # MAX_ENTRY_CHARS digits (2^3 < 10), so small entries skip the power
-        if (isinstance(x, int) and x.bit_length() > 3 * MAX_ENTRY_CHARS
-                and abs(x) >= 10 ** MAX_ENTRY_CHARS):
+        if x.bit_length() > 3 * MAX_ENTRY_CHARS and abs(x) >= 10 ** MAX_ENTRY_CHARS:
             raise PingPongError(f"integer entries have at most MAX_ENTRY_CHARS = {MAX_ENTRY_CHARS} digits")
-        return Fraction(x)
+        return x, 1
+    fractions = sys.modules.get("fractions")      # no Fraction exists before it is loaded
+    if fractions is not None and isinstance(x, fractions.Fraction):
+        return x.numerator, x.denominator
     return None
 
 
 def _float_real(x) -> float:
-    """A JSON number or a rational string such as "-3/4", as a finite float."""
-    value = parse_rational(x) if isinstance(x, str) else x
-    if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
+    """A JSON number or a rational string such as "-3/4", as a finite float;
+    n / d of ints is correctly rounded, as float(Fraction(n, d)) is."""
+    q = (x, 1) if isinstance(x, (int, float)) and not isinstance(x, bool) else parse_rational(x)
+    if q is None:
         raise PingPongError(f"not a real number: {x!r}")
     try:
-        value = float(value)
+        value = q[0] / q[1]
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
@@ -88,14 +107,14 @@ def float_entry(e) -> complex:
     return complex(_float_real(e), 0.0)
 
 
-def _gauss_of(x) -> tuple[Fraction, Fraction]:
+def _gauss_of(x) -> tuple[tuple[int, int], tuple[int, int]]:
     """A real accepted by parse_rational, or an [re, im] pair of these, as
-    its real and imaginary parts."""
-    re, im = x if isinstance(x, (tuple, list)) and len(x) == 2 else (x, 0)
-    re, im = parse_rational(re), parse_rational(im)
-    if re is None or im is None:
+    its real and imaginary parts, each an (n, d) pair."""
+    real, imag = x if isinstance(x, (tuple, list)) and len(x) == 2 else (x, 0)
+    real, imag = parse_rational(real), parse_rational(imag)
+    if real is None or imag is None:
         raise PingPongError(f"not an exact complex value: {x!r}")
-    return re, im
+    return real, imag
 
 
 def _ratio(n: int, q: int) -> str:
@@ -315,9 +334,9 @@ class MobiusMap:
     @staticmethod
     def from_entries(a, b, c, d) -> "MobiusMap":
         """[[a, b], [c, d]] / sqrt(ad - bc), with the root of _gauss_sqrt."""
-        parts = [x for z in (a, b, c, d) for x in _gauss_of(z)]
-        den = math.lcm(*(x.denominator for x in parts))
-        e = tuple(x.numerator * (den // x.denominator) for x in parts)
+        parts = [q for z in (a, b, c, d) for q in _gauss_of(z)]
+        den = math.lcm(*(q for _, q in parts))
+        e = tuple(n * (den // q) for n, q in parts)
         det = _det(e)
         if det == (0, 0):
             raise PingPongError("matrix is singular")

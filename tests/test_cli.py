@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -812,22 +813,85 @@ class TestParserReuse:
         codes = [self.call(capsys, argv)[0] for argv in leaf_forms]
         assert codes.count(("SystemExit", 2)) == 3
 
+    # one argv of each operation shape that perfbench's workloads run
+    WORKLOAD_FORMS = [
+        ["cubing", "--pd", "d.json", "--mirror", "--emit-complex", "complex.json"],
+        ["cubing", "--pd", "d.json", "--corrupt", "7"],
+        ["cubing", "--corpus", "corpus", "--jobs", "2"],
+        ["decide", "--two-bridge", "2,16,2", "--crossing-arc", "A2:3", "--mirror"],
+        ["decide", "--pd", "d.json", "--in-region", "R1:c0:c2"],
+        ["decide", "--pd", "d.json", "--transverse", "c0:c3:e1,e2"],
+        ["pingpong", M1, '[["9/2",[-16,"1/3"]],[4,-7]]', "--words", "7"],
+        ["pingpong", M1, M2, "--mode", "float"],
+        ["farey", "dist", "1/0", "-12/5"],
+        ["farey", "cf", "-3/7"],
+        ["farey", "covering-slope", "3/7"],
+        ["farey", "classify-2bridge", "1/3", "4/3", "--oriented"],
+        ["farey", "hyperbolic", "2/5", "--p3"],
+        ["svg", "--pd", "d.json", "-o", "figure.svg"],
+    ]
+
+    def test_walk_alone_reads_well_formed_leaf_forms(self, monkeypatch):
+        def no_parse(self, *args, **kwargs):
+            raise AssertionError("argparse parse")
+        forms = [argv for argv in self.ARGVS if argv[0] != "--pretty" and "nosuch" not in argv
+                 and "--bogus" not in argv and "quadruple" not in argv and argv != ["pingpong", self.M1]]
+        assert len(forms) == 14
+        expected = [vars(build_parser().parse_args(argv)) for argv in forms + self.WORKLOAD_FORMS]
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", no_parse)
+        assert [vars(cli._parse_args(argv)) for argv in forms + self.WORKLOAD_FORMS] == expected
+
+
+class TestWalk:
+    """_walk on leaf parsers unlike cuspcubes' own: an argv that it reads
+    gets the namespace of parse_known_args, and any other is handed over."""
+    @staticmethod
+    def leaf(required_group=False, optional_positional=False):
+        p = argparse.ArgumentParser(prog="leaf")
+        p.add_argument("-1x", dest="one")               # starts like a negative number
+        p.add_argument("--level", type=int, default="3")  # a str default goes through type
+        p.add_argument("--kind", choices=("a", "b"), default="a")
+        p.add_argument("n", type=int, nargs="?" if optional_positional else None)
+        group = p.add_mutually_exclusive_group(required=required_group)
+        group.add_argument("--a", action="store_true")
+        group.add_argument("--b", action="store_true")
+        return p
+
+    @pytest.mark.parametrize("argv", [["5"], ["--a", "5", "--level", "4"], ["5", "-1x", "v"],
+                                      ["--kind", "b", "5", "--b", "--b"]])
+    def test_read(self, argv):
+        leaf = self.leaf()
+        args = cli._walk(cli._leaf_table(leaf, {"command": "x"}), argv)
+        assert vars(args) == vars(leaf.parse_known_args(argv, argparse.Namespace(command="x"))[0])
+
+    @pytest.mark.parametrize("argv", [["-5"], ["-1"], ["5", "--a", "--b"], ["5", "6"], [],
+                                      ["--level", "x", "5"], ["--kind", "c", "5"], ["5", "--kind"],
+                                      ["5", "--level=4"], ["5", "-h"], ["5", "--lev", "4"]])
+    def test_handed_over(self, argv):
+        assert cli._walk(cli._leaf_table(self.leaf(), {}), argv) is None
+
+    def test_other_kinds_are_handed_over(self):
+        for leaf in (self.leaf(required_group=True), self.leaf(optional_positional=True)):
+            assert cli._walk(cli._leaf_table(leaf, {}), ["5", "--a"]) is None
+
 
 class TestRoute:
-    """cli.main parses argv at its leaf parser; every outcome must be the
-    one of the full nested parse."""
+    """cli.main reads argv by the walk or at its leaf parser; every outcome
+    must be the one of the full nested parse."""
     WORDS = ["farey", "dist", "cf", "covering-slope", "classify-2bridge", "classify-p3",
              "hyperbolic", "cubing", "decide", "pingpong", "svg", "nosuch"]
     FLAGS = ["--pretty", "--oriented", "--p3", "--two-bridge", "--pd", "--corpus", "--jobs",
              "--emit-complex", "--corrupt", "--mirror", "--crossing-arc", "--in-region",
              "--transverse", "--words", "--mode", "--tolerance", "-o", "--output",
              "--pre", "--two", "--cross", "--or", "--p", "--m", "--t", "--w", "--tol=1e-9",
-             "--pretty=1", "--mode=float", "-ofile", "-h", "--help", "--h", "--", "--=x",
-             "--bogus", "-x"]
+             "--pretty=1", "--mode=float", "--words=3", "-ofile", "-h", "--help", "--h", "--",
+             "--=x", "--bogus", "-x"]
+    # tokens come from one pool, so "-x" and each flag also stand where a value goes;
+    # "٣", "1_0" and "+3" are ints to int(), "0x1" is not
     VALUES = ["1/3", "-5/2", "-5/-2", "2/5", "3", "-3", "inf", "0", "4", "-1", "1e-9", "2,2",
               "A2:0", "c3", "R3:c0:c2", "exact", "float", "quadruple",
               TestParserReuse.M1, TestParserReuse.M2,
-              "[1,2]", "", "x", " -1", "-"]
+              "[1,2]", "", "x", " -1", "-", "٣", "1_0", "+3", "0x1"]
     CHAINS = [(), ("--pretty",), ("farey",), ("cubing",), ("decide",), ("pingpong",),
               ("svg",)] + [("farey", word) for word in WORDS[1:7]]
 

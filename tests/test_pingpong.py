@@ -9,9 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cuspcubes.pingpong import (
-    COMMUTING, FREE_CERTIFIED, INCONCLUSIVE, MAX_WORD_LENGTH, MobiusMap, PingPongError,
-    _gauss_matmul, _inverse, _overlap, _ratio, free_word_sanity, pingpong_certificate,
-    pingpong_certificate_float,
+    COMMUTING, FREE_CERTIFIED, INCONCLUSIVE, MAX_ENTRY_CHARS, MAX_WORD_LENGTH, MobiusMap,
+    PingPongError, _gauss_matmul, _inverse, _overlap, _ratio, float_entry, free_word_sanity,
+    parse_rational, pingpong_certificate, pingpong_certificate_float,
 )
 
 M_STD = MobiusMap.from_entries(1, 0, 4, 1)
@@ -229,6 +229,69 @@ class TestScalars:
             entries = [mul(of(x), z) for x in m]
             assert outcome(MobiusMap.from_entries, *entries) == \
                 outcome(fraction_from_entries, *entries), (m, z)
+
+
+# entries for the reader: strings over the characters of rational literals
+# (and of refused ones), strings shaped like rationals, and JSON scalars
+ENTRIES = st.one_of(
+    st.text(alphabet="0123456789٣_./+- eEx", max_size=8),
+    st.from_regex(r"\s?[-+]?[0-9٣_]{0,4}[./]?[0-9٣_]{0,4}\s?", fullmatch=True),
+    st.integers(), st.booleans(), st.floats(), st.none(), st.fractions())
+
+
+def fraction_entry(x):
+    """The exact value of an entry by Fraction, or None: Fraction refuses
+    it, or it is a bool, a float or None, which exact mode refuses."""
+    if isinstance(x, bool) or not isinstance(x, (str, int, Fraction)):
+        return None
+    try:
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+class TestEntries:
+    @given(ENTRIES)
+    @settings(max_examples=1000, deadline=None)
+    @example("٣/1_0")
+    @example(" +.5 ")
+    @example("-1.")
+    @example("1__0")
+    @example("1.d")
+    @example("1 / 2")
+    @example("0/7")
+    @example("3/0")
+    @example("1e5")
+    @example(10 ** MAX_ENTRY_CHARS)
+    @example(Fraction(-6, 4))
+    def test_reader_matches_fraction(self, x):
+        if isinstance(x, str) and (len(x) > MAX_ENTRY_CHARS or "e" in x.lower()) or \
+                type(x) is int and abs(x) >= 10 ** MAX_ENTRY_CHARS:
+            with pytest.raises(PingPongError):
+                parse_rational(x)
+            return
+        value, got = fraction_entry(x), parse_rational(x)
+        assert (got is None) == (value is None)
+        if got is not None:
+            n, d = got
+            assert type(n) is type(d) is int and d > 0 and math.gcd(n, d) == 1
+            assert Fraction(n, d) == value
+
+    @given(ENTRIES)
+    @settings(max_examples=1000, deadline=None)
+    @example(10 ** 400)
+    @example("1" * 400)
+    @example(Fraction(1, 3))
+    def test_float_entry_matches_fraction(self, x):
+        try:
+            expected = float(x if isinstance(x, float) else fraction_entry(x))
+        except (TypeError, OverflowError):
+            expected = math.inf
+        if not math.isfinite(expected) or isinstance(x, str) and "e" in x.lower():
+            with pytest.raises(PingPongError):
+                float_entry(x)
+        else:
+            assert float_entry(x) == complex(expected, 0.0)
 
 
 class TestGroupOps:

@@ -86,6 +86,16 @@ def test_farey_loads_no_fractions():
     assert not loaded & {"fractions", "decimal"}
 
 
+def test_pingpong_loads_no_fractions():
+    # entries are read as int pairs, in both modes, strings and Gaussian pairs included
+    *_, loaded = new_modules(
+        ["pingpong", M1, M2], ["pingpong", M1, M2, "--words", "5"],
+        ["pingpong", '[["9/2",[-16,"1/3"]],[4,-7]]', M2],
+        ["pingpong", M1, M2, "--mode", "float"],
+        ["pingpong", '[["1.5",[0,"-1/2"]],[4,1]]', M2, "--mode", "float"])
+    assert "cuspcubes.pingpong" in loaded and not loaded & {"fractions", "decimal"}
+
+
 def test_words_help_names_the_bound(capsys):
     with pytest.raises(SystemExit):
         main(["pingpong", "--help"])
