@@ -170,7 +170,7 @@ def classify_alternating_pair(d: AlternatingDiagram, arc, mirror: bool = False) 
             if not (0 <= c < d.n):
                 raise DecideError(f"no crossing {c}")
         for e in arc.edge_word:
-            if not (0 <= e < len(d.edges)):
+            if not (0 <= e < 2 * d.n):
                 raise DecideError(f"no edge {e}")
         word = _reduce_edge_word(arc.edge_word)
         if not word:

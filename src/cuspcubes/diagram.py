@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 
 class DiagramError(ValueError):
@@ -24,7 +25,7 @@ WHITE = "white"
 
 Slot = tuple[int, int]  # (crossing index, slot 0..3)
 
-MAX_CROSSINGS = 10_000      # a diagram keeps about 2 KB per crossing, 2.7 KB with every view built
+MAX_CROSSINGS = 10_000      # a diagram keeps about 0.8 KB per crossing, 2.5 KB with every view built
 
 
 def _check_size(n: int) -> None:
@@ -59,63 +60,43 @@ def _is_slot(h) -> bool:
     return isinstance(h, list) and len(h) == 2 and all(map(_is_int, h))
 
 
-def _wire(pairing: dict[Slot, Slot], a: Slot, b: Slot) -> None:
-    """Pair slots a and b: the edge between them."""
-    pairing[a] = b
-    pairing[b] = a
-
-
-def _face_walk(pairing: dict[Slot, Slot], start: Slot) -> tuple[Slot, ...]:
-    """The face through slot `start`, walked by next(h) = rotate(twin(h))."""
-    walk = [start]
-    c, i = pairing[start]
-    h = (c, (i + 1) % 4)
-    while h != start:
-        walk.append(h)
-        c, i = pairing[h]
-        h = (c, (i + 1) % 4)
-    return tuple(walk)
-
-
 class AlternatingDiagram:
     """Validated alternating diagram with regions and checkerboard coloring.
 
-    Construction checks, in order: 4-valence and involutive pairing,
-    connectivity, sphericity (V - E + F = 2) and alternation, and reports
-    the first violated invariant by name.  They run on flat slot ids
-    h = 4c + i; int lists keep each slot's twin, edge and region (the
-    public `slot_region`) and each face walk.  A region's color is read off
-    the parity of its slots; the `Region` records, strands, primeness and
-    reducedness are computed on first use.
+    A diagram is built from its wire list: (a, b) pairs of flat slot ids
+    h = 4c + i, one per edge, in the order the builder joins them, which
+    `to_json` keeps.  Construction checks, in order: every slot wired once
+    and no slot to itself, connectivity, sphericity (V - E + F = 2) and
+    alternation, and reports the first violated invariant by name.  Int
+    lists keep each slot's twin, edge and region (the public `slot_region`),
+    the lower slot of each edge and each face walk.  A region's color is
+    read off the parity of its slots; the views on tuple slots (c, i),
+    `pairing` and `edges`, the `Region` records, strands, primeness and
+    reducedness are computed on first use, and the views share one tuple
+    per slot.
     """
 
-    def __init__(self, n: int, pairing: dict[Slot, Slot]):
+    def __init__(self, n: int, wires: list[tuple[int, int]]):
         if n < 1:
             raise DiagramError("malformed: a diagram needs at least one crossing")
-        if len(pairing) != 4 * n:        # before any 4n-sized allocation
+        if len(wires) < 2 * n:           # before any 4n-sized allocation
             raise DiagramError("malformed: every slot must be paired exactly once")
         _check_size(n)
-        self.n = n
-        slots = [(c, i) for c in range(n) for i in range(4)]
-        flat = dict(zip(slots, range(4 * n)))
-        # twin[h]: the slot paired with h, -1 for none.  With 4n keys the
-        # pairing misses a slot exactly when one of its keys is no slot.
-        try:
-            twin = [flat.get(pairing[h], -1) for h in slots]
-        except KeyError:
-            raise DiagramError("malformed: every slot must be paired exactly once") from None
-        self.pairing = dict(pairing)
-
-        # an involution without fixed points: 2n slots h < twin[h], the lower
-        # slots of the edges, each paired back by its twin
-        lower = [h for h, k in enumerate(twin) if h < k]
-        if len(lower) != 2 * n or any(twin[twin[h]] != h for h in lower):
+        self.n, self.wires = n, wires
+        twin = [-1] * (4 * n)
+        for a, b in wires:
+            twin[a] = b
+            twin[b] = a
+        if -1 in twin:
+            raise DiagramError("malformed: every slot must be paired exactly once")
+        # 2n wires that reach all 4n slots name each slot once; a longer
+        # list wires some slot to itself or twice
+        if len(wires) != 2 * n:
             raise DiagramError("malformed: slot pairing must be a fixed-point-free involution")
+        lower = [h for h, k in enumerate(twin) if h < k]
         edge = [0] * (4 * n)
         for e, h in enumerate(lower):
             edge[h] = edge[twin[h]] = e
-        self.edges: list[frozenset[Slot]] = [frozenset((slots[h], slots[twin[h]])) for h in lower]
-        self.edge_of_slot: dict[Slot, int] = dict(zip(slots, edge))
 
         seen, reach = [True] + [False] * (n - 1), [0]
         for c in reach:
@@ -146,9 +127,8 @@ class AlternatingDiagram:
         # exactly when every edge joins an even slot to an odd one.
         if not all(k & 1 for k in twin[0::2]):
             raise DiagramError("non-alternating: consecutive passages on a strand agree")
-        self.region_of_slot: dict[Slot, int] = dict(zip(slots, region))
-        self.slot_region: list[int] = region         # region_of_slot by slot id 4c + i
-        self._twin, self._edge, self._walks = twin, edge, walks
+        self.slot_region: list[int] = region         # region index by slot id 4c + i
+        self._twin, self._edge, self._lower, self._walks = twin, edge, lower, walks
 
     # -- construction helpers ------------------------------------------------
 
@@ -167,16 +147,14 @@ class AlternatingDiagram:
             raise DiagramError("malformed: every PD entry needs four edge labels")
         if not all(_is_int(label) for quad in code for label in quad):
             raise DiagramError("malformed: PD edge labels must be integers")
-        where: dict[int, list[Slot]] = {}
+        where: dict[int, list[int]] = {}
         for c, quad in enumerate(code):
             for i, label in enumerate(quad):
-                where.setdefault(label, []).append((c, i))
-        pairing: dict[Slot, Slot] = {}
+                where.setdefault(label, []).append(4 * c + i)
         for label, occ in where.items():
             if len(occ) != 2:
                 raise DiagramError(f"malformed: edge label {label!r} appears {len(occ)} times, expected 2")
-            _wire(pairing, *occ)
-        return AlternatingDiagram(len(code), pairing)
+        return AlternatingDiagram(len(code), list(map(tuple, where.values())))
 
     @staticmethod
     def from_json(obj) -> "AlternatingDiagram":
@@ -192,63 +170,83 @@ class AlternatingDiagram:
                     isinstance(pair, list) and len(pair) == 2 and all(map(_is_slot, pair))
                     for pair in pairs)):
                 raise DiagramError("malformed: a rotation is a non-empty list of [[c, i], [c, i]] slot pairs")
-            pairing = {}
+            seen: set[Slot] = set()
             for a, b in pairs:
-                if tuple(a) in pairing or tuple(b) in pairing:
+                if tuple(a) in seen or tuple(b) in seen:
                     raise DiagramError("malformed: every slot must be paired exactly once")
-                _wire(pairing, tuple(a), tuple(b))
-            n = 1 + max(c for (c, _i) in pairing)
-            return AlternatingDiagram(n, pairing)
+                seen.update((tuple(a), tuple(b)))
+            n = 1 + max(c for (c, _i) in seen)
+            if n >= 1:
+                if len(seen) == 4 * n:
+                    _check_size(n)
+                # 4c + i would alias [0, 7] to [1, 3]: slots are checked first
+                if len(seen) != 4 * n or not all(c >= 0 and 0 <= i < 4 for c, i in seen):
+                    raise DiagramError("malformed: every slot must be paired exactly once")
+            return AlternatingDiagram(n, [(4 * a[0] + a[1], 4 * b[0] + b[1]) for a, b in pairs])
         raise DiagramError("malformed: expected a 'pd' or 'rotation' field")
 
     def to_json(self) -> dict:
-        pairs = []
-        seen = set()
-        for h, k in self.pairing.items():
-            if h in seen or k in seen:
-                continue
-            seen.update((h, k))
-            pairs.append([list(h), list(k)])
-        return {"rotation": pairs}
+        """The wire list as rotation pairs [[c, i], [c, i]], in wire order."""
+        return {"rotation": [[[a >> 2, a & 3], [b >> 2, b & 3]] for a, b in self.wires]}
 
     def pd_code(self) -> list[tuple[int, int, int, int]]:
         """Edge-label form of the pairing (labels are edge ids)."""
-        return [tuple(self.edge_of_slot[(c, i)] for i in range(4)) for c in range(self.n)]
+        edge = self._edge
+        return [tuple(edge[h:h + 4]) for h in range(0, 4 * self.n, 4)]
+
+    # -- tuple-slot views ----------------------------------------------------
+
+    @cached_property
+    def _slots(self) -> list[Slot]:
+        """The slot (c, i) of each slot id, one tuple shared by the views."""
+        return [(c, i) for c in range(self.n) for i in range(4)]
+
+    @cached_property
+    def pairing(self) -> dict[Slot, Slot]:
+        """The slot paired with each slot (c, i), both ends of each wire in
+        wire order."""
+        slots, pairing = self._slots, {}
+        for a, b in self.wires:
+            pairing[slots[a]], pairing[slots[b]] = slots[b], slots[a]
+        return pairing
+
+    @cached_property
+    def edges(self) -> list[frozenset[Slot]]:
+        """The two slots of each edge, edges in order of their lower slot."""
+        slots = self._slots
+        return [frozenset((slots[h], slots[self._twin[h]])) for h in self._lower]
 
     # -- invariants ----------------------------------------------------------
 
     @cached_property
     def regions(self) -> list[Region]:
-        """The faces, indexed as in `region_of_slot`.  Alternation makes
+        """The faces, indexed as in `slot_region`.  Alternation makes
         twin(h) flip a slot's parity and rotate flip it back, so a face's
         slots share one parity and the two sides of an edge differ: even
         faces are black, odd ones white, the face of slot (0, 0) black."""
-        slots = list(self.region_of_slot)         # its keys are the slots in id order
-        return [Region(r, WHITE if walk[0] & 1 else BLACK, tuple(map(slots.__getitem__, walk)),
-                       frozenset(map(self._edge.__getitem__, walk)), tuple(slots[h][0] for h in walk))
-                for r, walk in enumerate(self._walks)]
+        boundaries = [tuple(map(self._slots.__getitem__, walk)) for walk in self._walks]
+        return [Region(r, WHITE if walk[0] & 1 else BLACK, boundary,
+                       frozenset(map(self._edge.__getitem__, walk)), tuple(map(itemgetter(0), boundary)))
+                for r, (walk, boundary) in enumerate(zip(self._walks, boundaries))]
 
     @cached_property
     def strands(self) -> list[list[tuple[int, int]]]:
         """The link components as cycles of passages, (c, 0) under and
         (c, 1) over, each walked from the least passage no earlier strand
         holds: enter slot i, leave through i + 2."""
-        seen = set()
+        twin, seen = self._twin, [False] * (4 * self.n)
         strands = []
-        for c0 in range(self.n):
-            for i0 in (0, 1):
-                if (c0, i0) in seen:
-                    continue
-                strand = []
-                h = (c0, i0)
-                while True:
-                    c, i = h
-                    seen.update({(c, i), (c, (i + 2) % 4)})
-                    strand.append((c, i % 2))
-                    h = self.pairing[(c, (i + 2) % 4)]
-                    if h == (c0, i0):
-                        break
-                strands.append(strand)
+        for h0 in range(4 * self.n):
+            if h0 & 2 or seen[h0]:
+                continue
+            strand, h = [], h0
+            while True:
+                seen[h] = seen[h ^ 2] = True
+                strand.append((h >> 2, h & 1))
+                h = twin[h ^ 2]
+                if h == h0:
+                    break
+            strands.append(strand)
         return strands
 
     @cached_property
@@ -279,7 +277,7 @@ class AlternatingDiagram:
 
     def corner_region(self, c: int, k: int) -> Region:
         """Region at the corner of crossing c between ports k and k+1."""
-        return self.regions[self.region_of_slot[(c, (k + 1) % 4)]]
+        return self.regions[self.slot_region[4 * c + (k + 1) % 4]]
 
     def regions_at_crossing(self, c: int, color: str) -> tuple[Region, Region]:
         """The two same-color corner regions at c, in corner order; the
@@ -344,7 +342,7 @@ def find_small_white_region(d: AlternatingDiagram, witness_color: str = WHITE):
         for R in d.regions:
             if R.color != witness_color or len(R.boundary) != size:
                 continue
-            nbrs = [d.region_of_slot[d.pairing[h]] for h in R.boundary]
+            nbrs = [d.slot_region[d._twin[h]] for h in d._walks[R.index]]
             if len(set(nbrs)) == size:
                 return R, kind
     raise DiagramError(
@@ -415,16 +413,15 @@ def two_bridge_diagram(seq) -> TwoBridgeDiagram:
     """
     seq = twist_sequence(seq)
     labels = tuple(i for i, a_i in enumerate(seq, start=1) for _ in range(a_i))
-    pairing: dict[Slot, Slot] = {}
-    ends = {"nw": (0, _NW), "ne": (0, _NE), "sw": (0, _SW), "se": (0, _SE)}
+    wires = []
+    ends = {"nw": _NW, "ne": _NE, "sw": _SW, "se": _SE}
     for c in range(1, len(labels)):
         for end, joined, new in _HORIZONTAL if labels[c] % 2 else _VERTICAL:
-            _wire(pairing, ends[end], (c, joined))
-            ends[end] = (c, new)
+            wires.append((ends[end], 4 * c + joined))
+            ends[end] = 4 * c + new
     closing = (("nw", "ne"), ("sw", "se")) if len(seq) % 2 else (("nw", "sw"), ("ne", "se"))
-    for a, b in closing:
-        _wire(pairing, ends[a], ends[b])
-    return TwoBridgeDiagram(seq, AlternatingDiagram(len(labels), pairing), labels)
+    wires += [(ends[a], ends[b]) for a, b in closing]
+    return TwoBridgeDiagram(seq, AlternatingDiagram(len(labels), wires), labels)
 
 
 # ---------------------------------------------------------------------------
@@ -458,18 +455,15 @@ class TransverseArc:
             raise DiagramError("a transverse arc needs a non-empty edge word; use InRegionArc")
 
 
-def _joints(pairing: dict[Slot, Slot], walk: tuple[Slot, ...]) -> dict[frozenset[int], list[Slot]]:
-    """The walk slots by the crossings their edge joins, which are
-    consecutive crossings along the face."""
-    joints: dict[frozenset[int], list[Slot]] = {}
-    for h in walk:
-        joints.setdefault(frozenset((h[0], pairing[h][0])), []).append(h)
-    return joints
+def _joint(twin: list[int], walk: list[int], c1: int, c2: int) -> list[int]:
+    """The walk slots whose edge joins crossings c1 and c2, which are then
+    consecutive along the face."""
+    return [h for h in walk if {h >> 2, twin[h] >> 2} == {c1, c2}]
 
 
 def crossings_adjacent_on_region(d: AlternatingDiagram, R: Region, c1: int, c2: int) -> bool:
     """Are c1 and c2 joined by an edge of the boundary walk of R?"""
-    return frozenset((c1, c2)) in _joints(d.pairing, R.boundary)
+    return bool(_joint(d._twin, d._walks[R.index], c1, c2))
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +479,8 @@ def arc_crossing(d: AlternatingDiagram, e: int) -> int:
     belongs to the crossing where it ends on an over-port, slot 1 or 3;
     alternation gives every edge exactly one such end.
     """
-    return next(c for c, i in d.edges[e] if i % 2)
+    h = d._lower[e]
+    return (h if h & 1 else d._twin[h]) >> 2
 
 
 # ---------------------------------------------------------------------------
@@ -499,85 +494,80 @@ class FlypeResult:
     trace: dict
 
 
-def _mirror(h: Slot, L: set[int]) -> Slot:
-    c, i = h
-    return (c, 3 - i) if c in L else h
-
-
 def _tail_flype(d: AlternatingDiagram, c: int, S: frozenset[int]):
     """The flype of d that carries crossing c across the tangle S, as
-    (pairing, spot), or None when S is no flype disk at c or the forced
+    (wires, spot), or None when S is no flype disk at c or the forced
     wiring does not exist.  S is a flype disk at c when c lies outside it
     and S is cut off by four edges, at consecutive ports p, p+1 of c and
     f1 < f2 away from c; a prime diagram has no two-edge cut, so both
     sides of the cut are connected.
 
-    The flype turns S over (`_mirror`) and carries c across it: c's strands
-    reconnect across the gap, each to the passing strand on its own side,
-    and c re-forms on the far edges f1 and f2.  That wiring is forced.  Each
+    The flype turns S over (slot id h of a crossing in S becomes h ^ 3,
+    slot i becomes 3 - i) and carries c across it: c's strands reconnect
+    across the gap, each to the passing strand on its own side, and c
+    re-forms on the far edges f1 and f2.  That wiring is forced.  Each
     far strand runs straight through c, so its two ends take one diagonal;
     alternation picks the diagonal from the parity of the end in S; which
     of the two slots takes that end is a 180-degree relabelling of c, fixed
     here by putting f1's end in S at slot 0; planarity then places f2's end
     in S at slot 1 when p is even and at slot 3 when p is odd.  A flype is
     an isotopy, so nothing is re-checked here; the constructor validates
-    the image.  The image of the crossing arc at c runs between the two
-    spot edges.
+    the image.  The image keeps d's wire order, then the two spot wires,
+    between which the image of the crossing arc at c runs, then the far ones.
     """
     if c in S:
         return None
-    cut = {d.edge_of_slot[(x, i)] for x in S for i in range(4) if d.pairing[(x, i)][0] not in S}
-    ports = [i for i in range(4) if d.pairing[(c, i)][0] in S]
+    twin, edge, h0 = d._twin, d._edge, 4 * c
+    cut = {edge[h] for x in S for h in range(4 * x, 4 * x + 4) if twin[h] >> 2 not in S}
+    ports = [i for i in range(4) if twin[h0 + i] >> 2 in S]
     if len(cut) != 4 or ports not in ([0, 1], [1, 2], [2, 3], [0, 3]):
         return None
     p = 3 if ports == [0, 3] else ports[0]
-    f_ids = sorted(cut - {d.edge_of_slot[(c, i)] for i in ports})
+    f_ids = sorted(cut - {edge[h0 + i] for i in ports})
 
     def mu(h):
-        return _mirror(h, S)
+        return h ^ 3 if h >> 2 in S else h
 
-    fS = [mu(next(h for h in d.edges[f] if h[0] in S)) for f in f_ids]
+    ends = [(h, twin[h]) if h >> 2 in S else (twin[h], h) for h in map(d._lower.__getitem__, f_ids)]
+    fS, fR = [mu(h) for h, _k in ends], [k for _h, k in ends]
     # f1's strand takes the under-diagonal (c,0)/(c,2) only when its end
     # in S is odd; a disk that needs the over-diagonal has no flype here
-    if fS[0][1] % 2 == 0:
+    if fS[0] & 1 == 0:
         return None
-    fR = [next(h for h in d.edges[f] if h[0] not in S) for f in f_ids]
-    removed = {d.edge_of_slot[(c, k)] for k in range(4)} | set(f_ids)
-    pairing: dict[Slot, Slot] = {}
-    for h, k in d.pairing.items():
-        mh = mu(h)
-        if mh not in pairing and d.edge_of_slot[h] not in removed:
-            _wire(pairing, mh, mu(k))
+    removed = set(edge[h0:h0 + 4]) | set(f_ids)
+    wires = [(mu(a), mu(b)) for a, b in d.wires if edge[a] not in removed]
     # a prime diagram has no loop edge, so the edges at ports p+2, p+3
     # lead away from c and lie outside the disk
-    spot = [(mu(d.pairing[(c, p)]), d.pairing[(c, (p + 2) % 4)]),
-            (mu(d.pairing[(c, (p + 1) % 4)]), d.pairing[(c, (p + 3) % 4)])]
+    spot = [(mu(twin[h0 + p]), twin[h0 + (p + 2) % 4]),
+            (mu(twin[h0 + (p + 1) % 4]), twin[h0 + (p + 3) % 4])]
     at1, at3 = (fS[1], fR[1]) if p % 2 == 0 else (fR[1], fS[1])
-    far = [(fS[0], (c, 0)), (fR[0], (c, 2)), (at1, (c, 1)), (at3, (c, 3))]
-    for h, k in spot + far:
-        _wire(pairing, h, k)
-    return pairing, spot
+    far = [(fS[0], h0), (fR[0], h0 + 2), (at1, h0 + 1), (at3, h0 + 3)]
+    return wires + spot + far, spot
 
 
-def _spot_options(pairing: dict[Slot, Slot], spot):
-    """The in-region arcs the image of the crossing arc can be, read off a
-    rewiring before it is built: (walk, c1, c2, joint) for the face through
-    both spot edges and each pair of distinct ends c1, c2 of the two edges,
-    with `joint` the walk slots whose edge joins c1 and c2 (none: not
-    adjacent).  The faces through an edge are the walks from its two slots;
-    the image is prime, so no two edges share both faces and at most one
-    face holds both spot edges.  Ends come in the order the built diagram's
-    edge frozenset iterates them.
+def _spot_options(d: AlternatingDiagram, spot):
+    """The in-region arcs the image of the crossing arc can be, read off
+    the flyped diagram d: (region, c1, c2, joint) for the face through both
+    spot edges and each pair of distinct ends c1, c2 of the two edges, with
+    `joint` the face's slots whose edge joins c1 and c2 (none: not
+    adjacent), in walk order from the spot slot.  The faces through an edge
+    are those of its two slots; the image is prime, so no two edges share
+    both faces and at most one face holds both spot edges.  Ends come in
+    the order the tuple-slot edge frozenset iterates them.
     """
+    twin, region = d._twin, d.slot_region
     a, b = spot[0][0], spot[1][0]
-    ends_a, ends_b = ([k[0] for k in frozenset(sorted((h, pairing[h])))] for h in (a, b))
-    for walk in (_face_walk(pairing, a), _face_walk(pairing, pairing[a])):
-        if b in walk or pairing[b] in walk:
-            joints = _joints(pairing, walk)
+    ends_a, ends_b = ([c for c, _i in frozenset(sorted((divmod(h, 4), divmod(twin[h], 4))))] for h in (a, b))
+    for h in (a, twin[a]):
+        r = region[h]
+        if r in (region[b], region[twin[b]]):
+            walk = d._walks[r]
+            j = walk.index(h)
+            walk = walk[j:] + walk[:j]
             for c1 in ends_a:
                 for c2 in ends_b:
                     if c1 != c2:
-                        yield walk, c1, c2, joints.get(frozenset((c1, c2)), [])
+                        yield r, c1, c2, _joint(twin, walk, c1, c2)
 
 
 def flype(tb: TwoBridgeDiagram, i: int, crossing: int | None = None) -> FlypeResult:
@@ -613,16 +603,16 @@ def flype(tb: TwoBridgeDiagram, i: int, crossing: int | None = None) -> FlypeRes
         wired = next(filter(None, (_tail_flype(d, x, S) for x, S in disks)), None)
         if wired is None:
             break
-        pairing, spot = wired
-        options = list(_spot_options(pairing, spot))
-        d = AlternatingDiagram(d.n, pairing)
-        for walk, c1, c2, joint in options:
+        wires, spot = wired
+        d = AlternatingDiagram(d.n, wires)
+        options = list(_spot_options(d, spot))
+        for r, c1, c2, joint in options:
             if not joint:
-                arc = InRegionArc(d.region_of_slot[walk[0]], c1, c2)
+                arc = InRegionArc(r, c1, c2)
                 trace = {"twist_region": i, "crossing": c, "searched_from": members[0], "flype_steps": steps,
                          "image_region": arc.region, "image_endpoints": [arc.c1, arc.c2]}
                 return FlypeResult(d, arc, trace)
-        disks = [(arc_crossing(d, d.edge_of_slot[h]), tail | {members[0]})
+        disks = [(arc_crossing(d, d._edge[h]), tail | {members[0]})
                  for *_, joint in options for h in joint]
     raise DiagramError(f"no flype chain found for the crossing arc at {members[0]}")
 
@@ -642,7 +632,7 @@ def pretzel_diagram(*twists: int) -> AlternatingDiagram:
     if len(twists) < 2 or any(t < 1 for t in twists):
         raise DiagramError("pretzel needs at least two positive twist counts")
     _check_size(sum(twists))
-    pairing: dict[Slot, Slot] = {}
+    wires = []
     strips: list[list[int]] = []
     count = 0
     for t in twists:
@@ -650,14 +640,9 @@ def pretzel_diagram(*twists: int) -> AlternatingDiagram:
         count += t
     for strip in strips:
         for a, b in zip(strip, strip[1:]):
-            _wire(pairing, (a, _SW), (b, _NW))
-            _wire(pairing, (a, _SE), (b, _NE))
+            wires += [(4 * a + _SW, 4 * b + _NW), (4 * a + _SE, 4 * b + _NE)]
     k = len(strips)
     for j in range(k):
-        right_top = (strips[j][0], _NE)
-        left_top_next = (strips[(j + 1) % k][0], _NW)
-        _wire(pairing, right_top, left_top_next)
-        right_bot = (strips[j][-1], _SE)
-        left_bot_next = (strips[(j + 1) % k][-1], _SW)
-        _wire(pairing, right_bot, left_bot_next)
-    return AlternatingDiagram(count, pairing)
+        nxt = strips[(j + 1) % k]
+        wires += [(4 * strips[j][0] + _NE, 4 * nxt[0] + _NW), (4 * strips[j][-1] + _SE, 4 * nxt[-1] + _SW)]
+    return AlternatingDiagram(count, wires)

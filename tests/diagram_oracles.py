@@ -10,6 +10,9 @@ even slot to an odd one; even faces are black) and for its strands.
 walking tuple slots (c, i) through the pairing dict, as the constructor
 did before it worked on flat slot ids; `walked_views` adds them to what
 `walked_diagram` returns, and `read_off` reads the same off a diagram.
+`wires_of` turns a pairing dict into the wire list the constructor takes,
+and `edge_of_slot` and `region_of_slot` give a diagram's edge and region
+ids by tuple slot.
 
 `edge_endpoints` and `edge_sides` read an edge's two crossings and the
 regions on its two sides off a diagram.
@@ -17,10 +20,54 @@ regions on its two sides off a diagram.
 `_flype_disks` lists every flype disk at a crossing from the region
 4-cycles.  It is the reference for the disks that `cuspcubes.diagram.flype`
 flypes across, and the disk list of the eager flype search in the tests.
+
+`_tail_flype` and `_spot_options` are the flype rewiring and its image
+arcs on pairing dicts of tuple slots, with their helpers `_wire`,
+`_face_walk`, `_joints` and `_mirror`, as `cuspcubes.diagram` had them
+before it rewired wire lists of flat slot ids.
 """
 
-from cuspcubes.diagram import (AlternatingDiagram, BLACK, WHITE, DiagramError, Region, _check_size,
-                               _face_walk)
+from cuspcubes.diagram import AlternatingDiagram, BLACK, WHITE, DiagramError, Region, _check_size
+
+
+def wires_of(pairing):
+    """The wire list of a pairing dict of tuple slots (c, i), fixed points
+    included: (4c + i, 4c' + i') for each key not yet wired and its value,
+    in the dict's order."""
+    seen, wires = set(), []
+    for h, k in pairing.items():
+        if h not in seen:
+            seen.update((h, k))
+            wires.append((4 * h[0] + h[1], 4 * k[0] + k[1]))
+    return wires
+
+
+def edge_of_slot(d):
+    """Edge id by tuple slot (c, i)."""
+    return {divmod(h, 4): e for h, e in enumerate(d._edge)}
+
+
+def region_of_slot(d):
+    """Region index by tuple slot (c, i)."""
+    return {divmod(h, 4): r for h, r in enumerate(d.slot_region)}
+
+
+def _wire(pairing, a, b):
+    """Pair slots a and b: the edge between them."""
+    pairing[a] = b
+    pairing[b] = a
+
+
+def _face_walk(pairing, start):
+    """The face through slot `start`, walked by next(h) = rotate(twin(h))."""
+    walk = [start]
+    c, i = pairing[start]
+    h = (c, (i + 1) % 4)
+    while h != start:
+        walk.append(h)
+        c, i = pairing[h]
+        h = (c, (i + 1) % 4)
+    return tuple(walk)
 
 
 def walked_strands(n, pairing):
@@ -113,7 +160,7 @@ def walked_diagram(n, pairing):
 
 
 def tuple_views(n, pairing):
-    """(pairing items, edges as tuples, edge_of_slot, region_of_slot, regions,
+    """(pairing, edges as tuples, edge_of_slot, region_of_slot, regions,
     prime, reduced) of a valid diagram's pairing, built on tuple slots: edges
     in order of their first slot, faces walked from their least slot by
     next(h) = rotate(twin(h)) and colored by its parity."""
@@ -140,7 +187,7 @@ def tuple_views(n, pairing):
         sides.add((min(ra, rb), max(ra, rb)))
     prime = len(sides) == len(edges)
     reduced = all(len(set(R.crossings)) == len(R.crossings) for R in regions)
-    return (list(pairing.items()), [tuple(e) for e in edges], edge_of_slot, region_of_slot,
+    return (dict(pairing), [tuple(e) for e in edges], edge_of_slot, region_of_slot,
             regions, prime, reduced)
 
 
@@ -152,15 +199,16 @@ def walked_views(n, pairing):
 
 def read_off(d):
     """d's region colors, strands, strand_of_passage items (in its
-    iteration order) and views, the form `walked_views` returns."""
-    views = (list(d.pairing.items()), [tuple(e) for e in d.edges], d.edge_of_slot,
-             d.region_of_slot, d.regions, d.prime, d.reduced)
+    iteration order) and views, the form `walked_views` returns.  The
+    pairing is compared as a mapping: a diagram lists it in wire order."""
+    views = (d.pairing, [tuple(e) for e in d.edges], edge_of_slot(d),
+             region_of_slot(d), d.regions, d.prime, d.reduced)
     return [R.color for R in d.regions], d.strands, list(d.strand_of_passage.items()), views
 
 
 def built_diagram(n, pairing):
     """What the constructor makes of a pairing, read off as `read_off` does."""
-    return read_off(AlternatingDiagram(n, pairing))
+    return read_off(AlternatingDiagram(n, wires_of(pairing)))
 
 
 def outcome(build, n, pairing):
@@ -180,7 +228,7 @@ def edge_endpoints(d, eid):
 def edge_sides(d, eid):
     """Region indices on the two sides of edge eid."""
     a, b = tuple(d.edges[eid])
-    return d.region_of_slot[a], d.region_of_slot[b]
+    return d.slot_region[4 * a[0] + a[1]], d.slot_region[4 * b[0] + b[1]]
 
 
 def _flype_disks(d, c):
@@ -220,12 +268,13 @@ def _flype_disks(d, c):
         return seen
 
     found = {}
+    edge, region = d._edge, d.slot_region
     for p in range(4):
-        e1, e2 = d.edge_of_slot[(c, p)], d.edge_of_slot[(c, (p + 1) % 4)]
+        e1, e2 = edge[4 * c + p], edge[4 * c + (p + 1) % 4]
         # e1 separates Ra from the corner region R0 of ports p, p+1; e2
         # separates R0 from Rb.  The disk boundary runs R0, Ra, Rx, Rb.
-        ra = d.regions[d.region_of_slot[(c, p)]].edges
-        rb = d.regions[d.region_of_slot[(c, (p + 2) % 4)]].edges
+        ra = d.regions[region[4 * c + p]].edges
+        rb = d.regions[region[4 * c + (p + 2) % 4]].edges
         start = d.pairing[(c, p)][0]
         for Rx in d.regions:
             for f1 in ra & Rx.edges:
@@ -239,3 +288,70 @@ def _flype_disks(d, c):
                     if c not in S and all((ends[e][0] in S) != (ends[e][1] in S) for e in cut):
                         found.setdefault(frozenset(S), (p, (min(f1, f2), max(f1, f2))))
     return [(S, p, f) for S, (p, f) in sorted(found.items(), key=lambda item: (len(item[0]), sorted(item[0])))]
+
+
+def _joints(pairing, walk):
+    """The walk slots by the crossings their edge joins, which are
+    consecutive crossings along the face."""
+    joints = {}
+    for h in walk:
+        joints.setdefault(frozenset((h[0], pairing[h][0])), []).append(h)
+    return joints
+
+
+def _mirror(h, L):
+    c, i = h
+    return (c, 3 - i) if c in L else h
+
+
+def _tail_flype(d, c, S):
+    """`cuspcubes.diagram._tail_flype` on tuple slots: (pairing, spot) of
+    the flype of d that carries c across S, or None.  The pairing lists
+    d's pairs in its order, each turned over when in S, then the spot and
+    far pairs."""
+    if c in S:
+        return None
+    eos = edge_of_slot(d)
+    cut = {eos[(x, i)] for x in S for i in range(4) if d.pairing[(x, i)][0] not in S}
+    ports = [i for i in range(4) if d.pairing[(c, i)][0] in S]
+    if len(cut) != 4 or ports not in ([0, 1], [1, 2], [2, 3], [0, 3]):
+        return None
+    p = 3 if ports == [0, 3] else ports[0]
+    f_ids = sorted(cut - {eos[(c, i)] for i in ports})
+
+    def mu(h):
+        return _mirror(h, S)
+
+    fS = [mu(next(h for h in d.edges[f] if h[0] in S)) for f in f_ids]
+    if fS[0][1] % 2 == 0:
+        return None
+    fR = [next(h for h in d.edges[f] if h[0] not in S) for f in f_ids]
+    removed = {eos[(c, k)] for k in range(4)} | set(f_ids)
+    pairing = {}
+    for h, k in d.pairing.items():
+        mh = mu(h)
+        if mh not in pairing and eos[h] not in removed:
+            _wire(pairing, mh, mu(k))
+    spot = [(mu(d.pairing[(c, p)]), d.pairing[(c, (p + 2) % 4)]),
+            (mu(d.pairing[(c, (p + 1) % 4)]), d.pairing[(c, (p + 3) % 4)])]
+    at1, at3 = (fS[1], fR[1]) if p % 2 == 0 else (fR[1], fS[1])
+    far = [(fS[0], (c, 0)), (fR[0], (c, 2)), (at1, (c, 1)), (at3, (c, 3))]
+    for h, k in spot + far:
+        _wire(pairing, h, k)
+    return pairing, spot
+
+
+def _spot_options(pairing, spot):
+    """`cuspcubes.diagram._spot_options` read off a pairing dict before it
+    is built: (walk, c1, c2, joint) for the face through both spot edges,
+    walked from the spot slot, and each pair of distinct ends c1, c2 of the
+    two edges, with `joint` the walk slots whose edge joins c1 and c2."""
+    a, b = spot[0][0], spot[1][0]
+    ends_a, ends_b = ([k[0] for k in frozenset(sorted((h, pairing[h])))] for h in (a, b))
+    for walk in (_face_walk(pairing, a), _face_walk(pairing, pairing[a])):
+        if b in walk or pairing[b] in walk:
+            joints = _joints(pairing, walk)
+            for c1 in ends_a:
+                for c2 in ends_b:
+                    if c1 != c2:
+                        yield walk, c1, c2, joints.get(frozenset((c1, c2)), [])

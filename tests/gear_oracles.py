@@ -24,7 +24,7 @@ def edge_arc_classes(d, mirror=False):
     n_edges = len(d.edges)
     uf = _UnionFind(2 * n_edges)        # signed edge (1, e) is id e, (-1, e) is n_edges + e
     for R in d.regions:
-        walk = [d.edge_of_slot[h] for h in R.boundary]
+        walk = [d._edge[4 * c + i] for c, i in R.boundary]
         m = len(walk)
         shift = 1 if (R.color == BLACK) != mirror else -1
         uf.union((walk[j], n_edges + walk[(j + shift) % m]) for j in range(m))
@@ -46,7 +46,7 @@ def edge_arc_classes(d, mirror=False):
 def closed_form_classes(d, mirror=False):
     """Crossing -> its class as the closed form states it."""
     pos, neg = ((0, 2), (1, 3)) if mirror else ((1, 3), (0, 2))
-    return {x: {(1, d.edge_of_slot[(x, i)]) for i in pos} | {(-1, d.edge_of_slot[(x, i)]) for i in neg}
+    return {x: {(1, d._edge[4 * x + i]) for i in pos} | {(-1, d._edge[4 * x + i]) for i in neg}
             for x in range(d.n)}
 
 
@@ -54,7 +54,7 @@ def transfer_pairs(d, pp):
     """(region, positive edge, negative edge) for each gluing that the pair's
     transfer shift states: w[j] with w[j + shift] along the region's walk w."""
     for R in d.regions:
-        walk = [d.edge_of_slot[h] for h in R.boundary]
+        walk = [d._edge[4 * c + i] for c, i in R.boundary]
         shift = pp.transfer_shift(R)
         for j, e in enumerate(walk):
             yield R, e, walk[(j + shift) % len(walk)]

@@ -215,6 +215,26 @@ class TestCubing:
             for cmd in (["cubing"], ["decide", "--crossing-arc", "c0"], ["svg", "-o", str(tmp_path / "unused.svg")]):
                 assert run(capsys, *cmd, "--pd", str(f)) == (2, "", f"error: malformed: {message}\n"), (obj, cmd)
 
+    def test_hostile_rotation_slots_exit(self, capsys, tmp_path):
+        # a slot [c, i] is flattened to 4c + i only once it is checked, so
+        # [0, 7] does not alias [1, 3], nor [-1, 0] and [0, -1] a slot of
+        # the last crossing; a slot paired with itself is no edge
+        pairs = two_bridge_diagram((2, 1, 2)).diagram.to_json()["rotation"]
+
+        def swap(old, new):
+            return [[new if h == old else h for h in pair] for pair in pairs]
+
+        (a, b), rest = pairs[0], pairs[1:]
+        once = "error: malformed: every slot must be paired exactly once\n"
+        files = [(swap([1, 3], [0, 7]), once), (swap([1, 3], [-1, 0]), once), (swap([4, 3], [0, -1]), once),
+                 (swap([4, 3], [10 ** 8, 3]), once), ([[a, a]] + rest, once),
+                 ([[a, a], [b, b]] + rest, "error: malformed: slot pairing must be a fixed-point-free involution\n")]
+        f = tmp_path / "bad.json"
+        for rotation, message in files:
+            f.write_text(json.dumps({"rotation": rotation}))
+            for cmd in (["cubing"], ["decide", "--crossing-arc", "c0"], ["svg", "-o", str(tmp_path / "unused.svg")]):
+                assert run(capsys, *cmd, "--pd", str(f)) == (2, "", message), (rotation, cmd)
+
     def test_input_schema_and_from_json_agree(self):
         # on which of the two fields an input carries, and of what type
         d = two_bridge_diagram((2, 1, 2)).diagram
@@ -875,6 +895,53 @@ class TestWalk:
             assert cli._walk(cli._leaf_table(leaf, {}), ["5", "--a"]) is None
 
 
+# well-typed values of the leaves' own options and positionals, by dest
+LEAF_VALUES = {"r": ["1/3", "-5/2", "-5/-2", "2/5", "3", "-3", "1/0"], "s": ["4/3", "-12/5", "0"],
+               "m1": [TestParserReuse.M1, '[["9/2",[-16,"1/3"]],[4,-7]]'], "m2": [TestParserReuse.M2],
+               "two_bridge": ["2,2", "2,1,2"], "pd": ["d.json"], "corpus": ["corpus"],
+               "emit_complex": ["complex.json"], "crossing_arc": ["A2:0", "c3"],
+               "in_region": ["R3:c0:c2"], "transverse": ["c0:c2:e1,e2"], "output": ["figure.svg"]}
+
+
+def leaves(route, chain=()):
+    """(command words, leaf parser) of every leaf of a route tree."""
+    if isinstance(route, tuple):
+        return [(chain, route[0])]
+    return [leaf for word, sub in route.items() for leaf in leaves(sub, chain + (word,))]
+
+
+def typed_value(action):
+    """A value token of the action's type or choices."""
+    if action.choices is not None:
+        return st.sampled_from(sorted(action.choices))
+    if action.type is int:
+        return st.integers(-5, 40).map(str)
+    if action.type is float:
+        return st.sampled_from(["1e-9", "0.5", "-0.5", "3"])
+    return st.sampled_from(LEAF_VALUES[action.dest])
+
+
+@st.composite
+def leaf_argvs(draw):
+    """(command words, rest): a leaf's positionals in order, with its
+    options among them: at most one action of each exclusive group, any
+    other option up to twice and a required one at least once, each with a
+    value of its type."""
+    chain, leaf = draw(st.sampled_from(leaves(cli._leaf_routes(build_parser()))))
+    groups = leaf._mutually_exclusive_groups
+    grouped = {a for g in groups for a in g._group_actions}
+    counts = {a: draw(st.integers(1 if a.required else 0, 2)) for a in leaf._actions
+              if a.option_strings and a.dest != "help" and a not in grouped}
+    for a in (draw(st.sampled_from([None, *g._group_actions])) for g in groups):
+        if a is not None:
+            counts[a] = draw(st.integers(1, 2))
+    units = [[draw(st.sampled_from(a.option_strings))] + ([] if a.nargs == 0 else [draw(typed_value(a))])
+             for a, k in counts.items() for _ in range(k)]
+    positionals = [draw(typed_value(a)) for a in leaf._actions if not a.option_strings]
+    order, values = draw(st.permutations(units + [None] * len(positionals))), iter(positionals)
+    return chain, [t for unit in order for t in (unit or [next(values)])]
+
+
 class TestRoute:
     """cli.main reads argv by the walk or at its leaf parser; every outcome
     must be the one of the full nested parse."""
@@ -909,5 +976,17 @@ class TestRoute:
                      st.lists(st.sampled_from(WORDS + FLAGS + VALUES), max_size=7)))
     def test_route_matches_full_parse(self, chain_rest):
         chain, rest = chain_rest
+        argv = list(chain) + rest
+        assert self.outcome(cli._parse_args, argv) == self.outcome(build_parser().parse_args, argv)
+
+    @settings(max_examples=1500)
+    @given(leaf_argvs())
+    def test_walk_reads_well_typed_leaf_argvs(self, chain_rest):
+        # every such argv is read by the walk alone, as the full parse reads it
+        chain, rest = chain_rest
+        route = cli._leaf_routes(build_parser())
+        for word in chain:
+            route = route[word]
+        assert cli._walk(route[2], rest) is not None
         argv = list(chain) + rest
         assert self.outcome(cli._parse_args, argv) == self.outcome(build_parser().parse_args, argv)

@@ -20,7 +20,7 @@ from cuspcubes.diagram import (
     two_bridge_diagram,
 )
 from conftest import twist_sequences
-from diagram_oracles import tuple_views
+from diagram_oracles import region_of_slot, tuple_views
 
 
 def wing_regions(w):
@@ -260,7 +260,7 @@ class TestSpareRegions:
                 else:
                     assert not region_adjacent(dw, spare["region"], spare["via_region"]), seq
                     small = dw.regions[spare["via_region"]]
-                    nbrs = [dw.region_of_slot[dw.pairing[h]] for h in small.boundary]
+                    nbrs = [region_of_slot(dw)[dw.pairing[h]] for h in small.boundary]
                     assert len(set(nbrs)) == len(small.boundary), seq
 
 
@@ -334,7 +334,7 @@ class TestPdRelabelling:
         c1, c2 = data.draw(st.lists(st.sampled_from(sorted(R.distinct_crossings)),
                                     min_size=2, max_size=2, unique=True))
         c, i = R.boundary[0]
-        arc2 = InRegionArc(d2.region_of_slot[(perm[c], i)], perm[c1], perm[c2])
+        arc2 = InRegionArc(d2.slot_region[4 * perm[c] + i], perm[c1], perm[c2])
         assert kind_or_error(d2, arc2) == kind_or_error(d, InRegionArc(R.index, c1, c2))
 
 
@@ -431,3 +431,33 @@ class TestWorkOnUse:
                 assert final.to_json() == verdict["witness_diagram"], (seq, c)
                 assert final.regions == tuple_views(final.n, final.pairing)[4], (seq, c)
         assert kinds == {"tunnel": 22, 1: 22, 2: 16}
+
+    def test_decide_builds_no_tuple_slot_views(self, capsys, monkeypatch, tmp_path):
+        # interior crossing arcs, whose flypes rewire wire lists, and pretzel
+        # in-region and transverse arcs read a file diagram: the input and
+        # every image are read on flat slot ids alone
+        init = AlternatingDiagram.__init__
+        built = []
+
+        def recording(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(AlternatingDiagram, "__init__", recording)
+        views = {"pairing", "edges", "edge_of_slot", "region_of_slot"}
+        for seq in ((2, 1, 2), (2, 16, 2), (4, 4, 4, 4, 4), (5, 5, 5, 5)):
+            built.clear()
+            tb = two_bridge_diagram(seq)
+            for c, i in enumerate(tb.twist_region_of):
+                if 1 < i < len(seq):
+                    for mirror in (False, True):
+                        assert classify_2bridge_pair(tb, CrossingArc(c), mirror)["flype"], (seq, c)
+            assert len(built) > 1 and all(views.isdisjoint(vars(d)) for d in built), seq
+        d = pretzel_diagram(3, 3, 4)
+        R, a, b = separated_pair(d)
+        f = tmp_path / "pretzel.json"
+        f.write_text(json.dumps({"pd": [list(x) for x in d.pd_code()]}))
+        for arc in (["--in-region", f"R{R.index}:c{a}:c{b}"], ["--transverse", f"c{a}:c{b}:e1,e2"]):
+            built.clear()
+            assert main(["decide", "--pd", str(f), *arc]) == 0, arc
+            assert len(built) == 1 and views.isdisjoint(vars(built[0])), arc

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -13,12 +14,13 @@ from cuspcubes.diagram import (
     find_small_white_region, flype, is_prime, is_reduced, pretzel_diagram, region_adjacent,
     twist_sequence, two_bridge_diagram,
 )
-from cuspcubes.diagram import _mirror, _spot_options, _tail_flype
+from cuspcubes.diagram import _spot_options, _tail_flype
 from cuspcubes.cubing import _UnionFind
 from cuspcubes.farey import ContinuedFraction, cf_value
 from conftest import diagram_corpus, twist_sequences
-from diagram_oracles import (_flype_disks, built_diagram, edge_endpoints, edge_sides, outcome, read_off,
-                             tuple_views, walked_views)
+import diagram_oracles as oracle
+from diagram_oracles import (_flype_disks, _mirror, built_diagram, edge_endpoints, edge_of_slot, edge_sides,
+                             outcome, read_off, region_of_slot, tuple_views, walked_views, wires_of)
 from gear_oracles import closed_form_classes, edge_arc_classes
 
 TREFOIL_PD = [(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)]
@@ -49,7 +51,7 @@ def connected_sum_of_trefoils():
             pairing[a] = b
             pairing[b] = a
         try:
-            return AlternatingDiagram(6, pairing)
+            return AlternatingDiagram(6, wires_of(pairing))
         except DiagramError:
             continue
     raise AssertionError("no valid splice found")
@@ -86,7 +88,7 @@ class TestConstruction:
         with pytest.raises(DiagramError, match="paired exactly once"):
             AlternatingDiagram.from_json({"rotation": [[[0, 0], [10 ** 9, 1]]]})
         with pytest.raises(DiagramError, match="paired exactly once"):
-            AlternatingDiagram(10 ** 9, {(0, 0): (0, 1), (0, 1): (0, 0)})
+            AlternatingDiagram(10 ** 9, wires_of({(0, 0): (0, 1), (0, 1): (0, 0)}))
 
     def test_bad_json_shapes_rejected(self):
         for obj in (5, [[1, 2, 3, 4]], {"pd": 5}, {"pd": [[[1], 2, 3, 4]]}, {"pd": [5]},
@@ -124,7 +126,7 @@ class TestConstruction:
         with pytest.raises(DiagramError, match=r"^non-planar: 2 crossings with 2 regions \(expected 4 on the sphere\)$"):
             AlternatingDiagram.from_pd([(1, 2, 1, 3), (2, 4, 3, 4)])
         with pytest.raises(DiagramError, match=r"^non-planar: 1 crossings with 1 regions \(expected 3 on the sphere\)$"):
-            AlternatingDiagram(1, {(0, 0): (0, 2), (0, 2): (0, 0), (0, 1): (0, 3), (0, 3): (0, 1)})
+            AlternatingDiagram(1, wires_of({(0, 0): (0, 2), (0, 2): (0, 0), (0, 1): (0, 3), (0, 3): (0, 1)}))
 
     def test_disconnected_rejected(self):
         with pytest.raises(DiagramError, match="^disconnected: the diagram graph must be connected$"):
@@ -215,8 +217,8 @@ class TestPrimeReduced:
     def test_kink_not_reduced(self):
         # one-crossing unknot with two lobes: nugatory, hence not reduced
         # (still vacuously prime: no loop can have crossings on both sides)
-        d = AlternatingDiagram(1, {(0, 0): (0, 1), (0, 1): (0, 0),
-                                   (0, 2): (0, 3), (0, 3): (0, 2)})
+        d = AlternatingDiagram(1, wires_of({(0, 0): (0, 1), (0, 1): (0, 0),
+                                            (0, 2): (0, 3), (0, 3): (0, 2)}))
         assert not is_reduced(d)
         assert is_prime(d)
 
@@ -264,7 +266,7 @@ class TestRegions:
         d = two_bridge_diagram((2, 2)).diagram
         R, kind = find_small_white_region(d)
         assert kind == "bigon" and len(R) == 2
-        nbrs = {d.region_of_slot[d.pairing[h]] for h in R.boundary}
+        nbrs = {region_of_slot(d)[d.pairing[h]] for h in R.boundary}
         assert len(nbrs) == 2
 
     def test_small_region_none_needed(self):
@@ -508,7 +510,7 @@ def subset_flype_disks(d, c, cuts):
     """Flype disks at c by the exhaustive subset search: four cut edges, two
     of them at consecutive ports p, p+1 of c, the far edges at p+2, p+3
     leaving c for crossings outside S and six distinct edges rewired."""
-    out = []
+    out, eos = [], edge_of_slot(d)
     for S, cut in cuts:
         if c in S:
             continue
@@ -519,9 +521,9 @@ def subset_flype_disks(d, c, cuts):
         far = [d.pairing[(c, (p + k) % 4)][0] for k in (2, 3)]
         if any(x in S or x == c for x in far):
             continue
-        if len(cut | {d.edge_of_slot[(c, (p + k) % 4)] for k in (2, 3)}) != 6:
+        if len(cut | {eos[(c, (p + k) % 4)] for k in (2, 3)}) != 6:
             continue
-        f1, f2 = sorted(cut - {d.edge_of_slot[(c, p)], d.edge_of_slot[(c, (p + 1) % 4)]})
+        f1, f2 = sorted(cut - {eos[(c, p)], eos[(c, (p + 1) % 4)]})
         out.append((S, p, (f1, f2)))
     return sorted(out, key=lambda item: (len(item[0]), sorted(item[0])))
 
@@ -674,14 +676,15 @@ def eager_trials(d, c, disks=None):
         def mu(h):
             return _mirror(h, S)
 
-        removed = {d.edge_of_slot[(c, k)] for k in range(4)} | set(f_ids)
+        eos = edge_of_slot(d)
+        removed = {eos[(c, k)] for k in range(4)} | set(f_ids)
         base = []
         seen = set()
         for h, k in d.pairing.items():
             if h in seen:
                 continue
             seen.update((h, k))
-            if d.edge_of_slot[h] in removed:
+            if eos[h] in removed:
                 continue
             base.append((mu(h), mu(k)))
         spot = [(mu(att1), g1_far), (mu(att2), g2_far)]
@@ -710,8 +713,7 @@ def built_spot_options(d2, spot):
     """The in-region arcs the image of the crossing arc can be, read off the
     built diagram: (R, c1, c2, adjacent) for each region R holding both spot
     edges and each pair of distinct ends c1, c2 of the two, by region index."""
-    ea = d2.edge_of_slot[spot[0][0]]
-    eb = d2.edge_of_slot[spot[1][0]]
+    ea, eb = (edge_of_slot(d2)[h] for h, _k in spot)
     out = []
     for R in d2.regions:
         if ea in R.edges and eb in R.edges:
@@ -738,7 +740,7 @@ def disk_survivors(d, c, disk):
     out = []
     for _j, pairing, spot in eager_trials(d, c, [disk]):
         try:
-            d2 = AlternatingDiagram(d.n, pairing)
+            d2 = AlternatingDiagram(d.n, wires_of(pairing))
         except DiagramError:
             continue
         if keeps_invariants(d2, strands0, det0):
@@ -763,15 +765,14 @@ def eager_pinch_flypes(d, c, record):
     for j, pairing, spot in eager_trials(d, c):
         walked = outcome(walked_views, d.n, pairing)
         try:
-            d2 = AlternatingDiagram(d.n, pairing)
+            d2 = AlternatingDiagram(d.n, wires_of(pairing))
         except DiagramError as err:
             record["oracle"].append((False, str(err) == walked))
             continue
         record["oracle"].append((True, read_off(d2) == walked))
         record["gear_mismatches"].append(gear_mismatches(d2))
         record["spots"].append((
-            [(d2.region_of_slot[walk[0]], c1, c2, bool(joint))
-             for walk, c1, c2, joint in _spot_options(pairing, spot)],
+            [(r, c1, c2, bool(joint)) for r, c1, c2, joint in _spot_options(d2, flat(spot))],
             [(R.index, c1, c2, adjacent) for R, c1, c2, adjacent in built_spot_options(d2, spot)]))
         if not keeps_invariants(d2, strands0, det0):
             continue
@@ -846,6 +847,26 @@ def eager_corpus():
     return regions, record["spots"], record["calls"], record["gear_mismatches"], record["oracle"]
 
 
+def flat(pairs):
+    """Pairs of tuple slots (c, i) as pairs of flat slot ids 4c + i."""
+    return [(4 * h[0] + h[1], 4 * k[0] + k[1]) for h, k in pairs]
+
+
+def tupled(pairs):
+    """Pairs of flat slot ids as pairs of tuple slots (c, i)."""
+    return [(divmod(a, 4), divmod(b, 4)) for a, b in pairs]
+
+
+def as_pairing(wired):
+    """A `_tail_flype` result (wires, spot) on tuple slots: the pairing dict
+    of the wires and the spot pairs."""
+    wires, spot = wired
+    pairing = {}
+    for h, k in tupled(wires):
+        pairing[h], pairing[k] = k, h
+    return pairing, tupled(spot)
+
+
 def relabel_at(pairing, c):
     """The same rewiring with the slots of crossing c turned by 180 degrees."""
     def turn(h):
@@ -877,7 +898,8 @@ class TestLazyFlypeSearch:
             steps.clear()
             fr = flype(tb, i)
             assert len(steps) == fr.trace["flype_steps"] == out[1], (seq, i)
-            for d, c, S, (x, spot) in steps:
+            for d, c, S, wired in steps:
+                x, spot = as_pairing(wired)
                 disk = next(disk for disk in _flype_disks(d, c) if disk[0] == S)
                 y = relabel_at(x, c)
                 assert disk_survivors(d, c, disk) == [(x, spot), (x, spot), (y, spot), (y, spot)], (seq, i)
@@ -902,7 +924,7 @@ class TestLazyFlypeSearch:
                     skipped += 1
                     continue
                 kept += 1
-                x, spot = wired
+                x, spot = as_pairing(wired)
                 y = relabel_at(x, c)
                 assert x != y
                 assert survivors == [(x, spot), (x, spot), (y, spot), (y, spot)], (d.pd_code(), c)
@@ -923,6 +945,46 @@ class TestLazyFlypeSearch:
         assert kinds == {(True, False), (False, True), (True, True)}
         for got, want in spots:
             assert got == want
+
+    def test_rewiring_matches_the_dict_oracles(self, monkeypatch):
+        # every _tail_flype call of decide's flype chains, its wire list and
+        # spot against the tuple-slot rewiring of diagram_oracles (wire order
+        # is the oracle pairing's order), and the image options against the
+        # oracle's, read off the pairing from the spot slot
+        import cuspcubes.diagram as D
+        from cuspcubes.decide import classify_2bridge_pair
+        tail, options = D._tail_flype, D._spot_options
+        checked = Counter()
+
+        def checked_tail(d, c, S):
+            wired, want = tail(d, c, S), oracle._tail_flype(d, c, S)
+            if wired is None:
+                assert want is None, (d.pd_code(), c, S)
+                checked["none"] += 1
+            else:
+                assert wired[0] == wires_of(want[0]) and wired[1] == flat(want[1]), (d.pd_code(), c, S)
+                checked["wired"] += 1
+            return wired
+
+        def checked_options(d2, spot):
+            got = [(r, c1, c2, [divmod(h, 4) for h in joint]) for r, c1, c2, joint in options(d2, spot)]
+            regions = region_of_slot(d2)
+            want = [(regions[walk[0]], c1, c2, joint)
+                    for walk, c1, c2, joint in oracle._spot_options(d2.pairing, tupled(spot))]
+            assert got == want, d2.pd_code()
+            checked["options"] += len(got)
+            return options(d2, spot)
+
+        monkeypatch.setattr(D, "_tail_flype", checked_tail)
+        monkeypatch.setattr(D, "_spot_options", checked_options)
+        seqs = twist_sequences(10) + [(2, 16, 2), (4, 4, 4, 4, 4), (5, 5, 5, 5)]
+        for seq in seqs:
+            tb = two_bridge_diagram(seq)
+            for c, i in enumerate(tb.twist_region_of):
+                if 1 < i < len(seq):
+                    for mirror in (False, True):
+                        classify_2bridge_pair(tb, CrossingArc(c), mirror)
+        assert checked == {"wired": 2418, "none": 806, "options": 8244}
 
     def test_one_prime_check_per_flype(self, monkeypatch):
         import cuspcubes.diagram as D
@@ -969,9 +1031,9 @@ class TestSizeCap:
         for build in (lambda: twist_sequence((2, MAX_CROSSINGS - 3, 2)),
                       lambda: two_bridge_diagram((2, 10 ** 12, 2)),
                       lambda: pretzel_diagram(MAX_CROSSINGS, 1),
-                      lambda: AlternatingDiagram(MAX_CROSSINGS + 1, {(c, i): (c, i ^ 1)
-                                                                     for c in range(MAX_CROSSINGS + 1)
-                                                                     for i in range(4)})):
+                      lambda: AlternatingDiagram(MAX_CROSSINGS + 1, wires_of({(c, i): (c, i ^ 1)
+                                                                              for c in range(MAX_CROSSINGS + 1)
+                                                                              for i in range(4)}))):
             with pytest.raises(DiagramError, match=f"too large: .* at most {MAX_CROSSINGS}"):
                 build()
 

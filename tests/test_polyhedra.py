@@ -70,7 +70,7 @@ class TestFaceTransfer:
     def test_bigon_swap(self, fig8):
         # on a bigon both directions glue each edge to the other one
         bigon = next(R for R in fig8.regions if len(R) == 2)
-        e0, e1 = (fig8.edge_of_slot[h] for h in bigon.boundary)
+        e0, e1 = (fig8._edge[4 * c + i] for c, i in bigon.boundary)
         assert e0 != e1
         for mirror in (False, True):
             pairs = {(pos, neg) for R, pos, neg in transfer_pairs(fig8, build_polyhedra(fig8, mirror))
