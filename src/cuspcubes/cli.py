@@ -152,7 +152,7 @@ def cmd_cubing(args) -> int:
         raise ValueError("--corrupt cannot be combined with --emit-complex")
     cx = CB.build_cubing(_load_diagram(args)[1])
     if args.corrupt is not None:
-        cx.corrupt(args.corrupt)
+        cx = cx.corrupt(args.corrupt)
     out = _cubing_report(cx, with_tori=args.corrupt is None)
     if args.emit_complex is not None:
         CB.write_complex(cx, args.emit_complex)

@@ -16,19 +16,20 @@ non-positive curvature.
 Germs have dense ids.  Cube q = 2c + s (s = 0 under, 1 over) holds vertex
 germs 8q + 2p + (0 "bc", 1 "tc") at port p, edge germs 12q + 3p + (0 "ve",
 1 "be", 2 "te") and faces 6q + k (side k < 4, top 4, bottom 5).  Names such
-as ("bc", c, "over", p) are decoded only for output.  Gluings are
-namedtuples of these ids, built from the diagram's slot ids and its flat
-`slot_region` list, so the cubing builds no `Region` record.  The emitted
-complex is written by `write_complex`, whose text is pinned to
-json.dumps(to_json(), indent=2).
+as ("bc", c, "over", p) are decoded only for output.  The gluings are flat
+int lists, built from the diagram's slot ids and `slot_region` list (so no
+`Region` record): gluing i glues face fa[i] to fb[i] and germ va[4i + j] to
+vb[4i + j], ea[4i + j] to eb[4i + j]; the first n glue cube bottoms.
+`verify_npc` files the corners under each vertex class and checks each
+link in one pass.  `corrupt(k)` returns a corrupted copy.  The emitted
+complex is written by `write_complex`, pinned to json.dumps(to_json(), indent=2).
 """
 
 from __future__ import annotations
 
 import json
-from collections import defaultdict, namedtuple
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain
 
 from .diagram import AlternatingDiagram, BLACK, WHITE
 
@@ -77,37 +78,6 @@ _CORNER_EDGES = tuple((3 * ((p - 1) % 4) + 1 + kind, 3 * p + 1 + kind, 3 * p)
                       for p in range(4) for kind in (0, 1))
 
 
-# One identification of two square faces, with its germ matching: kind
-# "bottom" or "side", the two face ids, and pairs of corner and of edge germ ids.
-Gluing = namedtuple("Gluing", "kind faces vertex_pairs edge_pairs")
-
-
-def _flag(edges, triangles: int) -> bool:
-    """Flagness of a simplicial 2-complex from its edges (pairs) and its
-    triangle count, by counting cliques.  A triangle is a 3-clique whose
-    third vertex is a common neighbour at each of its edges, so the sum over
-    edges ab of |N(a) & N(b)| is 3 * triangles iff no 3-clique is empty; two
-    adjacent common neighbours of an edge make a 4-clique, which cannot span."""
-    adj = defaultdict(set)
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    cliques = 0
-    for a, b in edges:
-        common = adj[a] & adj[b]
-        k = len(common)
-        cliques += k
-        if k == 2:
-            c, e = common
-            if c in adj[e]:
-                return False
-        elif k > 2:
-            for c in common:
-                if not common.isdisjoint(adj[c]):
-                    return False
-    return cliques == 3 * triangles
-
-
 class _UnionFind:
     """Union-find on the ids 0..size-1."""
 
@@ -125,22 +95,19 @@ class _UnionFind:
             if a != b:
                 p[a] = b
 
-    def classes(self) -> dict:
-        """Root -> members, both in id order.  Every element's parent is
-        left at its root, so `parent` is then the element -> class map."""
-        out = {}
+    def roots(self) -> list:
+        """The roots in id order.  Every element's parent is left at its
+        root, so `parent` is then the element -> class map."""
         parent = self.parent
+        roots = []
         for x, root in enumerate(parent):
+            if root == x:
+                roots.append(x)
+                continue
             while parent[root] != root:
                 root = parent[root]
             parent[x] = root
-            out.setdefault(root, []).append(x)
-        return out
-
-
-def _swap_partners(pairs: tuple) -> tuple:
-    """Pairs 2i and 2i + 1 exchange their second members."""
-    return tuple((a, pairs[i ^ 1][1]) for i, (a, _b) in enumerate(pairs))
+        return roots
 
 
 class CubedComplex:
@@ -161,12 +128,16 @@ class CubedComplex:
 
     def _build_gluings(self) -> None:
         d = self.diagram
-        region = d.slot_region
-        # cube 2c + 1 (over) meets cube 2c (under) along their bottom faces
-        gluings = [Gluing("bottom", (12 * c + 11, 12 * c + 5),
-                          tuple((16 * c + 8 + 2 * p, 16 * c + 2 * p) for p in range(4)),
-                          tuple((24 * c + 13 + 3 * k, 24 * c + 1 + 3 * k) for k in range(4)))
-                   for c in range(d.n)]
+        n, region = d.n, d.slot_region
+        # gluing c < n: cube 2c + 1 (over) meets cube 2c (under) along their bottom faces
+        fa, fb = [12 * c + 11 for c in range(n)], [12 * c + 5 for c in range(n)]
+        va = [16 * c + 8 + 2 * p for c in range(n) for p in range(4)]
+        vb = [16 * c + 2 * p for c in range(n) for p in range(4)]
+        ea = [24 * c + 13 + 3 * k for c in range(n) for k in range(4)]
+        eb = [24 * c + 1 + 3 * k for c in range(n) for k in range(4)]
+        # The side gluings follow the iteration order of `d.edges` (frozensets)
+        # and then of {r1, r2}: hash order, which the golden digests pin (see
+        # the FOUND line on the gluing order in CHANGES.md).
         for (c1, p1), (c2, p2) in d.edges:
             q1, q2 = 2 * c1 + (p1 & 1), 2 * c2 + (p2 & 1)
             r1, r2 = region[4 * c1 + p1], region[4 * c2 + p2]
@@ -182,30 +153,36 @@ class CubedComplex:
                 port1, f1 = 8 * q1 + 2 * p1, 8 * q1 + 2 * far1
                 port2, f2 = 8 * q2 + 2 * p2, 8 * q2 + 2 * far2
                 flat1, flat2 = 12 * q1 + 3 * k1 + 1, 12 * q2 + 3 * k2 + 1
-                gluings.append(Gluing(
-                    "side", (6 * q1 + k1, 6 * q2 + k2),
-                    ((port1, f2), (f1, port2), (port1 + 1, f2 + 1), (f1 + 1, port2 + 1)),
-                    ((flat1, flat2), (flat1 + 1, flat2 + 1),
-                     (12 * q1 + 3 * p1, 12 * q2 + 3 * far2), (12 * q1 + 3 * far1, 12 * q2 + 3 * p2))))
-        self.gluings = gluings
+                fa.append(6 * q1 + k1)
+                fb.append(6 * q2 + k2)
+                va += (port1, f1, port1 + 1, f1 + 1)
+                vb += (f2, port2, f2 + 1, port2 + 1)
+                ea += (flat1, flat1 + 1, 12 * q1 + 3 * p1, 12 * q1 + 3 * far1)
+                eb += (flat2, flat2 + 1, 12 * q2 + 3 * far2, 12 * q2 + 3 * p2)
+        self.fa, self.fb, self.va, self.vb, self.ea, self.eb = fa, fb, va, vb, ea, eb
 
     def corrupt(self, k: int) -> CubedComplex:
-        """Negative control: uncross side gluing k, which matches each
-        cube's port corner with the other's far corner, so that ports meet
-        ports, and close the classes again; verify_npc then fails at a
-        located vertex.  A bottom gluing (k < n) is left as it is, so that
+        """Negative control: a copy of the complex, with its own partner
+        lists, in which side gluing k is uncrossed (each cube's port corner
+        meets the other's far corner, so ports meet ports) and the classes
+        are closed again; verify_npc then fails at a located vertex, and self
+        stays clean.  A bottom gluing (k < n) is copied as it is, so that
         control passes: perfbench/checks.py files its exit 0 as a known
         failure and perfbench's tests pin that, so a mend lands with a
         revision of the benchmark."""
-        if not 0 <= k < len(self.gluings):
-            raise CubingError(f"no gluing {k}: indices run from 0 to {len(self.gluings) - 1}")
-        g = self.gluings[k]
-        if g.kind == "side":
-            self.gluings[k] = g._replace(
-                vertex_pairs=_swap_partners(g.vertex_pairs),
-                edge_pairs=g.edge_pairs[:2] + _swap_partners(g.edge_pairs[2:]))
-            self._close_classes()
-        return self
+        if not 0 <= k < len(self.fa):
+            raise CubingError(f"no gluing {k}: indices run from 0 to {len(self.fa) - 1}")
+        bad = object.__new__(CubedComplex)
+        bad.__dict__.update(self.__dict__)
+        if k >= self.diagram.n:
+            i = 4 * k
+            # vertex pairs 0, 1 and 2, 3 exchange partners, and edge pairs 2, 3
+            bad.vb = vb = self.vb[:]
+            vb[i:i + 4] = vb[i + 1], vb[i], vb[i + 3], vb[i + 2]
+            bad.eb = eb = self.eb[:]
+            eb[i + 2:i + 4] = eb[i + 3], eb[i + 2]
+            bad._close_classes()
+        return bad
 
     # -- class closure -------------------------------------------------------
 
@@ -213,26 +190,23 @@ class CubedComplex:
         n = self.diagram.n
         region = self.diagram.slot_region
         vtx, edg = _UnionFind(16 * n), _UnionFind(24 * n)
-        vtx.union(chain.from_iterable(g.vertex_pairs for g in self.gluings))
-        edg.union(chain.from_iterable(g.edge_pairs for g in self.gluings))
-        # each face lies in at most one gluing: a square class is a gluing's
-        # two faces or a top face alone, named by its first face
-        partner = [-1] * (12 * n)
-        for a, b in (g.faces for g in self.gluings):
-            partner[a], partner[b] = b, a
-        vclasses, eclasses = vtx.classes(), edg.classes()
-        # classes() leaves each germ's parent at its root: the germ -> class
+        vtx.union(zip(self.va, self.vb))
+        edg.union(zip(self.ea, self.eb))
+        vroots, eroots = vtx.roots(), edg.roots()
+        # roots() leaves each germ's parent at its root: the germ -> class
         # maps.  A root has its class's kind, an inner edge root its region.
-        vroot = self._vroot = vtx.parent
-        self._eroot = edg.parent
-        names = {v: vertex_name(v) for v in vclasses}
-        # inner vertices (bottom corners, even ids) first, each part by name
-        self._vertex_ids = sorted(vclasses, key=lambda v: (v & 1, str(names[v])))
-        self.inner_vertices = [names[v] for v in self._vertex_ids if not v & 1]
-        self.boundary_vertices = [names[v] for v in self._vertex_ids if v & 1]
+        self._vroot, self._eroot = vtx.parent, edg.parent
+        # inner vertices (bottom corners, even ids) first, each part by
+        # name, which is decoded and made a string once per class
+        rows = sorted((v & 1, str(name), v, name)
+                      for v, name in zip(vroots, map(vertex_name, vroots)))
+        self._vertex_ids = [v for _odd, _s, v, _name in rows]
+        self._vertex_strs = [s for _odd, s, _v, _name in rows]
+        self.inner_vertices = [name for odd, _s, _v, name in rows if not odd]
+        self.boundary_vertices = [name for odd, _s, _v, name in rows if odd]
 
         self.inner_edges, self.vertical_edges, self.boundary_edges = {}, [], []
-        for root in eclasses:
+        for root in eroots:
             q, r = divmod(root, 12)
             if r % 3 == 1:
                 # corner k = r // 3 of crossing q >> 1 lies in the region of slot k + 1
@@ -240,17 +214,6 @@ class CubedComplex:
             else:
                 (self.vertical_edges if r % 3 == 0 else self.boundary_edges).append(root)
         self.region_edge = {rid: root for root, rid in self.inner_edges.items()}
-
-        # the corner germs and square corners at each vertex, for its link;
-        # a square corner is filed with its class's face, germ and two edges
-        links = self._links = {v: (members, []) for v, members in vclasses.items()}
-        for face, other in enumerate(partner):
-            if 0 <= other < face:
-                continue                # filed under its partner
-            q, k = divmod(face, 6)
-            vbase, ebase = 8 * q, 12 * q
-            for corner, ea, eb in _SQUARE_CORNERS[k]:
-                links[vroot[vbase + corner]][1].append((face, vbase + corner, ebase + ea, ebase + eb))
 
     # -- reports ---------------------------------------------------------------
 
@@ -277,62 +240,21 @@ class CubedComplex:
         }
 
     def to_json(self) -> dict:
-        counts = self.counts
+        counts, n = self.counts, self.diagram.n
+        # each face's name as a list of strings, indexed by face id
+        names = []
+        for c in map(str, range(n)):
+            for s in PASSAGES:
+                names += (["side", c, s, "0"], ["side", c, s, "1"], ["side", c, s, "2"],
+                          ["side", c, s, "3"], ["top", c, s], ["bottom", c, s])
+        kinds = ["bottom"] * n + ["side"] * (4 * n)
         return {
             "cubes": [list(q) for q in self.cubes],
-            "gluings": [{"kind": g.kind, "faces": [list(map(str, face_name(f))) for f in g.faces]}
-                        for g in self.gluings],
+            "gluings": [{"kind": kind, "faces": [names[a], names[b]]}
+                        for kind, a, b in zip(kinds, self.fa, self.fb)],
             "counts": counts,
             "hyperplanes": counts["midsquares_per_hyperplane"],
         }
-
-    # -- vertex links -----------------------------------------------------------
-
-    def vertices(self) -> list:
-        return list(self.inner_vertices) + list(self.boundary_vertices)
-
-    def _link(self, v: int) -> tuple:
-        """The link of vertex class v on edge class ids, from the corner
-        germs and square corners that the closure filed under v: edges
-        (a, b), a < b, -> square class, triangles (a, b, c), a < b < c, ->
-        corner germ, and the problems in the order they were met."""
-        eroot = self._eroot
-        corners, square_corners = self._links[v]
-        problems, triangles, edges = [], {}, {}
-        for g in corners:
-            base = 12 * (g >> 3)
-            x, y, z = _CORNER_EDGES[g & 7]
-            a, b, c = eroot[base + x], eroot[base + y], eroot[base + z]
-            if a > b:
-                a, b = b, a
-            if b > c:
-                b, c = c, b
-                if a > b:
-                    a, b = b, a
-            if a == b or b == c:
-                _kind, c, s, p = vertex_name(g)
-                problems.append(f"degenerate corner of cube ({c},{s}) at port {p}")
-                continue
-            t = (a, b, c)
-            if t in triangles:
-                _kind, c, s, _p = vertex_name(g)
-                problems.append(f"corner of cube ({c},{s}) repeats the simplex of "
-                                f"{vertex_name(triangles[t])[1:]}")
-            triangles[t] = g
-        for face, g, ea, eb in square_corners:
-            a, b = eroot[ea], eroot[eb]
-            if a == b:
-                problems.append(f"square {face_name(face)} pinches at {vertex_name(g)}")
-                continue
-            pair = (a, b) if a < b else (b, a)
-            if edges.get(pair, face) != face:
-                problems.append(f"double edge between {sorted(str(edge_name(x)) for x in pair)}")
-            edges[pair] = face
-        missing = 0
-        for a, b, c in triangles:
-            missing += ((a, b) not in edges) + ((a, c) not in edges) + ((b, c) not in edges)
-        problems += ["triangle with a missing edge"] * missing
-        return edges, triangles, problems
 
 
 def build_cubing(d: AlternatingDiagram) -> CubedComplex:
@@ -361,24 +283,100 @@ def build_cubing(d: AlternatingDiagram) -> CubedComplex:
 
 
 def verify_npc(cx: CubedComplex) -> dict:
-    """Run the flag criterion, `_flag`'s clique count, over every vertex
-    link on edge class ids, with names decoded for failing vertices only
-    (the named links and the oracles are in tests/cubing_oracles.py).  Returns
-    {"npc": bool, "vertices": [...], "failures": [...]}; a pass at every
-    vertex establishes non-positive curvature."""
+    """Check every vertex link on edge class ids, in one pass per vertex
+    class, and decode names only for the first problem of a failing vertex.
+    A link is simplicial when its corners span distinct nondegenerate
+    triangles, its square corners distinct edges and every triangle's edges
+    are there, and it is then checked for flagness by `_flag`'s clique
+    count.  The named links and the per-link oracles are in
+    tests/cubing_oracles.py.
+    Returns {"npc": bool, "vertices": [...], "failures": [...]}; a pass at
+    every vertex establishes non-positive curvature."""
+    n, vroot, eroot = cx.diagram.n, cx._vroot, cx._eroot
+    # file the corner germs, and the corners of each square class (a
+    # gluing's first face, or a top face), under their vertex classes
+    corners = {v: [] for v in cx._vertex_ids}
+    squares = {v: [] for v in cx._vertex_ids}
+    for g, v in enumerate(vroot):
+        corners[v].append(g)
+    for face in sorted([*map(min, cx.fa, cx.fb), *range(4, 12 * n, 6)]):
+        q, k = divmod(face, 6)
+        vbase, ebase = 8 * q, 12 * q
+        for corner, ea, eb in _SQUARE_CORNERS[k]:
+            g = vbase + corner
+            squares[vroot[g]].append((face, g, eroot[ebase + ea], eroot[ebase + eb]))
     entries, failures = [], []
-    for v, name in zip(cx._vertex_ids, cx.vertices()):
-        edges, triangles, problems = cx._link(v)
-        if problems:
-            ok, reason = False, f"non-simplicial: {problems[0]}"
-        else:
-            ok = _flag(edges, len(triangles))
-            reason = None if ok else "non-flag clique"
+    for v, name in zip(cx._vertex_ids, cx._vertex_strs):
+        reason = _link_failure(corners[v], squares[v], eroot)
         kind = "boundary" if v & 1 else "inner"
-        entries.append({"vertex": str(name), "kind": kind, "flag": ok})
-        if not ok:
-            failures.append({"vertex": str(name), "kind": kind, "reason": reason})
+        entries.append({"vertex": name, "kind": kind, "flag": reason is None})
+        if reason is not None:
+            failures.append({"vertex": name, "kind": kind, "reason": reason})
     return {"npc": not failures, "vertices": entries, "failures": failures}
+
+
+def _link_failure(corners: list, squares: list, eroot: list):
+    """The first problem of one vertex link, in the order: corners (a
+    degenerate one, or one that repeats a triangle), square corners (one
+    that pinches, or a second square on an edge), a triangle with a missing
+    edge, a clique that does not span; None when the link is flag."""
+    triangles = {}                  # (a, b, c), a < b < c -> its corner germ
+    for g in corners:
+        base = 12 * (g >> 3)
+        x, y, z = _CORNER_EDGES[g & 7]
+        a, b, c = eroot[base + x], eroot[base + y], eroot[base + z]
+        if a > b:
+            a, b = b, a
+        if b > c:
+            b, c = c, b
+            if a > b:
+                a, b = b, a
+        if a == b or b == c:
+            _kind, c, s, p = vertex_name(g)
+            return f"non-simplicial: degenerate corner of cube ({c},{s}) at port {p}"
+        t = (a, b, c)
+        if t in triangles:
+            _kind, c, s, _p = vertex_name(g)
+            return (f"non-simplicial: corner of cube ({c},{s}) repeats the simplex of "
+                    f"{vertex_name(triangles[t])[1:]}")
+        triangles[t] = g
+    edges, adj = {}, defaultdict(set)   # (a, b), a < b -> its square class
+    for face, g, a, b in squares:
+        if a == b:      # unreached: a and b are two of g's edges, so g's corner failed first
+            return f"non-simplicial: square {face_name(face)} pinches at {vertex_name(g)}"
+        pair = (a, b) if a < b else (b, a)
+        if edges.setdefault(pair, face) != face:
+            return f"non-simplicial: double edge between {sorted(str(edge_name(x)) for x in pair)}"
+        adj[a].add(b)
+        adj[b].add(a)
+    for a, b, c in triangles:
+        na = adj[a]
+        if b not in na or c not in na or c not in adj[b]:
+            return "non-simplicial: triangle with a missing edge"
+    return None if _flag(edges, adj, len(triangles)) else "non-flag clique"
+
+
+def _flag(edges, adj, triangles: int) -> bool:
+    """Flagness of a simplicial 2-complex from its edges (pairs), their
+    adjacency sets and its triangle count, by counting cliques.  A triangle
+    is a 3-clique whose third vertex is a common neighbour at each of its
+    edges, so the sum over edges ab of |N(a) & N(b)| is 3 * triangles iff no
+    3-clique is empty; two adjacent common neighbours of an edge make a
+    4-clique, which cannot span."""
+    cliques = 0
+    for a, b in edges:
+        common = adj[a] & adj[b]
+        k = len(common)
+        cliques += k
+        if k == 2:
+            c, e = common
+            if c in adj[e]:
+                return False
+        elif k > 2:
+            for c in common:
+                if not common.isdisjoint(adj[c]):
+                    return False
+    return cliques == 3 * triangles
 
 
 @dataclass

@@ -1,17 +1,21 @@
 """Oracles for the vertex links and the flag check, read only by the tests:
-the link of a vertex class as frozensets of edge class ids, and the flag
-check as a walk over an adjacency dict that looks every common neighbour's
-triangle up.  `cuspcubes.cubing` builds the same links on id tuples and
-decides flagness by counting cliques; these are the references for both.
-The named forms live here too: `VertexLink`, `vertex_link` and `is_flag`
-on germ names, `germ_id`, which encodes a name, and `link_angle_class`.
+the link of a vertex class on edge class ids (`id_link`, from the corner
+germs and square corners that `filed_germs` files under each class), the
+clique-count flag check on its edges (`clique_flag`) and the report that
+both give (`linked_verify`), the reference for the fused per-vertex pass of
+`cuspcubes.cubing.verify_npc`; the same link with frozenset simplices and
+the flag check as a walk over an adjacency dict that looks every common
+neighbour's triangle up.  The named forms live here too: `VertexLink`,
+`vertex_link` and `is_flag` on germ names, `germ_id`, which encodes a name,
+and `link_angle_class`.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from cuspcubes.cubing import (_CORNER_EDGES, PASSAGES, CubingError, _flag, edge_name, face_name,
-                              vertex_name)
+from cuspcubes.cubing import (_CORNER_EDGES, _SQUARE_CORNERS, PASSAGES, CubingError, edge_name,
+                              face_name, vertex_name)
 from cuspcubes.diagram import Region
 
 # germ kind -> (germs per cube, id step per port, offset)
@@ -24,6 +28,112 @@ def germ_id(name: tuple) -> int:
     per_cube, step, offset = _LAYOUT[name[0]]
     port = name[3] if len(name) > 3 else 0
     return (2 * name[1] + PASSAGES.index(name[2])) * per_cube + step * port + offset
+
+
+def filed_germs(cx) -> dict:
+    """Vertex class -> (its corner germs, its square corners), in id order.
+    A square class is a gluing's two faces, named by the lesser, or a top
+    face alone; each of its corners is filed under the class of its corner
+    germ as (face, corner germ, and the two edge germs along the face)."""
+    vroot = cx._vroot
+    partner = [-1] * (12 * cx.diagram.n)
+    for a, b in zip(cx.fa, cx.fb):
+        partner[a], partner[b] = b, a
+    filed = {}
+    for g, v in enumerate(vroot):
+        filed.setdefault(v, ([], []))[0].append(g)
+    for face, other in enumerate(partner):
+        if 0 <= other < face:
+            continue                # filed under its partner
+        q, k = divmod(face, 6)
+        vbase, ebase = 8 * q, 12 * q
+        for corner, ea, eb in _SQUARE_CORNERS[k]:
+            filed[vroot[vbase + corner]][1].append((face, vbase + corner, ebase + ea, ebase + eb))
+    return filed
+
+
+def id_link(cx, v: int, filed=None) -> tuple:
+    """The link of vertex class v on edge class ids, from the corner germs
+    and square corners filed under v: edges (a, b), a < b, -> square class,
+    triangles (a, b, c), a < b < c, -> corner germ, and every problem in the
+    order it was met."""
+    eroot = cx._eroot
+    corners, square_corners = (filed or filed_germs(cx))[v]
+    problems, triangles, edges = [], {}, {}
+    for g in corners:
+        base = 12 * (g >> 3)
+        x, y, z = _CORNER_EDGES[g & 7]
+        a, b, c = sorted((eroot[base + x], eroot[base + y], eroot[base + z]))
+        if a == b or b == c:
+            _kind, c, s, p = vertex_name(g)
+            problems.append(f"degenerate corner of cube ({c},{s}) at port {p}")
+            continue
+        t = (a, b, c)
+        if t in triangles:
+            _kind, c, s, _p = vertex_name(g)
+            problems.append(f"corner of cube ({c},{s}) repeats the simplex of "
+                            f"{vertex_name(triangles[t])[1:]}")
+        triangles[t] = g
+    for face, g, ea, eb in square_corners:
+        a, b = eroot[ea], eroot[eb]
+        if a == b:
+            problems.append(f"square {face_name(face)} pinches at {vertex_name(g)}")
+            continue
+        pair = (a, b) if a < b else (b, a)
+        if edges.get(pair, face) != face:
+            problems.append(f"double edge between {sorted(str(edge_name(x)) for x in pair)}")
+        edges[pair] = face
+    missing = 0
+    for a, b, c in triangles:
+        missing += ((a, b) not in edges) + ((a, c) not in edges) + ((b, c) not in edges)
+    problems += ["triangle with a missing edge"] * missing
+    return edges, triangles, problems
+
+
+def clique_flag(edges, triangles: int) -> bool:
+    """Flagness of a simplicial 2-complex from its edges (pairs) and its
+    triangle count, by counting cliques.  A triangle is a 3-clique whose
+    third vertex is a common neighbour at each of its edges, so the sum over
+    edges ab of |N(a) & N(b)| is 3 * triangles iff no 3-clique is empty; two
+    adjacent common neighbours of an edge make a 4-clique, which cannot span."""
+    adj = defaultdict(set)
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    cliques = 0
+    for a, b in edges:
+        common = adj[a] & adj[b]
+        k = len(common)
+        cliques += k
+        if k == 2:
+            c, e = common
+            if c in adj[e]:
+                return False
+        elif k > 2:
+            for c in common:
+                if not common.isdisjoint(adj[c]):
+                    return False
+    return cliques == 3 * triangles
+
+
+def linked_verify(cx) -> dict:
+    """The report of `verify_npc`, link by link: each vertex class, inner
+    (even ids) first and each part by name, fails at the first problem of
+    its `id_link` or, when it has none, unless `clique_flag` passes."""
+    filed = filed_germs(cx)
+    entries, failures = [], []
+    for v in sorted(filed, key=lambda v: (v & 1, str(vertex_name(v)))):
+        edges, triangles, problems = id_link(cx, v, filed)
+        if problems:
+            ok, reason = False, f"non-simplicial: {problems[0]}"
+        else:
+            ok = clique_flag(edges, len(triangles))
+            reason = None if ok else "non-flag clique"
+        name, kind = str(vertex_name(v)), "boundary" if v & 1 else "inner"
+        entries.append({"vertex": name, "kind": kind, "flag": ok})
+        if not ok:
+            failures.append({"vertex": name, "kind": kind, "reason": reason})
+    return {"npc": not failures, "vertices": entries, "failures": failures}
 
 
 @dataclass
@@ -42,11 +152,11 @@ class VertexLink:
 
 
 def vertex_link(cx, v) -> VertexLink:
-    """Simplicial complex of cube corners at a vertex class: `_link` with
+    """Simplicial complex of cube corners at a vertex class: `id_link` with
     its vertex and directions named.  At the two inner vertices this is the
     dual of the diagram with the dual region around each crossing
     subdivided by a cone point."""
-    edges, triangles, problems = cx._link(germ_id(v))
+    edges, triangles, problems = id_link(cx, cx._vroot[germ_id(v)])
     name = {x: edge_name(x) for s in (*triangles, *edges) for x in s}
     edges, triangles = ({frozenset(name[x] for x in s) for s in simplices}
                         for simplices in (edges, triangles))
@@ -54,11 +164,11 @@ def vertex_link(cx, v) -> VertexLink:
 
 
 def is_flag(lk: VertexLink) -> bool:
-    """Every pairwise-joined vertex set spans a simplex: `cubing._flag` on
+    """Every pairwise-joined vertex set spans a simplex: `clique_flag` on
     the link's edges."""
     if lk.problems:
         raise CubingError(f"link of {lk.vertex} is not simplicial: {lk.problems[0]}")
-    return _flag([tuple(e) for e in lk.edges], len(lk.triangles))
+    return clique_flag([tuple(e) for e in lk.edges], len(lk.triangles))
 
 
 def link_angle_class(cx, v, r1, r2) -> str:
@@ -70,15 +180,15 @@ def link_angle_class(cx, v, r1, r2) -> str:
     if v not in set(cx.inner_vertices):
         raise CubingError("angle classes are defined at the inner vertices")
     a, b = sorted((cx.region_edge[rid1], cx.region_edge[rid2]))
-    return "orthogonal" if (a, b) in cx._link(germ_id(v))[0] else "far"
+    return "orthogonal" if (a, b) in id_link(cx, cx._vroot[germ_id(v)])[0] else "far"
 
 
-def frozenset_link(cx, v: int) -> VertexLink:
+def frozenset_link(cx, v: int, filed=None) -> VertexLink:
     """The link of vertex class v with edge class ids for directions,
-    built from the corner germs and square corners that the class closure
-    filed under v, with frozenset simplices."""
+    built from the corner germs and square corners filed under v, with
+    frozenset simplices."""
     eroot = cx._eroot
-    corners, square_corners = cx._links[v]
+    corners, square_corners = (filed or filed_germs(cx))[v]
     problems = []
     triangles = {}                  # simplex -> the corner germ it came from
     for g in corners:

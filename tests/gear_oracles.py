@@ -28,8 +28,12 @@ def edge_arc_classes(d, mirror=False):
         m = len(walk)
         shift = 1 if (R.color == BLACK) != mirror else -1
         uf.union((walk[j], n_edges + walk[(j + shift) % m]) for j in range(m))
+    uf.roots()
+    classes = {}                        # root -> members, both in id order
+    for x, root in enumerate(uf.parent):
+        classes.setdefault(root, []).append(x)
     out = []
-    for ids in uf.classes().values():
+    for ids in classes.values():
         members = [(1, x) if x < n_edges else (-1, x - n_edges) for x in ids]
         common = set.intersection(*(set(edge_endpoints(d, e)) for _s, e in members))
 

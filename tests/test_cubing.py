@@ -9,15 +9,17 @@ import pytest
 
 from cuspcubes import cubing
 from cuspcubes.cubing import (
-    PASSAGES, CubingError, _flag, boundary_cubings, build_cubing, edge_name, face_name,
-    verify_npc, vertex_name,
+    _CORNER_EDGES, _SQUARE_CORNERS, PASSAGES, CubedComplex, CubingError, _flag,
+    boundary_cubings, build_cubing, edge_name, face_name, verify_npc, vertex_name,
 )
 from cuspcubes.diagram import (
     AlternatingDiagram, pretzel_diagram, region_adjacent, two_bridge_diagram,
 )
-from cubing_oracles import (VertexLink, frozenset_link, germ_id, is_flag, link_angle_class,
-                            vertex_link, walked_is_flag)
+from cubing_oracles import (VertexLink, clique_flag, filed_germs, frozenset_link, germ_id, id_link,
+                            is_flag, link_angle_class, linked_verify, vertex_link, walked_is_flag)
+from conftest import twist_sequences
 from diagram_oracles import walked_diagram
+from test_golden import ladder_diagrams
 
 GOLDEN = Path(__file__).parent / "data" / "corrupt_npc_golden.json"
 
@@ -35,9 +37,8 @@ def side_corruptions(fig8):
     """(label, complex) for every side-gluing corruption of the corrupted
     diagrams, each on its own build."""
     for name, d in corrupted_diagrams(fig8):
-        for k, g in enumerate(build_cubing(d).gluings):
-            if g.kind == "side":
-                yield f"{name}:{k}", build_cubing(d).corrupt(k)
+        for k in range(d.n, 5 * d.n):
+            yield f"{name}:{k}", build_cubing(d).corrupt(k)
 
 
 def first_seen_germs(n: int) -> tuple:
@@ -89,17 +90,17 @@ def _square_corners(face: tuple) -> list:
 
 
 def find_based_links(cx) -> dict:
-    """Vertex class -> link, built from cx.gluings, read by name, with a
-    union-find lookup for every germ name: the square faces at each vertex
-    are filed whole, and each link finds the class of every corner of every
-    face it touches.  An oracle for vertex_link."""
+    """Vertex class -> link, built from the gluing lists of cx, read by
+    name, with a union-find lookup for every germ name: the square faces at
+    each vertex are filed whole, and each link finds the class of every
+    corner of every face it touches.  An oracle for vertex_link."""
     vtx, edg, sqr = map(NamedUnionFind, first_seen_germs(cx.diagram.n))
-    for g in cx.gluings:
-        sqr.union(*map(face_name, g.faces))
-        for a, b in g.vertex_pairs:
-            vtx.union(vertex_name(a), vertex_name(b))
-        for a, b in g.edge_pairs:
-            edg.union(edge_name(a), edge_name(b))
+    for a, b in zip(cx.fa, cx.fb):
+        sqr.union(face_name(a), face_name(b))
+    for a, b in zip(cx.va, cx.vb):
+        vtx.union(vertex_name(a), vertex_name(b))
+    for a, b in zip(cx.ea, cx.eb):
+        edg.union(edge_name(a), edge_name(b))
     germs = {v: (corners, []) for v, corners in vtx.classes().items()}
     for members in sqr.classes().values():
         for v in dict.fromkeys(vtx.find(corner) for corner, _e in _square_corners(members[0])):
@@ -145,8 +146,9 @@ def find_based_links(cx) -> dict:
 
 def assert_links_match_oracle(cx, label):
     want = find_based_links(cx)
-    assert sorted(cx.vertices(), key=str) == sorted(want, key=str), label
-    for v in cx.vertices():
+    vertices = cx.inner_vertices + cx.boundary_vertices
+    assert sorted(vertices, key=str) == sorted(want, key=str), label
+    for v in vertices:
         # vertex, vertices, edges, triangles and the ordered problems
         assert vertex_link(cx, v) == want[v], (label, v)
 
@@ -210,11 +212,10 @@ class TestCounts:
             assert counts["interior_squares"] == 5 * c, name
 
     def test_gluings_involutive(self, fig8_cx):
-        seen = {}
-        for g in fig8_cx.gluings:
-            for f in g.faces:
-                assert f not in seen
-                seen[f] = g
+        seen = set()
+        for f in fig8_cx.fa + fig8_cx.fb:
+            assert f not in seen
+            seen.add(f)
 
     def test_square_classes_are_gluings_and_tops(self, corpus, fig8):
         # the closure files a square class per gluing and per top face:
@@ -222,13 +223,15 @@ class TestCounts:
         complexes = [(name, build_cubing(d)) for name, d in corpus.items()]
         for label, cx in complexes + list(side_corruptions(fig8)):
             n = cx.diagram.n
-            glued = [f for g in cx.gluings for f in g.faces]
+            glued = cx.fa + cx.fb
             assert len(set(glued)) == len(glued), label
             assert not any(f % 6 == 4 for f in glued), label
-            # every face but the tops is glued: 5n gluings, n of them bottom
+            # every face but the tops is glued: 5n gluings, the first n bottom
             assert sorted(glued) == [f for f in range(12 * n) if f % 6 != 4], label
-            assert [g.kind for g in cx.gluings] == ["bottom"] * n + ["side"] * 4 * n, label
-            assert all(a % 6 == b % 6 == 5 for g in cx.gluings[:n] for a, b in [g.faces]), label
+            assert len(cx.fa) == len(cx.fb) == 5 * n, label
+            assert [f % 6 == 5 for f in glued] == ([True] * n + [False] * 4 * n) * 2, label
+            # four vertex and four edge pairs per gluing
+            assert len(cx.va) == len(cx.vb) == len(cx.ea) == len(cx.eb) == 20 * n, label
             assert (cx.counts["interior_squares"], cx.counts["crossing_lines"]) == (5 * n, n), label
 
     def test_non_prime_rejected(self):
@@ -276,20 +279,22 @@ class TestVertexLinks:
             assert_links_match_oracle(build_cubing(d), name)
 
     def test_id_links_match_frozenset_oracle(self, corpus, fig8):
-        # links on id tuples against the frozenset links, and the clique
-        # count against the adjacency walk on every simplicial one
+        # the oracle links on id tuples against the frozenset links, and the
+        # clique count against the adjacency walk on every simplicial one
         complexes = [(name, build_cubing(d)) for name, d in corpus.items()]
         for label, cx in complexes + list(side_corruptions(fig8)):
+            filed = filed_germs(cx)
+            assert sorted(filed) == sorted(cx._vertex_ids), label
             for v in cx._vertex_ids:
-                edges, triangles, problems = cx._link(v)
-                want = frozenset_link(cx, v)
+                edges, triangles, problems = id_link(cx, v, filed)
+                want = frozenset_link(cx, v, filed)
                 assert {frozenset(e) for e in edges} == want.edges, (label, v)
                 assert {frozenset(t) for t in triangles} == want.triangles, (label, v)
                 assert problems == want.problems, (label, v)
                 assert all(a < b for a, b in edges), (label, v)
                 assert all(a < b < c for a, b, c in triangles), (label, v)
                 if not problems:
-                    assert _flag(edges, len(triangles)) == walked_is_flag(want), (label, v)
+                    assert clique_flag(edges, len(triangles)) == walked_is_flag(want), (label, v)
 
     def test_boundary_links_flag(self, fig8_cx):
         for v in fig8_cx.boundary_vertices:
@@ -317,6 +322,14 @@ def brute_force_flag(edges, triangles) -> bool:
     clique = lambda s: all(frozenset(p) in edges for p in combinations(s, 2))
     return (all(frozenset(t) in triangles for t in combinations(verts, 3) if clique(t))
             and not any(clique(q) for q in combinations(verts, 4)))
+
+
+def adjacency(edges) -> dict:
+    adj = {}
+    for a, b in edges:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    return adj
 
 
 def simplicial_complex(triangles, extra_edges=()):
@@ -375,13 +388,15 @@ class TestFlag:
         with pytest.raises(CubingError, match="not simplicial"):
             is_flag(lk)
 
-    # the shared flag routine `_flag` against enumeration of every 3- and
-    # 4-subset, and against the adjacency-walk oracle
+    # the clique count of verify_npc, `_flag`, and its reference
+    # `clique_flag` against enumeration of every 3- and 4-subset, and
+    # against the adjacency-walk oracle
     @pytest.mark.parametrize("name", NAMED_COMPLEXES)
     def test_named_complexes(self, name):
         (edges, triangles), want = NAMED_COMPLEXES[name]
         assert brute_force_flag(edges, triangles) == want
-        assert _flag(edges, len(triangles)) == want
+        assert _flag(edges, adjacency(edges), len(triangles)) == want
+        assert clique_flag(edges, len(triangles)) == want
         lk = VertexLink(name, tuple(sorted({x for e in edges for x in e})),
                         {frozenset(e) for e in edges}, set(triangles))
         assert is_flag(lk) == walked_is_flag(lk) == want
@@ -397,7 +412,8 @@ class TestFlag:
                                    if m >= 2 else st.nothing(), unique=True), label="edges")
         edges, triangles = simplicial_complex(triangles, extra)
         want = brute_force_flag(edges, triangles)
-        assert _flag(edges, len(triangles)) == want
+        assert _flag(edges, adjacency(edges), len(triangles)) == want
+        assert clique_flag(edges, len(triangles)) == want
         lk = VertexLink("drawn", tuple(range(m)), {frozenset(e) for e in edges}, set(triangles))
         assert is_flag(lk) == walked_is_flag(lk) == want
 
@@ -409,34 +425,89 @@ class TestNpc:
             assert rep["npc"], (name, rep["failures"])
 
     def test_corruptions_fail_with_located_vertex(self, fig8):
-        base = build_cubing(fig8)
-        side_indices = [k for k, g in enumerate(base.gluings) if g.kind == "side"]
+        cx = build_cubing(fig8)
+        side_indices = range(fig8.n, 5 * fig8.n)
         assert len(side_indices) >= 10
-        clean = verify_npc(base)
+        clean = verify_npc(cx)
+        lists = [list(getattr(cx, x)) for x in ("fa", "fb", "va", "vb", "ea", "eb")]
         for k in side_indices:
-            cx = build_cubing(fig8)
-            rep = verify_npc(cx.corrupt(k))
+            bad = cx.corrupt(k)
+            rep = verify_npc(bad)
             assert not rep["npc"], k
             assert rep["failures"][0]["vertex"], k
             # a side gluing uncrossed twice is crossed again
-            assert verify_npc(cx.corrupt(k)) == clean, k
+            assert verify_npc(bad.corrupt(k)) == clean, k
+        # corrupt returns a copy: the complex it is called on stays clean
+        assert [list(getattr(cx, x)) for x in ("fa", "fb", "va", "vb", "ea", "eb")] == lists
+        assert verify_npc(cx) == clean
+        # a bottom gluing is copied as it is (the K < n control)
+        assert all(verify_npc(cx.corrupt(k)) == clean for k in range(fig8.n))
 
     def test_corruption_golden(self, fig8):
         # every failing vertex and reason is pinned, not only the verdict
         golden = json.loads(GOLDEN.read_text())
         got = {}
         for name, d in corrupted_diagrams(fig8):
-            for k, g in enumerate(build_cubing(d).gluings):
-                if g.kind == "side":
-                    got[f"{name}:{k}"] = verify_npc(build_cubing(d).corrupt(k))
+            cx = build_cubing(d)
+            for k in range(d.n, 5 * d.n):
+                got[f"{name}:{k}"] = verify_npc(cx.corrupt(k))
         assert got == golden
 
     def test_corrupted_links_match_find_based_oracle(self, fig8):
-        for name, d in corrupted_diagrams(fig8):
-            for k, g in enumerate(build_cubing(d).gluings):
-                if g.kind == "side":
-                    assert_links_match_oracle(build_cubing(d).corrupt(k), f"{name}:{k}")
+        for label, cx in side_corruptions(fig8):
+            assert_links_match_oracle(cx, label)
 
+
+    def test_verdicts_match_link_oracle(self):
+        # every vertex's verdict and first problem against the link-by-link
+        # oracle, on every side corruption of the twist sequences of at most
+        # 10 crossings and on the ladder diagrams of the golden digests
+        checked = 0
+        for seq in twist_sequences(10):
+            cx = build_cubing(two_bridge_diagram(seq).diagram)
+            for k in range(cx.diagram.n, 5 * cx.diagram.n):
+                bad = cx.corrupt(k)
+                assert verify_npc(bad) == linked_verify(bad), (seq, k)
+                checked += 1
+        assert checked == 9004
+        for d in ladder_diagrams():
+            cx = build_cubing(d)
+            assert verify_npc(cx) == linked_verify(cx), d.n
+
+    def test_hostile_pairs_match_link_oracle(self, fig8):
+        # pairs of same-kind germs written straight into the gluing lists:
+        # each edge pair with its second germ moved on by one port or one
+        # cube, each vertex pair with its second corner moved on by one port.
+        # The first problems they give reach every branch a same-kind pairing
+        # can reach first (see test_pinch_follows_a_degenerate_corner).
+        diagrams = (fig8, AlternatingDiagram.from_pd([(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)]))
+        reached = Counter()
+        for d in diagrams:
+            base = build_cubing(d)
+            for partners, step, germs in (("eb", 3, 24), ("eb", 12, 24), ("vb", 2, 16)):
+                for i in range(20 * d.n):
+                    cx = object.__new__(CubedComplex)
+                    cx.__dict__.update(base.__dict__)
+                    moved = getattr(base, partners)[:]
+                    moved[i] = (moved[i] + step) % (germs * d.n)
+                    setattr(cx, partners, moved)
+                    cx._close_classes()
+                    rep = verify_npc(cx)
+                    assert rep == linked_verify(cx), (d.n, partners, step, i)
+                    for f in rep["failures"]:
+                        reached[f["reason"].split(" (")[0].split(" between")[0]] += 1
+        assert {"non-simplicial: degenerate corner of cube", "non-simplicial: corner of cube",
+                "non-simplicial: double edge", "non-simplicial: triangle with a missing edge",
+                "non-flag clique"} <= reached.keys(), reached
+
+    def test_pinch_follows_a_degenerate_corner(self):
+        # a square pinches at a corner germ when its two edges there are one
+        # class; they are two of the corner germ's three edges, and that germ
+        # is in the same vertex class, whose corners are checked first, so a
+        # "degenerate corner" problem always comes first, whatever the pairing
+        for k in range(6):
+            for corner, ea, eb in _SQUARE_CORNERS[k]:
+                assert {ea, eb} < set(_CORNER_EDGES[corner]), (k, corner)
 
 class TestAngles:
     def test_matches_region_adjacency(self, corpus):
@@ -525,7 +596,7 @@ class TestGermIds:
         for names, count in zip(germs, (16 * n, 24 * n, 12 * n)):
             assert [germ_id(g) for g in names] == list(range(count))
         assert (len(cx._vroot), len(cx._eroot)) == (16 * n, 24 * n)
-        glued = [f for g in cx.gluings for f in g.faces]
+        glued = cx.fa + cx.fb
         assert len(set(glued)) == len(glued) and set(glued) <= set(range(12 * n))
 
     def test_names_stay_out_of_the_link_loops(self, monkeypatch):
@@ -560,16 +631,17 @@ class TestGermIds:
             decoded.clear()
             rep = verify_npc(cx)
             assert rep["failures"] and decoded, k
-            failing = {v for v, name in zip(cx._vertex_ids, cx.vertices())
-                       if str(name) in {f["vertex"] for f in rep["failures"]}}
-            directions = {x for v in failing for s in cx._link(v)[0] for x in s}
+            failing = {v for v, name in zip(cx._vertex_ids, cx._vertex_strs)
+                       if name in {f["vertex"] for f in rep["failures"]}}
+            filed = filed_germs(cx)
+            directions = {x for v in failing for s in id_link(cx, v, filed)[0] for x in s}
             for decoder, g in decoded:
                 if decoder == "vertex_name":
                     assert cx._vroot[g] in failing, (k, g)
                 elif decoder == "edge_name":
                     assert g in directions, (k, g)
                 else:
-                    assert any(sq[0] == g for v in failing for sq in cx._links[v][1]), (k, g)
+                    assert any(sq[0] == g for v in failing for sq in filed[v][1]), (k, g)
 
 
 class TestSerialization:
