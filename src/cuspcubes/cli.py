@@ -59,7 +59,8 @@ _INT, _A_INT, _C_INT, _R_INT, _E_INT = map(_int_after, ("", "Aa", "c", "Rr", "e"
 
 
 def _load_diagram(args):
-    """(two-bridge diagram or None, diagram) of --two-bridge or --pd."""
+    """(two-bridge diagram or None, diagram) of --two-bridge or --pd, one
+    of which argparse requires."""
     if args.two_bridge is not None:
         try:
             seq = tuple(map(_INT, args.two_bridge.split(",")))
@@ -67,12 +68,10 @@ def _load_diagram(args):
             raise ValueError(f"--two-bridge expects A1,A2,..., got {args.two_bridge!r}") from None
         tb = two_bridge_diagram(seq)
         return tb, tb.diagram
-    if args.pd is not None:
-        from .diagram import AlternatingDiagram
-        with open(args.pd) as fh:
-            data = _json_loads(fh.read(), args.pd)
-        return None, AlternatingDiagram.from_json(data)
-    raise ValueError("provide --two-bridge A1,A2,... or --pd FILE")
+    from .diagram import AlternatingDiagram
+    with open(args.pd) as fh:
+        data = _json_loads(fh.read(), args.pd)
+    return None, AlternatingDiagram.from_json(data)
 
 
 # ---------------------------------------------------------------------------
@@ -112,12 +111,10 @@ def cmd_farey(args) -> int:
         _emit({"r": str(r), "s": str(s), "oriented": args.oriented, "equivalent": eq},
               args.pretty)
         return 0 if eq else 1
-    if sub == "hyperbolic":
-        r = F.parse_slope(args.r)
-        hyp = (F.rational_p3_hyperbolic if args.p3 else F.two_bridge_hyperbolic)(r)
-        _emit({"r": str(r), "projective": args.p3, "hyperbolic": hyp}, args.pretty)
-        return 0 if hyp else 1
-    raise ValueError(f"unknown farey subcommand {sub}")
+    r = F.parse_slope(args.r)                   # hyperbolic, the last of argparse's choices
+    hyp = (F.rational_p3_hyperbolic if args.p3 else F.two_bridge_hyperbolic)(r)
+    _emit({"r": str(r), "projective": args.p3, "hyperbolic": hyp}, args.pretty)
+    return 0 if hyp else 1
 
 
 # ---------------------------------------------------------------------------
@@ -127,13 +124,10 @@ def cmd_farey(args) -> int:
 def _cubing_report(cx, with_tori: bool = True) -> dict:
     from .cubing import boundary_cubings, verify_npc
     rep = verify_npc(cx)
-    tori = boundary_cubings(cx) if with_tori else []
     out = dict(cx.counts)
     out["npc"] = rep["npc"]
     out["failures"] = rep["failures"]
-    out["boundary_tori"] = [
-        {"component": t.component, "squares": len(t.squares), "euler": t.euler,
-         "meridian_loops": t.meridian_loops} for t in tori]
+    out["boundary_tori"] = boundary_cubings(cx) if with_tori else []
     return out
 
 
@@ -142,8 +136,9 @@ def cmd_cubing(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     if args.corpus is not None:
-        # the flags of a single diagram would be silently dropped
-        for flag in ("pd", "two_bridge", "corrupt", "emit_complex"):
+        # these would be silently dropped; --pd and --two-bridge share
+        # --corpus's exclusive group
+        for flag in ("corrupt", "emit_complex"):
             if getattr(args, flag) is not None:
                 raise ValueError(f"--corpus cannot be combined with --{flag.replace('_', '-')}")
         return _run_corpus(args, lambda d: _cubing_report(CB.build_cubing(d)))
@@ -182,8 +177,9 @@ def _spec_fields(flag: str, form: str, spec: str, parsers) -> list:
 
 
 def _parse_arc(args, tb):
-    """The arc of the one arc flag given; A<i>:<k> names the k-th crossing
-    of twist region A_i of tb, the two-bridge diagram (None for --pd)."""
+    """The arc of the one arc flag that argparse requires; A<i>:<k> names
+    the k-th crossing of twist region A_i of tb, the two-bridge diagram
+    (None for --pd)."""
     from .diagram import CrossingArc, InRegionArc, TransverseArc
     if args.crossing_arc is not None:
         spec = args.crossing_arc
@@ -202,10 +198,8 @@ def _parse_arc(args, tb):
     if args.in_region is not None:
         return InRegionArc(*_spec_fields("--in-region", "R<k>:c<i>:c<j>", args.in_region,
                                          (_R_INT, _C_INT, _C_INT)))
-    if args.transverse is not None:
-        return TransverseArc(*_spec_fields("--transverse", "c<i>:c<j>:e<a>,...", args.transverse,
-                                           (_C_INT, _C_INT, _edge_word)))
-    raise ValueError("provide --crossing-arc, --in-region, or --transverse")
+    return TransverseArc(*_spec_fields("--transverse", "c<i>:c<j>:e<a>,...", args.transverse,
+                                       (_C_INT, _C_INT, _edge_word)))
 
 
 def cmd_decide(args) -> int:
@@ -296,11 +290,13 @@ def _run_corpus(args, worker) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-def _add_diagram_flags(parser: argparse.ArgumentParser) -> None:
-    """--two-bridge and --pd, of which argparse accepts at most one."""
-    group = parser.add_mutually_exclusive_group()
+def _add_diagram_flags(parser: argparse.ArgumentParser):
+    """--two-bridge and --pd, of which argparse requires exactly one; their
+    group, for a further input."""
+    group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--two-bridge")
     group.add_argument("--pd")
+    return group
 
 
 @functools.cache
@@ -331,8 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     fa.set_defaults(func=cmd_farey)
 
     cb = sub.add_parser("cubing", help="build and verify the cubed exterior")
-    _add_diagram_flags(cb)
-    cb.add_argument("--corpus", help="directory of diagram JSON files")
+    _add_diagram_flags(cb).add_argument("--corpus", help="directory of diagram JSON files")
     cb.add_argument("--jobs", type=int, default=4,
                     help="no effect: corpus files run in file order")
     cb.add_argument("--emit-complex", metavar="OUT")
@@ -343,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     dc = sub.add_parser("decide", help="classify a meridian pair")
     _add_diagram_flags(dc)
-    arcs = dc.add_mutually_exclusive_group()
+    arcs = dc.add_mutually_exclusive_group(required=True)
     arcs.add_argument("--crossing-arc", metavar="A2:0 or c3")
     arcs.add_argument("--in-region", metavar="R3:c0:c2")
     arcs.add_argument("--transverse", metavar="c0:c2:e1,e2")
@@ -413,9 +408,11 @@ def _walk(table, rest: list[str]):
     alone, or None at the first token that it cannot settle: any but an
     exact store or store_true option string, a value that starts with '-'
     and is no negative number, a failed type or choice, a second action of
-    one exclusive group, a surplus positional; or a missing required one."""
+    one exclusive group, a surplus positional; or a missing required action
+    or group.  `chosen` maps each group read, and each ungrouped action, to
+    the action read for it."""
     ns, types, options, positionals, required, groups, negative = table
-    ns, seen, chosen, tokens, fill = dict(ns), set(), {}, iter(rest), iter(positionals)
+    ns, chosen, tokens, fill = dict(ns), {}, iter(rest), iter(positionals)
 
     def value(token):
         return token is not None and (token[:1] != "-" or bool(negative and negative.match(token)))
@@ -427,14 +424,13 @@ def _walk(table, rest: list[str]):
             return None
         if action not in types or chosen.setdefault(groups.get(action, action), action) is not action:
             return None
-        seen.add(action)
         try:
             ns[action.dest] = action.const if action.nargs == 0 else types[action](token)
         except (TypeError, ValueError, argparse.ArgumentTypeError):
             return None
         if action.choices is not None and ns[action.dest] not in action.choices:
             return None
-    return argparse.Namespace(**ns) if required <= seen else None
+    return argparse.Namespace(**ns) if required <= chosen.keys() else None
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:

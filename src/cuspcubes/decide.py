@@ -52,7 +52,10 @@ def witness_spare_region(d: AlternatingDiagram, wing_regions, color: str = BLACK
     ("via_region", a "via_kind" bigon or trigon) transfers the wing planes
     across its face, freeing a non-adjacent region ("kind": "transfer");
     with three (possible only for three distinct wings) the small region is
-    a bigon.
+    a bigon.  Fewer than three are refused by `find_small_white_region`,
+    which counts the same regions.  A same-color region is adjacent to the
+    small one only across one of its two or three edges, so with three
+    regions and a bigon, or four and a bigon or trigon, one region is free.
     """
     wings = {r if isinstance(r, int) else r.index for r in wing_regions}
     same = [R.index for R in d.regions if R.color == color]
@@ -63,16 +66,10 @@ def witness_spare_region(d: AlternatingDiagram, wing_regions, color: str = BLACK
         return {"kind": "direct", "region": others[0],
                 "note": "same color as the wings, hence adjacent to none of them; "
                         "its plane's far side misses all four wing half-spaces"}
-    if len(same) < 3:
-        raise DecideError(f"only {len(same)} {color} regions; not a hyperbolic candidate")
     opposite = WHITE if color == BLACK else BLACK
     small, kind = find_small_white_region(d, witness_color=opposite)
     candidates = [r for r in same
                   if not region_adjacent(d, r, small.index)]
-    if not candidates:
-        raise DecideError(
-            "no region avoids the transfer face; this contradicts the small-region "
-            "guarantees on prime diagrams of hyperbolic links")
     if pp is None:
         pp = build_polyhedra(d)
     return {"kind": "transfer", "region": candidates[0],
@@ -177,21 +174,20 @@ def classify_alternating_pair(d: AlternatingDiagram, arc, mirror: bool = False) 
             if arc.c1 == arc.c2:
                 return {"verdict": INESSENTIAL,
                         "notes": ["empty reduced word with equal endpoints"]}
-            shared = [R for R in d.regions
-                      if arc.c1 in R.distinct_crossings and arc.c2 in R.distinct_crossings]
-            if not shared:
+            shared = next((R for R in d.regions if arc.c1 in R.distinct_crossings
+                           and arc.c2 in R.distinct_crossings), None)
+            if shared is None:
                 raise DecideError(
                     "empty reduced word but the endpoints share no region; malformed arc")
-            kinds = {crossings_adjacent_on_region(d, R, arc.c1, arc.c2) for R in shared}
-            if kinds == {True}:
+            # an edge joins c1 and c2 along every region that holds both, or
+            # along none: if edge e does, between regions X and Y, a third
+            # region R holding both lies opposite X at each (it has X's
+            # color), so the edges between Y and R at c1 and at c2 share
+            # both their regions, and primeness makes them one edge of R
+            if crossings_adjacent_on_region(d, shared, arc.c1, arc.c2):
                 return {"verdict": CROSSING_ARC_EQUIVALENT,
                         "notes": ["after reduction the arc lies along a region edge"]}
-            if kinds == {False}:
-                return classify_alternating_pair(
-                    d, InRegionArc(shared[0].index, arc.c1, arc.c2), mirror)
-            raise DecideError(
-                "reduction left the containing region ambiguous with conflicting "
-                "adjacency; refusing to guess")
+            return classify_alternating_pair(d, InRegionArc(shared.index, arc.c1, arc.c2), mirror)
         try:
             witness = _build_witness(d, pp, arc.c1, arc.c2, BLACK, "transverse")
             return {"verdict": FREE_GEOMETRICALLY_FINITE, "notes": [], "witness": witness}

@@ -31,8 +31,6 @@ class Slope:
             raise FareyError("denominator must be non-negative (use reduce_slope)")
         if self.p == 0 and self.q != 1:
             raise FareyError("infinity must be stored as 1/0 (use reduce_slope)")
-        if (self.q, self.p) == (0, 0):
-            raise FareyError("0/0 is not a slope")
         if gcd(abs(self.q), self.p) != 1:
             raise FareyError(f"{self.q}/{self.p} is not reduced (use reduce_slope)")
 

@@ -7,7 +7,7 @@ both give (`linked_verify`), the reference for the fused per-vertex pass of
 the flag check as a walk over an adjacency dict that looks every common
 neighbour's triangle up.  The named forms live here too: `VertexLink`,
 `vertex_link` and `is_flag` on germ names, `germ_id`, which encodes a name,
-and `link_angle_class`.
+`face_name`, which decodes a square face, and `link_angle_class`.
 """
 
 from collections import defaultdict
@@ -15,12 +15,20 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from cuspcubes.cubing import (_CORNER_EDGES, _SQUARE_CORNERS, PASSAGES, CubingError, edge_name,
-                              face_name, vertex_name)
+                              vertex_name)
 from cuspcubes.diagram import Region
 
 # germ kind -> (germs per cube, id step per port, offset)
 _LAYOUT = {"bc": (8, 2, 0), "tc": (8, 2, 1), "ve": (12, 3, 0), "be": (12, 3, 1),
            "te": (12, 3, 2), "side": (6, 1, 0), "top": (6, 0, 4), "bottom": (6, 0, 5)}
+
+
+def face_name(f: int) -> tuple:
+    """The name of square face f, which `verify_npc` never prints: no
+    square pinches (see `cuspcubes.cubing._link_failure`)."""
+    q, k = divmod(f, 6)
+    c, s = q >> 1, PASSAGES[q & 1]
+    return ("side", c, s, k) if k < 4 else (("top", "bottom")[k - 4], c, s)
 
 
 def germ_id(name: tuple) -> int:

@@ -127,7 +127,7 @@ def test_criterion_5_cubing_counts():
         if not (counts["cubes"] == 2 * c and counts["inner_vertices"] == 2
                 and counts["inner_edges"] == c + 2
                 and counts["boundary_squares"] == 2 * c
-                and all(t.euler == 0 for t in tori)):
+                and all(t["euler"] == 0 for t in tori)):
             ok = False
             break
     _report(5, f"cubing counts over {len(diagrams)} twist sequences and "

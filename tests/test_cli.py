@@ -11,7 +11,7 @@ import jsonschema
 import pytest
 from referencing import Registry, Resource
 
-from cuspcubes import cli
+from cuspcubes import cli, decide as DC, diagram as DG, farey as FA
 from cuspcubes.cli import build_parser, main
 from cuspcubes.diagram import AlternatingDiagram, DiagramError, two_bridge_diagram
 
@@ -34,6 +34,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def refused(capsys, *argv):
+    """argparse's stderr for an argv that it refuses with exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == "", argv
+    return out.err
 
 
 def run_json(capsys, *argv):
@@ -301,11 +310,15 @@ class TestCubing:
         ("--emit-complex", "complex.json")])
     def test_corpus_refuses_single_diagram_flags(self, capsys, pd_corpus_dir, tmp_path,
                                                  monkeypatch, flag, value):
-        # --corpus would drop these silently: no negative control, no file
+        # --corpus would drop these silently: no negative control, no file;
+        # --pd and --two-bridge share its exclusive group, so argparse refuses them
         monkeypatch.chdir(tmp_path)
-        code, out, err = run(capsys, "cubing", "--corpus", str(pd_corpus_dir), flag, value)
-        assert code == 2 and out == ""
-        assert err == f"error: --corpus cannot be combined with {flag}\n"
+        argv = ["cubing", "--corpus", str(pd_corpus_dir), flag, value]
+        if flag in ("--pd", "--two-bridge"):
+            err = refused(capsys, *argv)
+            assert err.endswith(f"error: argument {flag}: not allowed with argument --corpus\n")
+        else:
+            assert run(capsys, *argv) == (2, "", f"error: --corpus cannot be combined with {flag}\n")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -712,23 +725,15 @@ class TestConflictingFlags:
     """Two flags that name the diagram, or two that name the arc, exit 2
     in argparse; an empty value counts as given."""
 
-    @staticmethod
-    def refused(capsys, *argv):
-        with pytest.raises(SystemExit) as exc:
-            main(list(argv))
-        out = capsys.readouterr()
-        assert exc.value.code == 2 and out.out == "", argv
-        return out.err
-
     @pytest.mark.parametrize("cmd", [["cubing"], ["svg", "-o", "unused.svg"],
                                      ["decide", "--crossing-arc", "A1:0"]])
     def test_two_bridge_with_pd(self, capsys, tmp_path, monkeypatch, cmd):
         monkeypatch.chdir(tmp_path)
         Path("p.json").write_text(json.dumps({"pd": [[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]]}))
         for tb in ("2,2", ""):
-            err = self.refused(capsys, *cmd, "--two-bridge", tb, "--pd", "p.json")
+            err = refused(capsys, *cmd, "--two-bridge", tb, "--pd", "p.json")
             assert "error: argument --pd: not allowed with argument --two-bridge" in err, tb
-            err = self.refused(capsys, *cmd, "--pd", "p.json", "--two-bridge", tb)
+            err = refused(capsys, *cmd, "--pd", "p.json", "--two-bridge", tb)
             assert "error: argument --two-bridge: not allowed with argument --pd" in err, tb
         assert sorted(f.name for f in tmp_path.iterdir()) == ["p.json"]
 
@@ -738,7 +743,7 @@ class TestConflictingFlags:
     def test_two_arc_flags(self, capsys, first, second):
         spec = {"--crossing-arc": "A1:0", "--in-region": "R0:c0:c1", "--transverse": "c0:c1:e1"}
         for a, b in ((spec[first], spec[second]), ("", spec[second]), (spec[first], "")):
-            err = self.refused(capsys, "decide", "--two-bridge", "2,2", first, a, second, b)
+            err = refused(capsys, "decide", "--two-bridge", "2,2", first, a, second, b)
             assert f"error: argument {second}: not allowed with argument {first}" in err, (a, b)
 
 
@@ -772,6 +777,105 @@ class TestErrors:
         code, out, err = run(capsys, "decide", "--pd", str(f), "--crossing-arc", "c0")
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+FIG8 = two_bridge_diagram((2, 2)).diagram
+TREFOIL = AlternatingDiagram.from_pd([[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]])
+KINKED = {"pd": [[1, 1, 2, 2]]}         # one crossing, two nugatory loops
+WHITE_OF_FIG8 = next(R.index for R in FIG8.regions if R.color == DG.WHITE)
+
+
+def _flype_off_the_standard_diagram():
+    # a TwoBridgeDiagram holding a pretzel diagram under (3,3,3) labels: the
+    # tail past A_2's first crossing is no flype disk there
+    tb = DG.TwoBridgeDiagram((3, 3, 3), DG.pretzel_diagram(3, 3, 3), (1,) * 3 + (2,) * 3 + (3,) * 3)
+    return DG.flype(tb, 2)
+
+
+class TestErrorBranches:
+    """Every error branch of src/ that an input reaches, in one table: an
+    argv through cli.main ("F" names a file holding the JSON given) with
+    exit 2 and its stderr line (the last line, after argparse's usage, for
+    what argparse refuses), or, for a branch that only the library reaches,
+    the call with its error class and message.  tests/error_branch_census.py
+    lists the statements that no test runs."""
+
+    TABLE = [
+        (["decide", "--pd", "F", "--crossing-arc", "A1:0"], FIG8.to_json(),
+         "error: twist-region arcs need a --two-bridge diagram"),
+        (["cubing", "--pd", "F"], KINKED, "error: the cubed decomposition requires a reduced diagram"),
+        (["decide", "--pd", "F", "--crossing-arc", "c0"], KINKED,
+         "error: classification requires a prime reduced alternating diagram"),
+        (["svg", "--pd", "F", "-o", "unused.svg"], {"pd": [[1, 2, 2, 1], [3, 4, 3]]},
+         "error: malformed: every PD entry needs four edge labels"),
+        (["cubing", "--pd", "F"], {"rotation": [[[0, 0], [0, 1]]]},
+         "error: malformed: every slot must be paired exactly once"),
+        (["cubing", "--pd", "F"], {"rotation": [[[-1, 0], [-1, 1]]]},
+         "error: malformed: a diagram needs at least one crossing"),
+        (["decide", "--pd", "F", "--crossing-arc", "c99"], FIG8.to_json(), "error: no crossing 99"),
+        (["decide", "--two-bridge", "2,2", "--crossing-arc", "c99"], None, "error: no crossing 99"),
+        (["decide", "--pd", "F", "--transverse", "c99:c0:e1"], FIG8.to_json(), "error: no crossing 99"),
+        (["decide", "--two-bridge", "2,3,1,2,2", "--transverse", "c4:c8:e0,e0"], None,
+         "error: empty reduced word but the endpoints share no region; malformed arc"),
+        # the reason does not hold: both fixed points (0 and 2) are finite,
+        # but float mode calls a map's fixed point infinite when |c| < T
+        (["pingpong", "[[1,0],[4,1]]", "[[9,-16],[4,-7]]", "--mode", "float", "--tolerance", "5"], None,
+         "error: could not move both fixed points into the plane"),
+        (["cubing"], None,
+         "cuspcubes cubing: error: one of the arguments --two-bridge --pd --corpus is required"),
+        (["cubing", "--corrupt", "5"], None,
+         "cuspcubes cubing: error: one of the arguments --two-bridge --pd --corpus is required"),
+        (["decide", "--two-bridge", "2,2"], None,
+         "cuspcubes decide: error: one of the arguments --crossing-arc --in-region --transverse is required"),
+        (["decide", "--crossing-arc", "c0"], None,
+         "cuspcubes decide: error: one of the arguments --two-bridge --pd is required"),
+        (["svg", "-o", "unused.svg"], None,
+         "cuspcubes svg: error: one of the arguments --two-bridge --pd is required"),
+        (lambda: FA.Slope(1, -1), FA.FareyError, "denominator must be non-negative (use reduce_slope)"),
+        (lambda: FA.Slope(2, 0), FA.FareyError, "infinity must be stored as 1/0 (use reduce_slope)"),
+        (lambda: FA.Slope(0, 0), FA.FareyError, "infinity must be stored as 1/0 (use reduce_slope)"),
+        (lambda: FA.Slope(2, 4), FA.FareyError, "2/4 is not reduced (use reduce_slope)"),
+        (lambda: AlternatingDiagram(2, [(0, 5)]), DiagramError,
+         "malformed: every slot must be paired exactly once"),
+        (lambda: AlternatingDiagram(1, [(0, 0), (1, 2)]), DiagramError,
+         "malformed: every slot must be paired exactly once"),
+        (lambda: AlternatingDiagram.from_json(KINKED).regions_at_crossing(0, DG.BLACK), DiagramError,
+         "non-prime: the two same-color corners at a crossing coincide"),
+        (lambda: DG.find_small_white_region(TREFOIL, DG.BLACK), DiagramError,
+         "no qualifying small region found; this contradicts the structure of prime alternating "
+         "diagrams of hyperbolic links and indicates a bug or bad input"),
+        (lambda: DG.flype(two_bridge_diagram((2, 3, 2)), 2, crossing=0), DiagramError,
+         "crossing 0 is not in twist region A_2"),
+        (_flype_off_the_standard_diagram, DiagramError, "no flype chain found for the crossing arc at 3"),
+        (lambda: DC.witness_spare_region(FIG8, [WHITE_OF_FIG8], DG.BLACK), DC.DecideError,
+         "wing regions must all have the witness color"),
+        (lambda: DC.classify_alternating_pair(FIG8, "c0"), DC.DecideError,
+         "unknown arc specification: 'c0'"),
+        (lambda: DC.classify_2bridge_pair(FIG8, DG.CrossingArc(0)), DC.DecideError,
+         "need a twist sequence or a standard two-bridge diagram"),
+    ]
+
+    @pytest.mark.parametrize("target, data, expected", TABLE)
+    def test_error_branch(self, capsys, tmp_path, monkeypatch, target, data, expected):
+        if callable(target):
+            with pytest.raises(ValueError) as exc:
+                target()
+            assert (type(exc.value), str(exc.value)) == (data, expected)
+            return
+        monkeypatch.chdir(tmp_path)
+        if data is not None:
+            Path("F").write_text(json.dumps(data))
+        try:
+            code = main(target)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        assert (code, out.out) == (2, "")
+        if expected.startswith("error: "):
+            assert out.err == expected + "\n"
+        else:
+            assert out.err.startswith("usage: ") and out.err.endswith("\n" + expected + "\n")
+        assert [f.name for f in tmp_path.iterdir()] == ["F"] * (data is not None)
 
 
 class TestPretty:
@@ -880,9 +984,11 @@ class TestWalk:
     @pytest.mark.parametrize("argv", [["5"], ["--a", "5", "--level", "4"], ["5", "-1x", "v"],
                                       ["--kind", "b", "5", "--b", "--b"]])
     def test_read(self, argv):
-        leaf = self.leaf()
-        args = cli._walk(cli._leaf_table(leaf, {"command": "x"}), argv)
-        assert vars(args) == vars(leaf.parse_known_args(argv, argparse.Namespace(command="x"))[0])
+        # a leaf whose group is required reads the argvs that give the group
+        leaves = [self.leaf(), self.leaf(required_group=True)]
+        for leaf in leaves if "--a" in argv or "--b" in argv else leaves[:1]:
+            args = cli._walk(cli._leaf_table(leaf, {"command": "x"}), argv)
+            assert vars(args) == vars(leaf.parse_known_args(argv, argparse.Namespace(command="x"))[0])
 
     @pytest.mark.parametrize("argv", [["-5"], ["-1"], ["5", "--a", "--b"], ["5", "6"], [],
                                       ["--level", "x", "5"], ["--kind", "c", "5"], ["5", "--kind"],
@@ -891,8 +997,9 @@ class TestWalk:
         assert cli._walk(cli._leaf_table(self.leaf(), {}), argv) is None
 
     def test_other_kinds_are_handed_over(self):
-        for leaf in (self.leaf(required_group=True), self.leaf(optional_positional=True)):
-            assert cli._walk(cli._leaf_table(leaf, {}), ["5", "--a"]) is None
+        # an optional positional, and a required group that argv leaves out
+        assert cli._walk(cli._leaf_table(self.leaf(optional_positional=True), {}), ["5", "--a"]) is None
+        assert cli._walk(cli._leaf_table(self.leaf(required_group=True), {}), ["5"]) is None
 
 
 # well-typed values of the leaves' own options and positionals, by dest
@@ -924,15 +1031,15 @@ def typed_value(action):
 @st.composite
 def leaf_argvs(draw):
     """(command words, rest): a leaf's positionals in order, with its
-    options among them: at most one action of each exclusive group, any
-    other option up to twice and a required one at least once, each with a
-    value of its type."""
+    options among them: one action of each required exclusive group and at
+    most one of any other, any other option up to twice and a required one
+    at least once, each with a value of its type."""
     chain, leaf = draw(st.sampled_from(leaves(cli._leaf_routes(build_parser()))))
     groups = leaf._mutually_exclusive_groups
     grouped = {a for g in groups for a in g._group_actions}
     counts = {a: draw(st.integers(1 if a.required else 0, 2)) for a in leaf._actions
               if a.option_strings and a.dest != "help" and a not in grouped}
-    for a in (draw(st.sampled_from([None, *g._group_actions])) for g in groups):
+    for a in (draw(st.sampled_from([None] * (not g.required) + g._group_actions)) for g in groups):
         if a is not None:
             counts[a] = draw(st.integers(1, 2))
     units = [[draw(st.sampled_from(a.option_strings))] + ([] if a.nargs == 0 else [draw(typed_value(a))])
@@ -990,3 +1097,160 @@ class TestRoute:
         assert cli._walk(route[2], rest) is not None
         argv = list(chain) + rest
         assert self.outcome(cli._parse_args, argv) == self.outcome(build_parser().parse_args, argv)
+
+
+# ---------------------------------------------------------------------------
+# the CLI contract on generated input
+# ---------------------------------------------------------------------------
+
+SMALL_INT = st.integers(-3, 12)
+# JSON values that a mutation puts in place of a node
+JSON_LEAF = st.one_of(st.integers(-5, 60), st.sampled_from(
+    [10 ** 9, -1, True, False, None, 1.5, "1", "", [], {}, [[0, 0]], [1, 2, 3, 4]])).map(
+        lambda v: json.loads(json.dumps(v)))          # a fresh copy, which later mutations may edit
+
+
+def _nodes(value, path=()):
+    """(path, value) of every node of a JSON value, the root first."""
+    yield path, value
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _nodes(item, path + (i,))
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _nodes(item, path + (key,))
+
+
+@st.composite
+def mutated_json(draw, value):
+    """value with up to three mutations, each at a node: replaced by a leaf,
+    deleted, duplicated, wrapped in a list, or given a second diagram field."""
+    value = json.loads(json.dumps(value))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+        nodes = list(_nodes(value))
+        path, node = draw(st.sampled_from(nodes))
+        op = draw(st.sampled_from(["replace", "delete", "duplicate", "wrap", "field"]))
+        if op == "field" and isinstance(value, dict):
+            value[draw(st.sampled_from(["pd", "rotation", "note"]))] = draw(JSON_LEAF)
+            continue
+        if not path:
+            value = [value] if op == "wrap" else draw(JSON_LEAF)
+            continue
+        *head, key = path
+        parent = value
+        for k in head:
+            parent = parent[k]
+        if op == "delete":
+            del parent[key]
+        elif op == "duplicate" and isinstance(parent, list):
+            parent.insert(key, json.loads(json.dumps(node)))
+        elif op == "wrap":
+            parent[key] = [node]
+        else:
+            parent[key] = draw(JSON_LEAF)
+    return value
+
+
+def _diagram_inputs():
+    shapes = [two_bridge_diagram(seq).diagram for seq in ((2, 2), (2, 1, 2), (3, 1, 1, 3))]
+    shapes += [DG.pretzel_diagram(3, 3, 3), TREFOIL]
+    return ([d.to_json() for d in shapes]
+            + [{"pd": [list(x) for x in d.pd_code()]} for d in shapes] + [KINKED])
+
+
+DIAGRAM_INPUTS = _diagram_inputs()
+SEQUENCE = st.one_of(
+    st.tuples(st.integers(2, 5), st.lists(st.integers(1, 5), max_size=3), st.integers(2, 5)).map(
+        lambda t: ",".join(map(str, (t[0], *t[1], t[2])))),
+    st.lists(st.integers(-1, 6), max_size=5).map(lambda a: ",".join(map(str, a))),
+    st.text("0123456789,- x", max_size=8))
+SLOPE = st.one_of(st.integers(-99, 99).map(str), st.sampled_from(["inf", "oo", "1/0", "0/0", "x", ""]),
+                  st.tuples(st.integers(-60, 60), st.integers(-60, 60)).map(lambda qp: f"{qp[0]}/{qp[1]}"),
+                  st.text("0123456789/-.e ", max_size=8))
+ENTRY = st.one_of(st.integers(-20, 20), st.sampled_from(["1/2", "-16/3", "1/0", "x", 0.5, 1e300, True, None]),
+                  st.tuples(st.integers(-9, 9), st.integers(-9, 9)).map(list))
+PARABOLIC = [[[1, 1], [0, 1]], [[1, 0], [4, 1]], [[9, -16], [4, -7]], [[1, 0], [1, 1]], [[2, -1], [1, 0]],
+             [[1, 0], [[1, 1], 1]], [[1, "1/2"], [0, 1]], [[3, -4], [1, -1]]]
+MATRIX = st.one_of(st.sampled_from(PARABOLIC), st.sampled_from(PARABOLIC),
+                   st.lists(st.lists(ENTRY, min_size=2, max_size=2), min_size=2, max_size=2))
+ARC = st.one_of(
+    st.tuples(st.integers(1, 4), st.integers(0, 2)).map(lambda ik: ["--crossing-arc", f"A{ik[0]}:{ik[1]}"]),
+    st.tuples(SMALL_INT, SMALL_INT).map(lambda ik: ["--crossing-arc", f"A{ik[0]}:{ik[1]}"]),
+    SMALL_INT.map(lambda i: ["--crossing-arc", f"c{i}"]),
+    st.tuples(SMALL_INT, SMALL_INT, SMALL_INT).map(lambda r: ["--in-region", "R{}:c{}:c{}".format(*r)]),
+    st.tuples(SMALL_INT, SMALL_INT, st.lists(SMALL_INT, min_size=1, max_size=6)).map(
+        lambda t: ["--transverse", f"c{t[0]}:c{t[1]}:" + ",".join(f"e{e}" for e in t[2])]),
+    st.text("ARce:0123456789,-", max_size=10).map(lambda spec: ["--crossing-arc", spec]),
+    st.just([]))
+
+
+@st.composite
+def contract_calls(draw):
+    """(argv, diagram file JSON or None): an argv of every subcommand, with
+    "F" for a diagram file, "D" for a corpus directory holding it and "O"
+    for an output path."""
+    data = draw(mutated_json(draw(st.sampled_from(DIAGRAM_INPUTS))))
+    diagram = draw(st.sampled_from([["--two-bridge", draw(SEQUENCE)], ["--pd", "F"], ["--pd", "F"], []]))
+    command = draw(st.sampled_from(["farey", "cubing", "decide", "pingpong", "svg"]))
+    if command == "farey":
+        sub = draw(st.sampled_from(["dist", "cf", "covering-slope", "classify-2bridge", "classify-p3",
+                                    "hyperbolic"]))
+        slopes = [draw(SLOPE) for _ in range(1 if sub in ("cf", "covering-slope", "hyperbolic") else 2)]
+        own = {"classify-2bridge": "--oriented", "classify-p3": "--oriented", "hyperbolic": "--p3"}
+        flags = draw(st.sampled_from([[], [], [own.get(sub, "--oriented")], ["--p3"]]))
+        argv = ["farey", sub, *slopes, *flags]
+    elif command == "cubing":
+        source = draw(st.sampled_from([diagram, ["--corpus", "D"]]))
+        extra = draw(st.lists(st.sampled_from([["--corrupt", str(draw(st.integers(-2, 60)))],
+                                               ["--corrupt", str(draw(st.integers(5, 20)))],
+                                               ["--emit-complex", "O"], ["--mirror"],
+                                               ["--jobs", str(draw(st.integers(-1, 3)))]]),
+                              max_size=2))
+        argv = ["cubing", *source, *(t for flag in extra for t in flag)]
+    elif command == "decide":
+        argv = ["decide", *diagram, *draw(ARC), *draw(st.sampled_from([[], ["--mirror"]]))]
+    elif command == "pingpong":
+        argv = ["pingpong", json.dumps(draw(MATRIX)), json.dumps(draw(MATRIX)),
+                *draw(st.sampled_from([[], ["--mode", "float"], ["--mode", "exact"]])),
+                *draw(st.sampled_from([[], ["--words", str(draw(st.integers(-1, 13)))]])),
+                *draw(st.sampled_from([[], ["--tolerance", draw(st.sampled_from(["1e-9", "0", "nan", "5"]))]]))]
+    else:
+        argv = ["svg", *diagram, "-o", "O"]
+    return argv, data
+
+
+class TestContract:
+    """Every generated call exits 0, 1 or 2; an exit 2 prints an `error:`
+    line or argparse's usage, and no traceback; and no call takes more
+    than BOUND seconds."""
+    BOUND = 2.0
+
+    @settings(max_examples=400, deadline=None)
+    @given(contract_calls())
+    def test_exit_codes_and_errors(self, tmp_path_factory, call):
+        argv, data = call
+        work = tmp_path_factory.mktemp("contract")
+        (work / "D").mkdir()
+        for f in (work / "F", work / "D" / "d.json"):
+            f.write_text(json.dumps(data))
+        paths = {"F": str(work / "F"), "D": str(work / "D"), "O": str(work / "O")}
+        argv = [paths.get(t, t) for t in argv]
+        out, err = io.StringIO(), io.StringIO()
+        t0 = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        elapsed = time.perf_counter() - t0
+        assert code in (0, 1, 2), (argv, code)
+        assert elapsed < self.BOUND, (argv, elapsed)
+        assert "Traceback" not in err.getvalue(), argv
+        if code == 2:
+            lines = err.getvalue().splitlines()
+            assert lines and (lines[0].startswith("usage: ") or (
+                len(lines) == 1 and lines[0].startswith("error: "))), (argv, lines)
+            if not lines[0].startswith("usage: "):
+                assert out.getvalue() == "", argv
+        else:
+            assert err.getvalue() == "", argv

@@ -10,13 +10,13 @@ import pytest
 from cuspcubes import cubing
 from cuspcubes.cubing import (
     _CORNER_EDGES, _SQUARE_CORNERS, PASSAGES, CubedComplex, CubingError, _flag,
-    boundary_cubings, build_cubing, edge_name, face_name, verify_npc, vertex_name,
+    boundary_cubings, build_cubing, edge_name, verify_npc, vertex_name,
 )
 from cuspcubes.diagram import (
     AlternatingDiagram, pretzel_diagram, region_adjacent, two_bridge_diagram,
 )
-from cubing_oracles import (VertexLink, clique_flag, filed_germs, frozenset_link, germ_id, id_link,
-                            is_flag, link_angle_class, linked_verify, vertex_link, walked_is_flag)
+from cubing_oracles import (VertexLink, clique_flag, face_name, filed_germs, frozenset_link, germ_id,
+                            id_link, is_flag, link_angle_class, linked_verify, vertex_link, walked_is_flag)
 from conftest import twist_sequences
 from diagram_oracles import walked_diagram
 from test_golden import ladder_diagrams
@@ -209,6 +209,8 @@ class TestCounts:
             assert counts["inner_edges"] == c + 2, name
             assert counts["boundary_squares"] == 2 * c, name
             assert counts["vertical_edges"] == 2 * c, name
+            assert counts["boundary_vertices"] == 2 * c, name
+            assert counts["boundary_edges"] == 4 * c, name
             assert counts["interior_squares"] == 5 * c, name
 
     def test_gluings_involutive(self, fig8_cx):
@@ -534,46 +536,43 @@ class TestAngles:
 
 class TestBoundary:
     def test_fig8_torus(self, fig8_cx):
-        tori = boundary_cubings(fig8_cx)
-        assert len(tori) == 1
-        t = tori[0]
-        assert len(t.squares) == 8
-        assert t.euler == 0
-        assert t.meridian_loops == 8
+        assert boundary_cubings(fig8_cx) == [
+            {"component": 0, "squares": 8, "euler": 0, "meridian_loops": 8}]
 
     def test_multi_component(self):
         hopf = AlternatingDiagram.from_pd([(1, 3, 2, 4), (3, 1, 4, 2)])
         tori = boundary_cubings(build_cubing(hopf))
         assert len(tori) == 2
-        assert all(t.euler == 0 for t in tori)
-        assert sum(len(t.squares) for t in tori) == 4
+        assert all(t["euler"] == 0 for t in tori)
+        assert sum(t["squares"] for t in tori) == 4
 
     def test_corpus_euler_and_square_totals(self, corpus):
         for name, d in corpus.items():
             tori = boundary_cubings(build_cubing(d))
             assert len(tori) == len(d.strands), name
-            assert all(t.euler == 0 for t in tori), name
-            assert sum(len(t.squares) for t in tori) == 2 * d.n, name
+            assert all(t["euler"] == 0 for t in tori), name
+            assert sum(t["squares"] for t in tori) == 2 * d.n, name
 
     def test_tori_follow_walked_strands(self, corpus):
         # one torus per strand of the strand walk, in its order, holding the
-        # outer squares of the strand's passages by crossing
+        # outer square of each of the strand's passages
         for name, d in corpus.items():
             _colors, strands, _passages = walked_diagram(d.n, d.pairing)
             tori = boundary_cubings(build_cubing(d))
-            assert [t.component for t in tori] == list(range(len(strands))), name
-            assert [t.squares for t in tori] == [
-                [(c, PASSAGES[i]) for c, i in sorted(strand)] for strand in strands], name
+            assert [t["component"] for t in tori] == list(range(len(strands))), name
+            assert [t["squares"] for t in tori] == [len(strand) for strand in strands], name
 
     def test_meridian_diagonals_close_up(self, corpus):
-        # each marked diagonal has both ends on one vertex class: a loop
+        # the diagonal of each outer square between the top corners at the
+        # ports transverse to its strand (0, 2 over, 1, 3 under) has both
+        # ends in one vertex class: a loop
         for name, d in corpus.items():
             cx = build_cubing(d)
-            for t in boundary_cubings(cx):
-                for (c, s), (pa, pb) in t.meridian_diagonals.items():
-                    va = cx._vroot[germ_id(("tc", c, s, pa))]
-                    vb = cx._vroot[germ_id(("tc", c, s, pb))]
-                    assert va == vb, name
+            for c in range(d.n):
+                for s in PASSAGES:
+                    p = 0 if s == "over" else 1
+                    ends = [cx._vroot[germ_id(("tc", c, s, port))] for port in (p, p + 2)]
+                    assert ends[0] == ends[1], (name, c, s)
 
 
 class TestGermIds:
@@ -603,7 +602,7 @@ class TestGermIds:
         # a clean build and check of 40 crossings decode at most one name
         # per vertex class: none per germ, corner or link direction
         calls = Counter()
-        for decoder in ("vertex_name", "edge_name", "face_name"):
+        for decoder in ("vertex_name", "edge_name"):
             def counted(g, real=getattr(cubing, decoder), decoder=decoder):
                 calls[decoder] += 1
                 return real(g)
@@ -619,7 +618,7 @@ class TestGermIds:
         d = two_bridge_diagram((2,) * 20).diagram
         clean = build_cubing(d)
         decoded = []
-        for decoder in ("vertex_name", "edge_name", "face_name"):
+        for decoder in ("vertex_name", "edge_name"):
             def recorded(g, real=getattr(cubing, decoder), decoder=decoder):
                 decoded.append((decoder, g))
                 return real(g)
@@ -638,10 +637,8 @@ class TestGermIds:
             for decoder, g in decoded:
                 if decoder == "vertex_name":
                     assert cx._vroot[g] in failing, (k, g)
-                elif decoder == "edge_name":
-                    assert g in directions, (k, g)
                 else:
-                    assert any(sq[0] == g for v in failing for sq in filed[v][1]), (k, g)
+                    assert g in directions, (k, g)
 
 
 class TestSerialization:

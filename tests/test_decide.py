@@ -307,7 +307,7 @@ PD_INPUTS = pd_inputs()
 
 def cubing_invariants(d):
     cx = build_cubing(d)
-    return cx.counts, verify_npc(cx)["npc"], sorted(t.euler for t in boundary_cubings(cx))
+    return cx.counts, verify_npc(cx)["npc"], sorted(t["euler"] for t in boundary_cubings(cx))
 
 
 def kind_or_error(d, arc):
