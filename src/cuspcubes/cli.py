@@ -8,8 +8,8 @@ means the requested check passed.  pingpong --mode exact|float selects its
 arithmetic path (exact by default).  Each cmd_* imports the modules it
 uses, so that a process loads only what its subcommand needs.  An argv
 that opens with its full chain of command words is read against a table
-of the leaf parser of that chain, and handed to that parser at the first
-token the table cannot settle; any other takes argparse's full nested parse.
+of the leaf parser of that chain; an argv that the table cannot settle,
+and any other, takes argparse's full nested parse.
 """
 
 from __future__ import annotations
@@ -141,7 +141,20 @@ def cmd_cubing(args) -> int:
         for flag in ("corrupt", "emit_complex"):
             if getattr(args, flag) is not None:
                 raise ValueError(f"--corpus cannot be combined with --{flag.replace('_', '-')}")
-        return _run_corpus(args, lambda d: _cubing_report(CB.build_cubing(d)))
+        from pathlib import Path
+        from .diagram import AlternatingDiagram
+        if not args.corpus:                 # Path('') is the working directory
+            raise ValueError("--corpus expects a directory, got ''")
+        paths = sorted(Path(args.corpus).glob("*.json"))
+        if not paths:
+            raise ValueError(f"no .json diagrams under {args.corpus}")
+        results = []
+        for path in paths:
+            with open(path) as fh:
+                d = AlternatingDiagram.from_json(_json_loads(fh.read(), path.name))
+            results.append({"file": path.name, **_cubing_report(CB.build_cubing(d))})
+        _emit({"corpus": str(args.corpus), "results": results}, args.pretty)
+        return 0 if all(r["npc"] for r in results) else 1
     if args.corrupt is not None and args.emit_complex is not None:
         # the file would pair the clean gluings with the corrupted counts
         raise ValueError("--corrupt cannot be combined with --emit-complex")
@@ -266,27 +279,6 @@ def cmd_svg(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# corpus
-# ---------------------------------------------------------------------------
-
-def _run_corpus(args, worker) -> int:
-    from pathlib import Path
-    from .diagram import AlternatingDiagram
-    if not args.corpus:                 # Path('') is the working directory
-        raise ValueError("--corpus expects a directory, got ''")
-    paths = sorted(Path(args.corpus).glob("*.json"))
-    if not paths:
-        raise ValueError(f"no .json diagrams under {args.corpus}")
-    results = []
-    for path in paths:
-        with open(path) as fh:
-            d = AlternatingDiagram.from_json(_json_loads(fh.read(), path.name))
-        results.append({"file": path.name, **worker(d)})
-    _emit({"corpus": str(args.corpus), "results": results}, args.pretty)
-    return 0 if all(r.get("npc", True) for r in results) else 1
-
-
-# ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
@@ -367,13 +359,13 @@ def build_parser() -> argparse.ArgumentParser:
 @functools.lru_cache(maxsize=1)
 def _leaf_routes(parser: argparse.ArgumentParser) -> dict:
     """The command-word tree of parser: a word maps to the tree of the
-    words after it, and a full chain ends in (leaf parser, the entries that
-    the parsers above it put in the namespace: their defaults and the
-    chosen words, the leaf's _leaf_table)."""
+    words after it, and a full chain ends in the _leaf_table of its leaf
+    parser, filled with the entries that the parsers above it put in the
+    namespace: their defaults and the chosen words."""
     def walk(parser, filled):
         subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         if not subs:
-            return parser, filled, _leaf_table(parser, filled)
+            return _leaf_table(parser, filled)
         (sub,) = subs
         filled = {**filled, **parser._defaults,
                   **{a.dest: a.default for a in parser._actions
@@ -434,24 +426,15 @@ def _walk(table, rest: list[str]):
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """build_parser().parse_args(argv), read by _walk, or else by the leaf
-    parser, when argv opens with a full chain of command words.  The parsers
-    above the leaf would only hand it the rest of argv, except that the top
-    one exits on a '--=' token, an abbreviation of both --help and --pretty;
-    such an argv, and any other, takes the full parse."""
+    """build_parser().parse_args(argv), read by _walk when argv opens with a
+    full chain of command words and the walk settles the rest; any other
+    argv takes the full parse."""
     parser = build_parser()
     route, rest = _leaf_routes(parser), argv
     while isinstance(route, dict) and rest:
         route, rest = route.get(rest[0]), rest[1:]
-    if not isinstance(route, tuple) or any(t.startswith("--=") for t in rest):
-        return parser.parse_args(argv)
-    leaf, filled, table = route
-    args = _walk(table, rest)
-    if args is None:
-        args, extras = leaf.parse_known_args(rest, argparse.Namespace(**filled))
-        if extras:
-            parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    args = _walk(route, rest) if isinstance(route, tuple) else None
+    return parser.parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

@@ -206,7 +206,6 @@ class CubedComplex:
                 self.inner_edges[root] = region[4 * (q >> 1) + (r // 3 + 1) % 4]
             else:
                 (self.vertical_edges if r % 3 == 0 else self.boundary_edges).append(root)
-        self.region_edge = {rid: root for root, rid in self.inner_edges.items()}
 
     # -- reports ---------------------------------------------------------------
 

@@ -40,9 +40,10 @@ CROSSING_ARC_EQUIVALENT = "CrossingArcEquivalent"
 # Spare regions
 # ---------------------------------------------------------------------------
 
-def witness_spare_region(d: AlternatingDiagram, wing_regions, color: str = BLACK,
-                         pp: IdealPolyhedronPair | None = None) -> dict:
-    """Produce the fifth-region certificate for a set of wing regions.
+def witness_spare_region(d: AlternatingDiagram, wings: tuple[int, ...], color: str,
+                         pp: IdealPolyhedronPair) -> dict:
+    """Produce the fifth-region certificate for the wing regions, given by
+    index, of the glued pair pp of diagram d.
 
     With five or more regions of the wing color, any unused one works:
     same-color regions are never adjacent, since every edge separates a
@@ -57,12 +58,14 @@ def witness_spare_region(d: AlternatingDiagram, wing_regions, color: str = BLACK
     small one only across one of its two or three edges, so with three
     regions and a bigon, or four and a bigon or trigon, one region is free.
     """
-    wings = {r if isinstance(r, int) else r.index for r in wing_regions}
     same = [R.index for R in d.regions if R.color == color]
-    if not wings <= set(same):
+    if not set(wings) <= set(same):
         raise DecideError("wing regions must all have the witness color")
     others = [r for r in same if r not in wings]
-    if len(same) >= 5 and others:
+    if len(same) >= 5:
+        if not others:
+            raise DecideError(f"the wings use all {len(same)} regions of the witness color; "
+                              "no spare region is left")
         return {"kind": "direct", "region": others[0],
                 "note": "same color as the wings, hence adjacent to none of them; "
                         "its plane's far side misses all four wing half-spaces"}
@@ -70,8 +73,6 @@ def witness_spare_region(d: AlternatingDiagram, wing_regions, color: str = BLACK
     small, kind = find_small_white_region(d, witness_color=opposite)
     candidates = [r for r in same
                   if not region_adjacent(d, r, small.index)]
-    if pp is None:
-        pp = build_polyhedra(d)
     return {"kind": "transfer", "region": candidates[0],
             "note": f"the {kind} face shifts neighbor planes by one between the two copies; "
                     f"region {candidates[0]} is not adjacent to it, so its far disk in the "

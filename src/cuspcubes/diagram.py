@@ -305,13 +305,12 @@ def is_reduced(d: AlternatingDiagram) -> bool:
     return d.reduced
 
 
-def region_adjacent(d: AlternatingDiagram, r1: int | Region, r2: int | Region) -> bool:
-    """Do two distinct regions share at least one edge of the diagram?"""
-    i1 = r1.index if isinstance(r1, Region) else r1
-    i2 = r2.index if isinstance(r2, Region) else r2
-    if i1 == i2:
+def region_adjacent(d: AlternatingDiagram, r1: int, r2: int) -> bool:
+    """Do two distinct regions, given by index, share at least one edge of
+    the diagram?"""
+    if r1 == r2:
         raise DiagramError("region_adjacent needs two distinct regions")
-    return bool(d.regions[i1].edges & d.regions[i2].edges)
+    return bool(d.regions[r1].edges & d.regions[r2].edges)
 
 
 # ---------------------------------------------------------------------------

@@ -50,15 +50,6 @@ class Slope:
     def __str__(self) -> str:
         return f"{self.q}/{self.p}"
 
-    def to_json(self) -> dict:
-        return {"q": self.q, "p": self.p}
-
-    @staticmethod
-    def from_json(obj) -> "Slope":
-        if isinstance(obj, dict):
-            return reduce_slope(int(obj["q"]), int(obj["p"]))
-        return parse_slope(obj)
-
 
 INFINITY = Slope(1, 0)
 ZERO = Slope(0, 1)
@@ -83,17 +74,14 @@ def reduce_slope(q: int, p: int) -> Slope:
 MAX_SLOPE_CHARS = 1000        # longest accepted slope string
 
 
-def parse_slope(text) -> Slope:
+def parse_slope(text: str) -> Slope:
     """Parse 'q/p', a plain integer string, or 'inf' ('oo', 'infinity').
     Other text, and text longer than MAX_SLOPE_CHARS (checked before any
     number is built), raises FareyError naming the accepted forms."""
-    if isinstance(text, Slope):
-        return text
-    s = str(text)
-    if len(s) > MAX_SLOPE_CHARS:
+    if len(text) > MAX_SLOPE_CHARS:
         raise FareyError(f"a slope is q/p, an integer or inf of at most MAX_SLOPE_CHARS = "
-                         f"{MAX_SLOPE_CHARS} characters, got {len(s)} characters")
-    s = s.strip()
+                         f"{MAX_SLOPE_CHARS} characters, got {len(text)} characters")
+    s = text.strip()
     if s in ("inf", "oo", "infinity"):
         return INFINITY
     try:
@@ -108,7 +96,8 @@ def parse_slope(text) -> Slope:
 # ---------------------------------------------------------------------------
 
 def _dist_from_infinity(x: Slope) -> int:
-    """Farey-graph distance d(oo, x), one step per partial quotient of x.
+    """Farey-graph distance d(oo, x) for x other than oo, one step per
+    partial quotient of x.
 
     Paths from oo of length k are exactly the integer continued fractions
     x = b1 + 1/(b2 + ... + 1/bk), so d(oo, x) is the length of a geodesic
@@ -126,8 +115,6 @@ def _dist_from_infinity(x: Slope) -> int:
         d_i = 1 + min(d_{i+1}, d_{i+2})    if a_i = 1,
     one backward pass over the partial quotients (a_n >= 2 always).
     """
-    if x.is_infinity:
-        return 0
     if x.p == 1:
         return 1
     after, after2 = 1, 1                  # d_{i+1} and d_{i+2}
@@ -150,8 +137,9 @@ def farey_distance(r: Slope, s: Slope) -> int:
         return _dist_from_infinity(s)
     if s.is_infinity:
         return _dist_from_infinity(r)
-    # M = [[a, b], [p_r, -q_r]] with det 1 sends r to oo; any other top row
-    # shifts the image of s by an integer, which keeps its distance from oo
+    # M = [[a, b], [p_r, -q_r]] with det 1 sends r to oo, and s != r to a
+    # finite slope; any other top row shifts the image of s by an integer,
+    # which keeps its distance from oo
     a = pow(-r.q, -1, r.p)
     b = (a * -r.q - 1) // r.p
     img = reduce_slope(a * s.q + b * s.p, r.p * s.q - r.q * s.p)
@@ -230,10 +218,6 @@ class FareyAut:
     @property
     def det(self) -> int:
         return self.a * self.d - self.b * self.c
-
-    @property
-    def orientation_preserving(self) -> bool:
-        return self.det == 1
 
     def act(self, r: Slope) -> Slope:
         return reduce_slope(self.a * r.q + self.b * r.p, self.c * r.q + self.d * r.p)

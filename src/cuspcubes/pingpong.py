@@ -27,7 +27,6 @@ import cmath
 from dataclasses import dataclass
 import math
 import re
-import sys
 
 
 class PingPongError(ValueError):
@@ -48,11 +47,11 @@ _RATIONAL = re.compile(r"\s*([-+]?)(?=\d|\.\d)((?:\d+(?:_\d+)*)?)"
 
 
 def parse_rational(x) -> tuple[int, int] | None:
-    """An int (not a bool), a Fraction, or a string such as "-3", "3/4" or
-    "0.75", as (n, d) in lowest terms with d > 0; None for anything else.
-    Strings longer than MAX_ENTRY_CHARS, integers of more than
-    MAX_ENTRY_CHARS digits and exponent notation raise PingPongError before
-    the number is built, so no entry costs more than its own length."""
+    """An int (not a bool) or a string such as "-3", "3/4" or "0.75", as
+    (n, d) in lowest terms with d > 0; None for anything else.  Strings
+    longer than MAX_ENTRY_CHARS, integers of more than MAX_ENTRY_CHARS
+    digits and exponent notation raise PingPongError before the number is
+    built, so no entry costs more than its own length."""
     if isinstance(x, str):
         if len(x) > MAX_ENTRY_CHARS:
             raise PingPongError(f"entry strings are at most MAX_ENTRY_CHARS = {MAX_ENTRY_CHARS} "
@@ -77,9 +76,6 @@ def parse_rational(x) -> tuple[int, int] | None:
         if x.bit_length() > 3 * MAX_ENTRY_CHARS and abs(x) >= 10 ** MAX_ENTRY_CHARS:
             raise PingPongError(f"integer entries have at most MAX_ENTRY_CHARS = {MAX_ENTRY_CHARS} digits")
         return x, 1
-    fractions = sys.modules.get("fractions")      # no Fraction exists before it is loaded
-    if fractions is not None and isinstance(x, fractions.Fraction):
-        return x.numerator, x.denominator
     return None
 
 
@@ -354,9 +350,6 @@ class MobiusMap:
     def from_json(obj) -> "MobiusMap":
         (a, b), (c, d) = obj
         return MobiusMap.from_entries(a, b, c, d)
-
-    def to_json(self):
-        return _matrix_json(self.den, self.e)
 
 
 # ---------------------------------------------------------------------------

@@ -101,18 +101,14 @@ def _tutte_layout(d: AlternatingDiagram, outer_region: int) -> dict[int, tuple[f
     return {c: (xs[j], ys[j]) for c, j in at.items()}
 
 
-def circle_pattern_svg(d: AlternatingDiagram, outer_region: int | None = None,
-                       size: int = 480) -> str:
+def circle_pattern_svg(d: AlternatingDiagram) -> str:
     """Draw one circle per region, near its boundary crossings, black and
-    white layered; purely illustrative."""
+    white layered, on a 480-pixel square with the largest region outside;
+    purely illustrative."""
     import math
 
-    if outer_region is None:
-        outer_region = max(range(len(d.regions)), key=lambda i: len(d.regions[i]))
-    elif (not isinstance(outer_region, int) or isinstance(outer_region, bool)
-          or not 0 <= outer_region < len(d.regions)):
-        raise PolyhedraError(f"outer_region must be a region index in 0..{len(d.regions) - 1}, "
-                             f"got {outer_region!r}")
+    size = 480
+    outer_region = max(range(len(d.regions)), key=lambda i: len(d.regions[i]))
     pos = _tutte_layout(d, outer_region)
     pad = 0.35
     xs = [p[0] for p in pos.values()]

@@ -179,6 +179,11 @@ def is_flag(lk: VertexLink) -> bool:
     return clique_flag([tuple(e) for e in lk.edges], len(lk.triangles))
 
 
+def region_edge(cx) -> dict[int, int]:
+    """The inner edge class of each region, by region index."""
+    return {rid: root for root, rid in cx.inner_edges.items()}
+
+
 def link_angle_class(cx, v, r1, r2) -> str:
     """'orthogonal' when the two region directions are joined in the link,
     'far' otherwise; defined at the two inner vertices."""
@@ -187,7 +192,8 @@ def link_angle_class(cx, v, r1, r2) -> str:
         raise CubingError("need two distinct regions")
     if v not in set(cx.inner_vertices):
         raise CubingError("angle classes are defined at the inner vertices")
-    a, b = sorted((cx.region_edge[rid1], cx.region_edge[rid2]))
+    edge = region_edge(cx)
+    a, b = sorted((edge[rid1], edge[rid2]))
     return "orthogonal" if (a, b) in id_link(cx, cx._vroot[germ_id(v)])[0] else "far"
 
 

@@ -86,7 +86,7 @@ def test_criterion_3_covering_slope_search_oracle():
             if r in (ZERO, INFINITY):
                 continue
             eta = covering_slope_search_oracle(r)
-            if not eta.orientation_preserving or eta.act(-r) != INFINITY:
+            if eta.det != 1 or eta.act(-r) != INFINITY:
                 ok = False
                 break
             if not differ_by_integer(covering_slope(r), eta.act(r)):
@@ -169,7 +169,7 @@ def test_criterion_7_adjacency_law():
                 if R1.index >= R2.index:
                     continue
                 # the half-spaces are disjoint exactly when the regions are not adjacent
-                adjacent = region_adjacent(d, R1, R2)
+                adjacent = region_adjacent(d, R1.index, R2.index)
                 for v in cx.inner_vertices:
                     want = "orthogonal" if adjacent else "far"
                     if link_angle_class(cx, v, R1, R2) != want:

@@ -14,6 +14,7 @@ from referencing import Registry, Resource
 from cuspcubes import cli, decide as DC, diagram as DG, farey as FA
 from cuspcubes.cli import build_parser, main
 from cuspcubes.diagram import AlternatingDiagram, DiagramError, two_bridge_diagram
+from cuspcubes.polyhedra import build_polyhedra
 
 SCHEMAS = Path(__file__).resolve().parents[1] / "docs" / "schemas"
 # every schema under its $id, so that decide.verdict.v1 can $ref diagram.input.v1
@@ -706,15 +707,15 @@ class TestLibraryAnswer:
     def test_pingpong(self, capsys, mode):
         from cuspcubes.pingpong import (FREE_CERTIFIED, float_entry, pingpong_certificate,
                                         pingpong_certificate_float)
-        from test_pingpong import NAMED_PAIRS
+        from test_pingpong import NAMED_PAIRS, matrix_json
         verdicts = set()
         for name, (m1, m2) in NAMED_PAIRS.items():
             if mode == "exact":
                 answer = pingpong_certificate(m1, m2)
             else:
                 answer = pingpong_certificate_float(
-                    *([[float_entry(e) for e in row] for row in m.to_json()] for m in (m1, m2)))
-            argv = ["pingpong", json.dumps(m1.to_json()), json.dumps(m2.to_json()), "--mode", mode]
+                    *([[float_entry(e) for e in row] for row in matrix_json(m)] for m in (m1, m2)))
+            argv = ["pingpong", json.dumps(matrix_json(m1)), json.dumps(matrix_json(m2)), "--mode", mode]
             code = self.check(capsys, answer, "pingpong.certificate.v1", argv)
             assert code == (answer["verdict"] != FREE_CERTIFIED), name
             verdicts.add(answer["verdict"])
@@ -783,6 +784,8 @@ FIG8 = two_bridge_diagram((2, 2)).diagram
 TREFOIL = AlternatingDiagram.from_pd([[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]])
 KINKED = {"pd": [[1, 1, 2, 2]]}         # one crossing, two nugatory loops
 WHITE_OF_FIG8 = next(R.index for R in FIG8.regions if R.color == DG.WHITE)
+TB2222 = two_bridge_diagram((2, 2, 2, 2)).diagram
+BLACKS_OF_TB2222 = tuple(R.index for R in TB2222.regions if R.color == DG.BLACK)
 
 
 def _flype_off_the_standard_diagram():
@@ -847,8 +850,10 @@ class TestErrorBranches:
         (lambda: DG.flype(two_bridge_diagram((2, 3, 2)), 2, crossing=0), DiagramError,
          "crossing 0 is not in twist region A_2"),
         (_flype_off_the_standard_diagram, DiagramError, "no flype chain found for the crossing arc at 3"),
-        (lambda: DC.witness_spare_region(FIG8, [WHITE_OF_FIG8], DG.BLACK), DC.DecideError,
-         "wing regions must all have the witness color"),
+        (lambda: DC.witness_spare_region(FIG8, (WHITE_OF_FIG8,), DG.BLACK, build_polyhedra(FIG8)),
+         DC.DecideError, "wing regions must all have the witness color"),
+        (lambda: DC.witness_spare_region(TB2222, BLACKS_OF_TB2222, DG.BLACK, build_polyhedra(TB2222)),
+         DC.DecideError, "the wings use all 5 regions of the witness color; no spare region is left"),
         (lambda: DC.classify_alternating_pair(FIG8, "c0"), DC.DecideError,
          "unknown arc specification: 'c0'"),
         (lambda: DC.classify_2bridge_pair(FIG8, DG.CrossingArc(0)), DC.DecideError,
@@ -928,15 +933,6 @@ class TestParserReuse:
         assert reused == fresh
         assert [code for code, _, _ in reused].count(("SystemExit", 2)) == 4
 
-    def test_leaf_forms_take_the_route(self, capsys, monkeypatch):
-        def full_parse(argv):
-            raise AssertionError(f"full parse of {argv}")
-        monkeypatch.setattr(build_parser(), "parse_args", full_parse)
-        leaf_forms = [argv for argv in self.ARGVS if argv[0] != "--pretty" and "nosuch" not in argv]
-        assert len(leaf_forms) == 17
-        codes = [self.call(capsys, argv)[0] for argv in leaf_forms]
-        assert codes.count(("SystemExit", 2)) == 3
-
     # one argv of each operation shape that perfbench's workloads run
     WORKLOAD_FORMS = [
         ["cubing", "--pd", "d.json", "--mirror", "--emit-complex", "complex.json"],
@@ -1010,11 +1006,12 @@ LEAF_VALUES = {"r": ["1/3", "-5/2", "-5/-2", "2/5", "3", "-3", "1/0"], "s": ["4/
                "in_region": ["R3:c0:c2"], "transverse": ["c0:c2:e1,e2"], "output": ["figure.svg"]}
 
 
-def leaves(route, chain=()):
-    """(command words, leaf parser) of every leaf of a route tree."""
-    if isinstance(route, tuple):
-        return [(chain, route[0])]
-    return [leaf for word, sub in route.items() for leaf in leaves(sub, chain + (word,))]
+def leaves(parser, chain=()):
+    """(command words, leaf parser) of every leaf under parser."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [(chain, parser)]
+    return [leaf for word, sub in subs[0].choices.items() for leaf in leaves(sub, chain + (word,))]
 
 
 def typed_value(action):
@@ -1034,7 +1031,7 @@ def leaf_argvs(draw):
     options among them: one action of each required exclusive group and at
     most one of any other, any other option up to twice and a required one
     at least once, each with a value of its type."""
-    chain, leaf = draw(st.sampled_from(leaves(cli._leaf_routes(build_parser()))))
+    chain, leaf = draw(st.sampled_from(leaves(build_parser())))
     groups = leaf._mutually_exclusive_groups
     grouped = {a for g in groups for a in g._group_actions}
     counts = {a: draw(st.integers(1 if a.required else 0, 2)) for a in leaf._actions
@@ -1050,8 +1047,8 @@ def leaf_argvs(draw):
 
 
 class TestRoute:
-    """cli.main reads argv by the walk or at its leaf parser; every outcome
-    must be the one of the full nested parse."""
+    """cli.main reads argv by the walk, or by the full nested parse when the
+    walk cannot settle it; every outcome must be the one of the full parse."""
     WORDS = ["farey", "dist", "cf", "covering-slope", "classify-2bridge", "classify-p3",
              "hyperbolic", "cubing", "decide", "pingpong", "svg", "nosuch"]
     FLAGS = ["--pretty", "--oriented", "--p3", "--two-bridge", "--pd", "--corpus", "--jobs",
@@ -1094,7 +1091,7 @@ class TestRoute:
         route = cli._leaf_routes(build_parser())
         for word in chain:
             route = route[word]
-        assert cli._walk(route[2], rest) is not None
+        assert cli._walk(route, rest) is not None
         argv = list(chain) + rest
         assert self.outcome(cli._parse_args, argv) == self.outcome(build_parser().parse_args, argv)
 

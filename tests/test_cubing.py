@@ -16,7 +16,8 @@ from cuspcubes.diagram import (
     AlternatingDiagram, pretzel_diagram, region_adjacent, two_bridge_diagram,
 )
 from cubing_oracles import (VertexLink, clique_flag, face_name, filed_germs, frozenset_link, germ_id,
-                            id_link, is_flag, link_angle_class, linked_verify, vertex_link, walked_is_flag)
+                            id_link, is_flag, link_angle_class, linked_verify, region_edge, vertex_link,
+                            walked_is_flag)
 from conftest import twist_sequences
 from diagram_oracles import walked_diagram
 from test_golden import ladder_diagrams
@@ -256,7 +257,7 @@ class TestVertexLinks:
                 assert len(lk.triangles) == 4 * d.n, name
                 assert len(lk.vertices) == (d.n + 2) + d.n, name
                 # one fan of four triangles per crossing
-                region_dirs = {edge_name(cx.region_edge[R.index]): R.index for R in d.regions}
+                region_dirs = {edge_name(root): rid for rid, root in region_edge(cx).items()}
                 compatible = {}
                 for w in lk.vertices:
                     if w in region_dirs:
@@ -520,7 +521,7 @@ class TestAngles:
                     for R2 in d.regions:
                         if R1.index >= R2.index:
                             continue
-                        want = "orthogonal" if region_adjacent(d, R1, R2) else "far"
+                        want = "orthogonal" if region_adjacent(d, R1.index, R2.index) else "far"
                         assert link_angle_class(cx, v, R1, R2) == want, name
 
     def test_same_color_far(self, fig8, fig8_cx):

@@ -19,6 +19,7 @@ from cuspcubes.diagram import (
     crossings_adjacent_on_region, is_prime, is_reduced, pretzel_diagram, region_adjacent,
     two_bridge_diagram,
 )
+from cuspcubes.polyhedra import build_polyhedra
 from conftest import twist_sequences
 from diagram_oracles import region_of_slot, tuple_views
 
@@ -215,7 +216,7 @@ class TestSpareRegions:
         whites = [R.index for R in d.regions if R.color == WHITE]
         color, pool = (BLACK, blacks) if len(blacks) >= 5 else (WHITE, whites)
         assert len(pool) >= 5
-        cert = witness_spare_region(d, pool[:4], color)
+        cert = witness_spare_region(d, tuple(pool[:4]), color, build_polyhedra(d))
         assert cert["kind"] == "direct"
         for w in pool[:4]:
             assert not region_adjacent(d, cert["region"], w)
@@ -227,7 +228,7 @@ class TestSpareRegions:
         color = BLACK if len(counts[BLACK]) == 4 else WHITE
         pool = counts[color]
         assert len(pool) == 4
-        cert = witness_spare_region(d, pool, color)
+        cert = witness_spare_region(d, tuple(pool), color, build_polyhedra(d))
         assert cert["kind"] == "transfer"
         assert cert["via_kind"] in ("bigon", "trigon")
         assert not region_adjacent(d, cert["region"], cert["via_region"])
@@ -238,7 +239,7 @@ class TestSpareRegions:
         color = BLACK if len(blacks) == 3 else WHITE
         pool = blacks if color == BLACK else [R.index for R in d.regions if R.color == WHITE]
         assert len(pool) == 3
-        cert = witness_spare_region(d, pool, color)
+        cert = witness_spare_region(d, tuple(pool), color, build_polyhedra(d))
         assert cert["kind"] == "transfer"
         assert cert["via_kind"] == "bigon"
 

@@ -230,8 +230,8 @@ class TestPrimeReduced:
 class TestRegions:
     def test_region_adjacent(self):
         d = two_bridge_diagram((2, 2)).diagram
-        blacks = [R for R in d.regions if R.color == BLACK]
-        whites = [R for R in d.regions if R.color == WHITE]
+        blacks = [R.index for R in d.regions if R.color == BLACK]
+        whites = [R.index for R in d.regions if R.color == WHITE]
         for i, R1 in enumerate(blacks):
             for R2 in blacks[i + 1:]:
                 assert not region_adjacent(d, R1, R2)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from cuspcubes.pingpong import (
     COMMUTING, FREE_CERTIFIED, INCONCLUSIVE, MAX_ENTRY_CHARS, MAX_WORD_LENGTH, MobiusMap,
-    PingPongError, _gauss_matmul, _inverse, _overlap, _ratio, float_entry, free_word_sanity,
-    parse_rational, pingpong_certificate, pingpong_certificate_float,
+    PingPongError, _gauss_matmul, _inverse, _matrix_json, _overlap, _ratio, float_entry,
+    free_word_sanity, parse_rational, pingpong_certificate, pingpong_certificate_float,
 )
 
 M_STD = MobiusMap.from_entries(1, 0, 4, 1)
@@ -71,8 +71,21 @@ def from_json(rows):
     return FMap(*(gr(*map(Fraction, z)) for row in rows for z in row))
 
 
+def matrix_json(m: MobiusMap) -> list:
+    """The JSON matrix of m, as the certificates print it."""
+    return _matrix_json(m.den, m.e)
+
+
 def fmap(m: MobiusMap) -> FMap:
-    return from_json(m.to_json())
+    return from_json(matrix_json(m))
+
+
+def json_entry(x):
+    """An entry as a JSON matrix gives it: a Fraction as its string, a
+    Gaussian (re, im) pair as a list of such entries."""
+    if isinstance(x, tuple):
+        return [json_entry(y) for y in x]
+    return str(x) if isinstance(x, Fraction) else x
 
 
 def disk_of(obj) -> Disk:
@@ -173,7 +186,7 @@ def scaled(m: FMap):
 def package_map(spec: Spec) -> MobiusMap:
     if spec.raw:
         return MobiusMap(*scaled(FMap(*map(of, spec.entries))))
-    return MobiusMap.from_entries(*spec.entries)
+    return MobiusMap.from_entries(*map(json_entry, spec.entries))
 
 
 def fraction_map(spec: Spec) -> FMap:
@@ -187,7 +200,7 @@ def float_matrix(spec: Spec):
 
 
 def inverse_map(m: MobiusMap) -> MobiusMap:
-    return MobiusMap.from_entries(*inverse(fmap(m)))
+    return MobiusMap.from_entries(*map(json_entry, inverse(fmap(m))))
 
 
 def tangency(bf) -> GR:
@@ -203,7 +216,7 @@ class TestScalars:
         assert mul(z, w) == gr(5, 5)
         assert mul(div(z, w), w) == z
         assert abs2(z) == Fraction(5)
-        assert MobiusMap.from_entries(1, ["1/2", -3], 0, 1).to_json()[0][1] == ["1/2", "-3"]
+        assert matrix_json(MobiusMap.from_entries(1, ["1/2", -3], 0, 1))[0][1] == ["1/2", "-3"]
 
     def test_sqrt(self):
         assert sqrt(gr(4)) == gr(2)
@@ -226,7 +239,7 @@ class TestScalars:
         # from_entries on Gaussian integers agrees with the Fraction oracle, sign
         # included, on z times matrices of determinant 1, -1, -2 and 2i
         for m in ((1, 0, 4, 1), (9, -16, 4, -7), (0, 1, 1, 0), (1, 2, 3, 4), ((1, 1), 0, 0, 1)):
-            entries = [mul(of(x), z) for x in m]
+            entries = [json_entry(mul(of(x), z)) for x in m]
             assert outcome(MobiusMap.from_entries, *entries) == \
                 outcome(fraction_from_entries, *entries), (m, z)
 
@@ -236,13 +249,13 @@ class TestScalars:
 ENTRIES = st.one_of(
     st.text(alphabet="0123456789٣_./+- eEx", max_size=8),
     st.from_regex(r"\s?[-+]?[0-9٣_]{0,4}[./]?[0-9٣_]{0,4}\s?", fullmatch=True),
-    st.integers(), st.booleans(), st.floats(), st.none(), st.fractions())
+    st.integers(), st.booleans(), st.floats(), st.none())
 
 
 def fraction_entry(x):
     """The exact value of an entry by Fraction, or None: Fraction refuses
     it, or it is a bool, a float or None, which exact mode refuses."""
-    if isinstance(x, bool) or not isinstance(x, (str, int, Fraction)):
+    if isinstance(x, bool) or not isinstance(x, (str, int)):
         return None
     try:
         return Fraction(x)
@@ -263,7 +276,7 @@ class TestEntries:
     @example("3/0")
     @example("1e5")
     @example(10 ** MAX_ENTRY_CHARS)
-    @example(Fraction(-6, 4))
+    @example("-6/4")
     def test_reader_matches_fraction(self, x):
         if isinstance(x, str) and (len(x) > MAX_ENTRY_CHARS or "e" in x.lower()) or \
                 type(x) is int and abs(x) >= 10 ** MAX_ENTRY_CHARS:
@@ -281,7 +294,7 @@ class TestEntries:
     @settings(max_examples=1000, deadline=None)
     @example(10 ** 400)
     @example("1" * 400)
-    @example(Fraction(1, 3))
+    @example("1/3")
     def test_float_entry_matches_fraction(self, x):
         try:
             expected = float(x if isinstance(x, float) else fraction_entry(x))
@@ -325,7 +338,7 @@ class TestParabolic:
         assert pingpong_certificate(TRANSLATION, MobiusMap.from_entries(1, (2, -1), 0, 1)
                                     )["verdict"] == COMMUTING
         with pytest.raises(PingPongError, match="two parabolic maps"):
-            pingpong_certificate(MobiusMap.from_entries(2, 0, 0, Fraction(1, 2)), M_STD)
+            pingpong_certificate(MobiusMap.from_entries(2, 0, 0, "1/2"), M_STD)
 
     def test_identity_rejected(self):
         for pair in ((IDENTITY, M_STD), (M_STD, IDENTITY)):
@@ -336,7 +349,7 @@ class TestParabolic:
 class TestButterflies:
     def test_standard(self):
         bf = pingpong_certificate(M_STD, M_SHIFTED)["butterflies"][0]
-        assert bf["map"] == M_STD.to_json()
+        assert bf["map"] == matrix_json(M_STD)
         assert bf["neg"] == {"center": ["-1/4", "0"], "radius2": "1/16"}
         assert bf["pos"] == {"center": ["1/4", "0"], "radius2": "1/16"}
         assert FractionOracle.separation(disk_of(bf["neg"]), disk_of(bf["pos"])) == 0
@@ -406,7 +419,7 @@ class TestCertificates:
 
     def test_non_parabolic_rejected(self):
         with pytest.raises(PingPongError):
-            pingpong_certificate(MobiusMap.from_entries(2, 0, 0, Fraction(1, 2)), M_STD)
+            pingpong_certificate(MobiusMap.from_entries(2, 0, 0, "1/2"), M_STD)
 
     def test_swap_and_inverse_invariance(self):
         for a, b in [(M_STD, M_SHIFTED), (M_SHIFTED, M_STD),
@@ -439,7 +452,7 @@ class TestNormalize:
     def test_already_finite_identity(self):
         cert = pingpong_certificate(M_STD, M_SHIFTED)
         assert cert["conjugator"] == IDENTITY_JSON
-        assert [bf["map"] for bf in cert["butterflies"]] == [M_STD.to_json(), M_SHIFTED.to_json()]
+        assert [bf["map"] for bf in cert["butterflies"]] == [matrix_json(M_STD), matrix_json(M_SHIFTED)]
 
     def test_equal_fixed_points_rejected(self):
         cert = pingpong_certificate(TRANSLATION, MobiusMap.from_entries(1, 5, 0, 1))
@@ -517,10 +530,10 @@ FREE_PAIRS = [                                   # (c, s) of each map
 # SL2(Z) pair whose shortest relations have length 6, and its conjugate by
 # z -> z/2, which needs the shared denominator 2
 SL2Z_PAIR = (MobiusMap.from_entries(1, 1, 0, 1), MobiusMap.from_entries(1, 0, -1, 1))
-HALF_PAIR = (MobiusMap.from_entries(1, H, 0, 1), MobiusMap.from_entries(1, 0, -2, 1))
+HALF_PAIR = (MobiusMap.from_entries(1, "1/2", 0, 1), MobiusMap.from_entries(1, 0, -2, 1))
 # a pair whose product has order 4: every trivial word of length 4 is -I
 ORDER4_PAIR = (MobiusMap.from_entries(1, 1, 0, 1), MobiusMap.from_entries(1, 0, -2, 1))
-ORDER4_HALF_PAIR = (MobiusMap.from_entries(1, H, 0, 1), MobiusMap.from_entries(1, 0, -4, 1))
+ORDER4_HALF_PAIR = (MobiusMap.from_entries(1, "1/2", 0, 1), MobiusMap.from_entries(1, 0, -4, 1))
 # z -> z + i and z -> z/(iz + 1): off-diagonal entries with zero real part
 GAUSS_PAIR = (MobiusMap.from_entries(1, (0, 1), 0, 1), MobiusMap.from_entries(1, 0, (0, 1), 1))
 # diagonal matrices other than +-I, none of determinant one, so no map is
@@ -540,7 +553,7 @@ NAMED_PAIRS = {"SL2Z_PAIR": SL2Z_PAIR, "HALF_PAIR": HALF_PAIR, "ORDER4_PAIR": OR
 
 
 # (w, k): the shortest trivial word of <T, U_w>, U_w = [[1, 0], [w, 1]], has length k
-SPLIT_BOUNDARY = ((Fraction(3, 2), 9), (H, 8), (Fraction(1, 3), 10), ((0, 1), 10))
+SPLIT_BOUNDARY = (("3/2", 9), ("1/2", 8), ("1/3", 10), ((0, 1), 10))
 # z -> -1/(z + 1), of order 3: E^3 = 1 is a relation that avoids T
 ORDER3 = MobiusMap.from_entries(0, -1, 1, 1)
 
@@ -701,6 +714,8 @@ def outcome(f, *args):
         res = f(*args)
     except PingPongError as err:
         return "error", str(err)
+    if isinstance(res, MobiusMap):
+        return "ok", matrix_json(res)
     return "ok", res.to_json() if hasattr(res, "to_json") else res
 
 

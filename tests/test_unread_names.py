@@ -1,12 +1,15 @@
 """`src/` holds what the command line and the benchmark reach: every public
-top-level function and class of the package, and every public method, is
-read somewhere in `src/` outside its own definition or in `perfbench/`.
-A name that only the tests read belongs in a tests/*_oracles.py module.
+top-level function and class of the package, every public method, and
+every field that a method stores on `self` is read somewhere in `src/`
+outside its own definition or in `perfbench/`.  A name that only the tests
+read belongs in a tests/*_oracles.py module.
 
-A read is a name, an attribute, an imported name or, in `perfbench/`, a
-string constant (the tracer rebinds functions by name).  Names are matched
-without their owner, so a method counts as read when any attribute of that
-name is read.
+A read of a top-level name is a name, an attribute, an imported name or, in
+`perfbench/`, a string constant (the tracer rebinds functions by name).  A
+method or a field is read only through an attribute load (`.name`) or such
+a string: a bare name, such as a parameter of the same name, does not
+count.  Names are matched without their owner, so a method counts as read
+when any attribute of that name is loaded.
 """
 
 import ast
@@ -24,46 +27,63 @@ def _public(name):
     return not name.startswith("_")
 
 
+def _stored_fields(cls):
+    """(name, node) of each attribute of `self` that a method of cls stores,
+    at its first store."""
+    fields = {}
+    for item in cls.body:
+        if isinstance(item, ast.FunctionDef):
+            for node in ast.walk(item):
+                if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                    fields.setdefault(node.attr, node)
+    return fields.items()
+
+
 def definitions(tree, module):
-    """(qualified name, node) of every public top-level function and class
-    and every public method of a public top-level class."""
+    """(qualified name, node, whether a bare name reads it) of every public
+    top-level function and class, every public method of a public top-level
+    class, and every field that its methods store on `self`."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _public(node.name):
-            yield f"{module}.{node.name}", node
+            yield f"{module}.{node.name}", node, True
         if isinstance(node, ast.ClassDef) and _public(node.name):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and _public(item.name):
-                    yield f"{module}.{node.name}.{item.name}", item
+                    yield f"{module}.{node.name}.{item.name}", item, False
+            for name, store in _stored_fields(node):
+                yield f"{module}.{node.name}.{name}", store, False
 
 
 def reads(tree, strings):
-    """(name, line) of every read in tree."""
+    """(name, line, whether it is a bare name) of every read in tree."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
-        elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.id, node.lineno, True
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, node.lineno, False
         elif isinstance(node, ast.ImportFrom):
             for alias in node.names:
-                yield alias.name, node.lineno
+                yield alias.name, node.lineno, True
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            yield node.value, node.lineno
+            yield node.value, node.lineno, False
 
 
 def unread_names(src, bench):
-    """The qualified public names defined in src that nothing reads outside
-    their own definition; src and bench map module names to parsed trees."""
-    seen = {}                   # name -> [((folder, module), line)] of its reads
+    """The qualified names defined in src that nothing reads outside their
+    own definition; src and bench map module names to parsed trees."""
+    seen = {}                   # name -> [((folder, module), line, bare)] of its reads
     for folder, group in (("src", src), ("bench", bench)):
         for module, tree in group.items():
-            for name, line in reads(tree, strings=folder == "bench"):
-                seen.setdefault(name, []).append(((folder, module), line))
+            for name, line, bare in reads(tree, strings=folder == "bench"):
+                seen.setdefault(name, []).append(((folder, module), line, bare))
     unread = set()
     for module, tree in src.items():
-        for qualname, node in definitions(tree, module):
+        for qualname, node, by_bare_name in definitions(tree, module):
             own = range(node.lineno, node.end_lineno + 1)
-            if all(where == ("src", module) and line in own
-                   for where, line in seen.get(node.name, ())):
+            name = qualname.rsplit(".", 1)[1]
+            if all(where == ("src", module) and line in own or bare and not by_bare_name
+                   for where, line, bare in seen.get(name, ())):
                 unread.add(qualname)
     return unread
 
@@ -80,9 +100,12 @@ def test_every_public_name_is_read_outside_the_tests():
 
 def test_the_scan_flags_unread_names():
     src = {"m": ast.parse("def used(): pass\n\ndef lonely(): return lonely\n\n"
-                          "class Box:\n    def size(self): pass\n    def _hidden(self): pass\n"
-                          "    def named(self): pass\n\nx = used()\n"),
-           "n": ast.parse("from m import Box\n")}
+                          "class Box:\n    def __init__(self):\n        self.kept, self.lost = 1, 2\n"
+                          "    def size(self): pass\n    def _hidden(self): pass\n"
+                          "    def named(self): pass\n    def shape(self): pass\n\n"
+                          "def fill(shape): return shape\n\nx = used().kept\n"),
+           "n": ast.parse("from m import Box, fill\n")}
     bench = {"b": ast.parse("rebind(Box, 'named')\n")}
-    assert unread_names(src, bench) == {"m.lonely", "m.Box.size"}
-    assert unread_names(src, {}) == {"m.lonely", "m.Box.size", "m.Box.named"}
+    flagged = {"m.lonely", "m.Box.size", "m.Box.shape", "m.Box.lost"}
+    assert unread_names(src, bench) == flagged
+    assert unread_names(src, {}) == flagged | {"m.Box.named"}
