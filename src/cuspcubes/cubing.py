@@ -181,13 +181,12 @@ class CubedComplex:
 
     def _close_classes(self) -> None:
         n = self.diagram.n
-        region = self.diagram.slot_region
         vtx, edg = _UnionFind(16 * n), _UnionFind(24 * n)
         vtx.union(zip(self.va, self.vb))
         edg.union(zip(self.ea, self.eb))
         vroots, eroots = vtx.roots(), edg.roots()
         # roots() leaves each germ's parent at its root: the germ -> class
-        # maps.  A root has its class's kind, an inner edge root its region.
+        # maps.  A root has its class's kind.
         self._vroot, self._eroot = vtx.parent, edg.parent
         # inner vertices (bottom corners, even ids) first, each part by
         # name, which is decoded and made a string once per class
@@ -198,14 +197,10 @@ class CubedComplex:
         self.inner_vertices = [name for odd, _s, _v, name in rows if not odd]
         self.boundary_vertices = [name for odd, _s, _v, name in rows if odd]
 
-        self.inner_edges, self.vertical_edges, self.boundary_edges = {}, [], []
+        # an edge germ's kind is its id mod 3: 0 "ve", 1 "be" (inner), 2 "te"
+        self.vertical_edges, self.inner_edges, self.boundary_edges = kinds = [], [], []
         for root in eroots:
-            q, r = divmod(root, 12)
-            if r % 3 == 1:
-                # corner k = r // 3 of crossing q >> 1 lies in the region of slot k + 1
-                self.inner_edges[root] = region[4 * (q >> 1) + (r // 3 + 1) % 4]
-            else:
-                (self.vertical_edges if r % 3 == 0 else self.boundary_edges).append(root)
+            kinds[root % 3].append(root)
 
     # -- reports ---------------------------------------------------------------
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from .diagram import (AlternatingDiagram, BLACK, WHITE, CrossingArc,
                       InRegionArc, TransverseArc, TwoBridgeDiagram,
                       crossings_adjacent_on_region, find_small_white_region, flype,
-                      is_prime, is_reduced, region_adjacent, two_bridge_diagram)
+                      is_prime, is_reduced, two_bridge_diagram)
 from .polyhedra import IdealPolyhedronPair, build_polyhedra
 
 
@@ -57,8 +57,10 @@ def witness_spare_region(d: AlternatingDiagram, wings: tuple[int, ...], color: s
     which counts the same regions.  A same-color region is adjacent to the
     small one only across one of its two or three edges, so with three
     regions and a bigon, or four and a bigon or trigon, one region is free.
+    Regions of a color are those of the slots of its parity, even for black.
     """
-    same = [R.index for R in d.regions if R.color == color]
+    region = d.slot_region
+    same = sorted(set(region[0::2] if color == BLACK else region[1::2]))
     if not set(wings) <= set(same):
         raise DecideError("wing regions must all have the witness color")
     others = [r for r in same if r not in wings]
@@ -71,21 +73,21 @@ def witness_spare_region(d: AlternatingDiagram, wings: tuple[int, ...], color: s
                         "its plane's far side misses all four wing half-spaces"}
     opposite = WHITE if color == BLACK else BLACK
     small, kind = find_small_white_region(d, witness_color=opposite)
-    candidates = [r for r in same
-                  if not region_adjacent(d, r, small.index)]
+    # the two ends of a wire lie in the regions on the two sides of its edge
+    sides = [(region[a], region[b]) for a, b in d.wires]
+    near = {r for pair in sides if small in pair for r in pair}
+    candidates = [r for r in same if r not in near]
     return {"kind": "transfer", "region": candidates[0],
             "note": f"the {kind} face shifts neighbor planes by one between the two copies; "
                     f"region {candidates[0]} is not adjacent to it, so its far disk in the "
                     f"neighboring copy avoids all four wings",
-            "via_region": small.index, "via_kind": kind,
-            "transfer_shift": pp.transfer_shift(small)}
+            "via_region": small, "via_kind": kind,
+            "transfer_shift": pp.transfer_shift(opposite)}
 
 
 def _build_witness(d: AlternatingDiagram, pp: IdealPolyhedronPair, c1: int, c2: int,
                    color: str, case: str) -> dict:
-    r1 = pp.wings(c1, color)
-    r2 = pp.wings(c2, color)
-    ids = (r1[0].index, r1[1].index, r2[0].index, r2[1].index)
+    ids = pp.wings(c1, color) + pp.wings(c2, color)
     if len(set(ids)) != 4:
         raise DecideError(
             f"wing regions {ids} at crossings {c1}, {c2} are not pairwise distinct; "
@@ -114,8 +116,8 @@ def _reduce_edge_word(word: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _hyperbolic_candidate(d: AlternatingDiagram) -> None:
-    blacks = sum(1 for R in d.regions if R.color == BLACK)
-    whites = len(d.regions) - blacks
+    blacks = len(set(d.slot_region[0::2]))
+    whites = d.n + 2 - blacks
     if blacks < 3 or whites < 3:
         raise DecideError(
             f"{blacks} black / {whites} white regions: torus-link form, "
@@ -140,6 +142,7 @@ def classify_alternating_pair(d: AlternatingDiagram, arc, mirror: bool = False) 
         raise DecideError("classification requires a prime reduced alternating diagram")
     _hyperbolic_candidate(d)
     pp = build_polyhedra(d, mirror)
+    region = d.slot_region
 
     if isinstance(arc, CrossingArc):
         if not (0 <= arc.crossing < d.n):
@@ -149,17 +152,17 @@ def classify_alternating_pair(d: AlternatingDiagram, arc, mirror: bool = False) 
                           "for standard two-bridge diagrams use the twist-sequence classifier"]}
 
     if isinstance(arc, InRegionArc):
-        if not (0 <= arc.region < len(d.regions)):
+        if not (0 <= arc.region < d.n + 2):
             raise DecideError(f"no region {arc.region}")
-        R = d.regions[arc.region]
         for c in (arc.c1, arc.c2):
-            if c not in R.distinct_crossings:
+            if not (0 <= c < d.n and arc.region in region[4 * c:4 * c + 4]):
                 raise DecideError(f"crossing {c} is not on the boundary of region {arc.region}")
-        if crossings_adjacent_on_region(d, R, arc.c1, arc.c2):
+        if crossings_adjacent_on_region(d, arc.region, arc.c1, arc.c2):
             return {"verdict": CROSSING_ARC_EQUIVALENT,
                     "notes": ["the endpoints are adjacent along the region boundary, so the arc "
                               "is parallel to an edge and its pair is a crossing-arc pair"]}
-        color = BLACK if R.color == WHITE else WHITE
+        # a region is black when its slots are even; the wings take the other color
+        color = BLACK if region.index(arc.region) & 1 else WHITE
         witness = _build_witness(d, pp, arc.c1, arc.c2, color, "in-region")
         return {"verdict": FREE_GEOMETRICALLY_FINITE, "notes": [], "witness": witness}
 
@@ -175,11 +178,11 @@ def classify_alternating_pair(d: AlternatingDiagram, arc, mirror: bool = False) 
             if arc.c1 == arc.c2:
                 return {"verdict": INESSENTIAL,
                         "notes": ["empty reduced word with equal endpoints"]}
-            shared = next((R for R in d.regions if arc.c1 in R.distinct_crossings
-                           and arc.c2 in R.distinct_crossings), None)
-            if shared is None:
+            common = set(region[4 * arc.c1:4 * arc.c1 + 4]) & set(region[4 * arc.c2:4 * arc.c2 + 4])
+            if not common:
                 raise DecideError(
                     "empty reduced word but the endpoints share no region; malformed arc")
+            shared = min(common)
             # an edge joins c1 and c2 along every region that holds both, or
             # along none: if edge e does, between regions X and Y, a third
             # region R holding both lies opposite X at each (it has X's
@@ -188,7 +191,7 @@ def classify_alternating_pair(d: AlternatingDiagram, arc, mirror: bool = False) 
             if crossings_adjacent_on_region(d, shared, arc.c1, arc.c2):
                 return {"verdict": CROSSING_ARC_EQUIVALENT,
                         "notes": ["after reduction the arc lies along a region edge"]}
-            return classify_alternating_pair(d, InRegionArc(shared.index, arc.c1, arc.c2), mirror)
+            return classify_alternating_pair(d, InRegionArc(shared, arc.c1, arc.c2), mirror)
         try:
             witness = _build_witness(d, pp, arc.c1, arc.c2, BLACK, "transverse")
             return {"verdict": FREE_GEOMETRICALLY_FINITE, "notes": [], "witness": witness}

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 
 
 class DiagramError(ValueError):
@@ -40,15 +39,10 @@ class Region:
     index: int
     color: str
     boundary: tuple[Slot, ...]          # face walk; entry (c, i) leaves through port i
-    edges: frozenset[int]
-    crossings: tuple[int, ...]          # crossings along the walk, with multiplicity
-
-    def __len__(self) -> int:
-        return len(self.boundary)
 
     @property
     def distinct_crossings(self) -> frozenset[int]:
-        return frozenset(self.crossings)
+        return frozenset(c for c, _i in self.boundary)
 
 
 def _is_int(x) -> bool:
@@ -70,10 +64,10 @@ class AlternatingDiagram:
     alternation, and reports the first violated invariant by name.  Int
     lists keep each slot's twin, edge and region (the public `slot_region`),
     the lower slot of each edge and each face walk.  A region's color is
-    read off the parity of its slots; the views on tuple slots (c, i),
-    `pairing` and `edges`, the `Region` records, strands, primeness and
-    reducedness are computed on first use, and the views share one tuple
-    per slot.
+    the parity of its slots, even for black; the views on tuple slots (c, i),
+    `pairing`, `edges` and the `Region` records the drawing reads, strands,
+    primeness and reducedness are computed on first use, and the views share
+    one tuple per slot.
     """
 
     def __init__(self, n: int, wires: list[tuple[int, int]]):
@@ -224,10 +218,8 @@ class AlternatingDiagram:
         twin(h) flip a slot's parity and rotate flip it back, so a face's
         slots share one parity and the two sides of an edge differ: even
         faces are black, odd ones white, the face of slot (0, 0) black."""
-        boundaries = [tuple(map(self._slots.__getitem__, walk)) for walk in self._walks]
-        return [Region(r, WHITE if walk[0] & 1 else BLACK, boundary,
-                       frozenset(map(self._edge.__getitem__, walk)), tuple(map(itemgetter(0), boundary)))
-                for r, (walk, boundary) in enumerate(zip(self._walks, boundaries))]
+        return [Region(r, WHITE if walk[0] & 1 else BLACK, tuple(map(self._slots.__getitem__, walk)))
+                for r, walk in enumerate(self._walks)]
 
     @cached_property
     def strands(self) -> list[list[tuple[int, int]]]:
@@ -273,20 +265,6 @@ class AlternatingDiagram:
         """No nugatory crossings: no crossing occurs twice on one region boundary."""
         return all(len({h >> 2 for h in walk}) == len(walk) for walk in self._walks)
 
-    # -- queries ---------------------------------------------------------
-
-    def corner_region(self, c: int, k: int) -> Region:
-        """Region at the corner of crossing c between ports k and k+1."""
-        return self.regions[self.slot_region[4 * c + (k + 1) % 4]]
-
-    def regions_at_crossing(self, c: int, color: str) -> tuple[Region, Region]:
-        """The two same-color corner regions at c, in corner order; the
-        coloring is proper, so the corners alternate colors."""
-        found = [self.corner_region(c, k) for k in range(4) if self.corner_region(c, k).color == color]
-        if found[0].index == found[1].index:
-            raise DiagramError("non-prime: the two same-color corners at a crossing coincide")
-        return found[0], found[1]
-
     def __repr__(self) -> str:
         return f"AlternatingDiagram({self.n} crossings, {len(self._walks)} regions)"
 
@@ -305,14 +283,6 @@ def is_reduced(d: AlternatingDiagram) -> bool:
     return d.reduced
 
 
-def region_adjacent(d: AlternatingDiagram, r1: int, r2: int) -> bool:
-    """Do two distinct regions, given by index, share at least one edge of
-    the diagram?"""
-    if r1 == r2:
-        raise DiagramError("region_adjacent needs two distinct regions")
-    return bool(d.regions[r1].edges & d.regions[r2].edges)
-
-
 # ---------------------------------------------------------------------------
 # Small regions guaranteed on hyperbolic diagrams
 # ---------------------------------------------------------------------------
@@ -322,12 +292,13 @@ def find_small_white_region(d: AlternatingDiagram, witness_color: str = WHITE):
 
     With exactly three black regions there is a white bigon whose two
     black neighbors are distinct; with four, a white bigon or trigon with
-    all-distinct black neighbors.  Returns (region, 'bigon'|'trigon'),
+    all-distinct black neighbors.  Returns (region index, 'bigon'|'trigon'),
     or None when five or more black regions make the search unnecessary.
     Fewer than three black regions is the torus-link case and is rejected.
     """
     other = BLACK if witness_color == WHITE else WHITE
-    count = sum(1 for R in d.regions if R.color == other)
+    odd = witness_color == WHITE
+    count = sum(1 for walk in d._walks if walk[0] & 1 != odd)
     if count < 3:
         raise DiagramError(
             f"only {count} {other} regions: torus-link form, not a hyperbolic candidate"
@@ -338,12 +309,11 @@ def find_small_white_region(d: AlternatingDiagram, witness_color: str = WHITE):
     for kind, size in (("bigon", 2), ("trigon", 3)):
         if kind not in want_kinds:
             continue
-        for R in d.regions:
-            if R.color != witness_color or len(R.boundary) != size:
+        for r, walk in enumerate(d._walks):
+            if walk[0] & 1 != odd or len(walk) != size:
                 continue
-            nbrs = [d.slot_region[d._twin[h]] for h in d._walks[R.index]]
-            if len(set(nbrs)) == size:
-                return R, kind
+            if len({d.slot_region[d._twin[h]] for h in walk}) == size:
+                return r, kind
     raise DiagramError(
         "no qualifying small region found; this contradicts the structure of prime "
         "alternating diagrams of hyperbolic links and indicates a bug or bad input"
@@ -460,9 +430,9 @@ def _joint(twin: list[int], walk: list[int], c1: int, c2: int) -> list[int]:
     return [h for h in walk if {h >> 2, twin[h] >> 2} == {c1, c2}]
 
 
-def crossings_adjacent_on_region(d: AlternatingDiagram, R: Region, c1: int, c2: int) -> bool:
-    """Are c1 and c2 joined by an edge of the boundary walk of R?"""
-    return bool(_joint(d._twin, d._walks[R.index], c1, c2))
+def crossings_adjacent_on_region(d: AlternatingDiagram, r: int, c1: int, c2: int) -> bool:
+    """Are c1 and c2 joined by an edge of the boundary walk of region r?"""
+    return bool(_joint(d._twin, d._walks[r], c1, c2))
 
 
 # ---------------------------------------------------------------------------

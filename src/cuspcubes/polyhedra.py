@@ -9,16 +9,16 @@ one class per crossing arc, in closed form: the class of crossing x is
 e(x, 1), e(x, 3) in the positive copy and e(x, 0), e(x, 2) in the negative
 one, e(x, i) the edge at slot i of x, with the two pairs swapped under the
 mirror flag (`diagram.arc_crossing`).  Half-space combinatorics reduce to
-region adjacency in the diagram (`diagram.region_adjacent`: the far
-half-spaces of two region planes are disjoint exactly when the regions are
-not adjacent).  What is left to the glued pair is what the mirror flag
-decides: the order of the wing pair at a crossing and the direction of
-the shift across a face.
+region adjacency in the diagram (the far half-spaces of two region planes
+are disjoint exactly when no edge has the two regions on its sides).  What
+is left to the glued pair is what the mirror flag decides: the order of
+the wing pair at a crossing and the direction of the shift across a face,
+both read off region indices and slot parity.
 """
 
 from __future__ import annotations
 
-from .diagram import AlternatingDiagram, BLACK, WHITE, Region, is_prime
+from .diagram import AlternatingDiagram, BLACK, WHITE, is_prime
 
 
 class PolyhedraError(ValueError):
@@ -34,22 +34,25 @@ class IdealPolyhedronPair:
         self.diagram = d
         self.mirror = mirror
 
-    def wings(self, c: int, color: str) -> tuple[Region, Region]:
-        """The two same-color regions at crossing c, the wings of the
-        strand rotation there; they are distinct on prime diagrams.  The
-        lower-corner region comes first, and the mirror flag flips the order.
+    def wings(self, c: int, color: str) -> tuple[int, int]:
+        """The two same-color regions at crossing c, by index, the wings of
+        the strand rotation there; they are distinct on prime reduced
+        diagrams.  The corner after port k is the region of slot k + 1, and
+        the lower corner comes first: slots 2, 0 (even, black) or 1, 3
+        (odd, white).  The mirror flag flips the order.
         """
         if color not in (BLACK, WHITE):
             raise PolyhedraError("color must be black or white")
-        pair = self.diagram.regions_at_crossing(c, color)
+        region, h = self.diagram.slot_region, 4 * c
+        pair = (region[h + 2], region[h]) if color == BLACK else (region[h + 1], region[h + 3])
         return pair[::-1] if self.mirror else pair
 
-    def transfer_shift(self, region: Region) -> int:
-        """The gear rotation across a region's face: along its boundary walk
-        w, positive-copy edge w[j] is glued to negative-copy edge
-        w[j + shift]; +1 on black faces and -1 on white ones, flipped by the
-        mirror flag."""
-        return 1 if (region.color == BLACK) != self.mirror else -1
+    def transfer_shift(self, color: str) -> int:
+        """The gear rotation across a face of the given color: along its
+        boundary walk w, positive-copy edge w[j] is glued to negative-copy
+        edge w[j + shift]; +1 on black faces and -1 on white ones, flipped
+        by the mirror flag."""
+        return 1 if (color == BLACK) != self.mirror else -1
 
 
 def build_polyhedra(d: AlternatingDiagram, mirror: bool = False) -> IdealPolyhedronPair:
@@ -108,7 +111,7 @@ def circle_pattern_svg(d: AlternatingDiagram) -> str:
     import math
 
     size = 480
-    outer_region = max(range(len(d.regions)), key=lambda i: len(d.regions[i]))
+    outer_region = max(range(len(d.regions)), key=lambda i: len(d.regions[i].boundary))
     pos = _tutte_layout(d, outer_region)
     pad = 0.35
     xs = [p[0] for p in pos.values()]

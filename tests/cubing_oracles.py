@@ -16,7 +16,6 @@ from itertools import combinations
 
 from cuspcubes.cubing import (_CORNER_EDGES, _SQUARE_CORNERS, PASSAGES, CubingError, edge_name,
                               vertex_name)
-from cuspcubes.diagram import Region
 
 # germ kind -> (germs per cube, id step per port, offset)
 _LAYOUT = {"bc": (8, 2, 0), "tc": (8, 2, 1), "ve": (12, 3, 0), "be": (12, 3, 1),
@@ -180,20 +179,25 @@ def is_flag(lk: VertexLink) -> bool:
 
 
 def region_edge(cx) -> dict[int, int]:
-    """The inner edge class of each region, by region index."""
-    return {rid: root for root, rid in cx.inner_edges.items()}
+    """The inner edge class of each region, by region index.  An inner edge
+    root 12q + 3k + 1 joins the corners at port k of crossing q >> 1, and
+    corner k lies in the region of slot k + 1."""
+    region, edge = cx.diagram.slot_region, {}
+    for root in cx.inner_edges:
+        q, k = root // 12, root % 12 // 3
+        edge[region[4 * (q >> 1) + (k + 1) % 4]] = root
+    return edge
 
 
 def link_angle_class(cx, v, r1, r2) -> str:
-    """'orthogonal' when the two region directions are joined in the link,
-    'far' otherwise; defined at the two inner vertices."""
-    rid1, rid2 = (r.index if isinstance(r, Region) else r for r in (r1, r2))
-    if rid1 == rid2:
+    """'orthogonal' when the directions of regions r1 and r2, by index, are
+    joined in the link, 'far' otherwise; defined at the two inner vertices."""
+    if r1 == r2:
         raise CubingError("need two distinct regions")
     if v not in set(cx.inner_vertices):
         raise CubingError("angle classes are defined at the inner vertices")
     edge = region_edge(cx)
-    a, b = sorted((edge[rid1], edge[rid2]))
+    a, b = sorted((edge[r1], edge[r2]))
     return "orthogonal" if (a, b) in id_link(cx, cx._vroot[germ_id(v)])[0] else "far"
 
 

@@ -17,6 +17,11 @@ ids by tuple slot.
 `edge_endpoints` and `edge_sides` read an edge's two crossings and the
 regions on its two sides off a diagram.
 
+`corner_region`, `regions_at_crossing`, `region_adjacent` and
+`find_small_white_region` are the region queries on `Region` records, with
+a region's edges read off its boundary, as `cuspcubes.diagram` had them
+before the classifier and the polyhedra worked on region indices.
+
 `_flype_disks` lists every flype disk at a crossing from the region
 4-cycles.  It is the reference for the disks that `cuspcubes.diagram.flype`
 flypes across, and the disk list of the eager flype search in the tests.
@@ -178,15 +183,13 @@ def tuple_views(n, pairing):
         walk = _face_walk(pairing, start)
         for h in walk:
             region_of_slot[h] = len(regions)
-        regions.append(Region(index=len(regions), color=WHITE if start[1] & 1 else BLACK,
-                              boundary=walk, edges=frozenset(edge_of_slot[h] for h in walk),
-                              crossings=tuple(c for c, _i in walk)))
+        regions.append(Region(index=len(regions), color=WHITE if start[1] & 1 else BLACK, boundary=walk))
     sides = set()
     for a, b in edges:
         ra, rb = region_of_slot[a], region_of_slot[b]
         sides.add((min(ra, rb), max(ra, rb)))
     prime = len(sides) == len(edges)
-    reduced = all(len(set(R.crossings)) == len(R.crossings) for R in regions)
+    reduced = all(len(R.distinct_crossings) == len(R.boundary) for R in regions)
     return (dict(pairing), [tuple(e) for e in edges], edge_of_slot, region_of_slot,
             regions, prime, reduced)
 
@@ -231,6 +234,62 @@ def edge_sides(d, eid):
     return d.slot_region[4 * a[0] + a[1]], d.slot_region[4 * b[0] + b[1]]
 
 
+def region_edges(d, r):
+    """The edge ids along the boundary of region r of d, by its `Region` record."""
+    return frozenset(d._edge[4 * c + i] for c, i in d.regions[r].boundary)
+
+
+def corner_region(d, c, k):
+    """Region at the corner of crossing c between ports k and k+1."""
+    return d.regions[d.slot_region[4 * c + (k + 1) % 4]]
+
+
+def regions_at_crossing(d, c, color):
+    """The two same-color corner regions at c, in corner order; the
+    coloring is proper, so the corners alternate colors."""
+    found = [corner_region(d, c, k) for k in range(4) if corner_region(d, c, k).color == color]
+    if found[0].index == found[1].index:
+        raise DiagramError("non-prime: the two same-color corners at a crossing coincide")
+    return found[0], found[1]
+
+
+def region_adjacent(d, r1, r2):
+    """Do two distinct regions, given by index, share at least one edge of
+    the diagram?"""
+    if r1 == r2:
+        raise DiagramError("region_adjacent needs two distinct regions")
+    return bool(region_edges(d, r1) & region_edges(d, r2))
+
+
+def find_small_white_region(d, witness_color=WHITE):
+    """(region, 'bigon'|'trigon') of the witness color with pairwise
+    distinct neighbors, searched when the opposite color has 3 or 4
+    regions (a bigon only for 3); None for 5 or more, DiagramError for
+    fewer than 3 or when no such region exists."""
+    other = BLACK if witness_color == WHITE else WHITE
+    count = sum(1 for R in d.regions if R.color == other)
+    if count < 3:
+        raise DiagramError(
+            f"only {count} {other} regions: torus-link form, not a hyperbolic candidate"
+        )
+    if count > 4:
+        return None
+    want_kinds = ("bigon",) if count == 3 else ("bigon", "trigon")
+    for kind, size in (("bigon", 2), ("trigon", 3)):
+        if kind not in want_kinds:
+            continue
+        for R in d.regions:
+            if R.color != witness_color or len(R.boundary) != size:
+                continue
+            nbrs = [d.slot_region[d._twin[h]] for h in d._walks[R.index]]
+            if len(set(nbrs)) == size:
+                return R, kind
+    raise DiagramError(
+        "no qualifying small region found; this contradicts the structure of prime "
+        "alternating diagrams of hyperbolic links and indicates a bug or bad input"
+    )
+
+
 def _flype_disks(d, c):
     """Flype disks at c as (S, p, (f1, f2)): S is cut off by exactly four
     edges, the edges at the consecutive ports p, p+1 of c (c not in S) and
@@ -273,14 +332,15 @@ def _flype_disks(d, c):
         e1, e2 = edge[4 * c + p], edge[4 * c + (p + 1) % 4]
         # e1 separates Ra from the corner region R0 of ports p, p+1; e2
         # separates R0 from Rb.  The disk boundary runs R0, Ra, Rx, Rb.
-        ra = d.regions[region[4 * c + p]].edges
-        rb = d.regions[region[4 * c + (p + 2) % 4]].edges
+        ra = region_edges(d, region[4 * c + p])
+        rb = region_edges(d, region[4 * c + (p + 2) % 4])
         start = d.pairing[(c, p)][0]
         for Rx in d.regions:
-            for f1 in ra & Rx.edges:
+            rx = region_edges(d, Rx.index)
+            for f1 in ra & rx:
                 if c in ends[f1]:
                     continue
-                for f2 in Rx.edges & rb:
+                for f2 in rx & rb:
                     if c in ends[f2]:
                         continue
                     cut = {e1, e2, f1, f2}

@@ -59,6 +59,6 @@ def transfer_pairs(d, pp):
     transfer shift states: w[j] with w[j + shift] along the region's walk w."""
     for R in d.regions:
         walk = [d._edge[4 * c + i] for c, i in R.boundary]
-        shift = pp.transfer_shift(R)
+        shift = pp.transfer_shift(R.color)
         for j, e in enumerate(walk):
             yield R, e, walk[(j + shift) % len(walk)]

@@ -13,7 +13,7 @@ def _tutte_layout(d: AlternatingDiagram, outer_region: int | None = None) -> dic
     import math
 
     if outer_region is None:
-        outer_region = max(range(len(d.regions)), key=lambda i: len(d.regions[i]))
+        outer_region = max(range(len(d.regions)), key=lambda i: len(d.regions[i].boundary))
     outer = d.regions[outer_region]
     ring = []
     for c, _i in outer.boundary:
@@ -48,7 +48,7 @@ def first_repeat(d: AlternatingDiagram) -> tuple[int, int] | None:
     repeats; every state is kept."""
     import math
 
-    outer = d.regions[max(range(len(d.regions)), key=lambda i: len(d.regions[i]))]
+    outer = d.regions[max(range(len(d.regions)), key=lambda i: len(d.regions[i].boundary))]
     ring = list(dict.fromkeys(c for c, _i in outer.boundary))
     pos = {c: (math.cos(2 * math.pi * j / len(ring)), math.sin(2 * math.pi * j / len(ring)))
            for j, c in enumerate(ring)}

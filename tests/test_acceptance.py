@@ -10,14 +10,14 @@ from math import gcd
 
 from cuspcubes.cubing import boundary_cubings, build_cubing, verify_npc
 from cuspcubes.decide import FREE_GEOMETRICALLY_FINITE, GENERATES_LINK_GROUP, classify_2bridge_pair
-from cuspcubes.diagram import (AlternatingDiagram, CrossingArc, arc_crossing,
-                               region_adjacent, two_bridge_diagram)
+from cuspcubes.diagram import AlternatingDiagram, CrossingArc, arc_crossing, two_bridge_diagram
 from cuspcubes.farey import (INFINITY, ZERO, Slope, covering_slope, farey_distance,
                              rational_p3_hyperbolic, two_bridge_hyperbolic)
 from cuspcubes.pingpong import (COMMUTING, FREE_CERTIFIED, INCONCLUSIVE, MAX_WORD_LENGTH,
                                 MobiusMap, free_word_sanity, pingpong_certificate)
 from cuspcubes.polyhedra import build_polyhedra
 from conftest import diagram_corpus, twist_sequences
+from diagram_oracles import region_adjacent
 from cubing_oracles import link_angle_class
 from farey_oracles import covering_slope_search_oracle, differ_by_integer
 from gear_oracles import closed_form_classes, edge_arc_classes, transfer_pairs
@@ -172,7 +172,7 @@ def test_criterion_7_adjacency_law():
                 adjacent = region_adjacent(d, R1.index, R2.index)
                 for v in cx.inner_vertices:
                     want = "orthogonal" if adjacent else "far"
-                    if link_angle_class(cx, v, R1, R2) != want:
+                    if link_angle_class(cx, v, R1.index, R2.index) != want:
                         ok = False
                         break
                 pairs += 1

@@ -369,7 +369,7 @@ class TestDecide:
             cs = sorted(R.distinct_crossings)
             for i, a in enumerate(cs):
                 for b in cs[i + 1:]:
-                    if not crossings_adjacent_on_region(d, R, a, b):
+                    if not crossings_adjacent_on_region(d, R.index, a, b):
                         target = (R.index, a, b)
         assert target
         f = tmp_path / "d.json"
@@ -680,7 +680,7 @@ class TestLibraryAnswer:
         d = two_bridge_diagram((3, 3)).diagram
         R, a, b = next((R, a, b) for R in d.regions for a in R.distinct_crossings
                        for b in R.distinct_crossings
-                       if a < b and not crossings_adjacent_on_region(d, R, a, b))
+                       if a < b and not crossings_adjacent_on_region(d, R.index, a, b))
         f = tmp_path / "d.json"
         f.write_text(json.dumps({"pd": [list(x) for x in d.pd_code()]}))
         d = AlternatingDiagram.from_json(json.loads(f.read_text()))
@@ -842,8 +842,6 @@ class TestErrorBranches:
          "malformed: every slot must be paired exactly once"),
         (lambda: AlternatingDiagram(1, [(0, 0), (1, 2)]), DiagramError,
          "malformed: every slot must be paired exactly once"),
-        (lambda: AlternatingDiagram.from_json(KINKED).regions_at_crossing(0, DG.BLACK), DiagramError,
-         "non-prime: the two same-color corners at a crossing coincide"),
         (lambda: DG.find_small_white_region(TREFOIL, DG.BLACK), DiagramError,
          "no qualifying small region found; this contradicts the structure of prime alternating "
          "diagrams of hyperbolic links and indicates a bug or bad input"),

@@ -12,14 +12,12 @@ from cuspcubes.cubing import (
     _CORNER_EDGES, _SQUARE_CORNERS, PASSAGES, CubedComplex, CubingError, _flag,
     boundary_cubings, build_cubing, edge_name, verify_npc, vertex_name,
 )
-from cuspcubes.diagram import (
-    AlternatingDiagram, pretzel_diagram, region_adjacent, two_bridge_diagram,
-)
+from cuspcubes.diagram import AlternatingDiagram, pretzel_diagram, two_bridge_diagram
 from cubing_oracles import (VertexLink, clique_flag, face_name, filed_germs, frozenset_link, germ_id,
                             id_link, is_flag, link_angle_class, linked_verify, region_edge, vertex_link,
                             walked_is_flag)
 from conftest import twist_sequences
-from diagram_oracles import walked_diagram
+from diagram_oracles import corner_region, region_adjacent, walked_diagram
 from test_golden import ladder_diagrams
 
 GOLDEN = Path(__file__).parent / "data" / "corrupt_npc_golden.json"
@@ -243,8 +241,8 @@ class TestCounts:
             build_cubing(connected_sum_of_trefoils())
 
     def test_inner_edges_match_regions(self, fig8, fig8_cx):
-        assert sorted(fig8_cx.inner_edges.values()) == sorted(
-            R.index for R in fig8.regions)
+        assert sorted(region_edge(fig8_cx)) == list(range(len(fig8.regions)))
+        assert sorted(region_edge(fig8_cx).values()) == sorted(fig8_cx.inner_edges)
 
 
 class TestVertexLinks:
@@ -267,8 +265,8 @@ class TestVertexLinks:
                     pairs = {frozenset(region_dirs[x] for x in t if x != w) for t in fan}
                     compatible[w] = {
                         c for c in range(d.n)
-                        if pairs == {frozenset((d.corner_region(c, k).index,
-                                                d.corner_region(c, (k + 1) % 4).index))
+                        if pairs == {frozenset((corner_region(d, c, k).index,
+                                                corner_region(d, c, (k + 1) % 4).index))
                                      for k in range(4)}}
                     assert compatible[w], name
                 # a perfect matching fans <-> crossings must exist
@@ -522,17 +520,16 @@ class TestAngles:
                         if R1.index >= R2.index:
                             continue
                         want = "orthogonal" if region_adjacent(d, R1.index, R2.index) else "far"
-                        assert link_angle_class(cx, v, R1, R2) == want, name
+                        assert link_angle_class(cx, v, R1.index, R2.index) == want, name
 
     def test_same_color_far(self, fig8, fig8_cx):
-        blacks = [R for R in fig8.regions if R.color == "black"]
+        blacks = [R.index for R in fig8.regions if R.color == "black"]
         v = fig8_cx.inner_vertices[0]
         assert link_angle_class(fig8_cx, v, blacks[0], blacks[1]) == "far"
 
     def test_same_region_rejected(self, fig8, fig8_cx):
         with pytest.raises(CubingError):
-            link_angle_class(fig8_cx, fig8_cx.inner_vertices[0],
-                             fig8.regions[0], fig8.regions[0])
+            link_angle_class(fig8_cx, fig8_cx.inner_vertices[0], 0, 0)
 
 
 class TestBoundary:

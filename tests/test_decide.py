@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
+from cuspcubes import diagram as diagram_module
 from cuspcubes.cli import main
 from cuspcubes.cubing import boundary_cubings, build_cubing, verify_npc
 from cuspcubes.decide import (
@@ -15,13 +16,14 @@ from cuspcubes.decide import (
     classify_alternating_pair, witness_spare_region,
 )
 from cuspcubes.diagram import (
-    AlternatingDiagram, BLACK, CrossingArc, InRegionArc, TransverseArc, WHITE,
-    crossings_adjacent_on_region, is_prime, is_reduced, pretzel_diagram, region_adjacent,
+    AlternatingDiagram, BLACK, CrossingArc, DiagramError, InRegionArc, TransverseArc, WHITE,
+    crossings_adjacent_on_region, find_small_white_region, is_prime, is_reduced, pretzel_diagram,
     two_bridge_diagram,
 )
 from cuspcubes.polyhedra import build_polyhedra
 from conftest import twist_sequences
-from diagram_oracles import region_of_slot, tuple_views
+import diagram_oracles as oracle
+from diagram_oracles import region_adjacent, region_edges, region_of_slot
 
 
 def wing_regions(w):
@@ -35,7 +37,7 @@ def separated_pair(d):
         cs = sorted(R.distinct_crossings)
         for i, a in enumerate(cs):
             for b in cs[i + 1:]:
-                if not crossings_adjacent_on_region(d, R, a, b):
+                if not crossings_adjacent_on_region(d, R.index, a, b):
                     return R, a, b
     return None
 
@@ -126,7 +128,7 @@ class TestInRegion:
 
     def test_adjacent_endpoints_are_crossing_arcs(self):
         d = two_bridge_diagram((2, 2)).diagram
-        R = next(R for R in d.regions if len(R) >= 3)
+        R = next(R for R in d.regions if len(R.boundary) >= 3)
         cs = [h[0] for h in R.boundary]
         v = classify_alternating_pair(d, InRegionArc(R.index, cs[0], cs[1]))
         assert v["verdict"] == CROSSING_ARC_EQUIVALENT
@@ -169,7 +171,7 @@ class TestTransverse:
     def test_word_reduction_to_in_region(self):
         d = two_bridge_diagram((3, 3)).diagram
         R, a, b = separated_pair(d)
-        eid = next(iter(d.regions[0].edges))
+        eid = next(iter(region_edges(d, 0)))
         v = classify_alternating_pair(d, TransverseArc(a, b, (eid, eid)))
         assert v["verdict"] in (FREE_GEOMETRICALLY_FINITE, CROSSING_ARC_EQUIVALENT)
 
@@ -265,6 +267,75 @@ class TestSpareRegions:
                     assert len(set(nbrs)) == len(small.boundary), seq
 
 
+def record_corpus():
+    """Every two-bridge diagram of at most 13 crossings and the 3-strip
+    pretzels with twists 1..3."""
+    return ([two_bridge_diagram(seq).diagram for seq in twist_sequences(13)]
+            + [pretzel_diagram(*t) for t in product((1, 2, 3), repeat=3)])
+
+
+def raised(fn, *args):
+    """fn(*args), or the message of the DiagramError it raises."""
+    try:
+        return fn(*args)
+    except DiagramError as err:
+        return str(err)
+
+
+class TestIndexQueriesMatchRecords:
+    """The region queries on indices and slot parity against the ones on
+    `Region` records in diagram_oracles."""
+
+    @pytest.fixture(scope="class")
+    def diagrams(self):
+        return record_corpus()
+
+    def test_wings_are_the_corner_regions(self, diagrams):
+        for d in diagrams:
+            for mirror, c, color in product((False, True), range(d.n), (BLACK, WHITE)):
+                want = tuple(R.index for R in oracle.regions_at_crossing(d, c, color))
+                assert build_polyhedra(d, mirror).wings(c, color) == want[::-1 if mirror else 1], (d, c)
+
+    def test_small_region(self, diagrams):
+        for d in diagrams:
+            for color in (BLACK, WHITE):
+                want = raised(oracle.find_small_white_region, d, color)
+                got = raised(find_small_white_region, d, color)
+                if isinstance(want, tuple):
+                    want = (want[0].index, want[1])
+                assert got == want, (d, color)
+
+    def test_adjacency_of_every_region_pair(self, diagrams):
+        # the spare region's test: the two ends of a wire lie in the
+        # regions on the two sides of its edge
+        for d in diagrams:
+            sides = {frozenset((d.slot_region[a], d.slot_region[b])) for a, b in d.wires}
+            for r1, r2 in product(range(d.n + 2), repeat=2):
+                if r1 != r2:
+                    assert (frozenset((r1, r2)) in sides) == region_adjacent(d, r1, r2), (d, r1, r2)
+
+    def test_spare_regions(self, diagrams):
+        # with the wings left out, the spare region is the least region of
+        # the color, or the least one that the record search finds free; the
+        # small region has the other color, whose faces shift by +1 when
+        # black, flipped by the mirror flag
+        for d in diagrams:
+            for mirror, color in product((False, True), (BLACK, WHITE)):
+                same = [R.index for R in d.regions if R.color == color]
+                other = WHITE if color == BLACK else BLACK
+                small = raised(oracle.find_small_white_region, d, other)
+                cert = raised(witness_spare_region, d, (), color, build_polyhedra(d, mirror))
+                if len(same) >= 5:
+                    assert (cert["kind"], cert["region"]) == ("direct", same[0]), d
+                elif not isinstance(small, tuple):
+                    assert cert == small, d
+                else:
+                    free = [r for r in same if not region_adjacent(d, r, small[0].index)]
+                    shift = 1 if (other == BLACK) != mirror else -1
+                    got = cert["region"], cert["via_region"], cert["via_kind"], cert["transfer_shift"]
+                    assert got == (free[0], small[0].index, small[1], shift), d
+
+
 def mirror_invariants(v):
     """What the mirror flag must not change: the verdict kind, the wing
     regions as a set, the endpoints, the colour, and the spare region with
@@ -356,14 +427,19 @@ class TestVerdictShape:
 
 
 def decide_commands(tmp_path):
-    """decide on an interior crossing arc, which a flype moves, and on an
-    in-region arc of a diagram read from a file."""
+    """decide on interior crossing arcs, which one or two flypes move, with
+    and without the mirror flag, and on a diagram read from a file: an
+    in-region arc, whose spare region is a transfer, a transverse arc and
+    one whose word reduces to that in-region arc."""
     d = two_bridge_diagram((3, 3)).diagram
     R, a, b = separated_pair(d)
     f = tmp_path / "d.json"
     f.write_text(json.dumps({"pd": [list(x) for x in d.pd_code()]}))
     return (["decide", "--two-bridge", "4,4,4,4,4", "--crossing-arc", "A3:0"],
-            ["decide", "--pd", str(f), "--in-region", f"R{R.index}:c{a}:c{b}"])
+            ["decide", "--two-bridge", "2,2,2", "--crossing-arc", "A2:1", "--mirror"],
+            ["decide", "--pd", str(f), "--in-region", f"R{R.index}:c{a}:c{b}"],
+            ["decide", "--pd", str(f), "--transverse", f"c{a}:c{b}:e0,e1", "--mirror"],
+            ["decide", "--pd", str(f), "--transverse", f"c{a}:c{b}:e2,e2"])
 
 
 class TestWorkOnUse:
@@ -402,36 +478,40 @@ class TestWorkOnUse:
             assert {name for name, _ in counts} == {"prime", "reduced"}, argv
             assert max(counts.values()) == 1, argv
 
-    def test_regions_made_for_the_final_image_only(self, monkeypatch):
-        # a tunnel verdict builds no diagram, and a flype chain makes no
-        # Region record for the input diagram or an intermediate image; the
-        # final image's records are those of the tuple-slot face walk
+    def test_no_decide_argv_makes_region_records(self, capsys, monkeypatch, tmp_path):
+        # the classifier and the polyhedra read region indices and slot
+        # parity: no diagram that a decide argv builds fills `regions`, and
+        # no Region record is made.  A tunnel verdict builds no diagram and
+        # a flype chain one per step.
+        argvs = decide_commands(tmp_path)           # read off Region records
         init = AlternatingDiagram.__init__
-        built = []
+        built, records = [], []
 
         def recording(self, *args):
             built.append(self)
             init(self, *args)
 
         monkeypatch.setattr(AlternatingDiagram, "__init__", recording)
+        monkeypatch.setattr(diagram_module, "Region", lambda *fields: records.append(fields))
+        for argv in argvs:
+            built.clear()
+            assert main(argv) == 0, argv
+            assert built and all("regions" not in vars(d) for d in built), argv
         kinds = Counter()
         for seq in ((2, 16, 2), (4, 4, 4, 4, 4), (5, 5, 5, 5)):
             tb = two_bridge_diagram(seq)
             for c in range(tb.diagram.n):
                 built.clear()
                 verdict = classify_2bridge_pair(tb, CrossingArc(c))
-                if "tunnel" in verdict:
-                    assert built == [], (seq, c)
-                    kinds["tunnel"] += 1
-                    continue
-                *intermediate, final = built
-                assert len(built) == verdict["flype"]["flype_steps"], (seq, c)
-                kinds[len(built)] += 1
-                for d in [tb.diagram] + intermediate:
-                    assert "regions" not in d.__dict__, (seq, c)
-                assert final.to_json() == verdict["witness_diagram"], (seq, c)
-                assert final.regions == tuple_views(final.n, final.pairing)[4], (seq, c)
+                kinds["tunnel" if "tunnel" in verdict else len(built)] += 1
+                assert len(built) == verdict.get("flype", {}).get("flype_steps", 0), (seq, c)
+                assert all("regions" not in vars(d) for d in [tb.diagram] + built), (seq, c)
+                if built:
+                    assert built[-1].to_json() == verdict["witness_diagram"], (seq, c)
         assert kinds == {"tunnel": 22, 1: 22, 2: 16}
+        assert records == []
+        # the patch sees the records that a read of `regions` makes
+        assert len(two_bridge_diagram((2, 2)).diagram.regions) == len(records) == 6
 
     def test_decide_builds_no_tuple_slot_views(self, capsys, monkeypatch, tmp_path):
         # interior crossing arcs, whose flypes rewire wire lists, and pretzel

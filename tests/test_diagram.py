@@ -11,8 +11,8 @@ import pytest
 from cuspcubes.diagram import (
     AlternatingDiagram, BLACK, CrossingArc, DiagramError, InRegionArc, MAX_CROSSINGS,
     TransverseArc, TwoBridgeDiagram, WHITE, arc_crossing, crossings_adjacent_on_region,
-    find_small_white_region, flype, is_prime, is_reduced, pretzel_diagram, region_adjacent,
-    twist_sequence, two_bridge_diagram,
+    find_small_white_region, flype, is_prime, is_reduced, pretzel_diagram, twist_sequence,
+    two_bridge_diagram,
 )
 from cuspcubes.diagram import _spot_options, _tail_flype
 from cuspcubes.cubing import _UnionFind
@@ -20,7 +20,8 @@ from cuspcubes.farey import ContinuedFraction, cf_value
 from conftest import diagram_corpus, twist_sequences
 import diagram_oracles as oracle
 from diagram_oracles import (_flype_disks, _mirror, built_diagram, edge_endpoints, edge_of_slot, edge_sides,
-                             outcome, read_off, region_of_slot, tuple_views, walked_views, wires_of)
+                             outcome, read_off, region_adjacent, region_edges, region_of_slot, tuple_views,
+                             walked_views, wires_of)
 from gear_oracles import closed_form_classes, edge_arc_classes
 
 TREFOIL_PD = [(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)]
@@ -264,9 +265,9 @@ class TestRegions:
 
     def test_small_white_region_fig8(self):
         d = two_bridge_diagram((2, 2)).diagram
-        R, kind = find_small_white_region(d)
-        assert kind == "bigon" and len(R) == 2
-        nbrs = {region_of_slot(d)[d.pairing[h]] for h in R.boundary}
+        r, kind = find_small_white_region(d)
+        assert kind == "bigon" and len(d.regions[r].boundary) == 2
+        nbrs = {region_of_slot(d)[d.pairing[h]] for h in d.regions[r].boundary}
         assert len(nbrs) == 2
 
     def test_small_region_none_needed(self):
@@ -323,7 +324,7 @@ class TestTwoBridgeWiring:
     def test_twist_bigons_and_tail_cuts(self, seq):
         tb = two_bridge_diagram(seq)
         d = tb.diagram
-        bigons = {R.distinct_crossings for R in d.regions if len(R) == 2}
+        bigons = {R.distinct_crossings for R in d.regions if len(R.boundary) == 2}
         for i in range(1, len(seq) + 1):
             members = tb.crossings_in(i)
             # consecutive crossings of a twist region bound a bigon
@@ -350,9 +351,9 @@ class TestArcSpecs:
 
     def test_adjacent_on_region(self):
         d = two_bridge_diagram((2, 2)).diagram
-        R = next(R for R in d.regions if len(R) == 3)
+        R = next(R for R in d.regions if len(R.boundary) == 3)
         cs = [h[0] for h in R.boundary]
-        assert crossings_adjacent_on_region(d, R, cs[0], cs[1])
+        assert crossings_adjacent_on_region(d, R.index, cs[0], cs[1])
 
 
 def joined_one_at_a_time(size, pairs) -> dict:
@@ -462,14 +463,12 @@ class TestFlype:
         d2 = fr.diagram
         assert d2.n == 5
         assert is_prime(d2) and is_reduced(d2)
-        R = d2.regions[fr.arc.region]
-        assert not crossings_adjacent_on_region(d2, R, fr.arc.c1, fr.arc.c2)
+        assert not crossings_adjacent_on_region(d2, fr.arc.region, fr.arc.c1, fr.arc.c2)
 
     def test_wide_block_chains(self):
         fr = flype(two_bridge_diagram((2, 2, 2)), 2)
         assert fr.trace["flype_steps"] >= 2
-        R = fr.diagram.regions[fr.arc.region]
-        assert not crossings_adjacent_on_region(fr.diagram, R, fr.arc.c1, fr.arc.c2)
+        assert not crossings_adjacent_on_region(fr.diagram, fr.arc.region, fr.arc.c1, fr.arc.c2)
 
     def test_corpus_preserves_structure(self):
         for seq in twist_sequences(9, 4):
@@ -616,7 +615,7 @@ def black_dual_graph(d, color=BLACK):
     verts = [R.index for R in d.regions if R.color == color]
     edges = []
     for c in range(d.n):
-        r1, r2 = d.regions_at_crossing(c, color)
+        r1, r2 = oracle.regions_at_crossing(d, c, color)
         edges.append((r1.index, r2.index, c))
     return DualGraph(color, verts, edges)
 
@@ -717,8 +716,8 @@ def built_spot_options(d2, spot):
     ea, eb = (edge_of_slot(d2)[h] for h, _k in spot)
     out = []
     for R in d2.regions:
-        if ea in R.edges and eb in R.edges:
-            cs = R.crossings
+        if {ea, eb} <= region_edges(d2, R.index):
+            cs = [c for c, _i in R.boundary]
             steps = {frozenset(pair) for pair in zip(cs, cs[1:] + cs[:1])}
             for c1 in [h[0] for h in d2.edges[ea]]:
                 for c2 in [h[0] for h in d2.edges[eb]]:
@@ -810,7 +809,7 @@ def eager_flype_arc_search(d, c, record, max_depth=5):
                 continue
             gear = {e: x for members, x in edge_arc_classes(d2) for s, e in members if s == 1}
             for R, c1, c2 in adj:
-                for e in R.edges:
+                for e in region_edges(d2, R.index):
                     if {h[0] for h in d2.edges[e]} == {c1, c2}:
                         key = (diagram_key(d2), gear[e])
                         if key not in visited:
@@ -906,7 +905,7 @@ class TestLazyFlypeSearch:
                 assert disk_survivors(d, c, disk) == [(x, spot), (x, spot), (y, spot), (y, spot)], (seq, i)
             d2 = fr.diagram
             assert keeps_invariants(d2, len(tb.diagram.strands), fraction_determinant(tb.diagram)), (seq, i)
-            assert not crossings_adjacent_on_region(d2, d2.regions[fr.arc.region], fr.arc.c1, fr.arc.c2)
+            assert not crossings_adjacent_on_region(d2, fr.arc.region, fr.arc.c1, fr.arc.c2)
             assert (fr.trace["image_region"], fr.trace["image_endpoints"]) == (
                 fr.arc.region, [fr.arc.c1, fr.arc.c2])
             same += search_outcome(d2, fr.arc, fr.trace["flype_steps"]) == out

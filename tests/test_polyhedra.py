@@ -4,6 +4,7 @@ from cuspcubes.diagram import AlternatingDiagram, BLACK, WHITE, pretzel_diagram,
 from gear_oracles import closed_form_classes, edge_arc_classes, transfer_pairs
 from polyhedra_oracles import _tutte_layout as tutte_200_sweeps, first_repeat
 from cuspcubes.polyhedra import PolyhedraError, _tutte_layout, build_polyhedra, circle_pattern_svg
+from diagram_oracles import regions_at_crossing
 from test_golden import svg_diagrams
 
 
@@ -41,10 +42,10 @@ class TestBuild:
             build_polyhedra(connected_sum_of_trefoils())
 
     def test_gear_maps_shift_by_one(self, fig8, fig8_pp):
-        for R in fig8.regions:
-            shift = fig8_pp.transfer_shift(R)
+        for color in (BLACK, WHITE):
+            shift = fig8_pp.transfer_shift(color)
             assert abs(shift) == 1
-            assert (shift == 1) == (R.color == BLACK)
+            assert (shift == 1) == (color == BLACK)
 
 
 class TestFaceTransfer:
@@ -58,18 +59,17 @@ class TestFaceTransfer:
                     assert crossing_of[(1, pos)] == crossing_of[(-1, neg)], (name, mirror, R.index)
 
     def test_direction_flips_with_color(self, fig8, fig8_pp):
-        shifts = {R.color: fig8_pp.transfer_shift(R) for R in fig8.regions}
-        assert shifts[BLACK] == -shifts[WHITE]
+        assert fig8_pp.transfer_shift(BLACK) == -fig8_pp.transfer_shift(WHITE)
 
     def test_direction_flips_with_mirror(self, fig8):
         pp = build_polyhedra(fig8)
         ppm = build_polyhedra(fig8, mirror=True)
-        for R in fig8.regions:
-            assert pp.transfer_shift(R) == -ppm.transfer_shift(R)
+        for color in (BLACK, WHITE):
+            assert pp.transfer_shift(color) == -ppm.transfer_shift(color)
 
     def test_bigon_swap(self, fig8):
         # on a bigon both directions glue each edge to the other one
-        bigon = next(R for R in fig8.regions if len(R) == 2)
+        bigon = next(R for R in fig8.regions if len(R.boundary) == 2)
         e0, e1 = (fig8._edge[4 * c + i] for c, i in bigon.boundary)
         assert e0 != e1
         for mirror in (False, True):
@@ -86,15 +86,17 @@ class TestButterflyRegions:
                 for c in range(d.n):
                     for col in (BLACK, WHITE):
                         a, b = pp.wings(c, col)
-                        assert a.color == col == b.color, name
-                        assert a.index != b.index, name
-                        assert c in a.distinct_crossings and c in b.distinct_crossings, name
+                        assert d.regions[a].color == col == d.regions[b].color, name
+                        assert a != b, name
+                        assert c in d.regions[a].distinct_crossings, name
+                        assert c in d.regions[b].distinct_crossings, name
 
     def test_order_conventions(self, fig8, fig8_pp):
         # lower corner first: the order in which the corners are read
         for c in range(fig8.n):
             for col in (BLACK, WHITE):
-                assert fig8_pp.wings(c, col) == fig8.regions_at_crossing(c, col)
+                want = tuple(R.index for R in regions_at_crossing(fig8, c, col))
+                assert fig8_pp.wings(c, col) == want
 
     def test_mirror_flips_order(self, fig8):
         pp = build_polyhedra(fig8)
@@ -128,7 +130,7 @@ class TestTutteLayout:
     def test_equals_200_sweeps(self):
         """Stopping at a fixed point or 2-cycle changes no coordinate's float."""
         for k, d in enumerate(svg_diagrams()):
-            outer = max(range(len(d.regions)), key=lambda i: len(d.regions[i]))
+            outer = max(range(len(d.regions)), key=lambda i: len(d.regions[i].boundary))
             assert float_hex(_tutte_layout(d, outer)) == float_hex(tutte_200_sweeps(d)), k
 
     def test_every_outer_region(self, fig8):

@@ -72,7 +72,8 @@ def test_subcommand_loads_its_modules(argv, modules):
 
 
 def test_emit_complex_loads_no_typing(tmp_path):
-    # the gluing record is a collections.namedtuple, not a typing.NamedTuple
+    # the cubing path with --emit-complex (flat int gluing lists, str templates
+    # and json.dumps) imports no typing module
     _, loaded = new_modules(["cubing", "--two-bridge", "2,2", "--emit-complex",
                              str(tmp_path / "complex.json")])
     assert "cuspcubes.cubing" in loaded and "typing" not in loaded

@@ -1,15 +1,18 @@
 """`src/` holds what the command line and the benchmark reach: every public
-top-level function and class of the package, every public method, and
-every field that a method stores on `self` is read somewhere in `src/`
-outside its own definition or in `perfbench/`.  A name that only the tests
-read belongs in a tests/*_oracles.py module.
+top-level function and class of the package, every public method, every
+field that a method stores on `self` and every field of a `@dataclass` is
+read somewhere in `src/` outside its own definition or in `perfbench/`.  A
+name that only the tests read belongs in a tests/*_oracles.py module.
 
 A read of a top-level name is a name, an attribute, an imported name or, in
 `perfbench/`, a string constant (the tracer rebinds functions by name).  A
 method or a field is read only through an attribute load (`.name`) or such
 a string: a bare name, such as a parameter of the same name, does not
 count.  Names are matched without their owner, so a method counts as read
-when any attribute of that name is loaded.
+when any attribute of that name is loaded.  A dataclass field that shares
+its name with a public method or property cannot be told apart from it
+that way, so no load counts for the field: `Region.edges` would pass as
+read by each `d.edges` of the diagram's edge list.
 """
 
 import ast
@@ -40,19 +43,32 @@ def _stored_fields(cls):
     return fields.items()
 
 
+def _dataclass_fields(cls):
+    """(name, node) of each annotated field of cls when it is a @dataclass."""
+    if any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+           for d in cls.decorator_list):
+        for item in cls.body:
+            if (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                    and _public(item.target.id)):
+                yield item.target.id, item
+
+
 def definitions(tree, module):
-    """(qualified name, node, whether a bare name reads it) of every public
-    top-level function and class, every public method of a public top-level
-    class, and every field that its methods store on `self`."""
+    """(qualified name, node, kind) of every public top-level function and
+    class ("top", which a bare name reads), every public method of a public
+    top-level class ("method"), every field that its methods store on `self`
+    ("field") and every field of a dataclass ("dataclass field")."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _public(node.name):
-            yield f"{module}.{node.name}", node, True
+            yield f"{module}.{node.name}", node, "top"
         if isinstance(node, ast.ClassDef) and _public(node.name):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and _public(item.name):
-                    yield f"{module}.{node.name}.{item.name}", item, False
+                    yield f"{module}.{node.name}.{item.name}", item, "method"
             for name, store in _stored_fields(node):
-                yield f"{module}.{node.name}.{name}", store, False
+                yield f"{module}.{node.name}.{name}", store, "field"
+            for name, item in _dataclass_fields(node):
+                yield f"{module}.{node.name}.{name}", item, "dataclass field"
 
 
 def reads(tree, strings):
@@ -77,14 +93,16 @@ def unread_names(src, bench):
         for module, tree in group.items():
             for name, line, bare in reads(tree, strings=folder == "bench"):
                 seen.setdefault(name, []).append(((folder, module), line, bare))
+    defined = [(module, *found) for module, tree in src.items() for found in definitions(tree, module)]
+    methods = {qualname.rsplit(".", 1)[1] for _m, qualname, _node, kind in defined if kind == "method"}
     unread = set()
-    for module, tree in src.items():
-        for qualname, node, by_bare_name in definitions(tree, module):
-            own = range(node.lineno, node.end_lineno + 1)
-            name = qualname.rsplit(".", 1)[1]
-            if all(where == ("src", module) and line in own or bare and not by_bare_name
-                   for where, line, bare in seen.get(name, ())):
-                unread.add(qualname)
+    for module, qualname, node, kind in defined:
+        own = range(node.lineno, node.end_lineno + 1)
+        name = qualname.rsplit(".", 1)[1]
+        if kind == "dataclass field" and name in methods or all(
+                where == ("src", module) and line in own or bare and kind != "top"
+                for where, line, bare in seen.get(name, ())):
+            unread.add(qualname)
     return unread
 
 
@@ -102,10 +120,22 @@ def test_the_scan_flags_unread_names():
     src = {"m": ast.parse("def used(): pass\n\ndef lonely(): return lonely\n\n"
                           "class Box:\n    def __init__(self):\n        self.kept, self.lost = 1, 2\n"
                           "    def size(self): pass\n    def _hidden(self): pass\n"
-                          "    def named(self): pass\n    def shape(self): pass\n\n"
-                          "def fill(shape): return shape\n\nx = used().kept\n"),
-           "n": ast.parse("from m import Box, fill\n")}
+                          "    def named(self): pass\n    def shape(self): pass\n"
+                          "    def edges(self): pass\n\n"
+                          "@dataclass(frozen=True)\nclass Face:\n    color: str\n    spare: int\n"
+                          "    edges: frozenset\n    LIMIT = 4\n\n"
+                          "def fill(shape, spare): return shape, spare\n\n"
+                          "x = used().kept, Face('black', 0, 1).color, Box().edges\n"),
+           "n": ast.parse("from m import Box, Face, fill\n")}
     bench = {"b": ast.parse("rebind(Box, 'named')\n")}
-    flagged = {"m.lonely", "m.Box.size", "m.Box.shape", "m.Box.lost"}
+    # Face.edges is loaded only as Box's method of that name
+    flagged = {"m.lonely", "m.Box.size", "m.Box.shape", "m.Box.lost", "m.Face.spare", "m.Face.edges"}
     assert unread_names(src, bench) == flagged
     assert unread_names(src, {}) == flagged | {"m.Box.named"}
+    # the package with the edge set of a Region record put back
+    src = parsed(ROOT / "src" / "cuspcubes")
+    text = (ROOT / "src" / "cuspcubes" / "diagram.py").read_text()
+    field = "    boundary: tuple[Slot, ...]"
+    assert text.count(field) == 1
+    src["diagram"] = ast.parse(text.replace(field, field + "\n    edges: frozenset[int]"))
+    assert unread_names(src, parsed(ROOT / "perfbench")) - ALLOWED.keys() == {"diagram.Region.edges"}
