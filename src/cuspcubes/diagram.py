@@ -290,11 +290,12 @@ def is_reduced(d: AlternatingDiagram) -> bool:
 def find_small_white_region(d: AlternatingDiagram, witness_color: str = WHITE):
     """Locate the small region guaranteed when the opposite color count is 3 or 4.
 
-    With exactly three black regions there is a white bigon whose two
-    black neighbors are distinct; with four, a white bigon or trigon with
-    all-distinct black neighbors.  Returns (region index, 'bigon'|'trigon'),
-    or None when five or more black regions make the search unnecessary.
-    Fewer than three black regions is the torus-link case and is rejected.
+    With exactly three black regions there is a white bigon, with four a
+    white bigon or trigon.  Every caller checks first that the diagram is
+    prime, so no two edges of it share their far region.  Returns (region
+    index, 'bigon'|'trigon'), or None when five or more black regions make
+    the search unnecessary.  Fewer than three black regions is the
+    torus-link case and is rejected.
     """
     other = BLACK if witness_color == WHITE else WHITE
     odd = witness_color == WHITE
@@ -310,9 +311,7 @@ def find_small_white_region(d: AlternatingDiagram, witness_color: str = WHITE):
         if kind not in want_kinds:
             continue
         for r, walk in enumerate(d._walks):
-            if walk[0] & 1 != odd or len(walk) != size:
-                continue
-            if len({d.slot_region[d._twin[h]] for h in walk}) == size:
+            if walk[0] & 1 == odd and len(walk) == size:
                 return r, kind
     raise DiagramError(
         "no qualifying small region found; this contradicts the structure of prime "

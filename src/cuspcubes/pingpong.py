@@ -414,16 +414,47 @@ _STORE = ((0, 2, 3), (1, 2, 3), (0, 1, 2), (0, 1, 3), (0, 1, 2, 3))
 _PROBE = ((0,), (), (0,), (0,), (0, 3))
 
 
+def _normal_form(m1: MobiusMap, m2: MobiusMap) -> tuple[tuple[int, int], int] | None:
+    """(w, q) with q > 0 and no common factor of q and the Gaussian integer
+    w, such that the pair is conjugate to T = [[1, 1], [0, 1]] and U_omega =
+    [[1, 0], [omega, 1]] with omega = w/q = tr(m1 m2) - 2, both traces made
+    +2 (T U_omega has trace 2 + omega); None when a map is not parabolic or
+    omega = 0, which holds exactly when the maps share a fixed point."""
+    (d1, e1), (d2, e2) = (m1.den, m1.e), (m2.den, m2.e)
+    if not (_is_parabolic((d1, e1), _same) and _is_parabolic((d2, e2), _same)):
+        return None
+    # the traces of D*M are +-2D, so flipping the sign of each to +2 flips
+    # the product's trace when their signs differ
+    e = _gauss_matmul(e1, e2)
+    sign = 1 if (e1[0] + e1[6] > 0) == (e2[0] + e2[6] > 0) else -1
+    q = d1 * d2
+    w = sign * (e[0] + e[6]) - 2 * q, sign * (e[1] + e[7])
+    if w == (0, 0):
+        return None
+    g = math.gcd(*w, q)
+    return (w[0] // g, w[1] // g), q // g
+
+
 def free_word_sanity(m1: MobiusMap, m2: MobiusMap, max_length: int) -> bool:
     """No nonempty reduced word of length <= N = max_length in the generators
     is the identity; vacuously true for N = 0.
 
+    A parabolic pair with distinct fixed points is searched as its normal
+    form (T, U_omega) of _normal_form: conjugation sends each word in
+    (m1, m2) to the same word in (T, U_omega) and a sign change of a
+    generator changes a word only by its sign, so a word is +-I in one pair
+    exactly when it is in the other.  T^+-1 in front of a word adds or
+    subtracts its second row, and U_omega^+-1 adds +-omega times its first
+    row to its second, scaled by q; other pairs multiply full matrices.
+
     Meet in the middle.  A word's key is its Gaussian-integer matrix over the
     gcd of its entries, negated if the first nonzero entry is negative: two
     words share a key exactly when they are the same map, and then u*v^-1
-    reduces to a nonempty trivial word of length <= |u| + |v|.  Every reduced
-    word of length <= h = floor(N/2) is built, a letter in front of a word of
-    the level before, and stored; a repeated key fails the check, as every
+    reduces to a nonempty trivial word of length <= |u| + |v|.  With q = 1 a
+    word's matrix is in SL2(Z[i]), and an integer k dividing its entries has
+    k^2 | det = 1, so only the sign is fixed.  Every reduced word of length
+    <= h = floor(N/2) is built, a letter in front of a word of the level
+    before, and stored; a repeated key fails the check, as every
     trivial word of length <= 2h is u*x with u and x^-1 stored.  Odd N = 2h + 1
     then probes 3^h + 1 words of length h + 1, looked up and not stored.  A
     shortest trivial word w is cyclically reduced, so each rotation of w and
@@ -435,7 +466,14 @@ def free_word_sanity(m1: MobiusMap, m2: MobiusMap, max_length: int) -> bool:
     """
     check_word_length(max_length)
     half = max_length // 2
-    gens = (m1.e, _inverse(m1.e), m2.e, _inverse(m2.e))
+    omega = _normal_form(m1, m2)
+    if omega is None:
+        gens = (m1.e, _inverse(m1.e), m2.e, _inverse(m2.e))
+        reduce = True
+    else:
+        (wr, wi), q = omega
+        gens = (None, None, (wr, wi), (-wr, -wi))       # +-omega of U_omega^+-1
+        reduce = q != 1
     identity = (1, 0, 0, 0, 0, 0, 1, 0)
     seen = {identity}
     frontier = [(-1, identity)]                       # (first letter or -1, key)
@@ -449,12 +487,22 @@ def free_word_sanity(m1: MobiusMap, m2: MobiusMap, max_length: int) -> bool:
         words = []
         for first, (er, ei, fr, fi, gr, gi, hr, hi) in frontier:
             for g in before[first]:
-                ar, ai, br, bi, cr, ci, dr, di = gens[g]
-                key = (ar * er - ai * ei + br * gr - bi * gi, ar * ei + ai * er + br * gi + bi * gr,
-                       ar * fr - ai * fi + br * hr - bi * hi, ar * fi + ai * fr + br * hi + bi * hr,
-                       cr * er - ci * ei + dr * gr - di * gi, cr * ei + ci * er + dr * gi + di * gr,
-                       cr * fr - ci * fi + dr * hr - di * hi, cr * fi + ci * fr + dr * hi + di * hr)
-                k = math.gcd(*key)
+                if omega is None:
+                    ar, ai, br, bi, cr, ci, dr, di = gens[g]
+                    key = (ar * er - ai * ei + br * gr - bi * gi, ar * ei + ai * er + br * gi + bi * gr,
+                           ar * fr - ai * fi + br * hr - bi * hi, ar * fi + ai * fr + br * hi + bi * hr,
+                           cr * er - ci * ei + dr * gr - di * gi, cr * ei + ci * er + dr * gi + di * gr,
+                           cr * fr - ci * fi + dr * hr - di * hi, cr * fi + ci * fr + dr * hi + di * hr)
+                elif g == 0:
+                    key = (er + gr, ei + gi, fr + hr, fi + hi, gr, gi, hr, hi)
+                elif g == 1:
+                    key = (er - gr, ei - gi, fr - hr, fi - hi, gr, gi, hr, hi)
+                else:
+                    xr, xi = gens[g]
+                    key = (q * er, q * ei, q * fr, q * fi,
+                           xr * er - xi * ei + q * gr, xr * ei + xi * er + q * gi,
+                           xr * fr - xi * fi + q * hr, xr * fi + xi * fr + q * hi)
+                k = math.gcd(*key) if reduce else 1
                 if key < (0,) * 8:
                     k = -k
                 if k != 1:

@@ -21,7 +21,7 @@ from cuspcubes.diagram import (
     two_bridge_diagram,
 )
 from cuspcubes.polyhedra import build_polyhedra
-from conftest import twist_sequences
+from conftest import diagram_corpus, twist_sequences
 import diagram_oracles as oracle
 from diagram_oracles import region_adjacent, region_edges, region_of_slot
 
@@ -304,6 +304,18 @@ class TestIndexQueriesMatchRecords:
                 if isinstance(want, tuple):
                     want = (want[0].index, want[1])
                 assert got == want, (d, color)
+
+    def test_small_regions_of_prime_diagrams_have_distinct_neighbors(self, diagrams):
+        # why find_small_white_region takes the first bigon or trigon: in a
+        # prime diagram two edges of one region never share their far region
+        small = 0
+        for d in diagrams + list(diagram_corpus().values()):
+            if is_prime(d):
+                for walk in d._walks:
+                    if len(walk) <= 3:
+                        small += 1
+                        assert len({d.slot_region[d._twin[h]] for h in walk}) == len(walk), d
+        assert small == 19_679                  # bigons and trigons checked
 
     def test_adjacency_of_every_region_pair(self, diagrams):
         # the spare region's test: the two ends of a wire lie in the

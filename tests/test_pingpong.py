@@ -1,5 +1,6 @@
 import cmath
 from fractions import Fraction
+import functools
 import json
 import math
 from typing import NamedTuple
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from cuspcubes.pingpong import (
     COMMUTING, FREE_CERTIFIED, INCONCLUSIVE, MAX_ENTRY_CHARS, MAX_WORD_LENGTH, MobiusMap,
-    PingPongError, _gauss_matmul, _inverse, _matrix_json, _overlap, _ratio, float_entry,
+    PingPongError, _gauss_matmul, _inverse, _matrix_json, _normal_form, _overlap, _ratio, float_entry,
     free_word_sanity, parse_rational, pingpong_certificate, pingpong_certificate_float,
 )
 
@@ -803,23 +804,82 @@ FINITE_ORDER = [Spec(e) for e in ((0, -1, 1, 1), (1, 1, -1, 0), (0, -1, 1, 0), (
 
 def conjugated(spec, s):
     """The map of spec conjugated by z -> z + s."""
-    t = FMap(ONE_C, s, ZERO_C, ONE_C)
-    return Spec(tuple(compose(compose(t, FMap(*map(of, spec.entries))), inverse(t))))
+    return conjugated_by(spec, FMap(ONE_C, s, ZERO_C, ONE_C))
 
 
-WORD_MAPS = (PARABOLIC.map(lambda p: parabolic_spec(*p)) | st.sampled_from(FINITE_ORDER)
+def conjugated_by(spec, g: FMap):
+    """The map of spec conjugated by g: g M g^-1."""
+    return Spec(tuple(compose(compose(g, fraction_map(spec)), inverse(g))))
+
+
+def signed(spec, sign):
+    """The map of spec with its matrix times sign (+-1): the same map."""
+    return Spec(tuple(mul(gr(sign), of(x)) for x in spec.entries), spec.raw)
+
+
+SIGNED_PARABOLIC = st.builds(lambda p, sign: signed(parabolic_spec(*p), sign), PARABOLIC,
+                             st.sampled_from((1, -1)))
+# pairs of parabolic maps with either sign of the trace, maps of finite order
+# and their conjugates; half of them pairs of parabolic maps, which the word
+# check takes to their normal form unless they commute
+WORD_MAPS = (SIGNED_PARABOLIC | st.sampled_from(FINITE_ORDER)
              | st.builds(conjugated, st.sampled_from(FINITE_ORDER), SMALL))
+WORD_PAIRS = st.tuples(WORD_MAPS, WORD_MAPS) | st.tuples(SIGNED_PARABOLIC, SIGNED_PARABOLIC)
+T_SPEC = Spec((1, 1, 0, 1))
+
+
+def u_spec(omega):
+    """U_omega = [[1, 0], [omega, 1]]."""
+    return Spec((1, 0, omega, 1))
+
+
+# SL2(Z[i]) is generated by the elementary matrices over the Euclidean Z[i]
+GAUSS_INT = st.builds(gr, st.integers(-2, 2), st.integers(-2, 2))
+SL2_ZI = st.lists(st.tuples(st.booleans(), GAUSS_INT), min_size=1, max_size=4).map(
+    lambda steps: functools.reduce(compose, [
+        FMap(ONE_C, x, ZERO_C, ONE_C) if upper else FMap(ONE_C, ZERO_C, x, ONE_C)
+        for upper, x in steps]))
 
 
 class TestWordsAgainstOracle:
-    @given(WORD_MAPS, WORD_MAPS)
+    @given(WORD_PAIRS)
     @settings(max_examples=300)
-    def test_agrees_with_mitm_oracle(self, s1, s2):
-        """The check with odd lengths probed by rotation answers as the
-        breadth-first check to ceil(N/2) does, for every N up to 10."""
-        m1, m2 = package_map(s1), package_map(s2)
+    @example((signed(T_SPEC, -1), u_spec(1)))                # trace -2, relation of length 6
+    @example((T_SPEC, u_spec(Q(3, 2))))                       # q > 1
+    @example((T_SPEC, u_spec((1, 1))))                        # omega not real
+    @example((T_SPEC, Spec((1, 2, 0, 1))))                    # commuting: omega = 0
+    @example((T_SPEC, FINITE_ORDER[0]))                       # of order 3: not parabolic
+    def test_agrees_with_mitm_oracle(self, pair):
+        """The check with odd lengths probed by rotation, on the normal form
+        (T, U_omega) when the maps are parabolic and do not commute, answers
+        as the breadth-first check to ceil(N/2) on the maps' own matrices
+        does, for every N up to 10."""
+        m1, m2 = map(package_map, pair)
         for n in range(11):
             assert free_word_sanity(m1, m2, n) == mitm_words_oracle(m1, m2, n), n
+
+    @given(WORD_PAIRS, SL2_ZI)
+    @settings(max_examples=100)
+    def test_conjugation_invariant(self, pair, g):
+        """Conjugating both maps by one g in SL2(Z[i]) changes no answer."""
+        m1, m2 = map(package_map, pair)
+        c1, c2 = (package_map(conjugated_by(s, g)) for s in pair)
+        for n in range(9):
+            assert free_word_sanity(c1, c2, n) == free_word_sanity(m1, m2, n), n
+
+
+class TestNormalForm:
+    @pytest.mark.parametrize("s1, s2, want", [
+        (Spec((1, 0, 4, 1)), Spec((9, -16, 4, -7)), ((-64, 0), 1)),
+        (T_SPEC, u_spec(16), ((16, 0), 1)),
+        (signed(T_SPEC, -1), u_spec(16), ((16, 0), 1)),         # both traces made +2
+        (T_SPEC, u_spec(Q(3, 2)), ((3, 0), 2)),
+        (T_SPEC, u_spec((1, 1)), ((1, 1), 1)),
+        (T_SPEC, Spec((1, 2, 0, 1)), None),                     # a common fixed point
+        (T_SPEC, FINITE_ORDER[0], None),                        # not parabolic
+    ])
+    def test_omega(self, s1, s2, want):
+        assert _normal_form(package_map(s1), package_map(s2)) == want
 
 
 class TestRatio:
