@@ -20,8 +20,8 @@ as ("bc", c, "over", p) are decoded only for output.  The gluings are flat
 int lists, built from the diagram's slot ids and `slot_region` list (so no
 `Region` record): gluing i glues face fa[i] to fb[i] and germ va[4i + j] to
 vb[4i + j], ea[4i + j] to eb[4i + j]; the first n glue cube bottoms.
-`verify_npc` files the corners under each vertex class and checks each
-link in one pass.  `corrupt(k)` returns a corrupted copy.  The emitted
+`verify_npc` files each cube's corners and square corners under their
+vertex classes and checks each link in one pass.  `corrupt(k)` returns a corrupted copy.  The emitted
 complex is written by `write_complex`, pinned to json.dumps(to_json(), indent=2).
 """
 
@@ -37,8 +37,7 @@ class CubingError(ValueError):
     pass
 
 
-OVER, UNDER = "over", "under"
-PASSAGES = (UNDER, OVER)
+PASSAGES = ("under", "over")
 
 
 def vertex_name(g: int) -> tuple:
@@ -264,28 +263,37 @@ def build_cubing(d: AlternatingDiagram) -> CubedComplex:
 def verify_npc(cx: CubedComplex) -> dict:
     """Check every vertex link on edge class ids, in one pass per vertex
     class, and decode names only for the first problem of a failing vertex.
-    A link is simplicial when its corners span distinct nondegenerate
-    triangles, its square corners distinct edges and every triangle's edges
-    are there, and it is then checked for flagness by `_flag`'s clique
-    count.  The named links and the per-link oracles are in
-    tests/cubing_oracles.py.
+    Each cube files its eight corners, as (germ, left flat, right flat,
+    vertical edge class), and the corners of the square classes it stands
+    for, as (face, edge class, edge class), under their vertex classes;
+    cubes and faces go in id order, so each class's lists are in germ and
+    face order.  `_link_failure` then reads each link once.  The named
+    links and the per-link oracles are in tests/cubing_oracles.py.
     Returns {"npc": bool, "vertices": [...], "failures": [...]}; a pass at
     every vertex establishes non-positive curvature."""
     n, vroot, eroot = cx.diagram.n, cx._vroot, cx._eroot
-    # file the corner germs, and the corners of each square class (a
-    # gluing's first face, or a top face), under their vertex classes
+    # the faces that stand for a square class: a gluing's lesser face, or a
+    # top face alone
+    rep = [False] * (12 * n)
+    for face in map(min, cx.fa, cx.fb):
+        rep[face] = True
+    rep[4::6] = [True] * (2 * n)
     corners = {v: [] for v in cx._vertex_ids}
     squares = {v: [] for v in cx._vertex_ids}
-    for g, v in enumerate(vroot):
-        corners[v].append(g)
-    for face in sorted([*map(min, cx.fa, cx.fb), *range(4, 12 * n, 6)]):
-        q, k = divmod(face, 6)
-        vbase, ebase = 8 * q, 12 * q
-        for corner, ea, eb in _SQUARE_CORNERS[k]:
-            squares[vroot[vbase + corner]].append((face, eroot[ebase + ea], eroot[ebase + eb]))
+    for q in range(2 * n):
+        g, face = 8 * q, 6 * q
+        V, E = vroot[g:g + 8], eroot[12 * q:12 * q + 12]
+        for v, (x, y, z) in zip(V, _CORNER_EDGES):
+            corners[v].append((g, E[x], E[y], E[z]))
+            g += 1
+        for square in _SQUARE_CORNERS:
+            if rep[face]:
+                for corner, ea, eb in square:
+                    squares[V[corner]].append((face, E[ea], E[eb]))
+            face += 1
     entries, failures = [], []
     for v, name in zip(cx._vertex_ids, cx._vertex_strs):
-        reason = _link_failure(corners[v], squares[v], eroot)
+        reason = _link_failure(corners[v], squares[v])
         kind = "boundary" if v & 1 else "inner"
         entries.append({"vertex": name, "kind": kind, "flag": reason is None})
         if reason is not None:
@@ -293,69 +301,59 @@ def verify_npc(cx: CubedComplex) -> dict:
     return {"npc": not failures, "vertices": entries, "failures": failures}
 
 
-def _link_failure(corners: list, squares: list, eroot: list):
+def _link_failure(corners: list, squares: list):
     """The first problem of one vertex link, in the order: corners (a
     degenerate one, or one that repeats a triangle), a second square on an
     edge, a triangle with a missing edge, a clique that does not span; None
-    when the link is flag.  No square pinches (has both its edges at a
-    corner in one class): those two edges are two of the three at the
-    square's corner germ, which is filed under the same vertex and is then
-    degenerate, so the pass stops there first."""
-    triangles = {}                  # (a, b, c), a < b < c -> its corner germ
-    for g in corners:
-        base = 12 * (g >> 3)
-        x, y, z = _CORNER_EDGES[g & 7]
-        a, b, c = eroot[base + x], eroot[base + y], eroot[base + z]
-        if a > b:
-            a, b = b, a
-        if b > c:
-            b, c = c, b
-            if a > b:
-                a, b = b, a
-        if a == b or b == c:
+    when the link is flag.
+
+    Gluings pair germs of one kind only, so a corner's vertical edge class
+    is never one of its flat ones: the corner is degenerate exactly when its
+    two flat classes agree, and its triangle is keyed (lesser flat, greater
+    flat, vertical).  No square pinches (has both its edges at a corner in
+    one class): those two edges are two of the three at the square's corner
+    germ, which is filed under the same vertex and is then degenerate, so
+    the pass stops there first.
+
+    Cliques are counted as the link's edges arrive: a new edge ab closes a
+    3-clique with each common neighbour of a and b, so each 3-clique is
+    counted once, when its last edge arrives, and the link is flag iff that
+    count equals the triangle count (every triangle is a 3-clique once no
+    edge is missing).  Two adjacent common neighbours close a 4-clique,
+    which cannot span; every 4-clique is seen when its last edge arrives."""
+    triangles = {}                  # (a, b, c), a < b flat, c vertical -> its corner germ
+    for g, a, b, c in corners:
+        if a == b:
             _kind, c, s, p = vertex_name(g)
             return f"non-simplicial: degenerate corner of cube ({c},{s}) at port {p}"
-        t = (a, b, c)
+        t = (a, b, c) if a < b else (b, a, c)
         if t in triangles:
             _kind, c, s, _p = vertex_name(g)
             return (f"non-simplicial: corner of cube ({c},{s}) repeats the simplex of "
                     f"{vertex_name(triangles[t])[1:]}")
         triangles[t] = g
     edges, adj = {}, defaultdict(set)   # (a, b), a < b -> its square class
+    cliques, spans = 0, True
     for face, a, b in squares:
         pair = (a, b) if a < b else (b, a)
-        if edges.setdefault(pair, face) != face:
-            return f"non-simplicial: double edge between {sorted(str(edge_name(x)) for x in pair)}"
-        adj[a].add(b)
-        adj[b].add(a)
+        if pair in edges:
+            if edges[pair] != face:
+                return f"non-simplicial: double edge between {sorted(str(edge_name(x)) for x in pair)}"
+            continue
+        edges[pair] = face
+        na, nb = adj[a], adj[b]
+        if not na.isdisjoint(nb):
+            common = na & nb
+            cliques += len(common)
+            if spans and len(common) > 1:
+                spans = all(common.isdisjoint(adj[c]) for c in common)
+        na.add(b)
+        nb.add(a)
     for a, b, c in triangles:
         na = adj[a]
         if b not in na or c not in na or c not in adj[b]:
             return "non-simplicial: triangle with a missing edge"
-    return None if _flag(edges, adj, len(triangles)) else "non-flag clique"
-
-
-def _flag(edges, adj, triangles: int) -> bool:
-    """Flagness of a simplicial 2-complex from its edges (pairs), their
-    adjacency sets and its triangle count, by counting cliques.  A triangle
-    is a 3-clique whose third vertex is a common neighbour at each of its
-    edges, so the sum over edges ab of |N(a) & N(b)| is 3 * triangles iff no
-    3-clique is empty; two adjacent common neighbours of an edge make a
-    4-clique, which cannot span."""
-    cliques = 0
-    for a, b in edges:
-        common = adj[a] & adj[b]
-        k = len(common)
-        cliques += k
-        if k == 2:
-            c, e = common
-            if c in adj[e]:
-                return False
-        elif k > 2:
-            for c in common:
-                if not common.isdisjoint(adj[c]):
-                    return False
-    return cliques == 3 * triangles
+    return None if spans and cliques == len(triangles) else "non-flag clique"
 
 
 def boundary_cubings(cx: CubedComplex) -> list[dict]:
@@ -369,23 +367,18 @@ def boundary_cubings(cx: CubedComplex) -> list[dict]:
     up into a meridian loop around the strand (the gluings put its two
     corners in one vertex class), so a torus has a meridian loop per square.
     """
-    d = cx.diagram
     vroot, eroot = cx._vroot, cx._eroot
-    squares_of = [[] for _ in d.strands]
-    for c in range(d.n):
-        for idx, s in enumerate(PASSAGES):
-            squares_of[d.strand_of_passage[(c, idx)]].append((c, s))
     tori = []
-    for comp, squares in enumerate(squares_of):
+    for comp, strand in enumerate(cx.diagram.strands):
         vclasses, eclasses = set(), set()
-        for (c, s) in squares:
-            q = 2 * c + (s == OVER)
-            for p in range(4):
-                vclasses.add(vroot[8 * q + 2 * p + 1])
-                eclasses.add(eroot[12 * q + 3 * p + 2])
-        chi = len(vclasses) - len(eclasses) + len(squares)
-        tori.append({"component": comp, "squares": len(squares), "euler": chi,
-                     "meridian_loops": len(squares)})
+        # the top corners and top edges of passage (c, over)'s cube 2c + over
+        for c, over in strand:
+            v, e = 16 * c + 8 * over + 1, 24 * c + 12 * over + 2
+            vclasses.update(vroot[v:v + 8:2])
+            eclasses.update(eroot[e:e + 12:3])
+        chi = len(vclasses) - len(eclasses) + len(strand)
+        tori.append({"component": comp, "squares": len(strand), "euler": chi,
+                     "meridian_loops": len(strand)})
     return tori
 
 

@@ -242,11 +242,6 @@ class AlternatingDiagram:
         return strands
 
     @cached_property
-    def strand_of_passage(self) -> dict[tuple[int, int], int]:
-        """The index in `strands` of each passage's strand."""
-        return {passage: k for k, strand in enumerate(self.strands) for passage in strand}
-
-    @cached_property
     def prime(self) -> bool:
         """No simple loop meets the diagram twice with crossings on both sides.
 

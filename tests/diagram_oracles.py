@@ -201,12 +201,13 @@ def walked_views(n, pairing):
 
 
 def read_off(d):
-    """d's region colors, strands, strand_of_passage items (in its
-    iteration order) and views, the form `walked_views` returns.  The
-    pairing is compared as a mapping: a diagram lists it in wire order."""
+    """d's region colors, strands, each passage's strand index (in strand
+    order) and views, the form `walked_views` returns.  The pairing is
+    compared as a mapping: a diagram lists it in wire order."""
     views = (d.pairing, [tuple(e) for e in d.edges], edge_of_slot(d),
              region_of_slot(d), d.regions, d.prime, d.reduced)
-    return [R.color for R in d.regions], d.strands, list(d.strand_of_passage.items()), views
+    strand_of_passage = [(passage, k) for k, strand in enumerate(d.strands) for passage in strand]
+    return [R.color for R in d.regions], d.strands, strand_of_passage, views
 
 
 def built_diagram(n, pairing):

@@ -9,7 +9,7 @@ import pytest
 
 from cuspcubes import cubing
 from cuspcubes.cubing import (
-    _CORNER_EDGES, _SQUARE_CORNERS, PASSAGES, CubedComplex, CubingError, _flag,
+    _CORNER_EDGES, _SQUARE_CORNERS, PASSAGES, CubedComplex, CubingError,
     boundary_cubings, build_cubing, edge_name, verify_npc, vertex_name,
 )
 from cuspcubes.diagram import AlternatingDiagram, pretzel_diagram, two_bridge_diagram
@@ -38,6 +38,60 @@ def side_corruptions(fig8):
     for name, d in corrupted_diagrams(fig8):
         for k in range(d.n, 5 * d.n):
             yield f"{name}:{k}", build_cubing(d).corrupt(k)
+
+
+def reclosed(base, **lists):
+    """A copy of the complex base with some gluing lists replaced and its
+    classes closed again."""
+    cx = object.__new__(CubedComplex)
+    cx.__dict__.update(base.__dict__, **lists)
+    cx._close_classes()
+    return cx
+
+
+def hostile_pairs(fig8):
+    """(label, complex) for pairs of same-kind germs written straight into
+    the gluing lists of the figure-eight and the trefoil: each edge pair
+    with its second germ moved on by one port or one cube, each vertex pair
+    with its second corner moved on by one port."""
+    diagrams = (fig8, AlternatingDiagram.from_pd([(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)]))
+    for d in diagrams:
+        base = build_cubing(d)
+        for partners, step, germs in (("eb", 3, 24), ("eb", 12, 24), ("vb", 2, 16)):
+            for i in range(20 * d.n):
+                moved = getattr(base, partners)[:]
+                moved[i] = (moved[i] + step) % (germs * d.n)
+                yield (d.n, partners, step, i), reclosed(base, **{partners: moved})
+
+
+def folded_squares(fig8):
+    """(label, complex) for each top square of the figure-eight and the
+    trefoil whose top corners at ports p and p + 2 share a vertex class,
+    folded onto itself: the pairs that hold its vertical edge germ at port
+    p + 2 are cut (the germ's partner is paired with itself) and the pairs
+    that hold its flat edge germs at ports p - 1 and p join them to the
+    opposite flats, so both corners give the square one link edge."""
+    for d in (fig8, AlternatingDiagram.from_pd([(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)])):
+        base = build_cubing(d)
+        for q in range(2 * d.n):
+            for p in (0, 1):
+                if base._vroot[8 * q + 2 * p + 1] != base._vroot[8 * q + 2 * p + 5]:
+                    continue
+                ea, eb = base.ea[:], base.eb[:]
+                cut = 12 * q + 3 * p + 6
+                for i, (a, b) in enumerate(zip(ea, eb)):
+                    if a == cut:
+                        ea[i] = b
+                    elif b == cut:
+                        eb[i] = a
+                for port in (p - 1, p):
+                    flat = 12 * q + 3 * (port % 4) + 2
+                    opposite = 12 * q + 3 * ((port + 2) % 4) + 2
+                    if flat in ea:
+                        eb[ea.index(flat)] = opposite
+                    else:
+                        ea[eb.index(flat)] = opposite
+                yield (d.n, q, p), reclosed(base, ea=ea, eb=eb)
 
 
 def first_seen_germs(n: int) -> tuple:
@@ -325,14 +379,6 @@ def brute_force_flag(edges, triangles) -> bool:
             and not any(clique(q) for q in combinations(verts, 4)))
 
 
-def adjacency(edges) -> dict:
-    adj = {}
-    for a, b in edges:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    return adj
-
-
 def simplicial_complex(triangles, extra_edges=()):
     """Edges (pairs) and triangles of the complex that the triangles and the
     extra edges span."""
@@ -389,14 +435,13 @@ class TestFlag:
         with pytest.raises(CubingError, match="not simplicial"):
             is_flag(lk)
 
-    # the clique count of verify_npc, `_flag`, and its reference
-    # `clique_flag` against enumeration of every 3- and 4-subset, and
-    # against the adjacency-walk oracle
+    # the clique count `clique_flag`, the reference of verify_npc's link
+    # pass (test_hostile_pairs_match_link_oracle ties the two), against
+    # enumeration of every 3- and 4-subset and the adjacency-walk oracle
     @pytest.mark.parametrize("name", NAMED_COMPLEXES)
     def test_named_complexes(self, name):
         (edges, triangles), want = NAMED_COMPLEXES[name]
         assert brute_force_flag(edges, triangles) == want
-        assert _flag(edges, adjacency(edges), len(triangles)) == want
         assert clique_flag(edges, len(triangles)) == want
         lk = VertexLink(name, tuple(sorted({x for e in edges for x in e})),
                         {frozenset(e) for e in edges}, set(triangles))
@@ -413,7 +458,6 @@ class TestFlag:
                                    if m >= 2 else st.nothing(), unique=True), label="edges")
         edges, triangles = simplicial_complex(triangles, extra)
         want = brute_force_flag(edges, triangles)
-        assert _flag(edges, adjacency(edges), len(triangles)) == want
         assert clique_flag(edges, len(triangles)) == want
         lk = VertexLink("drawn", tuple(range(m)), {frozenset(e) for e in edges}, set(triangles))
         assert is_flag(lk) == walked_is_flag(lk) == want
@@ -476,30 +520,53 @@ class TestNpc:
             assert verify_npc(cx) == linked_verify(cx), d.n
 
     def test_hostile_pairs_match_link_oracle(self, fig8):
-        # pairs of same-kind germs written straight into the gluing lists:
-        # each edge pair with its second germ moved on by one port or one
-        # cube, each vertex pair with its second corner moved on by one port.
-        # The first problems they give reach every branch a same-kind pairing
-        # can reach first (see test_pinch_follows_a_degenerate_corner).
-        diagrams = (fig8, AlternatingDiagram.from_pd([(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)]))
+        # the first problems of the hostile pairs reach every branch a
+        # same-kind pairing can reach first (see
+        # test_pinch_follows_a_degenerate_corner)
         reached = Counter()
-        for d in diagrams:
-            base = build_cubing(d)
-            for partners, step, germs in (("eb", 3, 24), ("eb", 12, 24), ("vb", 2, 16)):
-                for i in range(20 * d.n):
-                    cx = object.__new__(CubedComplex)
-                    cx.__dict__.update(base.__dict__)
-                    moved = getattr(base, partners)[:]
-                    moved[i] = (moved[i] + step) % (germs * d.n)
-                    setattr(cx, partners, moved)
-                    cx._close_classes()
-                    rep = verify_npc(cx)
-                    assert rep == linked_verify(cx), (d.n, partners, step, i)
-                    for f in rep["failures"]:
-                        reached[f["reason"].split(" (")[0].split(" between")[0]] += 1
+        for label, cx in hostile_pairs(fig8):
+            rep = verify_npc(cx)
+            assert rep == linked_verify(cx), label
+            for f in rep["failures"]:
+                reached[f["reason"].split(" (")[0].split(" between")[0]] += 1
         assert {"non-simplicial: degenerate corner of cube", "non-simplicial: corner of cube",
                 "non-simplicial: double edge", "non-simplicial: triangle with a missing edge",
                 "non-flag clique"} <= reached.keys(), reached
+
+    def test_folded_squares_match_link_oracle(self, fig8):
+        # a square folded onto itself gives one link edge at two corners of
+        # one vertex, which the pass files once.  No single moved pair gets
+        # there: it would have to glue two pairs of opposite flats and part
+        # the vertical edges at the two corners, whose triangles else repeat
+        folds = 0
+        for label, cx in folded_squares(fig8):
+            assert verify_npc(cx) == linked_verify(cx), label
+            filed = filed_germs(cx)
+            for v, (_corners, square_corners) in filed.items():
+                filed_edges = [(face, *sorted((cx._eroot[a], cx._eroot[b])))
+                               for face, _g, a, b in square_corners]
+                problems = id_link(cx, v, filed)[2]
+                if (len(set(filed_edges)) < len(filed_edges)
+                        and not (problems and "corner" in problems[0].split(" (")[0])):
+                    folds += 1
+        assert folds, "no folded square reached the link's edges"
+
+    def test_classes_keep_one_kind(self, corpus, fig8):
+        # every edge class's germs share their id mod 3 and every vertex
+        # class's germs their parity, on clean, corrupted and hostile pairings:
+        # the link pass keys a corner's triangle by (lesser flat, greater
+        # flat, vertical) and calls it degenerate only when its flats agree
+        def complexes():
+            for name, d in corpus.items():
+                cx = build_cubing(d)
+                yield name, cx
+                for k in range(5 * d.n):
+                    yield f"{name}:{k}", cx.corrupt(k)
+            yield from hostile_pairs(fig8)
+
+        for label, cx in complexes():
+            assert all(g % 3 == root % 3 for g, root in enumerate(cx._eroot)), label
+            assert all((g ^ root) & 1 == 0 for g, root in enumerate(cx._vroot)), label
 
     def test_pinch_follows_a_degenerate_corner(self):
         # a square pinches at a corner germ when its two edges there are one

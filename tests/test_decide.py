@@ -469,7 +469,7 @@ class TestWorkOnUse:
             assert main(argv) == 0, argv
             assert built, argv
             for d in built:
-                assert "strands" not in d.__dict__ and "strand_of_passage" not in d.__dict__, argv
+                assert "strands" not in d.__dict__, argv
 
     def test_each_scan_once_per_diagram(self, capsys, monkeypatch, tmp_path):
         # build_polyhedra and the classifier both ask whether the diagram is
