@@ -1,21 +1,23 @@
-"""Oracles for the vertex links and the flag check, read only by the tests:
-the link of a vertex class on edge class ids (`id_link`, from the corner
-germs and square corners that `filed_germs` files under each class), the
-clique-count flag check on its edges (`clique_flag`) and the report that
-both give (`linked_verify`), the reference for the fused per-vertex pass of
-`cuspcubes.cubing.verify_npc`; the same link with frozenset simplices and
-the flag check as a walk over an adjacency dict that looks every common
-neighbour's triangle up.  The named forms live here too: `VertexLink`,
-`vertex_link` and `is_flag` on germ names, `germ_id`, which encodes a name,
-`face_name`, which decodes a square face, and `link_angle_class`.
+"""Oracles for the cubed complex, read only by the tests.
+
+`vertex_links` builds every vertex link from the definition: it closes the
+gluing lists of a complex over germ names with a union-find of its own,
+and at each vertex class puts a triangle per cube corner (its three edge
+classes) and an edge per corner of each square class (its two edge classes
+along the square), listing every way the result fails to be a simplicial
+complex.  `is_flag` is the flag condition on a link, `npc_report` the report
+of `cuspcubes.cubing.verify_npc` from the two, and `link_angle_class` the
+angle class of two regions at an inner vertex.  `germ_id` encodes a germ
+name, `face_name` decodes a square face and `first_seen_germs` lists the
+germ names of a complex in id order.
 """
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
-from cuspcubes.cubing import (_CORNER_EDGES, _SQUARE_CORNERS, PASSAGES, CubingError, edge_name,
-                              vertex_name)
+from cuspcubes.cubing import PASSAGES, CubingError
 
 # germ kind -> (germs per cube, id step per port, offset)
 _LAYOUT = {"bc": (8, 2, 0), "tc": (8, 2, 1), "ve": (12, 3, 0), "be": (12, 3, 1),
@@ -37,145 +39,176 @@ def germ_id(name: tuple) -> int:
     return (2 * name[1] + PASSAGES.index(name[2])) * per_cube + step * port + offset
 
 
-def filed_germs(cx) -> dict:
-    """Vertex class -> (its corner germs, its square corners), in id order.
-    A square class is a gluing's two faces, named by the lesser, or a top
-    face alone; each of its corners is filed under the class of its corner
-    germ as (face, corner germ, and the two edge germs along the face)."""
-    vroot = cx._vroot
-    partner = [-1] * (12 * cx.diagram.n)
-    for a, b in zip(cx.fa, cx.fb):
-        partner[a], partner[b] = b, a
-    filed = {}
-    for g, v in enumerate(vroot):
-        filed.setdefault(v, ([], []))[0].append(g)
-    for face, other in enumerate(partner):
-        if 0 <= other < face:
-            continue                # filed under its partner
-        q, k = divmod(face, 6)
-        vbase, ebase = 8 * q, 12 * q
-        for corner, ea, eb in _SQUARE_CORNERS[k]:
-            filed[vroot[vbase + corner]][1].append((face, vbase + corner, ebase + ea, ebase + eb))
-    return filed
+@lru_cache
+def first_seen_germs(n: int) -> tuple:
+    """The vertex germs, edge germs and square faces of an n-crossing
+    complex by name, each in the order a closure over names lists them,
+    which is id order."""
+    vertices, edges, faces = [], [], []
+    for c in range(n):
+        for s in PASSAGES:
+            for p in range(4):
+                vertices += [("bc", c, s, p), ("tc", c, s, p)]
+                edges += [("ve", c, s, p), ("be", c, s, p), ("te", c, s, p)]
+                faces.append(("side", c, s, p))
+            faces += [("top", c, s), ("bottom", c, s)]
+    return tuple(vertices), tuple(edges), tuple(faces)
 
 
-def id_link(cx, v: int, filed=None) -> tuple:
-    """The link of vertex class v on edge class ids, from the corner germs
-    and square corners filed under v: edges (a, b), a < b, -> square class,
-    triangles (a, b, c), a < b < c, -> corner germ, and every problem in the
-    order it was met."""
-    eroot = cx._eroot
-    corners, square_corners = (filed or filed_germs(cx))[v]
-    problems, triangles, edges = [], {}, {}
-    for g in corners:
-        base = 12 * (g >> 3)
-        x, y, z = _CORNER_EDGES[g & 7]
-        a, b, c = sorted((eroot[base + x], eroot[base + y], eroot[base + z]))
-        if a == b or b == c:
-            _kind, c, s, p = vertex_name(g)
-            problems.append(f"degenerate corner of cube ({c},{s}) at port {p}")
-            continue
-        t = (a, b, c)
-        if t in triangles:
-            _kind, c, s, _p = vertex_name(g)
-            problems.append(f"corner of cube ({c},{s}) repeats the simplex of "
-                            f"{vertex_name(triangles[t])[1:]}")
-        triangles[t] = g
-    for face, g, ea, eb in square_corners:
-        a, b = eroot[ea], eroot[eb]
-        if a == b:
-            problems.append(f"square {face_name(face)} pinches at {vertex_name(g)}")
-            continue
-        pair = (a, b) if a < b else (b, a)
-        if edges.get(pair, face) != face:
-            problems.append(f"double edge between {sorted(str(edge_name(x)) for x in pair)}")
-        edges[pair] = face
-    missing = 0
-    for a, b, c in triangles:
-        missing += ((a, b) not in edges) + ((a, c) not in edges) + ((b, c) not in edges)
-    problems += ["triangle with a missing edge"] * missing
-    return edges, triangles, problems
+def _closure(size: int, a: list, b: list) -> list:
+    """The root of each id's class under the pairs zip(a, b), each pair
+    putting the root of its first id under that of its second."""
+    parent = list(range(size))
+    for x, y in zip(a, b):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x != y:
+            parent[x] = y
+    for x in range(size):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        parent[x] = root
+    return parent
 
 
-def clique_flag(edges, triangles: int) -> bool:
-    """Flagness of a simplicial 2-complex from its edges (pairs) and its
-    triangle count, by counting cliques.  A triangle is a 3-clique whose
-    third vertex is a common neighbour at each of its edges, so the sum over
-    edges ab of |N(a) & N(b)| is 3 * triangles iff no 3-clique is empty; two
-    adjacent common neighbours of an edge make a 4-clique, which cannot span."""
-    adj = defaultdict(set)
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    cliques = 0
-    for a, b in edges:
-        common = adj[a] & adj[b]
-        k = len(common)
-        cliques += k
-        if k == 2:
-            c, e = common
-            if c in adj[e]:
-                return False
-        elif k > 2:
-            for c in common:
-                if not common.isdisjoint(adj[c]):
-                    return False
-    return cliques == 3 * triangles
-
-
-def linked_verify(cx) -> dict:
-    """The report of `verify_npc`, link by link: each vertex class, inner
-    (even ids) first and each part by name, fails at the first problem of
-    its `id_link` or, when it has none, unless `clique_flag` passes."""
-    filed = filed_germs(cx)
-    entries, failures = [], []
-    for v in sorted(filed, key=lambda v: (v & 1, str(vertex_name(v)))):
-        edges, triangles, problems = id_link(cx, v, filed)
-        if problems:
-            ok, reason = False, f"non-simplicial: {problems[0]}"
+@lru_cache
+def _layout(n: int) -> tuple:
+    """The germ layout of an n-crossing complex: the edge germs at each
+    vertex germ g, a corner of cube q = g // 8 at port p (the flat edges on
+    either side of p, of the corner's own kind, bottom or top, and the
+    vertical edge at p), and the corners of each square face f, as (corner
+    germ, its two edge germs along the face): a side face k < 4 has its
+    bottom then top corners at ports k and k + 1, a top or bottom face its
+    corners at ports 0..3."""
+    corner_edges = []
+    for g in range(16 * n):
+        q, r = divmod(g, 8)
+        p, kind = divmod(r, 2)
+        e = 12 * q
+        corner_edges.append((e + 3 * ((p - 1) % 4) + 1 + kind, e + 3 * p + 1 + kind, e + 3 * p))
+    square_corners = []
+    for f in range(12 * n):
+        q, k = divmod(f, 6)
+        v, e = 8 * q, 12 * q
+        if k < 4:
+            square_corners.append(tuple((v + 2 * p + kind, e + 3 * k + 1 + kind, e + 3 * p)
+                                        for kind in (0, 1) for p in (k, (k + 1) % 4)))
         else:
-            ok = clique_flag(edges, len(triangles))
-            reason = None if ok else "non-flag clique"
-        name, kind = str(vertex_name(v)), "boundary" if v & 1 else "inner"
-        entries.append({"vertex": name, "kind": kind, "flag": ok})
-        if not ok:
-            failures.append({"vertex": name, "kind": kind, "reason": reason})
-    return {"npc": not failures, "vertices": entries, "failures": failures}
+            kind = 5 - k                    # top corners on the top face
+            square_corners.append(tuple((v + 2 * p + kind, e + 3 * ((p - 1) % 4) + 1 + kind, e + 3 * p + 1 + kind)
+                                        for p in range(4)))
+    return tuple(corner_edges), tuple(square_corners)
 
 
 @dataclass
 class VertexLink:
-    """Abstract simplicial complex of cube corners at one vertex."""
+    """Abstract simplicial complex of cube corners at one vertex: its
+    vertices are edge classes, by the id of their root."""
 
-    vertex: object
-    vertices: tuple
-    edges: set                      # frozensets of 2 direction labels
-    triangles: set                  # frozensets of 3 direction labels
+    vertex: tuple                   # the vertex class, by the name of its root
+    edges: set                      # pairs of edge classes, the lesser first
+    triangles: set                  # triples of edge classes, in increasing order
     problems: list = field(default_factory=list)
+    folds: int = 0                  # square corners that give their square's edge again
 
     @property
-    def simplicial(self) -> bool:
-        return not self.problems
+    def vertices(self) -> tuple:
+        return tuple(sorted({x for s in (*self.triangles, *self.edges) for x in s}))
 
 
-def vertex_link(cx, v) -> VertexLink:
-    """Simplicial complex of cube corners at a vertex class: `id_link` with
-    its vertex and directions named.  At the two inner vertices this is the
-    dual of the diagram with the dual region around each crossing
-    subdivided by a cone point."""
-    edges, triangles, problems = id_link(cx, cx._vroot[germ_id(v)])
-    name = {x: edge_name(x) for s in (*triangles, *edges) for x in s}
-    edges, triangles = ({frozenset(name[x] for x in s) for s in simplices}
-                        for simplices in (edges, triangles))
-    return VertexLink(v, tuple(sorted(name.values(), key=str)), edges, triangles, problems)
+def vertex_links(cx) -> dict:
+    """Vertex class name -> link, from the gluing lists of cx closed by a
+    union-find of this module: the square classes at each vertex are filed
+    whole, and each link finds the class of every corner of every square it
+    touches.  Problems come in the order met: corners in id order, then
+    square corners by square class, then missing edges.  At the two inner
+    vertices the link is the dual of the diagram with the dual region around
+    each crossing subdivided by a cone point."""
+    n = cx.diagram.n
+    vnames, enames, fnames = first_seen_germs(n)       # the germ of id g is names[g]
+    corner_edges, square_corners = _layout(n)
+    vroot = _closure(16 * n, cx.va, cx.vb)
+    eroot = _closure(24 * n, cx.ea, cx.eb)
+    triangle = [tuple(sorted([eroot[x], eroot[y], eroot[z]])) for x, y, z in corner_edges]
+    germs = {v: ([], []) for v in vroot}    # vertex class -> (corners, square corners)
+    for g, v in enumerate(vroot):
+        germs[v][0].append(g)
+    squares = set()
+    for face, root in enumerate(_closure(12 * n, cx.fa, cx.fb)):
+        if root not in squares:             # each square class by its first face
+            squares.add(root)
+            for g, ea, eb in square_corners[face]:
+                germs[vroot[g]][1].append((face, g, eroot[ea], eroot[eb]))
+
+    links = {}
+    for v, (corners, faces) in germs.items():
+        problems, folds, triangles, edges = [], 0, {}, {}
+        for g in corners:
+            t = triangle[g]
+            if t[0] == t[1] or t[1] == t[2]:
+                _kind, c, s, p = vnames[g]
+                problems.append(f"degenerate corner of cube ({c},{s}) at port {p}")
+                continue
+            if t in triangles:
+                _kind, c, s, _p = vnames[g]
+                problems.append(f"corner of cube ({c},{s}) repeats the simplex of {vnames[triangles[t]][1:]}")
+            triangles[t] = g
+        for face, g, a, b in faces:
+            pair = (a, b) if a < b else (b, a)
+            if a == b:
+                problems.append(f"square {fnames[face]} pinches at {vnames[g]}")
+                continue
+            seen = edges.get(pair, face)
+            if seen != face:
+                problems.append(f"double edge between {sorted(str(enames[x]) for x in pair)}")
+            elif pair in edges:
+                folds += 1
+            edges[pair] = face
+        missing = sum(pair not in edges for t in triangles for pair in combinations(t, 2))
+        problems += ["triangle with a missing edge"] * missing
+        links[vnames[v]] = VertexLink(vnames[v], set(edges), set(triangles), problems, folds)
+    return links
 
 
-def is_flag(lk: VertexLink) -> bool:
-    """Every pairwise-joined vertex set spans a simplex: `clique_flag` on
-    the link's edges."""
-    if lk.problems:
-        raise CubingError(f"link of {lk.vertex} is not simplicial: {lk.problems[0]}")
-    return clique_flag([tuple(e) for e in lk.edges], len(lk.triangles))
+def is_flag(edges, triangles) -> bool:
+    """Every set of pairwise joined vertices spans a simplex: each 3-clique,
+    an edge with a common neighbour of its ends, is a triangle, and no
+    3-clique has a common neighbour, which would make a 4-clique that a
+    complex of at most two dimensions cannot span.  edges and triangles
+    are collections of vertex pairs and triples."""
+    triangles = {frozenset(t) for t in triangles}
+    adj = defaultdict(set)
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    for a, b in edges:
+        common = adj[a] & adj[b]
+        for c in common:
+            if frozenset((a, b, c)) not in triangles or not common.isdisjoint(adj[c]):
+                return False
+    return True
+
+
+def npc_report(cx) -> dict:
+    """The report of `verify_npc`, link by link: each vertex class, inner
+    ones (bottom corners) first and each part by name, fails at the first
+    problem of its link or, when it has none, unless the link is flag."""
+    entries, failures = [], []
+    links = vertex_links(cx)
+    for v in sorted(links, key=lambda v: (v[0] == "tc", str(v))):
+        lk = links[v]
+        if lk.problems:
+            reason = f"non-simplicial: {lk.problems[0]}"
+        else:
+            reason = None if is_flag(lk.edges, lk.triangles) else "non-flag clique"
+        kind = "boundary" if v[0] == "tc" else "inner"
+        entries.append({"vertex": str(v), "kind": kind, "flag": reason is None})
+        if reason is not None:
+            failures.append({"vertex": str(v), "kind": kind, "reason": reason})
+    return {"npc": not failures, "vertices": entries, "failures": failures}
 
 
 def region_edge(cx) -> dict[int, int]:
@@ -189,68 +222,12 @@ def region_edge(cx) -> dict[int, int]:
     return edge
 
 
-def link_angle_class(cx, v, r1, r2) -> str:
+def link_angle_class(cx, link: VertexLink, r1, r2) -> str:
     """'orthogonal' when the directions of regions r1 and r2, by index, are
-    joined in the link, 'far' otherwise; defined at the two inner vertices."""
+    joined in the link of an inner vertex of cx, 'far' otherwise."""
     if r1 == r2:
         raise CubingError("need two distinct regions")
-    if v not in set(cx.inner_vertices):
+    if link.vertex not in set(cx.inner_vertices):
         raise CubingError("angle classes are defined at the inner vertices")
     edge = region_edge(cx)
-    a, b = sorted((edge[r1], edge[r2]))
-    return "orthogonal" if (a, b) in id_link(cx, cx._vroot[germ_id(v)])[0] else "far"
-
-
-def frozenset_link(cx, v: int, filed=None) -> VertexLink:
-    """The link of vertex class v with edge class ids for directions,
-    built from the corner germs and square corners filed under v, with
-    frozenset simplices."""
-    eroot = cx._eroot
-    corners, square_corners = (filed or filed_germs(cx))[v]
-    problems = []
-    triangles = {}                  # simplex -> the corner germ it came from
-    for g in corners:
-        base = 12 * (g >> 3)
-        x, y, z = _CORNER_EDGES[g & 7]
-        t = frozenset((eroot[base + x], eroot[base + y], eroot[base + z]))
-        if len(t) != 3:
-            _kind, c, s, p = vertex_name(g)
-            problems.append(f"degenerate corner of cube ({c},{s}) at port {p}")
-            continue
-        if t in triangles:
-            _kind, c, s, _p = vertex_name(g)
-            problems.append(f"corner of cube ({c},{s}) repeats the simplex of "
-                            f"{vertex_name(triangles[t])[1:]}")
-        triangles[t] = g
-    edges = {}                      # simplex -> the square class it came from
-    for face, g, ea, eb in square_corners:
-        pair = frozenset((eroot[ea], eroot[eb]))
-        if len(pair) != 2:
-            problems.append(f"square {face_name(face)} pinches at {vertex_name(g)}")
-            continue
-        if edges.get(pair, face) != face:
-            problems.append(f"double edge between {sorted(str(edge_name(x)) for x in pair)}")
-        edges[pair] = face
-    problems += ["triangle with a missing edge"] * sum(
-        frozenset(pair) not in edges for t in triangles for pair in combinations(t, 2))
-    return VertexLink(v, tuple(set().union(*triangles, *edges)), set(edges), set(triangles),
-                      problems)
-
-
-def walked_is_flag(lk: VertexLink) -> bool:
-    """Every pairwise-joined vertex set spans a simplex: an edge fails when
-    a common neighbour of its ends misses the triangle with it, or is
-    joined to another common neighbour (a clique on 4 vertices, which a
-    link of at most 2 dimensions cannot span)."""
-    if lk.problems:
-        raise CubingError(f"link of {lk.vertex} is not simplicial: {lk.problems[0]}")
-    adj = {v: set() for v in lk.vertices}
-    for a, b in lk.edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    for a, b in lk.edges:
-        common = adj[a] & adj[b]
-        for c in common:
-            if frozenset((a, b, c)) not in lk.triangles or not common.isdisjoint(adj[c]):
-                return False
-    return True
+    return "orthogonal" if tuple(sorted((edge[r1], edge[r2]))) in link.edges else "far"

@@ -1,38 +1,25 @@
 """Oracles for the diagram layer, read only by the tests.
 
-The construction checks in their order, with alternation checked by walking
-every strand and the checkerboard coloring found by a depth-first
-2-coloring of the region adjacency graph.  It is the reference for the
-parity rules of `cuspcubes.diagram.AlternatingDiagram` (every edge joins an
-even slot to an odd one; even faces are black) and for its strands.
+`walked_diagram` is the definition of what the constructor of
+`cuspcubes.diagram.AlternatingDiagram` builds from a slot pairing: it
+checks the invariants in their order, walks every strand for alternation,
+walks the faces by next(h) = rotate(twin(h)) from their least slot, colors
+them by a depth-first 2-coloring of the region adjacency graph, and reads
+primeness and reducedness off the faces.  `read_off` reads the same off a
+diagram, and `wires_of` turns a pairing dict into the wire list the
+constructor takes.
 
-`tuple_views` builds the edges, the regions, primeness and reducedness by
-walking tuple slots (c, i) through the pairing dict, as the constructor
-did before it worked on flat slot ids; `walked_views` adds them to what
-`walked_diagram` returns, and `read_off` reads the same off a diagram.
-`wires_of` turns a pairing dict into the wire list the constructor takes,
-and `edge_of_slot` and `region_of_slot` give a diagram's edge and region
-ids by tuple slot.
-
-`edge_endpoints` and `edge_sides` read an edge's two crossings and the
-regions on its two sides off a diagram.
-
-`corner_region`, `regions_at_crossing`, `region_adjacent` and
-`find_small_white_region` are the region queries on `Region` records, with
-a region's edges read off its boundary, as `cuspcubes.diagram` had them
-before the classifier and the polyhedra worked on region indices.
+`Walked` answers the region queries from the walked faces and colors: the
+region at a corner, the two same-color regions at a crossing, the edges of
+a region, adjacency of two regions and the small region of a color.
 
 `_flype_disks` lists every flype disk at a crossing from the region
-4-cycles.  It is the reference for the disks that `cuspcubes.diagram.flype`
-flypes across, and the disk list of the eager flype search in the tests.
-
-`_tail_flype` and `_spot_options` are the flype rewiring and its image
-arcs on pairing dicts of tuple slots, with their helpers `_wire`,
-`_face_walk`, `_joints` and `_mirror`, as `cuspcubes.diagram` had them
-before it rewired wire lists of flat slot ids.
+4-cycles.  It is the disk list of the eager flype search in the tests,
+which builds every trial rewiring across each disk and is the reference
+for the forced rewiring of `cuspcubes.diagram.flype`.
 """
 
-from cuspcubes.diagram import AlternatingDiagram, BLACK, WHITE, DiagramError, Region, _check_size
+from cuspcubes.diagram import BLACK, WHITE, AlternatingDiagram, DiagramError, _check_size
 
 
 def wires_of(pairing):
@@ -52,17 +39,6 @@ def edge_of_slot(d):
     return {divmod(h, 4): e for h, e in enumerate(d._edge)}
 
 
-def region_of_slot(d):
-    """Region index by tuple slot (c, i)."""
-    return {divmod(h, 4): r for h, r in enumerate(d.slot_region)}
-
-
-def _wire(pairing, a, b):
-    """Pair slots a and b: the edge between them."""
-    pairing[a] = b
-    pairing[b] = a
-
-
 def _face_walk(pairing, start):
     """The face through slot `start`, walked by next(h) = rotate(twin(h))."""
     walk = [start]
@@ -76,28 +52,24 @@ def _face_walk(pairing, start):
 
 
 def walked_strands(n, pairing):
-    """(strands, strand_of_passage): each strand a cycle of passages
-    (c, i % 2), entering slot i and leaving through i + 2, walked from the
-    least passage no earlier strand holds."""
-    seen = set()
-    strand_of_passage = {}
-    strands = []
+    """Each strand a cycle of passages (c, i % 2), entering slot i and
+    leaving through i + 2, walked from the least passage no earlier strand
+    holds."""
+    seen, strands = set(), []
     for c0 in range(n):
         for i0 in (0, 1):
             if (c0, i0) in seen:
                 continue
-            strand = []
-            h = (c0, i0)
+            strand, h = [], (c0, i0)
             while True:
                 c, i = h
                 seen.update({(c, i), (c, (i + 2) % 4)})
                 strand.append((c, i % 2))
-                strand_of_passage[(c, i % 2)] = len(strands)
                 h = pairing[(c, (i + 2) % 4)]
                 if h == (c0, i0):
                     break
             strands.append(strand)
-    return strands, strand_of_passage
+    return strands
 
 
 def dfs_colors(pairing, region_of_slot, count):
@@ -121,10 +93,12 @@ def dfs_colors(pairing, region_of_slot, count):
 
 
 def walked_diagram(n, pairing):
-    """(region colors, strands, strand_of_passage items) of the diagram, or
-    DiagramError naming the first violated invariant among: malformed
-    pairing, size, connectivity, sphericity, alternation along every strand
-    and properness of the coloring."""
+    """(region colors, strands, faces, edges, prime, reduced) of the diagram, or DiagramError naming the first violated
+    invariant among: malformed pairing, size, connectivity, sphericity,
+    alternation along every strand and properness of the coloring.  Faces
+    are walked from their least slot, edges listed by their lesser slot; the
+    diagram is prime when no two edges have the same two regions on their
+    sides, and reduced when no crossing occurs twice on one face."""
     if n < 1:
         raise DiagramError("malformed: a diagram needs at least one crossing")
     if len(pairing) != 4 * n:
@@ -146,68 +120,31 @@ def walked_diagram(n, pairing):
                 stack.append(c2)
     if len(seen) != n:
         raise DiagramError("disconnected: the diagram graph must be connected")
-    region_of_slot = {}
-    count = 0
+    region_of_slot, faces = {}, []
     for start in slots:
         if start not in region_of_slot:
-            for h in _face_walk(pairing, start):
-                region_of_slot[h] = count
-            count += 1
-    if count != n + 2:
-        raise DiagramError(f"non-planar: {n} crossings with {count} regions "
+            faces.append(_face_walk(pairing, start))
+            for h in faces[-1]:
+                region_of_slot[h] = len(faces) - 1
+    if len(faces) != n + 2:
+        raise DiagramError(f"non-planar: {n} crossings with {len(faces)} regions "
                            f"(expected {n + 2} on the sphere)")
-    strands, strand_of_passage = walked_strands(n, pairing)
+    strands = walked_strands(n, pairing)
     for strand in strands:
         kinds = [i for _c, i in strand]
         if any(a == b for a, b in zip(kinds, kinds[1:] + kinds[:1])):
             raise DiagramError("non-alternating: consecutive passages on a strand agree")
-    return dfs_colors(pairing, region_of_slot, count), strands, list(strand_of_passage.items())
-
-
-def tuple_views(n, pairing):
-    """(pairing, edges as tuples, edge_of_slot, region_of_slot, regions,
-    prime, reduced) of a valid diagram's pairing, built on tuple slots: edges
-    in order of their first slot, faces walked from their least slot by
-    next(h) = rotate(twin(h)) and colored by its parity."""
-    slots = [(c, i) for c in range(n) for i in range(4)]
-    edges, edge_of_slot = [], {}
-    for h in slots:
-        if h not in edge_of_slot:
-            k = pairing[h]
-            edge_of_slot[h] = edge_of_slot[k] = len(edges)
-            edges.append(frozenset((h, k)))
-    region_of_slot, regions = {}, []
-    for start in slots:
-        if start in region_of_slot:
-            continue
-        walk = _face_walk(pairing, start)
-        for h in walk:
-            region_of_slot[h] = len(regions)
-        regions.append(Region(index=len(regions), color=WHITE if start[1] & 1 else BLACK, boundary=walk))
-    sides = set()
-    for a, b in edges:
-        ra, rb = region_of_slot[a], region_of_slot[b]
-        sides.add((min(ra, rb), max(ra, rb)))
+    edges = [frozenset((h, pairing[h])) for h in slots if h < pairing[h]]
+    sides = {frozenset(region_of_slot[h] for h in e) for e in edges}
     prime = len(sides) == len(edges)
-    reduced = all(len(R.distinct_crossings) == len(R.boundary) for R in regions)
-    return (dict(pairing), [tuple(e) for e in edges], edge_of_slot, region_of_slot,
-            regions, prime, reduced)
-
-
-def walked_views(n, pairing):
-    """`walked_diagram` and then `tuple_views` of the pairing, or the
-    DiagramError of the first violated invariant."""
-    return (*walked_diagram(n, pairing), tuple_views(n, pairing))
+    reduced = all(len({c for c, _i in face}) == len(face) for face in faces)
+    return dfs_colors(pairing, region_of_slot, len(faces)), strands, faces, edges, prime, reduced
 
 
 def read_off(d):
-    """d's region colors, strands, each passage's strand index (in strand
-    order) and views, the form `walked_views` returns.  The pairing is
-    compared as a mapping: a diagram lists it in wire order."""
-    views = (d.pairing, [tuple(e) for e in d.edges], edge_of_slot(d),
-             region_of_slot(d), d.regions, d.prime, d.reduced)
-    strand_of_passage = [(passage, k) for k, strand in enumerate(d.strands) for passage in strand]
-    return [R.color for R in d.regions], d.strands, strand_of_passage, views
+    """d's region colors, strands, faces, edges, primeness and reducedness,
+    the form `walked_diagram` returns."""
+    return [R.color for R in d.regions], d.strands, [R.boundary for R in d.regions], d.edges, d.prime, d.reduced
 
 
 def built_diagram(n, pairing):
@@ -229,66 +166,58 @@ def edge_endpoints(d, eid):
     return a[0], b[0]
 
 
-def edge_sides(d, eid):
-    """Region indices on the two sides of edge eid."""
-    a, b = tuple(d.edges[eid])
-    return d.slot_region[4 * a[0] + a[1]], d.slot_region[4 * b[0] + b[1]]
+class Walked:
+    """The region queries on the faces and colors of `walked_diagram`: a
+    region's index is its place in the walk order, an edge's its place in
+    the edge list, which is the order of the diagram's edge ids."""
 
+    def __init__(self, d):
+        self.pairing = d.pairing
+        self.walked = walked_diagram(d.n, d.pairing)
+        self.colors, _strands, self.faces, self.edges, _prime, _reduced = self.walked
+        self.region = {h: r for r, face in enumerate(self.faces) for h in face}
+        self.edge_of = {h: e for e, edge in enumerate(self.edges) for h in edge}
 
-def region_edges(d, r):
-    """The edge ids along the boundary of region r of d, by its `Region` record."""
-    return frozenset(d._edge[4 * c + i] for c, i in d.regions[r].boundary)
+    def corner(self, c, k):
+        """The region at the corner of crossing c between ports k and k+1:
+        the face that enters c at port k leaves it at port k+1."""
+        return self.region[(c, (k + 1) % 4)]
 
+    def at_crossing(self, c, color):
+        """The two regions of the color at the corners of c, in corner order."""
+        found = [self.corner(c, k) for k in range(4) if self.colors[self.corner(c, k)] == color]
+        if found[0] == found[1]:
+            raise DiagramError("non-prime: the two same-color corners at a crossing coincide")
+        return found[0], found[1]
 
-def corner_region(d, c, k):
-    """Region at the corner of crossing c between ports k and k+1."""
-    return d.regions[d.slot_region[4 * c + (k + 1) % 4]]
+    def region_edges(self, r):
+        """The edges along region r, by their place in the edge list."""
+        return frozenset(self.edge_of[h] for h in self.faces[r])
 
+    def adjacent(self, r1, r2):
+        """Do regions r1 and r2 share an edge?"""
+        return not self.region_edges(r1).isdisjoint(self.region_edges(r2))
 
-def regions_at_crossing(d, c, color):
-    """The two same-color corner regions at c, in corner order; the
-    coloring is proper, so the corners alternate colors."""
-    found = [corner_region(d, c, k) for k in range(4) if corner_region(d, c, k).color == color]
-    if found[0].index == found[1].index:
-        raise DiagramError("non-prime: the two same-color corners at a crossing coincide")
-    return found[0], found[1]
-
-
-def region_adjacent(d, r1, r2):
-    """Do two distinct regions, given by index, share at least one edge of
-    the diagram?"""
-    if r1 == r2:
-        raise DiagramError("region_adjacent needs two distinct regions")
-    return bool(region_edges(d, r1) & region_edges(d, r2))
-
-
-def find_small_white_region(d, witness_color=WHITE):
-    """(region, 'bigon'|'trigon') of the witness color with pairwise
-    distinct neighbors, searched when the opposite color has 3 or 4
-    regions (a bigon only for 3); None for 5 or more, DiagramError for
-    fewer than 3 or when no such region exists."""
-    other = BLACK if witness_color == WHITE else WHITE
-    count = sum(1 for R in d.regions if R.color == other)
-    if count < 3:
+    def small_region(self, witness_color=WHITE):
+        """(region, 'bigon'|'trigon') of the witness color with pairwise
+        distinct neighbors, searched when the opposite color has 3 or 4
+        regions (a bigon only for 3); None for 5 or more, DiagramError for
+        fewer than 3 or when no such region exists."""
+        other = BLACK if witness_color == WHITE else WHITE
+        count = self.colors.count(other)
+        if count < 3:
+            raise DiagramError(
+                f"only {count} {other} regions: torus-link form, not a hyperbolic candidate")
+        if count > 4:
+            return None
+        for kind, size in (("bigon", 2), ("trigon", 3))[:1 if count == 3 else 2]:
+            for r, face in enumerate(self.faces):
+                neighbors = {self.region[self.pairing[h]] for h in face}
+                if self.colors[r] == witness_color and len(face) == size == len(neighbors):
+                    return r, kind
         raise DiagramError(
-            f"only {count} {other} regions: torus-link form, not a hyperbolic candidate"
-        )
-    if count > 4:
-        return None
-    want_kinds = ("bigon",) if count == 3 else ("bigon", "trigon")
-    for kind, size in (("bigon", 2), ("trigon", 3)):
-        if kind not in want_kinds:
-            continue
-        for R in d.regions:
-            if R.color != witness_color or len(R.boundary) != size:
-                continue
-            nbrs = [d.slot_region[d._twin[h]] for h in d._walks[R.index]]
-            if len(set(nbrs)) == size:
-                return R, kind
-    raise DiagramError(
-        "no qualifying small region found; this contradicts the structure of prime "
-        "alternating diagrams of hyperbolic links and indicates a bug or bad input"
-    )
+            "no qualifying small region found; this contradicts the structure of prime "
+            "alternating diagrams of hyperbolic links and indicates a bug or bad input")
 
 
 def _flype_disks(d, c):
@@ -329,15 +258,15 @@ def _flype_disks(d, c):
 
     found = {}
     edge, region = d._edge, d.slot_region
+    region_edges = [frozenset(edge[h] for h in walk) for walk in d._walks]
     for p in range(4):
         e1, e2 = edge[4 * c + p], edge[4 * c + (p + 1) % 4]
         # e1 separates Ra from the corner region R0 of ports p, p+1; e2
         # separates R0 from Rb.  The disk boundary runs R0, Ra, Rx, Rb.
-        ra = region_edges(d, region[4 * c + p])
-        rb = region_edges(d, region[4 * c + (p + 2) % 4])
+        ra = region_edges[region[4 * c + p]]
+        rb = region_edges[region[4 * c + (p + 2) % 4]]
         start = d.pairing[(c, p)][0]
-        for Rx in d.regions:
-            rx = region_edges(d, Rx.index)
+        for rx in region_edges:
             for f1 in ra & rx:
                 if c in ends[f1]:
                     continue
@@ -349,70 +278,3 @@ def _flype_disks(d, c):
                     if c not in S and all((ends[e][0] in S) != (ends[e][1] in S) for e in cut):
                         found.setdefault(frozenset(S), (p, (min(f1, f2), max(f1, f2))))
     return [(S, p, f) for S, (p, f) in sorted(found.items(), key=lambda item: (len(item[0]), sorted(item[0])))]
-
-
-def _joints(pairing, walk):
-    """The walk slots by the crossings their edge joins, which are
-    consecutive crossings along the face."""
-    joints = {}
-    for h in walk:
-        joints.setdefault(frozenset((h[0], pairing[h][0])), []).append(h)
-    return joints
-
-
-def _mirror(h, L):
-    c, i = h
-    return (c, 3 - i) if c in L else h
-
-
-def _tail_flype(d, c, S):
-    """`cuspcubes.diagram._tail_flype` on tuple slots: (pairing, spot) of
-    the flype of d that carries c across S, or None.  The pairing lists
-    d's pairs in its order, each turned over when in S, then the spot and
-    far pairs."""
-    if c in S:
-        return None
-    eos = edge_of_slot(d)
-    cut = {eos[(x, i)] for x in S for i in range(4) if d.pairing[(x, i)][0] not in S}
-    ports = [i for i in range(4) if d.pairing[(c, i)][0] in S]
-    if len(cut) != 4 or ports not in ([0, 1], [1, 2], [2, 3], [0, 3]):
-        return None
-    p = 3 if ports == [0, 3] else ports[0]
-    f_ids = sorted(cut - {eos[(c, i)] for i in ports})
-
-    def mu(h):
-        return _mirror(h, S)
-
-    fS = [mu(next(h for h in d.edges[f] if h[0] in S)) for f in f_ids]
-    if fS[0][1] % 2 == 0:
-        return None
-    fR = [next(h for h in d.edges[f] if h[0] not in S) for f in f_ids]
-    removed = {eos[(c, k)] for k in range(4)} | set(f_ids)
-    pairing = {}
-    for h, k in d.pairing.items():
-        mh = mu(h)
-        if mh not in pairing and eos[h] not in removed:
-            _wire(pairing, mh, mu(k))
-    spot = [(mu(d.pairing[(c, p)]), d.pairing[(c, (p + 2) % 4)]),
-            (mu(d.pairing[(c, (p + 1) % 4)]), d.pairing[(c, (p + 3) % 4)])]
-    at1, at3 = (fS[1], fR[1]) if p % 2 == 0 else (fR[1], fS[1])
-    far = [(fS[0], (c, 0)), (fR[0], (c, 2)), (at1, (c, 1)), (at3, (c, 3))]
-    for h, k in spot + far:
-        _wire(pairing, h, k)
-    return pairing, spot
-
-
-def _spot_options(pairing, spot):
-    """`cuspcubes.diagram._spot_options` read off a pairing dict before it
-    is built: (walk, c1, c2, joint) for the face through both spot edges,
-    walked from the spot slot, and each pair of distinct ends c1, c2 of the
-    two edges, with `joint` the walk slots whose edge joins c1 and c2."""
-    a, b = spot[0][0], spot[1][0]
-    ends_a, ends_b = ([k[0] for k in frozenset(sorted((h, pairing[h])))] for h in (a, b))
-    for walk in (_face_walk(pairing, a), _face_walk(pairing, pairing[a])):
-        if b in walk or pairing[b] in walk:
-            joints = _joints(pairing, walk)
-            for c1 in ends_a:
-                for c2 in ends_b:
-                    if c1 != c2:
-                        yield walk, c1, c2, joints.get(frozenset((c1, c2)), [])

@@ -17,8 +17,8 @@ from cuspcubes.pingpong import (COMMUTING, FREE_CERTIFIED, INCONCLUSIVE, MAX_WOR
                                 MobiusMap, free_word_sanity, pingpong_certificate)
 from cuspcubes.polyhedra import build_polyhedra
 from conftest import diagram_corpus, twist_sequences
-from diagram_oracles import region_adjacent
-from cubing_oracles import link_angle_class
+from diagram_oracles import Walked
+from cubing_oracles import link_angle_class, vertex_links
 from farey_oracles import covering_slope_search_oracle, differ_by_integer
 from gear_oracles import closed_form_classes, edge_arc_classes, transfer_pairs
 
@@ -164,15 +164,16 @@ def test_criterion_7_adjacency_law():
     pairs = 0
     for _name, d in pd_corpus:
         cx = build_cubing(d)
+        links, walked = vertex_links(cx), Walked(d)
         for R1 in d.regions:
             for R2 in d.regions:
                 if R1.index >= R2.index:
                     continue
                 # the half-spaces are disjoint exactly when the regions are not adjacent
-                adjacent = region_adjacent(d, R1.index, R2.index)
+                adjacent = walked.adjacent(R1.index, R2.index)
                 for v in cx.inner_vertices:
                     want = "orthogonal" if adjacent else "far"
-                    if link_angle_class(cx, v, R1.index, R2.index) != want:
+                    if link_angle_class(cx, links[v], R1.index, R2.index) != want:
                         ok = False
                         break
                 pairs += 1
@@ -250,13 +251,12 @@ def test_criterion_10_decision_procedure():
                 if good:
                     # the half-space law: disjoint exactly when not adjacent,
                     # in the diagram rebuilt from the verdict's JSON
-                    dw = AlternatingDiagram.from_json(verdict["witness_diagram"])
+                    walked = Walked(AlternatingDiagram.from_json(verdict["witness_diagram"]))
                     spare = w["spare"]
                     if spare["kind"] == "direct":
-                        good = not any(region_adjacent(dw, spare["region"], wing)
-                                       for wing in wings)
+                        good = not any(walked.adjacent(spare["region"], wing) for wing in wings)
                     else:
-                        good = not region_adjacent(dw, spare["region"], spare["via_region"])
+                        good = not walked.adjacent(spare["region"], spare["via_region"])
             if not good:
                 ok = False
                 break

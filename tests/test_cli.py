@@ -834,6 +834,21 @@ class TestErrorBranches:
          "cuspcubes decide: error: one of the arguments --two-bridge --pd is required"),
         (["svg", "-o", "unused.svg"], None,
          "cuspcubes svg: error: one of the arguments --two-bridge --pd is required"),
+        # the first index past each range of the figure-eight (n = 4): crossing
+        # n, region n + 2, edge 2n and endpoint n, given as a PD file and as a
+        # twist sequence
+        *[(argv + arc, data, expected)
+          for argv, data in ((["decide", "--pd", "F"], FIG8.to_json()), (["decide", "--two-bridge", "2,2"], None))
+          for arc, expected in ((["--crossing-arc", "c4"], "error: no crossing 4"),
+                                (["--in-region", "R6:c0:c1"], "error: no region 6"),
+                                (["--in-region", "R0:c4:c0"], "error: crossing 4 is not on the boundary of region 0"),
+                                (["--transverse", "c4:c0:e1"], "error: no crossing 4"),
+                                (["--transverse", "c0:c4:e1"], "error: no crossing 4"),
+                                (["--transverse", "c0:c1:e8"], "error: no edge 8"))],
+        # the trefoil has two black and three white regions: a torus link
+        *[(["decide", "--pd", "F", *arc], TREFOIL.to_json(),
+           "error: 2 black / 3 white regions: torus-link form, not a hyperbolic alternating link")
+          for arc in (["--in-region", "R0:c0:c1"], ["--transverse", "c0:c1:e0"])],
         (lambda: FA.Slope(1, -1), FA.FareyError, "denominator must be non-negative (use reduce_slope)"),
         (lambda: FA.Slope(2, 0), FA.FareyError, "infinity must be stored as 1/0 (use reduce_slope)"),
         (lambda: FA.Slope(0, 0), FA.FareyError, "infinity must be stored as 1/0 (use reduce_slope)"),

@@ -10,14 +10,13 @@ import pytest
 from cuspcubes import cubing
 from cuspcubes.cubing import (
     _CORNER_EDGES, _SQUARE_CORNERS, PASSAGES, CubedComplex, CubingError,
-    boundary_cubings, build_cubing, edge_name, verify_npc, vertex_name,
+    _link_failure, boundary_cubings, build_cubing, edge_name, verify_npc, vertex_name,
 )
 from cuspcubes.diagram import AlternatingDiagram, pretzel_diagram, two_bridge_diagram
-from cubing_oracles import (VertexLink, clique_flag, face_name, filed_germs, frozenset_link, germ_id,
-                            id_link, is_flag, link_angle_class, linked_verify, region_edge, vertex_link,
-                            walked_is_flag)
+from cubing_oracles import (face_name, first_seen_germs, germ_id, is_flag, link_angle_class,
+                            npc_report, region_edge, vertex_links)
 from conftest import twist_sequences
-from diagram_oracles import corner_region, region_adjacent, walked_diagram
+from diagram_oracles import Walked, walked_diagram
 from test_golden import ladder_diagrams
 
 GOLDEN = Path(__file__).parent / "data" / "corrupt_npc_golden.json"
@@ -94,116 +93,9 @@ def folded_squares(fig8):
                 yield (d.n, q, p), reclosed(base, ea=ea, eb=eb)
 
 
-def first_seen_germs(n: int) -> tuple:
-    """The vertex germs, edge germs and square faces of an n-crossing
-    complex by name, each in the order a closure over names lists them."""
-    vertices, edges, faces = [], [], []
-    for c in range(n):
-        for s in PASSAGES:
-            for p in range(4):
-                vertices += [("bc", c, s, p), ("tc", c, s, p)]
-                edges += [("ve", c, s, p), ("be", c, s, p), ("te", c, s, p)]
-                faces.append(("side", c, s, p))
-            faces += [("top", c, s), ("bottom", c, s)]
-    return vertices, edges, faces
-
-
-class NamedUnionFind:
-    """Union-find over germ names, roots and members in first-seen order."""
-
-    def __init__(self, names):
-        self.parent = {x: x for x in names}
-
-    def find(self, x):
-        while self.parent[x] != x:
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-    def classes(self) -> dict:
-        out = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return out
-
-
-def _square_corners(face: tuple) -> list:
-    """(corner germ, its two edge germs along the face) at each corner."""
-    c, s = face[1], face[2]
-    if face[0] == "side":
-        k = face[3]
-        return [((ck, c, s, p), ((flat, c, s, k), ("ve", c, s, p)))
-                for ck, flat in (("bc", "be"), ("tc", "te")) for p in (k, (k + 1) % 4)]
-    ck, flat = ("bc", "be") if face[0] == "bottom" else ("tc", "te")
-    return [((ck, c, s, p), ((flat, c, s, (p - 1) % 4), (flat, c, s, p))) for p in range(4)]
-
-
-def find_based_links(cx) -> dict:
-    """Vertex class -> link, built from the gluing lists of cx, read by
-    name, with a union-find lookup for every germ name: the square faces at
-    each vertex are filed whole, and each link finds the class of every
-    corner of every face it touches.  An oracle for vertex_link."""
-    vtx, edg, sqr = map(NamedUnionFind, first_seen_germs(cx.diagram.n))
-    for a, b in zip(cx.fa, cx.fb):
-        sqr.union(face_name(a), face_name(b))
-    for a, b in zip(cx.va, cx.vb):
-        vtx.union(vertex_name(a), vertex_name(b))
-    for a, b in zip(cx.ea, cx.eb):
-        edg.union(edge_name(a), edge_name(b))
-    germs = {v: (corners, []) for v, corners in vtx.classes().items()}
-    for members in sqr.classes().values():
-        for v in dict.fromkeys(vtx.find(corner) for corner, _e in _square_corners(members[0])):
-            germs[v][1].append(members[0])
-
-    links = {}
-    for v, (corners, faces) in germs.items():
-        problems = []
-        triangles = {}
-        for ck, c, s, p in corners:
-            flat = "be" if ck == "bc" else "te"
-            dirs = {edg.find((flat, c, s, (p - 1) % 4)),
-                    edg.find((flat, c, s, p)),
-                    edg.find(("ve", c, s, p))}
-            if len(dirs) != 3:
-                problems.append(f"degenerate corner of cube ({c},{s}) at port {p}")
-                continue
-            t = frozenset(dirs)
-            if t in triangles:
-                problems.append(f"corner of cube ({c},{s}) repeats the simplex of {triangles[t]}")
-            triangles[t] = (c, s, p)
-        edges = {}
-        for face in faces:
-            key = sqr.find(face)
-            for corner, (ea, eb) in _square_corners(face):
-                if vtx.find(corner) != v:
-                    continue
-                pair = frozenset((edg.find(ea), edg.find(eb)))
-                if len(pair) != 2:
-                    problems.append(f"square {face} pinches at {corner}")
-                    continue
-                if edges.get(pair, key) != key:
-                    problems.append(f"double edge between {sorted(map(str, pair))}")
-                edges[pair] = key
-        for t in triangles:
-            problems += ["triangle with a missing edge"
-                         for pair in combinations(t, 2) if frozenset(pair) not in edges]
-        vertices = sorted({x for t in triangles for x in t} | {x for e in edges for x in e},
-                          key=str)
-        links[v] = VertexLink(v, tuple(vertices), set(edges), set(triangles), problems)
-    return links
-
-
-def assert_links_match_oracle(cx, label):
-    want = find_based_links(cx)
-    vertices = cx.inner_vertices + cx.boundary_vertices
-    assert sorted(vertices, key=str) == sorted(want, key=str), label
-    for v in vertices:
-        # vertex, vertices, edges, triangles and the ordered problems
-        assert vertex_link(cx, v) == want[v], (label, v)
+def assert_reports_match_oracle(complexes):
+    for label, cx in complexes:
+        assert verify_npc(cx) == npc_report(cx), label
 
 
 def _has_perfect_matching(compatible: dict, n: int) -> bool:
@@ -303,13 +195,14 @@ class TestVertexLinks:
     def test_inner_links_are_subdivided_duals(self, corpus):
         for name, d in corpus.items():
             cx = build_cubing(d)
+            links, walked = vertex_links(cx), Walked(d)
             for v in cx.inner_vertices:
-                lk = vertex_link(cx, v)
-                assert lk.simplicial, name
+                lk = links[v]
+                assert not lk.problems, name
                 assert len(lk.triangles) == 4 * d.n, name
                 assert len(lk.vertices) == (d.n + 2) + d.n, name
                 # one fan of four triangles per crossing
-                region_dirs = {edge_name(root): rid for rid, root in region_edge(cx).items()}
+                region_dirs = {root: rid for rid, root in region_edge(cx).items()}
                 compatible = {}
                 for w in lk.vertices:
                     if w in region_dirs:
@@ -319,64 +212,36 @@ class TestVertexLinks:
                     pairs = {frozenset(region_dirs[x] for x in t if x != w) for t in fan}
                     compatible[w] = {
                         c for c in range(d.n)
-                        if pairs == {frozenset((corner_region(d, c, k).index,
-                                                corner_region(d, c, (k + 1) % 4).index))
+                        if pairs == {frozenset((walked.corner(c, k), walked.corner(c, (k + 1) % 4)))
                                      for k in range(4)}}
                     assert compatible[w], name
                 # a perfect matching fans <-> crossings must exist
                 assert _has_perfect_matching(compatible, d.n), name
 
     def test_links_match_find_based_oracle(self, corpus):
-        # the corpus, a 40-crossing (2,1,...,1,2) chain and a 40-crossing pretzel
+        # verify_npc against the report from the links and the flag check,
+        # on the corpus, a 40-crossing (2,1,...,1,2) chain and a 40-crossing
+        # pretzel, and on the ladder diagrams of the golden digests
         diagrams = dict(corpus, chain_40=two_bridge_diagram((2,) + (1,) * 36 + (2,)).diagram,
                         pretzel_13_13_14=pretzel_diagram(13, 13, 14))
-        for name, d in diagrams.items():
-            assert_links_match_oracle(build_cubing(d), name)
-
-    def test_id_links_match_frozenset_oracle(self, corpus, fig8):
-        # the oracle links on id tuples against the frozenset links, and the
-        # clique count against the adjacency walk on every simplicial one
-        complexes = [(name, build_cubing(d)) for name, d in corpus.items()]
-        for label, cx in complexes + list(side_corruptions(fig8)):
-            filed = filed_germs(cx)
-            assert sorted(filed) == sorted(cx._vertex_ids), label
-            for v in cx._vertex_ids:
-                edges, triangles, problems = id_link(cx, v, filed)
-                want = frozenset_link(cx, v, filed)
-                assert {frozenset(e) for e in edges} == want.edges, (label, v)
-                assert {frozenset(t) for t in triangles} == want.triangles, (label, v)
-                assert problems == want.problems, (label, v)
-                assert all(a < b for a, b in edges), (label, v)
-                assert all(a < b < c for a, b, c in triangles), (label, v)
-                if not problems:
-                    assert clique_flag(edges, len(triangles)) == walked_is_flag(want), (label, v)
+        diagrams.update((f"ladder_{d.n}", d) for d in ladder_diagrams())
+        assert_reports_match_oracle((name, build_cubing(d)) for name, d in diagrams.items())
 
     def test_boundary_links_flag(self, fig8_cx):
+        links = vertex_links(fig8_cx)
         for v in fig8_cx.boundary_vertices:
-            lk = vertex_link(fig8_cx, v)
-            assert lk.simplicial
-            assert is_flag(lk)
+            assert not links[v].problems
+            assert is_flag(links[v].edges, links[v].triangles)
 
     def test_link_sizes(self, corpus):
         for name, d in corpus.items():
             cx = build_cubing(d)
-            n = d.n
+            links, n = vertex_links(cx), d.n
             for v in cx.inner_vertices:
-                assert len(vertex_link(cx, v).edges) == 6 * n, name
+                assert len(links[v].edges) == 6 * n, name
             for v in cx.boundary_vertices:
-                lk = vertex_link(cx, v)
+                lk = links[v]
                 assert (len(lk.vertices), len(lk.edges), len(lk.triangles)) == (5, 8, 4), name
-
-
-def brute_force_flag(edges, triangles) -> bool:
-    """Every 3-subset whose pairs are edges is a triangle, and no 4-subset
-    has all its pairs edges."""
-    edges = {frozenset(e) for e in edges}
-    triangles = {frozenset(t) for t in triangles}
-    verts = sorted(set().union(*edges), key=str)
-    clique = lambda s: all(frozenset(p) in edges for p in combinations(s, 2))
-    return (all(frozenset(t) in triangles for t in combinations(verts, 3) if clique(t))
-            and not any(clique(q) for q in combinations(verts, 4)))
 
 
 def simplicial_complex(triangles, extra_edges=()):
@@ -398,6 +263,14 @@ def octahedron():
     return simplicial_complex([(x, y, z) for x in axes[0] for y in axes[1] for z in axes[2]])
 
 
+def link_failure(edges, triangles):
+    """`_link_failure` on a 2-complex whose triangles and edges each stand
+    for one corner or square: a triangle's greatest vertex is its vertical
+    edge class, so no corner is degenerate and no two share a key."""
+    corners = [(g, *sorted(t)) for g, t in enumerate(triangles)]
+    return _link_failure(corners, [(f, *e) for f, e in enumerate(edges)])
+
+
 NAMED_COMPLEXES = {
     "octahedron": (octahedron(), True),
     "tetrahedron boundary": (simplicial_complex(list(combinations("abcd", 3))), False),
@@ -408,48 +281,29 @@ NAMED_COMPLEXES = {
 
 
 class TestFlag:
+    # the flag check of verify_npc's link pass against the flag condition
     def test_empty_tetrahedron_not_flag(self):
-        verts = ("a", "b", "c", "d")
-        edges = {frozenset(p) for p in
-                 (("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d"))}
-        tris = {frozenset(t) for t in
-                (("a", "b", "c"), ("a", "b", "d"), ("a", "c", "d"), ("b", "c", "d"))}
-        lk = VertexLink("empty-tetra", verts, edges, tris)
-        assert not is_flag(lk)
+        (edges, triangles), _want = NAMED_COMPLEXES["tetrahedron boundary"]
+        assert link_failure(edges, triangles) == "non-flag clique" and not is_flag(edges, triangles)
 
     def test_single_simplex_flag(self):
-        lk = VertexLink("tri", ("a", "b", "c"),
-                        {frozenset(("a", "b")), frozenset(("a", "c")), frozenset(("b", "c"))},
-                        {frozenset(("a", "b", "c"))})
-        assert is_flag(lk)
+        edges, triangles = simplicial_complex([("a", "b", "c")])
+        assert link_failure(edges, triangles) is None and is_flag(edges, triangles)
 
     def test_missing_triangle_not_flag(self):
-        lk = VertexLink("hollow", ("a", "b", "c"),
-                        {frozenset(("a", "b")), frozenset(("a", "c")), frozenset(("b", "c"))},
-                        set())
-        assert not is_flag(lk)
+        (edges, triangles), _want = NAMED_COMPLEXES["hollow triangle"]
+        assert link_failure(edges, triangles) == "non-flag clique" and not is_flag(edges, triangles)
 
-    def test_non_simplicial_raises(self):
-        lk = VertexLink("bad", ("a", "b"), {frozenset(("a", "b"))}, set(),
-                        problems=["double edge between a and b"])
-        with pytest.raises(CubingError, match="not simplicial"):
-            is_flag(lk)
-
-    # the clique count `clique_flag`, the reference of verify_npc's link
-    # pass (test_hostile_pairs_match_link_oracle ties the two), against
-    # enumeration of every 3- and 4-subset and the adjacency-walk oracle
     @pytest.mark.parametrize("name", NAMED_COMPLEXES)
     def test_named_complexes(self, name):
         (edges, triangles), want = NAMED_COMPLEXES[name]
-        assert brute_force_flag(edges, triangles) == want
-        assert clique_flag(edges, len(triangles)) == want
-        lk = VertexLink(name, tuple(sorted({x for e in edges for x in e})),
-                        {frozenset(e) for e in edges}, set(triangles))
-        assert is_flag(lk) == walked_is_flag(lk) == want
+        assert is_flag(edges, triangles) == want
+        assert (link_failure(edges, triangles) is None) == want
 
     @settings(max_examples=300)
     @given(st.data())
     def test_random_complexes_match_brute_force(self, data):
+        # every 3- and 4-clique of the drawn complex, found by the oracle
         m = data.draw(st.integers(1, 7), label="vertices")
         triangles = data.draw(st.lists(st.sampled_from(list(combinations(range(m), 3)))
                                        if m >= 3 else st.nothing(), unique=True),
@@ -457,10 +311,7 @@ class TestFlag:
         extra = data.draw(st.lists(st.sampled_from(list(combinations(range(m), 2)))
                                    if m >= 2 else st.nothing(), unique=True), label="edges")
         edges, triangles = simplicial_complex(triangles, extra)
-        want = brute_force_flag(edges, triangles)
-        assert clique_flag(edges, len(triangles)) == want
-        lk = VertexLink("drawn", tuple(range(m)), {frozenset(e) for e in edges}, set(triangles))
-        assert is_flag(lk) == walked_is_flag(lk) == want
+        assert (link_failure(edges, triangles) is None) == is_flag(edges, triangles)
 
 
 class TestNpc:
@@ -499,25 +350,22 @@ class TestNpc:
         assert got == golden
 
     def test_corrupted_links_match_find_based_oracle(self, fig8):
-        for label, cx in side_corruptions(fig8):
-            assert_links_match_oracle(cx, label)
-
+        # every side corruption of the figure-eight, the trefoil, (3,3,4)
+        # and (2,3,2,3,2)
+        assert_reports_match_oracle(side_corruptions(fig8))
 
     def test_verdicts_match_link_oracle(self):
         # every vertex's verdict and first problem against the link-by-link
         # oracle, on every side corruption of the twist sequences of at most
-        # 10 crossings and on the ladder diagrams of the golden digests
+        # 10 crossings
         checked = 0
         for seq in twist_sequences(10):
             cx = build_cubing(two_bridge_diagram(seq).diagram)
             for k in range(cx.diagram.n, 5 * cx.diagram.n):
                 bad = cx.corrupt(k)
-                assert verify_npc(bad) == linked_verify(bad), (seq, k)
+                assert verify_npc(bad) == npc_report(bad), (seq, k)
                 checked += 1
         assert checked == 9004
-        for d in ladder_diagrams():
-            cx = build_cubing(d)
-            assert verify_npc(cx) == linked_verify(cx), d.n
 
     def test_hostile_pairs_match_link_oracle(self, fig8):
         # the first problems of the hostile pairs reach every branch a
@@ -526,7 +374,7 @@ class TestNpc:
         reached = Counter()
         for label, cx in hostile_pairs(fig8):
             rep = verify_npc(cx)
-            assert rep == linked_verify(cx), label
+            assert rep == npc_report(cx), label
             for f in rep["failures"]:
                 reached[f["reason"].split(" (")[0].split(" between")[0]] += 1
         assert {"non-simplicial: degenerate corner of cube", "non-simplicial: corner of cube",
@@ -540,15 +388,10 @@ class TestNpc:
         # the vertical edges at the two corners, whose triangles else repeat
         folds = 0
         for label, cx in folded_squares(fig8):
-            assert verify_npc(cx) == linked_verify(cx), label
-            filed = filed_germs(cx)
-            for v, (_corners, square_corners) in filed.items():
-                filed_edges = [(face, *sorted((cx._eroot[a], cx._eroot[b])))
-                               for face, _g, a, b in square_corners]
-                problems = id_link(cx, v, filed)[2]
-                if (len(set(filed_edges)) < len(filed_edges)
-                        and not (problems and "corner" in problems[0].split(" (")[0])):
-                    folds += 1
+            assert verify_npc(cx) == npc_report(cx), label
+            for lk in vertex_links(cx).values():
+                if not (lk.problems and "corner" in lk.problems[0].split(" (")[0]):
+                    folds += lk.folds
         assert folds, "no folded square reached the link's edges"
 
     def test_classes_keep_one_kind(self, corpus, fig8):
@@ -581,22 +424,23 @@ class TestAngles:
     def test_matches_region_adjacency(self, corpus):
         for name, d in corpus.items():
             cx = build_cubing(d)
+            links, walked = vertex_links(cx), Walked(d)
             for v in cx.inner_vertices:
                 for R1 in d.regions:
                     for R2 in d.regions:
                         if R1.index >= R2.index:
                             continue
-                        want = "orthogonal" if region_adjacent(d, R1.index, R2.index) else "far"
-                        assert link_angle_class(cx, v, R1.index, R2.index) == want, name
+                        want = "orthogonal" if walked.adjacent(R1.index, R2.index) else "far"
+                        assert link_angle_class(cx, links[v], R1.index, R2.index) == want, name
 
     def test_same_color_far(self, fig8, fig8_cx):
         blacks = [R.index for R in fig8.regions if R.color == "black"]
-        v = fig8_cx.inner_vertices[0]
-        assert link_angle_class(fig8_cx, v, blacks[0], blacks[1]) == "far"
+        link = vertex_links(fig8_cx)[fig8_cx.inner_vertices[0]]
+        assert link_angle_class(fig8_cx, link, blacks[0], blacks[1]) == "far"
 
     def test_same_region_rejected(self, fig8, fig8_cx):
         with pytest.raises(CubingError):
-            link_angle_class(fig8_cx, fig8_cx.inner_vertices[0], 0, 0)
+            link_angle_class(fig8_cx, vertex_links(fig8_cx)[fig8_cx.inner_vertices[0]], 0, 0)
 
 
 class TestBoundary:
@@ -622,7 +466,7 @@ class TestBoundary:
         # one torus per strand of the strand walk, in its order, holding the
         # outer square of each of the strand's passages
         for name, d in corpus.items():
-            _colors, strands, _passages = walked_diagram(d.n, d.pairing)
+            _colors, strands, *_ = walked_diagram(d.n, d.pairing)
             tori = boundary_cubings(build_cubing(d))
             assert [t["component"] for t in tori] == list(range(len(strands))), name
             assert [t["squares"] for t in tori] == [len(strand) for strand in strands], name
@@ -652,7 +496,7 @@ class TestGermIds:
     def test_names_round_trip(self, named):
         _cx, germs = named
         for decode, names in zip((vertex_name, edge_name, face_name), germs):
-            assert [decode(germ_id(g)) for g in names] == names
+            assert tuple(decode(germ_id(g)) for g in names) == names
 
     def test_ids_are_dense_in_first_seen_order(self, named):
         cx, germs = named
@@ -697,8 +541,8 @@ class TestGermIds:
             assert rep["failures"] and decoded, k
             failing = {v for v, name in zip(cx._vertex_ids, cx._vertex_strs)
                        if name in {f["vertex"] for f in rep["failures"]}}
-            filed = filed_germs(cx)
-            directions = {x for v in failing for s in id_link(cx, v, filed)[0] for x in s}
+            links = vertex_links(cx)
+            directions = {x for v in failing for x in links[vertex_name(v)].vertices}
             for decoder, g in decoded:
                 if decoder == "vertex_name":
                     assert cx._vroot[g] in failing, (k, g)

@@ -22,8 +22,7 @@ from cuspcubes.diagram import (
 )
 from cuspcubes.polyhedra import build_polyhedra
 from conftest import diagram_corpus, twist_sequences
-import diagram_oracles as oracle
-from diagram_oracles import region_adjacent, region_edges, region_of_slot
+from diagram_oracles import Walked
 
 
 def wing_regions(w):
@@ -171,7 +170,7 @@ class TestTransverse:
     def test_word_reduction_to_in_region(self):
         d = two_bridge_diagram((3, 3)).diagram
         R, a, b = separated_pair(d)
-        eid = next(iter(region_edges(d, 0)))
+        eid = next(iter(Walked(d).region_edges(0)))
         v = classify_alternating_pair(d, TransverseArc(a, b, (eid, eid)))
         assert v["verdict"] in (FREE_GEOMETRICALLY_FINITE, CROSSING_ARC_EQUIVALENT)
 
@@ -221,7 +220,7 @@ class TestSpareRegions:
         cert = witness_spare_region(d, tuple(pool[:4]), color, build_polyhedra(d))
         assert cert["kind"] == "direct"
         for w in pool[:4]:
-            assert not region_adjacent(d, cert["region"], w)
+            assert not Walked(d).adjacent(cert["region"], w)
 
     def test_transfer_with_exactly_four(self):
         d = two_bridge_diagram((2, 1, 2)).diagram
@@ -233,7 +232,7 @@ class TestSpareRegions:
         cert = witness_spare_region(d, tuple(pool), color, build_polyhedra(d))
         assert cert["kind"] == "transfer"
         assert cert["via_kind"] in ("bigon", "trigon")
-        assert not region_adjacent(d, cert["region"], cert["via_region"])
+        assert not Walked(d).adjacent(cert["region"], cert["via_region"])
 
     def test_transfer_with_exactly_three(self):
         d = two_bridge_diagram((2, 2)).diagram
@@ -256,15 +255,15 @@ class TestSpareRegions:
                 assert v.get("witness_diagram") is not None
                 # the witness regions are those of the diagram rebuilt from its JSON
                 dw = AlternatingDiagram.from_json(v["witness_diagram"])
+                walked = Walked(dw)
                 # far half-spaces are disjoint exactly when the regions are not adjacent
                 if spare["kind"] == "direct":
                     for wing in wing_regions(w):
-                        assert not region_adjacent(dw, spare["region"], wing), seq
+                        assert not walked.adjacent(spare["region"], wing), seq
                 else:
-                    assert not region_adjacent(dw, spare["region"], spare["via_region"]), seq
-                    small = dw.regions[spare["via_region"]]
-                    nbrs = [region_of_slot(dw)[dw.pairing[h]] for h in small.boundary]
-                    assert len(set(nbrs)) == len(small.boundary), seq
+                    assert not walked.adjacent(spare["region"], spare["via_region"]), seq
+                    small = walked.faces[spare["via_region"]]
+                    assert len({walked.region[dw.pairing[h]] for h in small}) == len(small), seq
 
 
 def record_corpus():
@@ -284,7 +283,7 @@ def raised(fn, *args):
 
 class TestIndexQueriesMatchRecords:
     """The region queries on indices and slot parity against the ones on
-    `Region` records in diagram_oracles."""
+    the walked faces and depth-first colors of `diagram_oracles.Walked`."""
 
     @pytest.fixture(scope="class")
     def diagrams(self):
@@ -292,18 +291,16 @@ class TestIndexQueriesMatchRecords:
 
     def test_wings_are_the_corner_regions(self, diagrams):
         for d in diagrams:
+            walked = Walked(d)
             for mirror, c, color in product((False, True), range(d.n), (BLACK, WHITE)):
-                want = tuple(R.index for R in oracle.regions_at_crossing(d, c, color))
+                want = walked.at_crossing(c, color)
                 assert build_polyhedra(d, mirror).wings(c, color) == want[::-1 if mirror else 1], (d, c)
 
     def test_small_region(self, diagrams):
         for d in diagrams:
+            walked = Walked(d)
             for color in (BLACK, WHITE):
-                want = raised(oracle.find_small_white_region, d, color)
-                got = raised(find_small_white_region, d, color)
-                if isinstance(want, tuple):
-                    want = (want[0].index, want[1])
-                assert got == want, (d, color)
+                assert raised(find_small_white_region, d, color) == raised(walked.small_region, color), (d, color)
 
     def test_small_regions_of_prime_diagrams_have_distinct_neighbors(self, diagrams):
         # why find_small_white_region takes the first bigon or trigon: in a
@@ -317,35 +314,27 @@ class TestIndexQueriesMatchRecords:
                         assert len({d.slot_region[d._twin[h]] for h in walk}) == len(walk), d
         assert small == 19_679                  # bigons and trigons checked
 
-    def test_adjacency_of_every_region_pair(self, diagrams):
-        # the spare region's test: the two ends of a wire lie in the
-        # regions on the two sides of its edge
-        for d in diagrams:
-            sides = {frozenset((d.slot_region[a], d.slot_region[b])) for a, b in d.wires}
-            for r1, r2 in product(range(d.n + 2), repeat=2):
-                if r1 != r2:
-                    assert (frozenset((r1, r2)) in sides) == region_adjacent(d, r1, r2), (d, r1, r2)
-
     def test_spare_regions(self, diagrams):
         # with the wings left out, the spare region is the least region of
         # the color, or the least one that the record search finds free; the
         # small region has the other color, whose faces shift by +1 when
         # black, flipped by the mirror flag
         for d in diagrams:
+            walked = Walked(d)
             for mirror, color in product((False, True), (BLACK, WHITE)):
-                same = [R.index for R in d.regions if R.color == color]
+                same = [r for r, col in enumerate(walked.colors) if col == color]
                 other = WHITE if color == BLACK else BLACK
-                small = raised(oracle.find_small_white_region, d, other)
+                small = raised(walked.small_region, other)
                 cert = raised(witness_spare_region, d, (), color, build_polyhedra(d, mirror))
                 if len(same) >= 5:
                     assert (cert["kind"], cert["region"]) == ("direct", same[0]), d
                 elif not isinstance(small, tuple):
                     assert cert == small, d
                 else:
-                    free = [r for r in same if not region_adjacent(d, r, small[0].index)]
+                    free = [r for r in same if not walked.adjacent(r, small[0])]
                     shift = 1 if (other == BLACK) != mirror else -1
                     got = cert["region"], cert["via_region"], cert["via_kind"], cert["transfer_shift"]
-                    assert got == (free[0], small[0].index, small[1], shift), d
+                    assert got == (free[0], small[0], small[1], shift), d
 
 
 def mirror_invariants(v):

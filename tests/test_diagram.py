@@ -1,5 +1,4 @@
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 import random
@@ -18,10 +17,8 @@ from cuspcubes.diagram import _spot_options, _tail_flype
 from cuspcubes.cubing import _UnionFind
 from cuspcubes.farey import ContinuedFraction, cf_value
 from conftest import diagram_corpus, twist_sequences
-import diagram_oracles as oracle
-from diagram_oracles import (_flype_disks, _mirror, built_diagram, edge_endpoints, edge_of_slot, edge_sides,
-                             outcome, read_off, region_adjacent, region_edges, region_of_slot, tuple_views,
-                             walked_views, wires_of)
+from diagram_oracles import (Walked, _flype_disks, built_diagram, edge_endpoints, edge_of_slot, outcome,
+                             read_off, walked_diagram, wires_of)
 from gear_oracles import closed_form_classes, edge_arc_classes
 
 TREFOIL_PD = [(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)]
@@ -147,9 +144,9 @@ class TestConstruction:
 
     def test_every_edge_has_both_colors(self, corpus):
         for name, d in corpus.items():
-            for eid in range(len(d.edges)):
-                a, b = edge_sides(d, eid)
-                assert {d.regions[a].color, d.regions[b].color} == {BLACK, WHITE}, name
+            for a, b in d.wires:
+                colors = {d.regions[d.slot_region[h]].color for h in (a, b)}
+                assert colors == {BLACK, WHITE}, name
 
 
 MUTATED = diagram_corpus()
@@ -176,7 +173,8 @@ def spliced(d, e1, e2, cross):
 class TestParityOracle:
     """Colors from slot parity and alternation as edge parity, against the
     strand walk and the depth-first coloring of `diagram_oracles`, and the
-    views built on flat slot ids against its tuple-slot face walk."""
+    faces, edges, primeness and reducedness built on flat slot ids against
+    its tuple-slot walks."""
 
     def test_corpus_twist_sequences_and_pretzels(self, corpus):
         diagrams = list(corpus.values())
@@ -184,7 +182,11 @@ class TestParityOracle:
         diagrams += [pretzel_diagram(*t) for k in (2, 3, 4) for t in product(range(1, 5), repeat=k)]
         assert len(diagrams) == 13 + 1013 + 336
         for d in diagrams:
-            assert read_off(d) == walked_views(d.n, d.pairing), d.pd_code()
+            walked = walked_diagram(d.n, d.pairing)
+            assert read_off(d) == walked, d.pd_code()
+            # the edge id of each flat slot is its edge's place in the walked list
+            edge_of = {h: e for e, edge in enumerate(walked[3]) for h in edge}
+            assert d._edge == [edge_of[divmod(h, 4)] for h in range(4 * d.n)], d.pd_code()
 
     def test_eager_flype_trials(self, eager_corpus):
         # every trial rewiring, those the constructor refuses included
@@ -197,14 +199,15 @@ class TestParityOracle:
     def test_mutated_pairings(self, data):
         # one crossing turned by one slot, or two edges spliced: the
         # constructor accepts what the oracle accepts, reads the same colors,
-        # strands and views off it, and otherwise raises the same first error
+        # strands, faces, edges, primeness and reducedness off it, and
+        # otherwise raises the same first error
         d = MUTATED[data.draw(st.sampled_from(sorted(MUTATED)))]
         if data.draw(st.booleans()):
             pairing = turned(d.pairing, data.draw(st.integers(0, d.n - 1)))
         else:
             edge = st.integers(0, len(d.edges) - 1)
             pairing = spliced(d, data.draw(edge), data.draw(edge), data.draw(st.booleans()))
-        assert outcome(built_diagram, d.n, pairing) == outcome(walked_views, d.n, pairing)
+        assert outcome(built_diagram, d.n, pairing) == outcome(walked_diagram, d.n, pairing)
 
 
 class TestPrimeReduced:
@@ -231,30 +234,28 @@ class TestPrimeReduced:
 class TestRegions:
     def test_region_adjacent(self):
         d = two_bridge_diagram((2, 2)).diagram
+        walked = Walked(d)
         blacks = [R.index for R in d.regions if R.color == BLACK]
         whites = [R.index for R in d.regions if R.color == WHITE]
         for i, R1 in enumerate(blacks):
             for R2 in blacks[i + 1:]:
-                assert not region_adjacent(d, R1, R2)
-        assert any(region_adjacent(d, b, w) for b in blacks for w in whites)
-        with pytest.raises(DiagramError):
-            region_adjacent(d, blacks[0], blacks[0])
+                assert not walked.adjacent(R1, R2)
+        assert any(walked.adjacent(b, w) for b in blacks for w in whites)
 
     def test_black_dual_graph(self, corpus):
         for name, d in corpus.items():
             for color in (BLACK, WHITE):
-                g = black_dual_graph(d, color)
-                assert len(g.edges) == d.n, name
+                vertices, edges = black_dual_graph(d, color)
+                assert len(edges) == d.n, name
                 same = sum(1 for R in d.regions if R.color == color)
                 other = len(d.regions) - same
-                assert len(g.vertices) + other == len(d.regions), name
+                assert len(vertices) + other == len(d.regions), name
 
     def test_fig8_dual_sizes(self):
         d = two_bridge_diagram((2, 2)).diagram
-        g = black_dual_graph(d)
-        gw = black_dual_graph(d, WHITE)
-        assert sorted((len(g.vertices), len(gw.vertices))) == [3, 3]
-        assert len(g.edges) == 4 == len(gw.edges)
+        (v, e), (vw, ew) = black_dual_graph(d), black_dual_graph(d, WHITE)
+        assert sorted((len(v), len(vw))) == [3, 3]
+        assert len(e) == 4 == len(ew)
 
     def test_torus_two_black_regions(self):
         # the (2,4) torus closure: two regions of one color, four of the other
@@ -266,9 +267,9 @@ class TestRegions:
     def test_small_white_region_fig8(self):
         d = two_bridge_diagram((2, 2)).diagram
         r, kind = find_small_white_region(d)
-        assert kind == "bigon" and len(d.regions[r].boundary) == 2
-        nbrs = {region_of_slot(d)[d.pairing[h]] for h in d.regions[r].boundary}
-        assert len(nbrs) == 2
+        walked = Walked(d)
+        assert kind == "bigon" and len(walked.faces[r]) == 2
+        assert len({walked.region[d.pairing[h]] for h in walked.faces[r]}) == 2
 
     def test_small_region_none_needed(self):
         d = two_bridge_diagram((3, 1, 3)).diagram
@@ -599,37 +600,25 @@ def test_flype_golden(seq, i):
 # map
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DualGraph:
-    """Multigraph on the regions of one color; one edge per crossing."""
-
-    color: str
-    vertices: list[int]                    # region indices
-    edges: list[tuple[int, int, int]]      # (region, region, crossing)
-
-
-def black_dual_graph(d, color=BLACK):
-    """Graph whose vertices are the regions of one color, one edge per
-    crossing.  It has no loop edge: `regions_at_crossing` refuses a crossing
-    whose two same-color corners coincide."""
-    verts = [R.index for R in d.regions if R.color == color]
-    edges = []
-    for c in range(d.n):
-        r1, r2 = oracle.regions_at_crossing(d, c, color)
-        edges.append((r1.index, r2.index, c))
-    return DualGraph(color, verts, edges)
+def black_dual_graph(d, color=BLACK, walked=None):
+    """The multigraph on the regions of one color, by index, with an edge
+    (region, region, crossing) per crossing, as (vertices, edges).  It has
+    no loop edge: `Walked.at_crossing` refuses a crossing whose two
+    same-color corners coincide."""
+    walked = walked or Walked(d)
+    verts = [r for r, col in enumerate(walked.colors) if col == color]
+    return verts, [(*walked.at_crossing(c, color), c) for c in range(d.n)]
 
 
-def fraction_determinant(d):
+def fraction_determinant(d, walked=None):
     """Spanning-tree count of the black graph by Fraction elimination."""
-    g = black_dual_graph(d)
-    verts = g.vertices
+    verts, edges = black_dual_graph(d, walked=walked)
     if len(verts) == 1:
         return 1
     idx = {v: i for i, v in enumerate(verts)}
     m = len(verts) - 1
     lap = [[0] * (m + 1) for _ in range(m + 1)]
-    for a, b, _c in g.edges:
+    for a, b, _c in edges:
         ia, ib = idx[a], idx[b]
         lap[ia][ia] += 1
         lap[ib][ib] += 1
@@ -666,15 +655,12 @@ def eager_trials(d, c, disks=None):
     each diagonal of c and both ways of pairing the far strands with the
     diagonals."""
     for j, (S, p, f_ids) in enumerate(_flype_disks(d, c) if disks is None else disks):
-        att1 = d.pairing[(c, p)]
-        att2 = d.pairing[(c, (p + 1) % 4)]
-        g1_far = d.pairing[(c, (p + 2) % 4)]
-        g2_far = d.pairing[(c, (p + 3) % 4)]
+        att1, att2, g1_far, g2_far = (d.pairing[(c, (p + k) % 4)] for k in range(4))
         fS = [next(h for h in d.edges[f] if h[0] in S) for f in f_ids]
         fR = [next(h for h in d.edges[f] if h[0] not in S) for f in f_ids]
 
         def mu(h):
-            return _mirror(h, S)
+            return (h[0], 3 - h[1]) if h[0] in S else h
 
         eos = edge_of_slot(d)
         removed = {eos[(c, k)] for k in range(4)} | set(f_ids)
@@ -693,10 +679,8 @@ def eager_trials(d, c, disks=None):
                 a1, a2 = ((c, 0), (c, 2)) if not f1 else ((c, 2), (c, 0))
                 b1, b2 = ((c, 1), (c, 3)) if not f2 else ((c, 3), (c, 1))
                 for assoc in (0, 1):
-                    if assoc:
-                        far = [(mu(fS[0]), a1), (fR[0], a2), (mu(fS[1]), b1), (fR[1], b2)]
-                    else:
-                        far = [(mu(fS[0]), a1), (fR[0], a2), (fR[1], b1), (mu(fS[1]), b2)]
+                    far = [(mu(fS[0]), a1), (fR[0], a2), *([(mu(fS[1]), b1), (fR[1], b2)] if assoc
+                                                           else [(fR[1], b1), (mu(fS[1]), b2)])]
                     pairing = {}
                     ok = True
                     for h, k in base + spot + far:
@@ -709,28 +693,31 @@ def eager_trials(d, c, disks=None):
                         yield j, pairing, spot
 
 
-def built_spot_options(d2, spot):
+def built_spot_options(d2, spot, walked):
     """The in-region arcs the image of the crossing arc can be, read off the
-    built diagram: (R, c1, c2, adjacent) for each region R holding both spot
-    edges and each pair of distinct ends c1, c2 of the two, by region index."""
-    ea, eb = (edge_of_slot(d2)[h] for h, _k in spot)
+    walked faces of the built diagram: (region, c1, c2, joint) for each face
+    holding both spot edges and each pair of distinct ends c1, c2 of the
+    two, with `joint` the face's slots whose edge joins c1 and c2, in walk
+    order from the spot slot (none: not adjacent)."""
+    a, b = spot[0][0], spot[1][0]
+    ea, eb = walked.edge_of[a], walked.edge_of[b]
     out = []
-    for R in d2.regions:
-        if {ea, eb} <= region_edges(d2, R.index):
-            cs = [c for c, _i in R.boundary]
-            steps = {frozenset(pair) for pair in zip(cs, cs[1:] + cs[:1])}
-            for c1 in [h[0] for h in d2.edges[ea]]:
-                for c2 in [h[0] for h in d2.edges[eb]]:
-                    if c1 != c2 and c1 in R.distinct_crossings and c2 in R.distinct_crossings:
-                        out.append((R, c1, c2, frozenset((c1, c2)) in steps))
+    for r, face in enumerate(walked.faces):
+        if {ea, eb} <= walked.region_edges(r):
+            start = face.index(a if a in face else d2.pairing[a])
+            walk = face[start:] + face[:start]
+            for c1 in [h[0] for h in walked.edges[ea]]:
+                for c2 in [h[0] for h in walked.edges[eb]]:
+                    if c1 != c2:
+                        out.append((r, c1, c2, [h for h in walk if {h[0], d2.pairing[h][0]} == {c1, c2}]))
     return out
 
 
-def keeps_invariants(d2, strands0, det0):
+def keeps_invariants(d2, strands0, det0, walked=None):
     """Does d2 have strands0 strands and determinant det0, and is it prime
     and reduced?"""
     return (len(d2.strands) == strands0 and is_prime(d2) and is_reduced(d2)
-            and fraction_determinant(d2) == det0)
+            and fraction_determinant(d2, walked) == det0)
 
 
 def disk_survivors(d, c, disk):
@@ -748,36 +735,39 @@ def disk_survivors(d, c, disk):
     return out
 
 
+def spot_options(d2, spot):
+    """`_spot_options` of the built diagram d2 for a spot on tuple slots,
+    with its joint slots as tuple slots."""
+    return [(r, c1, c2, [divmod(h, 4) for h in joint]) for r, c1, c2, joint in _spot_options(d2, flat(spot))]
+
+
 def eager_pinch_flypes(d, c, record):
     """Build every trial rewiring at c and filter it by strand count,
     primeness, reducedness and determinant; return the survivors as
-    (diagram, spot).  `record` collects, per built rewiring, its spot options
-    read off the pairing and off the built diagram and its count of gear
-    mismatches, per trial rewiring (built, agrees with the strand-walk
-    oracle), and per call (d, c, the survivors of each flype disk as
-    (pairing, spot) pairs)."""
+    (diagram, spot, walked faces).  `record` collects, per built rewiring,
+    its spot options from `_spot_options` and off the walked faces and its
+    count of gear mismatches, per trial rewiring (built, agrees with the
+    strand-walk oracle), and per call (d, c, the survivors of each flype
+    disk as (pairing, spot) pairs)."""
     if not is_prime(d):
         raise DiagramError("non-prime: the flype search needs a prime diagram")
-    det0 = fraction_determinant(d)
-    strands0 = len(d.strands)
+    det0, strands0 = fraction_determinant(d), len(d.strands)
     disks = [[] for _ in _flype_disks(d, c)]
     out = []
     for j, pairing, spot in eager_trials(d, c):
-        walked = outcome(walked_views, d.n, pairing)
         try:
             d2 = AlternatingDiagram(d.n, wires_of(pairing))
         except DiagramError as err:
-            record["oracle"].append((False, str(err) == walked))
+            record["oracle"].append((False, str(err) == outcome(walked_diagram, d.n, pairing)))
             continue
-        record["oracle"].append((True, read_off(d2) == walked))
+        walked = Walked(d2)                 # d2.pairing is pairing, in wire order
+        record["oracle"].append((True, read_off(d2) == walked.walked))
         record["gear_mismatches"].append(gear_mismatches(d2))
-        record["spots"].append((
-            [(r, c1, c2, bool(joint)) for r, c1, c2, joint in _spot_options(d2, flat(spot))],
-            [(R.index, c1, c2, adjacent) for R, c1, c2, adjacent in built_spot_options(d2, spot)]))
-        if not keeps_invariants(d2, strands0, det0):
+        record["spots"].append((spot_options(d2, spot), built_spot_options(d2, spot, walked)))
+        if not keeps_invariants(d2, strands0, det0, walked):
             continue
         disks[j].append((pairing, spot))
-        out.append((d2, spot))
+        out.append((d2, spot, walked))
     record["calls"].append((d, c, disks))
     return out
 
@@ -797,20 +787,19 @@ def eager_flype_arc_search(d, c, record, max_depth=5):
         if depth >= max_depth:
             continue
         followups = []
-        for d2, spot in eager_pinch_flypes(cur, cc, record):
-            options = built_spot_options(d2, spot)
-            nonadj = [(R, c1, c2) for R, c1, c2, adjacent in options if not adjacent]
+        for d2, spot, walked in eager_pinch_flypes(cur, cc, record):
+            options = built_spot_options(d2, spot, walked)
+            nonadj = [(r, c1, c2) for r, c1, c2, joint in options if not joint]
             if nonadj:
-                R, c1, c2 = nonadj[0]
-                return d2, InRegionArc(R.index, c1, c2), depth + 1
-            followups.append((d2, [(R, c1, c2) for R, c1, c2, _ in options]))
-        for d2, adj in followups:
-            if not adj:
+                return d2, InRegionArc(*nonadj[0]), depth + 1
+            followups.append((d2, walked, options))
+        for d2, walked, options in followups:
+            if not options:
                 continue
             gear = {e: x for members, x in edge_arc_classes(d2) for s, e in members if s == 1}
-            for R, c1, c2 in adj:
-                for e in region_edges(d2, R.index):
-                    if {h[0] for h in d2.edges[e]} == {c1, c2}:
+            for r, c1, c2, _joint in options:
+                for e in walked.region_edges(r):
+                    if {h[0] for h in walked.edges[e]} == {c1, c2}:
                         key = (diagram_key(d2), gear[e])
                         if key not in visited:
                             visited.add(key)
@@ -832,7 +821,7 @@ def eager_corpus():
     `eager_pinch_flypes` call the survivors of each flype disk, per
     built trial rewiring its count of gear mismatches, and per trial
     rewiring whether the constructor built it and whether it agreed with
-    `diagram_oracles.walked_views`.
+    `diagram_oracles.walked_diagram`.
     """
     regions = []
     record = {"spots": [], "calls": [], "gear_mismatches": [], "oracle": []}
@@ -877,32 +866,54 @@ def relabel_at(pairing, c):
 class TestLazyFlypeSearch:
     def test_valid_against_eager_search(self, eager_corpus, monkeypatch):
         # each flype of the chain crosses a disk that the 4-cycle oracle
-        # lists, with that disk's one surviving wiring; the image keeps the
-        # invariants, its ends are not adjacent, and the chain is as long
-        # as the eager search's
+        # lists, with that disk's one surviving wiring, and each disk that
+        # the chain finds no flype across has no surviving wiring; the image
+        # options are those off the walked faces of each built diagram; the
+        # image keeps the invariants, its ends are not adjacent, and the
+        # chain is as long as the eager search's
         import cuspcubes.diagram as D
-        steps = []
+        steps, options = [], []
 
         def recorded(d, c, S):
             wired = _tail_flype(d, c, S)
-            if wired:
-                steps.append((d, c, S, wired))
+            steps.append((d, c, S, wired))
             return wired
 
+        def recorded_options(d2, spot):
+            options.append((d2, spot))
+            return _spot_options(d2, spot)
+
         monkeypatch.setattr(D, "_tail_flype", recorded)
+        monkeypatch.setattr(D, "_spot_options", recorded_options)
         regions = eager_corpus[0]
         assert len(regions) == 531
-        same = 0
+        same, checked = 0, Counter()
         for seq, i, out in regions:
             tb = two_bridge_diagram(seq)
             steps.clear()
+            options.clear()
             fr = flype(tb, i)
-            assert len(steps) == fr.trace["flype_steps"] == out[1], (seq, i)
+            assert sum(wired is not None for *_, wired in steps) == fr.trace["flype_steps"] == out[1], (seq, i)
             for d, c, S, wired in steps:
+                disk = next((disk for disk in _flype_disks(d, c) if disk[0] == S), None)
+                checked["wired" if wired else "none"] += 1
+                if wired is None:
+                    assert disk is None or disk_survivors(d, c, disk) == [], (seq, i)
+                    continue
+                # wire order: d's kept wires in d's order (S turned back over),
+                # then the two spot wires, then the far wires at c's slots 0, 2, 1, 3
+                wires, spot = wired
+                kept = [tuple(h ^ 3 if h >> 2 in S else h for h in w) for w in wires[:-6]]
+                assert len(set(kept)) == 2 * d.n - 6 and kept == [w for w in d.wires if w in set(kept)], (seq, i)
+                assert wires[-6:-4] == list(spot), (seq, i)
+                assert [k for _h, k in wires[-4:]] == [4 * c, 4 * c + 2, 4 * c + 1, 4 * c + 3], (seq, i)
                 x, spot = as_pairing(wired)
-                disk = next(disk for disk in _flype_disks(d, c) if disk[0] == S)
                 y = relabel_at(x, c)
                 assert disk_survivors(d, c, disk) == [(x, spot), (x, spot), (y, spot), (y, spot)], (seq, i)
+            for d2, spot in options:
+                got = spot_options(d2, tupled(spot))
+                assert got == built_spot_options(d2, tupled(spot), Walked(d2)), (seq, i)
+                checked["options"] += len(got)
             d2 = fr.diagram
             assert keeps_invariants(d2, len(tb.diagram.strands), fraction_determinant(tb.diagram)), (seq, i)
             assert not crossings_adjacent_on_region(d2, fr.arc.region, fr.arc.c1, fr.arc.c2)
@@ -910,6 +921,7 @@ class TestLazyFlypeSearch:
                 fr.arc.region, [fr.arc.c1, fr.arc.c2])
             same += search_outcome(d2, fr.arc, fr.trace["flype_steps"]) == out
         assert same == 366
+        assert checked == {"wired": 661, "none": 153, "options": 2376}, checked
 
     def test_one_forced_wiring_per_disk(self, eager_corpus):
         # of the eight trial wirings of a disk, those that pass the
@@ -938,53 +950,13 @@ class TestLazyFlypeSearch:
         assert _tail_flype(d, 2, frozenset({3, 5})) is None          # six cut edges
 
     def test_spot_options_match_built_diagram(self, eager_corpus):
-        # option for option, in order: region index, ends, adjacency
+        # option for option, in order: region index, ends, joint slots
         spots = eager_corpus[1]
         assert len(spots) == 4360
         kinds = {(any(not o[3] for o in want), any(o[3] for o in want)) for _, want in spots}
         assert kinds == {(True, False), (False, True), (True, True)}
         for got, want in spots:
             assert got == want
-
-    def test_rewiring_matches_the_dict_oracles(self, monkeypatch):
-        # every _tail_flype call of decide's flype chains, its wire list and
-        # spot against the tuple-slot rewiring of diagram_oracles (wire order
-        # is the oracle pairing's order), and the image options against the
-        # oracle's, read off the pairing from the spot slot
-        import cuspcubes.diagram as D
-        from cuspcubes.decide import classify_2bridge_pair
-        tail, options = D._tail_flype, D._spot_options
-        checked = Counter()
-
-        def checked_tail(d, c, S):
-            wired, want = tail(d, c, S), oracle._tail_flype(d, c, S)
-            if wired is None:
-                assert want is None, (d.pd_code(), c, S)
-                checked["none"] += 1
-            else:
-                assert wired[0] == wires_of(want[0]) and wired[1] == flat(want[1]), (d.pd_code(), c, S)
-                checked["wired"] += 1
-            return wired
-
-        def checked_options(d2, spot):
-            got = [(r, c1, c2, [divmod(h, 4) for h in joint]) for r, c1, c2, joint in options(d2, spot)]
-            regions = region_of_slot(d2)
-            want = [(regions[walk[0]], c1, c2, joint)
-                    for walk, c1, c2, joint in oracle._spot_options(d2.pairing, tupled(spot))]
-            assert got == want, d2.pd_code()
-            checked["options"] += len(got)
-            return options(d2, spot)
-
-        monkeypatch.setattr(D, "_tail_flype", checked_tail)
-        monkeypatch.setattr(D, "_spot_options", checked_options)
-        seqs = twist_sequences(10) + [(2, 16, 2), (4, 4, 4, 4, 4), (5, 5, 5, 5)]
-        for seq in seqs:
-            tb = two_bridge_diagram(seq)
-            for c, i in enumerate(tb.twist_region_of):
-                if 1 < i < len(seq):
-                    for mirror in (False, True):
-                        classify_2bridge_pair(tb, CrossingArc(c), mirror)
-        assert checked == {"wired": 2418, "none": 806, "options": 8244}
 
     def test_one_prime_check_per_flype(self, monkeypatch):
         import cuspcubes.diagram as D

@@ -1,3 +1,4 @@
+from itertools import product
 from math import gcd
 
 import pytest
@@ -234,20 +235,27 @@ class TestTwoBridge:
             assert not ok
 
     def test_witnesses_act_correctly(self):
-        pairs = [(Slope(2, 7), Slope(2, 7)), (Slope(2, 7), Slope(-2, 7)),
-                 (Slope(2, 7), Slope(4, 7)), (Slope(3, 7), Slope(5, 7)),
-                 (Slope(2, 7), Slope(9, 7))]
-        for r, s in pairs:
-            for oriented in (False, True):
+        # every witness among the slopes q/p with p <= 30 and |q| <= 2p + 1,
+        # whose shifts k of x -> +-x + k run from -6 to 6: it sends {r, oo}
+        # to {s, oo}, and with the orientation flag set it is x -> x + k
+        # (det 1, fixing oo) or a swap of determinant -1
+        by_p = {}
+        for s in slopes_with_denominator_up_to(30, qband=2):
+            by_p.setdefault(s.p, []).append(s)
+        shifts = set()
+        for group in by_p.values():
+            for r, s, oriented in product(group, group, (False, True)):
                 ok, w = two_bridge_equivalent(r, s, oriented)
                 if not ok:
                     continue
-                assert {w.act(r), w.act(INFINITY)} == {s, INFINITY}
+                image = w.act(r), w.act(INFINITY)
                 if oriented:
-                    if w.det == 1:
-                        assert (w.act(r), w.act(INFINITY)) == (s, INFINITY)
-                    else:
-                        assert (w.act(r), w.act(INFINITY)) == (INFINITY, s)
+                    assert image == ((s, INFINITY) if w.det == 1 else (INFINITY, s)), (r, s, w)
+                else:
+                    assert set(image) == {s, INFINITY}, (r, s, w)
+                if w.c == 0:
+                    shifts.add(w.b)
+        assert shifts == set(range(-6, 7))
 
     def test_against_schubert_oracle(self):
         slopes = slopes_with_denominator_up_to(9)

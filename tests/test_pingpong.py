@@ -819,12 +819,20 @@ def signed(spec, sign):
 
 SIGNED_PARABOLIC = st.builds(lambda p, sign: signed(parabolic_spec(*p), sign), PARABOLIC,
                              st.sampled_from((1, -1)))
-# pairs of parabolic maps with either sign of the trace, maps of finite order
-# and their conjugates; half of them pairs of parabolic maps, which the word
-# check takes to their normal form unless they commute
+# pairs of parabolic maps with distinct fixed points and either sign of the
+# trace, which the word check takes to their normal form (T, U_omega), the
+# path the CLI runs: two draws in four
+NORMAL_FORM_PAIRS = st.builds(
+    lambda ps, signs: tuple(signed(parabolic_spec(*p), sign) for p, sign in zip(ps, signs)),
+    st.tuples(PARABOLIC, PARABOLIC).filter(lambda ps: ps[0][1] != ps[1][1]),
+    st.tuples(st.sampled_from((1, -1)), st.sampled_from((1, -1))))
+# and pairs of parabolic maps, maps of finite order and their conjugates,
+# which commute or reach the full products
 WORD_MAPS = (SIGNED_PARABOLIC | st.sampled_from(FINITE_ORDER)
              | st.builds(conjugated, st.sampled_from(FINITE_ORDER), SMALL))
-WORD_PAIRS = st.tuples(WORD_MAPS, WORD_MAPS) | st.tuples(SIGNED_PARABOLIC, SIGNED_PARABOLIC)
+WORD_PAIRS = st.integers(0, 3).flatmap(
+    lambda k: ((NORMAL_FORM_PAIRS,) * 2 + (st.tuples(WORD_MAPS, WORD_MAPS),
+                                           st.tuples(SIGNED_PARABOLIC, SIGNED_PARABOLIC)))[k])
 T_SPEC = Spec((1, 1, 0, 1))
 
 

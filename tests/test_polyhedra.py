@@ -4,7 +4,7 @@ from cuspcubes.diagram import AlternatingDiagram, BLACK, WHITE, pretzel_diagram,
 from gear_oracles import closed_form_classes, edge_arc_classes, transfer_pairs
 from polyhedra_oracles import _tutte_layout as tutte_200_sweeps, first_repeat
 from cuspcubes.polyhedra import PolyhedraError, _tutte_layout, build_polyhedra, circle_pattern_svg
-from diagram_oracles import regions_at_crossing
+from diagram_oracles import Walked
 from test_golden import svg_diagrams
 
 
@@ -93,10 +93,10 @@ class TestButterflyRegions:
 
     def test_order_conventions(self, fig8, fig8_pp):
         # lower corner first: the order in which the corners are read
+        walked = Walked(fig8)
         for c in range(fig8.n):
             for col in (BLACK, WHITE):
-                want = tuple(R.index for R in regions_at_crossing(fig8, c, col))
-                assert fig8_pp.wings(c, col) == want
+                assert fig8_pp.wings(c, col) == walked.at_crossing(c, col)
 
     def test_mirror_flips_order(self, fig8):
         pp = build_polyhedra(fig8)
