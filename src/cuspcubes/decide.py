@@ -155,7 +155,8 @@ def classify_alternating_pair(d: AlternatingDiagram, arc, mirror: bool = False) 
         if not (0 <= arc.region < d.n + 2):
             raise DecideError(f"no region {arc.region}")
         for c in (arc.c1, arc.c2):
-            if not (0 <= c < d.n and arc.region in region[4 * c:4 * c + 4]):
+            # c >= n needs no test of its own: its slot slice is empty
+            if not (c >= 0 and arc.region in region[4 * c:4 * c + 4]):
                 raise DecideError(f"crossing {c} is not on the boundary of region {arc.region}")
         if crossings_adjacent_on_region(d, arc.region, arc.c1, arc.c2):
             return {"verdict": CROSSING_ARC_EQUIVALENT,

@@ -11,10 +11,12 @@ reported as inconclusive, never as a non-freeness claim.
 
 Both paths run one routine, _decide, on scaled forms (D, D*M): the exact
 path on Gaussian integers, the numeric path on determinant-one floats with
-D = 1.0.  An exact map is stored only as its scaled form, and its
-determinant is checked once, when the map is made.  Entries are read as
-(numerator, denominator) int pairs and emitted rationals come from one
-gcd, so no Fraction is built.  Radii
+D = 1.0.  An exact map, a MobiusMap, is a slotted record of its scaled
+form alone, and its determinant is checked once, when the map is made.
+Entries are read as (numerator, denominator) int pairs: ASCII strings
+-?digits and -?digits/digits by int() directly, every other string through
+the one pattern _RATIONAL; from_entries then scales them to D*M in local
+ints.  Emitted rationals come from one gcd, so no Fraction is built.  Radii
 are irrational in general (1/|c|), so exact disks store the squared
 radius and every comparison is the rational test
     dist^2 >= r1^2 + r2^2 + 2*sqrt(r1^2 * r2^2),
@@ -24,7 +26,6 @@ rearranged to avoid square roots.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 import math
 import re
 
@@ -56,6 +57,18 @@ def parse_rational(x) -> tuple[int, int] | None:
         if len(x) > MAX_ENTRY_CHARS:
             raise PingPongError(f"entry strings are at most MAX_ENTRY_CHARS = {MAX_ENTRY_CHARS} "
                                 f"characters, got {len(x)}")
+        # ASCII -?digits and -?digits/digits go straight to int(); ASCII
+        # isdigit() holds only for 0-9, so these are strings _RATIONAL takes
+        if x.isascii():
+            n, slash, d = x.partition("/")
+            if (n[1:] if n[:1] == "-" else n).isdigit() and (d.isdigit() or not slash):
+                if not slash:
+                    return int(n), 1
+                n, d = int(n), int(d)
+                if d == 0:
+                    return None
+                g = math.gcd(n, d)
+                return n // g, d // g
         if "e" in x.lower():
             raise PingPongError(f"exponent notation is not accepted: {x!r}")
         match = _RATIONAL.fullmatch(x)
@@ -103,16 +116,6 @@ def float_entry(e) -> complex:
     return complex(_float_real(e), 0.0)
 
 
-def _gauss_of(x) -> tuple[tuple[int, int], tuple[int, int]]:
-    """A real accepted by parse_rational, or an [re, im] pair of these, as
-    its real and imaginary parts, each an (n, d) pair."""
-    real, imag = x if isinstance(x, (tuple, list)) and len(x) == 2 else (x, 0)
-    real, imag = parse_rational(real), parse_rational(imag)
-    if real is None or imag is None:
-        raise PingPongError(f"not an exact complex value: {x!r}")
-    return real, imag
-
-
 def _ratio(n: int, q: int) -> str:
     """str(Fraction(n, q)) for q > 0, without building the Fraction."""
     g = math.gcd(n, q)
@@ -143,19 +146,15 @@ def _norm(x):
     return x[0] * x[0] + x[1] * x[1]
 
 
-def _det(e):
-    ad, bc = _gmul(e[0:2], e[6:8]), _gmul(e[2:4], e[4:6])
-    return ad[0] - bc[0], ad[1] - bc[1]
-
-
-def _gauss_sqrt(w: tuple[int, int]) -> tuple[int, int] | None:
-    """The square root of a Gaussian integer w in Z[i], with positive real
-    part, or positive imaginary part when w is a negative real; None when w
-    is not a square."""
-    n = math.isqrt(_norm(w))
-    x, y = math.isqrt((n + w[0]) // 2), math.isqrt((n - w[0]) // 2)
-    s = (x, -y if w[1] < 0 else y)
-    return s if _gmul(s, s) == w else None
+def _gauss_sqrt(wr: int, wi: int) -> tuple[int, int] | None:
+    """The square root of the Gaussian integer wr + wi i, with positive real
+    part, or positive imaginary part when it is a negative real; None when
+    it is not a square."""
+    n = math.isqrt(wr * wr + wi * wi)
+    x, y = math.isqrt((n + wr) // 2), math.isqrt((n - wr) // 2)
+    if wi < 0:
+        y = -y
+    return (x, y) if x * x - y * y == wr and 2 * x * y == wi else None
 
 
 def _gauss_matmul(x: tuple, y: tuple) -> tuple:
@@ -310,41 +309,62 @@ def _decide(s1, s2, parabolic, near, disk, overlap):
 # Maps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class MobiusMap:
     """The determinant-one matrix M = [[a, b], [c, d]] over the Gaussian
     rationals, identified up to global sign, held only as its scaled form:
     den = D > 0 and e = D*M flattened as above, in lowest terms.  Both, and
     determinant one, are checked here, where a map is made, and nowhere else.
+    A plain slotted record: two maps are equal when their scaled forms are.
     """
 
-    den: int
-    e: tuple[int, ...]
+    __slots__ = ("den", "e")
 
-    def __post_init__(self):
-        if self.den <= 0 or math.gcd(self.den, *self.e) != 1:
+    def __init__(self, den: int, e: tuple[int, ...]):
+        if den <= 0 or math.gcd(den, *e) != 1:
             raise PingPongError("a scaled form needs D > 0 and no common factor of D and D*M")
-        if _det(self.e) != (self.den * self.den, 0):
+        ar, ai, br, bi, cr, ci, dr, di = e
+        if ar * dr - ai * di - br * cr + bi * ci != den * den or ar * di + ai * dr - br * ci - bi * cr:
             raise PingPongError("determinant must be 1")
+        self.den, self.e = den, e
+
+    def __eq__(self, other):
+        if type(other) is not MobiusMap:
+            return NotImplemented
+        return self.den == other.den and self.e == other.e
 
     @staticmethod
     def from_entries(a, b, c, d) -> "MobiusMap":
-        """[[a, b], [c, d]] / sqrt(ad - bc), with the root of _gauss_sqrt."""
-        parts = [q for z in (a, b, c, d) for q in _gauss_of(z)]
-        den = math.lcm(*(q for _, q in parts))
-        e = tuple(n * (den // q) for n, q in parts)
-        det = _det(e)
-        if det == (0, 0):
+        """[[a, b], [c, d]] / sqrt(ad - bc), with the root of _gauss_sqrt; each
+        entry is a real accepted by parse_rational or an [re, im] pair of these."""
+        parts = []
+        for z in (a, b, c, d):
+            real, imag = z if isinstance(z, (tuple, list)) and len(z) == 2 else (z, 0)
+            real, imag = parse_rational(real), parse_rational(imag)
+            if real is None or imag is None:
+                raise PingPongError(f"not an exact complex value: {z!r}")
+            parts += real + imag
+        nums, dens = parts[::2], parts[1::2]
+        den = math.lcm(*dens)
+        if den != 1:
+            nums = [n * (den // q) for n, q in zip(nums, dens)]
+        ar, ai, br, bi, cr, ci, dr, di = nums
+        wr, wi = ar * dr - ai * di - br * cr + bi * ci, ar * di + ai * dr - br * ci - bi * cr
+        if wr == den * den and wi == 0:
+            # det M = 1 and D is the least common denominator, so D*M is in lowest terms
+            return MobiusMap(den, tuple(nums))
+        if wr == wi == 0:
             raise PingPongError("matrix is singular")
         # det(M) = det(D*M) / D^2, so M / sqrt(det M) = (D*M) / s = (D*M) s' / |s|^2
-        s = _gauss_sqrt(det)
+        s = _gauss_sqrt(wr, wi)
         if s is None:
             raise PingPongError(
                 "determinant must be 1 (or an exact square so the matrix can be scaled)")
-        n, sbar = _norm(s), (s[0], -s[1])
-        x = tuple(p for k in range(0, 8, 2) for p in _gmul(e[k:k + 2], sbar))
+        sr, si = s
+        n = sr * sr + si * si
+        x = (ar * sr + ai * si, ai * sr - ar * si, br * sr + bi * si, bi * sr - br * si,
+             cr * sr + ci * si, ci * sr - cr * si, dr * sr + di * si, di * sr - dr * si)
         g = math.gcd(n, *x)
-        return MobiusMap(n // g, tuple(p // g for p in x))
+        return MobiusMap(n // g, tuple([p // g for p in x]))
 
     @staticmethod
     def from_json(obj) -> "MobiusMap":

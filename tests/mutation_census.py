@@ -45,6 +45,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from error_branch_census import PACKAGE, ROOT, _trace  # noqa: E402
 
 CHILD_MEMORY = 2 << 30              # address-space cap of each child, in bytes
+TAIL_LINES = 20                     # lines of a failing test's report printed
 
 _FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
           ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.In: ast.NotIn, ast.NotIn: ast.In,
@@ -54,11 +55,7 @@ _SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.FloorDiv, ast.FloorD
           ast.BitAnd: ast.BitOr, ast.BitOr: ast.BitAnd, ast.BitXor: ast.BitOr, ast.Pow: ast.Mult}
 
 # (module, line, mutation) -> why the mutant cannot change what the module does
-EQUIVALENT: dict[tuple[str, int, str], str] = {
-    ("decide", 158, "0 <= c < d.n -> 0 <= c <= d.n"):
-        "for c >= n the slots region[4c:4c+4] are empty, so the membership test "
-        "refuses the crossing with the same message",
-}
+EQUIVALENT: dict[tuple[str, int, str], str] = {}
 
 
 def _variants(node: ast.AST) -> list:
@@ -163,10 +160,18 @@ def _past_limit(*_):
 
 
 class _PerTest:
-    """pytest plugin: the package lines each test reaches, and its time."""
+    """pytest plugin: the package lines each test reaches, its time, and the
+    last lines of the report of each test or collector that fails."""
 
     def __init__(self):
-        self.reached, self.seconds = {}, {}
+        self.reached, self.seconds, self.failed = {}, {}, {}
+
+    def pytest_runtest_logreport(self, report):
+        if report.failed:
+            text = "\n".join([report.longreprtext, *(content for _, content in report.sections)])
+            self.failed[report.nodeid] = text.splitlines()[-TAIL_LINES:]
+
+    pytest_collectreport = pytest_runtest_logreport
 
     @pytest.hookimpl(wrapper=True)
     def pytest_runtest_protocol(self, item, nextitem):
@@ -208,18 +213,27 @@ def _in_child(run, seconds: float, tmp: Path):
 
 
 def trace_tests(tmp: Path) -> tuple:
-    """(test -> {file: lines reached}, test -> seconds) over tier-1."""
+    """(test -> {file: lines reached}, test -> seconds) over tier-1.  When
+    tier-1 fails, the ids and report tails of the failing tests are printed
+    before the census stops."""
     out = tmp / "trace.pickle"
 
     def run(basetemp):
         plugin = _PerTest()
         code = pytest.main(["-q", "-p", "no:cacheprovider", f"--basetemp={basetemp}"], plugins=[plugin])
-        out.write_bytes(pickle.dumps((plugin.reached, plugin.seconds)))
+        out.write_bytes(pickle.dumps((plugin.reached, plugin.seconds, plugin.failed)))
         return code
 
-    if _in_child(run, 3600, tmp) != 0:
+    code = _in_child(run, 3600, tmp)
+    reached, seconds, failed = pickle.loads(out.read_bytes()) if out.exists() else ({}, {}, {})
+    if code != 0:
+        for test, tail in failed.items():
+            print(f"failed unmutated: {test}", *(f"    {line}" for line in tail), sep="\n", file=sys.stderr)
+        if not failed:
+            print("the traced run reported no failing test ("
+                  + ("killed or past its time" if code is None else f"exit {code}") + ")", file=sys.stderr)
         raise SystemExit("tier-1 does not pass unmutated")
-    return pickle.loads(out.read_bytes())
+    return reached, seconds
 
 
 def _status(code, by: str):

@@ -278,6 +278,20 @@ class TestEntries:
     @example("1e5")
     @example(10 ** MAX_ENTRY_CHARS)
     @example("-6/4")
+    # the edge of the int() path for ASCII -?digits(/digits)?
+    @example("-0")
+    @example("-0/5")
+    @example("007/014")
+    @example("3/-4")
+    @example("+3/4")
+    @example(" 3/4")
+    @example("3/4 ")
+    @example("-/2")
+    @example("/3")
+    @example("3/")
+    @example("1_000/2")
+    @example("\uff13")          # fullwidth 3, a Unicode decimal digit
+    @example("\u00b2")          # superscript 2: isdigit() holds, int() refuses it
     def test_reader_matches_fraction(self, x):
         if isinstance(x, str) and (len(x) > MAX_ENTRY_CHARS or "e" in x.lower()) or \
                 type(x) is int and abs(x) >= 10 ** MAX_ENTRY_CHARS:
