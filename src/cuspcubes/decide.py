@@ -214,10 +214,10 @@ def classify_2bridge_pair(tb, arc, mirror: bool = False) -> dict:
     then classified there; the verdict adds the flype trace and the flyped
     diagram, whose regions the witness names.  Other arcs classify directly.
     """
-    if isinstance(tb, (tuple, list)):
+    if not isinstance(tb, TwoBridgeDiagram):          # a TwoBridgeDiagram is a tuple too
+        if not isinstance(tb, (tuple, list)):
+            raise DecideError("need a twist sequence or a standard two-bridge diagram")
         tb = two_bridge_diagram(tb)
-    if not isinstance(tb, TwoBridgeDiagram):
-        raise DecideError("need a twist sequence or a standard two-bridge diagram")
     d = tb.diagram
     n = len(tb.seq)
 

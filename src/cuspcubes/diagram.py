@@ -11,7 +11,7 @@ as is a raw rotation-system pairing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 
@@ -32,13 +32,11 @@ def _check_size(n: int) -> None:
         raise DiagramError(f"too large: {n} crossings, at most {MAX_CROSSINGS} are accepted")
 
 
-@dataclass(frozen=True)
-class Region:
-    """A complementary region of the diagram on the sphere."""
+class Region(namedtuple("Region", "index color boundary")):
+    """A complementary region of the diagram on the sphere; boundary is its
+    face walk, whose entry (c, i) leaves through port i."""
 
-    index: int
-    color: str
-    boundary: tuple[Slot, ...]          # face walk; entry (c, i) leaves through port i
+    __slots__ = ()
 
     @property
     def distinct_crossings(self) -> frozenset[int]:
@@ -332,9 +330,9 @@ def twist_sequence(seq) -> tuple[int, ...]:
     return a
 
 
-@dataclass
-class TwoBridgeDiagram:
-    """Standard alternating diagram of a two-bridge link with twist labels.
+class TwoBridgeDiagram(namedtuple("TwoBridgeDiagram", "seq diagram twist_region_of")):
+    """Standard alternating diagram of a two-bridge link with twist labels,
+    twist_region_of giving the 1-based twist region of each crossing.
 
     Twist region A_i (1-based) is horizontal for odd i and vertical for
     even i; crossings are numbered in construction order, so the members
@@ -342,9 +340,7 @@ class TwoBridgeDiagram:
     and lower tunnels.
     """
 
-    seq: tuple[int, ...]
-    diagram: AlternatingDiagram
-    twist_region_of: tuple[int, ...]          # 1-based region index per crossing
+    __slots__ = ()
 
     def crossings_in(self, i: int) -> list[int]:
         return [c for c, r in enumerate(self.twist_region_of) if r == i]
@@ -391,31 +387,26 @@ def two_bridge_diagram(seq) -> TwoBridgeDiagram:
 # Arc specifications (shared with the decision procedure)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CrossingArc:
-    crossing: int
+class CrossingArc(namedtuple("CrossingArc", "crossing")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class InRegionArc:
-    region: int
-    c1: int
-    c2: int
+class InRegionArc(namedtuple("InRegionArc", "region c1 c2")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.c1 == self.c2:
+    def __new__(cls, region: int, c1: int, c2: int):
+        if c1 == c2:
             raise DiagramError("an in-region arc needs two distinct endpoint crossings")
+        return tuple.__new__(cls, (region, c1, c2))
 
 
-@dataclass(frozen=True)
-class TransverseArc:
-    c1: int
-    c2: int
-    edge_word: tuple[int, ...]
+class TransverseArc(namedtuple("TransverseArc", "c1 c2 edge_word")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.edge_word:
+    def __new__(cls, c1: int, c2: int, edge_word: tuple[int, ...]):
+        if not edge_word:
             raise DiagramError("a transverse arc needs a non-empty edge word; use InRegionArc")
+        return tuple.__new__(cls, (c1, c2, edge_word))
 
 
 def _joint(twin: list[int], walk: list[int], c1: int, c2: int) -> list[int]:
@@ -450,11 +441,8 @@ def arc_crossing(d: AlternatingDiagram, e: int) -> int:
 # Flype
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FlypeResult:
-    diagram: AlternatingDiagram
-    arc: InRegionArc
-    trace: dict
+class FlypeResult(namedtuple("FlypeResult", "diagram arc trace")):
+    __slots__ = ()
 
 
 def _tail_flype(d: AlternatingDiagram, c: int, S: frozenset[int]):

@@ -11,7 +11,7 @@ relating the two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 
@@ -19,20 +19,22 @@ class FareyError(ValueError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class Slope:
-    """A reduced extended rational q/p with p >= 0; infinity is 1/0."""
+class Slope(namedtuple("Slope", "q p")):
+    """A reduced extended rational q/p with p >= 0; infinity is 1/0.
 
-    q: int
-    p: int
+    A checked tuple (q, p): equality, hashing and ordering are those of the
+    pair."""
 
-    def __post_init__(self):
-        if self.p < 0:
+    __slots__ = ()
+
+    def __new__(cls, q: int, p: int):
+        if p < 0:
             raise FareyError("denominator must be non-negative (use reduce_slope)")
-        if self.p == 0 and self.q != 1:
+        if p == 0 and q != 1:
             raise FareyError("infinity must be stored as 1/0 (use reduce_slope)")
-        if gcd(abs(self.q), self.p) != 1:
-            raise FareyError(f"{self.q}/{self.p} is not reduced (use reduce_slope)")
+        if gcd(abs(q), p) != 1:
+            raise FareyError(f"{q}/{p} is not reduced (use reduce_slope)")
+        return tuple.__new__(cls, (q, p))
 
     @property
     def is_infinity(self) -> bool:
@@ -150,18 +152,17 @@ def farey_distance(r: Slope, s: Slope) -> int:
 # Continued fractions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ContinuedFraction:
+class ContinuedFraction(namedtuple("ContinuedFraction", "a0 terms")):
     """a0 + [a1, ..., an] with every term positive; terms is non-empty."""
 
-    a0: int
-    terms: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.terms:
+    def __new__(cls, a0: int, terms: tuple[int, ...]):
+        if not terms:
             raise FareyError("continued fraction needs at least one term")
-        if any(t < 1 for t in self.terms):
+        if any(t < 1 for t in terms):
             raise FareyError("terms must be positive integers")
+        return tuple.__new__(cls, (a0, terms))
 
 
 def cf_value(cf: ContinuedFraction) -> Slope:
@@ -198,22 +199,20 @@ def cf_expand(r: Slope) -> ContinuedFraction:
 # Automorphisms of the tessellation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FareyAut:
+class FareyAut(namedtuple("FareyAut", "a b c d")):
     """Integer matrix [[a, b], [c, d]] with det +-1, up to global sign.
 
     Acts on slopes by q/p -> (a q + b p)/(c q + d p); determinant +1
     elements are the orientation-preserving automorphisms.
     """
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, a: int, b: int, c: int, d: int):
+        self = tuple.__new__(cls, (a, b, c, d))
         if self.det not in (1, -1):
             raise FareyError("automorphism matrices must have determinant +-1")
+        return self
 
     @property
     def det(self) -> int:

@@ -69,6 +69,9 @@ def test_cli_import_loads_no_package_module():
 def test_subcommand_loads_its_modules(argv, modules):
     _, loaded = new_modules(argv)
     assert package(loaded) == {"cuspcubes.cli"} | {"cuspcubes." + m for m in modules}
+    # the records are namedtuple subclasses or slotted classes, so no
+    # subcommand loads dataclasses or the inspect it imports
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 def test_emit_complex_loads_no_typing(tmp_path):

@@ -1,18 +1,21 @@
 """`src/` holds what the command line and the benchmark reach: every public
 top-level function and class of the package, every public method, every
-field that a method stores on `self` and every field of a `@dataclass` is
-read somewhere in `src/` outside its own definition or in `perfbench/`.  A
-name that only the tests read belongs in a tests/*_oracles.py module.
+field that a method stores on `self` and every field of a record class (a
+subclass of a `namedtuple("Name", "field ...")` base) is read somewhere in
+`src/` outside its own definition or in `perfbench/`.  A name that only
+the tests read belongs in a tests/*_oracles.py module.
 
 A read of a top-level name is a name, an attribute, an imported name or, in
 `perfbench/`, a string constant (the tracer rebinds functions by name).  A
 method or a field is read only through an attribute load (`.name`) or such
 a string: a bare name, such as a parameter of the same name, does not
 count.  Names are matched without their owner, so a method counts as read
-when any attribute of that name is loaded.  A dataclass field that shares
+when any attribute of that name is loaded.  A record field that shares
 its name with a public method or property cannot be told apart from it
 that way, so no load counts for the field: `Region.edges` would pass as
-read by each `d.edges` of the diagram's edge list.
+read by each `d.edges` of the diagram's edge list.  `src/` holds no
+`@dataclass`: tests/test_startup.py keeps `dataclasses` out of every
+subcommand.
 """
 
 import ast
@@ -43,21 +46,21 @@ def _stored_fields(cls):
     return fields.items()
 
 
-def _dataclass_fields(cls):
-    """(name, node) of each annotated field of cls when it is a @dataclass."""
-    if any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
-           for d in cls.decorator_list):
-        for item in cls.body:
-            if (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
-                    and _public(item.target.id)):
-                yield item.target.id, item
+def _record_fields(cls):
+    """(name, node) of each field of cls when a base is namedtuple("Name",
+    "field ..."), the node being the string of field names."""
+    for base in cls.bases:
+        if (isinstance(base, ast.Call) and getattr(base.func, "id", None) == "namedtuple"
+                and len(base.args) == 2 and isinstance(base.args[1], ast.Constant)):
+            for name in base.args[1].value.split():     # namedtuple refuses a leading _
+                yield name, base.args[1]
 
 
 def definitions(tree, module):
     """(qualified name, node, kind) of every public top-level function and
     class ("top", which a bare name reads), every public method of a public
     top-level class ("method"), every field that its methods store on `self`
-    ("field") and every field of a dataclass ("dataclass field")."""
+    ("field") and every field of a record class ("record field")."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _public(node.name):
             yield f"{module}.{node.name}", node, "top"
@@ -67,8 +70,8 @@ def definitions(tree, module):
                     yield f"{module}.{node.name}.{item.name}", item, "method"
             for name, store in _stored_fields(node):
                 yield f"{module}.{node.name}.{name}", store, "field"
-            for name, item in _dataclass_fields(node):
-                yield f"{module}.{node.name}.{name}", item, "dataclass field"
+            for name, item in _record_fields(node):
+                yield f"{module}.{node.name}.{name}", item, "record field"
 
 
 def reads(tree, strings):
@@ -99,7 +102,7 @@ def unread_names(src, bench):
     for module, qualname, node, kind in defined:
         own = range(node.lineno, node.end_lineno + 1)
         name = qualname.rsplit(".", 1)[1]
-        if kind == "dataclass field" and name in methods or all(
+        if kind == "record field" and name in methods or all(
                 where == ("src", module) and line in own or bare and kind != "top"
                 for where, line, bare in seen.get(name, ())):
             unread.add(qualname)
@@ -122,8 +125,7 @@ def test_the_scan_flags_unread_names():
                           "    def size(self): pass\n    def _hidden(self): pass\n"
                           "    def named(self): pass\n    def shape(self): pass\n"
                           "    def edges(self): pass\n\n"
-                          "@dataclass(frozen=True)\nclass Face:\n    color: str\n    spare: int\n"
-                          "    edges: frozenset\n    LIMIT = 4\n\n"
+                          "class Face(namedtuple('Face', 'color spare edges')):\n    LIMIT = 4\n\n"
                           "def fill(shape, spare): return shape, spare\n\n"
                           "x = used().kept, Face('black', 0, 1).color, Box().edges\n"),
            "n": ast.parse("from m import Box, Face, fill\n")}
@@ -135,7 +137,7 @@ def test_the_scan_flags_unread_names():
     # the package with the edge set of a Region record put back
     src = parsed(ROOT / "src" / "cuspcubes")
     text = (ROOT / "src" / "cuspcubes" / "diagram.py").read_text()
-    field = "    boundary: tuple[Slot, ...]"
-    assert text.count(field) == 1
-    src["diagram"] = ast.parse(text.replace(field, field + "\n    edges: frozenset[int]"))
+    fields = 'namedtuple("Region", "index color boundary")'
+    assert text.count(fields) == 1
+    src["diagram"] = ast.parse(text.replace(fields, fields[:-2] + ' edges")'))
     assert unread_names(src, parsed(ROOT / "perfbench")) - ALLOWED.keys() == {"diagram.Region.edges"}
